@@ -16,30 +16,33 @@
 namespace rapid {
 namespace {
 
+/**
+ * Quantize throughput over Laplace-shaped values (typical of trained
+ * weights, and reaching every format's underflow range): the
+ * bit-direct quantize() against the decode(encode()) codec path it is
+ * pinned to.
+ */
 void
-BM_DlFloat16Quantize(benchmark::State &state)
+BM_Quantize(benchmark::State &state, FloatFormat fmt, bool via_codec)
 {
-    Rng rng(1);
-    auto values = rng.gaussianVector(4096);
+    Rng rng(2);
+    std::vector<float> values(4096);
+    for (float &v : values)
+        v = float(rng.laplace(0.5));
     size_t i = 0;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(
-            dlfloat16().quantize(values[i++ & 4095]));
+        const float v = values[i++ & 4095];
+        benchmark::DoNotOptimize(via_codec ? fmt.quantizeViaCodec(v)
+                                           : fmt.quantize(v));
     }
+    state.SetItemsProcessed(int64_t(state.iterations()));
 }
-BENCHMARK(BM_DlFloat16Quantize);
-
-void
-BM_Fp8EncodeDecode(benchmark::State &state)
-{
-    FloatFormat fmt = fp8e4m3(4);
-    Rng rng(2);
-    auto values = rng.gaussianVector(4096);
-    size_t i = 0;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(fmt.quantize(values[i++ & 4095]));
-}
-BENCHMARK(BM_Fp8EncodeDecode);
+BENCHMARK_CAPTURE(BM_Quantize, dlfloat16, dlfloat16(), false);
+BENCHMARK_CAPTURE(BM_Quantize, dlfloat16_codec, dlfloat16(), true);
+BENCHMARK_CAPTURE(BM_Quantize, fp8e4m3, fp8e4m3(4), false);
+BENCHMARK_CAPTURE(BM_Quantize, fp8e4m3_codec, fp8e4m3(4), true);
+BENCHMARK_CAPTURE(BM_Quantize, fp8e5m2, fp8e5m2(), false);
+BENCHMARK_CAPTURE(BM_Quantize, fp8e5m2_codec, fp8e5m2(), true);
 
 void
 BM_Hfp8Fma(benchmark::State &state)

@@ -5,7 +5,6 @@
 
 #include "common/error.hh"
 #include "common/logging.hh"
-#include "precision/decode_lut.hh"
 
 namespace rapid {
 
@@ -95,15 +94,10 @@ quantizeWith(const Tensor &t, const FloatFormat &fmt, Rounding rounding)
 Tensor
 quantizeTensorFp8(const Tensor &t, Fp8Kind kind, const ExecConfig &cfg)
 {
-    // Tabulated decode: one scalar decode per encoding to fill the
-    // 256-entry table, then a lookup per element instead of the full
-    // bit-manipulation decode (bit-identical; see decode_lut.hh).
-    const Fp8DecodeLut lut((kind == Fp8Kind::Forward)
-                               ? fp8e4m3(cfg.fwd_bias)
-                               : fp8e5m2());
-    Tensor out = t;
-    out.apply([&](float v) { return lut.quantize(v, cfg.rounding); });
-    return out;
+    return quantizeWith(t,
+                        (kind == Fp8Kind::Forward) ? fp8e4m3(cfg.fwd_bias)
+                                                   : fp8e5m2(),
+                        cfg.rounding);
 }
 
 Tensor

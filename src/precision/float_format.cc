@@ -10,18 +10,6 @@
 
 namespace rapid {
 
-FloatFormat::FloatFormat(unsigned exp_bits, unsigned man_bits, int bias,
-                         bool has_subnormals, bool has_inf_nan,
-                         bool saturating)
-    : expBits_(exp_bits), manBits_(man_bits), bias_(bias),
-      hasSubnormals_(has_subnormals), hasInfNan_(has_inf_nan),
-      saturating_(saturating)
-{
-    rapid_assert(exp_bits >= 2 && exp_bits <= 8,
-                 "unsupported exponent width ", exp_bits);
-    rapid_assert(man_bits <= 23, "unsupported mantissa width ", man_bits);
-}
-
 namespace {
 
 /** Exponent field value reserved for NaN/Inf, or one past the max. */
@@ -50,6 +38,28 @@ minNormalExpField(const FloatFormat &fmt)
 }
 
 } // namespace
+
+FloatFormat::FloatFormat(unsigned exp_bits, unsigned man_bits, int bias,
+                         bool has_subnormals, bool has_inf_nan,
+                         bool saturating)
+    : expBits_(exp_bits), manBits_(man_bits), bias_(bias),
+      hasSubnormals_(has_subnormals), hasInfNan_(has_inf_nan),
+      saturating_(saturating), bitDirect_(false)
+{
+    rapid_assert(exp_bits >= 2 && exp_bits <= 8,
+                 "unsupported exponent width ", exp_bits);
+    rapid_assert(man_bits <= 23, "unsupported mantissa width ", man_bits);
+    // quantize() rounds on the binary32 bits when every value of the
+    // format is a binary32 normal or zero (binary32 exponent fields of
+    // the smallest quantum and of the largest value within [1, 254])
+    // and the round position lies inside the binary32 mantissa.
+    const int floor_exp = 127 + int(minNormalExpField(*this)) - bias;
+    const int lowest_exp =
+        has_subnormals ? floor_exp - int(man_bits) : floor_exp;
+    const int ceil_exp = 127 + int(maxNormalExpField(*this)) - bias;
+    bitDirect_ = man_bits >= 1 && man_bits <= 22 && lowest_exp >= 1
+                 && ceil_exp <= 254;
+}
 
 float
 FloatFormat::maxFinite() const

@@ -16,12 +16,22 @@
  * Encodings are produced by integer manipulation of the IEEE-754
  * single-precision bit pattern, so results match a hardware RTL
  * implementation bit-for-bit given the same rounding mode.
+ *
+ * quantize() -- the emulation hot path -- never materializes the
+ * narrow encoding: it rounds the binary32 pattern in place at the
+ * format's mantissa width, so a carry out of the mantissa bumps the
+ * exponent exactly as renormalization does. decode(encode()) stays
+ * as quantizeViaCodec(), the differential oracle that
+ * tests/test_float_format.cc pins quantize() to over every rounding
+ * class.
  */
 
 #ifndef RAPID_PRECISION_FLOAT_FORMAT_HH
 #define RAPID_PRECISION_FLOAT_FORMAT_HH
 
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <string>
 
 namespace rapid {
@@ -91,12 +101,26 @@ class FloatFormat
     /** Decode a bit pattern of this format back to single precision. */
     float decode(uint32_t pattern) const;
 
-    /** encode() then decode(): the value the datapath actually sees. */
+    /**
+     * The value the datapath actually sees: bit-identical to
+     * quantizeViaCodec(), computed on the binary32 bits directly.
+     * Formats whose values are not all binary32 normals, or that keep
+     * 0 or 23 mantissa bits, take the codec path.
+     */
+    float quantize(float value, Rounding mode = Rounding::NearestEven)
+        const;
+
+    /** encode() then decode(): the reference quantize() is tested
+     *  against. */
     float
-    quantize(float value, Rounding mode = Rounding::NearestEven) const
+    quantizeViaCodec(float value,
+                     Rounding mode = Rounding::NearestEven) const
     {
         return decode(encode(value, mode));
     }
+
+    /** Whether quantize() rounds on the bits (false: codec path). */
+    bool bitDirect() const { return bitDirect_; }
 
     /** True if @p pattern is the merged NaN/Inf symbol. */
     bool isNan(uint32_t pattern) const;
@@ -105,13 +129,88 @@ class FloatFormat
     std::string name() const;
 
   private:
+    /** (x >> shift) rounded per @p mode on the dropped bits;
+     *  1 <= shift <= 24 and x < 2^31. */
+    static uint32_t
+    roundShift(uint32_t x, unsigned shift, Rounding mode)
+    {
+        const uint32_t half = 1u << (shift - 1);
+        switch (mode) {
+          case Rounding::Truncate:
+            break;
+          case Rounding::NearestUp:
+            x += half;
+            break;
+          case Rounding::NearestEven:
+            x += half - 1 + ((x >> shift) & 1u);
+            break;
+        }
+        return x >> shift;
+    }
+
     unsigned expBits_;
     unsigned manBits_;
     int bias_;
     bool hasSubnormals_;
     bool hasInfNan_;
     bool saturating_;
+    bool bitDirect_;
 };
+
+inline float
+FloatFormat::quantize(float value, Rounding mode) const
+{
+    if (!bitDirect_)
+        return quantizeViaCodec(value, mode);
+    const uint32_t in = std::bit_cast<uint32_t>(value);
+    const uint32_t sign = in & 0x80000000u;
+    const uint32_t mag = in & 0x7fffffffu;
+    const unsigned drop = 23 - manBits_;
+    // binary32 exponent fields of the format's lowest normal binade
+    // and of its largest finite value (bitDirect_ keeps both in
+    // [1, 254]).
+    const uint32_t floor_exp =
+        uint32_t(127 + (hasSubnormals_ ? 1 : 0) - bias_);
+    const uint32_t ceil_exp = uint32_t(
+        127 + int((1u << expBits_) - (hasInfNan_ ? 2u : 1u)) - bias_);
+    const uint32_t max_finite =
+        (ceil_exp << 23) | (0x007fffffu >> drop << drop);
+
+    if (mag >= 0x7f800000u) { // Inf or NaN
+        if (hasInfNan_)
+            return std::numeric_limits<float>::quiet_NaN();
+        return std::bit_cast<float>(sign | max_finite);
+    }
+    if (mag < floor_exp << 23) {
+        // Below the normal range. binary32 subnormals flush like the
+        // codec's; without gradual underflow everything here does.
+        if (!hasSubnormals_ || mag < 0x00800000u)
+            return std::bit_cast<float>(sign);
+        // Gradual underflow: round the significand to the fixed
+        // subnormal quantum 2^(emin - bias - man), a binary32 normal.
+        const unsigned shift = drop + unsigned(floor_exp - (mag >> 23));
+        if (shift > 24) // under half a quantum in every mode
+            return std::bit_cast<float>(sign);
+        const uint32_t steps =
+            roundShift((mag & 0x007fffffu) | 0x00800000u, shift, mode);
+        const float quantum =
+            std::bit_cast<float>((floor_exp - manBits_) << 23);
+        return std::bit_cast<float>(
+            sign | std::bit_cast<uint32_t>(float(steps) * quantum));
+    }
+    // Normal range: a carry out of the mantissa lands in the exponent.
+    const uint32_t r = roundShift(mag, drop, mode) << drop;
+    if (r > max_finite) {
+        if (saturating_ || !hasInfNan_)
+            return std::bit_cast<float>(sign | max_finite);
+        return std::numeric_limits<float>::quiet_NaN();
+    }
+    // Without subnormals the all-zero pattern owns 2^-bias, so that
+    // value reads as zero.
+    if (!hasSubnormals_ && r == floor_exp << 23)
+        return std::bit_cast<float>(sign);
+    return std::bit_cast<float>(sign | r);
+}
 
 /** DLFloat16 (1,6,9), bias 31, no subnormals, merged NaN/Inf. */
 const FloatFormat &dlfloat16();

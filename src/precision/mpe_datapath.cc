@@ -18,16 +18,14 @@ isZero(float v)
 } // namespace
 
 MpeDatapath::MpeDatapath(int fwd_bias, Rounding rounding)
-    : fwdBias_(fwd_bias), rounding_(rounding),
-      fwdLut_(fp8e4m3(fwd_bias)), bwdLut_(fp8e5m2())
+    : fwdFormat_(fp8e4m3(fwd_bias)), rounding_(rounding)
 {
 }
 
 void
 MpeDatapath::setForwardBias(int fwd_bias)
 {
-    fwdBias_ = fwd_bias;
-    fwdLut_ = Fp8DecodeLut(fp8e4m3(fwd_bias));
+    fwdFormat_ = fp8e4m3(fwd_bias);
 }
 
 float
@@ -54,9 +52,9 @@ MpeDatapath::fp16Fma(float a, float b, float acc)
 float
 MpeDatapath::toFp9(float value, Fp8Kind kind) const
 {
-    const Fp8DecodeLut &lut =
-        (kind == Fp8Kind::Forward) ? fwdLut_ : bwdLut_;
-    float as_fp8 = lut.quantize(value, rounding_);
+    const FloatFormat &fp8 =
+        (kind == Fp8Kind::Forward) ? fwdFormat_ : fp8e5m2();
+    float as_fp8 = fp8.quantize(value, rounding_);
     // On-the-fly conversion to the internal (1,5,3) operand format.
     // Exact for every FP8 encoding with bias in [1,15] (tested
     // exhaustively), so this second step never changes the value.

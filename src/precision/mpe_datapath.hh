@@ -21,7 +21,6 @@
 
 #include <cstdint>
 
-#include "precision/decode_lut.hh"
 #include "precision/float_format.hh"
 #include "precision/int_format.hh"
 
@@ -52,7 +51,7 @@ class MpeDatapath
 
     /** Reconfigure the programmable forward-format bias. */
     void setForwardBias(int fwd_bias);
-    int forwardBias() const { return fwdBias_; }
+    int forwardBias() const { return fwdFormat_.bias(); }
 
     /**
      * FP16 FMA: returns round_fp16(a * b + acc). All three values are
@@ -97,14 +96,8 @@ class MpeDatapath
     void resetCounters();
 
   private:
-    int fwdBias_;
+    FloatFormat fwdFormat_; ///< FP8 (1,4,3) at the programmed bias
     Rounding rounding_;
-    /// Tabulated decode for the two FP8 input flavours (the quantize
-    /// hot path); rebuilt when the programmable bias changes. Decode
-    /// via the table is bit-identical to the scalar codec by
-    /// construction (see decode_lut.hh).
-    Fp8DecodeLut fwdLut_;
-    Fp8DecodeLut bwdLut_;
     uint64_t fmaCount_ = 0;
     uint64_t zeroGatedCount_ = 0;
 };

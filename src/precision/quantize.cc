@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <mutex>
 
 #include "common/logging.hh"
 #include "common/random.hh"
@@ -202,10 +203,11 @@ SawbQuantizer::stockCoefficients(unsigned bits)
     // Fitted once per process over canonical weight-like distributions
     // (Gaussian, Laplace, uniform, and a Gaussian mixture), seeded
     // deterministically so the constants are reproducible run-to-run.
+    // call_once makes a first use from concurrent pool tasks safe.
+    static std::once_flag once[3];
     static Coefficients cache[3];
-    static bool ready[3] = {false, false, false};
-    unsigned idx = bits - 2;
-    if (!ready[idx]) {
+    const unsigned idx = bits - 2;
+    std::call_once(once[idx], [bits, idx] {
         Rng rng(0xC0EFF5 + bits);
         const size_t n = 20000;
         std::vector<std::vector<float>> sets;
@@ -221,8 +223,7 @@ SawbQuantizer::stockCoefficients(unsigned bits)
         sets.push_back(std::move(uni));
         sets.push_back(std::move(mix));
         cache[idx] = fitCoefficients(sets, bits);
-        ready[idx] = true;
-    }
+    });
     return cache[idx];
 }
 

@@ -8,13 +8,13 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdlib>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/error.hh"
+#include "common/parallel.hh"
 #include "common/random.hh"
-#include "precision/decode_lut.hh"
 #include "precision/float_format.hh"
 
 namespace rapid {
@@ -411,57 +411,162 @@ TEST(CrossFormat, RoundingModeContracts)
     }
 }
 
-/**
- * Property test pinning the decode LUT to the scalar codec over ALL
- * 256 encodings of every 8-bit format the datapath uses (each
- * programmable forward bias plus the backward format). Compared as
- * bit patterns so a NaN encoding cannot hide behind NaN != NaN.
- */
-TEST(DecodeLut, BitIdenticalToScalarForAll256Encodings)
+constexpr Rounding kModes[] = {Rounding::NearestEven, Rounding::NearestUp,
+                               Rounding::Truncate};
+
+/** Every format the datapath uses: each programmable forward bias,
+ *  the backward and FP9 formats, DLFloat16 and binary16. */
+std::vector<FloatFormat>
+datapathFormats()
 {
-    std::vector<FloatFormat> formats;
+    std::vector<FloatFormat> fmts;
     for (int bias = 1; bias <= 15; ++bias)
-        formats.push_back(fp8e4m3(bias));
-    formats.push_back(fp8e5m2());
-    for (const FloatFormat &fmt : formats) {
-        ASSERT_EQ(fmt.numEncodings(), 256u) << fmt.name();
-        const Fp8DecodeLut lut(fmt);
-        for (uint32_t p = 0; p < 256; ++p) {
-            const uint32_t scalar =
-                std::bit_cast<uint32_t>(fmt.decode(p));
-            const uint32_t tabulated =
-                std::bit_cast<uint32_t>(lut.decode(p));
-            EXPECT_EQ(scalar, tabulated)
-                << fmt.name() << " pattern " << p;
-        }
-    }
+        fmts.push_back(fp8e4m3(bias));
+    for (const FloatFormat &f : {fp8e5m2(), fp9(), dlfloat16(), ieeeHalf()})
+        fmts.push_back(f);
+    return fmts;
 }
 
-/** The LUT-backed quantize matches the scalar quantize in every
- *  rounding mode (the composition the hot paths actually run). */
-TEST(DecodeLut, QuantizeMatchesScalarInEveryRoundingMode)
+/** Formats at the edges of the bit-direct domain (first list) and just
+ *  outside it, which quantize() serves through the codec (second). */
+std::vector<FloatFormat>
+edgeFormats()
 {
-    Rng rng(202);
-    for (const FloatFormat &fmt : {fp8e4m3(4), fp8e4m3(9), fp8e5m2()}) {
-        const Fp8DecodeLut lut(fmt);
-        for (int i = 0; i < 2000; ++i) {
-            const float x = float(rng.laplace(0.7));
-            for (Rounding mode :
-                 {Rounding::NearestEven, Rounding::NearestUp,
-                  Rounding::Truncate}) {
-                EXPECT_EQ(std::bit_cast<uint32_t>(fmt.quantize(x, mode)),
-                          std::bit_cast<uint32_t>(lut.quantize(x, mode)))
-                    << fmt.name() << " x=" << x;
+    return {
+        // Flag variants of the datapath formats.
+        FloatFormat(6, 9, 31, false, false, true),
+        FloatFormat(5, 10, 15, true, false, false),
+        FloatFormat(4, 3, 4, false, true, false),
+        // One and 22 mantissa bits: round positions 22 and 1.
+        FloatFormat(3, 1, 3, true, true, true),
+        FloatFormat(5, 22, 15, true, true, true),
+        // Smallest quantum exactly 2^-126; largest value just under
+        // 2^128.
+        FloatFormat(7, 2, 125, true, true, true),
+        FloatFormat(7, 9, -1, false, true, true),
+    };
+}
+
+std::vector<FloatFormat>
+codecPathFormats()
+{
+    return {
+        FloatFormat(7, 2, 126, true, true, true),  // quantum 2^-127
+        FloatFormat(7, 9, -2, false, true, true),  // max past 2^128
+        FloatFormat(5, 0, 15, true, true, true),   // no mantissa bits
+        FloatFormat(5, 23, 15, true, true, true),  // binary32 mantissa
+    };
+}
+
+TEST(BitDirectQuantize, DomainCoversDatapathFormats)
+{
+    for (const FloatFormat &f : datapathFormats())
+        EXPECT_TRUE(f.bitDirect()) << f.name();
+    for (const FloatFormat &f : edgeFormats())
+        EXPECT_TRUE(f.bitDirect()) << f.name();
+    for (const FloatFormat &f : codecPathFormats())
+        EXPECT_FALSE(f.bitDirect()) << f.name();
+}
+
+/**
+ * binary32 inputs covering every rounding class at every round
+ * position: each sign and exponent field (zero/subnormal and Inf/NaN
+ * included) x each cut between kept and dropped mantissa bits x kept
+ * LSB {0,1} x bits above it {clear, set} (set carries rounding into the
+ * exponent) x round bit {0,1} x sticky bits {none, lowest, all}.
+ */
+std::vector<uint32_t>
+roundingClassInputs()
+{
+    std::vector<uint32_t> out;
+    for (uint32_t sign = 0; sign < 2; ++sign) {
+        for (uint32_t exp = 0; exp < 256; ++exp) {
+            for (unsigned cut = 1; cut <= 23; ++cut) {
+                const uint32_t round = 1u << (cut - 1);
+                const uint32_t lsb = (1u << cut) & 0x7fffffu;
+                const uint32_t above = 0x7fffffu & ~((2u << cut) - 1);
+                for (uint32_t upper : {0u, lsb, above, lsb | above})
+                    for (uint32_t rb : {0u, round})
+                        for (uint32_t sticky : {0u, (round - 1) & 1u,
+                                                round - 1})
+                            out.push_back(sign << 31 | exp << 23 | upper
+                                          | rb | sticky);
             }
         }
     }
+    return out;
 }
 
-/** Only 8-bit formats admit the 256-entry table. */
-TEST(DecodeLut, RejectsNonEightBitFormats)
+/** Number of @p inputs where quantize() and the codec disagree, as bit
+ *  patterns (so a NaN cannot hide behind NaN != NaN); the first one
+ *  lands in @p first. */
+size_t
+codecMismatches(const FloatFormat &f, Rounding mode,
+                const std::vector<uint32_t> &inputs, uint32_t &first)
 {
-    EXPECT_THROW(Fp8DecodeLut{dlfloat16()}, Error);
-    EXPECT_THROW(Fp8DecodeLut{fp9()}, Error);
+    size_t bad = 0;
+    for (uint32_t in : inputs) {
+        const float x = std::bit_cast<float>(in);
+        if (std::bit_cast<uint32_t>(f.quantize(x, mode))
+            != std::bit_cast<uint32_t>(f.quantizeViaCodec(x, mode))) {
+            if (bad++ == 0)
+                first = in;
+        }
+    }
+    return bad;
+}
+
+/** The scalar codec is the oracle: bit-identity over every rounding
+ *  class, every rounding mode, and every format above. */
+TEST(BitDirectQuantize, MatchesCodecOverRoundingClasses)
+{
+    const std::vector<uint32_t> inputs = roundingClassInputs();
+    std::vector<FloatFormat> fmts = datapathFormats();
+    for (const std::vector<FloatFormat> &more :
+         {edgeFormats(), codecPathFormats()})
+        fmts.insert(fmts.end(), more.begin(), more.end());
+    for (const FloatFormat &f : fmts) {
+        for (Rounding mode : kModes) {
+            uint32_t first = 0;
+            EXPECT_EQ(codecMismatches(f, mode, inputs, first), 0u)
+                << f.name() << " mode " << int(mode)
+                << ", first input 0x" << std::hex << first;
+        }
+    }
+}
+
+/**
+ * The four datapath formats over every binary32 input at a prime
+ * stride; set RAPID_FULL_QUANTIZE_SWEEP=1 to sweep all 2^32 inputs
+ * (several minutes on a few cores).
+ */
+TEST(BitDirectQuantize, MatchesCodecOnStridedBinary32Sweep)
+{
+    const uint64_t stride =
+        std::getenv("RAPID_FULL_QUANTIZE_SWEEP") ? 1 : 4099;
+    constexpr size_t kSlices = 256;
+    constexpr uint64_t kSpan = (uint64_t(1) << 32) / kSlices;
+    for (const FloatFormat &f : {dlfloat16(), fp8e4m3(4), fp8e5m2(), fp9()}) {
+        for (Rounding mode : kModes) {
+            const std::vector<size_t> bad =
+                parallelMap(kSlices, [&](size_t s) {
+                    size_t n = 0;
+                    // Each slice starts on the global stride grid.
+                    uint64_t in = (s * kSpan + stride - 1) / stride * stride;
+                    for (; in < (s + 1) * kSpan; in += stride) {
+                        const float x = std::bit_cast<float>(uint32_t(in));
+                        n += std::bit_cast<uint32_t>(f.quantize(x, mode))
+                             != std::bit_cast<uint32_t>(
+                                 f.quantizeViaCodec(x, mode));
+                    }
+                    return n;
+                });
+            size_t total = 0;
+            for (size_t n : bad)
+                total += n;
+            EXPECT_EQ(total, 0u) << f.name() << " mode " << int(mode);
+        }
+    }
 }
 
 } // namespace

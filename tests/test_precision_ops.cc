@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/parallel.hh"
 #include "common/random.hh"
 #include "precision/chunk_accumulator.hh"
 #include "precision/int_format.hh"
@@ -291,6 +292,22 @@ TEST(Sawb, StockCoefficientsPositiveAndStable)
         EXPECT_GT(c.c2, 0.0) << "bits=" << bits;
         EXPECT_EQ(c.c1, c2.c1);
         EXPECT_EQ(c.c2, c2.c2);
+    }
+}
+
+/** The lazy stock fit may first run from concurrent pool tasks (TSan
+ *  checks this in CI); every task sees the same constants. */
+TEST(Sawb, StockCoefficientsFirstUseFromPoolTasks)
+{
+    ThreadPool pool(4);
+    std::vector<SawbQuantizer::Coefficients> got(8);
+    pool.parallelFor(got.size(), [&](size_t i) {
+        got[i] = SawbQuantizer::stockCoefficients(i % 2 ? 4 : 2);
+    });
+    for (size_t i = 0; i < got.size(); ++i) {
+        const auto want = SawbQuantizer::stockCoefficients(i % 2 ? 4 : 2);
+        EXPECT_EQ(got[i].c1, want.c1) << "task " << i;
+        EXPECT_EQ(got[i].c2, want.c2) << "task " << i;
     }
 }
 

@@ -5,6 +5,8 @@
  * geometry, and the pruned-model sparsity profiles.
  */
 
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "workloads/net_builder.hh"
@@ -20,6 +22,15 @@ struct NetExpectation
     double gmacs_lo, gmacs_hi;
     double mparams_lo, mparams_hi;
 };
+
+/** Print the network name, so the parameter shown in test listings is
+ *  stable; gtest's default byte dump would expose the address of
+ *  `name`, which moves from build to build. */
+void
+PrintTo(const NetExpectation &e, std::ostream *os)
+{
+    *os << e.name;
+}
 
 class BenchmarkCountTest
     : public ::testing::TestWithParam<NetExpectation>
