@@ -2,8 +2,9 @@
  * @file
  * google-benchmark microbenchmarks of the emulation substrate: float
  * codec encode/decode throughput, FMA datapaths, chunked
- * accumulation, quantizers, the reduced-precision GEMM executors,
- * the cycle-level systolic simulator, and the ring interconnect.
+ * accumulation, quantizers, the FP32 reference and reduced-precision
+ * GEMM executors, the cycle-level systolic simulator, and the ring
+ * interconnect.
  */
 
 #include <benchmark/benchmark.h>
@@ -12,6 +13,7 @@
 #include "func/quantized_ops.hh"
 #include "interconnect/mni.hh"
 #include "sim/systolic.hh"
+#include "tensor/ops.hh"
 
 namespace rapid {
 namespace {
@@ -84,6 +86,22 @@ BM_SawbConstruct(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SawbConstruct)->Arg(1024)->Arg(16384);
+
+/** The FP32 reference GEMM the emulated ones are measured against
+ *  (items/s is MAC/s, as for the GEMMs below). */
+void
+BM_Matmul(benchmark::State &state)
+{
+    const int64_t n = state.range(0);
+    Rng rng(7);
+    Tensor a({n, n}), b({n, n});
+    a.fillGaussian(rng, 0.0, 0.5);
+    b.fillGaussian(rng, 0.0, 0.5);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(matmul(a, b));
+    state.SetItemsProcessed(state.iterations() * n * n * n);
+}
+BENCHMARK(BM_Matmul)->Arg(32)->Arg(64)->Arg(160);
 
 void
 BM_IntMatmul(benchmark::State &state)

@@ -218,13 +218,18 @@ Mlp::denseBackward(Dense &d, const Tensor &dy)
     d.w_grad = gemm(transpose(dy), Fp8Kind::Backward, d.x_cache,
                     Fp8Kind::Forward);
     // Bias gradient: column reduction, performed on the SFU in FP32.
-    d.b_grad = Tensor({dy.dim(1)});
-    for (int64_t j = 0; j < dy.dim(1); ++j) {
-        double acc = 0.0;
-        for (int64_t i = 0; i < dy.dim(0); ++i)
-            acc += dy.at(i, j);
-        d.b_grad[j] = float(acc);
+    // Row by row, so each column still sums in ascending i.
+    rapid_assert(dy.rank() == 2, "dense error must be rank-2");
+    const int64_t rows = dy.dim(0), cols = dy.dim(1);
+    std::vector<double> acc(size_t(cols), 0.0);
+    for (int64_t i = 0; i < rows; ++i) {
+        const float *row = dy.data() + i * cols;
+        for (int64_t j = 0; j < cols; ++j)
+            acc[size_t(j)] += row[j];
     }
+    d.b_grad = Tensor({cols});
+    for (int64_t j = 0; j < cols; ++j)
+        d.b_grad[j] = float(acc[size_t(j)]);
     // Data-gradient GEMM: errors (backward format) x weights (forward).
     return gemm(dy, Fp8Kind::Backward, d.w, Fp8Kind::Forward);
 }

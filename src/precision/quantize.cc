@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 
 #include "common/logging.hh"
-#include "common/random.hh"
 
 namespace rapid {
 
@@ -200,31 +198,16 @@ SawbQuantizer::stockCoefficients(unsigned bits)
 {
     rapid_assert(bits >= 2 && bits <= 4, "no stock coefficients for INT",
                  bits);
-    // Fitted once per process over canonical weight-like distributions
-    // (Gaussian, Laplace, uniform, and a Gaussian mixture), seeded
-    // deterministically so the constants are reproducible run-to-run.
-    // call_once makes a first use from concurrent pool tasks safe.
-    static std::once_flag once[3];
-    static Coefficients cache[3];
-    const unsigned idx = bits - 2;
-    std::call_once(once[idx], [bits, idx] {
-        Rng rng(0xC0EFF5 + bits);
-        const size_t n = 20000;
-        std::vector<std::vector<float>> sets;
-        sets.push_back(rng.gaussianVector(n, 0.0, 1.0));
-        std::vector<float> lap(n), uni(n), mix(n);
-        for (size_t i = 0; i < n; ++i) {
-            lap[i] = float(rng.laplace(1.0));
-            uni[i] = float(rng.uniform(-1.0, 1.0));
-            mix[i] = float(rng.uniform() < 0.8 ? rng.gaussian(0.0, 0.5)
-                                               : rng.gaussian(0.0, 2.0));
-        }
-        sets.push_back(std::move(lap));
-        sets.push_back(std::move(uni));
-        sets.push_back(std::move(mix));
-        cache[idx] = fitCoefficients(sets, bits);
-    });
-    return cache[idx];
+    // fitCoefficients over canonical weight-like distributions
+    // (Gaussian, Laplace, uniform and a Gaussian mixture; 20000 draws
+    // each from Rng(0xC0EFF5 + bits)), frozen as exact binary64 values.
+    // Sawb.StockCoefficientsMatchRefit repeats the fit and compares.
+    static constexpr Coefficients kStock[] = {
+        {0x1.3991bb24fc003p+2, 0x1.29e0f4c3c9d5dp+2}, // INT2
+        {0x1.afc88b90555dp+2, 0x1.82475597b1602p+2},  // INT3
+        {0x1.5976aad49d186p+3, 0x1.4f4c45ffd3551p+3}, // INT4
+    };
+    return kStock[bits - 2];
 }
 
 } // namespace rapid

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 namespace rapid {
 
@@ -72,13 +73,25 @@ matmul(const Tensor &a, const Tensor &b)
     rapid_assert(b.dim(0) == k, "matmul inner-dimension mismatch");
     const int64_t n = b.dim(1);
     Tensor out({m, n});
+    // i-k-j order: each output row keeps a row of double accumulators
+    // and B is read a row at a time. Every output still sums its exact
+    // products in ascending k from +0.0 and rounds to float once, so
+    // the bits match the i-j-k triple loop. Only the j loop may be
+    // vectorised, never k; zero operands are not skipped (0 * Inf is
+    // NaN).
+    std::vector<double> acc(size_t(n), 0.0);
     for (int64_t i = 0; i < m; ++i) {
-        for (int64_t j = 0; j < n; ++j) {
-            double acc = 0.0;
-            for (int64_t kk = 0; kk < k; ++kk)
-                acc += double(a.at(i, kk)) * double(b.at(kk, j));
-            out.at(i, j) = float(acc);
+        std::fill(acc.begin(), acc.end(), 0.0);
+        const float *a_row = a.data() + i * k;
+        for (int64_t kk = 0; kk < k; ++kk) {
+            const double a_ik = double(a_row[kk]);
+            const float *b_row = b.data() + kk * n;
+            for (int64_t j = 0; j < n; ++j)
+                acc[size_t(j)] += a_ik * double(b_row[j]);
         }
+        float *out_row = out.data() + i * n;
+        for (int64_t j = 0; j < n; ++j)
+            out_row[j] = float(acc[size_t(j)]);
     }
     return out;
 }
@@ -87,10 +100,13 @@ Tensor
 transpose(const Tensor &a)
 {
     rapid_assert(a.rank() == 2, "transpose expects rank-2");
-    Tensor out({a.dim(1), a.dim(0)});
-    for (int64_t i = 0; i < a.dim(0); ++i)
-        for (int64_t j = 0; j < a.dim(1); ++j)
-            out.at(j, i) = a.at(i, j);
+    const int64_t rows = a.dim(0), cols = a.dim(1);
+    Tensor out({cols, rows});
+    const float *src = a.data();
+    float *dst = out.data();
+    for (int64_t i = 0; i < rows; ++i)
+        for (int64_t j = 0; j < cols; ++j)
+            dst[j * rows + i] = src[i * cols + j];
     return out;
 }
 
@@ -99,20 +115,26 @@ biasAdd(const Tensor &x, const Tensor &bias)
 {
     rapid_assert(bias.rank() == 1, "bias must be rank-1");
     Tensor out = x;
+    const float *b = bias.data();
     if (x.rank() == 4) {
         rapid_assert(bias.dim(0) == x.dim(1), "bias/channel mismatch");
-        for (int64_t n = 0; n < x.dim(0); ++n)
-            for (int64_t c = 0; c < x.dim(1); ++c)
-                for (int64_t h = 0; h < x.dim(2); ++h)
-                    for (int64_t w = 0; w < x.dim(3); ++w)
-                        out.at(n, c, h, w) += bias[c];
+        const int64_t channels = x.dim(1), plane = x.dim(2) * x.dim(3);
+        float *p = out.data();
+        for (int64_t nc = 0; nc < x.dim(0) * channels; ++nc, p += plane) {
+            const float bc = b[nc % channels];
+            for (int64_t e = 0; e < plane; ++e)
+                p[e] += bc;
+        }
         return out;
     }
     rapid_assert(x.rank() == 2 && bias.dim(0) == x.dim(1),
                  "bias/column mismatch");
-    for (int64_t i = 0; i < x.dim(0); ++i)
-        for (int64_t j = 0; j < x.dim(1); ++j)
-            out.at(i, j) += bias[j];
+    const int64_t rows = x.dim(0), cols = x.dim(1);
+    for (int64_t i = 0; i < rows; ++i) {
+        float *row = out.data() + i * cols;
+        for (int64_t j = 0; j < cols; ++j)
+            row[j] += b[j];
+    }
     return out;
 }
 
@@ -192,17 +214,22 @@ Tensor
 softmax(const Tensor &x)
 {
     rapid_assert(x.rank() == 2, "softmax expects rank-2 logits");
-    Tensor out = x;
-    for (int64_t i = 0; i < x.dim(0); ++i) {
+    const int64_t rows = x.dim(0), cols = x.dim(1);
+    Tensor out({rows, cols});
+    std::vector<double> e(size_t(cols), 0.0); // each exp, computed once
+    for (int64_t i = 0; i < rows; ++i) {
+        const float *in = x.data() + i * cols;
         float mx = -std::numeric_limits<float>::infinity();
-        for (int64_t j = 0; j < x.dim(1); ++j)
-            mx = std::max(mx, x.at(i, j));
+        for (int64_t j = 0; j < cols; ++j)
+            mx = std::max(mx, in[j]);
         double sum = 0.0;
-        for (int64_t j = 0; j < x.dim(1); ++j)
-            sum += std::exp(double(x.at(i, j)) - double(mx));
-        for (int64_t j = 0; j < x.dim(1); ++j)
-            out.at(i, j) =
-                float(std::exp(double(x.at(i, j)) - double(mx)) / sum);
+        for (int64_t j = 0; j < cols; ++j) {
+            e[size_t(j)] = std::exp(double(in[j]) - double(mx));
+            sum += e[size_t(j)];
+        }
+        float *o = out.data() + i * cols;
+        for (int64_t j = 0; j < cols; ++j)
+            o[j] = float(e[size_t(j)] / sum);
     }
     return out;
 }
@@ -251,11 +278,16 @@ softmaxCrossEntropyGrad(const Tensor &logits,
                         const std::vector<int> &labels)
 {
     Tensor grad = softmax(logits);
-    const float inv_n = 1.0f / float(logits.dim(0));
-    for (int64_t i = 0; i < logits.dim(0); ++i) {
-        grad.at(i, labels[size_t(i)]) -= 1.0f;
-        for (int64_t j = 0; j < logits.dim(1); ++j)
-            grad.at(i, j) *= inv_n;
+    const int64_t rows = logits.dim(0), cols = logits.dim(1);
+    rapid_assert(int64_t(labels.size()) == rows, "label count mismatch");
+    const float inv_n = 1.0f / float(rows);
+    for (int64_t i = 0; i < rows; ++i) {
+        const int label = labels[size_t(i)];
+        rapid_assert(label >= 0 && label < cols, "label out of range");
+        float *row = grad.data() + i * cols;
+        row[label] -= 1.0f;
+        for (int64_t j = 0; j < cols; ++j)
+            row[j] *= inv_n;
     }
     return grad;
 }

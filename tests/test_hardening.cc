@@ -6,9 +6,10 @@
  * sanitizer work exposed in the quantizer rounding paths.
  *
  * This binary is compiled with RAPID_BOUNDS_CHECK=1 and without
- * NDEBUG (see tests/CMakeLists.txt), and builds its own copy of
- * tensor.cc so the bounds-checked access paths are active no matter
- * how the rest of the tree was configured.
+ * NDEBUG (see tests/CMakeLists.txt). The Tensor accessors are inline,
+ * and it builds its own copy of tensor.cc, so the bounds-checked
+ * access paths are active no matter how the rest of the tree was
+ * configured.
  */
 
 #include <cmath>

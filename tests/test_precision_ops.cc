@@ -295,8 +295,35 @@ TEST(Sawb, StockCoefficientsPositiveAndStable)
     }
 }
 
-/** The lazy stock fit may first run from concurrent pool tasks (TSan
- *  checks this in CI); every task sees the same constants. */
+/** The frozen stock constants are exactly what fitCoefficients yields
+ *  on the documented sample sets, so the fit and the literals cannot
+ *  drift apart. */
+TEST(Sawb, StockCoefficientsMatchRefit)
+{
+    for (unsigned bits : {2u, 3u, 4u}) {
+        Rng rng(0xC0EFF5 + bits);
+        const size_t n = 20000;
+        std::vector<std::vector<float>> sets;
+        sets.push_back(rng.gaussianVector(n, 0.0, 1.0));
+        std::vector<float> lap(n), uni(n), mix(n);
+        for (size_t i = 0; i < n; ++i) {
+            lap[i] = float(rng.laplace(1.0));
+            uni[i] = float(rng.uniform(-1.0, 1.0));
+            mix[i] = float(rng.uniform() < 0.8 ? rng.gaussian(0.0, 0.5)
+                                               : rng.gaussian(0.0, 2.0));
+        }
+        sets.push_back(std::move(lap));
+        sets.push_back(std::move(uni));
+        sets.push_back(std::move(mix));
+        const auto fit = SawbQuantizer::fitCoefficients(sets, bits);
+        const auto stock = SawbQuantizer::stockCoefficients(bits);
+        EXPECT_EQ(fit.c1, stock.c1) << "bits=" << bits;
+        EXPECT_EQ(fit.c2, stock.c2) << "bits=" << bits;
+    }
+}
+
+/** The stock constants may first be read from concurrent pool tasks
+ *  (TSan checks this in CI); every task sees the same constants. */
 TEST(Sawb, StockCoefficientsFirstUseFromPoolTasks)
 {
     ThreadPool pool(4);

@@ -3,7 +3,14 @@
  * Tests for the dense tensor container and the FP32 golden operators.
  */
 
+#include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -238,6 +245,263 @@ TEST(Ops, CrossEntropyOfPerfectPrediction)
     logits.at(0, 0) = 100.0f;
     logits.at(0, 1) = -100.0f;
     EXPECT_NEAR(softmaxCrossEntropy(logits, {0}), 0.0f, 1e-5);
+}
+
+// ---------------------------------------------------------------------
+// Differential oracles: the accessor-based loops the row-pointer
+// kernels replaced. Results must agree bit for bit: signed zeros,
+// subnormals, infinities and the last mantissa bit all count. NaNs
+// compare as a class. IEEE 754 leaves the sign and payload of a NaN
+// computed from NaN operands open, and x86 returns the first source
+// operand's NaN, an order the register allocator picks for
+// `acc += a * b` in either loop.
+// ---------------------------------------------------------------------
+
+/** The i-j-k triple loop: one double accumulator per output. */
+Tensor
+referenceMatmul(const Tensor &a, const Tensor &b)
+{
+    const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
+    Tensor out({m, n});
+    for (int64_t i = 0; i < m; ++i) {
+        for (int64_t j = 0; j < n; ++j) {
+            double acc = 0.0;
+            for (int64_t kk = 0; kk < k; ++kk)
+                acc += double(a.at(i, kk)) * double(b.at(kk, j));
+            out.at(i, j) = float(acc);
+        }
+    }
+    return out;
+}
+
+Tensor
+referenceTranspose(const Tensor &a)
+{
+    Tensor out({a.dim(1), a.dim(0)});
+    for (int64_t i = 0; i < a.dim(0); ++i)
+        for (int64_t j = 0; j < a.dim(1); ++j)
+            out.at(j, i) = a.at(i, j);
+    return out;
+}
+
+Tensor
+referenceBiasAdd(const Tensor &x, const Tensor &bias)
+{
+    Tensor out = x;
+    if (x.rank() == 4) {
+        for (int64_t n = 0; n < x.dim(0); ++n)
+            for (int64_t c = 0; c < x.dim(1); ++c)
+                for (int64_t h = 0; h < x.dim(2); ++h)
+                    for (int64_t w = 0; w < x.dim(3); ++w)
+                        out.at(n, c, h, w) += bias[c];
+        return out;
+    }
+    for (int64_t i = 0; i < x.dim(0); ++i)
+        for (int64_t j = 0; j < x.dim(1); ++j)
+            out.at(i, j) += bias[j];
+    return out;
+}
+
+Tensor
+referenceSoftmax(const Tensor &x)
+{
+    Tensor out = x;
+    for (int64_t i = 0; i < x.dim(0); ++i) {
+        float mx = -std::numeric_limits<float>::infinity();
+        for (int64_t j = 0; j < x.dim(1); ++j)
+            mx = std::max(mx, x.at(i, j));
+        double sum = 0.0;
+        for (int64_t j = 0; j < x.dim(1); ++j)
+            sum += std::exp(double(x.at(i, j)) - double(mx));
+        for (int64_t j = 0; j < x.dim(1); ++j)
+            out.at(i, j) =
+                float(std::exp(double(x.at(i, j)) - double(mx)) / sum);
+    }
+    return out;
+}
+
+Tensor
+referenceCrossEntropyGrad(const Tensor &logits,
+                          const std::vector<int> &labels)
+{
+    Tensor grad = referenceSoftmax(logits);
+    const float inv_n = 1.0f / float(logits.dim(0));
+    for (int64_t i = 0; i < logits.dim(0); ++i) {
+        grad.at(i, labels[size_t(i)]) -= 1.0f;
+        for (int64_t j = 0; j < logits.dim(1); ++j)
+            grad.at(i, j) *= inv_n;
+    }
+    return grad;
+}
+
+/** binary32 patterns, with every NaN mapped to the default quiet NaN. */
+std::vector<uint32_t>
+bitsOf(const Tensor &t)
+{
+    std::vector<uint32_t> bits(size_t(t.numel()));
+    std::memcpy(bits.data(), t.data(), bits.size() * sizeof(uint32_t));
+    for (uint32_t &b : bits)
+        if ((b & 0x7fffffffu) > 0x7f800000u)
+            b = 0x7fc00000u;
+    return bits;
+}
+
+/** Shape and bit-pattern identity, reporting the first mismatch. */
+void
+expectSameBits(const Tensor &got, const Tensor &want, const char *what)
+{
+    ASSERT_EQ(got.shape(), want.shape()) << what;
+    const std::vector<uint32_t> g = bitsOf(got), w = bitsOf(want);
+    for (size_t i = 0; i < g.size(); ++i)
+        ASSERT_EQ(g[i], w[i]) << what << ": element " << i << " got "
+                              << got[int64_t(i)] << " want "
+                              << want[int64_t(i)];
+}
+
+constexpr float kInf = std::numeric_limits<float>::infinity();
+constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+
+/** Every binary32 class a MAC can meet: signed zeros, subnormals,
+ *  the extremes, infinities and NaN. */
+const float kSpecials[] = {0.0f,     -0.0f,    FLT_TRUE_MIN, -FLT_TRUE_MIN,
+                           1e-40f,   -3e-39f,  FLT_MIN,      -FLT_MIN,
+                           FLT_MAX,  -FLT_MAX, kInf,         -kInf,
+                           kNan,     1.0f,     -1.0f};
+
+/** Operand fills for the oracle checks. */
+enum class Fill
+{
+    Gaussian,  ///< ordinary training-like values
+    Specials,  ///< Gaussian with ~1 in 8 elements a special value
+    Cancel,    ///< mixed-magnitude rows whose large terms cancel
+    Zeros,     ///< mostly signed zeros, some Inf (0 * Inf is NaN)
+};
+
+Tensor
+filled(std::vector<int64_t> shape, Fill fill, uint64_t seed)
+{
+    Tensor t(std::move(shape));
+    Rng rng(seed);
+    t.fillGaussian(rng);
+    for (int64_t i = 0; i < t.numel(); ++i) {
+        const int64_t pick = rng.uniformInt(0, 63);
+        switch (fill) {
+          case Fill::Gaussian:
+            break;
+          case Fill::Specials:
+            if (pick < 8)
+                t[i] = kSpecials[size_t(pick + i) % std::size(kSpecials)];
+            break;
+          case Fill::Cancel:
+            // +/-2^60 and +/-2^30 terms next to unit ones: the double
+            // running sum loses the small terms until the big ones
+            // cancel, so summation order shows in the result.
+            if (pick < 16)
+                t[i] = (pick % 2 ? -1.0f : 1.0f)
+                       * (pick < 8 ? 0x1p60f : 0x1p30f);
+            else if (pick < 20)
+                t[i] *= 1e-30f;
+            break;
+          case Fill::Zeros:
+            t[i] = pick < 4 ? (pick % 2 ? kInf : -kInf)
+                            : (pick % 2 ? 0.0f : -0.0f);
+            break;
+        }
+    }
+    return t;
+}
+
+constexpr Fill kFills[] = {Fill::Gaussian, Fill::Specials, Fill::Cancel,
+                           Fill::Zeros};
+
+TEST(OpsOracle, MatmulBitIdenticalToTripleLoop)
+{
+    struct Shape
+    {
+        int64_t m, k, n;
+    };
+    // Degenerate, single-column, odd n with k > 64, and the MLP layers
+    // (batch 32, widths 2/32/160) in forward and gradient orientation.
+    const Shape shapes[] = {{1, 1, 1},    {1, 97, 1},     {7, 130, 9},
+                            {32, 2, 32},  {32, 32, 32},   {32, 160, 160},
+                            {160, 32, 160}};
+    uint64_t seed = 1;
+    for (const Shape &s : shapes) {
+        for (Fill fa : kFills) {
+            for (Fill fb : kFills) {
+                const Tensor a = filled({s.m, s.k}, fa, seed++);
+                const Tensor b = filled({s.k, s.n}, fb, seed++);
+                SCOPED_TRACE(testing::Message()
+                             << s.m << "x" << s.k << "x" << s.n << " fills "
+                             << int(fa) << "," << int(fb));
+                expectSameBits(matmul(a, b), referenceMatmul(a, b),
+                               "matmul");
+            }
+        }
+    }
+}
+
+TEST(OpsOracle, MatmulSpecialProducts)
+{
+    // One MAC per special pair: the sign of zero sums, 0 * Inf = NaN,
+    // FLT_MAX^2 overflowing the float result but not the double sum.
+    const int64_t n = int64_t(std::size(kSpecials));
+    Tensor a({n, 1}), b({1, n});
+    for (int64_t i = 0; i < n; ++i) {
+        a[i] = kSpecials[i];
+        b[i] = kSpecials[i];
+    }
+    expectSameBits(matmul(a, b), referenceMatmul(a, b), "outer product");
+    Tensor row({1, 2}), col({2, 1});
+    row[0] = FLT_MAX;
+    row[1] = -FLT_MAX;
+    col[0] = FLT_MAX;
+    col[1] = FLT_MAX;
+    const Tensor c = matmul(row, col);
+    expectSameBits(c, referenceMatmul(row, col), "cancelling overflow");
+    EXPECT_EQ(c[0], 0.0f);
+}
+
+TEST(OpsOracle, TransposeBiasAddSoftmaxBitIdentical)
+{
+    uint64_t seed = 100;
+    for (const auto &shape : std::vector<std::vector<int64_t>>{
+             {1, 1}, {1, 9}, {7, 130}, {32, 160}, {160, 2}}) {
+        for (Fill f : kFills) {
+            const Tensor x = filled(shape, f, seed++);
+            const Tensor bias = filled({shape[1]}, f, seed++);
+            expectSameBits(transpose(x), referenceTranspose(x), "transpose");
+            expectSameBits(biasAdd(x, bias), referenceBiasAdd(x, bias),
+                           "biasAdd");
+            expectSameBits(softmax(x), referenceSoftmax(x), "softmax");
+            std::vector<int> labels(size_t(shape[0]), 0);
+            for (size_t i = 0; i < labels.size(); ++i)
+                labels[i] = int((i * 7) % size_t(shape[1]));
+            expectSameBits(softmaxCrossEntropyGrad(x, labels),
+                           referenceCrossEntropyGrad(x, labels),
+                           "softmaxCrossEntropyGrad");
+        }
+    }
+    for (Fill f : kFills) {
+        const Tensor x = filled({2, 3, 5, 7}, f, seed++);
+        const Tensor bias = filled({3}, f, seed++);
+        expectSameBits(biasAdd(x, bias), referenceBiasAdd(x, bias),
+                       "biasAdd NCHW");
+    }
+}
+
+TEST(OpsOracleDeathTest, ShapeMismatchesStillPanic)
+{
+    const Tensor a({2, 3}), b({4, 2}), v({3}), nchw({1, 2, 2, 2});
+    EXPECT_DEATH(matmul(a, b), "inner-dimension mismatch");
+    EXPECT_DEATH(matmul(a, v), "matmul expects rank-2");
+    EXPECT_DEATH(transpose(v), "transpose expects rank-2");
+    EXPECT_DEATH(biasAdd(b, v), "bias/column mismatch");
+    EXPECT_DEATH(biasAdd(nchw, v), "bias/channel mismatch");
+    EXPECT_DEATH(biasAdd(a, a), "bias must be rank-1");
+    EXPECT_DEATH(softmax(v), "softmax expects rank-2");
+    EXPECT_DEATH(softmaxCrossEntropyGrad(a, {0}), "label count mismatch");
+    EXPECT_DEATH(softmaxCrossEntropyGrad(a, {0, 3}), "label out of range");
 }
 
 } // namespace
