@@ -133,7 +133,21 @@ BM_Hfp8Matmul(benchmark::State &state)
             hfp8Matmul(a, Fp8Kind::Forward, b, Fp8Kind::Forward));
     state.SetItemsProcessed(state.iterations() * n * n * n);
 }
-BENCHMARK(BM_Hfp8Matmul)->Arg(32)->Arg(64);
+BENCHMARK(BM_Hfp8Matmul)->Arg(32)->Arg(64)->Arg(160);
+
+void
+BM_Fp16Matmul(benchmark::State &state)
+{
+    const int64_t n = state.range(0);
+    Rng rng(6);
+    Tensor a({n, n}), b({n, n});
+    a.fillGaussian(rng, 0.0, 0.5);
+    b.fillGaussian(rng, 0.0, 0.5);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(fp16Matmul(a, b));
+    state.SetItemsProcessed(state.iterations() * n * n * n);
+}
+BENCHMARK(BM_Fp16Matmul)->Arg(32)->Arg(64)->Arg(160);
 
 void
 BM_SystolicGemm(benchmark::State &state)

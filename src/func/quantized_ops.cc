@@ -1,6 +1,9 @@
 #include "func/quantized_ops.hh"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/error.hh"
@@ -10,10 +13,19 @@ namespace rapid {
 
 namespace {
 
+/** Exact-zero test on the bits (either sign), without a floating-point
+ *  comparison. */
+bool
+isZero(float v)
+{
+    return (std::bit_cast<uint32_t>(v) & 0x7fffffffu) == 0;
+}
+
 /**
  * Core reduction shared by all float-path executors: accumulate the
  * element products of two prepared operand vectors with chunked
- * DLFloat16 accumulation.
+ * DLFloat16 accumulation. The convolutions run it per output; the
+ * GEMMs run chunkedGemm() below, and this only for poisoned operands.
  */
 float
 chunkedDot(const float *a, const float *b, int64_t n,
@@ -21,7 +33,7 @@ chunkedDot(const float *a, const float *b, int64_t n,
 {
     ChunkAccumulator acc(cfg.chunk_size, cfg.fp32_outer, cfg.rounding);
     for (int64_t i = 0; i < n; ++i) {
-        if (a[i] == 0.0f || b[i] == 0.0f)
+        if (isZero(a[i]) || isZero(b[i]))
             continue; // zero-gated FMA passes the accumulator through
         const double term = double(a[i]) * double(b[i]);
         // A non-finite product means a poisoned operand (upstream
@@ -45,6 +57,166 @@ chunkedDot(const float *a, const float *b, int64_t n,
                         " elements: a poisoned operand reached the "
                         "training accumulation");
     return dlfloat16().quantize(acc.total(), cfg.rounding);
+}
+
+/** Output columns one chunkedGemm pass carries, one lane each. */
+constexpr int64_t kLanes = 8;
+
+/** A lane's inter-chunk fold on binary32 patterns: the SFU's FP32 add,
+ *  or the same add rounded to DLFloat16. */
+template <Rounding Mode, bool Fp32Outer>
+uint32_t
+foldBits(float outer, float chunk)
+{
+    const uint32_t sum = std::bit_cast<uint32_t>(outer + chunk);
+    if constexpr (Fp32Outer)
+        return sum;
+    else
+        return dlfloat16RoundBits<Mode>(sum);
+}
+
+/**
+ * chunkedDot() for every output of a GEMM over finite quantized
+ * operands, kLanes output columns at a time: each row of @p qa against
+ * columns j0..j0+kLanes of @p qb (row stride @p ldb, zero-padded to
+ * whole lane blocks). Each lane keeps its own DLFloat16 chunk
+ * accumulator, outer accumulator and count of gated-in terms, and adds
+ * its terms in ascending k exactly as ChunkAccumulator does; only
+ * independent outputs run side by side, so no sum is reordered. A
+ * gated lane keeps its state and a chunk fold is taken by mask, so the
+ * lane loop has no branch and vectorises over j.
+ *
+ * binary32 arithmetic gives the scalar path's bits. ChunkAccumulator
+ * computes float(double(acc) + double(a) * double(b)); here it is
+ * acc + a * b in binary32. (1) The product is exact in binary32: FP8
+ * and DLFloat16 values carry at most 10 significant bits, so a product
+ * carries at most 20, and every product of two nonzero values of those
+ * formats lies within [2^-62, 2^66], inside the binary32 normal range.
+ * (2) acc and the product are binary32 values, and for a sum of two
+ * such values rounding to binary64 and then to binary32 equals
+ * rounding straight to binary32, since 53 >= 2 * 24 + 2. An FMA
+ * contraction of acc + a * b changes nothing either, as the product
+ * is exact. The folds are binary32 adds in both paths.
+ */
+template <Rounding Mode, bool Fp32Outer>
+void
+chunkedGemmKernel(const float *qa, const float *qb, int64_t m, int64_t k,
+                  int64_t n, int64_t ldb, size_t chunk_size, float *out)
+{
+    // A lane folds when its gated-in count reaches this; a chunk longer
+    // than the reduction never folds before the end.
+    const uint32_t limit =
+        uint32_t(std::min(chunk_size, size_t(k) + 1));
+    for (int64_t i = 0; i < m; ++i) {
+        const float *a_row = qa + i * k;
+        for (int64_t j0 = 0; j0 < n; j0 += kLanes) {
+            float acc[kLanes] = {};
+            float outer[kLanes] = {};
+            uint32_t count[kLanes] = {};
+            for (int64_t kk = 0; kk < k; ++kk) {
+                const float a = a_row[kk];
+                if (isZero(a))
+                    continue; // gates every lane's FMA at this k
+                const float *b = qb + kk * ldb + j0;
+                for (int64_t l = 0; l < kLanes; ++l) {
+                    const uint32_t live = isZero(b[l]) ? 0u : ~0u;
+                    const uint32_t old = std::bit_cast<uint32_t>(acc[l]);
+                    const uint32_t sum = dlfloat16RoundBits<Mode>(
+                        std::bit_cast<uint32_t>(acc[l] + a * b[l]));
+                    const uint32_t kept = (sum & live) | (old & ~live);
+                    count[l] += live & 1u;
+                    const uint32_t fold = count[l] == limit ? ~0u : 0u;
+                    const uint32_t folded = foldBits<Mode, Fp32Outer>(
+                        outer[l], std::bit_cast<float>(kept));
+                    outer[l] = std::bit_cast<float>(
+                        (folded & fold) |
+                        (std::bit_cast<uint32_t>(outer[l]) & ~fold));
+                    acc[l] = std::bit_cast<float>(kept & ~fold);
+                    count[l] &= ~fold;
+                }
+            }
+            for (int64_t l = 0; l < std::min(kLanes, n - j0); ++l) {
+                const float total =
+                    count[l] == 0
+                        ? outer[l]
+                        : std::bit_cast<float>(foldBits<Mode, Fp32Outer>(
+                              outer[l], acc[l]));
+                RAPID_CHECK_NUMERIC(std::isfinite(total),
+                                    "non-finite chunked dot product "
+                                    "over ", k, " elements: a poisoned "
+                                    "operand reached the training "
+                                    "accumulation");
+                out[i * n + j0 + l] = std::bit_cast<float>(
+                    dlfloat16RoundBits<Mode>(
+                        std::bit_cast<uint32_t>(total)));
+            }
+        }
+    }
+}
+
+template <bool Fp32Outer>
+auto
+kernelFor(Rounding rounding)
+{
+    switch (rounding) {
+      case Rounding::NearestUp:
+        return &chunkedGemmKernel<Rounding::NearestUp, Fp32Outer>;
+      case Rounding::Truncate:
+        return &chunkedGemmKernel<Rounding::Truncate, Fp32Outer>;
+      case Rounding::NearestEven:
+        break;
+    }
+    return &chunkedGemmKernel<Rounding::NearestEven, Fp32Outer>;
+}
+
+bool
+allFinite(const Tensor &t)
+{
+    return std::all_of(t.storage().begin(), t.storage().end(),
+                       [](float v) { return std::isfinite(v); });
+}
+
+/**
+ * (M,K) x (K,N) GEMM of quantized operands with chunked DLFloat16
+ * accumulation: chunkedDot() of row i of @p qa and column j of @p qb
+ * for every output.
+ */
+Tensor
+chunkedGemm(const Tensor &qa, const Tensor &qb, const ExecConfig &cfg)
+{
+    rapid_assert(qa.rank() == 2 && qb.rank() == 2,
+                 "chunked GEMM operands must be rank-2");
+    const int64_t m = qa.dim(0), k = qa.dim(1), n = qb.dim(1);
+    rapid_assert(qb.dim(0) == k, "chunked GEMM inner-dimension mismatch");
+    Tensor out({m, n});
+    if (!allFinite(qa) || !allFinite(qb)) {
+        // A poisoned operand: the scalar path gates a NaN paired with a
+        // zero through, and names the element of the first product
+        // that faults.
+        const Tensor qbt = transpose(qb);
+        for (int64_t i = 0; i < m; ++i)
+            for (int64_t j = 0; j < n; ++j)
+                out.at(i, j) = chunkedDot(qa.data() + i * k,
+                                          qbt.data() + j * k, k, cfg);
+        return out;
+    }
+    rapid_assert(cfg.chunk_size >= 1, "chunk size must be positive");
+    rapid_assert(k < int64_t(UINT32_MAX), "chunked GEMM reduction of ",
+                 k, " terms overflows a lane count");
+    // Whole lane blocks: the zero padding columns are gated off.
+    const int64_t ldb = (n + kLanes - 1) / kLanes * kLanes;
+    std::vector<float> padded;
+    const float *b = qb.data();
+    if (ldb != n) {
+        padded.assign(size_t(k * ldb), 0.0f);
+        for (int64_t kk = 0; kk < k; ++kk)
+            std::copy_n(b + kk * n, n, padded.data() + kk * ldb);
+        b = padded.data();
+    }
+    const auto kernel = cfg.fp32_outer ? kernelFor<true>(cfg.rounding)
+                                       : kernelFor<false>(cfg.rounding);
+    kernel(qa.data(), b, m, k, n, ldb, cfg.chunk_size, out.data());
+    return out;
 }
 
 /** Gather a conv receptive field into contiguous operand vectors. */
@@ -109,15 +281,8 @@ quantizeTensorFp16(const Tensor &t, Rounding rounding)
 Tensor
 fp16Matmul(const Tensor &a, const Tensor &b, const ExecConfig &cfg)
 {
-    Tensor qa = quantizeTensorFp16(a, cfg.rounding);
-    Tensor qbt = transpose(quantizeTensorFp16(b, cfg.rounding));
-    const int64_t m = qa.dim(0), k = qa.dim(1), n = qbt.dim(0);
-    Tensor out({m, n});
-    for (int64_t i = 0; i < m; ++i)
-        for (int64_t j = 0; j < n; ++j)
-            out.at(i, j) = chunkedDot(qa.data() + i * k,
-                                      qbt.data() + j * k, k, cfg);
-    return out;
+    return chunkedGemm(quantizeTensorFp16(a, cfg.rounding),
+                       quantizeTensorFp16(b, cfg.rounding), cfg);
 }
 
 Tensor
@@ -126,15 +291,8 @@ hfp8Matmul(const Tensor &a, Fp8Kind a_kind, const Tensor &b,
 {
     // Quantize each operand tensor once (the FP8 -> FP9 input stage is
     // exact, so the FP8 value is what the multiplier sees).
-    Tensor qa = quantizeTensorFp8(a, a_kind, cfg);
-    Tensor qbt = transpose(quantizeTensorFp8(b, b_kind, cfg));
-    const int64_t m = qa.dim(0), k = qa.dim(1), n = qbt.dim(0);
-    Tensor out({m, n});
-    for (int64_t i = 0; i < m; ++i)
-        for (int64_t j = 0; j < n; ++j)
-            out.at(i, j) = chunkedDot(qa.data() + i * k,
-                                      qbt.data() + j * k, k, cfg);
-    return out;
+    return chunkedGemm(quantizeTensorFp8(a, a_kind, cfg),
+                       quantizeTensorFp8(b, b_kind, cfg), cfg);
 }
 
 Tensor

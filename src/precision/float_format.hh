@@ -215,6 +215,39 @@ FloatFormat::quantize(float value, Rounding mode) const
 /** DLFloat16 (1,6,9), bias 31, no subnormals, merged NaN/Inf. */
 const FloatFormat &dlfloat16();
 
+/**
+ * dlfloat16().quantize(x, Mode) on the binary32 pattern of x, with the
+ * format's constants folded and every rule taken by select instead of
+ * a branch, so lane loops over it vectorise. Bit-identical to the
+ * codec for every input (tests/test_float_format.cc).
+ */
+template <Rounding Mode>
+inline uint32_t
+dlfloat16RoundBits(uint32_t in)
+{
+    // 9 of 23 mantissa bits kept. binary32 exponent field 96 is 2^-31,
+    // the pattern DLFloat16 spends on zero; 158 is its top binade.
+    constexpr unsigned kDrop = 14;
+    constexpr int32_t kZeroAlias = 96 << 23;
+    constexpr int32_t kMaxFinite = (158 << 23) | 0x007fc000;
+    constexpr int32_t kInf = 0x7f800000;
+    const uint32_t sign = in & 0x80000000u;
+    const uint32_t mag = in & 0x7fffffffu;
+    uint32_t x = mag;
+    if constexpr (Mode == Rounding::NearestUp)
+        x += 1u << (kDrop - 1);
+    else if constexpr (Mode == Rounding::NearestEven)
+        x += (1u << (kDrop - 1)) - 1 + ((x >> kDrop) & 1u);
+    // Finite inputs round to at most kInf, so r is exact; a NaN input
+    // may wrap here, but the last select replaces it.
+    const int32_t r = int32_t(x >> kDrop << kDrop);
+    const int32_t sat = r > kMaxFinite ? kMaxFinite : r;
+    // Everything that rounds to 2^-31 or below (binary32 subnormals
+    // included) flushes to a signed zero.
+    const uint32_t val = sat > kZeroAlias ? sign | uint32_t(sat) : sign;
+    return int32_t(mag) >= kInf ? 0x7fc00000u : val;
+}
+
 /** HFP8 forward format FP8 (1,4,3) with the given exponent bias. */
 FloatFormat fp8e4m3(int bias = 4);
 

@@ -497,18 +497,54 @@ roundingClassInputs()
     return out;
 }
 
-/** Number of @p inputs where quantize() and the codec disagree, as bit
- *  patterns (so a NaN cannot hide behind NaN != NaN); the first one
- *  lands in @p first. */
+/** dlfloat16RoundBits() at a runtime rounding mode. */
+uint32_t
+dlfloat16RoundBitsAt(Rounding mode, uint32_t in)
+{
+    switch (mode) {
+      case Rounding::NearestUp:
+        return dlfloat16RoundBits<Rounding::NearestUp>(in);
+      case Rounding::Truncate:
+        return dlfloat16RoundBits<Rounding::Truncate>(in);
+      case Rounding::NearestEven:
+        break;
+    }
+    return dlfloat16RoundBits<Rounding::NearestEven>(in);
+}
+
+/** Whether @p got(in) and the codec's quantize of @p in differ as bit
+ *  patterns (so a NaN cannot hide behind NaN != NaN). */
+template <typename Got>
+bool
+differsFromCodec(const FloatFormat &f, Rounding mode, uint32_t in,
+                 Got got)
+{
+    return got(in) != std::bit_cast<uint32_t>(
+                          f.quantizeViaCodec(std::bit_cast<float>(in),
+                                             mode));
+}
+
+/** quantize() of @p f as a bits-to-bits function. */
+auto
+quantizeBits(const FloatFormat &f, Rounding mode)
+{
+    return [&f, mode](uint32_t in) {
+        return std::bit_cast<uint32_t>(
+            f.quantize(std::bit_cast<float>(in), mode));
+    };
+}
+
+/** Number of @p inputs where @p got and the codec disagree; the first
+ *  one lands in @p first. */
+template <typename Got>
 size_t
 codecMismatches(const FloatFormat &f, Rounding mode,
-                const std::vector<uint32_t> &inputs, uint32_t &first)
+                const std::vector<uint32_t> &inputs, uint32_t &first,
+                Got got)
 {
     size_t bad = 0;
     for (uint32_t in : inputs) {
-        const float x = std::bit_cast<float>(in);
-        if (std::bit_cast<uint32_t>(f.quantize(x, mode))
-            != std::bit_cast<uint32_t>(f.quantizeViaCodec(x, mode))) {
+        if (differsFromCodec(f, mode, in, got)) {
             if (bad++ == 0)
                 first = in;
         }
@@ -517,7 +553,8 @@ codecMismatches(const FloatFormat &f, Rounding mode,
 }
 
 /** The scalar codec is the oracle: bit-identity over every rounding
- *  class, every rounding mode, and every format above. */
+ *  class, every rounding mode, and every format above, and for the
+ *  branch-free DLFloat16 helper. */
 TEST(BitDirectQuantize, MatchesCodecOverRoundingClasses)
 {
     const std::vector<uint32_t> inputs = roundingClassInputs();
@@ -528,45 +565,74 @@ TEST(BitDirectQuantize, MatchesCodecOverRoundingClasses)
     for (const FloatFormat &f : fmts) {
         for (Rounding mode : kModes) {
             uint32_t first = 0;
-            EXPECT_EQ(codecMismatches(f, mode, inputs, first), 0u)
+            EXPECT_EQ(codecMismatches(f, mode, inputs, first,
+                                      quantizeBits(f, mode)),
+                      0u)
                 << f.name() << " mode " << int(mode)
                 << ", first input 0x" << std::hex << first;
         }
     }
+    for (Rounding mode : kModes) {
+        uint32_t first = 0;
+        EXPECT_EQ(codecMismatches(dlfloat16(), mode, inputs, first,
+                                  [mode](uint32_t in) {
+                                      return dlfloat16RoundBitsAt(mode,
+                                                                  in);
+                                  }),
+                  0u)
+            << "dlfloat16RoundBits mode " << int(mode)
+            << ", first input 0x" << std::hex << first;
+    }
+}
+
+/** Inputs on a 1-in-@p stride grid over all of binary32 where @p got
+ *  and the codec of @p f disagree, counted on the pool. */
+template <typename Got>
+size_t
+stridedMismatches(const FloatFormat &f, Rounding mode, uint64_t stride,
+                  Got got)
+{
+    constexpr size_t kSlices = 256;
+    constexpr uint64_t kSpan = (uint64_t(1) << 32) / kSlices;
+    const std::vector<size_t> bad = parallelMap(kSlices, [&](size_t s) {
+        size_t n = 0;
+        // Each slice starts on the global stride grid.
+        uint64_t in = (s * kSpan + stride - 1) / stride * stride;
+        for (; in < (s + 1) * kSpan; in += stride)
+            n += differsFromCodec(f, mode, uint32_t(in), got);
+        return n;
+    });
+    size_t total = 0;
+    for (size_t n : bad)
+        total += n;
+    return total;
 }
 
 /**
- * The four datapath formats over every binary32 input at a prime
- * stride; set RAPID_FULL_QUANTIZE_SWEEP=1 to sweep all 2^32 inputs
- * (several minutes on a few cores).
+ * The four datapath formats, and the branch-free DLFloat16 helper,
+ * over every binary32 input at a prime stride; set
+ * RAPID_FULL_QUANTIZE_SWEEP=1 to sweep all 2^32 inputs (several
+ * minutes on a few cores).
  */
 TEST(BitDirectQuantize, MatchesCodecOnStridedBinary32Sweep)
 {
     const uint64_t stride =
         std::getenv("RAPID_FULL_QUANTIZE_SWEEP") ? 1 : 4099;
-    constexpr size_t kSlices = 256;
-    constexpr uint64_t kSpan = (uint64_t(1) << 32) / kSlices;
     for (const FloatFormat &f : {dlfloat16(), fp8e4m3(4), fp8e5m2(), fp9()}) {
-        for (Rounding mode : kModes) {
-            const std::vector<size_t> bad =
-                parallelMap(kSlices, [&](size_t s) {
-                    size_t n = 0;
-                    // Each slice starts on the global stride grid.
-                    uint64_t in = (s * kSpan + stride - 1) / stride * stride;
-                    for (; in < (s + 1) * kSpan; in += stride) {
-                        const float x = std::bit_cast<float>(uint32_t(in));
-                        n += std::bit_cast<uint32_t>(f.quantize(x, mode))
-                             != std::bit_cast<uint32_t>(
-                                 f.quantizeViaCodec(x, mode));
-                    }
-                    return n;
-                });
-            size_t total = 0;
-            for (size_t n : bad)
-                total += n;
-            EXPECT_EQ(total, 0u) << f.name() << " mode " << int(mode);
-        }
+        for (Rounding mode : kModes)
+            EXPECT_EQ(stridedMismatches(f, mode, stride,
+                                        quantizeBits(f, mode)),
+                      0u)
+                << f.name() << " mode " << int(mode);
     }
+    for (Rounding mode : kModes)
+        EXPECT_EQ(stridedMismatches(dlfloat16(), mode, stride,
+                                    [mode](uint32_t in) {
+                                        return dlfloat16RoundBitsAt(mode,
+                                                                    in);
+                                    }),
+                  0u)
+            << "dlfloat16RoundBits mode " << int(mode);
 }
 
 } // namespace

@@ -6,10 +6,17 @@
  * (Sections II-B and II-C).
  */
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/error.hh"
 #include "func/datasets.hh"
 #include "func/quantized_ops.hh"
 #include "func/trainer.hh"
@@ -98,6 +105,352 @@ TEST(Hfp8Exec, MatmulEquivalentToDatapathFma)
         acc = dp.hfp8Fma(a[k], Fp8Kind::Forward, b[k], Fp8Kind::Forward,
                          acc);
     EXPECT_FLOAT_EQ(got[0], acc);
+}
+
+/**
+ * The oracle for the chunked GEMM kernel: the per-output loop
+ * hfp8Matmul/fp16Matmul ran before it, a ChunkAccumulator fed binary64
+ * products in ascending k, copied verbatim.
+ */
+float
+referenceChunkedDot(const float *a, const float *b, int64_t n,
+                    const ExecConfig &cfg)
+{
+    ChunkAccumulator acc(cfg.chunk_size, cfg.fp32_outer, cfg.rounding);
+    for (int64_t i = 0; i < n; ++i) {
+        if (a[i] == 0.0f || b[i] == 0.0f)
+            continue; // zero-gated FMA passes the accumulator through
+        const double term = double(a[i]) * double(b[i]);
+        RAPID_CHECK_NUMERIC(std::isfinite(term),
+                            "non-finite product at element ", i,
+                            " of a ", n, "-element chunked dot: a "
+                            "poisoned operand reached the training "
+                            "accumulation");
+        acc.add(term);
+    }
+    RAPID_CHECK_NUMERIC(std::isfinite(acc.total()),
+                        "non-finite chunked dot product over ", n,
+                        " elements: a poisoned operand reached the "
+                        "training accumulation");
+    return dlfloat16().quantize(acc.total(), cfg.rounding);
+}
+
+/** referenceChunkedDot() of every row of the quantized @p qa and
+ *  column of the quantized @p qb. */
+Tensor
+referenceChunkedMatmul(const Tensor &qa, const Tensor &qb,
+                       const ExecConfig &cfg)
+{
+    Tensor qbt = transpose(qb);
+    const int64_t m = qa.dim(0), k = qa.dim(1), n = qbt.dim(0);
+    Tensor out({m, n});
+    for (int64_t i = 0; i < m; ++i)
+        for (int64_t j = 0; j < n; ++j)
+            out.at(i, j) = referenceChunkedDot(qa.data() + i * k,
+                                               qbt.data() + j * k, k, cfg);
+    return out;
+}
+
+/** One GEMM executor run both ways: the library and the oracle. */
+struct GemmRun
+{
+    Tensor got;
+    Tensor want;
+};
+
+GemmRun
+runHfp8(const Tensor &a, Fp8Kind a_kind, const Tensor &b, Fp8Kind b_kind,
+        const ExecConfig &cfg)
+{
+    return {hfp8Matmul(a, a_kind, b, b_kind, cfg),
+            referenceChunkedMatmul(quantizeTensorFp8(a, a_kind, cfg),
+                                   quantizeTensorFp8(b, b_kind, cfg),
+                                   cfg)};
+}
+
+GemmRun
+runFp16(const Tensor &a, const Tensor &b, const ExecConfig &cfg)
+{
+    return {fp16Matmul(a, b, cfg),
+            referenceChunkedMatmul(quantizeTensorFp16(a, cfg.rounding),
+                                   quantizeTensorFp16(b, cfg.rounding),
+                                   cfg)};
+}
+
+/** Outputs whose binary32 patterns differ; any two NaNs match. */
+int64_t
+bitMismatches(const Tensor &got, const Tensor &want)
+{
+    EXPECT_EQ(got.shape(), want.shape());
+    int64_t bad = 0;
+    for (int64_t i = 0; i < got.numel(); ++i) {
+        if (std::isnan(got[i]) && std::isnan(want[i]))
+            continue;
+        bad += std::bit_cast<uint32_t>(got[i]) !=
+               std::bit_cast<uint32_t>(want[i]);
+    }
+    return bad;
+}
+
+/** Operand value classes the oracle tests sweep. */
+enum class Fill
+{
+    Gaussian,   ///< plain N(0, 0.5)
+    Zeros,      ///< ±0 sprinkled, a zero A row and a zero B column
+    Subnormal,  ///< FP8 subnormal bands and the DLFloat16 flush band
+    Saturating, ///< positive products whose sums pass DLFloat16 max
+    Cancelling, ///< ±pairs that cancel, over a large swamping term
+    Ties,       ///< exact values whose sums tie at binary32 bit 14
+};
+
+void
+fillOperand(Tensor &t, Fill fill, Rng &rng, bool is_a)
+{
+    const int64_t rows = t.dim(0), cols = t.dim(1);
+    // Tie-prone exact values: products 2^-10 and 2^-9 are half an
+    // ulp of a DLFloat16 accumulator in [1, 2) and [2, 4).
+    static constexpr float kTieValues[] = {1.0f,    1.125f,  1.5f,
+                                           0.5f,    0x1p-5f, 0x1p-4f,
+                                           0x3p-6f, 0x1.008p0f};
+    for (int64_t r = 0; r < rows; ++r) {
+        for (int64_t c = 0; c < cols; ++c) {
+            float &v = t.at(r, c);
+            const float sign = rng.uniform() < 0.5 ? -1.0f : 1.0f;
+            switch (fill) {
+              case Fill::Gaussian:
+                v = float(rng.gaussian(0.0, 0.5));
+                break;
+              case Fill::Zeros:
+                v = rng.uniform() < 0.3 ? sign * 0.0f
+                                        : float(rng.gaussian(0.0, 0.5));
+                break;
+              case Fill::Subnormal: {
+                // FP8 (1,4,3) bias 4 subnormals lie below 2^-3, FP8
+                // (1,5,2) ones below 2^-14; DLFloat16 flushes below
+                // 2^-31.
+                static constexpr double kScales[] = {0x1p-4, 0x1p-15,
+                                                     0x1p-31, 1.0};
+                v = float(rng.gaussian() *
+                          kScales[rng.uniformInt(0, 3)]);
+                break;
+              }
+              case Fill::Saturating:
+                v = float(std::abs(rng.gaussian(3e4, 1e4)));
+                break;
+              case Fill::Cancelling: {
+                // Along k, A holds +x, -x pairs at (2t-1, 2t) against
+                // equal B values, so each pair's terms cancel. A large
+                // term at k = 0 swamps them, and the last k cancels it.
+                const int64_t kk = is_a ? c : r;
+                const int64_t kn = is_a ? cols : rows;
+                if (kk == 0 || (kk == kn - 1 && kn > 2))
+                    v = is_a && kk > 0 ? -256.0f : 256.0f;
+                else if (kk % 2 == 1)
+                    v = kTieValues[(r + c) % 8];
+                else
+                    v = is_a ? -t.at(r, c - 1) : t.at(r - 1, c);
+                break;
+              }
+              case Fill::Ties:
+                v = sign * kTieValues[rng.uniformInt(0, 7)];
+                break;
+            }
+        }
+    }
+    if (fill == Fill::Zeros) {
+        // A whole zero row of A (every lane gated at once) and a zero
+        // column of B (one lane gated for the whole reduction).
+        if (is_a && rows > 1)
+            for (int64_t c = 0; c < cols; ++c)
+                t.at(1, c) = -0.0f;
+        if (!is_a && cols > 1)
+            for (int64_t r = 0; r < rows; ++r)
+                t.at(r, cols / 2) = 0.0f;
+    }
+}
+
+constexpr int64_t kOracleN[] = {1, 7, 8, 9, 33, 160};
+constexpr int64_t kOracleK[] = {1, 63, 64, 65, 160, 200};
+constexpr size_t kOracleChunks[] = {1, 3, 64, size_t(1) << 20};
+constexpr Rounding kOracleModes[] = {
+    Rounding::NearestEven, Rounding::NearestUp, Rounding::Truncate};
+
+/** What a sweep saw, so a test can prove its fill reached the case it
+ *  is named for. */
+struct OracleSweep
+{
+    int64_t mismatches = 0;
+    int64_t mode_differences = 0; ///< FP16 NearestEven vs NearestUp
+    int64_t saturated = 0;        ///< outputs at ±DLFloat16 max
+};
+
+/** Every shape x chunk size x rounding mode x outer precision for one
+ *  operand fill, HFP8 (each pair in @p kinds) and FP16, against the
+ *  oracle. */
+OracleSweep
+sweepOracle(Fill fill,
+            std::initializer_list<std::pair<Fp8Kind, Fp8Kind>> kinds)
+{
+    OracleSweep s;
+    Rng rng(1000 + uint64_t(fill));
+    const float max16 = dlfloat16().maxFinite();
+    for (int64_t n : kOracleN) {
+        for (int64_t k : kOracleK) {
+            const int64_t m = 2;
+            Tensor a({m, k}), b({k, n});
+            fillOperand(a, fill, rng, true);
+            fillOperand(b, fill, rng, false);
+            for (size_t chunk : kOracleChunks) {
+                for (bool fp32_outer : {true, false}) {
+                    std::vector<Tensor> by_mode;
+                    for (Rounding mode : kOracleModes) {
+                        ExecConfig cfg;
+                        cfg.chunk_size = chunk;
+                        cfg.fp32_outer = fp32_outer;
+                        cfg.rounding = mode;
+                        std::vector<GemmRun> runs;
+                        for (auto [ka, kb] : kinds)
+                            runs.push_back(runHfp8(a, ka, b, kb, cfg));
+                        runs.push_back(runFp16(a, b, cfg));
+                        for (const GemmRun &r : runs) {
+                            const int64_t bad =
+                                bitMismatches(r.got, r.want);
+                            EXPECT_EQ(bad, 0)
+                                << "m=" << m << " k=" << k << " n=" << n
+                                << " chunk=" << chunk << " fp32_outer="
+                                << fp32_outer << " mode=" << int(mode);
+                            s.mismatches += bad;
+                            for (int64_t i = 0; i < r.got.numel(); ++i)
+                                s.saturated +=
+                                    std::abs(r.got[i]) == max16;
+                        }
+                        by_mode.push_back(runs.back().got);
+                    }
+                    for (int64_t i = 0; i < by_mode[0].numel(); ++i)
+                        s.mode_differences +=
+                            std::bit_cast<uint32_t>(by_mode[0][i]) !=
+                            std::bit_cast<uint32_t>(by_mode[1][i]);
+                }
+            }
+        }
+    }
+    return s;
+}
+
+constexpr std::pair<Fp8Kind, Fp8Kind> kFwdFwd{Fp8Kind::Forward,
+                                              Fp8Kind::Forward};
+constexpr std::pair<Fp8Kind, Fp8Kind> kBwdFwd{Fp8Kind::Backward,
+                                              Fp8Kind::Forward};
+constexpr std::pair<Fp8Kind, Fp8Kind> kBwdBwd{Fp8Kind::Backward,
+                                              Fp8Kind::Backward};
+
+TEST(ChunkedGemmOracle, GaussianBitIdentical)
+{
+    EXPECT_EQ(sweepOracle(Fill::Gaussian, {kFwdFwd, kBwdFwd}).mismatches,
+              0);
+}
+
+TEST(ChunkedGemmOracle, SignedZerosAndGatedLanesBitIdentical)
+{
+    EXPECT_EQ(sweepOracle(Fill::Zeros, {kFwdFwd, kBwdFwd}).mismatches, 0);
+}
+
+TEST(ChunkedGemmOracle, Fp8SubnormalsBitIdentical)
+{
+    EXPECT_EQ(sweepOracle(Fill::Subnormal, {kFwdFwd, kBwdBwd}).mismatches,
+              0);
+}
+
+TEST(ChunkedGemmOracle, SaturatingSumsBitIdentical)
+{
+    const OracleSweep s = sweepOracle(Fill::Saturating, {kBwdBwd});
+    EXPECT_EQ(s.mismatches, 0);
+    EXPECT_GT(s.saturated, 0) << "no sum reached DLFloat16 max";
+}
+
+TEST(ChunkedGemmOracle, CancellingRowsBitIdentical)
+{
+    EXPECT_EQ(sweepOracle(Fill::Cancelling, {kFwdFwd}).mismatches, 0);
+}
+
+TEST(ChunkedGemmOracle, TiesAtBit14BitIdentical)
+{
+    const OracleSweep s = sweepOracle(Fill::Ties, {kFwdFwd});
+    EXPECT_EQ(s.mismatches, 0);
+    // The two nearest modes differ only at ties, so this proves the
+    // fill reached them.
+    EXPECT_GT(s.mode_differences, 0) << "no accumulate tied";
+}
+
+/** A poisoned operand whose every product is zero-gated: no throw, and
+ *  the scalar path's bits. */
+TEST(ChunkedGemmOracle, GatedPoisonPassesThrough)
+{
+    Rng rng(77);
+    for (float poison : {std::numeric_limits<float>::quiet_NaN(),
+                         std::numeric_limits<float>::infinity()}) {
+        Tensor a = randomTensor(rng, {3, 65});
+        Tensor b = randomTensor(rng, {65, 9});
+        a.at(1, 10) = poison; // B row 10 is all zero
+        for (int64_t j = 0; j < 9; ++j)
+            b.at(10, j) = 0.0f;
+        b.at(20, 4) = -poison; // A column 20 is all zero
+        for (int64_t i = 0; i < 3; ++i)
+            a.at(i, 20) = -0.0f;
+        ExecConfig cfg;
+        GemmRun h = runHfp8(a, Fp8Kind::Forward, b, Fp8Kind::Backward,
+                            cfg);
+        EXPECT_EQ(bitMismatches(h.got, h.want), 0);
+        GemmRun f = runFp16(a, b, cfg);
+        EXPECT_EQ(bitMismatches(f.got, f.want), 0);
+    }
+}
+
+/** The NumericFault message() of @p fn, or "" if it does not throw. */
+template <typename Fn>
+std::string
+numericFault(Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const Error &e) {
+        EXPECT_EQ(e.code(), ErrorCode::NumericFault);
+        return e.message();
+    }
+    return "";
+}
+
+/** A poisoned operand that meets a nonzero one throws the oracle's
+ *  NumericFault, naming the same element. */
+TEST(ChunkedGemmOracle, LivePoisonThrowsOracleFault)
+{
+    Rng rng(78);
+    for (float poison : {std::numeric_limits<float>::quiet_NaN(),
+                         -std::numeric_limits<float>::infinity()}) {
+        Tensor a = randomTensor(rng, {3, 65});
+        Tensor b = randomTensor(rng, {65, 9});
+        a.at(2, 33) = poison;
+        ExecConfig cfg;
+        const std::string want = numericFault([&] {
+            referenceChunkedMatmul(
+                quantizeTensorFp8(a, Fp8Kind::Forward, cfg),
+                quantizeTensorFp8(b, Fp8Kind::Forward, cfg), cfg);
+        });
+        EXPECT_NE(want.find("element 33 of a 65-element"),
+                  std::string::npos)
+            << want;
+        EXPECT_EQ(numericFault([&] {
+                      hfp8Matmul(a, Fp8Kind::Forward, b,
+                                 Fp8Kind::Forward, cfg);
+                  }),
+                  want);
+        const std::string want16 = numericFault([&] {
+            referenceChunkedMatmul(quantizeTensorFp16(a),
+                                   quantizeTensorFp16(b), cfg);
+        });
+        EXPECT_EQ(want16, want);
+        EXPECT_EQ(numericFault([&] { fp16Matmul(a, b, cfg); }), want16);
+    }
 }
 
 TEST(IntExec, MatmulCloseToGoldenOnClippedData)
