@@ -14,45 +14,29 @@
  * and no wall clock is read anywhere, so stdout is bit-identical
  * across runs and at any --threads N (the golden variants pin this).
  *
- * With RAPID_CLUSTER_JSON=<path> set, each grid point also appends
- * one JSON record for scripts/assemble_cluster.py ->
- * BENCH_cluster.json; stdout is unaffected.
+ * With RAPID_REPORT_JSON=<path> set, each grid point also appends one
+ * "cluster" record for scripts/assemble.py -> BENCH_cluster.json;
+ * stdout is unaffected.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "cluster/fleet.hh"
 #include "cluster/fleet_metrics.hh"
-#include "common/parallel.hh"
 #include "common/sweep.hh"
 #include "common/table.hh"
 #include "serve/metrics.hh"
 #include "workloads/networks.hh"
+
+#include "sim_grid.hh"
 
 using namespace rapid;
 
 namespace {
 
 constexpr int64_t kMs = 1'000'000; ///< ns per millisecond
-
-/** Append one JSON record when RAPID_CLUSTER_JSON is set. */
-void
-emitRecord(const std::string &section, const ClusterConfig &cfg,
-           const FleetResult &result, const FleetLedger &ledger)
-{
-    const char *path = std::getenv("RAPID_CLUSTER_JSON");
-    if (path == nullptr || *path == '\0')
-        return;
-    std::ofstream out(path, std::ios::app);
-    if (out)
-        out << clusterJsonRecord(section, cfg, result, ledger)
-            << "\n";
-}
 
 /** The shared global serving scenario: eight light-network tenants
  *  sharded across the fleet by index mod num_chips. */
@@ -77,22 +61,6 @@ fleetScenario(size_t num_chips, FleetPolicy policy, double rate)
     return cfg;
 }
 
-std::vector<FleetResult>
-runFleetGrid(const ChipConfig &chip,
-             const std::vector<ClusterConfig> &cfgs)
-{
-    // Latency tables (one per chip per fleet) compile in parallel;
-    // the whole grid then advances as cells of one DES engine.
-    const auto sims = parallelMap(cfgs.size(), [&](size_t i) {
-        return std::make_unique<FleetSim>(chip, cfgs[i]);
-    });
-    std::vector<const FleetSim *> ptrs;
-    ptrs.reserve(sims.size());
-    for (const auto &s : sims)
-        ptrs.push_back(s.get());
-    return runFleetBatch(ptrs);
-}
-
 /** Section 1: at failure rate 0 the fleet is provably N independent
  *  chips — same goodput, closed ledger, one channel-free check. */
 void
@@ -107,7 +75,7 @@ equivalenceSection()
         cfgs.push_back(fleetScenario(
             chips, FleetPolicy::FailoverRestore, 0.0));
     const std::vector<FleetResult> results =
-        runFleetGrid(makeInferenceChip(), cfgs);
+        runGrid(makeInferenceChip(), cfgs, runFleetBatch);
     for (size_t i = 0; i < cfgs.size(); ++i) {
         const ClusterConfig &cfg = cfgs[i];
         const FleetLedger ledger =
@@ -144,7 +112,8 @@ equivalenceSection()
                   Table::fmt(double(solo_sla) / horizon_s, 1),
                   match ? "bit-identical" : "DIVERGED",
                   std::to_string(results[i].windows)});
-        emitRecord("equivalence", cfg, results[i], ledger);
+        sweepRecord("cluster", clusterJsonRecord("equivalence", cfg,
+                                                   results[i], ledger));
     }
     t.print();
     std::printf("\nWith no failures the control plane only carries "
@@ -172,7 +141,7 @@ policyGridSection()
             cfgs.push_back(cfg);
         }
     const std::vector<FleetResult> results =
-        runFleetGrid(makeInferenceChip(), cfgs);
+        runGrid(makeInferenceChip(), cfgs, runFleetBatch);
     Table t({"Fail rate", "Policy", "Dead", "Degraded", "Live",
              "Goodput/s", "Failed", "Failed-over", "Retries",
              "Closed"});
@@ -194,7 +163,8 @@ policyGridSection()
                       std::to_string(ledger.failed_over),
                       std::to_string(ledger.retries),
                       ledger.closed() ? "yes" : "NO"});
-            emitRecord("policy_grid", cfg, res, ledger);
+            sweepRecord("cluster", clusterJsonRecord("policy_grid", cfg,
+                                                       res, ledger));
             ++point;
         }
     }
@@ -220,7 +190,8 @@ anatomySection()
     const FleetResult result = fleet.run();
     const FleetLedger ledger = buildFleetLedger(cfg, result);
     std::fputs(fleetReport(cfg, result, ledger).c_str(), stdout);
-    emitRecord("anatomy", cfg, result, ledger);
+    sweepRecord("cluster",
+                clusterJsonRecord("anatomy", cfg, result, ledger));
     std::printf("\nChip 1's stranded requests fail locally, then "
                 "retry on its ring successor once the router's "
                 "heartbeat window expires; chip 3 keeps serving on "
@@ -250,7 +221,7 @@ trainingSection()
 
     std::vector<ClusterConfig> cfgs = {base, killed};
     const std::vector<FleetResult> results =
-        runFleetGrid(makeInferenceChip(), cfgs);
+        runGrid(makeInferenceChip(), cfgs, runFleetBatch);
     for (size_t i = 0; i < cfgs.size(); ++i) {
         const FleetLedger ledger =
             buildFleetLedger(cfgs[i], results[i]);
@@ -259,9 +230,10 @@ trainingSection()
         std::fputs(
             fleetReport(cfgs[i], results[i], ledger).c_str(),
             stdout);
-        emitRecord(i == 0 ? "training_reference"
-                          : "training_failover",
-                   cfgs[i], results[i], ledger);
+        sweepRecord("cluster",
+                    clusterJsonRecord(i == 0 ? "training_reference"
+                                             : "training_failover",
+                                      cfgs[i], results[i], ledger));
     }
     const bool exact = !results[0].training.final_checkpoint.empty() &&
                        results[0].training.final_checkpoint ==

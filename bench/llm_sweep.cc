@@ -16,57 +16,27 @@
  *
  * Deterministic: frozen tables, seeded arrivals, virtual clock only;
  * stdout is bit-identical across runs and at any --threads N. With
- * RAPID_LLM_JSON=<path> set, each scenario appends one JSON record
- * for scripts/assemble_llm.py -> BENCH_llm.json.
+ * RAPID_REPORT_JSON=<path> set, each scenario appends one "llm"
+ * record for scripts/assemble.py -> BENCH_llm.json.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/parallel.hh"
 #include "common/sweep.hh"
 #include "common/table.hh"
 #include "llm/kv_cache.hh"
 #include "llm/llm_metrics.hh"
 #include "llm/llm_sim.hh"
 
+#include "sim_grid.hh"
+
 using namespace rapid;
 
 namespace {
 
 constexpr int64_t kMs = 1'000'000; ///< ns per millisecond
-
-/** Build one LlmSim per config (tables compile in parallel) and
- *  advance the whole grid as independent domains of one engine. */
-std::vector<LlmResult>
-runGrid(const ChipConfig &chip, const std::vector<LlmServeConfig> &cfgs)
-{
-    const auto sims = parallelMap(cfgs.size(), [&](size_t i) {
-        return std::make_unique<LlmSim>(chip, cfgs[i]);
-    });
-    std::vector<const LlmSim *> ptrs;
-    ptrs.reserve(sims.size());
-    for (const auto &s : sims)
-        ptrs.push_back(s.get());
-    return runLlmBatch(ptrs);
-}
-
-/** Append one JSON record when RAPID_LLM_JSON is set. */
-void
-emitRecord(const std::string &section, const std::string &label,
-           const LlmMetrics &m)
-{
-    const char *path = std::getenv("RAPID_LLM_JSON");
-    if (path == nullptr || *path == '\0')
-        return;
-    std::ofstream out(path, std::ios::app);
-    if (out)
-        out << llmJsonRecord(section, label, m) << "\n";
-}
 
 /** One chat-style tenant at @p rps over the llm-small model. */
 LlmServeConfig
@@ -168,7 +138,7 @@ batchingRampSection()
         for (BatchPolicy policy : policies)
             cfgs.push_back(rampScenario(rps, policy));
     const std::vector<LlmResult> results =
-        runGrid(makeInferenceChip(), cfgs);
+        runGrid(makeInferenceChip(), cfgs, runLlmBatch);
 
     Table t({"Offered/s", "one-shot goodput", "shed", "live/batch",
              "continuous goodput", "shed", "live/batch"});
@@ -190,11 +160,12 @@ batchingRampSection()
                           Table::fmt(m.mean_decode_batch, 1));
             if (m.total.goodput_rps >= 0.9 * m.total.offered_rps)
                 knee[pi] = std::max(knee[pi], rps);
-            emitRecord("batching_ramp",
-                       std::string(batchPolicyName(
-                           cfgs[point - 1].policy)) +
-                           "@" + Table::fmt(rps, 0),
-                       m);
+            sweepRecord("llm",
+                        llmJsonRecord("batching_ramp",
+                                      std::string(batchPolicyName(
+                                          cfgs[point - 1].policy)) +
+                                          "@" + Table::fmt(rps, 0),
+                                      m));
         }
         t.addRow(row);
     }
@@ -244,7 +215,7 @@ spillCliffSection()
         }
     }
     const std::vector<LlmResult> results =
-        runGrid(makeInferenceChip(), cfgs);
+        runGrid(makeInferenceChip(), cfgs, runLlmBatch);
     Table t({"Mean ctx", "fp16-kv goodput", "TPOT p95", "spill ms",
              "int4-kv goodput", "TPOT p95", "spill ms"});
     size_t point = 0;
@@ -259,10 +230,11 @@ spillCliffSection()
                 Table::fmt(double(m.total.tpot_p95_ns) * 1e-6, 2));
             row.push_back(
                 Table::fmt(double(m.spill_ns_total) * 1e-6, 1));
-            emitRecord("spill_cliff",
-                       std::string(kp.name) + "@ctx" +
-                           std::to_string(ctx),
-                       m);
+            sweepRecord("llm",
+                        llmJsonRecord("spill_cliff",
+                                      std::string(kp.name) + "@ctx" +
+                                          std::to_string(ctx),
+                                      m));
         }
         t.addRow(row);
     }

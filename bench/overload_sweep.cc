@@ -28,22 +28,18 @@
  * clock is read anywhere, so stdout is bit-identical across runs and
  * at any --threads N (the golden variants pin this).
  *
- * With RAPID_OVERLOAD_JSON=<path> set, each grid point appends one
- * JSON record (serve, cluster, and llm record shapes, discriminated
- * by section) for scripts/assemble_overload.py ->
+ * With RAPID_REPORT_JSON=<path> set, each grid point appends one
+ * "overload" record (serve, cluster, and llm record shapes,
+ * discriminated by section) for scripts/assemble.py ->
  * BENCH_overload.json; stdout is unaffected.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "cluster/fleet.hh"
 #include "cluster/fleet_metrics.hh"
-#include "common/parallel.hh"
 #include "common/sweep.hh"
 #include "common/table.hh"
 #include "llm/llm_metrics.hh"
@@ -52,36 +48,13 @@
 #include "serve/server_sim.hh"
 #include "workloads/networks.hh"
 
+#include "sim_grid.hh"
+
 using namespace rapid;
 
 namespace {
 
 constexpr int64_t kMs = 1'000'000; ///< ns per millisecond
-
-/** Append one JSON line when RAPID_OVERLOAD_JSON is set. */
-void
-emitLine(const std::string &line)
-{
-    const char *path = std::getenv("RAPID_OVERLOAD_JSON");
-    if (path == nullptr || *path == '\0')
-        return;
-    std::ofstream out(path, std::ios::app);
-    if (out)
-        out << line << "\n";
-}
-
-std::vector<ServeResult>
-runGrid(const ChipConfig &chip, const std::vector<ServeConfig> &cfgs)
-{
-    const auto sims = parallelMap(cfgs.size(), [&](size_t i) {
-        return std::make_unique<ServeSim>(chip, cfgs[i]);
-    });
-    std::vector<const ServeSim *> ptrs;
-    ptrs.reserve(sims.size());
-    for (const auto &s : sims)
-        ptrs.push_back(s.get());
-    return runServeBatch(ptrs);
-}
 
 std::string
 pct(uint64_t part, uint64_t whole)
@@ -173,7 +146,7 @@ kneeSection()
         cfgs.push_back(cal);
     }
     const std::vector<ServeResult> results =
-        runGrid(makeInferenceChip(), cfgs);
+        runGrid(makeInferenceChip(), cfgs, runServeBatch);
 
     Table t({"Scale", "bound goodput/s", "shed", "viol",
              "calib goodput/s", "shed", "viol", "calib admits"});
@@ -194,8 +167,9 @@ kneeSection()
                   std::to_string(mc.total.violations),
                   pct(mc.total.admitted_calibrated,
                       mc.total.completed)});
-        emitLine(serveJsonRecord("knee", "bound", mb));
-        emitLine(serveJsonRecord("knee", "calibrated", mc));
+        sweepRecord("overload", serveJsonRecord("knee", "bound", mb));
+        sweepRecord("overload",
+                    serveJsonRecord("knee", "calibrated", mc));
         if (scales[i] == kKneeScale) { // the knee point
             knee_shed_bound = mb.total.shed;
             knee_shed_cal = mc.total.shed;
@@ -267,7 +241,7 @@ fuseSection()
     };
     const std::vector<ServeConfig> cfgs = {trap(false), trap(true)};
     const std::vector<ServeResult> results =
-        runGrid(makeInferenceChip(), cfgs);
+        runGrid(makeInferenceChip(), cfgs, runServeBatch);
     Table t({"Policy", "Goodput/s", "Shed", "Viol", "Calib admits",
              "Fuse trips"});
     uint64_t viol_nofuse = 0, viol_fuse = 0, trips = 0;
@@ -280,7 +254,7 @@ fuseSection()
                   std::to_string(m.total.violations),
                   std::to_string(m.total.admitted_calibrated),
                   std::to_string(m.fuse_trips)});
-        emitLine(serveJsonRecord("fuse", name, m));
+        sweepRecord("overload", serveJsonRecord("fuse", name, m));
         if (i == 0)
             viol_nofuse = m.total.violations;
         else {
@@ -317,7 +291,7 @@ brownoutSection()
     brown.overload.brownout.recover_ns = 40 * kMs;
     const std::vector<ServeConfig> cfgs = {base, brown};
     const std::vector<ServeResult> results =
-        runGrid(makeInferenceChip(), cfgs);
+        runGrid(makeInferenceChip(), cfgs, runServeBatch);
     Table t({"Policy", "Tenant", "Goodput/s", "Shed", "Viol", "FP16",
              "Brownout shed"});
     for (size_t i = 0; i < cfgs.size(); ++i) {
@@ -329,7 +303,8 @@ brownoutSection()
                       std::to_string(tm.violations),
                       pct(tm.served_fp16, tm.completed),
                       std::to_string(tm.shed_brownout)});
-        emitLine(serveJsonRecord("brownout", name, m));
+        sweepRecord("overload",
+                    serveJsonRecord("brownout", name, m));
         if (i == 1)
             std::printf("brownout: max level %d over %llu "
                         "transitions; premium brownout-shed %llu "
@@ -387,7 +362,7 @@ breakerSection()
     const std::vector<ServeConfig> cfgs = {scenario(false),
                                            scenario(true)};
     const std::vector<ServeResult> results =
-        runGrid(makeInferenceChip(), cfgs);
+        runGrid(makeInferenceChip(), cfgs, runServeBatch);
     Table t({"Policy", "Tenant", "Goodput/s", "Shed", "Viol",
              "Depth max", "Opens", "Closes"});
     for (size_t i = 0; i < cfgs.size(); ++i) {
@@ -400,7 +375,8 @@ breakerSection()
                       std::to_string(m.max_queue_depth),
                       std::to_string(m.breaker_opens),
                       std::to_string(m.breaker_closes)});
-        emitLine(serveJsonRecord("breaker", name, m));
+        sweepRecord("overload",
+                    serveJsonRecord("breaker", name, m));
     }
     t.print();
     std::printf("\nOpen = fast-fail at admission while the queue "
@@ -457,9 +433,10 @@ retryBudgetSection()
                   std::to_string(ledger.shed_budget),
                   std::to_string(ledger.failed),
                   ledger.closed() ? "yes" : "NO"});
-        emitLine(clusterJsonRecord(budget_on ? "retry_budget"
-                                             : "retry_storm",
-                                   cfg, result, ledger));
+        sweepRecord("overload",
+                    clusterJsonRecord(budget_on ? "retry_budget"
+                                                : "retry_storm",
+                                      cfg, result, ledger));
     }
     t.print();
     std::printf("\nDenied retries are deliberate sheds, not losses: "
@@ -516,7 +493,7 @@ llmTpotSection()
                   std::to_string(m.total.admitted_calibrated),
                   std::to_string(m.fuse_trips),
                   Table::fmt(m.total.tokens_per_s, 0)});
-        emitLine(llmJsonRecord("llm_tpot", name, m));
+        sweepRecord("overload", llmJsonRecord("llm_tpot", name, m));
     }
     t.print();
     std::printf("\nThe same tier discipline as the serve router: "

@@ -22,14 +22,12 @@
  * decisions derive from fixed seeds via per-item streams, so stdout
  * is bit-identical across runs and at any --threads N.
  *
- * With RAPID_RESILIENCE_JSON=<path> set, each policy-grid cell also
- * appends one JSON record for scripts/assemble_resilience.py ->
+ * With RAPID_REPORT_JSON=<path> set, each policy-grid cell also
+ * appends one "resilience" record for scripts/assemble.py ->
  * BENCH_resilience.json; stdout is unaffected.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -113,15 +111,12 @@ workEfficiency(const RecoveryStats &s)
     return attempts > 0 ? double(s.steps) / attempts : 1.0;
 }
 
-/** Append one JSON record when RAPID_RESILIENCE_JSON is set. */
-void
-emitRecord(double rate, const Policy &policy, double accuracy,
+/** One policy-grid cell as a JSON record. */
+std::string
+gridRecord(double rate, const Policy &policy, double accuracy,
            const RecoveryStats &s, const FaultStats &faults,
            TrainPrecision final_precision)
 {
-    const char *path = std::getenv("RAPID_RESILIENCE_JSON");
-    if (path == nullptr || *path == '\0')
-        return;
     std::ostringstream oss;
     oss << "{\"section\": \"policy_grid\", \"rate\": " << rate
         << ", \"policy\": \"" << policy.name << "\""
@@ -141,9 +136,7 @@ emitRecord(double rate, const Policy &policy, double accuracy,
         << ", \"injected\": " << faults.injected
         << ", \"sdc\": " << faults.sdc << ", \"final_precision\": \""
         << trainPrecisionName(final_precision) << "\"}";
-    std::ofstream out(path, std::ios::app);
-    if (out)
-        out << oss.str() << "\n";
+    return oss.str();
 }
 
 /** Section 1: the dynamic loss scaler on HFP8 training. */
@@ -299,8 +292,9 @@ policyGridSection(const Data &data)
                   count(c.stats.skipped),
                   trainPrecisionName(c.final_precision),
                   c.closed ? "closed" : "LEAK"});
-        emitRecord(rate, policy, c.accuracy, c.stats, c.faults,
-                   c.final_precision);
+        sweepRecord("resilience",
+                    gridRecord(rate, policy, c.accuracy, c.stats,
+                               c.faults, c.final_precision));
     }
     t.print();
     std::printf("\nEvery completed step carries exactly one class, so "

@@ -12,61 +12,28 @@
  * clock is read anywhere (the no-wallclock lint check enforces this),
  * so stdout is bit-identical across runs and at any --threads N.
  *
- * With RAPID_SERVE_JSON=<path> set, each ramp point also appends one
- * JSON record for scripts/assemble_serve.py -> BENCH_serve.json;
- * stdout is unaffected.
+ * With RAPID_REPORT_JSON=<path> set, each grid point also appends one
+ * "serve" record for scripts/assemble.py -> BENCH_serve.json; stdout
+ * is unaffected.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/parallel.hh"
 #include "common/sweep.hh"
 #include "common/table.hh"
 #include "serve/metrics.hh"
 #include "serve/server_sim.hh"
 #include "workloads/networks.hh"
 
+#include "sim_grid.hh"
+
 using namespace rapid;
 
 namespace {
 
 constexpr int64_t kMs = 1'000'000; ///< ns per millisecond
-
-/**
- * Build one ServeSim per config (latency tables compile in parallel)
- * and advance the whole scenario grid concurrently as independent
- * domains of one DES engine; results gather in config order.
- */
-std::vector<ServeResult>
-runGrid(const ChipConfig &chip, const std::vector<ServeConfig> &cfgs)
-{
-    const auto sims = parallelMap(cfgs.size(), [&](size_t i) {
-        return std::make_unique<ServeSim>(chip, cfgs[i]);
-    });
-    std::vector<const ServeSim *> ptrs;
-    ptrs.reserve(sims.size());
-    for (const auto &s : sims)
-        ptrs.push_back(s.get());
-    return runServeBatch(ptrs);
-}
-
-/** Append one JSON record when RAPID_SERVE_JSON is set. */
-void
-emitRecord(const std::string &section, const std::string &policy,
-           const ServeMetrics &m)
-{
-    const char *path = std::getenv("RAPID_SERVE_JSON");
-    if (path == nullptr || *path == '\0')
-        return;
-    std::ofstream out(path, std::ios::app);
-    if (out)
-        out << serveJsonRecord(section, policy, m) << "\n";
-}
 
 struct Policy
 {
@@ -143,7 +110,8 @@ rampSection(const char *title, const char *section,
     for (double rps : loads)
         for (const Policy &policy : kPolicies)
             cfgs.push_back(rampScenario(rps, policy));
-    const std::vector<ServeResult> results = runGrid(chip, cfgs);
+    const std::vector<ServeResult> results =
+        runGrid(chip, cfgs, runServeBatch);
     size_t point = 0;
     for (double rps : loads) {
         std::vector<std::string> row = {Table::fmt(rps, 0)};
@@ -159,7 +127,8 @@ rampSection(const char *title, const char *section,
                     : "-");
             row.push_back(
                 Table::fmt(double(m.total.latency.p99) * 1e-6, 2));
-            emitRecord(section, policy.name, m);
+            sweepRecord("serve",
+                        serveJsonRecord(section, policy.name, m));
         }
         t.addRow(row);
     }
@@ -203,7 +172,8 @@ multiTenantSection()
     const ServeSim sim(makeInferenceChip(), cfg);
     const ServeMetrics m = computeMetrics(cfg, sim.run());
     std::fputs(serveReport(m).c_str(), stdout);
-    emitRecord("multi_tenant", "int4-ladder", m);
+    sweepRecord("serve",
+                serveJsonRecord("multi_tenant", "int4-ladder", m));
     std::printf("\nThe router honors the premium tenant's HFP8 floor "
                 "while the rest rides the cheap INT4 path.\n");
 }
@@ -229,7 +199,7 @@ batcherKnobSection()
         }
     }
     const std::vector<ServeResult> results =
-        runGrid(makeInferenceChip(), cfgs);
+        runGrid(makeInferenceChip(), cfgs, runServeBatch);
     size_t point = 0;
     for (int64_t mb : batches) {
         for (int64_t wait : waits_ns) {
@@ -267,7 +237,7 @@ faultTailSection()
         cfgs.push_back(cfg);
     }
     const std::vector<ServeResult> results =
-        runGrid(makeInferenceChip(), cfgs);
+        runGrid(makeInferenceChip(), cfgs, runServeBatch);
     for (size_t point = 0; point < cfgs.size(); ++point) {
         const ServeConfig &cfg = cfgs[point];
         const ServeMetrics m = computeMetrics(cfg, results[point]);
@@ -280,7 +250,9 @@ faultTailSection()
                   Table::fmt(double(m.total.latency.p50) * 1e-6, 2),
                   Table::fmt(double(m.total.latency.p99) * 1e-6, 2),
                   Table::fmt(m.energy_per_request_mj, 2)});
-        emitRecord("fault_tails", faultConfigSummary(cfg.fault), m);
+        sweepRecord("serve",
+                    serveJsonRecord("fault_tails",
+                                    faultConfigSummary(cfg.fault), m));
     }
     t.print();
     std::printf("\nDetected-uncorrected faults charge replay cycles "

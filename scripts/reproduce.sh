@@ -2,10 +2,13 @@
 # Reproduce everything: build, run the full test suite, regenerate
 # every paper figure, and run the examples, archiving the outputs at
 # the repository root (test_output.txt / bench_output.txt /
-# examples_output.txt / BENCH_sweeps.json). Fails fast: the first
-# failing step aborts the run with that step named. See
-# EXPERIMENTS.md for the paper-vs-measured comparison of what these
-# outputs should contain.
+# examples_output.txt / BENCH_<report>.json). Every bench driver
+# appends its records to the one report log named by
+# RAPID_REPORT_JSON, and scripts/assemble.py turns that log into
+# BENCH_{sweeps,serve,resilience,cluster,llm,overload}.json. Fails
+# fast: the first failing step aborts the run with that step named.
+# See EXPERIMENTS.md for the paper-vs-measured comparison of what
+# these outputs should contain.
 #
 # Environment knobs:
 #   RAPID_THREADS  sweep thread count for the figure runs
@@ -23,26 +26,12 @@ cmake --build build || fail "build"
 
 ctest --test-dir build 2>&1 | tee test_output.txt || fail "ctest"
 
-# Figure sweeps: every driver appends its wall-clock record to the
-# sweep log, which assemble_sweeps.py merges into BENCH_sweeps.json.
-# serve_sweep additionally appends per-ramp-point serving records
-# (assemble_serve.py -> BENCH_serve.json), resilience_sweep its
-# policy-grid cells (assemble_resilience.py -> BENCH_resilience.json),
-# and cluster_sweep its fleet scenarios (assemble_cluster.py ->
-# BENCH_cluster.json, hard-failing on open request accounting),
-# llm_sweep its transformer-serving scenarios (assemble_llm.py ->
-# BENCH_llm.json, hard-failing on open request OR token accounting),
-# and overload_sweep its overload-control scenarios
-# (assemble_overload.py -> BENCH_overload.json, hard-failing on open
-# per-tier admission accounting).
-export RAPID_SWEEP_JSON="$PWD/build/sweeps_raw.jsonl"
-export RAPID_SERVE_JSON="$PWD/build/serve_raw.jsonl"
-export RAPID_RESILIENCE_JSON="$PWD/build/resilience_raw.jsonl"
-export RAPID_CLUSTER_JSON="$PWD/build/cluster_raw.jsonl"
-export RAPID_LLM_JSON="$PWD/build/llm_raw.jsonl"
-export RAPID_OVERLOAD_JSON="$PWD/build/overload_raw.jsonl"
-rm -f "$RAPID_SWEEP_JSON" "$RAPID_SERVE_JSON" "$RAPID_RESILIENCE_JSON" \
-      "$RAPID_CLUSTER_JSON" "$RAPID_LLM_JSON" "$RAPID_OVERLOAD_JSON"
+# Figure sweeps: every driver appends its wall-clock record, and the
+# serving, resilience, fleet, transformer and overload drivers their
+# results, to the report log. The sink exits nonzero when it cannot
+# append, so a driver that exits 0 has recorded everything.
+export RAPID_REPORT_JSON="$PWD/build/report_raw.jsonl"
+rm -f "$RAPID_REPORT_JSON"
 (for b in build/bench/*; do
     [ -x "$b" ] && [ -f "$b" ] || continue
     echo "===== $b"
@@ -62,41 +51,9 @@ done
 build/bench/serve_sweep --threads 8 > /dev/null \
     || fail "serve_sweep 8-thread point"
 
-echo
-echo "===== per-figure sweep timing"
-# --require makes a sweep that died before appending its record a
-# hard failure naming the figure, instead of a silently missing row.
-python3 scripts/assemble_sweeps.py "$RAPID_SWEEP_JSON" \
-    BENCH_sweeps.json \
-    --require "$(echo $HEAVY_SWEEPS | tr ' ' ',')" \
-    || fail "sweep timing report"
-
-echo
-echo "===== serving goodput knees"
-python3 scripts/assemble_serve.py "$RAPID_SERVE_JSON" \
-    BENCH_serve.json || fail "serve report"
-
-echo
-echo "===== resilience policy summary"
-python3 scripts/assemble_resilience.py "$RAPID_RESILIENCE_JSON" \
-    BENCH_resilience.json || fail "resilience report"
-
-echo
-echo "===== fleet failover summary"
-python3 scripts/assemble_cluster.py "$RAPID_CLUSTER_JSON" \
-    BENCH_cluster.json || fail "cluster report"
-
-echo
-echo "===== transformer serving summary"
-python3 scripts/assemble_llm.py "$RAPID_LLM_JSON" \
-    BENCH_llm.json || fail "llm report"
-
-echo
-echo "===== overload control summary"
-python3 scripts/assemble_overload.py "$RAPID_OVERLOAD_JSON" \
-    BENCH_overload.json \
-    --require knee,fuse,brownout,breaker,retry_storm,retry_budget,llm_tpot \
-    || fail "overload report"
+# One report per schema in scripts/assemble.py; each hard-fails on a
+# missing report or section, an open ledger, or a failed headline.
+python3 scripts/assemble.py "$RAPID_REPORT_JSON" || fail "bench reports"
 
 (for e in build/examples/*; do
     [ -x "$e" ] && [ -f "$e" ] || continue

@@ -75,8 +75,8 @@ std::string fleetReport(const ClusterConfig &cfg,
 
 /**
  * One JSON line for the BENCH_cluster.json assembly. Carries the raw
- * accounting fields and "closed" so scripts/assemble_cluster.py can
- * hard-fail on an open ledger.
+ * accounting fields and "closed" so scripts/assemble.py can hard-fail
+ * on an open ledger.
  */
 std::string clusterJsonRecord(const std::string &section,
                               const ClusterConfig &cfg,

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 
 #include "common/logging.hh"
 #include "common/parallel.hh"
@@ -11,47 +12,30 @@ namespace rapid {
 
 namespace {
 
-struct SweepOptions
+/** The --threads N value; 0 = RAPID_THREADS env / hardware default. */
+unsigned
+parseThreads(const std::string &figure, int argc, char **argv)
 {
-    unsigned threads = 0; ///< 0 = RAPID_THREADS env / hardware default
-    std::string json_path; ///< empty = RAPID_SWEEP_JSON env, if any
-};
-
-SweepOptions
-parseArgs(const std::string &figure, int argc, char **argv)
-{
-    SweepOptions opts;
+    unsigned threads = 0;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto value = [&](const char *flag) -> std::string {
-            const std::string prefix = std::string(flag) + "=";
-            if (arg.rfind(prefix, 0) == 0)
-                return arg.substr(prefix.size());
-            if (arg == flag && i + 1 < argc)
-                return argv[++i];
-            rapid_fatal(figure, ": ", flag, " requires a value");
-        };
-        if (arg == "--threads" || arg.rfind("--threads=", 0) == 0) {
-            const std::string v = value("--threads");
-            const long n = std::strtol(v.c_str(), nullptr, 10);
-            if (n < 1 || n > 1024)
-                rapid_fatal(figure, ": bad --threads value '", v,
-                            "' (expected 1..1024)");
-            opts.threads = unsigned(n);
-        } else if (arg == "--sweep-json" ||
-                   arg.rfind("--sweep-json=", 0) == 0) {
-            opts.json_path = value("--sweep-json");
-        } else {
+        std::string v;
+        if (arg.rfind("--threads=", 0) == 0)
+            v = arg.substr(std::string("--threads=").size());
+        else if (arg == "--threads" && i + 1 < argc)
+            v = argv[++i];
+        else if (arg == "--threads")
+            rapid_fatal(figure, ": --threads requires a value");
+        else
             rapid_fatal(figure, ": unknown argument '", arg,
-                        "' (supported: --threads N, --sweep-json "
-                        "PATH)");
-        }
+                        "' (supported: --threads N)");
+        const long n = std::strtol(v.c_str(), nullptr, 10);
+        if (n < 1 || n > 1024)
+            rapid_fatal(figure, ": bad --threads value '", v,
+                        "' (expected 1..1024)");
+        threads = unsigned(n);
     }
-    if (opts.json_path.empty()) {
-        if (const char *env = std::getenv("RAPID_SWEEP_JSON"))
-            opts.json_path = env;
-    }
-    return opts;
+    return threads;
 }
 
 } // namespace
@@ -60,8 +44,7 @@ int
 sweepMain(const std::string &figure, int argc, char **argv,
           const std::function<void()> &body)
 {
-    const SweepOptions opts = parseArgs(figure, argc, argv);
-    ThreadPool::setDefaultThreads(opts.threads);
+    ThreadPool::setDefaultThreads(parseThreads(figure, argc, argv));
     const unsigned threads = ThreadPool::global().numThreads();
 
     const auto start = std::chrono::steady_clock::now();
@@ -69,17 +52,28 @@ sweepMain(const std::string &figure, int argc, char **argv,
     const std::chrono::duration<double> wall =
         std::chrono::steady_clock::now() - start;
 
-    if (!opts.json_path.empty()) {
-        std::ofstream out(opts.json_path, std::ios::app);
-        if (!out) {
-            rapid_warn("cannot append sweep record to ",
-                       opts.json_path);
-            return 0;
-        }
-        out << "{\"figure\":\"" << figure << "\",\"threads\":" << threads
-            << ",\"wall_seconds\":" << wall.count() << "}\n";
-    }
+    std::ostringstream record;
+    record << "{\"figure\":\"" << figure << "\",\"threads\":" << threads
+           << ",\"wall_seconds\":" << wall.count() << "}";
+    sweepRecord("sweeps", record.str());
     return 0;
+}
+
+void
+sweepRecord(const std::string &report, const std::string &json)
+{
+    const char *path = std::getenv("RAPID_REPORT_JSON");
+    if (path == nullptr || *path == '\0')
+        return;
+    rapid_assert(json.size() > 2 && json.front() == '{' &&
+                     json.back() == '}',
+                 "report record is not a JSON object: ", json);
+    std::ofstream out(path, std::ios::app);
+    out << "{\"report\":\"" << report << "\"," << json.substr(1) << "\n";
+    out.flush();
+    if (!out)
+        rapid_fatal("cannot append a '", report,
+                    "' record to RAPID_REPORT_JSON=", path);
 }
 
 } // namespace rapid

@@ -23,8 +23,8 @@
  *
  * Token accounting is closed by construction: every offered request
  * either completes with generated == planned output tokens or is
- * shed with zero generated; assemble_llm.py hard-fails the run
- * otherwise.
+ * shed with zero generated; scripts/assemble.py hard-fails the
+ * run otherwise.
  */
 
 #ifndef RAPID_LLM_DECODE_BATCHER_HH

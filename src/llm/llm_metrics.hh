@@ -100,7 +100,7 @@ std::string llmReport(const LlmServeConfig &cfg, const LlmMetrics &m);
 
 /**
  * One JSON line for the BENCH_llm.json assembly, including the
- * closed-accounting booleans assemble_llm.py hard-fails on.
+ * closed-accounting booleans scripts/assemble.py hard-fails on.
  */
 std::string llmJsonRecord(const std::string &section,
                           const std::string &label,

@@ -1,7 +1,7 @@
 """rapid_analyzer: token-level static analysis for the RaPiD tree.
 
-The successor of the per-line regex core that used to live inside
-tools/rapid_lint.py. The analyzer is built from three layers:
+The successor of the original per-line regex linter (rapid_lint). The
+analyzer is built from three layers:
 
   lexer.py          a preprocessor-aware C++ tokenizer: strips line and
                     block comments (collecting waiver markers), string/
@@ -20,7 +20,10 @@ tools/rapid_lint.py. The analyzer is built from three layers:
 
 engine.py walks the tree, runs every pass, applies waivers, and can
 emit machine-readable JSON findings for CI; cli.py is the command-line
-front end (tools/rapid_lint.py remains as a compatibility shim).
+front end, run as a module from tools/ (or with tools/ on PYTHONPATH):
+
+    python3 -m rapid_analyzer --root <repo> [--json findings.json]
+    python3 -m rapid_analyzer --root <repo> --self-test
 
 A finding on a given line is waived with a trailing comment:
 

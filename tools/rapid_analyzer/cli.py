@@ -1,9 +1,9 @@
 """Command-line front end for rapid_analyzer.
 
-Usage mirrors the old tools/rapid_lint.py (which now forwards here):
+Usage, from the repository root:
 
-    python3 tools/rapid_lint.py --root . [--json findings.json]
-    python3 tools/rapid_lint.py --root . --self-test
+    PYTHONPATH=tools python3 -m rapid_analyzer --root . [--json findings.json]
+    PYTHONPATH=tools python3 -m rapid_analyzer --root . --self-test
 """
 
 import argparse
