@@ -38,14 +38,6 @@ count(uint64_t v)
     return std::to_string(v);
 }
 
-std::string
-pct(uint64_t part, uint64_t whole)
-{
-    return whole ? Table::fmt(100.0 * double(part) / double(whole), 3) +
-                       "%"
-                 : "-";
-}
-
 const char *kProtNames[] = {"none", "parity", "SECDED"};
 
 SiteProtection
@@ -80,8 +72,8 @@ storageByFormat()
         t.addRow({storageFormatName(fmt),
                   count(storageFormatBits(fmt)),
                   count(r.stats.injected),
-                  pct(r.stats.masked, r.stats.injected),
-                  pct(r.stats.sdc, r.stats.injected),
+                  Table::pct(r.stats.masked, r.stats.injected, 3),
+                  Table::pct(r.stats.sdc, r.stats.injected, 3),
                   count(r.catastrophic), Table::fmt(r.meanAbsError(), 4),
                   Table::fmt(r.max_abs_error, 2)});
     }
@@ -107,8 +99,8 @@ storageProtection()
                 runStorageExperiment(exp, FaultInjector(cfg));
             t.addRow({Table::fmt(rate, 4), kProtNames[prot],
                       count(r.stats.injected),
-                      pct(r.stats.detected, r.stats.injected),
-                      pct(r.stats.corrected, r.stats.injected),
+                      Table::pct(r.stats.detected, r.stats.injected, 3),
+                      Table::pct(r.stats.corrected, r.stats.injected, 3),
                       count(r.stats.retries), count(r.stats.sdc),
                       Table::fmt(r.stats.retry_cycles, 0)});
         }

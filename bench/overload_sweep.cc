@@ -56,14 +56,6 @@ namespace {
 
 constexpr int64_t kMs = 1'000'000; ///< ns per millisecond
 
-std::string
-pct(uint64_t part, uint64_t whole)
-{
-    if (whole == 0)
-        return "-";
-    return Table::fmt(100.0 * double(part) / double(whole), 1) + "%";
-}
-
 /** The multi-tenant mix of serve_sweep, scaled by @p scale: three
  *  strict web frontends + premium NLP (HFP8 floor) + bursty
  *  background. The web load is split across three tenants on purpose:
@@ -160,12 +152,12 @@ kneeSection()
             computeMetrics(cfgs[2 * i + 1], results[2 * i + 1]);
         t.addRow({Table::fmt(scales[i], 1),
                   Table::fmt(mb.total.goodput_rps, 1),
-                  pct(mb.total.shed, mb.total.offered),
+                  Table::pct(mb.total.shed, mb.total.offered),
                   std::to_string(mb.total.violations),
                   Table::fmt(mc.total.goodput_rps, 1),
-                  pct(mc.total.shed, mc.total.offered),
+                  Table::pct(mc.total.shed, mc.total.offered),
                   std::to_string(mc.total.violations),
-                  pct(mc.total.admitted_calibrated,
+                  Table::pct(mc.total.admitted_calibrated,
                       mc.total.completed)});
         sweepRecord("overload", serveJsonRecord("knee", "bound", mb));
         sweepRecord("overload",
@@ -192,7 +184,7 @@ kneeSection()
     std::printf("\nheadline: knee over-shed %s of offered; calibrated "
                 "recovers %.1f%% of it (shed %llu -> %llu), "
                 "violations %+lld\n",
-                pct(knee_shed_bound, knee_offered).c_str(), recovery,
+                Table::pct(knee_shed_bound, knee_offered).c_str(), recovery,
                 (unsigned long long)knee_shed_bound,
                 (unsigned long long)knee_shed_cal, extra_viol);
 }
@@ -250,7 +242,7 @@ fuseSection()
         const char *name = i == 0 ? "calibrated-nofuse"
                                   : "calibrated-fuse";
         t.addRow({name, Table::fmt(m.total.goodput_rps, 1),
-                  pct(m.total.shed, m.total.offered),
+                  Table::pct(m.total.shed, m.total.offered),
                   std::to_string(m.total.violations),
                   std::to_string(m.total.admitted_calibrated),
                   std::to_string(m.fuse_trips)});
@@ -299,9 +291,9 @@ brownoutSection()
         const char *name = i == 0 ? "baseline" : "brownout";
         for (const TenantMetrics &tm : m.tenants)
             t.addRow({name, tm.name, Table::fmt(tm.goodput_rps, 1),
-                      pct(tm.shed, tm.offered),
+                      Table::pct(tm.shed, tm.offered),
                       std::to_string(tm.violations),
-                      pct(tm.served_fp16, tm.completed),
+                      Table::pct(tm.served_fp16, tm.completed),
                       std::to_string(tm.shed_brownout)});
         sweepRecord("overload",
                     serveJsonRecord("brownout", name, m));
@@ -370,7 +362,7 @@ breakerSection()
         const char *name = i == 0 ? "no-breaker" : "breaker";
         for (const TenantMetrics &tm : m.tenants)
             t.addRow({name, tm.name, Table::fmt(tm.goodput_rps, 1),
-                      pct(tm.shed, tm.offered),
+                      Table::pct(tm.shed, tm.offered),
                       std::to_string(tm.violations),
                       std::to_string(m.max_queue_depth),
                       std::to_string(m.breaker_opens),
@@ -488,7 +480,7 @@ llmTpotSection()
         const LlmMetrics m = computeLlmMetrics(cfg, sim.run());
         const char *name = calibrated ? "calibrated" : "bound";
         t.addRow({name, std::to_string(m.total.completed),
-                  pct(m.total.shed, m.total.offered),
+                  Table::pct(m.total.shed, m.total.offered),
                   std::to_string(m.total.tpot_violations),
                   std::to_string(m.total.admitted_calibrated),
                   std::to_string(m.fuse_trips),

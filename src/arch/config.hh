@@ -26,7 +26,6 @@ struct MpeConfig
     /// INT4 MAC engines per FXU lane after the power-driven doubling
     /// (Figure 4(c)): 8 INT4 (16 INT2) engines per FXU.
     unsigned int4_macs_per_fxu = 8;
-    unsigned lrf_bytes = 4096; ///< local register file capacity
 
     /** MAC operations per cycle at @p p (1 MAC = 2 ops). */
     double

@@ -21,14 +21,6 @@ ms(int64_t ns)
     return Table::fmt(double(ns) * 1e-6, 3);
 }
 
-std::string
-pctOf(uint64_t part, uint64_t whole)
-{
-    if (whole == 0)
-        return "-";
-    return Table::fmt(100.0 * double(part) / double(whole), 1) + "%";
-}
-
 uint64_t
 fnv1a(const std::vector<uint8_t> &bytes)
 {
@@ -199,7 +191,7 @@ fleetReport(const ClusterConfig &cfg, const FleetResult &result,
         oss << "budget: " << ledger.retries_denied
             << " retries denied, " << ledger.shed_budget
             << " origins converted to shed\n";
-    oss << "fleet: sla " << pctOf(ledger.sla_met, ledger.completed)
+    oss << "fleet: sla " << Table::pct(ledger.sla_met, ledger.completed)
         << " of completed, p99 " << ms(ledger.latency.p99)
         << " ms, goodput " << Table::fmt(ledger.goodput_rps, 1)
         << "/s of " << Table::fmt(ledger.offered_rps, 1)

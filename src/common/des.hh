@@ -216,7 +216,6 @@ class DesEngine
 
     DesDomain &domain(DomainId id);
     const DesDomain &domain(DomainId id) const;
-    size_t numDomains() const { return domains_.size(); }
 
     /**
      * Run every domain to completion (all heaps drained). Safe to

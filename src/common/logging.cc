@@ -25,20 +25,5 @@ warnImpl(const std::string &msg)
     std::fprintf(stderr, "warn: %s\n", msg.c_str());
 }
 
-void
-informImpl(const std::string &msg)
-{
-    if (verboseLoggingEnabled())
-        std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
 } // namespace detail
-
-bool
-verboseLoggingEnabled()
-{
-    static const bool enabled = std::getenv("RAPID_VERBOSE") != nullptr;
-    return enabled;
-}
-
 } // namespace rapid

@@ -2,8 +2,8 @@
  * @file
  * Error and status reporting helpers, modelled after gem5's
  * base/logging.hh conventions: panic() for internal invariant
- * violations, fatal() for user-caused unrecoverable errors, warn() and
- * inform() for status messages.
+ * violations, fatal() for user-caused unrecoverable errors, warn() for
+ * status messages.
  */
 
 #ifndef RAPID_COMMON_LOGGING_HH
@@ -33,12 +33,8 @@ formatMessage(Args &&...args)
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
 void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 } // namespace detail
-
-/** True if RAPID_VERBOSE is set in the environment. */
-bool verboseLoggingEnabled();
 
 } // namespace rapid
 
@@ -59,10 +55,6 @@ bool verboseLoggingEnabled();
 /** Non-fatal warning about questionable behaviour. */
 #define rapid_warn(...)                                                     \
     ::rapid::detail::warnImpl(::rapid::detail::formatMessage(__VA_ARGS__))
-
-/** Informational status message (suppressed unless RAPID_VERBOSE). */
-#define rapid_inform(...)                                                   \
-    ::rapid::detail::informImpl(::rapid::detail::formatMessage(__VA_ARGS__))
 
 /** Assert that is kept in release builds; panics with a message. */
 #define rapid_assert(cond, ...)                                             \

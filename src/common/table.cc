@@ -66,4 +66,12 @@ Table::fmt(double value, int digits)
     return buf;
 }
 
+std::string
+Table::pct(uint64_t part, uint64_t whole, int digits)
+{
+    if (whole == 0)
+        return "-";
+    return fmt(100.0 * double(part) / double(whole), digits) + "%";
+}
+
 } // namespace rapid

@@ -7,6 +7,7 @@
 #ifndef RAPID_COMMON_TABLE_HH
 #define RAPID_COMMON_TABLE_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,10 @@ class Table
 
     /** Format a double with @p digits decimal places. */
     static std::string fmt(double value, int digits = 2);
+
+    /** @p part / @p whole as a percentage with @p digits decimal
+     *  places and a trailing '%'; "-" when @p whole is 0. */
+    static std::string pct(uint64_t part, uint64_t whole, int digits = 1);
 
   private:
     std::vector<std::string> headers_;

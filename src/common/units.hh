@@ -12,13 +12,8 @@
 
 namespace rapid {
 
-constexpr double kKilo = 1e3;
-constexpr double kMega = 1e6;
 constexpr double kGiga = 1e9;
 constexpr double kTera = 1e12;
-
-constexpr double kKiB = 1024.0;
-constexpr double kMiB = 1024.0 * 1024.0;
 
 /** Convert a frequency in GHz to Hz. */
 constexpr double

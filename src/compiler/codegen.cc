@@ -1,6 +1,7 @@
 #include "compiler/codegen.hh"
 
 #include "common/bitfield.hh"
+#include "common/error.hh"
 #include "common/logging.hh"
 
 namespace rapid {
@@ -30,6 +31,13 @@ CodeGenerator::generate(const Layer &layer, const LayerPlan &plan,
         divCeil(shape.positions, int64_t(m.workers_pos));
     const int64_t n_co = divCeil(co_local, out_cap);
     const int64_t n_red = divCeil(shape.reduction, red_cap);
+    // Every tile takes a fresh token id, and TokWait/TokPost carry it
+    // in a 16-bit immediate: a longer walk would wrap the ids and the
+    // program would wait on a token its sequencer posts under another.
+    const int64_t tiles = layer.repeat * n_co * n_red;
+    RAPID_CHECK_ARG(tiles <= kMaxTokenId, "codegen: layer ", layer.name,
+                    " needs ", tiles, " token ids, more than the ",
+                    kMaxTokenId, " a 16-bit TokWait/TokPost holds");
 
     LayerProgram prog;
     std::vector<MpeInstruction> raw;

@@ -52,12 +52,18 @@ struct LayerProgram
 class CodeGenerator
 {
   public:
+    /// Largest token id a TokWait/TokPost immediate can carry; one id
+    /// per tile, so also the longest tile walk a program may have.
+    static constexpr int64_t kMaxTokenId = 0xffff;
+
     explicit CodeGenerator(const ChipConfig &chip);
 
     /**
      * Generate the per-worker program for @p layer under @p plan at
      * @p batch. The emitted instruction stream is round-tripped
      * through the binary encoding, like a real toolchain would.
+     * Throws rapid::Error (InvalidArgument) when the tile walk needs
+     * more than kMaxTokenId token ids.
      */
     LayerProgram generate(const Layer &layer, const LayerPlan &plan,
                           int64_t batch) const;

@@ -74,14 +74,6 @@ struct StorageResult
     double sum_abs_error = 0; ///< total finite silent error
 
     double
-    sdcRate() const
-    {
-        return stats.sampled
-                   ? double(stats.sdc) / double(stats.sampled)
-                   : 0.0;
-    }
-
-    double
     meanAbsError() const
     {
         return stats.sdc ? sum_abs_error / double(stats.sdc) : 0.0;

@@ -321,32 +321,6 @@ fp16Conv2d(const Tensor &input, const Tensor &weight,
     return out;
 }
 
-Tensor
-hfp8Conv2d(const Tensor &input, const Tensor &weight,
-           const ConvParams &p, const ExecConfig &cfg)
-{
-    Tensor qi = quantizeTensorFp8(input, Fp8Kind::Forward, cfg);
-    Tensor qw = quantizeTensorFp8(weight, Fp8Kind::Forward, cfg);
-    const int64_t n = qi.dim(0), co = qw.dim(0);
-    const int64_t cig = qw.dim(1);
-    const int64_t ho = convOutDim(qi.dim(2), qw.dim(2), p.stride, p.pad);
-    const int64_t wo = convOutDim(qi.dim(3), qw.dim(3), p.stride, p.pad);
-    const int64_t co_per_g = co / p.groups;
-    Tensor out({n, co, ho, wo});
-    Patch patch;
-    for (int64_t in_n = 0; in_n < n; ++in_n)
-        for (int64_t oc = 0; oc < co; ++oc)
-            for (int64_t oy = 0; oy < ho; ++oy)
-                for (int64_t ox = 0; ox < wo; ++ox) {
-                    gatherPatch(qi, qw, in_n, oc, oy, ox, p, cig,
-                                co_per_g, patch);
-                    out.at(in_n, oc, oy, ox) =
-                        chunkedDot(patch.act.data(), patch.wt.data(),
-                                   int64_t(patch.act.size()), cfg);
-                }
-    return out;
-}
-
 namespace {
 
 /**

@@ -53,11 +53,6 @@ Tensor fp16Conv2d(const Tensor &input, const Tensor &weight,
 Tensor hfp8Matmul(const Tensor &a, Fp8Kind a_kind, const Tensor &b,
                   Fp8Kind b_kind, const ExecConfig &cfg = {});
 
-/** HFP8 convolution (forward-format operands). */
-Tensor hfp8Conv2d(const Tensor &input, const Tensor &weight,
-                  const ConvParams &params = {},
-                  const ExecConfig &cfg = {});
-
 /**
  * INT4/INT2 GEMM through the FXU pipeline. Activations in @p a are
  * quantized by @p act_q (PACT levels, so @p a should be post-ReLU);

@@ -6,7 +6,6 @@
 
 #include "common/logging.hh"
 #include "precision/float_format.hh"
-#include "tensor/ops.hh"
 
 namespace rapid {
 namespace sfu {
@@ -150,35 +149,6 @@ sfuTanh(const Tensor &x, SfuMode mode)
 }
 
 Tensor
-sfuExp(const Tensor &x, SfuMode mode)
-{
-    return applySfu(x, mode, sfu::fastExp,
-                    [](double v) { return std::exp(v); });
-}
-
-Tensor
-sfuGelu(const Tensor &x, SfuMode mode)
-{
-    return applySfu(x, mode, sfu::fastGelu, [](double v) {
-        return 0.5 * v * (1.0 + std::erf(v / std::sqrt(2.0)));
-    });
-}
-
-Tensor
-sfuReciprocal(const Tensor &x, SfuMode mode)
-{
-    return applySfu(x, mode, sfu::fastReciprocal,
-                    [](double v) { return 1.0 / v; });
-}
-
-Tensor
-sfuSqrt(const Tensor &x, SfuMode mode)
-{
-    return applySfu(x, mode, sfu::fastSqrt,
-                    [](double v) { return std::sqrt(v); });
-}
-
-Tensor
 sfuSoftmax(const Tensor &x, SfuMode mode)
 {
     rapid_assert(x.rank() == 2, "sfuSoftmax expects rank-2 logits");
@@ -204,12 +174,6 @@ sfuSoftmax(const Tensor &x, SfuMode mode)
                 dlfloat16().quantize(out.at(i, j) * inv);
     }
     return out;
-}
-
-Tensor
-sfuTranspose(const Tensor &x)
-{
-    return transpose(x);
 }
 
 double

@@ -56,10 +56,6 @@ float fastGelu(float x);
  */
 Tensor sfuSigmoid(const Tensor &x, SfuMode mode = SfuMode::Fast);
 Tensor sfuTanh(const Tensor &x, SfuMode mode = SfuMode::Fast);
-Tensor sfuExp(const Tensor &x, SfuMode mode = SfuMode::Fast);
-Tensor sfuGelu(const Tensor &x, SfuMode mode = SfuMode::Fast);
-Tensor sfuReciprocal(const Tensor &x, SfuMode mode = SfuMode::Fast);
-Tensor sfuSqrt(const Tensor &x, SfuMode mode = SfuMode::Fast);
 
 /**
  * SFU softmax over the rows of a rank-2 tensor: max-subtract, fast
@@ -67,9 +63,6 @@ Tensor sfuSqrt(const Tensor &x, SfuMode mode = SfuMode::Fast);
  * auxiliary category pays for.
  */
 Tensor sfuSoftmax(const Tensor &x, SfuMode mode = SfuMode::Fast);
-
-/** Data-shuffle ops the SFU arrays execute in training updates. */
-Tensor sfuTranspose(const Tensor &x);
 
 /** Max absolute error of @p mode vs accurate over @p samples. */
 double sfuMaxError(float (*fast_fn)(float), double (*ref_fn)(double),

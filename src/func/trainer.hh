@@ -196,9 +196,8 @@ class Mlp
      */
     void setFaultInjector(const FaultInjector *injector);
 
-    /** Cumulative TrainerGemm fault outcomes since clearFaultStats. */
+    /** Cumulative TrainerGemm fault outcomes. */
     const FaultStats &faultStats() const { return fault_stats_; }
-    void clearFaultStats() { fault_stats_ = FaultStats{}; }
 
   private:
     struct Dense

@@ -27,12 +27,9 @@ DecodeBatcher::bootstrap()
     result_.horizon_ns = cfg_.horizon_ns;
     result_.requests.resize(trace_.size());
     groups_.resize(cfg_.ladder.size());
-    if (cfg_.admission.enabled) {
-        result_.group_admission.resize(cfg_.ladder.size());
-        tpot_est_.assign(cfg_.ladder.size(),
-                         QueueDelayEstimator(cfg_.admission.window));
-        fuse_strikes_.assign(cfg_.ladder.size(), 0);
-    }
+    if (cfg_.admission.enabled)
+        admission_.assign(cfg_.ladder.size(),
+                          CalibratedAdmission(cfg_.admission));
     if (!trace_.empty())
         dom_.schedule(trace_[0].arrival_ns, kPriArrival,
                       [this] { onArrival(); });
@@ -117,7 +114,6 @@ DecodeBatcher::routeRequest(LlmRequestRecord &rec)
 {
     const LlmTenantConfig &tenant = cfg_.tenants[rec.tenant];
     const int floor = servingQuality(tenant.min_precision);
-    const CalibratedAdmissionConfig &adm = cfg_.admission;
     for (size_t gi = 0; gi < cfg_.ladder.size(); ++gi) {
         if (servingQuality(cfg_.ladder[gi].act) < floor)
             continue;
@@ -127,11 +123,9 @@ DecodeBatcher::routeRequest(LlmRequestRecord &rec)
         // the conservative full-batch step bound.
         AdmitTier tier = AdmitTier::Bound;
         int64_t tpot_pred;
-        if (adm.enabled && !result_.group_admission[gi].fuse_tripped &&
-            tpot_est_[gi].windowFill() >= adm.min_samples) {
+        if (!admission_.empty() && admission_[gi].trusted()) {
             tier = AdmitTier::Calibrated;
-            tpot_pred = int64_t(double(tpot_est_[gi].p95Ns()) *
-                                adm.safety_margin);
+            tpot_pred = admission_[gi].predictNs();
         } else {
             tpot_pred = tpotBoundNs(gi, rec);
         }
@@ -144,13 +138,8 @@ DecodeBatcher::routeRequest(LlmRequestRecord &rec)
         rec.mode = int(gi);
         rec.tier = tier;
         rec.predicted_ttft_ns = ttft;
-        if (adm.enabled) {
-            LlmGroupAdmission &ga = result_.group_admission[gi];
-            if (tier == AdmitTier::Calibrated)
-                ++ga.admitted_calibrated;
-            else
-                ++ga.admitted_bound;
-        }
+        if (!admission_.empty())
+            admission_[gi].noteAdmit(tier);
         groups_[gi].waiting.push_back(rec.id);
         return true;
     }
@@ -185,20 +174,13 @@ DecodeBatcher::finishSequence(uint64_t id, int64_t t)
     rec.completion_ns = t;
     rapid_dassert(rec.generated_tokens == rec.output_tokens,
                   "sequence finished with open token accounting");
-    const CalibratedAdmissionConfig &adm = cfg_.admission;
-    if (!adm.enabled || rec.generated_tokens < 2)
+    if (admission_.empty() || rec.generated_tokens < 2)
         return; // single-token outputs have no TPOT observation
-    const size_t gi = size_t(rec.mode);
+    CalibratedAdmission &adm = admission_[size_t(rec.mode)];
     const int64_t tpot = rec.tpotNs();
-    tpot_est_[gi].record(tpot);
-    LlmGroupAdmission &ga = result_.group_admission[gi];
-    if (adm.fuse_enabled && !ga.fuse_tripped &&
-        rec.tier == AdmitTier::Calibrated &&
-        tpot > cfg_.tenants[rec.tenant].tpot_deadline_ns &&
-        ++fuse_strikes_[gi] >= adm.fuse_violations) {
-        ga.fuse_tripped = true;
-        ga.fuse_trip_ns = t;
-    }
+    adm.observe(tpot);
+    adm.noteOutcome(rec.tier,
+                    tpot > cfg_.tenants[rec.tenant].tpot_deadline_ns, t);
 }
 
 void
@@ -362,6 +344,8 @@ DecodeBatcher::finish()
     if (!trace_.empty())
         end = std::max(end, trace_.back().arrival_ns);
     result_.end_ns = end;
+    for (const CalibratedAdmission &adm : admission_)
+        result_.group_admission.push_back(adm.stats());
     return std::move(result_);
 }
 

@@ -35,7 +35,7 @@
 
 #include "common/des.hh"
 #include "llm/llm_sim.hh"
-#include "serve/queue_delay.hh"
+#include "serve/overload.hh"
 
 namespace rapid {
 
@@ -93,11 +93,10 @@ class DecodeBatcher
     std::vector<LlmRequest> trace_;
     size_t next_arrival_ = 0;
     std::vector<Group> groups_; ///< one per ladder entry
-    /// Calibrated TPOT admission (cfg_.admission): per-group sliding
-    /// window over observed TPOTs of finished sequences, and fuse
-    /// strike counters. Empty when the tier is off.
-    std::vector<QueueDelayEstimator> tpot_est_;
-    std::vector<int64_t> fuse_strikes_;
+    /// Calibrated TPOT admission (cfg_.admission), one per group,
+    /// fed with the TPOTs of finished sequences. Empty when the tier
+    /// is off.
+    std::vector<CalibratedAdmission> admission_;
     size_t rr_cursor_ = 0;      ///< decode round-robin position
     int64_t busy_until_ = -1;   ///< executor busy while t < busy_until
     LlmResult result_;

@@ -14,14 +14,6 @@ llmModeName(const LlmMode &mode)
            precisionName(mode.kv) + "kv";
 }
 
-int
-llmModeQuality(const LlmMode &mode)
-{
-    // Activation precision dominates output fidelity; KV precision
-    // breaks ties (a coarser KV cache degrades long-context recall).
-    return 8 * servingQuality(mode.act) + servingQuality(mode.kv);
-}
-
 const char *
 batchPolicyName(BatchPolicy policy)
 {

@@ -38,10 +38,6 @@ struct LlmMode
 /** "int4+int4kv" style display name. */
 std::string llmModeName(const LlmMode &mode);
 
-/** Serving quality of a mode: ranked by activation precision, KV
- *  precision breaking ties (higher = better fidelity). */
-int llmModeQuality(const LlmMode &mode);
-
 /** How decode work is batched onto the executor. */
 enum class BatchPolicy
 {

@@ -49,30 +49,30 @@ computeLlmMetrics(const LlmServeConfig &cfg, const LlmResult &result)
     std::vector<int64_t> ttft_all, tpot_all;
     for (const LlmRequestRecord &r : result.requests) {
         LlmTenantMetrics &m = out.tenants[r.tenant];
-        ++m.offered;
-        ++out.total.offered;
-        m.planned_tokens += r.output_tokens;
-        out.total.planned_tokens += r.output_tokens;
+        // Every count lands in the tenant's row and the total row.
+        const auto count = [&](uint64_t LlmTenantMetrics::*counter) {
+            ++(m.*counter);
+            ++(out.total.*counter);
+        };
+        const auto addTokens = [&](int64_t LlmTenantMetrics::*counter,
+                                   int64_t tokens) {
+            m.*counter += tokens;
+            out.total.*counter += tokens;
+        };
+        count(&LlmTenantMetrics::offered);
+        addTokens(&LlmTenantMetrics::planned_tokens, r.output_tokens);
         if (r.shed) {
-            ++m.shed;
-            ++out.total.shed;
-            m.dropped_tokens += r.output_tokens;
-            out.total.dropped_tokens += r.output_tokens;
+            count(&LlmTenantMetrics::shed);
+            addTokens(&LlmTenantMetrics::dropped_tokens, r.output_tokens);
             continue;
         }
-        ++m.completed;
-        ++out.total.completed;
-        m.generated_tokens += r.generated_tokens;
-        out.total.generated_tokens += r.generated_tokens;
+        count(&LlmTenantMetrics::completed);
+        addTokens(&LlmTenantMetrics::generated_tokens, r.generated_tokens);
         ++m.served_by_mode[size_t(r.mode)];
         ++out.total.served_by_mode[size_t(r.mode)];
-        if (r.tier == AdmitTier::Calibrated) {
-            ++m.admitted_calibrated;
-            ++out.total.admitted_calibrated;
-        } else {
-            ++m.admitted_bound;
-            ++out.total.admitted_bound;
-        }
+        count(r.tier == AdmitTier::Calibrated
+                  ? &LlmTenantMetrics::admitted_calibrated
+                  : &LlmTenantMetrics::admitted_bound);
         const int64_t t1 = r.ttftNs();
         ttft[r.tenant].push_back(t1);
         ttft_all.push_back(t1);
@@ -85,18 +85,12 @@ computeLlmMetrics(const LlmServeConfig &cfg, const LlmResult &result)
             tpot_all.push_back(tp);
             tpot_ok = tp <= tc.tpot_deadline_ns;
         }
-        if (!ttft_ok) {
-            ++m.ttft_violations;
-            ++out.total.ttft_violations;
-        }
-        if (!tpot_ok) {
-            ++m.tpot_violations;
-            ++out.total.tpot_violations;
-        }
-        if (ttft_ok && tpot_ok) {
-            ++m.sla_met;
-            ++out.total.sla_met;
-        }
+        if (!ttft_ok)
+            count(&LlmTenantMetrics::ttft_violations);
+        if (!tpot_ok)
+            count(&LlmTenantMetrics::tpot_violations);
+        if (ttft_ok && tpot_ok)
+            count(&LlmTenantMetrics::sla_met);
     }
     for (size_t ti = 0; ti < cfg.tenants.size(); ++ti)
         finishTenant(out.tenants[ti], ttft[ti], tpot[ti],
@@ -124,7 +118,7 @@ computeLlmMetrics(const LlmServeConfig &cfg, const LlmResult &result)
         out.energy_per_token_mj = 1e3 * out.energy_j /
                                   double(out.total.generated_tokens);
     out.admission_active = cfg.admission.enabled;
-    for (const LlmGroupAdmission &ga : result.group_admission)
+    for (const AdmissionStats &ga : result.group_admission)
         if (ga.fuse_tripped)
             ++out.fuse_trips;
     return out;
@@ -136,14 +130,6 @@ std::string
 ms(int64_t ns)
 {
     return Table::fmt(double(ns) * 1e-6, 3);
-}
-
-std::string
-pctOf(uint64_t part, uint64_t whole)
-{
-    if (whole == 0)
-        return "-";
-    return Table::fmt(100.0 * double(part) / double(whole), 1) + "%";
 }
 
 } // namespace
@@ -164,14 +150,14 @@ llmReport(const LlmServeConfig &cfg, const LlmMetrics &m)
             Table::fmt(tm.offered_rps, 1),
             Table::fmt(tm.goodput_rps, 1),
             Table::fmt(tm.tokens_per_s, 0),
-            pctOf(tm.shed, tm.offered),
-            pctOf(tm.ttft_violations, tm.completed),
-            pctOf(tm.tpot_violations, tm.completed),
+            Table::pct(tm.shed, tm.offered),
+            Table::pct(tm.ttft_violations, tm.completed),
+            Table::pct(tm.tpot_violations, tm.completed),
             ms(tm.ttft.p50),
             ms(tm.ttft.p95),
             ms(tm.tpot_p95_ns)};
         for (uint64_t n : tm.served_by_mode)
-            cells.push_back(pctOf(n, tm.completed));
+            cells.push_back(Table::pct(n, tm.completed));
         t.addRow(std::move(cells));
     };
     for (const LlmTenantMetrics &tm : m.tenants)

@@ -98,27 +98,16 @@ struct LlmStepRecord
     double energy_j = 0;
 };
 
-/** Per-ladder-group calibrated-admission outcome (cfg.admission). */
-struct LlmGroupAdmission
-{
-    uint64_t admitted_calibrated = 0;
-    uint64_t admitted_bound = 0;
-    /// Trust fuse: latched once a calibrated-admitted sequence
-    /// finishes past its tenant's TPOT deadline fuse_violations
-    /// times; the group then admits on the proven bound for the rest
-    /// of the run.
-    bool fuse_tripped = false;
-    int64_t fuse_trip_ns = -1;
-};
-
 /** Raw simulation outcome; llm_metrics.hh aggregates it. */
 struct LlmResult
 {
     std::vector<LlmRequestRecord> requests; ///< in arrival order
     std::vector<LlmStepRecord> steps;       ///< in launch order
-    /// One entry per ladder group when cfg.admission.enabled; empty
-    /// otherwise.
-    std::vector<LlmGroupAdmission> group_admission;
+    /// Calibrated-admission outcome per ladder group when
+    /// cfg.admission.enabled; empty otherwise. The trust fuse latches
+    /// on the first calibrated-admitted sequence that finishes past
+    /// its tenant's TPOT deadline.
+    std::vector<AdmissionStats> group_admission;
     int64_t horizon_ns = 0;
     int64_t end_ns = 0; ///< virtual time at drain
 };

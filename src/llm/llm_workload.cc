@@ -6,25 +6,11 @@
 #include "common/fault.hh" // mixSeed
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "serve/workload.hh" // expGapNs
 
 namespace rapid {
 
 namespace {
-
-/** Exponential(rate per second) gap in integer nanoseconds, >= 1 —
- *  the same draw the rapid_serve workload generator uses. */
-int64_t
-expGapNs(Rng &rng, double rate_per_s)
-{
-    const double u = rng.uniform();
-    const double gap_s = -std::log1p(-u) / rate_per_s;
-    const double gap_ns = std::ceil(gap_s * 1e9);
-    if (gap_ns < 1.0)
-        return 1;
-    if (gap_ns > 9e18)
-        return int64_t(9e18);
-    return int64_t(gap_ns);
-}
 
 /** Geometric draw with the given mean (>= 1), support {1, 2, ...},
  *  clamped to @p cap. */

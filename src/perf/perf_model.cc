@@ -219,14 +219,6 @@ PerfModel::evaluate(const Network &net, const ExecutionPlan &plan,
     return result;
 }
 
-double
-PerfModel::batchLatencySeconds(const Network &net,
-                               const ExecutionPlan &plan,
-                               int64_t batch) const
-{
-    return evaluate(net, plan, batch).total_seconds;
-}
-
 TrainingPerfModel::TrainingPerfModel(const SystemConfig &sys)
     : sys_(sys)
 {

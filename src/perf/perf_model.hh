@@ -97,7 +97,6 @@ class PerfModel
                        const FaultConfig &fault = FaultConfig{});
 
     const ChipConfig &chip() const { return chip_; }
-    const FaultConfig &faultConfig() const { return fault_; }
 
     /**
      * Evaluate inference of @p net under @p plan at @p batch.
@@ -105,14 +104,6 @@ class PerfModel
      */
     NetworkPerf evaluate(const Network &net, const ExecutionPlan &plan,
                          int64_t batch = 1) const;
-
-    /**
-     * End-to-end latency of one batch in seconds — the quantity the
-     * serving simulator freezes into its virtual-clock latency table.
-     */
-    double batchLatencySeconds(const Network &net,
-                               const ExecutionPlan &plan,
-                               int64_t batch) const;
 
     /** Per-layer evaluation (exposed for tests and the compiler). */
     LayerPerf evaluateLayer(const Layer &layer, const LayerPlan &plan,

@@ -30,44 +30,6 @@ PowerModel::mpeCoeff(Precision p) const
     return std::max(0.0, si_.dynamicCoeff(p) - baseCoeff());
 }
 
-double
-PowerModel::layerPower(const LayerPerf &layer_perf,
-                       double weight_sparsity) const
-{
-    const double v = si_.voltageAt(freq_ghz_);
-    const double vvf = v * v * freq_ghz_;
-    const double total = layer_perf.cycles.total();
-    if (total <= 0)
-        return si_.leakagePower(freq_ghz_) + baseCoeff() * vvf;
-
-    // MPE activity: the ideal streaming cycles are the fraction of
-    // time the MAC arrays toggle at full rate; overhead and fault
-    // retry cycles keep roughly half the datapath busy (operand
-    // movement, block loads, replayed tiles).
-    const double act_mpe =
-        (layer_perf.cycles.conv_gemm +
-         0.5 * (layer_perf.cycles.overhead + layer_perf.cycles.retry)) /
-        total;
-    const double act_sfu =
-        (layer_perf.cycles.quantization + layer_perf.cycles.aux) /
-        total;
-
-    // Zero-gating credit: ambient activation sparsity plus pruned
-    // weight sparsity (independent operands; a gated FMA needs only
-    // one zero operand).
-    const double zero_frac =
-        1.0 - (1.0 - kActivationSparsity) * (1.0 - weight_sparsity);
-    const double gate_scale = 1.0 - kZeroGateEffect * zero_frac;
-
-    PowerBreakdown pb;
-    pb.base = baseCoeff() * vvf;
-    pb.mpe = mpeCoeff(layer_perf.precision) * act_mpe * gate_scale *
-             vvf;
-    pb.sfu = sfuCoeff() * std::min(1.0, act_sfu) * vvf;
-    pb.leakage = si_.leakagePower(freq_ghz_);
-    return pb.total();
-}
-
 EnergyReport
 PowerModel::evaluate(const NetworkPerf &perf, const Network &net) const
 {

@@ -39,14 +39,6 @@ struct EnergyReport
     double sustained_tops = 0;
     double tops_per_w = 0;
     PowerBreakdown power;
-
-    /** Energy amortized per sample of a @p batch-sized run — the
-     *  per-request cost the serving simulator accounts. */
-    double
-    joulesPerSample(int64_t batch) const
-    {
-        return batch > 0 ? energy_j / double(batch) : 0.0;
-    }
 };
 
 /**
@@ -86,14 +78,6 @@ class PowerModel
     double baseCoeff() const;
     double sfuCoeff() const;
     double mpeCoeff(Precision p) const;
-
-    /**
-     * Average power while executing @p layer_perf, crediting
-     * zero-gating for @p weight_sparsity (pruned models) on top of
-     * the ambient activation sparsity.
-     */
-    double layerPower(const LayerPerf &layer_perf,
-                      double weight_sparsity = 0.0) const;
 
     /** Integrate power over a network run. */
     EnergyReport evaluate(const NetworkPerf &perf,

@@ -45,8 +45,6 @@ class ChunkAccumulator
     /** Reset to an empty sum. */
     void reset();
 
-    size_t chunkSize() const { return chunkSize_; }
-
     /**
      * Reference helper: naive FP16 accumulation of @p terms (every add
      * rounded), for comparisons against the chunked scheme.

@@ -51,7 +51,6 @@ class MpeDatapath
 
     /** Reconfigure the programmable forward-format bias. */
     void setForwardBias(int fwd_bias);
-    int forwardBias() const { return fwdFormat_.bias(); }
 
     /**
      * FP16 FMA: returns round_fp16(a * b + acc). All three values are

@@ -44,24 +44,6 @@ operandBytes(Precision p)
     return operandBits(p) / 8.0;
 }
 
-/**
- * MPE peak-throughput multiplier relative to FP16 (Section III-A):
- * HFP8 doubles via sub-SIMD partitioning; INT4 runs on the doubled FXU
- * engines at 8x; INT2 at 16x.
- */
-constexpr double
-peakMultiplier(Precision p)
-{
-    switch (p) {
-      case Precision::FP32: return 0.0; // not an MPE mode
-      case Precision::FP16: return 1.0;
-      case Precision::HFP8: return 2.0;
-      case Precision::INT4: return 8.0;
-      case Precision::INT2: return 16.0;
-    }
-    return 0.0;
-}
-
 /** True when the mode runs on the floating-point pipeline. */
 constexpr bool
 usesFpu(Precision p)

@@ -63,10 +63,6 @@ class LossScaler
     /** The factor to multiply the loss gradient by this step. */
     float scale() const { return state_.scale; }
 
-    /** 1 / scale(), the gradient un-scaling factor (exact: both are
-     *  powers of two). */
-    float invScale() const { return 1.0f / state_.scale; }
-
     /**
      * Record the outcome of one gradient computation. @p healthy
      * means every gradient scanned finite and the update was applied;

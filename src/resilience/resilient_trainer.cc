@@ -38,24 +38,6 @@ validateResilienceConfig(const ResilienceConfig &cfg)
                     ">= 1, got ", cfg.deescalation_clean_steps);
 }
 
-const char *
-stepClassName(StepClass cls)
-{
-    switch (cls) {
-      case StepClass::Clean:
-        return "clean";
-      case StepClass::Retried:
-        return "retried";
-      case StepClass::RolledBack:
-        return "rolled-back";
-      case StepClass::Escalated:
-        return "escalated";
-      case StepClass::Skipped:
-        return "skipped";
-    }
-    return "?";
-}
-
 ResilientTrainer::ResilientTrainer(const MlpConfig &model_cfg,
                                    const ResilienceConfig &cfg)
     : cfg_(cfg), model_(model_cfg),

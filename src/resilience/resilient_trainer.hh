@@ -99,8 +99,6 @@ enum class StepClass
     Skipped,    ///< ladder exhausted: update dropped (AMP skip)
 };
 
-const char *stepClassName(StepClass cls);
-
 /** Closed per-run recovery accounting. */
 struct RecoveryStats
 {
@@ -166,9 +164,6 @@ class ResilientTrainer
 
     /** Restore @p ckpt: model, scaler, loss window, step cursor. */
     void rollbackTo(const TrainerCheckpoint &ckpt);
-
-    /** The most recent periodic checkpoint. */
-    const TrainerCheckpoint &lastCheckpoint() const { return ckpt_; }
 
   private:
     void takeCheckpoint();

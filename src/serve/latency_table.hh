@@ -49,9 +49,6 @@ class LatencyTable
                  const std::vector<Precision> &precisions,
                  int64_t max_batch, const FaultConfig &fault);
 
-    int64_t maxBatch() const { return max_batch_; }
-    size_t numNetworks() const { return num_networks_; }
-
     /** Batch latency in virtual nanoseconds. */
     int64_t latencyNs(size_t network, Precision p, int64_t batch) const;
 

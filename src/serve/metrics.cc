@@ -46,15 +46,14 @@ summarizeLatencies(const std::vector<int64_t> &sorted)
 
 namespace {
 
-void
-countPrecision(TenantMetrics &m, Precision p)
+/** The served_* counter of precision @p p. */
+uint64_t TenantMetrics::*
+servedCounter(Precision p)
 {
     if (p == Precision::INT4 || p == Precision::INT2)
-        ++m.served_int4;
-    else if (p == Precision::HFP8)
-        ++m.served_hfp8;
-    else
-        ++m.served_fp16;
+        return &TenantMetrics::served_int4;
+    return p == Precision::HFP8 ? &TenantMetrics::served_hfp8
+                                : &TenantMetrics::served_fp16;
 }
 
 void
@@ -82,47 +81,34 @@ computeMetrics(const ServeConfig &cfg, const ServeResult &result)
     std::vector<std::vector<int64_t>> lat(cfg.tenants.size());
     std::vector<int64_t> lat_all;
     for (const RequestRecord &r : result.requests) {
-        TenantMetrics &m = out.tenants[r.tenant];
-        ++m.offered;
-        ++out.total.offered;
+        // Every count lands in the tenant's row and the total row.
+        const auto count = [&](uint64_t TenantMetrics::*counter) {
+            ++(out.tenants[r.tenant].*counter);
+            ++(out.total.*counter);
+        };
+        count(&TenantMetrics::offered);
         if (r.failed) {
-            ++m.failed;
-            ++out.total.failed;
+            count(&TenantMetrics::failed);
             continue;
         }
         if (r.shed) {
-            ++m.shed;
-            ++out.total.shed;
-            if (r.shed_reason == ShedReason::Brownout) {
-                ++m.shed_brownout;
-                ++out.total.shed_brownout;
-            } else {
-                ++m.shed_admission;
-                ++out.total.shed_admission;
-            }
+            count(&TenantMetrics::shed);
+            count(r.shed_reason == ShedReason::Brownout
+                      ? &TenantMetrics::shed_brownout
+                      : &TenantMetrics::shed_admission);
             continue;
         }
-        ++m.completed;
-        ++out.total.completed;
-        if (r.tier == AdmitTier::Calibrated) {
-            ++m.admitted_calibrated;
-            ++out.total.admitted_calibrated;
-        } else {
-            ++m.admitted_bound;
-            ++out.total.admitted_bound;
-        }
-        countPrecision(m, r.precision);
-        countPrecision(out.total, r.precision);
+        count(&TenantMetrics::completed);
+        count(r.tier == AdmitTier::Calibrated
+                  ? &TenantMetrics::admitted_calibrated
+                  : &TenantMetrics::admitted_bound);
+        count(servedCounter(r.precision));
         const int64_t l = r.latencyNs();
         lat[r.tenant].push_back(l);
         lat_all.push_back(l);
-        if (l <= cfg.tenants[r.tenant].deadline_ns) {
-            ++m.sla_met;
-            ++out.total.sla_met;
-        } else {
-            ++m.violations;
-            ++out.total.violations;
-        }
+        count(l <= cfg.tenants[r.tenant].deadline_ns
+                  ? &TenantMetrics::sla_met
+                  : &TenantMetrics::violations);
     }
     for (size_t ti = 0; ti < cfg.tenants.size(); ++ti)
         finishTenant(out.tenants[ti], lat[ti], result.horizon_ns);
@@ -207,14 +193,6 @@ ms(int64_t ns)
     return Table::fmt(double(ns) * 1e-6, 3);
 }
 
-std::string
-pctOf(uint64_t part, uint64_t whole)
-{
-    if (whole == 0)
-        return "-";
-    return Table::fmt(100.0 * double(part) / double(whole), 1) + "%";
-}
-
 } // namespace
 
 std::string
@@ -226,13 +204,13 @@ serveReport(const ServeMetrics &m)
     auto row = [&](const TenantMetrics &tm) {
         t.addRow({tm.name, Table::fmt(tm.offered_rps, 1),
                   Table::fmt(tm.goodput_rps, 1),
-                  pctOf(tm.shed, tm.offered),
-                  pctOf(tm.violations, tm.offered),
+                  Table::pct(tm.shed, tm.offered),
+                  Table::pct(tm.violations, tm.offered),
                   ms(tm.latency.p50), ms(tm.latency.p95),
                   ms(tm.latency.p99), ms(tm.latency.p999),
-                  pctOf(tm.served_int4, tm.completed),
-                  pctOf(tm.served_hfp8, tm.completed),
-                  pctOf(tm.served_fp16, tm.completed)});
+                  Table::pct(tm.served_int4, tm.completed),
+                  Table::pct(tm.served_hfp8, tm.completed),
+                  Table::pct(tm.served_fp16, tm.completed)});
     };
     for (const TenantMetrics &tm : m.tenants)
         row(tm);

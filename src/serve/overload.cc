@@ -7,38 +7,6 @@
 
 namespace rapid {
 
-const char *
-admitTierName(AdmitTier tier)
-{
-    switch (tier) {
-      case AdmitTier::Bound: return "bound";
-      case AdmitTier::Calibrated: return "calibrated";
-    }
-    return "?";
-}
-
-const char *
-shedReasonName(ShedReason reason)
-{
-    switch (reason) {
-      case ShedReason::None: return "none";
-      case ShedReason::Admission: return "admission";
-      case ShedReason::Brownout: return "brownout";
-    }
-    return "?";
-}
-
-const char *
-breakerStateName(BreakerState state)
-{
-    switch (state) {
-      case BreakerState::Closed: return "closed";
-      case BreakerState::Open: return "open";
-      case BreakerState::HalfOpen: return "half-open";
-    }
-    return "?";
-}
-
 void
 validateCalibratedAdmissionConfig(const CalibratedAdmissionConfig &cfg)
 {
@@ -55,10 +23,42 @@ validateCalibratedAdmissionConfig(const CalibratedAdmissionConfig &cfg)
                        "calibrated admission: safety_margin must be "
                        ">= 1, got ",
                        cfg.safety_margin);
-    RAPID_CHECK_CONFIG(cfg.fuse_violations >= 1,
-                       "calibrated admission: fuse_violations must be "
-                       ">= 1, got ",
-                       cfg.fuse_violations);
+}
+
+CalibratedAdmission::CalibratedAdmission(
+    const CalibratedAdmissionConfig &cfg)
+    : cfg_(cfg), window_(cfg.window)
+{
+}
+
+void
+CalibratedAdmission::observe(int64_t ns)
+{
+    if (cfg_.enabled)
+        window_.record(ns);
+}
+
+void
+CalibratedAdmission::noteAdmit(AdmitTier tier)
+{
+    if (tier == AdmitTier::Calibrated)
+        ++stats_.admitted_calibrated;
+    else
+        ++stats_.admitted_bound;
+}
+
+void
+CalibratedAdmission::noteOutcome(AdmitTier tier, bool violated,
+                                 int64_t now)
+{
+    // Trust fuse: a calibrated admit missed its SLA, so the window can
+    // no longer be trusted here; latch back to the proven bound for
+    // the rest of the run.
+    if (cfg_.fuse_enabled && violated && tier == AdmitTier::Calibrated &&
+        !stats_.fuse_tripped) {
+        stats_.fuse_tripped = true;
+        stats_.fuse_trip_ns = now;
+    }
 }
 
 void

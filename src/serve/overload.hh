@@ -13,11 +13,12 @@
  * multi-tenant knee. Once a queue's QueueDelayEstimator window holds
  * at least min_samples observed waits, the router may instead admit
  * on observed p95 wait x safety_margin plus one batch execution — the
- * calibrated tier. A *trust fuse* guards the shortcut: the moment a
- * calibrated-admitted request misses its SLA (fuse_violations
- * strikes), the queue latches back to the proven bound for the rest
- * of the run. Every request records which tier admitted (or which
- * reason shed) it, so the accounting
+ * calibrated tier. A *trust fuse* guards the shortcut: the first
+ * calibrated-admitted request that misses its SLA latches the queue
+ * back to the proven bound for the rest of the run. One
+ * CalibratedAdmission instance holds this policy for one serve queue
+ * or one llm ladder group. Every request records which tier admitted
+ * (or which reason shed) it, so the accounting
  * offered == admitted_calibrated + admitted_bound + shed_* closes.
  *
  * Circuit breaker (per (network, precision) queue):
@@ -54,6 +55,7 @@
 #include <vector>
 
 #include "precision/precision.hh"
+#include "serve/queue_delay.hh"
 
 namespace rapid {
 
@@ -64,8 +66,6 @@ enum class AdmitTier : uint8_t
     Calibrated = 1, ///< observed-p95 shortcut (fuse-guarded)
 };
 
-const char *admitTierName(AdmitTier tier);
-
 /** Why a request was shed (None while admitted). */
 enum class ShedReason : uint8_t
 {
@@ -73,8 +73,6 @@ enum class ShedReason : uint8_t
     Admission = 1, ///< no ladder entry met the deadline
     Brownout = 2,  ///< dropped by a brownout shedding rung
 };
-
-const char *shedReasonName(ShedReason reason);
 
 /** Calibrated admission tier knobs (serve router and llm batcher). */
 struct CalibratedAdmissionConfig
@@ -91,13 +89,66 @@ struct CalibratedAdmissionConfig
     /// Trip back to the proven bound once a calibrated admit misses
     /// its SLA (the trust fuse); latched for the rest of the run.
     bool fuse_enabled = true;
-    /// Calibrated SLA violations on one queue that trip its fuse.
-    int64_t fuse_violations = 1;
 };
 
 /** Throw InvalidConfig on non-runnable calibrated-admission knobs. */
 void validateCalibratedAdmissionConfig(
     const CalibratedAdmissionConfig &cfg);
+
+/** Calibrated-admission outcome of one queue or ladder group. */
+struct AdmissionStats
+{
+    uint64_t admitted_calibrated = 0;
+    uint64_t admitted_bound = 0;
+    bool fuse_tripped = false;
+    int64_t fuse_trip_ns = -1;
+};
+
+/**
+ * The calibrated tier of one serve queue or one llm ladder group: the
+ * observed-delay window, the trust fuse and the per-tier admit
+ * counts. The host chooses what a delay is (serve: queue wait at
+ * launch; llm: TPOT at sequence finish) and adds any fixed cost to
+ * predictNs().
+ */
+class CalibratedAdmission
+{
+  public:
+    explicit CalibratedAdmission(const CalibratedAdmissionConfig &cfg);
+
+    /** The calibrated tier may admit: enabled, window warm, fuse
+     *  intact. */
+    bool
+    trusted() const
+    {
+        return cfg_.enabled && !stats_.fuse_tripped &&
+               window_.windowFill() >= cfg_.min_samples;
+    }
+
+    /** Observed p95 delay x safety margin. */
+    int64_t
+    predictNs() const
+    {
+        return int64_t(double(window_.p95Ns()) * cfg_.safety_margin);
+    }
+
+    /** Feed one observed delay (ignored while the tier is off). */
+    void observe(int64_t ns);
+
+    /** Count one admission on @p tier. */
+    void noteAdmit(AdmitTier tier);
+
+    /** SLA outcome of a request admitted on @p tier: the first
+     *  calibrated miss trips the fuse at @p now. */
+    void noteOutcome(AdmitTier tier, bool violated, int64_t now);
+
+    const AdmissionStats &stats() const { return stats_; }
+
+  private:
+    CalibratedAdmissionConfig cfg_;
+    QueueDelayEstimator window_;
+    AdmissionStats stats_;
+};
 
 /** Circuit-breaker state (see file comment for the machine). */
 enum class BreakerState : uint8_t
@@ -106,8 +157,6 @@ enum class BreakerState : uint8_t
     Open = 1,
     HalfOpen = 2,
 };
-
-const char *breakerStateName(BreakerState state);
 
 /** Per-queue circuit-breaker knobs. */
 struct BreakerConfig
@@ -240,14 +289,10 @@ struct OverloadConfig
 void validateOverloadConfig(const OverloadConfig &cfg);
 
 /** Per-queue overload-control outcome, reported in ServeResult. */
-struct QueueOverloadStats
+struct QueueOverloadStats : AdmissionStats
 {
     size_t network = 0;
     Precision precision = Precision::INT4;
-    uint64_t admitted_calibrated = 0;
-    uint64_t admitted_bound = 0;
-    bool fuse_tripped = false;
-    int64_t fuse_trip_ns = -1;
     uint64_t breaker_opens = 0;
     uint64_t breaker_closes = 0;
 };

@@ -44,8 +44,6 @@ class QueueDelayEstimator
     /** Observations currently in the window. */
     size_t windowFill() const;
 
-    size_t windowSize() const { return window_.size(); }
-
     /** Mean wait over the window (0 when empty). */
     int64_t meanNs() const;
 

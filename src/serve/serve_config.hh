@@ -92,8 +92,9 @@ struct ServeConfig
     FaultConfig fault;
     /// Overload control: calibrated admission tier, circuit breakers,
     /// brownout ladder. Defaults off — a default OverloadConfig runs
-    /// bit-identical to the pre-overload scheduler, and runReference()
-    /// (the executable spec) covers only overload-off scenarios.
+    /// bit-identical to the pre-overload scheduler, and the serial
+    /// reference scheduler in tests/test_serve.cc (the executable
+    /// spec) covers only overload-off scenarios.
     OverloadConfig overload;
 };
 

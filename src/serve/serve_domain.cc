@@ -81,12 +81,10 @@ ServeDomainCore::bootstrap()
             result_.queue_overload[qi].precision =
                 queues_[qi].precision;
         }
-    }
-    if (ov.admission.enabled) {
-        fuse_strikes_.assign(queues_.size(), 0);
-        wait_est_.reserve(queues_.size());
-        for (size_t qi = 0; qi < queues_.size(); ++qi)
-            wait_est_.emplace_back(ov.admission.window);
+        // Admit counts are kept whenever any overload feature is on,
+        // even with the calibrated tier itself off.
+        admission_.assign(queues_.size(),
+                          CalibratedAdmission(ov.admission));
     }
     if (ov.breaker.enabled)
         breakers_.assign(queues_.size(), CircuitBreaker(ov.breaker));
@@ -136,13 +134,6 @@ ServeDomainCore::backlogNs(int64_t t, size_t exclude) const
         if (qi != exclude)
             backlog += queueServiceNs(queues_[qi], 0);
     return backlog;
-}
-
-bool
-ServeDomainCore::fuseTripped(size_t qi) const
-{
-    return !result_.queue_overload.empty() &&
-           result_.queue_overload[qi].fuse_tripped;
 }
 
 /**
@@ -200,17 +191,15 @@ ServeDomainCore::routeRequest(RequestRecord &rec, int64_t deadline_ns)
             continue;
         AdmitTier tier = AdmitTier::Bound;
         int64_t predicted = 0;
-        if (ov.admission.enabled && !fuseTripped(qi) &&
-            wait_est_[qi].windowFill() >= ov.admission.min_samples) {
+        if (!admission_.empty() && admission_[qi].trusted()) {
             // Calibrated tier: the waits requests actually saw on
             // this queue (p95 over the history window, scaled by the
             // safety margin) plus this request's own max-batch
             // execution. Far tighter than the worst-case bound under
-            // steady load; the trust fuse below guards the shortcut.
+            // steady load; the trust fuse guards the shortcut.
             tier = AdmitTier::Calibrated;
             predicted =
-                int64_t(double(wait_est_[qi].p95Ns()) *
-                        ov.admission.safety_margin) +
+                admission_[qi].predictNs() +
                 table_->latencyNs(queues_[qi].network,
                                   queues_[qi].precision, max_batch_);
         } else {
@@ -231,13 +220,8 @@ ServeDomainCore::routeRequest(RequestRecord &rec, int64_t deadline_ns)
             const bool was_empty = q.empty();
             q.pending.push_back(rec.id);
             noteDepthChange(rec.arrival_ns, +1);
-            if (!result_.queue_overload.empty()) {
-                QueueOverloadStats &qs = result_.queue_overload[qi];
-                if (tier == AdmitTier::Calibrated)
-                    ++qs.admitted_calibrated;
-                else
-                    ++qs.admitted_bound;
-            }
+            if (!admission_.empty())
+                admission_[qi].noteAdmit(tier);
             if (ov.breaker.enabled) {
                 rec.probe = breakers_[qi].onAdmit(rec.arrival_ns);
                 breakers_[qi].onDepth(rec.arrival_ns,
@@ -335,10 +319,10 @@ ServeDomainCore::launch(int qi, int64_t t)
             result_.requests[q.pending[q.head + size_t(i)]];
         rec.launch_ns = t;
         rec.completion_ns = batch.completion_ns;
-        // Feed the queue's wait estimator at launch: the wait is
-        // known here, and future admissions may use it immediately.
-        if (cfg_.overload.admission.enabled)
-            wait_est_[size_t(qi)].record(t - rec.arrival_ns);
+        // Feed the queue's wait window at launch: the wait is known
+        // here, and future admissions may use it immediately.
+        if (!admission_.empty())
+            admission_[size_t(qi)].observe(t - rec.arrival_ns);
     }
     q.head += size_t(size);
     if (q.empty()) {
@@ -378,28 +362,13 @@ ServeDomainCore::onBatchOutcome(size_t qi,
     if (dead_)
         return; // halt() already filed these requests as failed
     const int64_t now = dom_.now();
-    const OverloadConfig &ov = cfg_.overload;
-    QueueOverloadStats &qs = result_.queue_overload[qi];
     for (uint64_t id : ids) {
         const RequestRecord &rec = result_.requests[id];
         const bool violation =
             rec.latencyNs() > cfg_.tenants[rec.tenant].deadline_ns;
-        if (ov.admission.enabled && ov.admission.fuse_enabled &&
-            violation && rec.tier == AdmitTier::Calibrated &&
-            !qs.fuse_tripped &&
-            ++fuse_strikes_[qi] >= ov.admission.fuse_violations) {
-            // Trust fuse: a calibrated admit missed its SLA, so the
-            // estimator can no longer be trusted on this queue; latch
-            // back to the proven bound for the rest of the run.
-            qs.fuse_tripped = true;
-            qs.fuse_trip_ns = now;
-        }
-        if (ov.breaker.enabled)
+        admission_[qi].noteOutcome(rec.tier, violation, now);
+        if (cfg_.overload.breaker.enabled)
             breakers_[qi].onOutcome(now, violation, rec.probe);
-    }
-    if (ov.breaker.enabled) {
-        qs.breaker_opens = breakers_[qi].opens();
-        qs.breaker_closes = breakers_[qi].closes();
     }
 }
 
@@ -559,10 +528,12 @@ ServeDomainCore::setTable(const LatencyTable *table)
 ServeResult
 ServeDomainCore::finish()
 {
-    // Final overload snapshots: breaker counters (an open with no
-    // completion after it has not been synced yet) and the brownout
-    // trace settled through the end of the run.
+    // Final overload snapshots: admission tiers, breaker counters and
+    // the brownout trace settled through the end of the run.
     auto closeOverload = [this](int64_t end) {
+        for (size_t qi = 0; qi < admission_.size(); ++qi)
+            static_cast<AdmissionStats &>(result_.queue_overload[qi]) =
+                admission_[qi].stats();
         if (cfg_.overload.breaker.enabled)
             for (size_t qi = 0; qi < breakers_.size(); ++qi) {
                 result_.queue_overload[qi].breaker_opens =

@@ -3,10 +3,10 @@
  * Event-driven execution core of one ServeSim on a DesDomain,
  * extracted from server_sim.cc so higher tiers (src/cluster) can host
  * the same scheduler as one chip of a fleet. The state and policy
- * helpers mirror ServeSim::runReference line for line; the serial
- * loop's explicit time advance is replaced by three event lanes on
- * the domain clock, ordered at one instant exactly like the serial
- * merge:
+ * helpers mirror the serial reference scheduler (the test-only oracle
+ * in tests/test_serve.cc) line for line; the serial loop's explicit
+ * time advance is replaced by three event lanes on the domain clock,
+ * ordered at one instant exactly like the serial merge:
  *
  *  - kPriArrival: admit every trace arrival at this instant (in trace
  *    order), schedule the next arrival event, poke the batcher.
@@ -39,9 +39,10 @@
  * Overload control (cfg.overload, see serve/overload.hh; everything
  * defaults off and the default path is bit-identical to the
  * pre-overload scheduler): the router may admit on the calibrated
- * tier (observed p95 wait x margin) once a queue's estimator window
- * is warm, guarded by a per-queue trust fuse that latches back to the
- * proven bound on the first calibrated SLA miss; per-queue circuit
+ * tier (observed p95 wait x margin) once a queue's window is warm,
+ * guarded by a per-queue trust fuse that latches back to the proven
+ * bound on the first calibrated SLA miss (one CalibratedAdmission per
+ * queue, the same component the llm batcher uses); per-queue circuit
  * breakers skip ladder entries whose queue is open; and the brownout
  * ladder first caps the precision ladder from the expensive end, then
  * sheds tenants from the lowest priority class upward. Estimators are
@@ -58,7 +59,6 @@
 
 #include "common/des.hh"
 #include "serve/overload.hh"
-#include "serve/queue_delay.hh"
 #include "serve/server_sim.hh"
 
 namespace rapid {
@@ -129,13 +129,6 @@ class ServeDomainCore
      *  mode). @p table must outlive the core. */
     void setTable(const LatencyTable *table);
 
-    bool dead() const { return dead_; }
-    DesDomain &domain() { return dom_; }
-    int64_t busyUntil() const { return busy_until_; }
-    /** Requests currently queued (admitted, not launched). */
-    int64_t queuedDepth() const { return total_depth_; }
-    const ServeResult &result() const { return result_; }
-
   private:
     /** An injectArrival() whose admission event has not fired yet;
      *  halt() files these as unadmitted orphans. */
@@ -172,7 +165,6 @@ class ServeDomainCore
     void onArrival();
     void onTimeout(size_t qi, uint64_t gen);
     void onBatchOutcome(size_t qi, const std::vector<uint64_t> &ids);
-    bool fuseTripped(size_t qi) const;
 
     const ServeSim &sim_;
     DesDomain &dom_;
@@ -199,11 +191,9 @@ class ServeDomainCore
     ServeResult result_;
 
     // Overload control (all empty/inert when cfg.overload has no
-    // feature enabled, so the default path stays bit-identical to
-    // runReference and allocation-free).
-    std::vector<QueueDelayEstimator> wait_est_; ///< per queue
-    std::vector<int64_t> fuse_strikes_;         ///< per queue
-    std::vector<CircuitBreaker> breakers_;      ///< per queue
+    // feature enabled, so the default path stays allocation-free).
+    std::vector<CalibratedAdmission> admission_; ///< per queue
+    std::vector<CircuitBreaker> breakers_;       ///< per queue
     BrownoutController brownout_;
     int brownout_precision_rungs_ = 0;
     /// Ascending distinct tenant priorities minus the top class: the

@@ -1,7 +1,6 @@
 #include "serve/server_sim.hh"
 
 #include <algorithm>
-#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -15,8 +14,6 @@
 namespace rapid {
 
 namespace {
-
-constexpr int64_t kNever = std::numeric_limits<int64_t>::max();
 
 std::vector<std::string>
 uniqueNetworkNames(const ServeConfig &cfg)
@@ -53,18 +50,6 @@ buildNetworks(const std::vector<std::string> &names)
         nets.push_back(benchmarkByName(n));
     return nets;
 }
-
-/** One dynamic-batching queue: requests of one (network, precision). */
-struct Queue
-{
-    size_t network = 0;
-    Precision precision = Precision::INT4;
-    std::vector<uint64_t> pending; ///< request ids, FIFO
-    size_t head = 0;               ///< index of the oldest pending id
-
-    size_t depth() const { return pending.size() - head; }
-    bool empty() const { return head == pending.size(); }
-};
 
 } // namespace
 
@@ -110,214 +95,6 @@ runServeBatch(const std::vector<const ServeSim *> &sims)
     for (auto &d : doms)
         out.push_back(d->finish());
     return out;
-}
-
-ServeResult
-ServeSim::runReference() const
-{
-    // The reference loop is the executable specification of the
-    // overload-off semantics; the overload features (calibrated tier,
-    // breakers, brownout) exist only in the event-driven engine.
-    RAPID_CHECK_ARG(!cfg_.overload.anyEnabled(),
-                    "runReference models the overload-off scheduler "
-                    "only; disable cfg.overload to compare");
-    const std::vector<Arrival> arrivals = generateArrivals(cfg_);
-    const int64_t max_batch = cfg_.batcher.max_batch;
-    const int64_t max_wait = cfg_.batcher.max_wait_ns;
-
-    ServeResult result;
-    result.horizon_ns = cfg_.horizon_ns;
-    result.requests.resize(arrivals.size());
-
-    // Queue per (network, ladder position): created eagerly in a
-    // deterministic order so queue ids are stable across runs.
-    std::vector<Queue> queues;
-    std::vector<std::vector<int>> queue_of(networks_.size());
-    for (size_t n = 0; n < networks_.size(); ++n) {
-        queue_of[n].assign(cfg_.ladder.size(), -1);
-        for (size_t li = 0; li < cfg_.ladder.size(); ++li) {
-            Queue q;
-            q.network = n;
-            q.precision = cfg_.ladder[li];
-            queue_of[n][li] = int(queues.size());
-            queues.push_back(q);
-        }
-    }
-
-    int64_t now = 0;
-    int64_t busy_until = -1; ///< executor busy while now < busy_until
-    size_t next_arrival = 0;
-    int64_t total_depth = 0; ///< requests queued across all queues
-    int64_t last_event_ns = 0;
-
-    auto noteDepthChange = [&](int64_t t, int64_t delta) {
-        result.queue_depth_integral +=
-            double(total_depth) * double(t - last_event_ns);
-        last_event_ns = t;
-        total_depth += delta;
-        result.max_queue_depth =
-            std::max(result.max_queue_depth, total_depth);
-    };
-
-    // Worst-case service time of one queue holding @p extra more
-    // requests than it does now: every planned batch charged at the
-    // max-batch latency (monotone in size, so an upper bound).
-    auto queueServiceNs = [&](const Queue &q, int64_t extra) {
-        const int64_t depth = int64_t(q.depth()) + extra;
-        if (depth <= 0)
-            return int64_t{0};
-        const int64_t batches = (depth + max_batch - 1) / max_batch;
-        return batches *
-               table_.latencyNs(q.network, q.precision, max_batch);
-    };
-
-    // Conservative chip backlog as seen by a request joining queue
-    // @p exclude: remaining executor time plus the worst-case service
-    // of every other queue (the joined queue is charged separately,
-    // with the request included, so nothing is double-counted).
-    auto backlogNs = [&](int64_t t, size_t exclude) {
-        int64_t backlog = busy_until > t ? busy_until - t : 0;
-        for (size_t qi = 0; qi < queues.size(); ++qi)
-            if (qi != exclude)
-                backlog += queueServiceNs(queues[qi], 0);
-        return backlog;
-    };
-
-    auto admit = [&](const Arrival &a) {
-        const TenantConfig &tenant = cfg_.tenants[a.tenant];
-        const size_t net = tenant_network_[a.tenant];
-        RequestRecord &rec = result.requests[a.id];
-        rec.id = a.id;
-        rec.tenant = a.tenant;
-        rec.arrival_ns = a.time_ns;
-
-        const int floor = servingQuality(tenant.min_precision);
-        for (size_t li = 0; li < cfg_.ladder.size(); ++li) {
-            const Precision p = cfg_.ladder[li];
-            if (servingQuality(p) < floor)
-                continue;
-            const size_t qi = size_t(queue_of[net][li]);
-            // With a single queue this is a hard upper bound on the
-            // request's latency: batches ahead of it run back to back
-            // (a full queue is ready immediately), and the executor
-            // idles at most once, for at most max_wait past the head's
-            // arrival, before the request's own partial batch expires.
-            const int64_t predicted =
-                backlogNs(a.time_ns, qi) +
-                queueServiceNs(queues[qi], +1) + max_wait;
-            if (predicted <= tenant.deadline_ns) {
-                rec.precision = p;
-                rec.predicted_ns = predicted;
-                rec.tier = AdmitTier::Bound;
-                Queue &q = queues[qi];
-                q.pending.push_back(a.id);
-                noteDepthChange(a.time_ns, +1);
-                return;
-            }
-        }
-        rec.shed = true; // no ladder entry can meet the deadline
-        rec.shed_reason = ShedReason::Admission;
-    };
-
-    // A queue is ready when full or its head has waited max_wait.
-    auto readyQueue = [&](int64_t t) -> int {
-        int best = -1;
-        int64_t best_head = kNever;
-        for (size_t qi = 0; qi < queues.size(); ++qi) {
-            const Queue &q = queues[qi];
-            if (q.empty())
-                continue;
-            const int64_t head_arrival =
-                result.requests[q.pending[q.head]].arrival_ns;
-            const bool full = int64_t(q.depth()) >= max_batch;
-            const bool expired = t - head_arrival >= max_wait;
-            const bool drained = next_arrival >= arrivals.size();
-            if ((full || expired || drained) && head_arrival < best_head) {
-                best = int(qi);
-                best_head = head_arrival;
-            }
-        }
-        return best;
-    };
-
-    auto nextTimeout = [&](int64_t t) {
-        int64_t soonest = kNever;
-        for (const Queue &q : queues) {
-            if (q.empty())
-                continue;
-            const int64_t head_arrival =
-                result.requests[q.pending[q.head]].arrival_ns;
-            soonest = std::min(soonest, head_arrival + max_wait);
-        }
-        return soonest < t ? t : soonest;
-    };
-
-    auto launch = [&](int qi, int64_t t) {
-        Queue &q = queues[size_t(qi)];
-        const int64_t size =
-            std::min<int64_t>(int64_t(q.depth()), max_batch);
-        BatchRecord batch;
-        batch.network = q.network;
-        batch.precision = q.precision;
-        batch.size = size;
-        batch.launch_ns = t;
-        batch.completion_ns =
-            t + table_.latencyNs(q.network, q.precision, size);
-        batch.energy_j = table_.energyJ(q.network, q.precision, size);
-        batch.forced_by_timeout =
-            size < max_batch && next_arrival < arrivals.size();
-        for (int64_t i = 0; i < size; ++i) {
-            RequestRecord &rec =
-                result.requests[q.pending[q.head + size_t(i)]];
-            rec.launch_ns = t;
-            rec.completion_ns = batch.completion_ns;
-        }
-        q.head += size_t(size);
-        if (q.empty()) {
-            q.pending.clear();
-            q.head = 0;
-        }
-        noteDepthChange(t, -size);
-        busy_until = batch.completion_ns;
-        result.batches.push_back(batch);
-    };
-
-    while (true) {
-        // Admit every arrival at the current instant (merged order).
-        while (next_arrival < arrivals.size() &&
-               arrivals[next_arrival].time_ns <= now)
-            admit(arrivals[next_arrival++]);
-
-        if (now < busy_until) {
-            // Executor busy: advance to its completion or the next
-            // arrival, whichever the virtual clock reaches first.
-            int64_t next = busy_until;
-            if (next_arrival < arrivals.size())
-                next = std::min(next,
-                                arrivals[next_arrival].time_ns);
-            now = next;
-            continue;
-        }
-
-        const int ready = readyQueue(now);
-        if (ready >= 0) {
-            launch(ready, now);
-            continue;
-        }
-
-        // Nothing ready: advance to the next arrival or head timeout.
-        int64_t next = kNever;
-        if (next_arrival < arrivals.size())
-            next = arrivals[next_arrival].time_ns;
-        next = std::min(next, nextTimeout(now));
-        if (next == kNever)
-            break; // drained: no arrivals left, all queues empty
-        now = next;
-    }
-
-    result.end_ns = std::max(busy_until, now);
-    noteDepthChange(result.end_ns, 0); // close the depth integral
-    return result;
 }
 
 } // namespace rapid

@@ -32,10 +32,10 @@
  * rapid::DesDomain, and runServeBatch() packs many independent
  * simulations as domains of one DesEngine so a sweep's scenario grid
  * advances in parallel on the shared ThreadPool — bit-identical to
- * serial at any --threads N. runReference() keeps the original
- * single-loop scheduler as the executable specification; the
- * engine-equivalence tests in tests/test_serve.cc hold run() exactly
- * equal to it, field for field.
+ * serial at any --threads N. The original single-loop scheduler
+ * lives on in tests/test_serve.cc as the executable specification;
+ * the engine-equivalence tests there hold run() exactly equal to it,
+ * field for field.
  */
 
 #ifndef RAPID_SERVE_SERVER_SIM_HH
@@ -152,13 +152,6 @@ class ServeSim
      * runServeBatch to advance many simulations in parallel).
      */
     ServeResult run() const;
-
-    /**
-     * The original serial scheduler loop, kept verbatim as the
-     * executable specification of the serving semantics. run() must
-     * produce bit-identical results; tests enforce it.
-     */
-    ServeResult runReference() const;
 
   private:
     // Declaration order is construction order: the network mapping

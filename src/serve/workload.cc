@@ -8,9 +8,6 @@
 
 namespace rapid {
 
-namespace {
-
-/** Exponential(rate per second) gap in integer nanoseconds, >= 1. */
 int64_t
 expGapNs(Rng &rng, double rate_per_s)
 {
@@ -23,6 +20,8 @@ expGapNs(Rng &rng, double rate_per_s)
         return int64_t(9e18);
     return int64_t(gap_ns);
 }
+
+namespace {
 
 /** Geometric draw with the given mean (>= 1), support {1, 2, ...}. */
 int64_t

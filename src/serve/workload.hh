@@ -13,9 +13,14 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/random.hh"
 #include "serve/serve_config.hh"
 
 namespace rapid {
+
+/** Exponential(rate per second) gap in integer nanoseconds, >= 1: the
+ *  inter-arrival draw of the serve and llm workload generators. */
+int64_t expGapNs(Rng &rng, double rate_per_s);
 
 /** One request entering the front-end. */
 struct Arrival

@@ -1,6 +1,5 @@
 #include "sim/chip_sim.hh"
 
-#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -9,99 +8,6 @@
 #include "common/parallel.hh"
 
 namespace rapid {
-
-namespace {
-
-/**
- * Per-core program interpreter for the chip-level run; mirrors the
- * corelet simulator's processor but posts/waits tokens on a per-core
- * board fed by MNI completions.
- */
-class CoreThread
-{
-  public:
-    CoreThread(EventQueue &eq, const LayerProgram &prog,
-               Tick lrf_load_cycles)
-        : eq_(eq), tokens_(eq), prog_(prog),
-          lrfLoadCycles_(lrf_load_cycles)
-    {
-    }
-
-    void
-    start()
-    {
-        eq_.scheduleIn(0, [this] { step(); });
-    }
-
-    /** MNI completion for this core: operands staged, wake waiters. */
-    void tokenArrived(unsigned token) { tokens_.post(token); }
-
-    bool done() const { return done_; }
-    const CoreRunStats &stats() const { return stats_; }
-
-  private:
-    void
-    step()
-    {
-        if (pc_ >= prog_.mpe_program.size()) {
-            finish();
-            return;
-        }
-        const MpeInstruction &inst = prog_.mpe_program[pc_++];
-        switch (inst.op) {
-          case Opcode::SetPrec:
-          case Opcode::SetBias:
-          case Opcode::Nop:
-          case Opcode::TokPost:
-          case Opcode::MovSouth:
-            issue(1);
-            return;
-          case Opcode::TokWait: {
-            const Tick begin = eq_.now();
-            tokens_.wait(inst.imm, [this, begin] {
-                stats_.stall_cycles += eq_.now() - begin;
-                step();
-            });
-            return;
-          }
-          case Opcode::LrfLoad:
-            ++stats_.tiles_loaded;
-            issue(lrfLoadCycles_);
-            return;
-          case Opcode::Fmma:
-            stats_.fmma_issued += inst.imm;
-            issue(std::max<Tick>(1, inst.imm));
-            return;
-          case Opcode::Halt:
-            finish();
-            return;
-        }
-        rapid_panic("unhandled opcode in chip sim");
-    }
-
-    void
-    issue(Tick cycles)
-    {
-        eq_.scheduleIn(cycles, [this] { step(); });
-    }
-
-    void
-    finish()
-    {
-        done_ = true;
-        stats_.finish_cycle = eq_.now();
-    }
-
-    EventQueue &eq_;
-    TokenBoard tokens_;
-    const LayerProgram &prog_;
-    Tick lrfLoadCycles_;
-    size_t pc_ = 0;
-    bool done_ = false;
-    CoreRunStats stats_;
-};
-
-} // namespace
 
 ChipSim::ChipSim(unsigned num_cores, bool multicast, MniConfig mni_cfg)
     : numCores_(num_cores), multicast_(multicast), mniCfg_(mni_cfg)
@@ -117,9 +23,9 @@ ChipSim::run(const LayerProgram &prog, Tick lrf_load_cycles)
     MniFabric mni(ring_cfg, mniCfg_);
 
     EventQueue eq;
-    std::vector<std::unique_ptr<CoreThread>> cores;
+    std::vector<std::unique_ptr<MpeThread>> cores;
     for (unsigned c = 0; c < numCores_; ++c) {
-        cores.push_back(std::make_unique<CoreThread>(
+        cores.push_back(std::make_unique<MpeThread>(
             eq, prog, lrf_load_cycles));
         cores.back()->start();
     }
@@ -165,7 +71,7 @@ ChipSim::run(const LayerProgram &prog, Tick lrf_load_cycles)
         for (; completions_seen < done.size(); ++completions_seen) {
             const MniCompletion &comp = done[completions_seen];
             // local_addr carries the ready token (set above).
-            cores[comp.consumer]->tokenArrived(
+            cores[comp.consumer]->tokens().post(
                 unsigned(comp.local_addr));
         }
         eq.run(tick);

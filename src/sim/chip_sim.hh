@@ -19,18 +19,9 @@
 
 #include "compiler/codegen.hh"
 #include "interconnect/mni.hh"
-#include "sim/event_queue.hh"
+#include "sim/mpe_thread.hh"
 
 namespace rapid {
-
-/** Per-core outcome of a chip-level run. */
-struct CoreRunStats
-{
-    Tick finish_cycle = 0;
-    Tick stall_cycles = 0;
-    uint64_t fmma_issued = 0;
-    uint64_t tiles_loaded = 0;
-};
 
 /** Whole-chip outcome. */
 struct ChipRunStats
@@ -38,15 +29,6 @@ struct ChipRunStats
     Tick makespan = 0;
     uint64_t ring_flit_hops = 0;
     std::vector<CoreRunStats> cores;
-
-    Tick
-    maxStall() const
-    {
-        Tick m = 0;
-        for (const auto &c : cores)
-            m = std::max(m, c.stall_cycles);
-        return m;
-    }
 };
 
 /** Chip-level simulator: N cores + memory node on the ring. */

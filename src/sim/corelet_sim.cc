@@ -1,8 +1,9 @@
 #include "sim/corelet_sim.hh"
 
-#include <memory>
+#include <algorithm>
 
 #include "common/logging.hh"
+#include "sim/mpe_thread.hh"
 
 namespace rapid {
 
@@ -13,113 +14,12 @@ CoreletSim::CoreletSim(double l1_bytes_per_cycle, Tick lrf_load_cycles)
     rapid_assert(l1_bytes_per_cycle > 0, "non-positive L1 bandwidth");
 }
 
-namespace {
-
-/** Shared mutable state of one simulation run. */
-struct RunState
-{
-    EventQueue eq;
-    TokenBoard tokens{eq};
-    CoreletRunStats stats;
-    Tick processor_start = 0;
-    Tick wait_begin = 0;
-};
-
-/**
- * The data-processing thread: interprets the MPE program one
- * instruction at a time, re-scheduling itself after each issue and
- * parking on the token board at TokWait.
- */
-class Processor
-{
-  public:
-    Processor(RunState &st, const LayerProgram &prog,
-              Tick lrf_load_cycles)
-        : st_(st), prog_(prog), lrfLoadCycles_(lrf_load_cycles)
-    {
-    }
-
-    void
-    start()
-    {
-        st_.processor_start = st_.eq.now();
-        st_.eq.scheduleIn(0, [this] { step(); });
-    }
-
-    bool done() const { return done_; }
-
-  private:
-    void
-    step()
-    {
-        if (pc_ >= prog_.mpe_program.size()) {
-            finish();
-            return;
-        }
-        const MpeInstruction &inst = prog_.mpe_program[pc_++];
-        switch (inst.op) {
-          case Opcode::SetPrec:
-          case Opcode::SetBias:
-          case Opcode::Nop:
-            issue(1);
-            return;
-          case Opcode::TokWait:
-            st_.wait_begin = st_.eq.now();
-            st_.tokens.wait(inst.imm, [this] {
-                st_.stats.stall_cycles +=
-                    st_.eq.now() - st_.wait_begin;
-                step();
-            });
-            return;
-          case Opcode::TokPost:
-            st_.tokens.post(inst.imm);
-            issue(1);
-            return;
-          case Opcode::LrfLoad:
-            ++st_.stats.tiles_loaded;
-            issue(lrfLoadCycles_);
-            return;
-          case Opcode::Fmma:
-            st_.stats.fmma_issued += inst.imm;
-            issue(std::max<Tick>(1, inst.imm));
-            return;
-          case Opcode::MovSouth:
-            issue(1);
-            return;
-          case Opcode::Halt:
-            finish();
-            return;
-        }
-        rapid_panic("unhandled opcode in corelet sim");
-    }
-
-    void
-    issue(Tick cycles)
-    {
-        st_.stats.processor_cycles += cycles;
-        st_.eq.scheduleIn(cycles, [this] { step(); });
-    }
-
-    void
-    finish()
-    {
-        done_ = true;
-        st_.stats.total_cycles = st_.eq.now();
-    }
-
-    RunState &st_;
-    const LayerProgram &prog_;
-    Tick lrfLoadCycles_;
-    size_t pc_ = 0;
-    bool done_ = false;
-};
-
-} // namespace
-
 CoreletRunStats
 CoreletSim::run(const LayerProgram &prog)
 {
-    RunState st;
+    EventQueue eq;
+    MpeThread proc(eq, prog, lrfLoadCycles_);
+    CoreletRunStats stats;
 
     // Data-sequencing thread: stream the staged transfers back to
     // back through the L1 port, posting each block's ready token the
@@ -136,26 +36,30 @@ CoreletSim::run(const LayerProgram &prog)
             // re-streams the block before its token posts; an
             // undetected one silently stages corrupt data.
             const FaultOutcome hit = injector_->inject(
-                FaultSite::Scratchpad, fault_item++, st.stats.faults);
+                FaultSite::Scratchpad, fault_item++, stats.faults);
             if (hit == FaultOutcome::Detected)
                 seq_time += cycles;
             else if (hit == FaultOutcome::Silent)
-                ++st.stats.faults.sdc;
+                ++stats.faults.sdc;
         }
         const unsigned token = tr.ready_token;
-        st.eq.schedule(seq_time, [&st, token] {
-            st.tokens.post(token);
-        });
+        eq.schedule(seq_time,
+                    [&proc, token] { proc.tokens().post(token); });
     }
-    st.stats.sequencer_cycles = seq_time;
+    stats.sequencer_cycles = seq_time;
 
-    Processor proc(st, prog, lrfLoadCycles_);
     proc.start();
-    st.eq.run();
+    eq.run();
     rapid_assert(proc.done(),
                  "corelet program deadlocked: processor blocked on a "
                  "token the sequencer never posts");
-    return st.stats;
+    const CoreRunStats &core = proc.stats();
+    stats.total_cycles = core.finish_cycle;
+    stats.processor_cycles = core.issue_cycles;
+    stats.stall_cycles = core.stall_cycles;
+    stats.fmma_issued = core.fmma_issued;
+    stats.tiles_loaded = core.tiles_loaded;
+    return stats;
 }
 
 } // namespace rapid

@@ -55,8 +55,6 @@ class EventQueue
             now_ = e.when;
             e.fn();
         }
-        if (heap_.empty() && now_ < limit)
-            now_ = now_; // time only advances with events
     }
 
     Tick now() const { return now_; }

@@ -1,6 +1,5 @@
 #include "workloads/layer.hh"
 
-#include <algorithm>
 
 namespace rapid {
 
@@ -111,16 +110,6 @@ Network::numComputeLayers() const
     return n;
 }
 
-int64_t
-Network::peakActivationElems() const
-{
-    int64_t peak = 0;
-    for (const auto &l : layers)
-        if (l.isCompute())
-            peak = std::max(peak, l.outputElemsPerSample() / l.repeat);
-    return peak;
-}
-
 double
 auxOpsPerElement(AuxKind kind)
 {
@@ -143,27 +132,6 @@ auxOpsPerElement(AuxKind kind)
       case AuxKind::DataMove: return 1.0;
     }
     return 1.0;
-}
-
-std::string
-auxKindName(AuxKind kind)
-{
-    switch (kind) {
-      case AuxKind::ReLU: return "relu";
-      case AuxKind::Sigmoid: return "sigmoid";
-      case AuxKind::Tanh: return "tanh";
-      case AuxKind::Gelu: return "gelu";
-      case AuxKind::BatchNorm: return "batchnorm";
-      case AuxKind::LayerNorm: return "layernorm";
-      case AuxKind::Softmax: return "softmax";
-      case AuxKind::MaxPool: return "maxpool";
-      case AuxKind::AvgPool: return "avgpool";
-      case AuxKind::Eltwise: return "eltwise";
-      case AuxKind::Embedding: return "embedding";
-      case AuxKind::Upsample: return "upsample";
-      case AuxKind::DataMove: return "datamove";
-    }
-    return "?";
 }
 
 } // namespace rapid

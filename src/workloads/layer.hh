@@ -107,16 +107,10 @@ struct Network
     int64_t macsPerSample() const;
     int64_t weightElems() const;
     int64_t numComputeLayers() const;
-
-    /** Largest single-layer activation footprint (elements). */
-    int64_t peakActivationElems() const;
 };
 
 /** SFU operations per element for an auxiliary kind. */
 double auxOpsPerElement(AuxKind kind);
-
-/** Human-readable aux kind name. */
-std::string auxKindName(AuxKind kind);
 
 } // namespace rapid
 

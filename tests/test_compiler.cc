@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "common/error.hh"
 #include "compiler/codegen.hh"
 #include "compiler/precision_assign.hh"
 #include "compiler/tiling.hh"
@@ -242,6 +246,60 @@ TEST(Codegen, RejectsAuxLayers)
     aux.aux_elems = 100;
     LayerPlan plan;
     EXPECT_DEATH(cg.generate(aux, plan, 1), "non-compute");
+}
+
+TEST(Codegen, RejectsTileWalksBeyondTokenIdRange)
+{
+    // speech "output" at INT2, batch 1 walks 86,400 tiles: one token
+    // id each would wrap the 16-bit TokWait/TokPost immediate.
+    CodeGenerator cg(makeInferenceChip());
+    const Network speech = benchmarkByName("speech");
+    const auto it = std::find_if(
+        speech.layers.begin(), speech.layers.end(),
+        [](const Layer &l) { return l.name == "output"; });
+    ASSERT_NE(it, speech.layers.end());
+    LayerPlan plan;
+    plan.precision = Precision::INT2;
+    try {
+        cg.generate(*it, plan, 1);
+        FAIL() << "expected a token-id range error";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.code(), ErrorCode::InvalidArgument);
+        EXPECT_NE(e.message().find("needs 86400 token ids"),
+                  std::string::npos)
+            << e.message();
+    }
+}
+
+TEST(Codegen, TileWalkAtTokenIdLimitGenerates)
+{
+    // A one-tile GEMM step repeated up to the limit uses every token
+    // id exactly once; one more step is rejected.
+    CodeGenerator cg(makeInferenceChip());
+    Layer step;
+    step.type = LayerType::Gemm;
+    step.name = "step";
+    step.gm = 1;
+    step.gk = 16;
+    step.gn = 16;
+    LayerPlan plan;
+    plan.precision = Precision::INT4;
+    ASSERT_EQ(cg.generate(step, plan, 1).num_tiles, 1u);
+
+    step.repeat = CodeGenerator::kMaxTokenId;
+    const LayerProgram prog = cg.generate(step, plan, 1);
+    EXPECT_EQ(prog.num_tiles, uint64_t(CodeGenerator::kMaxTokenId));
+    ASSERT_EQ(prog.transfers.size(), size_t(prog.num_tiles));
+    EXPECT_EQ(prog.transfers.back().ready_token,
+              unsigned(CodeGenerator::kMaxTokenId));
+    uint16_t last_wait = 0;
+    for (const MpeInstruction &inst : prog.mpe_program)
+        if (inst.op == Opcode::TokWait)
+            last_wait = inst.imm;
+    EXPECT_EQ(last_wait, CodeGenerator::kMaxTokenId);
+
+    step.repeat = CodeGenerator::kMaxTokenId + 1;
+    EXPECT_THROW(cg.generate(step, plan, 1), Error);
 }
 
 } // namespace

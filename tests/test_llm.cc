@@ -322,6 +322,53 @@ TEST_F(LlmTest, CalibratedTpotTierRecoversFullBatchBoundOverShed)
     }
 }
 
+TEST_F(LlmTest, PerGroupAdmitCountsMatchRequestTiers)
+{
+    // The batcher's per-group admit counts must agree with the tiers
+    // the request records carry, and exist only while the calibrated
+    // tier is enabled.
+    LlmServeConfig cfg;
+    cfg.model = "llm-small";
+    cfg.max_batch = 32;
+    cfg.horizon_ns = 500 * kMs;
+    LlmTenantConfig chat;
+    chat.name = "chat";
+    chat.arrival_rps = 180.0;
+    chat.mean_prompt_tokens = 256.0;
+    chat.mean_output_tokens = 192.0;
+    chat.ttft_deadline_ns = 400 * kMs;
+    chat.tpot_deadline_ns = 500'000;
+    cfg.tenants.push_back(chat);
+    cfg.admission.enabled = true;
+    cfg.admission.min_samples = 8;
+    cfg.admission.window = 64;
+    cfg.admission.safety_margin = 1.25;
+    const ChipConfig chip = makeInferenceChip();
+    const LlmResult r = LlmSim(chip, cfg).run();
+    ASSERT_EQ(r.group_admission.size(), cfg.ladder.size());
+    uint64_t calibrated = 0, bound = 0;
+    for (const AdmissionStats &g : r.group_admission) {
+        calibrated += g.admitted_calibrated;
+        bound += g.admitted_bound;
+    }
+    const LlmMetrics m = computeLlmMetrics(cfg, r);
+    EXPECT_GT(calibrated, 0u);
+    EXPECT_EQ(calibrated, m.total.admitted_calibrated);
+    EXPECT_EQ(bound, m.total.admitted_bound);
+
+    cfg.admission.enabled = false;
+    EXPECT_TRUE(LlmSim(chip, cfg).run().group_admission.empty());
+
+    // Single-token outputs have no TPOT, so they never feed the
+    // window: the tier stays cold and every admit is a bound admit.
+    cfg.admission.enabled = true;
+    cfg.tenants[0].mean_output_tokens = 1.0;
+    const LlmResult single = LlmSim(chip, cfg).run();
+    for (const AdmissionStats &g : single.group_admission)
+        EXPECT_EQ(g.admitted_calibrated, 0u);
+    EXPECT_GT(computeLlmMetrics(cfg, single).total.completed, 0u);
+}
+
 TEST_F(LlmTest, TpotTrustFuseLatchesGroupBackToBound)
 {
     // A TPOT deadline trap: a short-prompt tenant keeps the shared
@@ -379,7 +426,7 @@ TEST_F(LlmTest, TpotTrustFuseLatchesGroupBackToBound)
 
     // The per-group stats name the tripped group and stamp the trip.
     bool tripped = false;
-    for (const LlmGroupAdmission &g : rf.group_admission)
+    for (const AdmissionStats &g : rf.group_admission)
         if (g.fuse_tripped) {
             tripped = true;
             EXPECT_GE(g.fuse_trip_ns, 0);
@@ -434,7 +481,6 @@ TEST_F(LlmTest, ValidationRejectsBadConfigs)
     reject([](LlmServeConfig &c) { c.admission.window = 0; });
     reject([](LlmServeConfig &c) { c.admission.min_samples = 0; });
     reject([](LlmServeConfig &c) { c.admission.safety_margin = 0.9; });
-    reject([](LlmServeConfig &c) { c.admission.fuse_violations = 0; });
 
     // The simulator constructor runs the same validation.
     LlmServeConfig bad = microConfig(10.0);

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <memory>
 
@@ -47,6 +48,238 @@ class ServeTest : public ::testing::Test
   protected:
     void TearDown() override { ThreadPool::setDefaultThreads(0); }
 };
+
+// ---------------------------------------------------------------------
+// Reference scheduler: the original serial loop, kept verbatim as the
+// executable specification of the overload-off serving semantics.
+// ServeSim::run() and runServeBatch() must match it field for field.
+// ---------------------------------------------------------------------
+
+constexpr int64_t kNever = std::numeric_limits<int64_t>::max();
+
+/** One dynamic-batching queue: requests of one (network, precision). */
+struct Queue
+{
+    size_t network = 0;
+    Precision precision = Precision::INT4;
+    std::vector<uint64_t> pending; ///< request ids, FIFO
+    size_t head = 0;               ///< index of the oldest pending id
+
+    size_t depth() const { return pending.size() - head; }
+    bool empty() const { return head == pending.size(); }
+};
+
+ServeResult
+runReference(const ServeSim &sim)
+{
+    // The reference loop is the executable specification of the
+    // overload-off semantics; the overload features (calibrated tier,
+    // breakers, brownout) exist only in the event-driven engine.
+    const ServeConfig &cfg = sim.config();
+    const LatencyTable &table = sim.table();
+    const std::vector<size_t> &tenant_network = sim.tenantNetwork();
+    const size_t num_networks = sim.networkNames().size();
+    RAPID_CHECK_ARG(!cfg.overload.anyEnabled(),
+                    "runReference models the overload-off scheduler "
+                    "only; disable cfg.overload to compare");
+    const std::vector<Arrival> arrivals = generateArrivals(cfg);
+    const int64_t max_batch = cfg.batcher.max_batch;
+    const int64_t max_wait = cfg.batcher.max_wait_ns;
+
+    ServeResult result;
+    result.horizon_ns = cfg.horizon_ns;
+    result.requests.resize(arrivals.size());
+
+    // Queue per (network, ladder position): created eagerly in a
+    // deterministic order so queue ids are stable across runs.
+    std::vector<Queue> queues;
+    std::vector<std::vector<int>> queue_of(num_networks);
+    for (size_t n = 0; n < num_networks; ++n) {
+        queue_of[n].assign(cfg.ladder.size(), -1);
+        for (size_t li = 0; li < cfg.ladder.size(); ++li) {
+            Queue q;
+            q.network = n;
+            q.precision = cfg.ladder[li];
+            queue_of[n][li] = int(queues.size());
+            queues.push_back(q);
+        }
+    }
+
+    int64_t now = 0;
+    int64_t busy_until = -1; ///< executor busy while now < busy_until
+    size_t next_arrival = 0;
+    int64_t total_depth = 0; ///< requests queued across all queues
+    int64_t last_event_ns = 0;
+
+    auto noteDepthChange = [&](int64_t t, int64_t delta) {
+        result.queue_depth_integral +=
+            double(total_depth) * double(t - last_event_ns);
+        last_event_ns = t;
+        total_depth += delta;
+        result.max_queue_depth =
+            std::max(result.max_queue_depth, total_depth);
+    };
+
+    // Worst-case service time of one queue holding @p extra more
+    // requests than it does now: every planned batch charged at the
+    // max-batch latency (monotone in size, so an upper bound).
+    auto queueServiceNs = [&](const Queue &q, int64_t extra) {
+        const int64_t depth = int64_t(q.depth()) + extra;
+        if (depth <= 0)
+            return int64_t{0};
+        const int64_t batches = (depth + max_batch - 1) / max_batch;
+        return batches *
+               table.latencyNs(q.network, q.precision, max_batch);
+    };
+
+    // Conservative chip backlog as seen by a request joining queue
+    // @p exclude: remaining executor time plus the worst-case service
+    // of every other queue (the joined queue is charged separately,
+    // with the request included, so nothing is double-counted).
+    auto backlogNs = [&](int64_t t, size_t exclude) {
+        int64_t backlog = busy_until > t ? busy_until - t : 0;
+        for (size_t qi = 0; qi < queues.size(); ++qi)
+            if (qi != exclude)
+                backlog += queueServiceNs(queues[qi], 0);
+        return backlog;
+    };
+
+    auto admit = [&](const Arrival &a) {
+        const TenantConfig &tenant = cfg.tenants[a.tenant];
+        const size_t net = tenant_network[a.tenant];
+        RequestRecord &rec = result.requests[a.id];
+        rec.id = a.id;
+        rec.tenant = a.tenant;
+        rec.arrival_ns = a.time_ns;
+
+        const int floor = servingQuality(tenant.min_precision);
+        for (size_t li = 0; li < cfg.ladder.size(); ++li) {
+            const Precision p = cfg.ladder[li];
+            if (servingQuality(p) < floor)
+                continue;
+            const size_t qi = size_t(queue_of[net][li]);
+            // With a single queue this is a hard upper bound on the
+            // request's latency: batches ahead of it run back to back
+            // (a full queue is ready immediately), and the executor
+            // idles at most once, for at most max_wait past the head's
+            // arrival, before the request's own partial batch expires.
+            const int64_t predicted =
+                backlogNs(a.time_ns, qi) +
+                queueServiceNs(queues[qi], +1) + max_wait;
+            if (predicted <= tenant.deadline_ns) {
+                rec.precision = p;
+                rec.predicted_ns = predicted;
+                rec.tier = AdmitTier::Bound;
+                Queue &q = queues[qi];
+                q.pending.push_back(a.id);
+                noteDepthChange(a.time_ns, +1);
+                return;
+            }
+        }
+        rec.shed = true; // no ladder entry can meet the deadline
+        rec.shed_reason = ShedReason::Admission;
+    };
+
+    // A queue is ready when full or its head has waited max_wait.
+    auto readyQueue = [&](int64_t t) -> int {
+        int best = -1;
+        int64_t best_head = kNever;
+        for (size_t qi = 0; qi < queues.size(); ++qi) {
+            const Queue &q = queues[qi];
+            if (q.empty())
+                continue;
+            const int64_t head_arrival =
+                result.requests[q.pending[q.head]].arrival_ns;
+            const bool full = int64_t(q.depth()) >= max_batch;
+            const bool expired = t - head_arrival >= max_wait;
+            const bool drained = next_arrival >= arrivals.size();
+            if ((full || expired || drained) && head_arrival < best_head) {
+                best = int(qi);
+                best_head = head_arrival;
+            }
+        }
+        return best;
+    };
+
+    auto nextTimeout = [&](int64_t t) {
+        int64_t soonest = kNever;
+        for (const Queue &q : queues) {
+            if (q.empty())
+                continue;
+            const int64_t head_arrival =
+                result.requests[q.pending[q.head]].arrival_ns;
+            soonest = std::min(soonest, head_arrival + max_wait);
+        }
+        return soonest < t ? t : soonest;
+    };
+
+    auto launch = [&](int qi, int64_t t) {
+        Queue &q = queues[size_t(qi)];
+        const int64_t size =
+            std::min<int64_t>(int64_t(q.depth()), max_batch);
+        BatchRecord batch;
+        batch.network = q.network;
+        batch.precision = q.precision;
+        batch.size = size;
+        batch.launch_ns = t;
+        batch.completion_ns =
+            t + table.latencyNs(q.network, q.precision, size);
+        batch.energy_j = table.energyJ(q.network, q.precision, size);
+        batch.forced_by_timeout =
+            size < max_batch && next_arrival < arrivals.size();
+        for (int64_t i = 0; i < size; ++i) {
+            RequestRecord &rec =
+                result.requests[q.pending[q.head + size_t(i)]];
+            rec.launch_ns = t;
+            rec.completion_ns = batch.completion_ns;
+        }
+        q.head += size_t(size);
+        if (q.empty()) {
+            q.pending.clear();
+            q.head = 0;
+        }
+        noteDepthChange(t, -size);
+        busy_until = batch.completion_ns;
+        result.batches.push_back(batch);
+    };
+
+    while (true) {
+        // Admit every arrival at the current instant (merged order).
+        while (next_arrival < arrivals.size() &&
+               arrivals[next_arrival].time_ns <= now)
+            admit(arrivals[next_arrival++]);
+
+        if (now < busy_until) {
+            // Executor busy: advance to its completion or the next
+            // arrival, whichever the virtual clock reaches first.
+            int64_t next = busy_until;
+            if (next_arrival < arrivals.size())
+                next = std::min(next,
+                                arrivals[next_arrival].time_ns);
+            now = next;
+            continue;
+        }
+
+        const int ready = readyQueue(now);
+        if (ready >= 0) {
+            launch(ready, now);
+            continue;
+        }
+
+        // Nothing ready: advance to the next arrival or head timeout.
+        int64_t next = kNever;
+        if (next_arrival < arrivals.size())
+            next = arrivals[next_arrival].time_ns;
+        next = std::min(next, nextTimeout(now));
+        if (next == kNever)
+            break; // drained: no arrivals left, all queues empty
+        now = next;
+    }
+
+    result.end_ns = std::max(busy_until, now);
+    noteDepthChange(result.end_ns, 0); // close the depth integral
+    return result;
+}
 
 // ---------------------------------------------------------------------
 // Workload generation
@@ -561,6 +794,35 @@ TEST_F(ServeTest, CalibratedTierRecoversBoundOverShedAtTheKnee)
     }
 }
 
+TEST_F(ServeTest, PerQueueAdmitCountsMatchRequestTiers)
+{
+    // The router's per-queue admit counts are a second tier ledger,
+    // kept as it admits; they must agree with the tiers the request
+    // records carry. A breaker-only run keeps them too (every admit on
+    // the bound); an overload-off run keeps none.
+    ServeConfig cal = overloadMixConfig(1.6);
+    cal.overload.admission.enabled = true;
+    cal.overload.admission.safety_margin = 1.25;
+    ServeConfig breaker = overloadMixConfig(1.6);
+    breaker.overload.breaker.enabled = true;
+    const ChipConfig chip = makeInferenceChip();
+    for (const ServeConfig *cfg : {&cal, &breaker}) {
+        const ServeResult r = ServeSim(chip, *cfg).run();
+        uint64_t calibrated = 0, bound = 0;
+        for (const QueueOverloadStats &q : r.queue_overload) {
+            calibrated += q.admitted_calibrated;
+            bound += q.admitted_bound;
+        }
+        const ServeMetrics m = computeMetrics(*cfg, r);
+        EXPECT_EQ(calibrated, m.total.admitted_calibrated);
+        EXPECT_EQ(bound, m.total.admitted_bound);
+        EXPECT_GT(bound, 0u);
+        EXPECT_EQ(calibrated > 0, cfg == &cal);
+    }
+    const ServeConfig off = overloadMixConfig(1.6);
+    EXPECT_TRUE(ServeSim(chip, off).run().queue_overload.empty());
+}
+
 TEST_F(ServeTest, TrustFuseLatchesPollutedQueueBackToBound)
 {
     // The fuse trap from the bench: a calm loose-deadline tenant
@@ -832,7 +1094,7 @@ TEST_F(ServeTest, RunReferenceRejectsOverloadScenarios)
     cfg.overload.admission.enabled = true;
     const ServeSim sim(makeInferenceChip(), cfg);
     EXPECT_NO_THROW(sim.run());
-    EXPECT_THROW(sim.runReference(), Error);
+    EXPECT_THROW(runReference(sim), Error);
 }
 
 TEST_F(ServeTest, RejectsBadOverloadKnobs)
@@ -848,7 +1110,6 @@ TEST_F(ServeTest, RejectsBadOverloadKnobs)
         o.admission.min_samples = o.admission.window + 1;
     });
     reject([](OverloadConfig &o) { o.admission.safety_margin = 0.5; });
-    reject([](OverloadConfig &o) { o.admission.fuse_violations = 0; });
     reject([](OverloadConfig &o) { o.breaker.depth_open = 0; });
     reject([](OverloadConfig &o) { o.breaker.violations_open = 0; });
     reject([](OverloadConfig &o) { o.breaker.open_ns = 0; });
@@ -1014,7 +1275,7 @@ TEST_F(ServeTest, EngineMatchesReferenceScheduler)
 {
     for (const ServeConfig &cfg : equivalenceScenarios()) {
         const ServeSim sim(makeInferenceChip(), cfg);
-        expectResultsIdentical(sim.run(), sim.runReference());
+        expectResultsIdentical(sim.run(), runReference(sim));
     }
 }
 
@@ -1030,7 +1291,7 @@ TEST_F(ServeTest, BatchedEngineMatchesReferenceAtEveryThreadCount)
     }
     std::vector<ServeResult> reference;
     for (const auto &sim : sims)
-        reference.push_back(sim->runReference());
+        reference.push_back(runReference(*sim));
 
     for (size_t threads : {1u, 2u, 4u, 8u}) {
         ThreadPool::setDefaultThreads(threads);

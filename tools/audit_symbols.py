@@ -21,12 +21,22 @@ allowed objects is what references it; third-party test frameworks
 are prebuilt archives, not our objects, and are outside the
 discipline.
 
+A second pass finds dead exports: external functions of librapid_*
+objects that no relocation (readelf -rW) in a library, bench, example
+or test object names. The assembler resolves in-section calls without
+a relocation and optimised builds inline, so the defining object's
+branch targets (objdump -d) and inline sites (DWARF: build with -g,
+as RelWithDebInfo and Debug do) count too. Names compare demangled,
+so C1/C2 and D1/D2 variants match. Test-only exports are reported,
+not failed; WAIVED lists the exports whose only users the build tree
+cannot see.
+
 Modes
   --build-dir BUILD     audit every object and binary under BUILD
   --self-test --cxx CXX compile the planted fixtures under
                         tools/lint_fixtures/audit/ and prove the audit
-                        fails on the wall-clock plant and passes the
-                        clean one
+                        fails on the wall-clock and dead-export plants
+                        and passes the clean ones
 
 Exit status: 0 clean, 1 violations, 2 usage or self-test failure.
 """
@@ -34,6 +44,7 @@ Exit status: 0 clean, 1 violations, 2 usage or self-test failure.
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -50,6 +61,26 @@ ALLOWED_SOURCES = ("src/common/parallel.", "src/common/sweep.")
 
 #: Directories whose executables get the binary-level scan.
 BINARY_DIRS = ("tests", "bench", "examples")
+
+#: Dead-export waivers: library functions whose only users are outside
+#: the build tree, keyed by demangled name.
+WAIVED = {
+    "rapid::ThreadPool::hardwareThreads()":
+        "perfbench sizes its pool with it (separate CMake project)",
+    "rapid::DesEngine::totalExecuted() const":
+        "perfbench counts DES events with it (separate CMake project)",
+    "rapid::FaultStats::accountingConsistent() const":
+        "perfbench checks fault ledgers with it (separate CMake "
+        "project)",
+}
+
+#: Build-tree top directory of each object role.
+ROLE_DIRS = {"src": "library", "bench": "bench", "examples": "example",
+             "tests": "test"}
+
+#: GCC clone suffixes: a call to foo.isra.0 is a use of foo.
+CLONE_SUFFIX = re.compile(r"\.(isra|constprop|part|cold)(\.\d+)?")
+DIE_HEADER = re.compile(r"<([0-9a-f]+)>: Abbrev Number: \d+ \((\w+)\)")
 
 
 def undefined_symbols(nm, path):
@@ -94,6 +125,127 @@ def source_of_object(rel_parts):
     source_parts = [p if p != "__" else ".." for p in source_parts]
     source = "/".join(source_parts)
     return source[:-2] if source.endswith(".o") else source
+
+
+def tool_lines(*cmd):
+    """stdout lines of a binutils command."""
+    return subprocess.run([str(c) for c in cmd], capture_output=True,
+                          text=True).stdout.splitlines()
+
+
+def relocated_symbols(path):
+    """Symbols named by an object's relocations."""
+    return {fields[4]
+            for fields in map(str.split, tool_lines("readelf", "-rW", path))
+            if len(fields) >= 5 and fields[2].startswith("R_")}
+
+
+def local_references(path):
+    """Names an object uses without a relocation: branch and address
+    targets the assembler resolved in place (objdump -d), and functions
+    inlined at one of its call sites (DWARF)."""
+    names = {CLONE_SUFFIX.sub("", target)
+             for line in tool_lines("objdump", "-d", "--no-show-raw-insn",
+                                    path) if line.startswith(" ")
+             for target in re.findall(r"<([^<>+]+)>", line)}
+    dies, die = {}, {}
+    for line in tool_lines("readelf", "--debug-dump=info", "--wide",
+                           path):
+        if "Abbrev Number" in line:
+            m = DIE_HEADER.search(line)
+            die = {"tag": m.group(2)} if m else {}
+            if m:
+                dies[m.group(1)] = die
+        elif "DW_AT_linkage_name" in line:
+            die["name"] = line.rsplit(": ", 1)[1].strip()
+        elif ("DW_AT_specification" in line or
+              "DW_AT_abstract_origin" in line):
+            die["link"] = line.rsplit("<0x", 1)[1].rstrip(">")
+    for die in list(dies.values()):
+        if die["tag"] == "DW_TAG_inlined_subroutine":
+            for _ in range(4):  # inline instance -> abstract -> decl
+                die = dies.get(die.get("link"), {})
+                if "name" in die:
+                    names.add(die["name"])
+                    break
+    return names
+
+
+def demangle(names):
+    """Map each mangled name to its demangled form."""
+    names = sorted(names)
+    out = subprocess.run(["c++filt"], input="\n".join(names),
+                         capture_output=True, text=True).stdout
+    return dict(zip(names, out.splitlines()))
+
+
+def dead_exports(nm, library, users):
+    """Classify the external functions defined in @p library objects by
+    who uses them. @p users maps a role ("library", "bench", "example",
+    "test") to the objects whose relocations count, library objects
+    included. Returns (dead, test_only): sorted (demangled name,
+    defining object) pairs."""
+    exports = {}  # mangled -> defining object
+    for obj in library:
+        for line in tool_lines(nm, "--defined-only", "--format=posix",
+                               obj):
+            fields = line.split()
+            if len(fields) >= 2 and fields[1] == "T":
+                exports.setdefault(fields[0], obj)
+    refs = {}  # mangled -> roles
+    for role, objs in users.items():
+        for obj in objs:
+            for name in relocated_symbols(obj):
+                refs.setdefault(name, set()).add(role)
+    names = demangle(set(exports) | set(refs))
+    roles_of = {}  # demangled, so C1/C2 and D1/D2 merge
+    for mangled, roles in refs.items():
+        roles_of.setdefault(names[mangled], set()).update(roles)
+    # Uses no relocation shows: look inside the defining object of
+    # every export that no non-test object names.
+    suspects = {obj for mangled, obj in exports.items()
+                if roles_of.get(names[mangled], set()) <= {"test"}}
+    for obj in sorted(suspects):
+        for name in demangle(local_references(obj)).values():
+            roles_of.setdefault(name, set()).add("library")
+    dead, test_only = set(), set()
+    for mangled, obj in exports.items():
+        roles = roles_of.get(names[mangled], set())
+        if names[mangled] in WAIVED:
+            continue
+        if not roles:
+            dead.add((names[mangled], obj))
+        elif roles == {"test"}:
+            test_only.add((names[mangled], obj))
+    return sorted(dead), sorted(test_only)
+
+
+def audit_dead_exports(build, nm):
+    """The dead-export pass over a build tree: (findings, test-only
+    records)."""
+    users = {}
+    for obj in sorted(build.rglob("CMakeFiles/**/*.o")):
+        rel = obj.relative_to(build)
+        role = ROLE_DIRS.get(rel.parts[0])
+        if role == "library" and not any(
+                p.startswith("rapid_") and p.endswith(".dir")
+                for p in rel.parts):
+            continue  # not a librapid_* archive member
+        if role:
+            users.setdefault(role, []).append(obj)
+    dead, test_only = dead_exports(nm, users.get("library", []), users)
+
+    def source(obj):
+        return source_of_object(obj.relative_to(build).parts)
+
+    findings = [{
+        "kind": "dead-export", "path": obj.relative_to(build).as_posix(),
+        "source": source(obj), "symbol": name,
+        "message": "%s (from %s) is exported but no library, bench, "
+                   "example or test object uses it" % (name, source(obj)),
+    } for name, obj in dead]
+    return findings, [{"symbol": name, "source": source(obj)}
+                      for name, obj in test_only]
 
 
 def audit_build(build_dir, nm, json_path=None):
@@ -155,6 +307,9 @@ def audit_build(build_dir, nm, json_path=None):
                                   sym),
                 })
 
+    dead, test_only = audit_dead_exports(build, nm)
+    findings += dead
+
     if json_path:
         Path(json_path).write_text(json.dumps({
             "tool": "audit_symbols",
@@ -164,12 +319,17 @@ def audit_build(build_dir, nm, json_path=None):
             "binaries_scanned": binaries_scanned,
             "forbidden": sorted(FORBIDDEN),
             "allowed_wallclock_refs": sorted(allowed_refs),
+            "waived_exports": WAIVED,
+            "test_only_exports": test_only,
             "violations": len(findings),
             "findings": findings,
         }, indent=2) + "\n")
 
     for finding in findings:
         print("audit_symbols: " + finding["message"])
+    if test_only:
+        print("audit_symbols: %d export(s) referenced only from tests "
+              "(reported, not failing)" % len(test_only))
     if findings:
         print("audit_symbols: %d violation(s) (%d objects, %d binaries "
               "scanned)" % (len(findings), scanned, binaries_scanned))
@@ -183,10 +343,10 @@ def audit_build(build_dir, nm, json_path=None):
 # Self-test: compile the planted fixtures and prove detection.
 # ---------------------------------------------------------------------------
 
-def compile_fixture(cxx, source, out_dir):
+def compile_fixture(cxx, source, out_dir, flags=()):
     obj = Path(out_dir) / (Path(source).stem + ".o")
     proc = subprocess.run(
-        [cxx, "-c", str(source), "-o", str(obj)],
+        [cxx, *flags, "-c", str(source), "-o", str(obj)],
         capture_output=True, text=True)
     if proc.returncode != 0:
         print("audit_symbols self-test: cannot compile %s:\n%s"
@@ -199,7 +359,9 @@ def self_test(cxx, nm, root):
     fixtures = Path(root) / "tools" / "lint_fixtures" / "audit"
     planted = fixtures / "planted_wallclock.cc"
     clean = fixtures / "clean_virtual.cc"
-    for path in (planted, clean):
+    dead_lib = fixtures / "planted_dead_export.cc"
+    dead_user = fixtures / "dead_export_user.cc"
+    for path in (planted, clean, dead_lib, dead_user):
         if not path.is_file():
             print("audit_symbols self-test: missing fixture %s" % path)
             return 2
@@ -208,7 +370,13 @@ def self_test(cxx, nm, root):
     with tempfile.TemporaryDirectory(prefix="audit_selftest") as tmp:
         planted_obj = compile_fixture(cxx, planted, tmp)
         clean_obj = compile_fixture(cxx, clean, tmp)
-        if planted_obj is None or clean_obj is None:
+        # Flags under which an in-section call carries no relocation
+        # and a small callee is inlined away, as in optimised builds.
+        lib_obj = compile_fixture(
+            cxx, dead_lib, tmp,
+            ("-O2", "-g", "-fPIC", "-fno-semantic-interposition"))
+        user_obj = compile_fixture(cxx, dead_user, tmp)
+        if None in (planted_obj, clean_obj, lib_obj, user_obj):
             return 2
 
         symbols = undefined_symbols(nm, planted_obj)
@@ -230,6 +398,21 @@ def self_test(cxx, nm, root):
         else:
             print("self-test ok: clean_virtual.o references no "
                   "forbidden symbol")
+
+        dead, test_only = dead_exports(
+            nm, [lib_obj], {"library": [lib_obj], "test": [user_obj]})
+        got = ([n for n, _ in dead], [n for n, _ in test_only])
+        want = (["rapid_fixture::plantedDeadExport(int)"],
+                ["rapid_fixture::Widget::Widget(int)",
+                 "rapid_fixture::Widget::~Widget()",
+                 "rapid_fixture::testOnlyExport(int)"])
+        if got == want:
+            print("self-test ok: planted_dead_export.o has exactly the "
+                  "planted dead export")
+        else:
+            print("SELF-TEST FAIL: dead/test-only exports %s, want %s"
+                  % (got, want))
+            failures += 1
 
     if failures:
         return 2

@@ -162,7 +162,7 @@ def check_io_outside_log(tf):
     if not tf.rel.startswith("src/") or tf.rel.startswith(IO_ALLOWED):
         return
     message = ("direct stdio outside src/common/logging and "
-               "src/common/table; use rapid_inform/rapid_warn or the "
+               "src/common/table; use rapid_warn or the "
                "table renderer")
     for i, t in enumerate(tf.tokens):
         if t.kind != "ID":
