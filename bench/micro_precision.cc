@@ -118,7 +118,48 @@ BM_IntMatmul(benchmark::State &state)
         benchmark::DoNotOptimize(intMatmul(a, act_q, b, wt_q, 4));
     state.SetItemsProcessed(state.iterations() * n * n * n);
 }
-BENCHMARK(BM_IntMatmul)->Arg(32)->Arg(64);
+BENCHMARK(BM_IntMatmul)->Arg(32)->Arg(64)->Arg(160);
+
+/** A 3x3, pad-1 convolution of 16 -> 16 channels over an n x n image
+ *  (items/s is MAC/s). */
+struct ConvBench
+{
+    Tensor x, w;
+    ConvParams p;
+    int64_t macs;
+
+    explicit ConvBench(int64_t n)
+        : x({1, 16, n, n}), w({16, 16, 3, 3}), macs(16 * n * n * 16 * 9)
+    {
+        Rng rng(8);
+        for (int64_t i = 0; i < x.numel(); ++i)
+            x[i] = float(std::abs(rng.gaussian()));
+        w.fillGaussian(rng, 0.0, 0.4);
+        p.pad = 1;
+    }
+};
+
+void
+BM_IntConv2d(benchmark::State &state)
+{
+    const ConvBench c(state.range(0));
+    PactQuantizer act_q(3.0f, 4);
+    SawbQuantizer wt_q(c.w.storage(), 4);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(intConv2d(c.x, act_q, c.w, wt_q, 4, c.p));
+    state.SetItemsProcessed(state.iterations() * c.macs);
+}
+BENCHMARK(BM_IntConv2d)->Arg(8)->Arg(16);
+
+void
+BM_Fp16Conv2d(benchmark::State &state)
+{
+    const ConvBench c(state.range(0));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(fp16Conv2d(c.x, c.w, c.p));
+    state.SetItemsProcessed(state.iterations() * c.macs);
+}
+BENCHMARK(BM_Fp16Conv2d)->Arg(8)->Arg(16);
 
 void
 BM_Hfp8Matmul(benchmark::State &state)

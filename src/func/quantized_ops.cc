@@ -4,9 +4,11 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hh"
+#include "common/lanes.hh"
 #include "common/logging.hh"
 
 namespace rapid {
@@ -22,10 +24,9 @@ isZero(float v)
 }
 
 /**
- * Core reduction shared by all float-path executors: accumulate the
- * element products of two prepared operand vectors with chunked
- * DLFloat16 accumulation. The convolutions run it per output; the
- * GEMMs run chunkedGemm() below, and this only for poisoned operands.
+ * Scalar chunked DLFloat16 reduction of the element products of two
+ * prepared operand vectors. chunkedGemm() below runs it per output
+ * only when an operand is poisoned (NaN or Inf).
  */
 float
 chunkedDot(const float *a, const float *b, int64_t n,
@@ -135,52 +136,101 @@ chunkedGemmKernel(const float *qa, const float *qb, int64_t m, int64_t k,
                     count[l] &= ~fold;
                 }
             }
-            for (int64_t l = 0; l < std::min(kLanes, n - j0); ++l) {
-                const float total =
-                    count[l] == 0
-                        ? outer[l]
-                        : std::bit_cast<float>(foldBits<Mode, Fp32Outer>(
-                              outer[l], acc[l]));
-                RAPID_CHECK_NUMERIC(std::isfinite(total),
-                                    "non-finite chunked dot product "
-                                    "over ", k, " elements: a poisoned "
-                                    "operand reached the training "
-                                    "accumulation");
-                out[i * n + j0 + l] = std::bit_cast<float>(
-                    dlfloat16RoundBits<Mode>(
-                        std::bit_cast<uint32_t>(total)));
+            // The last fold, the finiteness backstop and the output
+            // rounding, over every lane by select (padding lanes hold
+            // +0), so this loop vectorises too.
+            float rounded[kLanes];
+            uint32_t non_finite = 0;
+            for (int64_t l = 0; l < kLanes; ++l) {
+                const uint32_t pending = count[l] == 0 ? 0u : ~0u;
+                const uint32_t total =
+                    (foldBits<Mode, Fp32Outer>(outer[l], acc[l]) &
+                     pending) |
+                    (std::bit_cast<uint32_t>(outer[l]) & ~pending);
+                non_finite |= (total & 0x7f800000u) == 0x7f800000u;
+                rounded[l] = std::bit_cast<float>(
+                    dlfloat16RoundBits<Mode>(total));
             }
+            RAPID_CHECK_NUMERIC(non_finite == 0,
+                                "non-finite chunked dot product over ", k,
+                                " elements: a poisoned operand reached "
+                                "the training accumulation");
+            std::copy_n(rounded, std::min(kLanes, n - j0),
+                        out + i * n + j0);
         }
     }
 }
 
-template <bool Fp32Outer>
-auto
-kernelFor(Rounding rounding)
+/** Call @p fn with @p rounding as a compile-time constant. */
+template <typename Fn>
+void
+withRounding(Rounding rounding, Fn &&fn)
 {
     switch (rounding) {
       case Rounding::NearestUp:
-        return &chunkedGemmKernel<Rounding::NearestUp, Fp32Outer>;
+        fn(std::integral_constant<Rounding, Rounding::NearestUp>{});
+        return;
       case Rounding::Truncate:
-        return &chunkedGemmKernel<Rounding::Truncate, Fp32Outer>;
+        fn(std::integral_constant<Rounding, Rounding::Truncate>{});
+        return;
       case Rounding::NearestEven:
         break;
     }
-    return &chunkedGemmKernel<Rounding::NearestEven, Fp32Outer>;
+    fn(std::integral_constant<Rounding, Rounding::NearestEven>{});
+}
+
+/** @p n rounded up to whole blocks of @p lanes. */
+int64_t
+laneStride(int64_t n, int64_t lanes)
+{
+    return (n + lanes - 1) / lanes * lanes;
 }
 
 bool
-allFinite(const Tensor &t)
+allFinite(const float *v, int64_t n)
 {
-    return std::all_of(t.storage().begin(), t.storage().end(),
-                       [](float v) { return std::isfinite(v); });
+    return std::all_of(v, v + n, [](float x) { return std::isfinite(x); });
 }
 
 /**
  * (M,K) x (K,N) GEMM of quantized operands with chunked DLFloat16
  * accumulation: chunkedDot() of row i of @p qa and column j of @p qb
- * for every output.
+ * for every output. @p qb has row stride @p ldb, a whole number of
+ * lane blocks, and its padding columns are zero.
  */
+void
+chunkedGemm(const float *qa, const float *qb, int64_t m, int64_t k,
+            int64_t n, int64_t ldb, const ExecConfig &cfg, float *out)
+{
+    if (!allFinite(qa, m * k) || !allFinite(qb, k * ldb)) {
+        // A poisoned operand: the scalar path gates a NaN paired with a
+        // zero through, and names the element of the first product
+        // that faults.
+        std::vector<float> qbt(size_t(n * k));
+        for (int64_t kk = 0; kk < k; ++kk)
+            for (int64_t j = 0; j < n; ++j)
+                qbt[size_t(j * k + kk)] = qb[kk * ldb + j];
+        for (int64_t i = 0; i < m; ++i)
+            for (int64_t j = 0; j < n; ++j)
+                out[i * n + j] = chunkedDot(qa + i * k,
+                                            qbt.data() + j * k, k, cfg);
+        return;
+    }
+    rapid_assert(cfg.chunk_size >= 1, "chunk size must be positive");
+    rapid_assert(k < int64_t(UINT32_MAX), "chunked GEMM reduction of ",
+                 k, " terms overflows a lane count");
+    withRounding(cfg.rounding, [&](auto mode) {
+        constexpr Rounding kMode = decltype(mode)::value;
+        if (cfg.fp32_outer)
+            chunkedGemmKernel<kMode, true>(qa, qb, m, k, n, ldb,
+                                           cfg.chunk_size, out);
+        else
+            chunkedGemmKernel<kMode, false>(qa, qb, m, k, n, ldb,
+                                            cfg.chunk_size, out);
+    });
+}
+
+/** chunkedGemm() of two rank-2 tensors. */
 Tensor
 chunkedGemm(const Tensor &qa, const Tensor &qb, const ExecConfig &cfg)
 {
@@ -188,23 +238,8 @@ chunkedGemm(const Tensor &qa, const Tensor &qb, const ExecConfig &cfg)
                  "chunked GEMM operands must be rank-2");
     const int64_t m = qa.dim(0), k = qa.dim(1), n = qb.dim(1);
     rapid_assert(qb.dim(0) == k, "chunked GEMM inner-dimension mismatch");
-    Tensor out({m, n});
-    if (!allFinite(qa) || !allFinite(qb)) {
-        // A poisoned operand: the scalar path gates a NaN paired with a
-        // zero through, and names the element of the first product
-        // that faults.
-        const Tensor qbt = transpose(qb);
-        for (int64_t i = 0; i < m; ++i)
-            for (int64_t j = 0; j < n; ++j)
-                out.at(i, j) = chunkedDot(qa.data() + i * k,
-                                          qbt.data() + j * k, k, cfg);
-        return out;
-    }
-    rapid_assert(cfg.chunk_size >= 1, "chunk size must be positive");
-    rapid_assert(k < int64_t(UINT32_MAX), "chunked GEMM reduction of ",
-                 k, " terms overflows a lane count");
     // Whole lane blocks: the zero padding columns are gated off.
-    const int64_t ldb = (n + kLanes - 1) / kLanes * kLanes;
+    const int64_t ldb = laneStride(n, kLanes);
     std::vector<float> padded;
     const float *b = qb.data();
     if (ldb != n) {
@@ -213,44 +248,213 @@ chunkedGemm(const Tensor &qa, const Tensor &qb, const ExecConfig &cfg)
             std::copy_n(b + kk * n, n, padded.data() + kk * ldb);
         b = padded.data();
     }
-    const auto kernel = cfg.fp32_outer ? kernelFor<true>(cfg.rounding)
-                                       : kernelFor<false>(cfg.rounding);
-    kernel(qa.data(), b, m, k, n, ldb, cfg.chunk_size, out.data());
+    Tensor out({m, n});
+    chunkedGemm(qa.data(), b, m, k, n, ldb, cfg, out.data());
     return out;
 }
 
-/** Gather a conv receptive field into contiguous operand vectors. */
-struct Patch
+/** Output columns one intChunkedGemm pass carries, one lane each. */
+constexpr int64_t kIntLanes = 16;
+
+/**
+ * The integer GEMM of intChunkedGemm() with lane accumulators of type
+ * @p Acc: each row of @p qa against kIntLanes output columns of @p qb
+ * at a time. Every lane sums one chunk of k in @p Acc, saturates it to
+ * INT16 at the chunk boundary and adds it to its exact int64 outer
+ * sum. A zero level of @p qa skips that k for every lane.
+ */
+template <typename Acc>
+void
+intChunkedGemmKernel(const int16_t *qa, const int16_t *qb, int64_t m,
+                     int64_t k, int64_t n, int64_t ldb, int64_t chunk,
+                     float scale, Rounding rounding, float *out)
 {
-    std::vector<float> act;
-    std::vector<float> wt;
+    const FloatFormat &fp16 = dlfloat16();
+    for (int64_t i = 0; i < m; ++i) {
+        const int16_t *a_row = qa + i * k;
+        for (int64_t j0 = 0; j0 < n; j0 += kIntLanes) {
+            int64_t outer[kIntLanes] = {};
+            for (int64_t k0 = 0; k0 < k; k0 += chunk) {
+                const int64_t k1 = std::min(k, k0 + chunk);
+                Acc acc[kIntLanes] = {};
+                for (int64_t kk = k0; kk < k1; ++kk) {
+                    const int16_t a = a_row[kk];
+                    if (a == 0)
+                        continue; // adds nothing to any lane
+                    const int16_t *b = qb + kk * ldb + j0;
+                    for (int64_t l = 0; l < kIntLanes; ++l)
+                        acc[l] = Acc(acc[l] + Acc(a * b[l]));
+                }
+                for (int64_t l = 0; l < kIntLanes; ++l)
+                    outer[l] += saturateToInt16(acc[l]);
+            }
+            for (int64_t l = 0; l < std::min(kIntLanes, n - j0); ++l)
+                out[i * n + j0 + l] = fp16.quantize(
+                    float(double(outer[l]) * double(scale)), rounding);
+        }
+    }
+}
+
+/** Largest |level| in @p v. */
+int64_t
+maxAbsLevel(const int16_t *v, int64_t n)
+{
+    int64_t hi = 0;
+    for (int64_t i = 0; i < n; ++i)
+        hi = std::max(hi, int64_t(std::abs(int(v[i]))));
+    return hi;
+}
+
+/**
+ * (M,K) x (K,N) GEMM of integer levels on the FXU: int chunk sums over
+ * ascending chunks of k, each saturated to INT16 (the MPE's south-bus
+ * width), an exact outer sum of the saturated chunks, and the outer
+ * sum times @p scale emitted as DLFloat16. @p qb has row stride
+ * @p ldb, a whole number of lane blocks, and zero padding columns.
+ *
+ * Integer adds are exact, so the order of the adds inside a chunk
+ * cannot change its sum; chunk boundaries stay at multiples of the
+ * chunk size in k, whatever the levels. When the operand maxima prove
+ * that no partial sum of a chunk exceeds 32767, the lanes run in
+ * int16_t: nothing can wrap, and the INT16 saturation is the identity.
+ */
+void
+intChunkedGemm(const int16_t *qa, const int16_t *qb, int64_t m, int64_t k,
+               int64_t n, int64_t ldb, float scale, const ExecConfig &cfg,
+               float *out)
+{
+    rapid_assert(cfg.chunk_size >= 1, "chunk size must be positive");
+    const int64_t span = int64_t(std::min(cfg.chunk_size, size_t(k)));
+    const int64_t max_product =
+        maxAbsLevel(qa, m * k) * maxAbsLevel(qb, k * ldb);
+    rapid_assert(max_product == 0 || span <= INT32_MAX / max_product,
+                 "INT GEMM chunk of ", span, " terms of up to ",
+                 max_product, " overflows a 32-bit lane");
+    const auto kernel = span * max_product <= INT16_MAX
+                            ? &intChunkedGemmKernel<int16_t>
+                            : &intChunkedGemmKernel<int32_t>;
+    kernel(qa, qb, m, k, n, ldb, span, scale, cfg.rounding, out);
+}
+
+/** Validated shape of a grouped 2-D convolution. */
+struct ConvShape
+{
+    int64_t n, ci, h, w;     ///< input (N, Ci, H, W)
+    int64_t co, cig, kh, kw; ///< weight (Co, Ci/groups, Kh, Kw)
+    int64_t ho, wo;          ///< output spatial dims
+    int64_t groups, stride, pad;
+
+    int64_t coPerGroup() const { return co / groups; }
+    /** Rows of one group's im2col matrix: the reduction length. */
+    int64_t reduction() const { return cig * kh * kw; }
+    int64_t pixels() const { return ho * wo; }
 };
 
+ConvShape
+convShape(const Tensor &input, const Tensor &weight, const ConvParams &p)
+{
+    rapid_assert(input.rank() == 4 && weight.rank() == 4,
+                 "conv expects rank-4 input and weight");
+    rapid_assert(p.groups >= 1 && p.stride >= 1 && p.pad >= 0,
+                 "bad conv params: groups ", p.groups, ", stride ",
+                 p.stride, ", pad ", p.pad);
+    const ConvShape s{
+        .n = input.dim(0),
+        .ci = input.dim(1),
+        .h = input.dim(2),
+        .w = input.dim(3),
+        .co = weight.dim(0),
+        .cig = weight.dim(1),
+        .kh = weight.dim(2),
+        .kw = weight.dim(3),
+        .ho = convOutDim(input.dim(2), weight.dim(2), p.stride, p.pad),
+        .wo = convOutDim(input.dim(3), weight.dim(3), p.stride, p.pad),
+        .groups = p.groups,
+        .stride = p.stride,
+        .pad = p.pad};
+    rapid_assert(s.co % s.groups == 0, "Co ", s.co,
+                 " not divisible by groups ", s.groups);
+    rapid_assert(s.ci == s.cig * s.groups, "input Ci ", s.ci,
+                 " != weight Ci/groups ", s.cig, " x groups ", s.groups);
+    rapid_assert(s.ho > 0 && s.wo > 0, "conv output collapsed to zero");
+    return s;
+}
+
+/**
+ * Lower one group of one image to its im2col matrix: row
+ * (icg, ky, kx) and column (oy, ox) of @p cols (row stride @p ld) hold
+ * the input at channel icg of @p image (the group's first channel),
+ * row oy * stride + ky - pad, column ox * stride + kx - pad, or zero
+ * in the padding. Columns past the pixels are left as they are.
+ */
 template <typename T>
 void
-gatherPatch(const Tensor &input, const T &weight_like, int64_t in_n,
-            int64_t oc, int64_t oy, int64_t ox, const ConvParams &p,
-            int64_t cig, int64_t co_per_g, Patch &patch)
+im2col(const T *image, const ConvShape &s, int64_t ld, T *cols)
 {
-    const int64_t h = input.dim(2), w = input.dim(3);
-    const int64_t kh = weight_like.dim(2), kw = weight_like.dim(3);
-    const int64_t g = oc / co_per_g;
-    patch.act.clear();
-    patch.wt.clear();
-    for (int64_t icg = 0; icg < cig; ++icg) {
-        const int64_t ic = g * cig + icg;
-        for (int64_t ky = 0; ky < kh; ++ky) {
-            const int64_t iy = oy * p.stride + ky - p.pad;
-            for (int64_t kx = 0; kx < kw; ++kx) {
-                const int64_t ix = ox * p.stride + kx - p.pad;
-                const bool inside =
-                    iy >= 0 && iy < h && ix >= 0 && ix < w;
-                patch.act.push_back(
-                    inside ? input.at(in_n, ic, iy, ix) : 0.0f);
-                patch.wt.push_back(weight_like.at(oc, icg, ky, kx));
+    for (int64_t icg = 0; icg < s.cig; ++icg) {
+        const T *plane = image + icg * s.h * s.w;
+        for (int64_t ky = 0; ky < s.kh; ++ky) {
+            for (int64_t kx = 0; kx < s.kw; ++kx) {
+                T *row = cols + ((icg * s.kh + ky) * s.kw + kx) * ld;
+                for (int64_t oy = 0; oy < s.ho; ++oy) {
+                    const int64_t iy = oy * s.stride + ky - s.pad;
+                    for (int64_t ox = 0; ox < s.wo; ++ox) {
+                        const int64_t ix = ox * s.stride + kx - s.pad;
+                        const bool inside =
+                            iy >= 0 && iy < s.h && ix >= 0 && ix < s.w;
+                        row[oy * s.wo + ox] =
+                            inside ? plane[iy * s.w + ix] : T(0);
+                    }
+                }
             }
         }
     }
+}
+
+/**
+ * A grouped convolution as one GEMM per image and group:
+ * W_g (Co/g x Ci/g*Kh*Kw) x im2col (Ci/g*Kh*Kw x Ho*Wo), which is the
+ * group's NCHW output block. @p gemm(w, cols, m, k, n, ld, out) runs
+ * each GEMM; the k order (icg, ky, kx) is the receptive field's.
+ */
+template <typename T, typename Gemm>
+Tensor
+lowerConv(const T *input, const T *weight, const ConvShape &s,
+          int64_t lanes, Gemm &&gemm)
+{
+    const int64_t k = s.reduction(), pixels = s.pixels();
+    const int64_t ld = laneStride(pixels, lanes);
+    std::vector<T> cols(size_t(k * ld), T(0));
+    Tensor out({s.n, s.co, s.ho, s.wo});
+    for (int64_t in_n = 0; in_n < s.n; ++in_n) {
+        for (int64_t g = 0; g < s.groups; ++g) {
+            im2col(input + (in_n * s.ci + g * s.cig) * s.h * s.w, s, ld,
+                   cols.data());
+            const int64_t oc0 = g * s.coPerGroup();
+            gemm(weight + oc0 * k, cols.data(), s.coPerGroup(), k,
+                 pixels, ld,
+                 out.data() + (in_n * s.co + oc0) * pixels);
+        }
+    }
+    return out;
+}
+
+template <typename Q>
+std::vector<int16_t>
+levels(const Tensor &t, const Q &q)
+{
+    std::vector<int16_t> out(size_t(t.numel()));
+    q.quantizeLevels(t.data(), t.numel(), out.data());
+    return out;
+}
+
+void
+checkFxuWidth(const PactQuantizer &act_q, const SawbQuantizer &wt_q,
+              unsigned width)
+{
+    rapid_assert(width == 4 || width == 2, "FXU width must be 4 or 2");
+    rapid_assert(act_q.bits() == width && wt_q.bits() == width,
+                 "quantizer width mismatch");
 }
 
 Tensor
@@ -275,7 +479,17 @@ quantizeTensorFp8(const Tensor &t, Fp8Kind kind, const ExecConfig &cfg)
 Tensor
 quantizeTensorFp16(const Tensor &t, Rounding rounding)
 {
-    return quantizeWith(t, dlfloat16(), rounding);
+    Tensor out = t;
+    float *v = out.data();
+    const int64_t n = out.numel();
+    withRounding(rounding, [&](auto mode) {
+        forEachBlocked(n, [&](int64_t i) {
+            v[i] = std::bit_cast<float>(
+                dlfloat16RoundBits<decltype(mode)::value>(
+                    std::bit_cast<uint32_t>(v[i])));
+        });
+    });
+    return out;
 }
 
 Tensor
@@ -299,94 +513,37 @@ Tensor
 fp16Conv2d(const Tensor &input, const Tensor &weight,
            const ConvParams &p, const ExecConfig &cfg)
 {
-    Tensor qi = quantizeTensorFp16(input, cfg.rounding);
-    Tensor qw = quantizeTensorFp16(weight, cfg.rounding);
-    const int64_t n = qi.dim(0), co = qw.dim(0);
-    const int64_t cig = qw.dim(1);
-    const int64_t ho = convOutDim(qi.dim(2), qw.dim(2), p.stride, p.pad);
-    const int64_t wo = convOutDim(qi.dim(3), qw.dim(3), p.stride, p.pad);
-    const int64_t co_per_g = co / p.groups;
-    Tensor out({n, co, ho, wo});
-    Patch patch;
-    for (int64_t in_n = 0; in_n < n; ++in_n)
-        for (int64_t oc = 0; oc < co; ++oc)
-            for (int64_t oy = 0; oy < ho; ++oy)
-                for (int64_t ox = 0; ox < wo; ++ox) {
-                    gatherPatch(qi, qw, in_n, oc, oy, ox, p, cig,
-                                co_per_g, patch);
-                    out.at(in_n, oc, oy, ox) =
-                        chunkedDot(patch.act.data(), patch.wt.data(),
-                                   int64_t(patch.act.size()), cfg);
-                }
-    return out;
+    const ConvShape s = convShape(input, weight, p);
+    const Tensor qi = quantizeTensorFp16(input, cfg.rounding);
+    const Tensor qw = quantizeTensorFp16(weight, cfg.rounding);
+    // The weights take the A side: products are exact and commute, and
+    // each output still adds its terms in the receptive field's order.
+    return lowerConv(qi.data(), qw.data(), s, kLanes,
+                     [&](const float *w, const float *cols, int64_t m,
+                         int64_t k, int64_t n, int64_t ld, float *out) {
+                         chunkedGemm(w, cols, m, k, n, ld, cfg, out);
+                     });
 }
-
-namespace {
-
-/**
- * Integer chunked dot product: int32 intra-chunk accumulation, INT16
- * saturation at chunk boundaries (the MPE's south-bus width), FP32
- * inter-chunk reduction on the SFU.
- */
-float
-intChunkedDot(const int *a_levels, const int *b_levels, int64_t n,
-              float scale, const ExecConfig &cfg)
-{
-    double outer = 0.0;
-    int64_t chunk_acc = 0;
-    size_t in_chunk = 0;
-    for (int64_t i = 0; i < n; ++i) {
-        chunk_acc += int64_t(a_levels[i]) * int64_t(b_levels[i]);
-        if (++in_chunk == cfg.chunk_size) {
-            outer += double(saturateToInt16(chunk_acc));
-            chunk_acc = 0;
-            in_chunk = 0;
-        }
-    }
-    if (in_chunk)
-        outer += double(saturateToInt16(chunk_acc));
-    return dlfloat16().quantize(float(outer * double(scale)),
-                                cfg.rounding);
-}
-
-std::vector<int>
-pactLevels(const Tensor &t, const PactQuantizer &q)
-{
-    std::vector<int> out(size_t(t.numel()));
-    for (int64_t i = 0; i < t.numel(); ++i)
-        out[size_t(i)] = q.quantizeLevel(t[i]);
-    return out;
-}
-
-std::vector<int>
-sawbLevels(const Tensor &t, const SawbQuantizer &q)
-{
-    std::vector<int> out(size_t(t.numel()));
-    for (int64_t i = 0; i < t.numel(); ++i)
-        out[size_t(i)] = q.quantizeLevel(t[i]);
-    return out;
-}
-
-} // namespace
 
 Tensor
 intMatmul(const Tensor &a, const PactQuantizer &act_q, const Tensor &b,
           const SawbQuantizer &wt_q, unsigned width,
           const ExecConfig &cfg)
 {
-    rapid_assert(width == 4 || width == 2, "FXU width must be 4 or 2");
-    rapid_assert(act_q.bits() == width && wt_q.bits() == width,
-                 "quantizer width mismatch");
+    checkFxuWidth(act_q, wt_q, width);
+    rapid_assert(a.rank() == 2 && b.rank() == 2,
+                 "INT GEMM operands must be rank-2");
     const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-    std::vector<int> qa = pactLevels(a, act_q);
-    std::vector<int> qb = sawbLevels(transpose(b), wt_q);
-    const float scale = act_q.scale() * wt_q.scale();
+    rapid_assert(b.dim(0) == k, "INT GEMM inner-dimension mismatch: ", k,
+                 " vs ", b.dim(0));
+    const std::vector<int16_t> qa = levels(a, act_q);
+    const int64_t ldb = laneStride(n, kIntLanes);
+    std::vector<int16_t> qb(size_t(k * ldb), 0);
+    for (int64_t kk = 0; kk < k; ++kk)
+        wt_q.quantizeLevels(b.data() + kk * n, n, qb.data() + kk * ldb);
     Tensor out({m, n});
-    for (int64_t i = 0; i < m; ++i)
-        for (int64_t j = 0; j < n; ++j)
-            out.at(i, j) = intChunkedDot(qa.data() + i * k,
-                                         qb.data() + j * k, k, scale,
-                                         cfg);
+    intChunkedGemm(qa.data(), qb.data(), m, k, n, ldb,
+                   act_q.scale() * wt_q.scale(), cfg, out.data());
     return out;
 }
 
@@ -395,61 +552,17 @@ intConv2d(const Tensor &input, const PactQuantizer &act_q,
           const Tensor &weight, const SawbQuantizer &wt_q,
           unsigned width, const ConvParams &p, const ExecConfig &cfg)
 {
-    rapid_assert(width == 4 || width == 2, "FXU width must be 4 or 2");
-    const int64_t n = input.dim(0), co = weight.dim(0);
-    const int64_t cig = weight.dim(1);
-    const int64_t kh = weight.dim(2), kw = weight.dim(3);
-    const int64_t h = input.dim(2), w = input.dim(3);
-    const int64_t ho = convOutDim(h, kh, p.stride, p.pad);
-    const int64_t wo = convOutDim(w, kw, p.stride, p.pad);
-    const int64_t co_per_g = co / p.groups;
+    checkFxuWidth(act_q, wt_q, width);
+    const ConvShape s = convShape(input, weight, p);
     const float scale = act_q.scale() * wt_q.scale();
-
-    std::vector<int> qi = pactLevels(input, act_q);
-    std::vector<int> qw = sawbLevels(weight, wt_q);
-
-    auto act_level = [&](int64_t nn, int64_t c, int64_t y,
-                         int64_t x) -> int {
-        return qi[size_t(((nn * input.dim(1) + c) * h + y) * w + x)];
-    };
-    auto wt_level = [&](int64_t oc, int64_t icg, int64_t ky,
-                        int64_t kx) -> int {
-        return qw[size_t(((oc * cig + icg) * kh + ky) * kw + kx)];
-    };
-
-    Tensor out({n, co, ho, wo});
-    std::vector<int> pa, pw;
-    for (int64_t in_n = 0; in_n < n; ++in_n) {
-        for (int64_t oc = 0; oc < co; ++oc) {
-            const int64_t g = oc / co_per_g;
-            for (int64_t oy = 0; oy < ho; ++oy) {
-                for (int64_t ox = 0; ox < wo; ++ox) {
-                    pa.clear();
-                    pw.clear();
-                    for (int64_t icg = 0; icg < cig; ++icg) {
-                        const int64_t ic = g * cig + icg;
-                        for (int64_t ky = 0; ky < kh; ++ky) {
-                            const int64_t iy = oy * p.stride + ky - p.pad;
-                            for (int64_t kx = 0; kx < kw; ++kx) {
-                                const int64_t ix =
-                                    ox * p.stride + kx - p.pad;
-                                const bool inside = iy >= 0 && iy < h &&
-                                                    ix >= 0 && ix < w;
-                                pa.push_back(
-                                    inside ? act_level(in_n, ic, iy, ix)
-                                           : 0);
-                                pw.push_back(wt_level(oc, icg, ky, kx));
-                            }
-                        }
-                    }
-                    out.at(in_n, oc, oy, ox) = intChunkedDot(
-                        pa.data(), pw.data(), int64_t(pa.size()), scale,
-                        cfg);
-                }
-            }
-        }
-    }
-    return out;
+    const std::vector<int16_t> qi = levels(input, act_q);
+    const std::vector<int16_t> qw = levels(weight, wt_q);
+    return lowerConv(qi.data(), qw.data(), s, kIntLanes,
+                     [&](const int16_t *w, const int16_t *cols, int64_t m,
+                         int64_t k, int64_t n, int64_t ld, float *out) {
+                         intChunkedGemm(w, cols, m, k, n, ld, scale, cfg,
+                                        out);
+                     });
 }
 
 } // namespace rapid

@@ -54,17 +54,22 @@ Tensor hfp8Matmul(const Tensor &a, Fp8Kind a_kind, const Tensor &b,
                   Fp8Kind b_kind, const ExecConfig &cfg = {});
 
 /**
- * INT4/INT2 GEMM through the FXU pipeline. Activations in @p a are
- * quantized by @p act_q (PACT levels, so @p a should be post-ReLU);
- * weights in @p b by @p wt_q. Integer chunk sums saturate to INT16,
- * then dequantized partial results reduce on the SFU in FP32 and are
- * emitted as DLFloat16.
+ * INT4/INT2 GEMM through the FXU pipeline: (M,K) x (K,N). Activations
+ * in @p a are quantized by @p act_q (PACT levels, so @p a should be
+ * post-ReLU); weights in @p b by @p wt_q. Integer chunk sums saturate
+ * to INT16, then dequantized partial results reduce on the SFU and are
+ * emitted as DLFloat16. Operands that are not rank-2 or whose inner
+ * dimensions differ, and quantizers of another width, are rejected by
+ * assertion.
  */
 Tensor intMatmul(const Tensor &a, const PactQuantizer &act_q,
                  const Tensor &b, const SawbQuantizer &wt_q,
                  unsigned width, const ExecConfig &cfg = {});
 
-/** INT4/INT2 convolution (same quantization scheme as intMatmul). */
+/**
+ * INT4/INT2 convolution (same quantization scheme as intMatmul). The
+ * input's channels must be the weight's Ci/groups times the groups.
+ */
 Tensor intConv2d(const Tensor &input, const PactQuantizer &act_q,
                  const Tensor &weight, const SawbQuantizer &wt_q,
                  unsigned width, const ConvParams &params = {},

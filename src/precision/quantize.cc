@@ -3,9 +3,42 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/lanes.hh"
 #include "common/logging.hh"
 
 namespace rapid {
+
+namespace {
+
+/** The PACT level of @p x at clip @p alpha and step @p scale. */
+inline int
+pactLevel(float x, float alpha, float scale)
+{
+    // NaN propagates through std::min, and casting NaN to int is
+    // undefined behaviour; treat it (and negatives) as the clip floor.
+    // A select, not a branch, so level loops vectorise.
+    const float clipped = x > 0.0f ? std::min(x, alpha) : 0.0f;
+    return int(clipped / scale + 0.5f);
+}
+
+/** The SaWB level of @p w at clip @p alpha, step @p scale and largest
+ *  level @p max_level. */
+inline int
+sawbLevel(float w, float alpha, float scale, int max_level)
+{
+    // NaN would survive the clip and hit the undefined float-to-int
+    // cast below; map it to the zero level. The clip is std::clamp's
+    // for every other input, with both compares always taken, so level
+    // loops vectorise.
+    const float number = std::isnan(w) ? 0.0f : w;
+    const float x = std::min(std::max(number, -alpha), alpha) / scale;
+    // Round half away from zero: x + 0.5 for x >= 0 (-0 included, whose
+    // x - 0.5 also truncates to 0), x - 0.5 below.
+    const int level = int(x + std::copysign(0.5f, x));
+    return std::clamp(level, -max_level, max_level);
+}
+
+} // namespace
 
 PactQuantizer::PactQuantizer(float alpha, unsigned bits)
     : alpha_(alpha), bits_(bits)
@@ -17,12 +50,16 @@ PactQuantizer::PactQuantizer(float alpha, unsigned bits)
 int
 PactQuantizer::quantizeLevel(float x) const
 {
-    // NaN propagates through std::clamp, and casting NaN to int is
-    // undefined behaviour; treat it (and negatives) as the clip floor.
-    if (!(x > 0.0f))
-        return 0;
-    float clipped = std::min(x, alpha_);
-    return int(clipped / scale() + 0.5f);
+    return pactLevel(x, alpha_, scale());
+}
+
+void
+PactQuantizer::quantizeLevels(const float *x, int64_t n, int16_t *out) const
+{
+    const float step = scale();
+    forEachBlocked(n, [&](int64_t i) {
+        out[i] = int16_t(pactLevel(x[i], alpha_, step));
+    });
 }
 
 float
@@ -94,14 +131,17 @@ SawbQuantizer::scale() const
 int
 SawbQuantizer::quantizeLevel(float w) const
 {
-    // NaN survives std::clamp unchanged and would hit the undefined
-    // float-to-int cast below; map it to the zero level.
-    if (std::isnan(w))
-        return 0;
-    int max_level = (1 << (bits_ - 1)) - 1;
-    float x = std::clamp(w, -alpha_, alpha_) / scale();
-    int level = int(x >= 0 ? x + 0.5f : x - 0.5f);
-    return std::clamp(level, -max_level, max_level);
+    return sawbLevel(w, alpha_, scale(), (1 << (bits_ - 1)) - 1);
+}
+
+void
+SawbQuantizer::quantizeLevels(const float *w, int64_t n, int16_t *out) const
+{
+    const float step = scale();
+    const int max_level = (1 << (bits_ - 1)) - 1;
+    forEachBlocked(n, [&](int64_t i) {
+        out[i] = int16_t(sawbLevel(w[i], alpha_, step, max_level));
+    });
 }
 
 float

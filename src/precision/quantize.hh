@@ -41,6 +41,9 @@ class PactQuantizer
     /** Clip-and-quantize to an integer level in [0, 2^bits - 1]. */
     int quantizeLevel(float x) const;
 
+    /** quantizeLevel() of each of the @p n values at @p x, into @p out. */
+    void quantizeLevels(const float *x, int64_t n, int16_t *out) const;
+
     /** Quantize and reconstruct the real value. */
     float quantize(float x) const;
 
@@ -92,6 +95,9 @@ class SawbQuantizer
 
     /** Quantize to a signed level in [-(2^(b-1)-1), 2^(b-1)-1]. */
     int quantizeLevel(float w) const;
+
+    /** quantizeLevel() of each of the @p n values at @p w, into @p out. */
+    void quantizeLevels(const float *w, int64_t n, int16_t *out) const;
 
     /** Quantize and reconstruct. */
     float quantize(float w) const;

@@ -5,6 +5,8 @@
 #include <limits>
 #include <vector>
 
+#include "common/lanes.hh"
+
 namespace rapid {
 
 int64_t
@@ -78,7 +80,7 @@ matmul(const Tensor &a, const Tensor &b)
     // products in ascending k from +0.0 and rounds to float once, so
     // the bits match the i-j-k triple loop. Only the j loop may be
     // vectorised, never k; zero operands are not skipped (0 * Inf is
-    // NaN).
+    // NaN). The j loop runs in blocks, which GCC vectorises at -O2.
     std::vector<double> acc(size_t(n), 0.0);
     for (int64_t i = 0; i < m; ++i) {
         std::fill(acc.begin(), acc.end(), 0.0);
@@ -86,8 +88,10 @@ matmul(const Tensor &a, const Tensor &b)
         for (int64_t kk = 0; kk < k; ++kk) {
             const double a_ik = double(a_row[kk]);
             const float *b_row = b.data() + kk * n;
-            for (int64_t j = 0; j < n; ++j)
-                acc[size_t(j)] += a_ik * double(b_row[j]);
+            double *acc_row = acc.data();
+            forEachBlocked(n, [&](int64_t j) {
+                acc_row[j] += a_ik * double(b_row[j]);
+            });
         }
         float *out_row = out.data() + i * n;
         for (int64_t j = 0; j < n; ++j)

@@ -6,6 +6,7 @@
  * (Sections II-B and II-C).
  */
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -534,6 +535,505 @@ TEST(IntExec, ChunkSaturationEngages)
     float expect = dlfloat16().quantize(float(INT16_MAX) * act_q.scale() *
                                         wt_q.scale());
     EXPECT_FLOAT_EQ(y[0], expect);
+}
+
+/**
+ * The oracle for the integer GEMM kernel: the per-output loop
+ * intMatmul and intConv2d ran before it, copied verbatim. int64 chunk
+ * sums over ascending index chunks, each saturated to INT16, and a
+ * binary64 outer sum.
+ */
+float
+referenceIntChunkedDot(const int *a_levels, const int *b_levels, int64_t n,
+                       float scale, const ExecConfig &cfg)
+{
+    double outer = 0.0;
+    int64_t chunk_acc = 0;
+    size_t in_chunk = 0;
+    for (int64_t i = 0; i < n; ++i) {
+        chunk_acc += int64_t(a_levels[i]) * int64_t(b_levels[i]);
+        if (++in_chunk == cfg.chunk_size) {
+            outer += double(saturateToInt16(chunk_acc));
+            chunk_acc = 0;
+            in_chunk = 0;
+        }
+    }
+    if (in_chunk)
+        outer += double(saturateToInt16(chunk_acc));
+    return dlfloat16().quantize(float(outer * double(scale)),
+                                cfg.rounding);
+}
+
+template <typename Q>
+std::vector<int>
+referenceLevels(const Tensor &t, const Q &q)
+{
+    std::vector<int> out(size_t(t.numel()));
+    for (int64_t i = 0; i < t.numel(); ++i)
+        out[size_t(i)] = q.quantizeLevel(t[i]);
+    return out;
+}
+
+/** referenceIntChunkedDot() of every row of @p a and column of @p b. */
+Tensor
+referenceIntMatmul(const Tensor &a, const PactQuantizer &act_q,
+                   const Tensor &b, const SawbQuantizer &wt_q,
+                   const ExecConfig &cfg)
+{
+    const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
+    std::vector<int> qa = referenceLevels(a, act_q);
+    std::vector<int> qb = referenceLevels(transpose(b), wt_q);
+    const float scale = act_q.scale() * wt_q.scale();
+    Tensor out({m, n});
+    for (int64_t i = 0; i < m; ++i)
+        for (int64_t j = 0; j < n; ++j)
+            out.at(i, j) = referenceIntChunkedDot(qa.data() + i * k,
+                                                  qb.data() + j * k, k,
+                                                  scale, cfg);
+    return out;
+}
+
+/**
+ * The receptive field of output (in_n, oc, oy, ox) as the per-output
+ * patch loops gathered it: @p act_at(c, y, x) and @p wt_at(icg, ky, kx)
+ * in (icg, ky, kx) order, zero activations in the padding.
+ */
+template <typename T, typename ActAt, typename WtAt>
+void
+referencePatch(const Tensor &input, const Tensor &weight, int64_t oc,
+               int64_t oy, int64_t ox, const ConvParams &p, ActAt act_at,
+               WtAt wt_at, std::vector<T> &act, std::vector<T> &wt)
+{
+    const int64_t h = input.dim(2), w = input.dim(3);
+    const int64_t cig = weight.dim(1);
+    const int64_t kh = weight.dim(2), kw = weight.dim(3);
+    const int64_t g = oc / (weight.dim(0) / p.groups);
+    act.clear();
+    wt.clear();
+    for (int64_t icg = 0; icg < cig; ++icg) {
+        const int64_t ic = g * cig + icg;
+        for (int64_t ky = 0; ky < kh; ++ky) {
+            const int64_t iy = oy * p.stride + ky - p.pad;
+            for (int64_t kx = 0; kx < kw; ++kx) {
+                const int64_t ix = ox * p.stride + kx - p.pad;
+                const bool inside = iy >= 0 && iy < h && ix >= 0 && ix < w;
+                act.push_back(inside ? act_at(ic, iy, ix) : T(0));
+                wt.push_back(wt_at(icg, ky, kx));
+            }
+        }
+    }
+}
+
+/** The per-output loop over every conv output, @p dot(act, wt, n) of
+ *  each receptive field. */
+template <typename T, typename ActAt, typename WtAt, typename Dot>
+Tensor
+referenceConv(const Tensor &input, const Tensor &weight,
+              const ConvParams &p, ActAt act_at, WtAt wt_at, Dot dot)
+{
+    const int64_t n = input.dim(0), co = weight.dim(0);
+    const int64_t ho = convOutDim(input.dim(2), weight.dim(2), p.stride,
+                                  p.pad);
+    const int64_t wo = convOutDim(input.dim(3), weight.dim(3), p.stride,
+                                  p.pad);
+    Tensor out({n, co, ho, wo});
+    std::vector<T> act, wt;
+    for (int64_t in_n = 0; in_n < n; ++in_n)
+        for (int64_t oc = 0; oc < co; ++oc)
+            for (int64_t oy = 0; oy < ho; ++oy)
+                for (int64_t ox = 0; ox < wo; ++ox) {
+                    referencePatch<T>(
+                        input, weight, oc, oy, ox, p,
+                        [&](int64_t c, int64_t y, int64_t x) {
+                            return act_at(in_n, c, y, x);
+                        },
+                        [&](int64_t icg, int64_t ky, int64_t kx) {
+                            return wt_at(oc, icg, ky, kx);
+                        },
+                        act, wt);
+                    out.at(in_n, oc, oy, ox) =
+                        dot(act.data(), wt.data(), int64_t(act.size()));
+                }
+    return out;
+}
+
+/** fp16Conv2d's old per-output loop: referenceChunkedDot() of each
+ *  quantized receptive field. */
+Tensor
+referenceFp16Conv2d(const Tensor &input, const Tensor &weight,
+                    const ConvParams &p, const ExecConfig &cfg)
+{
+    const Tensor qi = quantizeTensorFp16(input, cfg.rounding);
+    const Tensor qw = quantizeTensorFp16(weight, cfg.rounding);
+    return referenceConv<float>(
+        qi, qw, p,
+        [&](int64_t n, int64_t c, int64_t y, int64_t x) {
+            return qi.at(n, c, y, x);
+        },
+        [&](int64_t o, int64_t c, int64_t y, int64_t x) {
+            return qw.at(o, c, y, x);
+        },
+        [&](const float *a, const float *b, int64_t n) {
+            return referenceChunkedDot(a, b, n, cfg);
+        });
+}
+
+/** intConv2d's old per-output loop: referenceIntChunkedDot() of each
+ *  receptive field's levels. */
+Tensor
+referenceIntConv2d(const Tensor &input, const PactQuantizer &act_q,
+                   const Tensor &weight, const SawbQuantizer &wt_q,
+                   const ConvParams &p, const ExecConfig &cfg)
+{
+    const std::vector<int> qi = referenceLevels(input, act_q);
+    const std::vector<int> qw = referenceLevels(weight, wt_q);
+    const int64_t ci = input.dim(1), h = input.dim(2), w = input.dim(3);
+    const int64_t cig = weight.dim(1), kh = weight.dim(2),
+                  kw = weight.dim(3);
+    const float scale = act_q.scale() * wt_q.scale();
+    return referenceConv<int>(
+        input, weight, p,
+        [&](int64_t n, int64_t c, int64_t y, int64_t x) {
+            return qi[size_t(((n * ci + c) * h + y) * w + x)];
+        },
+        [&](int64_t o, int64_t c, int64_t y, int64_t x) {
+            return qw[size_t(((o * cig + c) * kh + y) * kw + x)];
+        },
+        [&](const int *a, const int *b, int64_t n) {
+            return referenceIntChunkedDot(a, b, n, scale, cfg);
+        });
+}
+
+/** INT operand fills the integer oracle tests sweep. */
+enum class IntFill
+{
+    Dense,  ///< activations spread over every PACT level
+    Sparse, ///< half the activations zero (skipped k)
+    Zeros,  ///< every activation zero
+};
+
+/** Post-ReLU activations for a PACT clip of @p alpha. */
+void
+fillActivations(Tensor &t, IntFill fill, Rng &rng, float alpha)
+{
+    for (int64_t i = 0; i < t.numel(); ++i) {
+        const float v = float(rng.uniform(0.0, 1.1 * double(alpha)));
+        switch (fill) {
+          case IntFill::Dense:
+            t[i] = v;
+            break;
+          case IntFill::Sparse:
+            t[i] = rng.uniform() < 0.5 ? 0.0f : v;
+            break;
+          case IntFill::Zeros:
+            t[i] = 0.0f;
+            break;
+        }
+    }
+}
+
+constexpr int64_t kIntOracleN[] = {1, 7, 15, 16, 17, 33, 160};
+constexpr int64_t kIntOracleK[] = {1, 63, 64, 65, 160, 200};
+constexpr unsigned kIntWidths[] = {2, 4};
+
+/** Chunk sizes the integer oracles sweep for a reduction of @p k. */
+std::vector<size_t>
+intOracleChunks(int64_t k)
+{
+    return {1, 7, 64, size_t(k), size_t(k) + 1, 4096};
+}
+
+TEST(IntGemmOracle, BitIdenticalOverShapesChunksWidthsAndModes)
+{
+    Rng rng(2000);
+    int64_t outputs = 0;
+    for (IntFill fill : {IntFill::Dense, IntFill::Sparse, IntFill::Zeros}) {
+        for (int64_t n : kIntOracleN) {
+            for (int64_t k : kIntOracleK) {
+                Tensor a({3, k});
+                fillActivations(a, fill, rng, 2.0f);
+                Tensor b = randomTensor(rng, {k, n}, 0.4);
+                for (unsigned width : kIntWidths) {
+                    const PactQuantizer act_q(2.0f, width);
+                    const SawbQuantizer wt_q(b.storage(), width);
+                    for (size_t chunk : intOracleChunks(k)) {
+                        for (Rounding mode : kOracleModes) {
+                            ExecConfig cfg;
+                            cfg.chunk_size = chunk;
+                            cfg.rounding = mode;
+                            const Tensor got =
+                                intMatmul(a, act_q, b, wt_q, width, cfg);
+                            EXPECT_EQ(bitMismatches(got,
+                                                    referenceIntMatmul(
+                                                        a, act_q, b, wt_q,
+                                                        cfg)),
+                                      0)
+                                << "fill=" << int(fill) << " k=" << k
+                                << " n=" << n << " width=" << width
+                                << " chunk=" << chunk
+                                << " mode=" << int(mode);
+                            outputs += got.numel();
+                        }
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(outputs, 0);
+}
+
+/**
+ * Operands whose INT4 levels are exactly the given ones: PACT with
+ * alpha 15 has step 1, so an integer activation is its own level, and
+ * a weight is its level times the step of a SaWB quantizer fitted to a
+ * fixed draw.
+ */
+struct ExactInt4
+{
+    PactQuantizer act_q{15.0f, 4};
+    SawbQuantizer wt_q{Rng(2001).gaussianVector(256, 0.0, 0.4), 4};
+    Tensor a, b;
+
+    ExactInt4(const std::vector<int> &a_levels,
+              const std::vector<std::vector<int>> &b_columns)
+        : a({1, int64_t(a_levels.size())}),
+          b({int64_t(a_levels.size()), int64_t(b_columns.size())})
+    {
+        for (size_t kk = 0; kk < a_levels.size(); ++kk) {
+            a[int64_t(kk)] = float(a_levels[kk]);
+            EXPECT_EQ(act_q.quantizeLevel(a[int64_t(kk)]), a_levels[kk]);
+            for (size_t j = 0; j < b_columns.size(); ++j) {
+                float &v = b.at(int64_t(kk), int64_t(j));
+                v = float(b_columns[j][kk]) * wt_q.scale();
+                EXPECT_EQ(wt_q.quantizeLevel(v), b_columns[j][kk]);
+            }
+        }
+    }
+
+    /** The library's outputs, checked bit for bit against the oracle
+     *  at @p chunk. */
+    Tensor
+    run(size_t chunk) const
+    {
+        ExecConfig cfg;
+        cfg.chunk_size = chunk;
+        const Tensor got = intMatmul(a, act_q, b, wt_q, 4, cfg);
+        EXPECT_EQ(bitMismatches(got, referenceIntMatmul(a, act_q, b, wt_q,
+                                                         cfg)),
+                  0)
+            << "chunk=" << chunk;
+        return got;
+    }
+
+    /** The output a saturated outer sum of @p level_sum gives. */
+    float
+    expect(int64_t level_sum) const
+    {
+        return dlfloat16().quantize(
+            float(double(level_sum) *
+                  double(act_q.scale() * wt_q.scale())));
+    }
+};
+
+/** (a, b) INT4 level pairs, a in [0, 15] and b in [-7, 7], whose
+ *  products sum to @p target. */
+std::vector<std::pair<int, int>>
+termsSummingTo(int64_t target)
+{
+    std::vector<std::pair<int, int>> terms;
+    const int sign = target < 0 ? -1 : 1;
+    int64_t r = std::abs(target);
+    while (r >= 7) {
+        const int a = int(std::min<int64_t>(15, r / 7));
+        terms.emplace_back(a, 7 * sign);
+        r -= 7 * a;
+    }
+    if (r > 0)
+        terms.emplace_back(int(r), sign);
+    return terms;
+}
+
+/** Chunk sums at and just past both INT16 limits saturate exactly as
+ *  the oracle does, in one chunk and in two. */
+TEST(IntGemmOracle, ChunkSumsAtInt16Limits)
+{
+    for (int64_t target : {32767, -32767, 32768, -32768, -32769, 40000}) {
+        const auto terms = termsSummingTo(target);
+        std::vector<int> a_levels, b_levels;
+        for (int rep = 0; rep < 2; ++rep) // the same chunk twice
+            for (auto [a, b] : terms) {
+                a_levels.push_back(a);
+                b_levels.push_back(b);
+            }
+        // Lane 1 mirrors lane 0; lane 2 stays zero.
+        std::vector<int> negated = b_levels;
+        for (int &v : negated)
+            v = -v;
+        const ExactInt4 ops(a_levels,
+                            {b_levels, negated,
+                             std::vector<int>(b_levels.size(), 0)});
+        const int64_t clamped = std::clamp<int64_t>(target, INT16_MIN,
+                                                    INT16_MAX);
+        const int64_t clamped_neg = std::clamp<int64_t>(-target,
+                                                        INT16_MIN,
+                                                        INT16_MAX);
+        // One chunk per copy of the terms: each saturates.
+        const Tensor two = ops.run(terms.size());
+        EXPECT_EQ(two[0], ops.expect(2 * clamped)) << target;
+        EXPECT_EQ(two[1], ops.expect(2 * clamped_neg)) << target;
+        EXPECT_EQ(two[2], 0.0f);
+        // One chunk over both copies.
+        const int64_t both = std::clamp<int64_t>(2 * target, INT16_MIN,
+                                                 INT16_MAX);
+        for (size_t chunk : {a_levels.size(), a_levels.size() + 1,
+                             size_t(4096), size_t(1) << 20})
+            EXPECT_EQ(ops.run(chunk)[0], ops.expect(both))
+                << target << " chunk=" << chunk;
+    }
+}
+
+/**
+ * Both sides of the int16/int32 lane switch: a chunk of 4681 terms of
+ * 7 x 1 has a bound of exactly 32767 (int16 lanes, summing to INT16_MAX
+ * without wrapping), and 4096 terms of 8 x 1 a bound of 32768 (int32
+ * lanes; the sum saturates).
+ */
+TEST(IntGemmOracle, Int16LaneBoundEdges)
+{
+    struct Edge
+    {
+        int64_t k;
+        int a;
+        int64_t sum; ///< the one chunk's sum, before saturation
+    };
+    for (const Edge &e : {Edge{4681, 7, 32767}, Edge{4096, 8, 32768}}) {
+        const ExactInt4 ops(std::vector<int>(size_t(e.k), e.a),
+                            {std::vector<int>(size_t(e.k), 1),
+                             std::vector<int>(size_t(e.k), -1)});
+        for (size_t chunk : {size_t(e.k), size_t(e.k) + 1, size_t(1) << 20}) {
+            const Tensor got = ops.run(chunk);
+            EXPECT_EQ(got[0], ops.expect(std::min<int64_t>(e.sum,
+                                                           INT16_MAX)))
+                << "k=" << e.k;
+            EXPECT_EQ(got[1], ops.expect(-e.sum)) << "k=" << e.k;
+        }
+        // Shorter chunks: the bound shrinks with the chunk.
+        for (size_t chunk : {size_t(1), size_t(7), size_t(64),
+                             size_t(4095)})
+            ops.run(chunk);
+    }
+}
+
+/** Convolution shapes the lowering oracles sweep. */
+struct ConvCase
+{
+    int64_t n, ci, h, w, co, kh, kw;
+    ConvParams p;
+};
+
+const ConvCase kConvCases[] = {
+    {2, 4, 6, 6, 5, 3, 3, {1, 1, 1}},   // padded
+    {1, 6, 7, 5, 4, 3, 3, {2, 1, 2}},   // strided, grouped, non-square
+    {1, 4, 5, 5, 4, 3, 3, {1, 2, 4}},   // depthwise, wide padding
+    {1, 3, 9, 9, 8, 5, 5, {2, 0, 1}},   // strided, unpadded
+    {2, 8, 4, 4, 17, 1, 1, {1, 0, 1}},  // 1x1, odd Co
+    {1, 16, 6, 6, 20, 3, 3, {1, 1, 1}}, // K = 144 spans chunks
+};
+
+TEST(ConvLoweringOracle, Fp16BitIdentical)
+{
+    Rng rng(2002);
+    for (const ConvCase &c : kConvCases) {
+        Tensor x = randomTensor(rng, {c.n, c.ci, c.h, c.w});
+        for (int64_t i = 0; i < x.numel(); i += 3)
+            x[i] = 0.0f; // zero-gated terms
+        const Tensor w = randomTensor(
+            rng, {c.co, c.ci / c.p.groups, c.kh, c.kw});
+        const int64_t k = (c.ci / c.p.groups) * c.kh * c.kw;
+        for (size_t chunk : intOracleChunks(k)) {
+            for (bool fp32_outer : {true, false}) {
+                for (Rounding mode : kOracleModes) {
+                    ExecConfig cfg;
+                    cfg.chunk_size = chunk;
+                    cfg.fp32_outer = fp32_outer;
+                    cfg.rounding = mode;
+                    EXPECT_EQ(bitMismatches(
+                                  fp16Conv2d(x, w, c.p, cfg),
+                                  referenceFp16Conv2d(x, w, c.p, cfg)),
+                              0)
+                        << "ci=" << c.ci << " co=" << c.co
+                        << " groups=" << c.p.groups << " chunk=" << chunk
+                        << " fp32_outer=" << fp32_outer
+                        << " mode=" << int(mode);
+                }
+            }
+        }
+    }
+}
+
+TEST(ConvLoweringOracle, IntBitIdentical)
+{
+    Rng rng(2003);
+    for (const ConvCase &c : kConvCases) {
+        for (IntFill fill : {IntFill::Dense, IntFill::Sparse}) {
+            Tensor x({c.n, c.ci, c.h, c.w});
+            fillActivations(x, fill, rng, 3.0f);
+            const Tensor w = randomTensor(
+                rng, {c.co, c.ci / c.p.groups, c.kh, c.kw}, 0.4);
+            const int64_t k = (c.ci / c.p.groups) * c.kh * c.kw;
+            for (unsigned width : kIntWidths) {
+                const PactQuantizer act_q(3.0f, width);
+                const SawbQuantizer wt_q(w.storage(), width);
+                for (size_t chunk : intOracleChunks(k)) {
+                    for (Rounding mode : kOracleModes) {
+                        ExecConfig cfg;
+                        cfg.chunk_size = chunk;
+                        cfg.rounding = mode;
+                        EXPECT_EQ(
+                            bitMismatches(
+                                intConv2d(x, act_q, w, wt_q, width, c.p,
+                                          cfg),
+                                referenceIntConv2d(x, act_q, w, wt_q, c.p,
+                                                   cfg)),
+                            0)
+                            << "ci=" << c.ci << " co=" << c.co
+                            << " groups=" << c.p.groups
+                            << " width=" << width << " chunk=" << chunk
+                            << " mode=" << int(mode);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/** Malformed INT shapes stop at an assertion instead of reading past
+ *  an operand. */
+TEST(IntExecDeathTest, MatmulRejectsMalformedShapes)
+{
+    const PactQuantizer act_q(1.0f, 4);
+    const SawbQuantizer wt_q({-1.0f, 0.5f, 1.0f}, 4);
+    Tensor a({2, 64}), b({32, 2});
+    EXPECT_DEATH(intMatmul(a, act_q, b, wt_q, 4), "inner-dimension");
+    Tensor v({64});
+    EXPECT_DEATH(intMatmul(v, act_q, b, wt_q, 4), "rank-2");
+}
+
+TEST(IntExecDeathTest, ConvRejectsMalformedShapes)
+{
+    const PactQuantizer act_q(1.0f, 4);
+    const SawbQuantizer wt_q({-1.0f, 0.5f, 1.0f}, 4);
+    Tensor x({1, 2, 4, 4}), w({4, 5, 1, 1});
+    EXPECT_DEATH(intConv2d(x, act_q, w, wt_q, 4), "weight Ci/groups");
+    EXPECT_DEATH(fp16Conv2d(x, w), "weight Ci/groups");
+    Tensor w2({4, 2, 1, 1});
+    const PactQuantizer act2(1.0f, 2);
+    EXPECT_DEATH(intConv2d(x, act2, w2, wt_q, 4),
+                 "quantizer width mismatch");
+    ConvParams p;
+    p.groups = 3; // Co 4 does not split into 3 groups
+    Tensor x6({1, 6, 4, 4});
+    EXPECT_DEATH(intConv2d(x6, act_q, w2, wt_q, 4, p), "groups");
 }
 
 TEST(Datasets, SpiralsShapeAndLabels)

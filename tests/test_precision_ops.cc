@@ -4,7 +4,10 @@
  * the PACT / SaWB quantizers.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -280,6 +283,85 @@ TEST(Sawb, QuantizationIsSymmetric)
     for (int i = 0; i < 500; ++i) {
         float w = weights[i];
         EXPECT_FLOAT_EQ(q.quantize(-w), -q.quantize(w));
+    }
+}
+
+/** PactQuantizer::quantizeLevel() as it was first written, branch
+ *  and all: the oracle for the select form and the batch call. */
+int
+referencePactLevel(const PactQuantizer &q, float x)
+{
+    if (!(x > 0.0f))
+        return 0;
+    float clipped = std::min(x, q.alpha());
+    return int(clipped / q.scale() + 0.5f);
+}
+
+/** SawbQuantizer::quantizeLevel() as it was first written. */
+int
+referenceSawbLevel(const SawbQuantizer &q, float w)
+{
+    if (std::isnan(w))
+        return 0;
+    int max_level = (1 << (q.bits() - 1)) - 1;
+    float x = std::clamp(w, -q.alpha(), q.alpha()) / q.scale();
+    int level = int(x >= 0 ? x + 0.5f : x - 0.5f);
+    return std::clamp(level, -max_level, max_level);
+}
+
+/** Inputs on every rounding class of a quantizer with step @p step and
+ *  clip @p alpha: signed zeros, NaN, infinities, each half step and its
+ *  float neighbours, the clip and past it, and Gaussian draws. */
+std::vector<float>
+levelEdgeInputs(float step, float alpha, uint64_t seed)
+{
+    std::vector<float> v = {0.0f, -0.0f, 1e-45f, -1e-45f,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            alpha, -alpha, 2 * alpha, -2 * alpha};
+    for (int k = -20; k <= 20; ++k) {
+        const float half = (float(k) + 0.5f) * step;
+        v.push_back(half);
+        v.push_back(std::nextafter(half, 1e30f));
+        v.push_back(std::nextafter(half, -1e30f));
+    }
+    Rng rng(seed);
+    for (int i = 0; i < 1000; ++i)
+        v.push_back(float(rng.gaussian(0.0, double(alpha))));
+    return v;
+}
+
+TEST(QuantizerLevels, BatchAndScalarMatchTheOriginalRounding)
+{
+    for (unsigned bits : {2u, 4u}) {
+        const PactQuantizer pact(2.5f, bits);
+        const SawbQuantizer sawb(Rng(40).gaussianVector(512, 0.0, 0.4),
+                                 bits);
+        for (int which = 0; which < 2; ++which) {
+            const std::vector<float> in =
+                which == 0 ? levelEdgeInputs(pact.scale(), pact.alpha(), 41)
+                           : levelEdgeInputs(sawb.scale(), sawb.alpha(), 42);
+            // Odd length: the batch call's block loop and its tail.
+            std::vector<int16_t> batch(in.size());
+            if (which == 0)
+                pact.quantizeLevels(in.data(), int64_t(in.size()),
+                                    batch.data());
+            else
+                sawb.quantizeLevels(in.data(), int64_t(in.size()),
+                                    batch.data());
+            for (size_t i = 0; i < in.size(); ++i) {
+                const int want = which == 0
+                                     ? referencePactLevel(pact, in[i])
+                                     : referenceSawbLevel(sawb, in[i]);
+                const int scalar = which == 0 ? pact.quantizeLevel(in[i])
+                                              : sawb.quantizeLevel(in[i]);
+                EXPECT_EQ(scalar, want) << "bits=" << bits << " which="
+                                        << which << " x=" << in[i];
+                EXPECT_EQ(batch[i], want) << "bits=" << bits << " which="
+                                          << which << " x=" << in[i];
+            }
+        }
     }
 }
 
