@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <string>
 #include <utility>
 
@@ -57,9 +56,8 @@ struct ChipHost
     ServeDomainCore core;
 
     ChipStatus status;
+    /// Ascending local_id: injectArrival hands out increasing ids.
     std::vector<AdoptionMeta> adoptions;
-    /// local record id -> index into adoptions, for the manifest join.
-    std::map<uint64_t, size_t> adopted_by_local;
 
     // Training tenant state (home and replica chips only).
     std::unique_ptr<ResilientTrainer> trainer;
@@ -209,9 +207,13 @@ ChipHost::onFailure(bool degrade)
     wires.reserve(rep.orphans.size());
     for (const OrphanRequest &o : rep.orphans) {
         OrphanWire w;
-        const auto it = adopted_by_local.find(o.id);
-        if (it != adopted_by_local.end()) {
-            const AdoptionMeta &m = adoptions[it->second];
+        const auto it = std::lower_bound(
+            adoptions.begin(), adoptions.end(), o.id,
+            [](const AdoptionMeta &m, uint64_t id) {
+                return m.local_id < id;
+            });
+        if (it != adoptions.end() && it->local_id == o.id) {
+            const AdoptionMeta &m = *it;
             w.origin_chip = m.origin_chip;
             w.origin_id = m.origin_id;
             w.origin_arrival_ns = m.origin_arrival_ns;
@@ -259,7 +261,6 @@ ChipHost::onAdopt(std::vector<AdoptItem> items)
         const uint64_t lid = core.injectArrival(
             it.when, it.tenant,
             cell.cfg.serve.tenants[it.tenant].deadline_ns);
-        adopted_by_local[lid] = adoptions.size();
         adoptions.push_back({idx, lid, it.origin_chip, it.origin_id,
                              it.origin_arrival_ns, it.attempts});
     }

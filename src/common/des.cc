@@ -39,6 +39,9 @@ DesDomain::schedule(SimTime when, int32_t priority, Callback fn)
     RAPID_CHECK_ARG(when >= now_, "domain '", name_,
                     "': scheduling event in the past: ", when, " < ",
                     now_);
+    RAPID_CHECK_ARG(when != kSimNever, "domain '", name_,
+                    "': kSimNever is the no-event sentinel, not an "
+                    "event time");
     push(when, priority, std::move(fn));
 }
 
@@ -56,6 +59,9 @@ DesDomain::send(DomainId dst, SimTime when, int32_t priority,
                     "domain '", name_, "': lookahead violation "
                     "sending to domain ", dst, ": timestamp ", when,
                     " < now ", now_, " + lookahead ", lookahead);
+    RAPID_CHECK_ARG(when != kSimNever, "domain '", name_,
+                    "': kSimNever is the no-event sentinel, not an "
+                    "event time");
     outbox_.push_back(Outgoing{dst, when, priority, std::move(fn)});
 }
 
@@ -199,23 +205,32 @@ DesEngine::run()
         ~RunningGuard() { flag = false; }
     } guard{running_};
     running_ = true;
-    const size_t n = domains_.size();
+    std::vector<DesDomain *> due;
+    due.reserve(domains_.size());
     while (true) {
         const SimTime bound = safeBound();
-        const bool any_pending =
-            std::any_of(domains_.begin(), domains_.end(),
-                        [](const auto &d) { return !d->heap_.empty(); });
-        if (!any_pending)
+        // Only domains with an event below the bound have work in
+        // this window; the rest would return from processUntil at
+        // once. schedule()/send() reject kSimNever, so an unbounded
+        // window leaves no pending event behind.
+        due.clear();
+        for (const auto &d : domains_)
+            if (d->earliest() < bound)
+                due.push_back(d.get());
+        if (due.empty())
             break;
         ++windows_;
-        if (n == 1) {
-            // Single domain: nothing to synchronize with; skip the
-            // pool round-trip and run the whole heap inline.
-            domains_[0]->processUntil(bound);
-        } else {
-            parallelFor(n, [&](size_t i) {
-                domains_[i]->processUntil(bound);
+        if (bound == kSimNever && due.size() > 1) {
+            // An unbounded window runs the rest of the simulation:
+            // enough work per domain to pay for the fork.
+            parallelFor(due.size(), [&](size_t i) {
+                due[i]->processUntil(bound);
             });
+        } else {
+            // A lookahead-bounded window holds a few events per due
+            // domain, far less than the pool round-trip costs.
+            for (DesDomain *d : due)
+                d->processUntil(bound);
         }
         deliverOutboxes();
     }

@@ -17,7 +17,7 @@
  *    pure function of the workload, never of thread scheduling.
  *  - Each DesDomain owns a private event heap and a private now().
  *    Events run only on their owning domain, and a domain is
- *    processed by exactly one pool task at a time, so domain state
+ *    processed by exactly one thread at a time, so domain state
  *    needs no locks and stays ThreadSanitizer-clean by construction.
  *  - Domains exchange timestamped messages over declared channels,
  *    each with a strictly positive lookahead: a message sent while
@@ -32,17 +32,25 @@
  *
  *     B = min over domains d of (earliest_d + min_lookahead_out_d)
  *
- * and lets every domain process its events with time < B in parallel
- * (a domain with no outgoing channels cannot constrain anyone, its
- * lookahead is infinite). Because any message generated inside the
- * window carries a timestamp >= its sender's event time + lookahead
- * >= B, no domain can receive an event in its own past; messages are
- * exchanged serially at the window barrier, in domain index order,
- * which pins their sequence ids deterministically. Strictly positive
- * lookahead guarantees B > min(earliest_d), so the globally earliest
- * event always executes and the loop cannot livelock. When every
- * domain is independent, B is infinite and the whole simulation runs
- * in one fully parallel window.
+ * and lets every due domain (earliest_d < B) process its events with
+ * time < B (a domain with no outgoing channels cannot constrain
+ * anyone, its lookahead is infinite). Because any message generated
+ * inside the window carries a timestamp >= its sender's event time +
+ * lookahead >= B, no domain can receive an event in its own past;
+ * messages are exchanged serially at the window barrier, in domain
+ * index order, which pins their sequence ids deterministically.
+ * Strictly positive lookahead guarantees B > min(earliest_d), so the
+ * globally earliest event always executes and the loop cannot
+ * livelock; kSimNever is not a legal event time.
+ *
+ * Which windows run in parallel: when every domain is independent, B
+ * is infinite and the whole simulation runs in one window that forks
+ * its due domains over the pool. A lookahead-bounded window (only
+ * channel-connected simulations such as the fleet have them) holds an
+ * event or two per due domain, while a pool fork costs about 16 us on
+ * a 4-vCPU x86 host; so bounded windows run their due domains inline
+ * on the calling thread, in domain index order. Either way the
+ * results are the same.
  */
 
 #ifndef RAPID_COMMON_DES_HH
@@ -116,7 +124,8 @@ class DesDomain
 
     /**
      * Schedule a local event at absolute time @p when (>= now()) on
-     * priority lane @p priority. Throws rapid::Error on a past time.
+     * priority lane @p priority. Throws rapid::Error on a past time
+     * or on kSimNever.
      */
     void schedule(SimTime when, int32_t priority, Callback fn);
 
@@ -131,8 +140,9 @@ class DesDomain
      * Send a cross-domain event to @p dst, to execute there at
      * absolute time @p when. Requires a channel declared via
      * DesEngine::connect and @p when >= now() + that channel's
-     * lookahead; throws rapid::Error otherwise. Delivery happens at
-     * the next window barrier, in deterministic order.
+     * lookahead and @p when != kSimNever; throws rapid::Error
+     * otherwise. Delivery happens at the next window barrier, in
+     * deterministic order.
      */
     void send(DomainId dst, SimTime when, int32_t priority,
               Callback fn);
@@ -190,10 +200,11 @@ class DesDomain
 };
 
 /**
- * The engine: owns the domains, computes safe windows, and drives
- * each window over the shared ThreadPool (rapid::parallelFor), so a
- * nested use inside an outer parallel region degrades to a serial
- * loop exactly like every other sweep primitive.
+ * The engine: owns the domains, computes safe windows, and runs each
+ * window's due domains, forking unbounded windows over the shared
+ * ThreadPool (rapid::parallelFor, so a nested use inside an outer
+ * parallel region degrades to a serial loop exactly like every other
+ * sweep primitive) and bounded windows inline.
  */
 class DesEngine
 {

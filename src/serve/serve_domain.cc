@@ -426,19 +426,13 @@ ServeDomainCore::injectArrival(int64_t time_ns, unsigned tenant,
     const uint64_t id = result_.requests.size();
     result_.requests.emplace_back();
     const int64_t when = std::max(dom_.now(), time_ns);
-    pending_injected_.push_back({id, tenant, when});
+    const size_t slot = injected_.size();
+    injected_.push_back({id, tenant, when});
     dom_.schedule(when, kPriArrival,
-                  [this, id, tenant, when, deadline_ns] {
+                  [this, id, slot, tenant, when, deadline_ns] {
                       if (dead_)
                           return; // halt() already filed the record
-                      for (size_t i = 0; i < pending_injected_.size();
-                           ++i)
-                          if (pending_injected_[i].id == id) {
-                              pending_injected_.erase(
-                                  pending_injected_.begin() +
-                                  long(i));
-                              break;
-                          }
+                      injected_[slot].admitted = true;
                       RequestRecord &rec = result_.requests[id];
                       rec.id = id;
                       rec.tenant = tenant;
@@ -488,14 +482,16 @@ ServeDomainCore::halt()
         q.head = 0;
     }
     // Injected arrivals scheduled but not yet admitted.
-    for (const InjectedPending &p : pending_injected_) {
+    for (const Injected &p : injected_) {
+        if (p.admitted)
+            continue;
         RequestRecord &rec = result_.requests[p.id];
         rec.id = p.id;
         rec.tenant = p.tenant;
         rec.arrival_ns = p.when;
         file(p.id, false);
     }
-    pending_injected_.clear();
+    injected_.clear();
     // The unadmitted trace remainder, in trace order.
     for (size_t i = next_arrival_; i < arrivals_.size(); ++i) {
         const Arrival &a = arrivals_[i];

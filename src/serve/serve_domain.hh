@@ -130,13 +130,14 @@ class ServeDomainCore
     void setTable(const LatencyTable *table);
 
   private:
-    /** An injectArrival() whose admission event has not fired yet;
-     *  halt() files these as unadmitted orphans. */
-    struct InjectedPending
+    /** One injectArrival(); halt() files the ones whose admission
+     *  event has not fired yet as unadmitted orphans. */
+    struct Injected
     {
         uint64_t id = 0;
         unsigned tenant = 0;
         int64_t when = 0;
+        bool admitted = false;
     };
 
     /** One dynamic-batching queue: requests of one
@@ -175,7 +176,8 @@ class ServeDomainCore
     int64_t max_wait_;
 
     std::vector<Arrival> arrivals_;
-    std::vector<InjectedPending> pending_injected_;
+    /// In injection order; admission events index it by slot.
+    std::vector<Injected> injected_;
     std::vector<Queue> queues_;
     std::vector<std::vector<int>> queue_of_;
     /// Bumped on every launch of the queue; pending head timeouts

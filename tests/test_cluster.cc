@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "cluster/fleet.hh"
@@ -220,6 +222,39 @@ TEST_F(ClusterTest, AccountingClosesUnderKills)
                                .run())
                       .offered);
     }
+}
+
+// Chip 2 adopts chip 1's orphans, then dies itself: its death manifest
+// must carry each re-stranded request's original origin and hop count
+// (the adoption join), and its own trace requests as its own.
+TEST_F(ClusterTest, ChainedDeathKeepsAdoptedOriginsInTheLedger)
+{
+    ClusterConfig cfg = smallFleet(3);
+    cfg.failures.scripted = {{1, 80 * kMs, false},
+                             {2, 120 * kMs, false}};
+    const FleetResult result =
+        FleetSim(makeInferenceChip(), cfg).run();
+    const FleetLedger ledger = buildFleetLedger(cfg, result);
+    EXPECT_TRUE(ledger.closed())
+        << "offered " << ledger.offered << " != " << ledger.completed
+        << " + " << ledger.shed << " + " << ledger.failed;
+    EXPECT_EQ(ledger.chips_failed, 2u);
+    size_t adopted_by_2 = 0, readopted_from_1 = 0, own_from_2 = 0;
+    std::set<std::tuple<size_t, uint64_t, size_t>> seen;
+    for (const AdoptionMeta &a : result.adoptions) {
+        EXPECT_NE(a.origin_chip, a.host_chip);
+        EXPECT_TRUE(
+            seen.insert({a.origin_chip, a.origin_id, a.host_chip}).second)
+            << "origin " << a.origin_chip << "/" << a.origin_id
+            << " adopted twice by chip " << a.host_chip;
+        adopted_by_2 += a.host_chip == 2 ? 1 : 0;
+        readopted_from_1 +=
+            a.host_chip == 0 && a.origin_chip == 1 && a.attempts > 0;
+        own_from_2 += a.host_chip == 0 && a.origin_chip == 2;
+    }
+    EXPECT_GT(adopted_by_2, 0u);
+    EXPECT_GT(readopted_from_1, 0u);
+    EXPECT_GT(own_from_2, 0u);
 }
 
 TEST_F(ClusterTest, FailoverHoldsGoodputWhereNoFailoverCollapses)

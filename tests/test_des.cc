@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -200,6 +201,23 @@ TEST_F(DesTest, SchedulingInThePastThrows)
     EXPECT_THROW(engine.run(), Error);
 }
 
+// kSimNever is the "no event" sentinel: an event there could never
+// fall below a window bound, so run() would spin without executing it.
+TEST_F(DesTest, EventAtSimNeverThrows)
+{
+    DesEngine engine;
+    const DomainId a = engine.addDomain("a");
+    const DomainId b = engine.addDomain("b");
+    engine.connect(a, b, 10);
+    DesDomain &da = engine.domain(a);
+    EXPECT_THROW(da.schedule(kSimNever, 0, [] {}), Error);
+    EXPECT_EQ(da.pending(), 0u);
+
+    da.schedule(5, 0, [&da] { da.send(1, kSimNever, 0, [] {}); });
+    EXPECT_THROW(engine.run(), Error);
+    EXPECT_EQ(engine.domain(b).pending(), 0u);
+}
+
 TEST_F(DesTest, ConnectValidation)
 {
     DesEngine engine;
@@ -329,15 +347,25 @@ fuzzDump(uint64_t seed)
     return out.str();
 }
 
+/// FNV-1a over the 100 seeds' fuzzDump text.
+constexpr uint64_t kFuzzDumpDigest = 0xeaae0eea3bbdd043ull;
+
 TEST_F(DesTest, ScheduleFuzzByteIdenticalAcrossThreadCounts)
 {
     constexpr uint64_t kSeeds = 100;
     std::vector<std::string> baseline(kSeeds);
     ThreadPool::setDefaultThreads(1);
+    uint64_t all = kFnvOffset;
     for (uint64_t seed = 0; seed < kSeeds; ++seed) {
         baseline[seed] = fuzzDump(seed);
         ASSERT_FALSE(baseline[seed].empty());
+        for (const char c : baseline[seed])
+            all = (all ^ uint64_t(uint8_t(c))) * kFnvPrime;
     }
+    // Pins the dumps themselves (window counts included), so a change
+    // to how windows execute cannot shift results at every thread
+    // count at once.
+    EXPECT_EQ(all, kFuzzDumpDigest) << std::hex << all;
     for (size_t threads : {2u, 4u, 8u}) {
         ThreadPool::setDefaultThreads(threads);
         for (uint64_t seed = 0; seed < kSeeds; ++seed)
@@ -345,6 +373,61 @@ TEST_F(DesTest, ScheduleFuzzByteIdenticalAcrossThreadCounts)
                 << "divergence at seed " << seed << ", --threads "
                 << threads;
     }
+}
+
+// The window execution rule: an unbounded window (no channels, so it
+// runs the rest of the simulation) forks its due domains over the
+// pool; a lookahead-bounded window holds too little work to pay for a
+// fork and runs its due domains inline on the calling thread.
+TEST_F(DesTest, UnboundedWindowsForkBoundedWindowsRunInline)
+{
+    ThreadPool::setDefaultThreads(4);
+
+    DesEngine free_engine;
+    std::vector<int> free_in_task(4, -1);
+    for (size_t i = 0; i < free_in_task.size(); ++i) {
+        DesDomain &dom = free_engine.domain(
+            free_engine.addDomain("free" + std::to_string(i)));
+        dom.schedule(SimTime(i), 0, [&free_in_task, i] {
+            free_in_task[i] = ThreadPool::inTask() ? 1 : 0;
+        });
+    }
+    free_engine.run();
+    EXPECT_EQ(free_engine.windows(), 1u);
+    for (size_t i = 0; i < free_in_task.size(); ++i)
+        EXPECT_EQ(free_in_task[i], 1) << "domain " << i;
+
+    // Two chips reporting to a router at the same instants: every
+    // window is bounded by the 5 ns lookahead and has two due domains.
+    DesEngine linked;
+    const DomainId router = linked.addDomain("router");
+    std::vector<DomainId> chips;
+    for (int i = 0; i < 2; ++i) {
+        chips.push_back(linked.addDomain("chip" + std::to_string(i)));
+        linked.connect(router, chips.back(), 5);
+        linked.connect(chips.back(), router, 5);
+    }
+    // Atomic so that a regression to forking fails the assertions
+    // below instead of racing.
+    std::atomic<int> events{0};
+    std::atomic<int> in_task{0};
+    auto note = [&events, &in_task] {
+        ++events;
+        if (ThreadPool::inTask())
+            ++in_task;
+    };
+    for (const DomainId c : chips) {
+        DesDomain *dom = &linked.domain(c);
+        for (SimTime t = 0; t < 40; t += 7)
+            dom->schedule(t, 0, [dom, router, t, note] {
+                note();
+                dom->send(router, t + 5, 0, note);
+            });
+    }
+    linked.run();
+    EXPECT_GT(linked.windows(), 1u);
+    EXPECT_EQ(events, 2 * 2 * 6);
+    EXPECT_EQ(in_task, 0);
 }
 
 // A batch of fully independent domains runs in exactly one

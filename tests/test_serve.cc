@@ -16,11 +16,13 @@
 #include <map>
 #include <memory>
 
+#include "common/des.hh"
 #include "common/error.hh"
 #include "common/parallel.hh"
 #include "common/random.hh"
 #include "serve/metrics.hh"
 #include "serve/queue_delay.hh"
+#include "serve/serve_domain.hh"
 #include "serve/server_sim.hh"
 #include "serve/workload.hh"
 
@@ -1300,6 +1302,39 @@ TEST_F(ServeTest, BatchedEngineMatchesReferenceAtEveryThreadCount)
         for (size_t i = 0; i < batched.size(); ++i)
             expectResultsIdentical(batched[i], reference[i]);
     }
+}
+
+// halt() files each injected request once. One whose admission event
+// already ran is queued, in flight or done; only the others come back
+// as unadmitted orphans, in injection order (not arrival order).
+TEST_F(ServeTest, HaltFilesOnlyUnadmittedInjectedArrivals)
+{
+    const ServeSim sim(makeInferenceChip(), singleTenantConfig(0.0));
+    DesEngine engine;
+    DesDomain &dom = engine.domain(engine.addDomain("chip"));
+    ServeDomainCore core(sim, dom);
+    core.start();
+    std::vector<uint64_t> ids;
+    HaltReport rep;
+    dom.schedule(1 * kMs, ServeDomainCore::kPriOverlay, [&] {
+        for (int64_t at_ms : {1, 3, 2, 5, 4})
+            ids.push_back(core.injectArrival(at_ms * kMs, 0, 10 * kMs));
+    });
+    dom.schedule(3 * kMs, ServeDomainCore::kPriOverlay,
+                 [&] { rep = core.halt(); });
+    engine.run();
+
+    ASSERT_EQ(ids.size(), 5u);
+    std::vector<uint64_t> unadmitted;
+    std::map<uint64_t, int> filed;
+    for (const OrphanRequest &o : rep.orphans) {
+        ++filed[o.id];
+        if (!o.admitted)
+            unadmitted.push_back(o.id);
+    }
+    for (const auto &[id, n] : filed)
+        EXPECT_EQ(n, 1) << "request " << id << " filed twice";
+    EXPECT_EQ(unadmitted, (std::vector<uint64_t>{ids[3], ids[4]}));
 }
 
 TEST_F(ServeTest, RunServeBatchRejectsNullSimulator)
