@@ -233,7 +233,7 @@ scratchpadFaults()
 
     Table t({"Rate/block", "Protection", "Injected", "Re-streams",
              "SDC blocks", "Makespan", "vs clean"});
-    Tick clean = 0;
+    SimTime clean = 0;
     for (int row = 0; row < 4; ++row) {
         const double rate = row == 0 ? 0.0 : (row == 3 ? 0.25 : 0.1);
         const int prot = row == 2 || row == 3 ? 1 : 0;

@@ -193,7 +193,7 @@ DesEngine::deliverOutboxes()
 }
 
 void
-DesEngine::run()
+DesEngine::run(SimTime until)
 {
     RAPID_CHECK_ARG(!running_, "DesEngine::run is not reentrant");
     finalizeChannels();
@@ -205,31 +205,29 @@ DesEngine::run()
         ~RunningGuard() { flag = false; }
     } guard{running_};
     running_ = true;
-    std::vector<DesDomain *> due;
-    due.reserve(domains_.size());
     while (true) {
-        const SimTime bound = safeBound();
+        const SimTime bound = std::min(safeBound(), until);
         // Only domains with an event below the bound have work in
         // this window; the rest would return from processUntil at
         // once. schedule()/send() reject kSimNever, so an unbounded
         // window leaves no pending event behind.
-        due.clear();
+        due_.clear();
         for (const auto &d : domains_)
             if (d->earliest() < bound)
-                due.push_back(d.get());
-        if (due.empty())
+                due_.push_back(d.get());
+        if (due_.empty())
             break;
         ++windows_;
-        if (bound == kSimNever && due.size() > 1) {
+        if (bound == kSimNever && due_.size() > 1) {
             // An unbounded window runs the rest of the simulation:
             // enough work per domain to pay for the fork.
-            parallelFor(due.size(), [&](size_t i) {
-                due[i]->processUntil(bound);
+            parallelFor(due_.size(), [&](size_t i) {
+                due_[i]->processUntil(bound);
             });
         } else {
             // A lookahead-bounded window holds a few events per due
             // domain, far less than the pool round-trip costs.
-            for (DesDomain *d : due)
+            for (DesDomain *d : due_)
                 d->processUntil(bound);
         }
         deliverOutboxes();

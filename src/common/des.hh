@@ -1,11 +1,12 @@
 /**
  * @file
  * Deterministic conservative parallel discrete-event core for the
- * virtual clock. Every simulator in the repo advances integer-ns
- * time; this engine lets *independent* simulation domains (serving
- * scenarios, chips in a batch, fault sites) advance concurrently on
- * the deterministic fork-join pool while producing bit-identical
- * results at any --threads N.
+ * virtual clock, and the one event engine of the repo. Every
+ * simulator advances integer-ns (or integer-cycle) time; this engine
+ * lets *independent* simulation domains (serving scenarios, fleet
+ * chips) advance concurrently on the deterministic fork-join pool
+ * while producing bit-identical results at any --threads N. The
+ * cycle-level simulators in src/sim run their cores on one domain.
  *
  * Model:
  *
@@ -49,8 +50,9 @@
  * channel-connected simulations such as the fleet have them) holds an
  * event or two per due domain, while a pool fork costs about 16 us on
  * a 4-vCPU x86 host; so bounded windows run their due domains inline
- * on the calling thread, in domain index order. Either way the
- * results are the same.
+ * on the calling thread, in domain index order. run(until) caps B at
+ * until, so its windows are bounded too. Either way the results are
+ * the same.
  */
 
 #ifndef RAPID_COMMON_DES_HH
@@ -229,12 +231,16 @@ class DesEngine
     const DesDomain &domain(DomainId id) const;
 
     /**
-     * Run every domain to completion (all heaps drained). Safe to
-     * call repeatedly: newly scheduled events after a run() simply
-     * continue the simulation. The first exception thrown by an event
-     * callback aborts the run and is rethrown at the barrier.
+     * Run every event with time < @p until, in windows; by default
+     * every domain runs to completion (all heaps drained). Events at
+     * or after @p until stay pending and domain clocks stay at their
+     * last executed event, so a later run() resumes in key order.
+     * Without channels, a chain of bounded runs executes the events
+     * of one run() in the same order. The first exception thrown by
+     * an event callback aborts the run and is rethrown at the
+     * barrier.
      */
-    void run();
+    void run(SimTime until = kSimNever);
 
     /** Conservative windows executed so far (determinism metric). */
     uint64_t windows() const { return windows_; }
@@ -258,6 +264,10 @@ class DesEngine
     // unique_ptr keeps domain addresses stable across addDomain so
     // event callbacks may capture raw DesDomain pointers.
     std::vector<std::unique_ptr<DesDomain>> domains_;
+    /// Scratch list of the window's due domains, kept across run()
+    /// calls so a caller that runs one cycle at a time allocates
+    /// nothing per call.
+    std::vector<DesDomain *> due_;
     bool running_ = false;
     uint64_t windows_ = 0;
 };

@@ -1,9 +1,9 @@
 #include "sim/chip_sim.hh"
 
 #include <memory>
-#include <string>
 
 #include "common/des.hh"
+#include "common/error.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
 
@@ -12,21 +12,24 @@ namespace rapid {
 ChipSim::ChipSim(unsigned num_cores, bool multicast, MniConfig mni_cfg)
     : numCores_(num_cores), multicast_(multicast), mniCfg_(mni_cfg)
 {
-    rapid_assert(num_cores >= 1, "need at least one core");
+    RAPID_CHECK_ARG(num_cores >= 1, "need at least one core");
 }
 
 ChipRunStats
-ChipSim::run(const LayerProgram &prog, Tick lrf_load_cycles)
+ChipSim::run(const LayerProgram &prog, SimTime lrf_load_cycles) const
 {
     RingConfig ring_cfg;
     ring_cfg.num_nodes = numCores_ + 1; // + memory interface
     MniFabric mni(ring_cfg, mniCfg_);
 
-    EventQueue eq;
+    // Every core's MPE thread runs on one domain, which each cycle
+    // below advances through that cycle's events.
+    DesEngine engine;
+    DesDomain &chip = engine.domain(engine.addDomain("chip"));
     std::vector<std::unique_ptr<MpeThread>> cores;
     for (unsigned c = 0; c < numCores_; ++c) {
         cores.push_back(std::make_unique<MpeThread>(
-            eq, prog, lrf_load_cycles));
+            chip, prog, lrf_load_cycles));
         cores.back()->start();
     }
 
@@ -40,9 +43,12 @@ ChipSim::run(const LayerProgram &prog, Tick lrf_load_cycles)
         return multicast_ ? base : base * numCores_ + core + 1000000;
     };
 
+    // Each request completes exactly once, for the core that made it.
+    const size_t planned_completions =
+        size_t(numCores_) * prog.transfers.size();
     size_t completions_seen = 0;
-    Tick tick = 0;
-    const Tick limit = 500000000;
+    SimTime tick = 0;
+    const SimTime limit = 500000000;
     auto all_done = [&] {
         for (const auto &c : cores)
             if (!c->done())
@@ -67,6 +73,9 @@ ChipSim::run(const LayerProgram &prog, Tick lrf_load_cycles)
         }
         mni.step();
         // Dispatch newly landed blocks to their cores' token boards.
+        // Known defect (DESIGN.md section 12): the domain has not
+        // reached this tick yet, so a post wakes its waiter at
+        // chip.now(), the last executed event, in the past.
         const auto &done = mni.completions();
         for (; completions_seen < done.size(); ++completions_seen) {
             const MniCompletion &comp = done[completions_seen];
@@ -74,7 +83,18 @@ ChipSim::run(const LayerProgram &prog, Tick lrf_load_cycles)
             cores[comp.consumer]->tokens().post(
                 unsigned(comp.local_addr));
         }
-        eq.run(tick);
+        engine.run(tick + 1);
+        // Nothing pending and nothing left to land: a core that is
+        // still waiting waits forever.
+        if (chip.pending() == 0 &&
+            completions_seen == planned_completions) {
+            for (unsigned c = 0; c < numCores_; ++c)
+                RAPID_CHECK_ARG(cores[c]->done(), "chip program "
+                                "deadlocked at cycle ", tick, ": core ",
+                                c, " waits on token ",
+                                cores[c]->blockedToken(),
+                                " that no planned transfer posts");
+        }
     }
 
     ChipRunStats stats;
@@ -87,26 +107,11 @@ ChipSim::run(const LayerProgram &prog, Tick lrf_load_cycles)
 
 std::vector<ChipRunStats>
 ChipSim::runBatch(const std::vector<LayerProgram> &progs,
-                  Tick lrf_load_cycles) const
+                  SimTime lrf_load_cycles) const
 {
-    // One DES domain per batch entry; each runs its whole chip
-    // simulation as a single event at t=0 (the chip's own EventQueue
-    // is the cycle-accurate micro-engine inside the domain). The
-    // domains are independent — no channels — so the engine executes
-    // the batch as one fully parallel window on the shared pool.
-    DesEngine engine;
-    std::vector<ChipRunStats> out(progs.size());
-    for (size_t i = 0; i < progs.size(); ++i) {
-        const DomainId id =
-            engine.addDomain("chip" + std::to_string(i));
-        engine.domain(id).schedule(0, 0, [this, &out, &progs, i,
-                                          lrf_load_cycles] {
-            ChipSim sim(numCores_, multicast_, mniCfg_);
-            out[i] = sim.run(progs[i], lrf_load_cycles);
-        });
-    }
-    engine.run();
-    return out;
+    return parallelMap(progs.size(), [&](size_t i) {
+        return run(progs[i], lrf_load_cycles);
+    });
 }
 
 } // namespace rapid

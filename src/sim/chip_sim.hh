@@ -26,7 +26,7 @@ namespace rapid {
 /** Whole-chip outcome. */
 struct ChipRunStats
 {
-    Tick makespan = 0;
+    SimTime makespan = 0;
     uint64_t ring_flit_hops = 0;
     std::vector<CoreRunStats> cores;
 };
@@ -47,10 +47,12 @@ class ChipSim
 
     /**
      * Run @p prog on every core; weight tiles stream from memory.
-     * @p lrf_load_cycles is the per-tile LRF hand-off cost.
+     * @p lrf_load_cycles is the per-tile LRF hand-off cost. Throws
+     * InvalidArgument, naming the token, when a core waits on a
+     * token that no planned transfer posts.
      */
     ChipRunStats run(const LayerProgram &prog,
-                     Tick lrf_load_cycles = 8);
+                     SimTime lrf_load_cycles = 8) const;
 
     /**
      * Run a batch of independent layer programs, one full chip
@@ -58,15 +60,13 @@ class ChipSim
      *
      * Within one simulated cycle the cores all share the MNI fabric
      * and the memory node, so the safe (and deterministic) batch axis
-     * is across simulations, not across cores inside one: each batch
-     * entry becomes a domain of one rapid::DesEngine (its gem5-style
-     * per-chip EventQueue stays the cycle-level micro-engine inside
-     * the domain), domains share no mutable state, and results gather
-     * by index. Output is bit-identical to calling run() in a loop.
+     * is across simulations, not across cores inside one: the entries
+     * share no mutable state and results gather by index, so output
+     * is bit-identical to calling run() in a loop.
      */
     std::vector<ChipRunStats> runBatch(
         const std::vector<LayerProgram> &progs,
-        Tick lrf_load_cycles = 8) const;
+        SimTime lrf_load_cycles = 8) const;
 
   private:
     unsigned numCores_;

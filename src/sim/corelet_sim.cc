@@ -2,34 +2,37 @@
 
 #include <algorithm>
 
-#include "common/logging.hh"
+#include "common/error.hh"
 #include "sim/mpe_thread.hh"
 
 namespace rapid {
 
-CoreletSim::CoreletSim(double l1_bytes_per_cycle, Tick lrf_load_cycles)
+CoreletSim::CoreletSim(double l1_bytes_per_cycle,
+                       SimTime lrf_load_cycles)
     : l1BytesPerCycle_(l1_bytes_per_cycle),
       lrfLoadCycles_(lrf_load_cycles)
 {
-    rapid_assert(l1_bytes_per_cycle > 0, "non-positive L1 bandwidth");
+    RAPID_CHECK_ARG(l1_bytes_per_cycle > 0, "non-positive L1 bandwidth ",
+                    l1_bytes_per_cycle);
 }
 
 CoreletRunStats
 CoreletSim::run(const LayerProgram &prog)
 {
-    EventQueue eq;
-    MpeThread proc(eq, prog, lrfLoadCycles_);
+    DesEngine engine;
+    DesDomain &corelet = engine.domain(engine.addDomain("corelet"));
+    MpeThread proc(corelet, prog, lrfLoadCycles_);
     CoreletRunStats stats;
 
     // Data-sequencing thread: stream the staged transfers back to
     // back through the L1 port, posting each block's ready token the
     // cycle its tail lands. It naturally runs ahead of the processor.
-    Tick seq_time = 0;
+    SimTime seq_time = 0;
     uint64_t fault_item = 0;
     for (const auto &tr : prog.transfers) {
-        const Tick cycles = std::max<Tick>(
-            1, Tick((double(tr.bytes) + l1BytesPerCycle_ - 1) /
-                    l1BytesPerCycle_));
+        const SimTime cycles = std::max<SimTime>(
+            1, SimTime((double(tr.bytes) + l1BytesPerCycle_ - 1) /
+                       l1BytesPerCycle_));
         seq_time += cycles;
         if (injector_ && injector_->active(FaultSite::Scratchpad)) {
             // One injection item per staged block. A detected fault
@@ -43,16 +46,16 @@ CoreletSim::run(const LayerProgram &prog)
                 ++stats.faults.sdc;
         }
         const unsigned token = tr.ready_token;
-        eq.schedule(seq_time,
-                    [&proc, token] { proc.tokens().post(token); });
+        corelet.schedule(seq_time, 0,
+                         [&proc, token] { proc.tokens().post(token); });
     }
     stats.sequencer_cycles = seq_time;
 
     proc.start();
-    eq.run();
-    rapid_assert(proc.done(),
-                 "corelet program deadlocked: processor blocked on a "
-                 "token the sequencer never posts");
+    engine.run();
+    RAPID_CHECK_ARG(proc.done(), "corelet program deadlocked: the "
+                    "processor waits on token ", proc.blockedToken(),
+                    " that no planned transfer posts");
     const CoreRunStats &core = proc.stats();
     stats.total_cycles = core.finish_cycle;
     stats.processor_cycles = core.issue_cycles;

@@ -18,21 +18,21 @@
 #define RAPID_SIM_CORELET_SIM_HH
 
 #include "compiler/codegen.hh"
+#include "common/des.hh"
 #include "common/fault.hh"
-#include "sim/event_queue.hh"
 
 namespace rapid {
 
 /** Outcome of simulating one compiled layer on a corelet. */
 struct CoreletRunStats
 {
-    Tick total_cycles = 0;     ///< makespan
-    Tick sequencer_cycles = 0; ///< time the sequencer spent streaming
-    Tick processor_cycles = 0; ///< time the MPE program spent issuing
-    Tick stall_cycles = 0;     ///< processor cycles blocked on tokens
+    SimTime total_cycles = 0;     ///< makespan
+    SimTime sequencer_cycles = 0; ///< time the sequencer spent streaming
+    SimTime processor_cycles = 0; ///< time the MPE program spent issuing
+    SimTime stall_cycles = 0;     ///< processor cycles blocked on tokens
     uint64_t fmma_issued = 0;
     uint64_t tiles_loaded = 0;
-    FaultStats faults;         ///< Scratchpad-site injection outcome
+    FaultStats faults;            ///< Scratchpad-site injection outcome
 
     /** Fraction of fetch time hidden under compute. */
     double
@@ -52,11 +52,16 @@ class CoreletSim
      * @param l1_bytes_per_cycle Bandwidth of the sequencer's L1 port.
      * @param lrf_load_cycles Cycles the processor spends switching a
      *        staged block into the LRF (the block-load hand-off).
+     * Throws InvalidArgument on a non-positive L1 bandwidth.
      */
     explicit CoreletSim(double l1_bytes_per_cycle = 128.0,
-                        Tick lrf_load_cycles = 8);
+                        SimTime lrf_load_cycles = 8);
 
-    /** Simulate @p prog to completion and return the timeline. */
+    /**
+     * Simulate @p prog to completion and return the timeline. Throws
+     * InvalidArgument, naming the token, when the processor waits on
+     * a token that no planned transfer posts.
+     */
     CoreletRunStats run(const LayerProgram &prog);
 
     /**
@@ -72,7 +77,7 @@ class CoreletSim
 
   private:
     double l1BytesPerCycle_;
-    Tick lrfLoadCycles_;
+    SimTime lrfLoadCycles_;
     const FaultInjector *injector_ = nullptr;
 };
 

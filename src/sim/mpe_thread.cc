@@ -6,16 +6,17 @@
 
 namespace rapid {
 
-MpeThread::MpeThread(EventQueue &eq, const LayerProgram &prog,
-                     Tick lrf_load_cycles)
-    : eq_(eq), tokens_(eq), prog_(prog), lrfLoadCycles_(lrf_load_cycles)
+MpeThread::MpeThread(DesDomain &domain, const LayerProgram &prog,
+                     SimTime lrf_load_cycles)
+    : domain_(domain), tokens_(domain), prog_(prog),
+      lrfLoadCycles_(lrf_load_cycles)
 {
 }
 
 void
 MpeThread::start()
 {
-    eq_.scheduleIn(0, [this] { step(); });
+    domain_.scheduleIn(0, 0, [this] { step(); });
 }
 
 void
@@ -34,9 +35,9 @@ MpeThread::step()
         issue(1);
         return;
       case Opcode::TokWait: {
-        const Tick begin = eq_.now();
+        const SimTime begin = domain_.now();
         tokens_.wait(inst.imm, [this, begin] {
-            stats_.stall_cycles += eq_.now() - begin;
+            stats_.stall_cycles += domain_.now() - begin;
             step();
         });
         return;
@@ -51,7 +52,7 @@ MpeThread::step()
         return;
       case Opcode::Fmma:
         stats_.fmma_issued += inst.imm;
-        issue(std::max<Tick>(1, inst.imm));
+        issue(std::max<SimTime>(1, inst.imm));
         return;
       case Opcode::Halt:
         finish();
@@ -61,17 +62,17 @@ MpeThread::step()
 }
 
 void
-MpeThread::issue(Tick cycles)
+MpeThread::issue(SimTime cycles)
 {
     stats_.issue_cycles += cycles;
-    eq_.scheduleIn(cycles, [this] { step(); });
+    domain_.scheduleIn(cycles, 0, [this] { step(); });
 }
 
 void
 MpeThread::finish()
 {
     done_ = true;
-    stats_.finish_cycle = eq_.now();
+    stats_.finish_cycle = domain_.now();
 }
 
 } // namespace rapid

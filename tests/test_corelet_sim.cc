@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/error.hh"
 #include "compiler/codegen.hh"
 #include "sim/corelet_sim.hh"
 
@@ -91,12 +94,25 @@ TEST(CoreletSim, FetchBoundRunStallsOnTokens)
 
 TEST(CoreletSim, DeadlocksAreDetected)
 {
-    // A program waiting on a token no transfer posts must panic
-    // rather than return a bogus timeline.
+    // A program waiting on a token no transfer posts must throw,
+    // naming the token, rather than return a bogus timeline.
     LayerProgram prog = makeTileWalk(1, 128, 10);
     prog.transfers.clear(); // sequencer will never post token 1
     CoreletSim sim;
-    EXPECT_DEATH(sim.run(prog), "deadlock");
+    try {
+        sim.run(prog);
+        FAIL() << "deadlocked program returned a timeline";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.code(), ErrorCode::InvalidArgument);
+        const std::string what = e.what();
+        EXPECT_NE(what.find("token 1 "), std::string::npos) << what;
+    }
+}
+
+TEST(CoreletSim, RejectsNonPositiveBandwidth)
+{
+    EXPECT_THROW(CoreletSim(0.0), Error);
+    EXPECT_THROW(CoreletSim(-1.0), Error);
 }
 
 TEST(CoreletSim, CompiledConvLayerRunsToCompletion)
@@ -123,7 +139,7 @@ TEST(CoreletSim, CompiledConvLayerRunsToCompletion)
     EXPECT_EQ(stats.fmma_issued, prog.fmma_slots);
     // The simulated makespan is at least the compute time and at
     // most compute + all fetch fully exposed.
-    EXPECT_GE(stats.total_cycles, prog.fmma_slots);
+    EXPECT_GE(stats.total_cycles, SimTime(prog.fmma_slots));
     EXPECT_LE(stats.total_cycles,
               stats.processor_cycles + stats.sequencer_cycles + 10);
 }
@@ -137,7 +153,7 @@ TEST(CoreletSim, MakespanApproachesMaxOfStreams)
         LayerProgram prog = makeTileWalk(32, 25600, stream);
         CoreletSim sim(128.0, 8);
         CoreletRunStats stats = sim.run(prog);
-        Tick lower =
+        SimTime lower =
             std::max(stats.sequencer_cycles, stats.processor_cycles);
         EXPECT_GE(stats.total_cycles, lower);
         EXPECT_LE(double(stats.total_cycles), double(lower) * 1.15)

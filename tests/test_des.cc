@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -115,6 +116,94 @@ TEST_F(DesTest, DynamicSchedulingPreservesKeyOrder)
     EXPECT_EQ(trace, expect);
     for (size_t i = 1; i < trace.size(); ++i)
         EXPECT_LE(trace[i - 1].first, trace[i].first);
+}
+
+// run(until) executes exactly the events before the bound: later ones
+// stay pending, the clock stays at the last executed event, and a
+// later run() resumes in key order.
+TEST_F(DesTest, RunUntilLeavesLaterEventsPending)
+{
+    DesEngine engine;
+    DesDomain &dom = engine.domain(engine.addDomain("until"));
+    std::vector<std::pair<SimTime, int32_t>> trace;
+    for (const auto &[t, pri] : std::vector<std::pair<SimTime, int32_t>>{
+             {10, 1}, {5, 0}, {50, 0}, {10, 0}})
+        dom.schedule(t, pri, [&trace, &dom, pri = pri] {
+            trace.emplace_back(dom.now(), pri);
+        });
+    engine.run(10);
+    EXPECT_EQ(trace, (std::vector<std::pair<SimTime, int32_t>>{{5, 0}}));
+    EXPECT_EQ(dom.pending(), 3u);
+    EXPECT_EQ(dom.now(), 5);
+    engine.run(10); // nothing below the bound: a no-op
+    EXPECT_EQ(dom.pending(), 3u);
+    engine.run();
+    const std::vector<std::pair<SimTime, int32_t>> expect = {
+        {5, 0}, {10, 0}, {10, 1}, {50, 0}};
+    EXPECT_EQ(trace, expect);
+    EXPECT_EQ(dom.pending(), 0u);
+}
+
+/** A self-scheduling workload on one domain: every event logs
+ *  (now, tag) and, until its budget is spent, schedules a follower at
+ *  a seeded delay (zero included) on a seeded lane. */
+struct ChainWorkload
+{
+    DesDomain &dom;
+    Rng rng;
+    int budget = 300;
+    std::vector<std::pair<SimTime, int64_t>> trace;
+
+    void
+    fire(int64_t tag)
+    {
+        trace.emplace_back(dom.now(), tag);
+        if (budget-- <= 0)
+            return;
+        const int64_t child = rng.uniformInt(0, 999);
+        dom.scheduleIn(rng.uniformInt(0, 6),
+                       int32_t(rng.uniformInt(-1, 1)),
+                       [this, child] { fire(child); });
+    }
+};
+
+// A chain of bounded runs over independent domains executes the same
+// events in the same order as one run(), whatever the step.
+TEST_F(DesTest, ChainedBoundedRunsMatchOneRun)
+{
+    using Trace = std::vector<std::pair<SimTime, int64_t>>;
+    const auto traceOf = [](SimTime step) {
+        DesEngine engine;
+        std::vector<std::unique_ptr<ChainWorkload>> loads;
+        for (uint64_t d = 0; d < 2; ++d) {
+            DesDomain &dom = engine.domain(
+                engine.addDomain("chain" + std::to_string(d)));
+            loads.push_back(std::make_unique<ChainWorkload>(
+                ChainWorkload{dom, Rng(mixSeed(0x0b5u, d)), 300, {}}));
+            ChainWorkload *w = loads.back().get();
+            for (int64_t i = 0; i < 20; ++i)
+                dom.schedule(w->rng.uniformInt(0, 30),
+                             int32_t(w->rng.uniformInt(-1, 1)),
+                             [w, i] { w->fire(i); });
+        }
+        if (step == kSimNever) {
+            engine.run();
+        } else {
+            for (SimTime until = step; engine.domain(0).pending() +
+                                           engine.domain(1).pending() >
+                                       0;
+                 until += step)
+                engine.run(until);
+        }
+        std::vector<Trace> traces;
+        for (const auto &w : loads)
+            traces.push_back(w->trace);
+        return traces;
+    };
+    const std::vector<Trace> whole = traceOf(kSimNever);
+    ASSERT_EQ(whole[0].size(), 320u); // 20 seeds + 300 followers
+    for (SimTime step : {1, 2, 7, 50})
+        EXPECT_EQ(traceOf(step), whole) << "step " << step;
 }
 
 // Cross-domain sends execute exactly at their declared timestamp —

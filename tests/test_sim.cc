@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the discrete-event kernel, token synchronization, and the
+ * Tests for token synchronization on a DES domain, and the
  * cycle-level systolic array simulator: numerics must match the
  * bit-accurate functional executors exactly, and cycle counts must
  * agree with the analytical dataflow model.
@@ -14,88 +14,50 @@
 #include "compiler/codegen.hh"
 #include "compiler/dataflow.hh"
 #include "sim/chip_sim.hh"
-#include "sim/event_queue.hh"
+#include "sim/mpe_thread.hh"
 #include "sim/systolic.hh"
 #include "workloads/networks.hh"
 
 namespace rapid {
 namespace {
 
-TEST(EventQueue, OrdersByTickThenInsertion)
-{
-    EventQueue eq;
-    std::vector<int> order;
-    eq.schedule(10, [&] { order.push_back(2); });
-    eq.schedule(5, [&] { order.push_back(1); });
-    eq.schedule(10, [&] { order.push_back(3); });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_EQ(eq.now(), 10u);
-}
-
-TEST(EventQueue, EventsCanScheduleEvents)
-{
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(1, [&] {
-        ++fired;
-        eq.scheduleIn(4, [&] { ++fired; });
-    });
-    eq.run();
-    EXPECT_EQ(fired, 2);
-    EXPECT_EQ(eq.now(), 5u);
-}
-
-TEST(EventQueue, RunLimitStopsEarly)
-{
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(5, [&] { ++fired; });
-    eq.schedule(50, [&] { ++fired; });
-    eq.run(10);
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(eq.pending(), 1u);
-}
-
-TEST(EventQueue, SchedulingInThePastIsFatal)
-{
-    EventQueue eq;
-    eq.schedule(10, [] {});
-    eq.run();
-    EXPECT_DEATH(eq.schedule(5, [] {}), "past");
-}
-
 TEST(TokenBoard, ProducerConsumerOrdering)
 {
     // The Section II-A pattern: the L0-writer posts a token after
     // each block; the PE-array reader waits on it before streaming.
-    EventQueue eq;
-    TokenBoard tokens(eq);
+    DesEngine engine;
+    DesDomain &dom = engine.domain(engine.addDomain("tokens"));
+    TokenBoard tokens(dom);
     std::vector<std::string> trace;
-    eq.schedule(10, [&] {
+    dom.schedule(10, 0, [&] {
         trace.push_back("write");
         tokens.post(1);
     });
     tokens.wait(1, [&] { trace.push_back("read"); });
-    eq.run();
+    engine.run();
     ASSERT_EQ(trace.size(), 2u);
     EXPECT_EQ(trace[0], "write");
     EXPECT_EQ(trace[1], "read");
+    EXPECT_EQ(dom.now(), 10);
 }
 
 TEST(TokenBoard, BanksTokensWhenNoWaiter)
 {
-    EventQueue eq;
-    TokenBoard tokens(eq);
+    // Two posts with no waiter bank two tokens: the first two waits
+    // run at once, the third parks until the next post.
+    DesEngine engine;
+    DesDomain &dom = engine.domain(engine.addDomain("tokens"));
+    TokenBoard tokens(dom);
     tokens.post(3);
     tokens.post(3);
-    EXPECT_EQ(tokens.available(3), 2u);
-    int fired = 0;
-    tokens.wait(3, [&] { ++fired; });
-    tokens.wait(3, [&] { ++fired; });
-    eq.run();
-    EXPECT_EQ(fired, 2);
-    EXPECT_EQ(tokens.available(3), 0u);
+    std::vector<SimTime> fired;
+    dom.schedule(5, 0, [&] {
+        for (int i = 0; i < 3; ++i)
+            tokens.wait(3, [&] { fired.push_back(dom.now()); });
+    });
+    dom.schedule(9, 0, [&] { tokens.post(3); });
+    engine.run();
+    EXPECT_EQ(fired, (std::vector<SimTime>{5, 5, 9}));
 }
 
 CoreletConfig
@@ -242,9 +204,9 @@ TEST(Systolic, MatchesFunctionalExecutorWithSingleChunk)
         EXPECT_FLOAT_EQ(func[i], res.c[i]) << "i=" << i;
 }
 
-// DES-engine equivalence: runBatch now advances each chip simulation
-// as a domain of the shared conservative engine; every stat must stay
-// bit-identical to one-at-a-time run() calls at any thread count.
+// runBatch forks independent run() calls, each on its own DesEngine,
+// over the pool; every stat must stay bit-identical to one-at-a-time
+// run() calls at any thread count.
 TEST(ChipSimEngine, RunBatchMatchesSerialRunsOnDesEngine)
 {
     std::vector<LayerProgram> progs;

@@ -34,6 +34,9 @@ Check catalog -- names are the waiver names for
                     parallel.*, every throw constructs a rapid::Error
                     subtype (bare rethrow is fine) so ResilientTrainer's
                     e.code() switch stays total
+  one-event-engine  no std::priority_queue or std::{push,pop,make}_heap
+                    in src/ outside src/common/des.*: simulators
+                    schedule on DesDomain, the one event engine
   layering          declared module-tier order (include_graph.py)
   include-cycle     file- or module-level include cycles (ditto)
 """
@@ -47,6 +50,9 @@ RNG_ALLOWED = ("src/common/random.",)
 WALLCLOCK_ALLOWED = ("src/common/parallel.", "src/common/sweep.")
 BARE_CATCH_ALLOWED = ("src/common/parallel.",)
 THROW_ALLOWED = ("src/common/error.", "src/common/parallel.")
+HEAP_ALLOWED = ("src/common/des.",)
+
+HEAP_PRIMITIVES = {"priority_queue", "push_heap", "pop_heap", "make_heap"}
 
 RNG_ENGINES = {
     "mt19937", "mt19937_64", "minstd_rand", "minstd_rand0",
@@ -421,6 +427,20 @@ def check_throw_discipline(tf):
             "stays total")
 
 
+def check_one_event_engine(tf):
+    if not tf.rel.startswith("src/") or tf.rel.startswith(HEAP_ALLOWED):
+        return
+    for i, t in enumerate(tf.tokens):
+        if (t.kind == "ID" and t.text in HEAP_PRIMITIVES
+                and tf.qualified_by_std(i)):
+            yield _finding(
+                tf, t.line, "one-event-engine",
+                "std::%s outside src/common/des.*: a second event "
+                "queue in model code; schedule on a DesDomain, whose "
+                "(time, lane, sequence) order is the tested one"
+                % t.text)
+
+
 #: Every token-stream check, in report order. The layering and cycle
 #: passes run from the include graph in engine.py.
 TOKEN_CHECKS = (
@@ -438,6 +458,7 @@ TOKEN_CHECKS = (
     check_det_ptr_hash,
     check_det_datetime,
     check_throw_discipline,
+    check_one_event_engine,
 )
 
 #: The full check catalog (for --list-checks and the JSON report).
@@ -445,5 +466,6 @@ ALL_CHECKS = (
     "raw-assert", "io-outside-log", "no-rand", "float-eq",
     "include-guard", "no-raw-thread", "no-unseeded-rng", "no-wallclock",
     "no-bare-catch", "det-unordered", "det-ptr-key", "det-ptr-hash",
-    "det-datetime", "throw-discipline", "layering", "include-cycle",
+    "det-datetime", "throw-discipline", "one-event-engine", "layering",
+    "include-cycle",
 )
