@@ -3,17 +3,20 @@
  * google-benchmark microbenchmarks of the emulation substrate: float
  * codec encode/decode throughput, FMA datapaths, chunked
  * accumulation, quantizers, the FP32 reference and reduced-precision
- * GEMM executors, the cycle-level systolic simulator, and the ring
- * interconnect.
+ * GEMM executors, the cycle-level systolic simulator, the ring
+ * interconnect, and the chip-level simulation of one compiled layer.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "common/random.hh"
+#include "compiler/codegen.hh"
 #include "func/quantized_ops.hh"
 #include "interconnect/mni.hh"
+#include "sim/chip_sim.hh"
 #include "sim/systolic.hh"
 #include "tensor/ops.hh"
+#include "workloads/networks.hh"
 
 namespace rapid {
 namespace {
@@ -218,6 +221,42 @@ BM_RingMulticast(benchmark::State &state)
     }
 }
 BENCHMARK(BM_RingMulticast);
+
+/**
+ * ChipSim over one FP16 layer on the inference chip (4 cores,
+ * multicast), reported in simulated cycles per second. inception3
+ * mixedC0.b0.0 streams 480 weight tiles; vgg16 conv1_1 streams one,
+ * then computes for about 56 k cycles with the ring idle.
+ */
+void
+BM_ChipSimLayer(benchmark::State &state, const char *net,
+                const char *layer)
+{
+    const ChipConfig chip = makeInferenceChip();
+    const Network network = benchmarkByName(net);
+    LayerProgram prog;
+    for (const Layer &l : network.layers)
+        if (l.name == layer) {
+            LayerPlan plan;
+            plan.precision = Precision::FP16;
+            prog = CodeGenerator(chip).generate(l, plan, 1);
+        }
+    const ChipSim sim(chip.cores, true);
+    int64_t cycles = 0;
+    for (auto _ : state) {
+        const ChipRunStats stats = sim.run(prog);
+        benchmark::DoNotOptimize(stats);
+        cycles += stats.makespan;
+    }
+    state.counters["transfers"] = double(prog.transfers.size());
+    state.counters["sim_cycles_per_s"] =
+        benchmark::Counter(double(cycles), benchmark::Counter::kIsRate);
+}
+BENCHMARK_CAPTURE(BM_ChipSimLayer, inception3_mixedC0_b0_0, "inception3",
+                  "mixedC0.b0.0")
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ChipSimLayer, vgg16_conv1_1, "vgg16", "conv1_1")
+    ->Unit(benchmark::kMicrosecond);
 
 } // namespace
 } // namespace rapid

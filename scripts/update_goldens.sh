@@ -11,7 +11,7 @@ for fig in fig10_chip_specs fig13_inference_latency \
            fig14_inference_efficiency fig15_training_throughput \
            fig18_system_scaling serve_sweep resilience_sweep \
            cluster_sweep llm_sweep overload_sweep \
-           ablation_design_choices int2_future_work; do
+           ablation_design_choices int2_future_work fault_sweep; do
     bin="$build/bench/$fig"
     if [[ ! -x "$bin" ]]; then
         echo "error: $bin not built (cmake --build $build)" >&2

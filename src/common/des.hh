@@ -152,6 +152,9 @@ class DesDomain
     /** Events waiting in this domain's heap. */
     size_t pending() const { return heap_.size(); }
 
+    /** Timestamp of the earliest pending event, or kSimNever. */
+    SimTime earliest() const;
+
     /** Events this domain has executed. */
     uint64_t executed() const { return executed_; }
 
@@ -179,9 +182,6 @@ class DesDomain
         int32_t priority = 0;
         Callback fn;
     };
-
-    /** Timestamp of the earliest pending event, or kSimNever. */
-    SimTime earliest() const;
 
     void push(SimTime when, int32_t priority, Callback fn);
 

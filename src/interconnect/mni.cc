@@ -36,9 +36,7 @@ MniFabric::recv(unsigned consumer, unsigned producer, uint64_t tag,
     t.consumer = consumer;
     t.local_addr = local_addr;
     t.n_consumers = n_consumers;
-    t.ring_id = ring_.send(consumer, {producer}, cfg_.request_bytes,
-                           tag);
-    tracked_.push_back(t);
+    track(t, consumer, {producer}, cfg_.request_bytes);
 
     auto &ps = pending_[{producer, tag}];
     ps.bytes = std::max(ps.bytes, bytes);
@@ -76,19 +74,26 @@ MniFabric::maybeLaunchData(unsigned producer, uint64_t tag)
     t.kind = Tracked::Kind::Data;
     t.producer = producer;
     t.tag = tag;
-    t.ring_id = ring_.send(producer, ps.consumers, ps.bytes, tag);
+    track(t, producer, ps.consumers, ps.bytes);
+}
+
+void
+MniFabric::track(const Tracked &t, unsigned src,
+                 std::vector<unsigned> dsts, uint64_t bytes)
+{
+    const size_t id = ring_.send(src, std::move(dsts), bytes, t.tag);
+    rapid_dassert(id == tracked_.size(), "ring message ", id,
+                  " sent outside track()");
     tracked_.push_back(t);
 }
 
 void
 MniFabric::processDelivered()
 {
-    // Index loop: handlers can append to tracked_ (data launches).
-    for (size_t ti = 0; ti < tracked_.size(); ++ti) {
-        Tracked &t = tracked_[ti];
-        if (t.handled || !ring_.message(t.ring_id).delivered)
-            continue;
-        t.handled = true;
+    // Only the messages that landed this cycle, in ring-id order.
+    // Handlers append to tracked_ (data launches), so copy each entry.
+    for (size_t id : ring_.completed()) {
+        const Tracked t = tracked_[id];
         if (t.kind == Tracked::Kind::RecvRequest) {
             // Request arrived at the producer's MNI-SU: aggregate.
             auto &ps = pending_[{t.producer, t.tag}];

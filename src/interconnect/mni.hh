@@ -86,6 +86,15 @@ class MniFabric
     /** Advance one cycle (ring + MNI bookkeeping). */
     void step();
 
+    /** Nothing in flight on the ring. MNI state changes only when a
+     *  message lands or a caller posts a recv()/send(), so stepping an
+     *  idle fabric only advances its clock. */
+    bool idle() const { return ring_.idle(); }
+
+    /** Advance an idle fabric's clock by @p cycles, as that many
+     *  step() calls would (panics unless idle()). */
+    void advanceIdle(uint64_t cycles) { ring_.advanceIdle(cycles); }
+
     /** Run until every posted transfer completed. */
     void drain(uint64_t max_cycles = 100000000);
 
@@ -111,18 +120,20 @@ class MniFabric
         std::vector<uint64_t> consumer_addrs; ///< matching local addrs
     };
 
-    /** A control or data message in flight on the ring. */
+    /** A control or data message sent on the ring. */
     struct Tracked
     {
         enum class Kind { RecvRequest, Data } kind;
-        size_t ring_id;
         unsigned producer;
         uint64_t tag;
         unsigned consumer = 0;       ///< for RecvRequest
         uint64_t local_addr = 0;     ///< for RecvRequest
         unsigned n_consumers = 1;    ///< for RecvRequest
-        bool handled = false;
     };
+
+    /** Post @p t on the ring as one message from @p src to @p dsts. */
+    void track(const Tracked &t, unsigned src,
+               std::vector<unsigned> dsts, uint64_t bytes);
 
     void maybeLaunchData(unsigned producer, uint64_t tag);
     void processDelivered();
@@ -131,6 +142,8 @@ class MniFabric
     MniConfig cfg_;
     /// (producer, tag) -> aggregation state.
     std::map<std::pair<unsigned, uint64_t>, PendingSend> pending_;
+    /// tracked_[i] is ring message i: every message goes through
+    /// track(), which sends it and appends it in one step.
     std::vector<Tracked> tracked_;
     std::vector<MniCompletion> completions_;
     std::vector<unsigned> outstanding_; ///< per consumer

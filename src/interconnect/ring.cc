@@ -91,23 +91,25 @@ RingNetwork::send(unsigned src, std::vector<unsigned> dsts,
 void
 RingNetwork::stepDirection(DirState &st, RingDir dir)
 {
+    if (st.flits == 0 && !st.busy && st.queue.empty())
+        return;
     const unsigned n = cfg_.num_nodes;
 
     // Phase 1: advance the head flit of every node one hop, based on
     // the pre-step queues so a flit moves at most once per cycle.
-    std::vector<Flit> moved;
-    std::vector<unsigned> from;
-    moved.reserve(n);
+    moved_.clear();
+    from_.clear();
     for (unsigned node = 0; node < n; ++node) {
         if (st.pipes[node].empty())
             continue;
-        moved.push_back(st.pipes[node].front());
-        from.push_back(node);
+        moved_.push_back(st.pipes[node].front());
+        from_.push_back(node);
         st.pipes[node].pop_front();
     }
-    for (size_t i = 0; i < moved.size(); ++i) {
-        Flit f = moved[i];
-        const unsigned node = from[i];
+    st.flits -= moved_.size();
+    for (size_t i = 0; i < moved_.size(); ++i) {
+        Flit f = moved_[i];
+        const unsigned node = from_[i];
         if (injector_ && injector_->active(FaultSite::RingFlit)) {
             const FaultOutcome hit = injector_->inject(
                 FaultSite::RingFlit, fault_items_++, fault_stats_);
@@ -115,6 +117,7 @@ RingNetwork::stepDirection(DirState &st, RingDir dir)
                 // Link-level retry: the hop is squashed and the flit
                 // retransmits from the same node next cycle.
                 st.pipes[node].push_front(f);
+                ++st.flits;
                 continue;
             }
             if (hit == FaultOutcome::Silent) {
@@ -136,9 +139,12 @@ RingNetwork::stepDirection(DirState &st, RingDir dir)
         if (is_dst && f.tail && --pending_tails_[f.msg_id] == 0) {
             m.delivered = true;
             m.complete_cycle = cycle_ + 1;
+            completed_.push_back(f.msg_id);
         }
-        if (f.hops_left > 0)
+        if (f.hops_left > 0) {
             st.pipes[next].push_back(f);
+            ++st.flits;
+        }
     }
 
     // Phase 2: inject one flit of the active message at its source.
@@ -155,6 +161,7 @@ RingNetwork::stepDirection(DirState &st, RingDir dir)
         f.hops_left = fl.max_hops;
         f.tail = (fl.flits_sent + 1 == fl.flits_total);
         st.pipes[m.src].push_back(f);
+        ++st.flits;
         if (++fl.flits_sent == fl.flits_total)
             st.busy = false;
     }
@@ -163,9 +170,29 @@ RingNetwork::stepDirection(DirState &st, RingDir dir)
 void
 RingNetwork::step()
 {
+    completed_.clear();
     stepDirection(cw_, RingDir::Clockwise);
     stepDirection(ccw_, RingDir::CounterClockwise);
+    std::sort(completed_.begin(), completed_.end());
     ++cycle_;
+}
+
+bool
+RingNetwork::idle() const
+{
+    for (const DirState *st : {&cw_, &ccw_})
+        if (st->flits > 0 || st->busy || !st->queue.empty())
+            return false;
+    return true;
+}
+
+void
+RingNetwork::advanceIdle(uint64_t cycles)
+{
+    rapid_assert(idle(), "advancing the clock of a busy ring");
+    if (cycles > 0)
+        completed_.clear();
+    cycle_ += cycles;
 }
 
 void

@@ -82,6 +82,22 @@ class RingNetwork
     /** Advance one ring cycle. */
     void step();
 
+    /**
+     * Ids of the messages whose last tail flit landed during the
+     * latest step(), ascending.
+     */
+    const std::vector<size_t> &completed() const { return completed_; }
+
+    /** No flit in flight and no message waiting to inject: step()
+     *  would only advance the clock. */
+    bool idle() const;
+
+    /**
+     * Advance the clock of an idle ring by @p cycles, exactly as that
+     * many step() calls would. Panics if the ring is not idle.
+     */
+    void advanceIdle(uint64_t cycles);
+
     /** Run until all queued messages are delivered (bounded). */
     void drain(uint64_t max_cycles = 100000000);
 
@@ -139,6 +155,7 @@ class RingNetwork
         bool busy = false;
         size_t active = 0;        ///< index into inflight_
         std::vector<std::deque<Flit>> pipes; ///< per-node output queue
+        size_t flits = 0;         ///< flits in all pipes
     };
 
     void stepDirection(DirState &st, RingDir dir);
@@ -154,6 +171,11 @@ class RingNetwork
     std::vector<InFlight> inflight_;
     DirState cw_;
     DirState ccw_;
+    std::vector<size_t> completed_; ///< see completed()
+    /// stepDirection's per-cycle scratch: the head flits it moves and
+    /// the nodes they leave.
+    std::vector<Flit> moved_;
+    std::vector<unsigned> from_;
 };
 
 } // namespace rapid

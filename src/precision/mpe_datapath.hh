@@ -57,6 +57,8 @@ class MpeDatapath
      * DLFloat16-representable floats; the product is formed exactly
      * (18-bit significand fits single precision... the emulation uses
      * double) and a single rounding happens at the accumulate output.
+     * FP9 values are DLFloat16-representable and the HFP8 path merges
+     * here, so fp16Fma(toFp9(a), toFp9(b), acc) equals hfp8Fma.
      */
     float fp16Fma(float a, float b, float acc);
 

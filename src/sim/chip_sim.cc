@@ -55,6 +55,13 @@ ChipSim::run(const LayerProgram &prog, SimTime lrf_load_cycles) const
                 return false;
         return true;
     };
+    auto can_issue = [&] {
+        for (unsigned c = 0; c < numCores_; ++c)
+            if (next_transfer[c] < prog.transfers.size() &&
+                mni.outstandingLoads(c) < mniCfg_.max_outstanding_loads)
+                return true;
+        return false;
+    };
 
     while (!all_done()) {
         rapid_assert(++tick <= limit, "chip sim failed to converge");
@@ -94,6 +101,16 @@ ChipSim::run(const LayerProgram &prog, SimTime lrf_load_cycles) const
                                 c, " waits on token ",
                                 cores[c]->blockedToken(),
                                 " that no planned transfer posts");
+        }
+        // Idle skip (DESIGN.md section 12): with the ring empty, every
+        // sequencer blocked or finished and the next core event after
+        // tick + 1, the cycles before that event would change nothing,
+        // so jump to the cycle before it.
+        const SimTime next = chip.earliest();
+        if (next != kSimNever && next > tick + 1 && mni.idle() &&
+            !can_issue()) {
+            mni.advanceIdle(uint64_t(next - 1 - tick));
+            tick = next - 1;
         }
     }
 

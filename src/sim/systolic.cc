@@ -87,6 +87,20 @@ SystolicArraySim::gemm(const Tensor &a, const Tensor &b, Fp8Kind a_kind,
     res.program = buildTileProgram(m);
 
     const double wt_bytes_per_elem = operandBytes(precision_);
+
+    // Convert each operand once: through the FP8 input stage to FP9
+    // (HFP8) or to DLFloat16 (FP16). The two pipelines merge at the
+    // adder, so one FP16 FMA on the converted values serves both.
+    auto convert = [&](const Tensor &t, Fp8Kind kind) {
+        std::vector<float> out(size_t(t.numel()));
+        for (int64_t i = 0; i < t.numel(); ++i)
+            out[size_t(i)] = precision_ == Precision::HFP8
+                                 ? dp.toFp9(t[i], kind)
+                                 : dlfloat16().quantize(t[i]);
+        return out;
+    };
+    const std::vector<float> a_op = convert(a, a_kind);
+    const std::vector<float> b_op = convert(b, b_kind);
     const int64_t l1_bw = corelet_.l0_bw_bytes_per_cycle * 2;
 
     for (int64_t n0 = 0; n0 < n; n0 += out_cap) {
@@ -115,17 +129,9 @@ SystolicArraySim::gemm(const Tensor &a, const Tensor &b, Fp8Kind a_kind,
             for (int64_t mi = 0; mi < m; ++mi) {
                 for (int64_t ni = n0; ni < n_hi; ++ni) {
                     float acc = res.c.at(mi, ni);
-                    for (int64_t ki = k0; ki < k_hi; ++ki) {
-                        if (precision_ == Precision::HFP8) {
-                            acc = dp.hfp8Fma(a.at(mi, ki), a_kind,
-                                             b.at(ki, ni), b_kind, acc);
-                        } else {
-                            acc = dp.fp16Fma(
-                                dlfloat16().quantize(a.at(mi, ki)),
-                                dlfloat16().quantize(b.at(ki, ni)),
-                                acc);
-                        }
-                    }
+                    for (int64_t ki = k0; ki < k_hi; ++ki)
+                        acc = dp.fp16Fma(a_op[size_t(mi * k + ki)],
+                                         b_op[size_t(ki * n + ni)], acc);
                     // Fault site: the accumulator value leaving the
                     // array south. One injection item per output per
                     // tile pass, indexed by a monotone counter so the

@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/error.hh"
+#include "perf/perf_model.hh"
 #include "sim/chip_sim.hh"
 #include "sim/corelet_sim.hh"
 #include "workloads/networks.hh"
@@ -176,6 +180,164 @@ TEST(ChipSim, PinnedSsd300SmallLayers)
         EXPECT_EQ(cs.fmma_issued, pin.fmma);
         EXPECT_EQ(cs.tiles_loaded, pin.tiles);
     }
+}
+
+// While a core computes on its first tile, the ring goes idle with a
+// sequencer free to request the second (one outstanding load). The
+// request must go out the next cycle, not wait for the core's next
+// event: the second tile is then banked before the core asks for it
+// and the makespan is the compute time. Pinned from stepping every
+// cycle.
+TEST(ChipSim, IdleRingStillIssuesTheNextRequest)
+{
+    auto inst = [](Opcode op, uint16_t imm) {
+        MpeInstruction i;
+        i.op = op;
+        i.imm = imm;
+        return i;
+    };
+    LayerProgram prog;
+    prog.mpe_program = {inst(Opcode::TokWait, 0), inst(Opcode::Fmma, 1000),
+                        inst(Opcode::TokWait, 1), inst(Opcode::Fmma, 10),
+                        makeHalt()};
+    for (unsigned t : {0u, 1u}) {
+        PlannedTransfer tr;
+        tr.tag = t;
+        tr.bytes = 2048;
+        tr.n_consumers = 4;
+        tr.ready_token = t;
+        prog.transfers.push_back(tr);
+    }
+    MniConfig mni;
+    mni.max_outstanding_loads = 1;
+    for (bool multicast : {true, false}) {
+        SCOPED_TRACE(multicast ? "multicast" : "unicast");
+        const ChipRunStats s = ChipSim(4, multicast, mni).run(prog);
+        EXPECT_EQ(s.makespan, 1010);
+        for (const CoreRunStats &c : s.cores)
+            EXPECT_EQ(c.finish_cycle, 1010);
+    }
+}
+
+/** FNV-1a over the little-endian bytes of 64-bit words. */
+class Fnv1a
+{
+  public:
+    void
+    u64(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h_ ^= (v >> (8 * i)) & 0xff;
+            h_ *= 0x100000001b3ull;
+        }
+    }
+
+    void
+    faults(const FaultStats &f)
+    {
+        for (uint64_t v : {f.sampled, f.injected, f.detected,
+                           f.corrected, f.retries, f.masked, f.sdc})
+            u64(v);
+        u64(std::bit_cast<uint64_t>(f.retry_cycles));
+    }
+
+    void
+    chip(const ChipRunStats &s)
+    {
+        u64(uint64_t(s.makespan));
+        u64(s.ring_flit_hops);
+        u64(s.cores.size());
+        for (const CoreRunStats &c : s.cores) {
+            u64(uint64_t(c.finish_cycle));
+            u64(uint64_t(c.stall_cycles));
+            u64(uint64_t(c.issue_cycles));
+            u64(c.fmma_issued);
+            u64(c.tiles_loaded);
+        }
+    }
+
+    void
+    corelet(const CoreletRunStats &s)
+    {
+        u64(uint64_t(s.total_cycles));
+        u64(uint64_t(s.sequencer_cycles));
+        u64(uint64_t(s.processor_cycles));
+        u64(uint64_t(s.stall_cycles));
+        u64(s.fmma_issued);
+        u64(s.tiles_loaded);
+        faults(s.faults);
+    }
+
+    uint64_t value() const { return h_; }
+
+  private:
+    uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+/**
+ * Every non-grouped compute layer of the 11 benchmark networks whose
+ * analytical array cycles (streaming + overhead + exposed memory
+ * stall, batch 1) fit @p max_model_cycles, compiled at INT4, HFP8 or
+ * FP16 by layer index.
+ */
+std::vector<LayerProgram>
+budgetedPrograms(double max_model_cycles)
+{
+    const Precision precisions[] = {Precision::INT4, Precision::HFP8,
+                                    Precision::FP16};
+    const ChipConfig chip = makeInferenceChip();
+    const PerfModel model(chip);
+    const CodeGenerator cg(chip);
+    std::vector<LayerProgram> progs;
+    for (const Network &net : allBenchmarks()) {
+        for (size_t li = 0; li < net.layers.size(); ++li) {
+            const Layer &l = net.layers[li];
+            if (!l.isCompute() || l.groups != 1)
+                continue;
+            LayerPlan plan;
+            plan.precision = precisions[li % 3];
+            const LayerPerf p = model.evaluateLayer(l, plan, 1, false);
+            if (p.cycles.conv_gemm + p.cycles.overhead +
+                    p.cycles.mem_stall <=
+                max_model_cycles)
+                progs.push_back(cg.generate(l, plan, 1));
+        }
+    }
+    return progs;
+}
+
+// Pins every field of every ChipSim and CoreletSim timeline over the
+// budgeted layers of all 11 networks, on 1 and 4 cores, with and
+// without multicast. The values carry the stale-clock defect of
+// DESIGN.md section 12, like PinnedSsd300SmallLayers; a change to the
+// simulators' cost must leave them bit for bit.
+TEST(ChipSim, PinnedDigestOverAllNetworks)
+{
+    const std::vector<LayerProgram> progs = budgetedPrograms(20000);
+    Fnv1a d;
+    for (const LayerProgram &prog : progs) {
+        for (unsigned cores : {1u, 4u})
+            for (bool multicast : {true, false})
+                d.chip(ChipSim(cores, multicast).run(prog));
+        d.corelet(CoreletSim().run(prog));
+    }
+    EXPECT_EQ(progs.size(), 348u);
+    EXPECT_EQ(d.value(), 0x156767c4ff60e247ull);
+}
+
+// With one outstanding load per core, each core's next request waits
+// for the previous tile to land, so the ring idles between transfers
+// while the cores compute.
+TEST(ChipSim, PinnedDigestWithOneOutstandingLoad)
+{
+    const std::vector<LayerProgram> progs = budgetedPrograms(20000);
+    MniConfig mni;
+    mni.max_outstanding_loads = 1;
+    Fnv1a d;
+    for (const LayerProgram &prog : progs)
+        for (bool multicast : {true, false})
+            d.chip(ChipSim(4, multicast, mni).run(prog));
+    EXPECT_EQ(d.value(), 0x19b8dd694c8bbfbaull);
 }
 
 } // namespace

@@ -111,6 +111,74 @@ TEST(Ring, RejectsBadDestinations)
     EXPECT_DEATH(ring.send(0, {9}, 128), "bad destination");
 }
 
+/** Send a fixed mix (both directions, multicast, multi-flit) and
+ *  drain; returns the ids in send order. */
+std::vector<size_t>
+sendMix(RingNetwork &ring)
+{
+    return {ring.send(0, {1, 2}, 128 * 3), ring.send(0, {4}, 200),
+            ring.send(3, {1}, 128 * 5), ring.send(2, {0, 4}, 64)};
+}
+
+TEST(Ring, AdvancingAnIdleRingEqualsSteppingIt)
+{
+    RingNetwork stepped(ring5()), advanced(ring5());
+    std::vector<size_t> ids_s = sendMix(stepped), ids_a = sendMix(advanced);
+    stepped.drain();
+    advanced.drain();
+    ASSERT_TRUE(stepped.idle());
+    for (int i = 0; i < 37; ++i)
+        stepped.step();
+    advanced.advanceIdle(37);
+    EXPECT_EQ(advanced.now(), stepped.now());
+    EXPECT_TRUE(advanced.completed().empty());
+    for (size_t id : sendMix(stepped))
+        ids_s.push_back(id);
+    for (size_t id : sendMix(advanced))
+        ids_a.push_back(id);
+    EXPECT_FALSE(advanced.idle());
+    stepped.drain();
+    advanced.drain();
+    ASSERT_EQ(ids_a, ids_s);
+    for (size_t id : ids_s) {
+        EXPECT_EQ(advanced.message(id).issue_cycle,
+                  stepped.message(id).issue_cycle);
+        EXPECT_EQ(advanced.message(id).complete_cycle,
+                  stepped.message(id).complete_cycle);
+    }
+    EXPECT_EQ(advanced.flitHopsMoved(), stepped.flitHopsMoved());
+    EXPECT_EQ(advanced.now(), stepped.now());
+}
+
+TEST(Ring, AdvancingABusyRingIsRejected)
+{
+    RingNetwork ring(ring5());
+    EXPECT_TRUE(ring.idle());
+    ring.advanceIdle(5);
+    ring.send(0, {2}, 128 * 4);
+    EXPECT_DEATH(ring.advanceIdle(1), "busy ring");
+    ring.step(); // the message injected: its flits are in the pipes
+    EXPECT_DEATH(ring.advanceIdle(1), "busy ring");
+}
+
+TEST(Ring, SameCycleDeliveriesCompleteInIdOrder)
+{
+    // Message 0 goes counter-clockwise, message 1 clockwise; both land
+    // one hop away in the same cycle. step() visits the clockwise ring
+    // first, yet completed() lists them by id.
+    RingNetwork ring(ring5());
+    const size_t ccw = ring.send(0, {4}, 64);
+    const size_t cw = ring.send(0, {1}, 64);
+    ASSERT_LT(ccw, cw);
+    while (ring.completed().empty())
+        ring.step();
+    EXPECT_EQ(ring.completed(), (std::vector<size_t>{ccw, cw}));
+    EXPECT_EQ(ring.message(ccw).complete_cycle,
+              ring.message(cw).complete_cycle);
+    ring.step();
+    EXPECT_TRUE(ring.completed().empty());
+}
+
 TEST(Mni, SimpleLoadFromMemory)
 {
     MniFabric mni(ring5(), MniConfig{});

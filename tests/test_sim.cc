@@ -8,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+
+#include "common/bitfield.hh"
+#include "common/fault.hh"
 #include "common/parallel.hh"
 #include "common/random.hh"
 #include "func/quantized_ops.hh"
@@ -202,6 +207,233 @@ TEST(Systolic, MatchesFunctionalExecutorWithSingleChunk)
     SystolicResult res = sim.gemm(a, b);
     for (int64_t i = 0; i < func.numel(); ++i)
         EXPECT_FLOAT_EQ(func[i], res.c[i]) << "i=" << i;
+}
+
+/** One MacOutput injection item against @p acc, resolved as the
+ *  systolic sim documents it: a silent hit flips one bit of the
+ *  DLFloat16 encoding, anything else leaves the value restored. */
+float
+referenceMacFault(const FaultInjector &inj, float acc, uint64_t item,
+                  FaultStats &stats)
+{
+    ++stats.sampled;
+    Rng rng = inj.stream(FaultSite::MacOutput, item);
+    if (!inj.eventDraw(rng))
+        return acc;
+    ++stats.injected;
+    if (inj.resolveProtection(FaultSite::MacOutput, rng, stats) !=
+        FaultOutcome::Silent)
+        return acc;
+    const uint32_t word = dlfloat16().encode(acc);
+    const float clean = dlfloat16().decode(word);
+    const float bad = dlfloat16().decode(
+        inj.flipOneBit(rng, dlfloat16().storageBits(), word));
+    if (bad == clean) {
+        ++stats.masked;
+        return acc;
+    }
+    ++stats.sdc;
+    return bad;
+}
+
+/**
+ * The per-MAC weight-stationary GEMM: tile by tile over (output
+ * columns, reduction rows), every MAC re-quantizes both operands
+ * through MpeDatapath::hfp8Fma (HFP8) or DLFloat16 + fp16Fma (FP16),
+ * and each output's accumulator leaves the array once per tile pass
+ * as one MacOutput injection item. The oracle for SystolicArraySim's
+ * values, cycle count, FMA counters and fault outcome.
+ */
+SystolicResult
+referenceSystolicGemm(const CoreletConfig &corelet, Precision precision,
+                      int fwd_bias, const FaultInjector *inj,
+                      const Tensor &a, const Tensor &b, Fp8Kind a_kind,
+                      Fp8Kind b_kind)
+{
+    const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
+    const int64_t red_cap = int64_t(corelet.mpe_rows) *
+                            (precision == Precision::HFP8 ? 2 : 1);
+    const int64_t out_cap =
+        int64_t(corelet.mpe_cols) * corelet.mpe.fpu_simd_lanes;
+    const int64_t pipe_fill = corelet.mpe_rows + 3;
+    const int64_t l1_bw = corelet.l0_bw_bytes_per_cycle * 2;
+    const double wt_bytes_per_elem = operandBytes(precision);
+
+    MpeDatapath dp(fwd_bias);
+    uint64_t fault_item = 0;
+    SystolicResult res;
+    res.c = Tensor({m, n});
+    for (int64_t n0 = 0; n0 < n; n0 += out_cap) {
+        const int64_t n_hi = std::min(n, n0 + out_cap);
+        for (int64_t k0 = 0; k0 < k; k0 += red_cap) {
+            const int64_t k_hi = std::min(k, k0 + red_cap);
+            const uint64_t load_cycles = uint64_t(divCeil(
+                int64_t(red_cap * out_cap * wt_bytes_per_elem), l1_bw));
+            res.block_load_cycles += load_cycles;
+            res.cycles += load_cycles + uint64_t(m) + pipe_fill;
+            for (int64_t mi = 0; mi < m; ++mi) {
+                for (int64_t ni = n0; ni < n_hi; ++ni) {
+                    float acc = res.c.at(mi, ni);
+                    for (int64_t ki = k0; ki < k_hi; ++ki) {
+                        if (precision == Precision::HFP8)
+                            acc = dp.hfp8Fma(a.at(mi, ki), a_kind,
+                                             b.at(ki, ni), b_kind, acc);
+                        else
+                            acc = dp.fp16Fma(
+                                dlfloat16().quantize(a.at(mi, ki)),
+                                dlfloat16().quantize(b.at(ki, ni)),
+                                acc);
+                    }
+                    if (inj && inj->active(FaultSite::MacOutput))
+                        acc = referenceMacFault(*inj, acc, fault_item++,
+                                                res.faults);
+                    res.c.at(mi, ni) = acc;
+                }
+            }
+        }
+    }
+    res.cycles += uint64_t(std::llround(res.faults.retry_cycles));
+    res.fmas = dp.fmaCount();
+    res.zero_gated = dp.zeroGatedCount();
+    return res;
+}
+
+/** Gaussian values spread over 2^-24 .. 2^24 (FP8 subnormals,
+ *  underflow and saturation at every bias), a quarter of them zero. */
+void
+fillWideWithZeros(Tensor &t, Rng &rng)
+{
+    for (int64_t i = 0; i < t.numel(); ++i)
+        t[i] = rng.uniform() < 0.25
+                   ? 0.0f
+                   : float(std::ldexp(rng.gaussian(),
+                                      int(rng.uniformInt(-24, 24))));
+}
+
+/** Bit identity of everything a SystolicResult reports. */
+void
+expectSameResult(const SystolicResult &got, const SystolicResult &want)
+{
+    ASSERT_EQ(got.c.numel(), want.c.numel());
+    size_t bad = 0;
+    for (int64_t i = 0; i < want.c.numel(); ++i)
+        bad += std::bit_cast<uint32_t>(got.c[i]) !=
+               std::bit_cast<uint32_t>(want.c[i]);
+    EXPECT_EQ(bad, 0u);
+    EXPECT_EQ(got.cycles, want.cycles);
+    EXPECT_EQ(got.block_load_cycles, want.block_load_cycles);
+    EXPECT_EQ(got.fmas, want.fmas);
+    EXPECT_EQ(got.zero_gated, want.zero_gated);
+    EXPECT_EQ(got.faults.sampled, want.faults.sampled);
+    EXPECT_EQ(got.faults.injected, want.faults.injected);
+    EXPECT_EQ(got.faults.detected, want.faults.detected);
+    EXPECT_EQ(got.faults.corrected, want.faults.corrected);
+    EXPECT_EQ(got.faults.retries, want.faults.retries);
+    EXPECT_EQ(got.faults.masked, want.faults.masked);
+    EXPECT_EQ(got.faults.sdc, want.faults.sdc);
+    EXPECT_EQ(std::bit_cast<uint64_t>(got.faults.retry_cycles),
+              std::bit_cast<uint64_t>(want.faults.retry_cycles));
+}
+
+// The systolic sim against the per-MAC reference, bit for bit: HFP8
+// at every operand-kind pairing and biases 1/4/7, and FP16; reduction
+// depth below, at and above the chain cap; zero operands (gating);
+// with no injector and with a MacOutput injector (parity: some hits
+// retry, some escape).
+TEST(Systolic, GemmMatchesPerMacReference)
+{
+    const CoreletConfig corelet = corelet8x8();
+    const FaultConfig clean;
+    FaultConfig faulty = FaultConfig::withRate(0.05);
+    faulty.protectAll(parityProtection(16.0));
+    const FaultInjector clean_inj(clean), faulty_inj(faulty);
+
+    struct Case
+    {
+        Precision precision;
+        int bias;
+        Fp8Kind a_kind, b_kind;
+    };
+    std::vector<Case> cases;
+    for (int bias : {1, 4, 7})
+        for (Fp8Kind ak : {Fp8Kind::Forward, Fp8Kind::Backward})
+            for (Fp8Kind bk : {Fp8Kind::Forward, Fp8Kind::Backward})
+                cases.push_back({Precision::HFP8, bias, ak, bk});
+    cases.push_back(
+        {Precision::FP16, 4, Fp8Kind::Forward, Fp8Kind::Forward});
+
+    Rng rng(26);
+    uint64_t faults_seen = 0;
+    for (const Case &cs : cases) {
+        SystolicArraySim sim(corelet, cs.precision, cs.bias);
+        const int64_t cap = sim.reductionCap();
+        const int64_t n = sim.outputCap() + 5; // two column tiles
+        for (int64_t k : {cap - 3, cap, 2 * cap + 5}) {
+            Tensor a({3, k}), b({k, n});
+            fillWideWithZeros(a, rng);
+            fillWideWithZeros(b, rng);
+            for (const FaultInjector *inj : {&clean_inj, &faulty_inj}) {
+                SCOPED_TRACE(testing::Message()
+                             << precisionName(cs.precision) << " bias "
+                             << cs.bias << " kinds " << int(cs.a_kind)
+                             << int(cs.b_kind) << " k " << k
+                             << (inj == &faulty_inj ? " faulty" : ""));
+                sim.setFaultInjector(inj);
+                const SystolicResult got =
+                    sim.gemm(a, b, cs.a_kind, cs.b_kind);
+                const SystolicResult want = referenceSystolicGemm(
+                    corelet, cs.precision, cs.bias, inj, a, b,
+                    cs.a_kind, cs.b_kind);
+                expectSameResult(got, want);
+                EXPECT_GT(want.zero_gated, 0u);
+                faults_seen += want.faults.injected;
+            }
+        }
+    }
+    EXPECT_GT(faults_seen, 0u);
+}
+
+// The HFP8 datapath is the FP16 FMA on FP9 operands: the two pipelines
+// merge at the adder, so converting each operand once with toFp9 and
+// running fp16Fma equals hfp8Fma, counters included, over operands of
+// every rounding class of both FP8 flavours and every bias.
+TEST(MpeDatapath, Fp16FmaOnFp9OperandsEqualsHfp8Fma)
+{
+    // Operands of every rounding class of both FP8 flavours at biases
+    // 1/4/7: in each binade from 2^-28 (below every subnormal) to 2^18
+    // (past every finite value), a 1/16 grid holds every FP8 value and
+    // every tie between neighbours, and the offsets within a grid step
+    // fall below, on and just past its middle.
+    std::vector<float> vals{0.0f, -0.0f};
+    for (int e = -28; e <= 18; ++e)
+        for (int step = 0; step < 16; ++step)
+            for (double off : {0.0, 0.25, 0.5, 0.5 + 1.0 / 1024, 0.75})
+                for (double sign : {1.0, -1.0})
+                    vals.push_back(float(
+                        sign * std::ldexp(1.0 + (step + off) / 16.0, e)));
+    const float accs[] = {0.0f, 1.0f, -3.25f, 1e-6f, 6e4f};
+    for (int bias : {1, 4, 7}) {
+        MpeDatapath ref(bias), dp(bias);
+        for (Fp8Kind ak : {Fp8Kind::Forward, Fp8Kind::Backward}) {
+            for (Fp8Kind bk : {Fp8Kind::Forward, Fp8Kind::Backward}) {
+                size_t bad = 0;
+                for (size_t i = 0; i < vals.size(); ++i) {
+                    const float a = vals[i];
+                    const float b = vals[(i * 7919 + 13) % vals.size()];
+                    const float acc = accs[i % 5];
+                    const float want = ref.hfp8Fma(a, ak, b, bk, acc);
+                    const float got = dp.fp16Fma(dp.toFp9(a, ak),
+                                                 dp.toFp9(b, bk), acc);
+                    bad += std::bit_cast<uint32_t>(got) !=
+                           std::bit_cast<uint32_t>(want);
+                }
+                EXPECT_EQ(bad, 0u) << "bias " << bias << " kinds "
+                                   << int(ak) << int(bk);
+            }
+        }
+        EXPECT_EQ(dp.fmaCount(), ref.fmaCount());
+        EXPECT_EQ(dp.zeroGatedCount(), ref.zeroGatedCount());
+    }
 }
 
 // runBatch forks independent run() calls, each on its own DesEngine,
