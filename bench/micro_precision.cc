@@ -4,7 +4,9 @@
  * codec encode/decode throughput, FMA datapaths, chunked
  * accumulation, quantizers, the FP32 reference and reduced-precision
  * GEMM executors, the cycle-level systolic simulator, the ring
- * interconnect, and the chip-level simulation of one compiled layer.
+ * interconnect, the chip-level simulation of one compiled layer, and
+ * the serving statistics: the calibrated admission window and the
+ * metrics aggregation of one serving run.
  */
 
 #include <benchmark/benchmark.h>
@@ -13,6 +15,8 @@
 #include "compiler/codegen.hh"
 #include "func/quantized_ops.hh"
 #include "interconnect/mni.hh"
+#include "serve/metrics.hh"
+#include "serve/overload.hh"
 #include "sim/chip_sim.hh"
 #include "sim/systolic.hh"
 #include "tensor/ops.hh"
@@ -257,6 +261,61 @@ BENCHMARK_CAPTURE(BM_ChipSimLayer, inception3_mixedC0_b0_0, "inception3",
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_ChipSimLayer, vgg16_conv1_1, "vgg16", "conv1_1")
     ->Unit(benchmark::kMicrosecond);
+
+/**
+ * One routing-time cost of the calibrated admission tier: a warm
+ * 512-sample window takes one observed wait and is asked for its
+ * prediction, as the serve router does at every launch and routing
+ * decision.
+ */
+void
+BM_CalibratedPredict(benchmark::State &state)
+{
+    CalibratedAdmissionConfig cfg;
+    cfg.enabled = true;
+    cfg.window = 512;
+    CalibratedAdmission admission(cfg);
+    Rng rng(5);
+    std::vector<int64_t> waits(4096);
+    for (int64_t &w : waits)
+        w = rng.uniformInt(0, 2'000'000);
+    for (size_t i = 0; i < cfg.window; ++i)
+        admission.observe(waits[i]);
+    size_t i = 0;
+    for (auto _ : state) {
+        admission.observe(waits[i++ & 4095]);
+        benchmark::DoNotOptimize(admission.predictNs());
+    }
+    state.SetItemsProcessed(int64_t(state.iterations()));
+}
+BENCHMARK(BM_CalibratedPredict);
+
+/**
+ * computeMetrics over one single-chip serving run of about 45 k
+ * requests on three queues: per-tenant latency summaries, the total,
+ * and the queue-wait replay.
+ */
+void
+BM_ServeComputeMetrics(benchmark::State &state)
+{
+    ServeConfig cfg;
+    for (const char *net : {"resnet50", "mobilenetv1", "bert"}) {
+        TenantConfig t;
+        t.name = net;
+        t.network = net;
+        t.arrival_rps = 3000.0;
+        t.deadline_ns = 1'000'000'000;
+        cfg.tenants.push_back(t);
+    }
+    cfg.horizon_ns = 5'000'000'000;
+    const ServeResult result = ServeSim(makeInferenceChip(), cfg).run();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(computeMetrics(cfg, result));
+    state.counters["requests"] = double(result.requests.size());
+    state.SetItemsProcessed(int64_t(state.iterations()) *
+                            int64_t(result.requests.size()));
+}
+BENCHMARK(BM_ServeComputeMetrics)->Unit(benchmark::kMillisecond);
 
 } // namespace
 } // namespace rapid

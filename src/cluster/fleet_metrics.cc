@@ -120,8 +120,7 @@ buildFleetLedger(const ClusterConfig &cfg, const FleetResult &result)
         }
     }
 
-    std::sort(latencies.begin(), latencies.end());
-    out.latency = summarizeLatencies(latencies);
+    out.latency = summarizeLatencies(std::move(latencies));
     const double horizon_s = double(cfg.serve.horizon_ns) * 1e-9;
     out.offered_rps = double(out.offered) / horizon_s;
     out.goodput_rps = double(out.sla_met) / horizon_s;

@@ -1,8 +1,8 @@
 #include "llm/llm_metrics.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <sstream>
+#include <utility>
 
 #include "common/table.hh"
 
@@ -14,15 +14,11 @@ void
 finishTenant(LlmTenantMetrics &m, std::vector<int64_t> &ttfts,
              std::vector<int64_t> &tpots, int64_t horizon_ns)
 {
-    std::sort(ttfts.begin(), ttfts.end());
-    m.ttft = summarizeLatencies(ttfts);
-    std::sort(tpots.begin(), tpots.end());
+    m.ttft = summarizeLatencies(std::move(ttfts));
     if (!tpots.empty()) {
-        double sum = 0;
-        for (int64_t v : tpots)
-            sum += double(v);
-        m.tpot_mean_ns = int64_t(sum / double(tpots.size()));
-        m.tpot_p95_ns = latencyPercentile(tpots, 0.95);
+        const LatencyStats tpot = summarizeLatencies(std::move(tpots));
+        m.tpot_mean_ns = int64_t(tpot.mean);
+        m.tpot_p95_ns = tpot.p95;
     }
     const double horizon_s = double(horizon_ns) * 1e-9;
     m.goodput_rps = double(m.sla_met) / horizon_s;

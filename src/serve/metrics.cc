@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <sstream>
 #include <utility>
 
@@ -12,35 +11,79 @@
 
 namespace rapid {
 
+namespace {
+
+/** Nearest-rank index of quantile @p q among @p n > 0 values. */
+size_t
+percentileRank(size_t n, double q)
+{
+    rapid_assert(q >= 0.0 && q <= 1.0, "percentile ", q,
+                 " outside [0,1]");
+    const double rank = std::ceil(q * double(n));
+    const size_t idx = rank < 1.0 ? 0 : size_t(rank) - 1;
+    return std::min(idx, n - 1);
+}
+
+/** True when sum |v| < 2^53. Then every partial sum, in any order, is
+ *  an integer a double holds exactly, so the double sum of @p values
+ *  does not depend on their order. */
+bool
+sumIsOrderFree(const std::vector<int64_t> &values)
+{
+    constexpr uint64_t kExact = uint64_t(1) << 53;
+    uint64_t total = 0;
+    for (int64_t v : values) {
+        const uint64_t a = v < 0 ? 0 - uint64_t(v) : uint64_t(v);
+        if (a >= kExact - total)
+            return false;
+        total += a;
+    }
+    return true;
+}
+
+} // namespace
+
 int64_t
 latencyPercentile(const std::vector<int64_t> &sorted, double q)
 {
     if (sorted.empty())
         return 0;
-    rapid_assert(q >= 0.0 && q <= 1.0, "percentile ", q,
-                 " outside [0,1]");
-    const double rank = std::ceil(q * double(sorted.size()));
-    size_t idx = rank < 1.0 ? 0 : size_t(rank) - 1;
-    idx = std::min(idx, sorted.size() - 1);
-    return sorted[idx];
+    return sorted[percentileRank(sorted.size(), q)];
 }
 
 LatencyStats
-summarizeLatencies(const std::vector<int64_t> &sorted)
+summarizeLatencies(std::vector<int64_t> values)
 {
     LatencyStats s;
-    s.count = sorted.size();
-    if (sorted.empty())
+    s.count = values.size();
+    if (values.empty())
         return s;
-    s.p50 = latencyPercentile(sorted, 0.50);
-    s.p95 = latencyPercentile(sorted, 0.95);
-    s.p99 = latencyPercentile(sorted, 0.99);
-    s.p999 = latencyPercentile(sorted, 0.999);
-    s.max = sorted.back();
+    // The mean sums in sorted order unless no order can change it.
+    if (!sumIsOrderFree(values))
+        std::sort(values.begin(), values.end());
     double sum = 0;
-    for (int64_t v : sorted)
+    for (int64_t v : values)
         sum += double(v);
-    s.mean = sum / double(sorted.size());
+    s.mean = sum / double(values.size());
+
+    // Ascending selection over shrinking suffixes: once rank r is in
+    // place, every value ranked above it lies in [r + 1, n).
+    const auto begin = values.begin();
+    size_t from = 0;
+    const auto select = [&](double q) {
+        const size_t r = percentileRank(values.size(), q);
+        if (r >= from) {
+            std::nth_element(begin + long(from), begin + long(r),
+                             values.end());
+            from = r + 1;
+        }
+        return values[r];
+    };
+    s.p50 = select(0.50);
+    s.p95 = select(0.95);
+    s.p99 = select(0.99);
+    s.p999 = select(0.999);
+    s.max = *std::max_element(begin + long(from - 1), values.end());
     return s;
 }
 
@@ -60,8 +103,7 @@ void
 finishTenant(TenantMetrics &m, std::vector<int64_t> &latencies,
              int64_t horizon_ns)
 {
-    std::sort(latencies.begin(), latencies.end());
-    m.latency = summarizeLatencies(latencies);
+    m.latency = summarizeLatencies(std::move(latencies));
     const double horizon_s = double(horizon_ns) * 1e-9;
     m.goodput_rps = double(m.sla_met) / horizon_s;
     m.offered_rps = double(m.offered) / horizon_s;
@@ -134,41 +176,60 @@ computeMetrics(const ServeConfig &cfg, const ServeResult &result)
     // wait into its (network, precision) queue's history-window
     // estimator, in completion (launch) order so the window holds the
     // most recent waits, and report the window stats beside the
-    // proven admission bounds on the same requests.
-    struct QueueAccum
-    {
-        QueueDelayEstimator est;
-        double bound_sum = 0;
-        int64_t bound_max = 0;
-        uint64_t samples = 0;
-    };
-    std::map<std::pair<std::string, int>, QueueAccum> queues;
-    std::vector<const RequestRecord *> done;
+    // proven admission bounds on the same requests. Queues are ordered
+    // by (network name, precision); each tenant's first queue index is
+    // computed once.
+    constexpr size_t kPrecisions = size_t(Precision::INT2) + 1;
+    std::vector<std::string> nets;
+    for (const TenantConfig &t : cfg.tenants)
+        nets.push_back(t.network);
+    std::sort(nets.begin(), nets.end());
+    nets.erase(std::unique(nets.begin(), nets.end()), nets.end());
+    std::vector<size_t> tenant_queues(cfg.tenants.size());
+    for (size_t ti = 0; ti < cfg.tenants.size(); ++ti)
+        tenant_queues[ti] =
+            kPrecisions *
+            size_t(std::lower_bound(nets.begin(), nets.end(),
+                                    cfg.tenants[ti].network) -
+                   nets.begin());
+    std::vector<std::vector<const RequestRecord *>> queues(
+        nets.size() * kPrecisions);
     for (const RequestRecord &r : result.requests)
         if (!r.shed && !r.failed)
-            done.push_back(&r);
-    std::stable_sort(done.begin(), done.end(),
-                     [](const RequestRecord *a, const RequestRecord *b) {
-                         return a->launch_ns < b->launch_ns;
-                     });
-    for (const RequestRecord *r : done) {
-        QueueAccum &q = queues[{cfg.tenants[r->tenant].network,
-                                int(r->precision)}];
-        q.est.record(r->queueWaitNs());
-        q.bound_sum += double(r->predicted_ns);
-        q.bound_max = std::max(q.bound_max, r->predicted_ns);
-        ++q.samples;
-    }
-    for (const auto &[key, q] : queues) {
-        QueueWaitMetrics w;
-        w.network = key.first;
-        w.precision = Precision(key.second);
-        w.samples = q.samples;
-        w.observed_mean_ns = q.est.meanNs();
-        w.observed_p95_ns = q.est.p95Ns();
-        w.bound_mean_ns = int64_t(q.bound_sum / double(q.samples));
-        w.bound_max_ns = q.bound_max;
-        out.queue_waits.push_back(w);
+            queues[tenant_queues[r.tenant] + size_t(r.precision)]
+                .push_back(&r);
+    for (size_t qi = 0; qi < queues.size(); ++qi) {
+        std::vector<const RequestRecord *> &done = queues[qi];
+        if (done.empty())
+            continue;
+        std::stable_sort(
+            done.begin(), done.end(),
+            [](const RequestRecord *a, const RequestRecord *b) {
+                return a->launch_ns < b->launch_ns;
+            });
+        double bound_sum = 0;
+        int64_t bound_max = 0;
+        for (const RequestRecord *r : done) {
+            bound_sum += double(r->predicted_ns);
+            bound_max = std::max(bound_max, r->predicted_ns);
+        }
+        // Only the last window of waits survives a replay. Starting at
+        // a multiple of the window, the tail fills every slot a full
+        // replay would, with the same value.
+        QueueDelayEstimator est;
+        const size_t n = done.size();
+        const size_t w = est.capacity();
+        for (size_t i = n < w ? 0 : (n - w) / w * w; i < n; ++i)
+            est.record(done[i]->queueWaitNs());
+        QueueWaitMetrics qw;
+        qw.network = nets[qi / kPrecisions];
+        qw.precision = Precision(qi % kPrecisions);
+        qw.samples = n;
+        qw.observed_mean_ns = est.meanNs();
+        qw.observed_p95_ns = est.p95Ns();
+        qw.bound_mean_ns = int64_t(bound_sum / double(n));
+        qw.bound_max_ns = bound_max;
+        out.queue_waits.push_back(qw);
     }
 
     out.overload_active = cfg.overload.anyEnabled();

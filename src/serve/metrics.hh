@@ -36,8 +36,12 @@ struct LatencyStats
  */
 int64_t latencyPercentile(const std::vector<int64_t> &sorted, double q);
 
-/** Summarize a sorted latency vector. */
-LatencyStats summarizeLatencies(const std::vector<int64_t> &sorted);
+/**
+ * Summarize latencies given in any order; equal, field for field and
+ * mean bit for bit, to summarizing them sorted. Percentiles come from
+ * selection, not a sort (see DESIGN.md §11).
+ */
+LatencyStats summarizeLatencies(std::vector<int64_t> values);
 
 /** Per-tenant (or aggregate) serving outcome. */
 struct TenantMetrics

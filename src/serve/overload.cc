@@ -10,8 +10,10 @@ namespace rapid {
 void
 validateCalibratedAdmissionConfig(const CalibratedAdmissionConfig &cfg)
 {
-    RAPID_CHECK_CONFIG(cfg.window > 0,
-                       "calibrated admission: window must be > 0, got ",
+    RAPID_CHECK_CONFIG(cfg.window > 0 &&
+                           cfg.window <= QueueDelayEstimator::kMaxWindow,
+                       "calibrated admission: window must be in [1, ",
+                       QueueDelayEstimator::kMaxWindow, "], got ",
                        cfg.window);
     RAPID_CHECK_CONFIG(cfg.min_samples >= 1 &&
                            cfg.min_samples <= cfg.window,

@@ -78,7 +78,8 @@ enum class ShedReason : uint8_t
 struct CalibratedAdmissionConfig
 {
     bool enabled = false;
-    /// History window of the per-queue wait estimator.
+    /// History window of the per-queue wait estimator, in
+    /// [1, QueueDelayEstimator::kMaxWindow].
     size_t window = 256;
     /// Observations required before the calibrated tier is trusted;
     /// below this the router admits on the proven bound.

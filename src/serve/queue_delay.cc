@@ -9,9 +9,11 @@ namespace rapid {
 
 QueueDelayEstimator::QueueDelayEstimator(size_t window)
 {
-    RAPID_CHECK_ARG(window > 0,
-                    "QueueDelayEstimator: zero history window");
+    RAPID_CHECK_ARG(window > 0 && window <= kMaxWindow,
+                    "QueueDelayEstimator: history window ", window,
+                    " outside [1, ", kMaxWindow, "]");
     window_.assign(window, 0);
+    sorted_.reserve(window);
 }
 
 void
@@ -19,17 +21,29 @@ QueueDelayEstimator::record(int64_t wait_ns)
 {
     RAPID_CHECK_ARG(wait_ns >= 0,
                     "QueueDelayEstimator: negative wait ", wait_ns);
+    const auto begin = sorted_.begin();
+    const auto end = sorted_.end();
+    if (sorted_.size() < window_.size()) {
+        sorted_.insert(std::upper_bound(begin, end, wait_ns), wait_ns);
+    } else {
+        // Full window: one copy of the evicted value becomes the new
+        // one. Only the elements ranked between the two move, one
+        // step towards the vacated slot.
+        const int64_t old = window_[next_];
+        const auto out = std::lower_bound(begin, end, old);
+        if (wait_ns >= old) {
+            const auto in = std::lower_bound(out + 1, end, wait_ns);
+            std::move(out + 1, in, out);
+            *(in - 1) = wait_ns;
+        } else {
+            const auto in = std::upper_bound(begin, out, wait_ns);
+            std::move_backward(in, out, out + 1);
+            *in = wait_ns;
+        }
+    }
     window_[next_] = wait_ns;
     next_ = (next_ + 1) % window_.size();
-    if (next_ == 0)
-        full_ = true;
     ++count_;
-}
-
-size_t
-QueueDelayEstimator::windowFill() const
-{
-    return full_ ? window_.size() : next_;
 }
 
 int64_t
@@ -47,13 +61,7 @@ QueueDelayEstimator::meanNs() const
 int64_t
 QueueDelayEstimator::p95Ns() const
 {
-    const size_t n = windowFill();
-    if (n == 0)
-        return 0;
-    std::vector<int64_t> sorted(window_.begin(),
-                                window_.begin() + long(n));
-    std::sort(sorted.begin(), sorted.end());
-    return latencyPercentile(sorted, 0.95);
+    return latencyPercentile(sorted_, 0.95);
 }
 
 } // namespace rapid

@@ -16,6 +16,11 @@
  * admission tier (serve/overload.hh) feeds it online at launch time
  * and routes against windowFill()/p95Ns() when the window is warm —
  * the closing ROADMAP item 5 slice.
+ *
+ * The router asks for the p95 on every routing decision, so a sorted
+ * mirror of the ring is kept beside it: record() moves the evicted
+ * value's slot to the new value's rank (O(window) element moves, no
+ * allocation) and p95Ns() reads one element.
  */
 
 #ifndef RAPID_SERVE_QUEUE_DELAY_HH
@@ -31,7 +36,11 @@ namespace rapid {
 class QueueDelayEstimator
 {
   public:
-    /** @p window is the history length in observations (> 0). */
+    /** Largest accepted history window (observations). */
+    static constexpr size_t kMaxWindow = size_t(1) << 20;
+
+    /** @p window is the history length in observations, in
+     *  [1, kMaxWindow]. */
     explicit QueueDelayEstimator(size_t window = 256);
 
     /** Record one observed wait (>= 0 ns); evicts the oldest
@@ -41,8 +50,11 @@ class QueueDelayEstimator
     /** Total observations ever recorded. */
     uint64_t count() const { return count_; }
 
+    /** History length the window holds once full. */
+    size_t capacity() const { return window_.size(); }
+
     /** Observations currently in the window. */
-    size_t windowFill() const;
+    size_t windowFill() const { return sorted_.size(); }
 
     /** Mean wait over the window (0 when empty). */
     int64_t meanNs() const;
@@ -52,8 +64,8 @@ class QueueDelayEstimator
 
   private:
     std::vector<int64_t> window_; ///< ring buffer
+    std::vector<int64_t> sorted_; ///< the filled slots, ascending
     size_t next_ = 0;             ///< next slot to overwrite
-    bool full_ = false;
     uint64_t count_ = 0;
 };
 

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "llm/llm_metrics.hh"
 #include "llm/llm_sim.hh"
 #include "llm/llm_workload.hh"
+#include "serve/queue_delay.hh"
 
 using namespace rapid;
 
@@ -479,6 +481,12 @@ TEST_F(LlmTest, ValidationRejectsBadConfigs)
     reject([](LlmServeConfig &c) { c.fault.rate = -0.5; });
     // The calibrated TPOT tier shares the serve-side knob contract.
     reject([](LlmServeConfig &c) { c.admission.window = 0; });
+    reject([](LlmServeConfig &c) {
+        c.admission.window = QueueDelayEstimator::kMaxWindow + 1;
+    });
+    reject([](LlmServeConfig &c) {
+        c.admission.window = std::numeric_limits<size_t>::max();
+    });
     reject([](LlmServeConfig &c) { c.admission.min_samples = 0; });
     reject([](LlmServeConfig &c) { c.admission.safety_margin = 0.9; });
 
@@ -487,6 +495,17 @@ TEST_F(LlmTest, ValidationRejectsBadConfigs)
     bad.tenants.clear();
     EXPECT_THROW(LlmSim(makeInferenceChip(), bad), Error);
     EXPECT_THROW(runLlmBatch({nullptr}), Error);
+    // An absurd TPOT window is a config error, not std::bad_alloc from
+    // the estimator's allocation.
+    LlmServeConfig huge = microConfig(10.0);
+    huge.admission.enabled = true;
+    huge.admission.window = std::numeric_limits<size_t>::max();
+    try {
+        LlmSim sim(makeInferenceChip(), huge);
+        ADD_FAILURE() << "an absurd window was accepted";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.code(), ErrorCode::InvalidConfig);
+    }
 
     // And the model registry is closed.
     EXPECT_NO_THROW(llmModelByName("llm-micro"));

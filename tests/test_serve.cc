@@ -12,9 +12,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <memory>
+#include <string>
 
 #include "common/des.hh"
 #include "common/error.hh"
@@ -629,6 +631,10 @@ TEST_F(ServeTest, QueueDelayEstimatorWindowStatsAreExact)
     EXPECT_EQ(est.p95Ns(), 800);
     EXPECT_THROW(est.record(-1), Error);
     EXPECT_THROW(QueueDelayEstimator{0}, Error);
+    EXPECT_THROW(QueueDelayEstimator{QueueDelayEstimator::kMaxWindow + 1},
+                 Error);
+    EXPECT_THROW(QueueDelayEstimator{std::numeric_limits<size_t>::max()},
+                 Error);
 }
 
 TEST_F(ServeTest, QueueDelayEstimatorConvergesOnStationaryWorkload)
@@ -698,6 +704,243 @@ TEST_F(ServeTest, QueueDelayEstimatorPercentileIsOrderInvariant)
     EXPECT_EQ(mixed.p95Ns(), asc.p95Ns());
     EXPECT_EQ(desc.meanNs(), asc.meanNs());
     EXPECT_EQ(mixed.meanNs(), asc.meanNs());
+}
+
+// The copy-and-sort window p95 the estimator computed before it kept a
+// sorted mirror: the oracle for p95Ns().
+int64_t
+referenceP95(const std::vector<int64_t> &ring, size_t fill)
+{
+    std::vector<int64_t> sorted(ring.begin(), ring.begin() + long(fill));
+    std::sort(sorted.begin(), sorted.end());
+    return latencyPercentile(sorted, 0.95);
+}
+
+TEST_F(ServeTest, QueueDelayEstimatorMatchesCopyAndSortOracle)
+{
+    // Seeded record streams over at least 10 wraps of each window,
+    // checked after every record against a plain ring buffer. Phases
+    // mix zero waits, heavy duplicates and a wide range so that
+    // evictions hit runs of equal values from both sides.
+    for (size_t w : {1, 2, 3, 255, 256, 512}) {
+        QueueDelayEstimator est(w);
+        ASSERT_EQ(est.capacity(), w);
+        std::vector<int64_t> ring(w, 0);
+        size_t next = 0, fill = 0;
+        Rng rng(1000 + w);
+        const size_t steps = 12 * w + 7;
+        for (size_t step = 0; step < steps; ++step) {
+            int64_t v = 0;
+            switch ((step / (w + 3)) % 4) {
+              case 0: v = rng.uniformInt(0, 2) == 0 ? 0 : 500; break;
+              case 1: v = 100 * rng.uniformInt(0, 3); break;
+              case 2: v = rng.uniformInt(0, 1'000'000); break;
+              default: v = rng.uniformInt(0, 1) * rng.uniformInt(0, 40);
+            }
+            est.record(v);
+            ring[next] = v;
+            next = (next + 1) % w;
+            fill = std::min(fill + 1, w);
+            double sum = 0;
+            for (size_t i = 0; i < fill; ++i)
+                sum += double(ring[i]);
+            ASSERT_EQ(est.windowFill(), fill) << "w " << w << " step "
+                                              << step;
+            ASSERT_EQ(est.p95Ns(), referenceP95(ring, fill))
+                << "w " << w << " step " << step;
+            ASSERT_EQ(est.meanNs(), int64_t(sum / double(fill)))
+                << "w " << w << " step " << step;
+        }
+        EXPECT_EQ(est.count(), steps);
+    }
+}
+
+// Sort, then summarize: the summary before selection replaced sorting,
+// and the oracle for summarizeLatencies().
+LatencyStats
+referenceSummary(std::vector<int64_t> v)
+{
+    std::sort(v.begin(), v.end());
+    LatencyStats s;
+    s.count = v.size();
+    if (v.empty())
+        return s;
+    s.p50 = latencyPercentile(v, 0.50);
+    s.p95 = latencyPercentile(v, 0.95);
+    s.p99 = latencyPercentile(v, 0.99);
+    s.p999 = latencyPercentile(v, 0.999);
+    s.max = v.back();
+    double sum = 0;
+    for (int64_t x : v)
+        sum += double(x);
+    s.mean = sum / double(v.size());
+    return s;
+}
+
+uint64_t
+doubleBits(double d)
+{
+    uint64_t bits;
+    std::memcpy(&bits, &d, sizeof bits);
+    return bits;
+}
+
+void
+expectSummaryMatchesOracle(const std::vector<int64_t> &v,
+                           const std::string &what)
+{
+    const LatencyStats got = summarizeLatencies(v);
+    const LatencyStats want = referenceSummary(v);
+    EXPECT_EQ(got.count, want.count) << what;
+    EXPECT_EQ(got.p50, want.p50) << what;
+    EXPECT_EQ(got.p95, want.p95) << what;
+    EXPECT_EQ(got.p99, want.p99) << what;
+    EXPECT_EQ(got.p999, want.p999) << what;
+    EXPECT_EQ(got.max, want.max) << what;
+    EXPECT_EQ(doubleBits(got.mean), doubleBits(want.mean)) << what;
+}
+
+TEST_F(ServeTest, SummarizeLatenciesMatchesSortThenSummarize)
+{
+    const char *const fills[] = {"random", "equal", "ascending",
+                                 "descending", "three"};
+    const auto make = [](int fill, size_t n, Rng &rng) {
+        std::vector<int64_t> v(n);
+        for (size_t i = 0; i < n; ++i) {
+            switch (fill) {
+              case 0: v[i] = rng.uniformInt(0, 50'000'000); break;
+              case 1: v[i] = 7'000; break;
+              case 2: v[i] = int64_t(i) * 3; break;
+              case 3: v[i] = int64_t(n - i) * 3; break;
+              default: v[i] = 1000 * rng.uniformInt(1, 3);
+            }
+        }
+        return v;
+    };
+    Rng rng(2024);
+    std::vector<size_t> sizes;
+    for (size_t n = 0; n <= 1100; ++n)
+        sizes.push_back(n);
+    sizes.push_back(2000); // q * n is an integer for every q here
+    sizes.push_back(45'000);
+    for (size_t n : sizes)
+        for (int fill = 0; fill < 5; ++fill)
+            expectSummaryMatchesOracle(
+                make(fill, n, rng),
+                std::string(fills[fill]) + " n=" + std::to_string(n));
+
+    // Sum |v| >= 2^53: partial sums round, so the mean must fall back
+    // to the sorted summation order to stay bit-equal.
+    std::vector<int64_t> big;
+    for (int i = 0; i < 1000; ++i)
+        big.push_back(rng.uniformInt(int64_t(1) << 50, int64_t(1) << 52) |
+                      1);
+    double in_order = 0;
+    for (int64_t x : big)
+        in_order += double(x);
+    ASSERT_NE(doubleBits(in_order / double(big.size())),
+              doubleBits(referenceSummary(big).mean))
+        << "this fill must make the summation order matter";
+    expectSummaryMatchesOracle(big, "sum beyond 2^53");
+}
+
+TEST_F(ServeTest, QueueWaitTailReplayMatchesFullReplay)
+{
+    // computeMetrics replays only the aligned tail of each queue's
+    // waits; a full replay of every completed request, in launch order
+    // with record order breaking ties, is the oracle. Queue sizes sit
+    // on and around multiples of the window. Records interleave the
+    // queues, share launch instants and arrive out of launch order,
+    // and shed and failed records must be skipped.
+    const size_t w = QueueDelayEstimator().capacity();
+    const std::vector<size_t> sizes{0, 1, w - 1, w, w + 1,
+                                    2 * w, 2 * w + 1, 5 * w + 3};
+    ServeConfig cfg;
+    for (size_t i = 0; i < sizes.size(); ++i) {
+        TenantConfig t;
+        t.name = "t" + std::to_string(i);
+        // Two tenants per network, in reverse name order, so queue
+        // order is not tenant order.
+        t.network = "net" + std::to_string(9 - i / 2);
+        cfg.tenants.push_back(t);
+    }
+    const Precision precisions[] = {Precision::INT4, Precision::HFP8,
+                                    Precision::FP16, Precision::INT2};
+    ServeResult res;
+    res.horizon_ns = 1'000'000'000;
+    Rng rng(55);
+    std::vector<size_t> left = sizes;
+    for (bool any = true; any;) {
+        any = false;
+        for (size_t ti = 0; ti < sizes.size(); ++ti) {
+            RequestRecord r;
+            r.id = res.requests.size();
+            r.tenant = unsigned(ti);
+            r.arrival_ns = rng.uniformInt(0, 1'000'000);
+            if (left[ti] == 0) {
+                r.shed = true;
+                res.requests.push_back(r);
+                continue;
+            }
+            any = true;
+            --left[ti];
+            r.precision = precisions[ti % 4];
+            r.launch_ns = r.arrival_ns + 1000 * rng.uniformInt(0, 40);
+            r.completion_ns = r.launch_ns + 500;
+            r.predicted_ns = rng.uniformInt(1, 90'000);
+            res.requests.push_back(r);
+            if (rng.uniformInt(0, 9) == 0) {
+                RequestRecord f = r;
+                f.id = res.requests.size();
+                f.failed = true;
+                res.requests.push_back(f);
+            }
+        }
+    }
+    const ServeMetrics m = computeMetrics(cfg, res);
+
+    std::map<std::pair<std::string, int>, std::vector<RequestRecord>>
+        queues;
+    for (const RequestRecord &r : res.requests)
+        if (!r.shed && !r.failed)
+            queues[{cfg.tenants[r.tenant].network, int(r.precision)}]
+                .push_back(r);
+    ASSERT_EQ(m.queue_waits.size(), queues.size());
+    size_t qi = 0;
+    for (auto &[key, done] : queues) {
+        std::stable_sort(done.begin(), done.end(),
+                         [](const RequestRecord &a,
+                            const RequestRecord &b) {
+                             return a.launch_ns < b.launch_ns;
+                         });
+        QueueDelayEstimator est;
+        double bound_sum = 0;
+        int64_t bound_max = 0;
+        for (const RequestRecord &r : done) {
+            est.record(r.queueWaitNs());
+            bound_sum += double(r.predicted_ns);
+            bound_max = std::max(bound_max, r.predicted_ns);
+        }
+        const QueueWaitMetrics &q = m.queue_waits[qi++];
+        const std::string what =
+            key.first + "/" + std::to_string(key.second);
+        EXPECT_EQ(q.network, key.first) << what;
+        EXPECT_EQ(int(q.precision), key.second) << what;
+        EXPECT_EQ(q.samples, done.size()) << what;
+        EXPECT_EQ(q.observed_mean_ns, est.meanNs()) << what;
+        EXPECT_EQ(q.observed_p95_ns, est.p95Ns()) << what;
+        EXPECT_EQ(q.bound_mean_ns,
+                  int64_t(bound_sum / double(done.size())))
+            << what;
+        EXPECT_EQ(q.bound_max_ns, bound_max) << what;
+    }
+    // Every non-empty size appears as one queue's sample count.
+    std::vector<uint64_t> got;
+    for (const QueueWaitMetrics &q : m.queue_waits)
+        got.push_back(q.samples);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, (std::vector<uint64_t>(sizes.begin() + 1,
+                                          sizes.end())));
 }
 
 TEST_F(ServeTest, ObservedQueueWaitsSitUnderProvenBound)
@@ -1107,6 +1350,12 @@ TEST_F(ServeTest, RejectsBadOverloadKnobs)
         EXPECT_THROW(validateServeConfig(cfg), Error);
     };
     reject([](OverloadConfig &o) { o.admission.window = 0; });
+    reject([](OverloadConfig &o) {
+        o.admission.window = QueueDelayEstimator::kMaxWindow + 1;
+    });
+    reject([](OverloadConfig &o) {
+        o.admission.window = std::numeric_limits<size_t>::max();
+    });
     reject([](OverloadConfig &o) { o.admission.min_samples = 0; });
     reject([](OverloadConfig &o) {
         o.admission.min_samples = o.admission.window + 1;
@@ -1122,6 +1371,21 @@ TEST_F(ServeTest, RejectsBadOverloadKnobs)
     });
     reject([](OverloadConfig &o) { o.brownout.escalate_ns = 0; });
     reject([](OverloadConfig &o) { o.brownout.recover_ns = 0; });
+
+    // An unbounded window would reach the estimator's allocation and
+    // fail there with std::bad_alloc or std::length_error; the
+    // simulator's config check must reject it first.
+    ServeConfig cfg = singleTenantConfig(1000.0);
+    cfg.overload.admission.enabled = true;
+    cfg.overload.admission.window = std::numeric_limits<size_t>::max();
+    try {
+        ServeSim sim(makeInferenceChip(), cfg);
+        ADD_FAILURE() << "an absurd window was accepted";
+    } catch (const Error &e) {
+        EXPECT_EQ(e.code(), ErrorCode::InvalidConfig);
+    }
+    cfg.overload.admission.window = QueueDelayEstimator::kMaxWindow;
+    EXPECT_NO_THROW(validateServeConfig(cfg));
 }
 
 // ---------------------------------------------------------------------
