@@ -4,17 +4,20 @@
  * codec encode/decode throughput, FMA datapaths, chunked
  * accumulation, quantizers, the FP32 reference and reduced-precision
  * GEMM executors, the cycle-level systolic simulator, the ring
- * interconnect, the chip-level simulation of one compiled layer, and
- * the serving statistics: the calibrated admission window and the
- * metrics aggregation of one serving run.
+ * interconnect, the chip-level simulation of one compiled layer, the
+ * analytical inference and training models over one network, and the
+ * serving statistics: the calibrated admission window and the metrics
+ * aggregation of one serving run.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "common/random.hh"
 #include "compiler/codegen.hh"
+#include "compiler/precision_assign.hh"
 #include "func/quantized_ops.hh"
 #include "interconnect/mni.hh"
+#include "perf/perf_model.hh"
 #include "serve/metrics.hh"
 #include "serve/overload.hh"
 #include "sim/chip_sim.hh"
@@ -261,6 +264,44 @@ BENCHMARK_CAPTURE(BM_ChipSimLayer, inception3_mixedC0_b0_0, "inception3",
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_ChipSimLayer, vgg16_conv1_1, "vgg16", "conv1_1")
     ->Unit(benchmark::kMicrosecond);
+
+/**
+ * The analytical inference model over resnet50 at batch 1 under the
+ * compiler's INT4 plan, reported in layers evaluated per second.
+ */
+void
+BM_PerfModelEvaluate(benchmark::State &state)
+{
+    const Network net = makeResnet50();
+    PrecisionOptions popts;
+    popts.target = Precision::INT4;
+    const ExecutionPlan plan = assignPrecision(net, popts);
+    const PerfModel model(makeInferenceChip());
+    for (auto _ : state)
+        benchmark::DoNotOptimize(model.evaluate(net, plan, 1));
+    state.counters["layers_per_s"] = benchmark::Counter(
+        double(state.iterations()) * double(net.layers.size()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_PerfModelEvaluate)->Unit(benchmark::kMicrosecond)->UseRealTime();
+
+/**
+ * The data-parallel training model over resnet50 in HFP8 at minibatch
+ * 512 on 4 chips, reported in layers evaluated per second.
+ */
+void
+BM_TrainingEvaluate(benchmark::State &state)
+{
+    const Network net = makeResnet50();
+    const TrainingPerfModel model(makeTrainingSystem(4));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(
+            model.evaluate(net, Precision::HFP8, 512));
+    state.counters["layers_per_s"] = benchmark::Counter(
+        double(state.iterations()) * double(net.layers.size()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_TrainingEvaluate)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 /**
  * One routing-time cost of the calibrated admission tier: a warm

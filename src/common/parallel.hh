@@ -9,19 +9,19 @@
  *    indices from a shared atomic counter, but results are always
  *    gathered *by index* (parallelMap writes out[i]), so the output
  *    is independent of which thread ran what and in which order.
- *  - No shared mutable state crosses tasks. Reductions (argmin over
- *    mapping candidates, cycle accumulation over layers) happen
- *    serially at the barrier, in the same order a serial loop would
- *    use, so floating-point results are bit-identical at any thread
- *    count.
+ *  - No shared mutable state crosses tasks. Reductions (totals over
+ *    sweep points, merged DES windows) happen serially at the barrier,
+ *    in the same order a serial loop would use, so floating-point
+ *    results are bit-identical at any thread count.
  *
  * ThreadPool::parallelFor is strict: calling it from inside a pool
  * task throws std::logic_error (nested fork-join on one pool would
  * deadlock or oversubscribe). The free rapid::parallelFor helper is
  * what library code uses: it degrades to a serial loop when already
- * inside a task, so e.g. the dataflow mapper's candidate sweep stays
- * correct whether or not the perf model already parallelized over
- * layers above it.
+ * inside a task, so e.g. a DES window advanced inside a sweep task
+ * runs its domains inline. The analytical model (compiler, perf,
+ * power, runtime) uses neither: one evaluation is a serial pass, and
+ * the sweep grids that call it are the parallel regions.
  */
 
 #ifndef RAPID_COMMON_PARALLEL_HH

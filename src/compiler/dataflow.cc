@@ -1,11 +1,9 @@
 #include "compiler/dataflow.hh"
 
 #include <limits>
-#include <vector>
 
 #include "common/bitfield.hh"
 #include "common/logging.hh"
-#include "common/parallel.hh"
 
 namespace rapid {
 
@@ -45,7 +43,13 @@ mappedShape(const Layer &layer, int64_t batch)
     return s;
 }
 
-DataflowMapper::DataflowMapper(const ChipConfig &chip) : chip_(chip) {}
+DataflowMapper::DataflowMapper(const ChipConfig &chip) : chip_(chip)
+{
+    const int w = workers();
+    for (int w_co = 1; w_co <= w; ++w_co)
+        if (w % w_co == 0)
+            splits_.push_back(w_co);
+}
 
 int64_t
 DataflowMapper::reductionCap(Precision p) const
@@ -122,22 +126,11 @@ DataflowMapper::map(const Layer &layer, int64_t batch, Precision p)
     const int w = workers();
 
     // The compiler's design-space exploration: every divisor split of
-    // the workers is an independent candidate, so they evaluate in
-    // parallel and the argmin below scans the gathered results in the
-    // same order a serial loop would, keeping the chosen mapping
-    // bit-identical at any thread count.
-    std::vector<int> splits;
-    for (int w_co = 1; w_co <= w; ++w_co)
-        if (w % w_co == 0)
-            splits.push_back(w_co);
-    const std::vector<Mapping> candidates =
-        parallelMap(splits.size(), [&](size_t i) {
-            return evaluateSplit(shape, p, splits[i], w / splits[i]);
-        });
-
+    // the workers is a candidate; the first strict minimum wins.
     Mapping best;
     double best_cycles = std::numeric_limits<double>::infinity();
-    for (const Mapping &m : candidates) {
+    for (int w_co : splits_) {
+        const Mapping m = evaluateSplit(shape, p, w_co, w / w_co);
         const double cycles = m.totalCycles() * layer.repeat;
         if (cycles < best_cycles) {
             best_cycles = cycles;

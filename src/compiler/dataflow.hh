@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "arch/config.hh"
 #include "workloads/layer.hh"
@@ -95,6 +96,9 @@ class DataflowMapper
 
   private:
     ChipConfig chip_;
+    /// Every w_co dividing workers(), ascending: the candidate splits
+    /// map() scans, fixed by the chip so computed once.
+    std::vector<int> splits_;
 };
 
 } // namespace rapid

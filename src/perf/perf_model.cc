@@ -5,8 +5,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/error.hh"
 #include "common/logging.hh"
-#include "common/parallel.hh"
 
 namespace rapid {
 
@@ -77,8 +77,18 @@ LayerPerf
 PerfModel::evaluateLayer(const Layer &layer, const LayerPlan &plan,
                          int64_t batch, bool weights_resident) const
 {
-    LayerPerf perf;
+    RAPID_CHECK_ARG(batch >= 1, "inference batch must be >= 1, got ",
+                    batch);
+    LayerPerf perf = costLayer(layer, plan, batch, weights_resident);
     perf.name = layer.name;
+    return perf;
+}
+
+LayerPerf
+PerfModel::costLayer(const Layer &layer, const LayerPlan &plan,
+                     int64_t batch, bool weights_resident) const
+{
+    LayerPerf perf;
     perf.type = layer.type;
     perf.precision = plan.precision;
 
@@ -197,20 +207,17 @@ PerfModel::evaluate(const Network &net, const ExecutionPlan &plan,
 {
     rapid_assert(plan.layers.size() == net.layers.size(),
                  "plan does not match network ", net.name);
+    RAPID_CHECK_ARG(batch >= 1, "inference batch must be >= 1, got ",
+                    batch);
     NetworkPerf result;
     result.network = net.name;
     result.batch = batch;
 
     const bool weights_resident = weightsFitOnChip(net, plan);
-    // Layers are independent given the plan, so they evaluate in
-    // parallel; the accumulation below runs serially in layer order,
-    // so totals are bit-identical to a serial evaluation at any
-    // thread count.
-    result.layers = parallelMap(net.layers.size(), [&](size_t i) {
-        return evaluateLayer(net.layers[i], plan.at(i), batch,
-                             weights_resident);
-    });
-    for (const LayerPerf &lp : result.layers) {
+    result.layers.reserve(net.layers.size());
+    for (size_t i = 0; i < net.layers.size(); ++i) {
+        const LayerPerf &lp = result.layers.emplace_back(evaluateLayer(
+            net.layers[i], plan.at(i), batch, weights_resident));
         result.breakdown += lp.cycles;
         result.total_seconds += lp.seconds;
         result.total_macs += lp.macs;
@@ -231,6 +238,8 @@ TrainingPerfModel::evaluate(const Network &net, Precision precision,
     rapid_assert(precision == Precision::FP16 ||
                  precision == Precision::HFP8,
                  "training supports FP16/HFP8 only");
+    RAPID_CHECK_ARG(minibatch >= 1,
+                    "training minibatch must be >= 1, got ", minibatch);
     TrainingPerf perf;
     perf.network = net.name;
     perf.precision = precision;
@@ -267,25 +276,15 @@ TrainingPerfModel::evaluate(const Network &net, Precision precision,
     popts.target = precision;
     ExecutionPlan plan = assignPrecision(net, popts);
 
-    // Per-layer forward costs are independent; evaluate them in
-    // parallel and merge serially in layer order below so the result
-    // is bit-identical at any thread count.
-    const std::vector<LayerPerf> fwd =
-        parallelMap(net.layers.size(), [&](size_t i) {
-            const Layer &layer = net.layers[i];
-            const bool aux = layer.type == LayerType::Aux;
-            return chip_model.evaluateLayer(
-                layer, plan.at(i), batch_local,
-                aux || weights_resident);
-        });
-
     bool first_compute_seen = false;
     double total_cycles = 0;
     double act_traffic_bytes = 0;
     for (size_t i = 0; i < net.layers.size(); ++i) {
         const Layer &layer = net.layers[i];
         const LayerPlan &lp = plan.at(i);
-        const LayerPerf &f = fwd[i];
+        const LayerPerf f = chip_model.costLayer(
+            layer, lp, batch_local,
+            layer.type == LayerType::Aux || weights_resident);
         if (layer.type == LayerType::Aux) {
             // Forward activation, backward activation-gradient, and
             // the BN-statistics / optimizer elementwise work.

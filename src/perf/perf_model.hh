@@ -100,12 +100,15 @@ class PerfModel
 
     /**
      * Evaluate inference of @p net under @p plan at @p batch.
-     * @p plan must align with net.layers.
+     * @p plan must align with net.layers; @p batch must be >= 1.
      */
     NetworkPerf evaluate(const Network &net, const ExecutionPlan &plan,
                          int64_t batch = 1) const;
 
-    /** Per-layer evaluation (exposed for tests and the compiler). */
+    /**
+     * Per-layer evaluation (exposed for tests and the compiler).
+     * @p batch must be >= 1.
+     */
     LayerPerf evaluateLayer(const Layer &layer, const LayerPlan &plan,
                             int64_t batch, bool weights_resident) const;
 
@@ -125,6 +128,12 @@ class PerfModel
     double sfuCycles(double elems, double ops_per_elem) const;
 
   private:
+    friend class TrainingPerfModel;
+
+    /** evaluateLayer without the name, which training never reads. */
+    LayerPerf costLayer(const Layer &layer, const LayerPlan &plan,
+                        int64_t batch, bool weights_resident) const;
+
     ChipConfig chip_;
     FaultConfig fault_;
     DataflowMapper mapper_;
@@ -167,6 +176,7 @@ class TrainingPerfModel
   public:
     explicit TrainingPerfModel(const SystemConfig &sys);
 
+    /** @p minibatch must be >= 1. */
     TrainingPerf evaluate(const Network &net, Precision precision,
                           int64_t minibatch = 512) const;
 

@@ -44,6 +44,9 @@ PowerModel::evaluate(const NetworkPerf &perf, const Network &net) const
     // frequency the performance result was computed at.
     const double time_scale = perf.total_seconds > 0
         ? chip_.core_freq_ghz / freq_ghz_ : 1.0;
+    const double base_coeff = baseCoeff();
+    const double sfu_coeff = sfuCoeff();
+    const double leakage_w = si_.leakagePower(freq_ghz_);
 
     for (size_t i = 0; i < perf.layers.size(); ++i) {
         const LayerPerf &lp = perf.layers[i];
@@ -64,10 +67,10 @@ PowerModel::evaluate(const NetworkPerf &perf, const Network &net) const
                   (1.0 - net.layers[i].weight_sparsity);
         const double gate = 1.0 - kZeroGateEffect * zero_frac;
 
-        base_e += baseCoeff() * vvf * t;
+        base_e += base_coeff * vvf * t;
         mpe_e += mpeCoeff(lp.precision) * act_mpe * gate * vvf * t;
-        sfu_e += sfuCoeff() * act_sfu * vvf * t;
-        leak_e += si_.leakagePower(freq_ghz_) * t;
+        sfu_e += sfu_coeff * act_sfu * vvf * t;
+        leak_e += leakage_w * t;
     }
 
     const double wall = perf.total_seconds * time_scale;

@@ -4,7 +4,6 @@
 
 #include "common/error.hh"
 #include "common/logging.hh"
-#include "common/parallel.hh"
 
 namespace rapid {
 
@@ -57,8 +56,6 @@ InferenceResult
 InferenceSession::run(const InferenceOptions &opts) const
 {
     validateInferenceOptions(opts);
-    if (opts.threads > 0)
-        ThreadPool::setDefaultThreads(opts.threads);
     InferenceResult result;
     result.plan = compile(opts);
     rapid_dassert(result.plan.layers.size() == net_.layers.size(),
@@ -83,8 +80,6 @@ TrainingPerf
 TrainingSession::run(const TrainingOptions &opts) const
 {
     validateTrainingOptions(opts);
-    if (opts.threads > 0)
-        ThreadPool::setDefaultThreads(opts.threads);
     TrainingPerfModel model(sys_);
     return model.evaluate(net_, opts.precision, opts.minibatch);
 }

@@ -41,11 +41,6 @@ struct InferenceOptions
     /// Operating point for the efficiency report; 0 keeps the chip's
     /// configured frequency.
     double power_report_freq_ghz = 0.0;
-    /// Evaluation threads (the --threads flag): resizes the shared
-    /// ThreadPool before the sweep; 0 keeps the process-wide default
-    /// (RAPID_THREADS env, else hardware concurrency). Results are
-    /// bit-identical at any thread count.
-    unsigned threads = 0;
     /// Fault scenario: detected-but-uncorrected faults charge retry
     /// cycles into the reported performance and power. The default
     /// (rate 0) is exactly the fault-free model.
@@ -92,8 +87,6 @@ struct TrainingOptions
 {
     Precision precision = Precision::HFP8;
     int64_t minibatch = 512;
-    /// Evaluation threads; see InferenceOptions::threads.
-    unsigned threads = 0;
 };
 
 /**

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hh"
+#include "compiler/precision_assign.hh"
 #include "compiler/tiling.hh"
 #include "perf/perf_model.hh"
 #include "power/throttle.hh"
@@ -34,6 +36,43 @@ TEST(Contracts, PerfModelRejectsFp32ComputeLayers)
     LayerPlan lp;
     lp.precision = Precision::FP32;
     EXPECT_DEATH(pm.evaluateLayer(l, lp, 1, true), "FP32");
+}
+
+/** Run @p fn and expect an InvalidArgument rapid::Error. */
+template <typename Fn>
+void
+expectInvalidArgument(Fn &&fn)
+{
+    EXPECT_THROW(fn(), Error);
+    try {
+        fn();
+    } catch (const Error &e) {
+        EXPECT_EQ(e.code(), ErrorCode::InvalidArgument) << e.message();
+    }
+}
+
+TEST(Contracts, PerfModelRejectsNonPositiveBatch)
+{
+    const PerfModel pm(makeInferenceChip());
+    const Network net = makeResnet50();
+    PrecisionOptions popts;
+    popts.target = Precision::INT4;
+    const ExecutionPlan plan = assignPrecision(net, popts);
+    for (int64_t batch : {-1, 0}) {
+        expectInvalidArgument([&] { pm.evaluate(net, plan, batch); });
+        expectInvalidArgument([&] {
+            pm.evaluateLayer(net.layers[1], plan.at(1), batch, false);
+        });
+    }
+}
+
+TEST(Contracts, TrainingModelRejectsNonPositiveMinibatch)
+{
+    const TrainingPerfModel tm(makeTrainingSystem(4));
+    const Network net = makeResnet50();
+    for (int64_t minibatch : {-8, 0})
+        expectInvalidArgument(
+            [&] { tm.evaluate(net, Precision::HFP8, minibatch); });
 }
 
 TEST(Contracts, SystolicSimIsFpuOnly)

@@ -8,9 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
+#include <string>
+
 #include "common/stats.hh"
 #include "compiler/precision_assign.hh"
 #include "perf/perf_model.hh"
+#include "runtime/session.hh"
 #include "workloads/networks.hh"
 
 namespace rapid {
@@ -139,6 +144,213 @@ TEST(Dataflow, BatchImprovesGemmAmortization)
     double per_sample_1 = b1.totalCycles();
     double per_sample_64 = b64.totalCycles() / 64.0;
     EXPECT_LT(per_sample_64, per_sample_1 / 4);
+}
+
+/**
+ * The mapper's choice, recomputed the slow way: scan every
+ * (w_co, w_pos) pair whose product is the live worker count through
+ * evaluateSplit, keep the first strict minimum of the repeated cycles,
+ * then scale by the repeat count.
+ */
+Mapping
+referenceMap(const DataflowMapper &m, const ChipConfig &chip,
+             const Layer &layer, int64_t batch, Precision p)
+{
+    const MappedShape shape = mappedShape(layer, batch);
+    const int w = int(chip.activeCores() * chip.core.corelets);
+    Mapping best;
+    double best_cycles = std::numeric_limits<double>::infinity();
+    for (int w_co = 1; w_co <= w; ++w_co) {
+        for (int w_pos = 1; w_pos <= w; ++w_pos) {
+            if (w_co * w_pos != w)
+                continue;
+            const Mapping c = m.evaluateSplit(shape, p, w_co, w_pos);
+            const double cycles = c.totalCycles() * layer.repeat;
+            if (cycles < best_cycles) {
+                best_cycles = cycles;
+                best = c;
+            }
+        }
+    }
+    best.compute_cycles *= layer.repeat;
+    best.block_load_cycles *= layer.repeat;
+    return best;
+}
+
+TEST(DataflowMapper, MapMatchesExhaustiveSplitArgmin)
+{
+    struct Case
+    {
+        ChipConfig chip;
+        int workers;
+    };
+    const Case cases[] = {{chip4(), 8},
+                          {makeDegradedInferenceChip(1, 2), 6}};
+    const std::vector<Network> nets = allBenchmarks();
+    for (const Case &c : cases) {
+        const DataflowMapper m(c.chip);
+        ASSERT_EQ(m.workers(), c.workers);
+        size_t checked = 0;
+        for (const Network &net : nets) {
+            for (const Layer &l : net.layers) {
+                if (!l.isCompute())
+                    continue;
+                for (int64_t batch : {1, 7, 64}) {
+                    for (Precision p :
+                         {Precision::INT2, Precision::INT4,
+                          Precision::HFP8, Precision::FP16}) {
+                        const Mapping got = m.map(l, batch, p);
+                        const Mapping want =
+                            referenceMap(m, c.chip, l, batch, p);
+                        const std::string where =
+                            net.name + "/" + l.name + " batch " +
+                            std::to_string(batch) + " " +
+                            precisionName(p);
+                        ASSERT_EQ(got.workers_co, want.workers_co)
+                            << where;
+                        ASSERT_EQ(got.workers_pos, want.workers_pos)
+                            << where;
+                        ASSERT_EQ(got.compute_cycles,
+                                  want.compute_cycles) << where;
+                        ASSERT_EQ(got.block_load_cycles,
+                                  want.block_load_cycles) << where;
+                        ASSERT_EQ(got.utilization, want.utilization)
+                            << where;
+                        ++checked;
+                    }
+                }
+            }
+        }
+        EXPECT_EQ(checked, 6828u);
+    }
+}
+
+/** FNV-1a over the little-endian bytes of 64-bit words. */
+class Fnv1a
+{
+  public:
+    void
+    u64(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i) {
+            h_ ^= (v >> (8 * i)) & 0xff;
+            h_ *= 0x100000001b3ull;
+        }
+    }
+
+    void f64(double v) { u64(std::bit_cast<uint64_t>(v)); }
+
+    void
+    str(const std::string &s)
+    {
+        u64(s.size());
+        for (char c : s)
+            u64(uint64_t(uint8_t(c)));
+    }
+
+    void
+    cycles(const CycleBreakdown &c)
+    {
+        for (double v : {c.conv_gemm, c.overhead, c.quantization, c.aux,
+                         c.retry, c.checkpoint, c.mem_stall})
+            f64(v);
+    }
+
+    void
+    inference(const InferenceResult &r)
+    {
+        u64(r.plan.layers.size());
+        for (const LayerPlan &lp : r.plan.layers) {
+            u64(uint64_t(lp.precision));
+            f64(lp.throttle);
+        }
+        str(r.perf.network);
+        u64(uint64_t(r.perf.batch));
+        u64(r.perf.layers.size());
+        for (const LayerPerf &lp : r.perf.layers) {
+            str(lp.name);
+            u64(uint64_t(lp.type));
+            u64(uint64_t(lp.precision));
+            f64(lp.macs);
+            cycles(lp.cycles);
+            f64(lp.mem_bytes);
+            f64(lp.utilization);
+            f64(lp.seconds);
+        }
+        cycles(r.perf.breakdown);
+        f64(r.perf.total_seconds);
+        f64(r.perf.total_macs);
+        f64(r.perf.mem_bytes);
+        const EnergyReport &e = r.energy;
+        for (double v : {e.avg_power_w, e.energy_j, e.sustained_tops,
+                         e.tops_per_w, e.power.base, e.power.mpe,
+                         e.power.sfu, e.power.leakage})
+            f64(v);
+    }
+
+    void
+    training(const TrainingPerf &t)
+    {
+        str(t.network);
+        u64(uint64_t(t.precision));
+        u64(uint64_t(t.minibatch));
+        for (double v : {t.compute_seconds, t.comm_seconds,
+                         t.step_seconds, t.total_macs})
+            f64(v);
+    }
+
+    uint64_t value() const { return h_; }
+
+  private:
+    uint64_t h_ = 0xcbf29ce484222325ull;
+};
+
+// Pins every field the analytical model reports: inference sessions
+// over the 11 networks x 4 precisions x 3 batches, dense and pruned
+// with sparsity throttling, then training over both training
+// precisions x 3 minibatches x 3 system sizes. Any change to how the
+// model is evaluated must leave these bit for bit.
+TEST(PerfModel, PinnedDigestOverAllNetworks)
+{
+    const std::vector<Network> nets = allBenchmarks();
+    ASSERT_EQ(nets.size(), 11u);
+    Fnv1a inf;
+    size_t layers = 0, throttled_layers = 0;
+    for (const Network &dense : nets) {
+        Network pruned = dense;
+        applySparsityProfile(pruned, 0.6);
+        for (bool throttled : {false, true}) {
+            const InferenceSession session(makeInferenceChip(),
+                                           throttled ? pruned : dense);
+            for (Precision p : {Precision::INT2, Precision::INT4,
+                                Precision::HFP8, Precision::FP16}) {
+                for (int64_t batch : {1, 3, 64}) {
+                    InferenceOptions opts;
+                    opts.target = p;
+                    opts.batch = batch;
+                    opts.sparsity_throttling = throttled;
+                    const InferenceResult r = session.run(opts);
+                    layers += r.perf.layers.size();
+                    for (const LayerPlan &lp : r.plan.layers)
+                        throttled_layers += lp.throttle > 1.0;
+                    inf.inference(r);
+                }
+            }
+        }
+    }
+    EXPECT_EQ(layers, 40752u);
+    EXPECT_EQ(throttled_layers, 20340u);
+    EXPECT_EQ(inf.value(), 0x86d53cd69725bc6eull);
+
+    Fnv1a train;
+    for (unsigned chips : {1u, 3u, 16u}) {
+        const TrainingPerfModel tm(makeTrainingSystem(chips));
+        for (const Network &net : nets)
+            for (Precision p : {Precision::HFP8, Precision::FP16})
+                for (int64_t mb : {64, 512, 4096})
+                    train.training(tm.evaluate(net, p, mb));
+    }
+    EXPECT_EQ(train.value(), 0xfbe55072cd79940eull);
 }
 
 TEST(PrecisionAssign, ProtectsEdgesAndSensitiveLayers)

@@ -37,6 +37,10 @@ Check catalog -- names are the waiver names for
   one-event-engine  no std::priority_queue or std::{push,pop,make}_heap
                     in src/ outside src/common/des.*: simulators
                     schedule on DesDomain, the one event engine
+  serial-model      no parallelFor/parallelMap in src/compiler,
+                    src/perf, src/power or src/runtime: one model
+                    evaluation is a serial pass, and parallelism lives
+                    at the sweep grid that calls it
   layering          declared module-tier order (include_graph.py)
   include-cycle     file- or module-level include cycles (ditto)
 """
@@ -51,6 +55,8 @@ WALLCLOCK_ALLOWED = ("src/common/parallel.", "src/common/sweep.")
 BARE_CATCH_ALLOWED = ("src/common/parallel.",)
 THROW_ALLOWED = ("src/common/error.", "src/common/parallel.")
 HEAP_ALLOWED = ("src/common/des.",)
+SERIAL_MODEL_DIRS = ("src/compiler/", "src/perf/", "src/power/",
+                     "src/runtime/")
 
 HEAP_PRIMITIVES = {"priority_queue", "push_heap", "pop_heap", "make_heap"}
 
@@ -441,6 +447,19 @@ def check_one_event_engine(tf):
                 % t.text)
 
 
+def check_serial_model(tf):
+    if not tf.rel.startswith(SERIAL_MODEL_DIRS):
+        return
+    for t in tf.tokens:
+        if t.kind == "ID" and t.text in ("parallelFor", "parallelMap"):
+            yield _finding(
+                tf, t.line, "serial-model",
+                "%s inside the analytical model: one evaluation is a "
+                "serial pass (nested pool calls run inline anyway); "
+                "parallelize over the sweep grid that calls the model"
+                % t.text)
+
+
 #: Every token-stream check, in report order. The layering and cycle
 #: passes run from the include graph in engine.py.
 TOKEN_CHECKS = (
@@ -459,6 +478,7 @@ TOKEN_CHECKS = (
     check_det_datetime,
     check_throw_discipline,
     check_one_event_engine,
+    check_serial_model,
 )
 
 #: The full check catalog (for --list-checks and the JSON report).
@@ -466,6 +486,6 @@ ALL_CHECKS = (
     "raw-assert", "io-outside-log", "no-rand", "float-eq",
     "include-guard", "no-raw-thread", "no-unseeded-rng", "no-wallclock",
     "no-bare-catch", "det-unordered", "det-ptr-key", "det-ptr-hash",
-    "det-datetime", "throw-discipline", "one-event-engine", "layering",
-    "include-cycle",
+    "det-datetime", "throw-discipline", "one-event-engine",
+    "serial-model", "layering", "include-cycle",
 )

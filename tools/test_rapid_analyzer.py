@@ -15,7 +15,8 @@ import unittest
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 from rapid_analyzer import lexer  # noqa: E402
-from rapid_analyzer.checks import TokenFile, check_float_eq  # noqa: E402
+from rapid_analyzer.checks import (  # noqa: E402
+    TokenFile, check_float_eq, check_serial_model)
 from rapid_analyzer.include_graph import (  # noqa: E402
     MODULE_TIERS, IncludeGraph, module_of)
 
@@ -158,6 +159,30 @@ class CheckHelpers(unittest.TestCase):
         toks = lexer.lex("if (x == 10) {}\n").tokens
         self.assertEqual(
             list(check_float_eq(TokenFile("src/precision/x.cc", toks))), [])
+
+
+    def serial_model(self, rel, text):
+        toks = lexer.lex(text).tokens
+        return [f.check for f in check_serial_model(TokenFile(rel, toks))]
+
+    def test_serial_model_flags_pool_calls_in_model_dirs(self):
+        for rel in ("src/compiler/x.cc", "src/perf/x.cc",
+                    "src/power/x.cc", "src/runtime/x.hh"):
+            self.assertEqual(
+                self.serial_model(rel, "auto v = parallelMap(n, f);\n"
+                                       "rapid::parallelFor(n, g);\n"),
+                ["serial-model", "serial-model"], rel)
+
+    def test_serial_model_allows_sweep_layers_and_comments(self):
+        call = "auto v = parallelMap(n, f);\n"
+        for rel in ("src/serve/x.cc", "src/sim/x.cc", "src/common/x.cc",
+                    "bench/x.cc", "tests/x.cc"):
+            self.assertEqual(self.serial_model(rel, call), [], rel)
+        self.assertEqual(
+            self.serial_model("src/perf/x.cc",
+                              "// no parallelMap here\n"
+                              "const char *s = \"parallelFor\";\n"),
+            [])
 
 
 class GraphResolver(unittest.TestCase):
