@@ -271,11 +271,12 @@ gracefulDegradation()
     } cases[] = {{0, 0},     {0x1, 0},  {0x3, 0},
                  {0x7, 0},   {0, 0x1},  {0, 0x3},
                  {0x1, 0x1}};
+    const Network resnet = makeResnet50();
     for (const auto &c : cases) {
         ChipConfig chip = makeInferenceChip();
         chip.dead_core_mask = c.core_mask;
         chip.dead_mpe_row_mask = c.row_mask;
-        InferenceSession session(chip, makeResnet50());
+        InferenceSession session(chip, resnet);
         InferenceOptions opts;
         opts.target = Precision::INT4;
         opts.batch = 8;
@@ -300,13 +301,14 @@ sessionRetryCost()
                 "parity everywhere (retry 64 cycles) ===\n\n");
     Table t({"Fault rate", "Retry cycles", "inf/s", "vs fault-free"});
     double clean = 0;
+    const Network resnet = makeResnet50();
     for (double rate : {0.0, 1e-9, 1e-8, 1e-7}) {
         InferenceOptions opts;
         opts.target = Precision::INT4;
         opts.batch = 8;
         opts.fault = FaultConfig::withRate(rate);
         opts.fault.protectAll(parityProtection(64.0));
-        InferenceSession session(makeInferenceChip(), makeResnet50());
+        InferenceSession session(makeInferenceChip(), resnet);
         const InferenceResult r = session.run(opts);
         if (rate == 0.0)
             clean = r.perf.samplesPerSecond();

@@ -5,9 +5,9 @@
  * accumulation, quantizers, the FP32 reference and reduced-precision
  * GEMM executors, the cycle-level systolic simulator, the ring
  * interconnect, the chip-level simulation of one compiled layer, the
- * analytical inference and training models over one network, and the
- * serving statistics: the calibrated admission window and the metrics
- * aggregation of one serving run.
+ * analytical inference and training models and sessions over one
+ * network, and the serving statistics: the calibrated admission window
+ * and the metrics aggregation of one serving run.
  */
 
 #include <benchmark/benchmark.h>
@@ -18,6 +18,7 @@
 #include "func/quantized_ops.hh"
 #include "interconnect/mni.hh"
 #include "perf/perf_model.hh"
+#include "runtime/session.hh"
 #include "serve/metrics.hh"
 #include "serve/overload.hh"
 #include "sim/chip_sim.hh"
@@ -302,6 +303,53 @@ BM_TrainingEvaluate(benchmark::State &state)
         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_TrainingEvaluate)->Unit(benchmark::kMicrosecond)->UseRealTime();
+
+/**
+ * One inference session as the sweeps use it: construct it on
+ * resnet50 and run INT4 at batch 1 (compile, evaluate, power),
+ * reported in layers per second.
+ */
+void
+BM_InferenceSessionRun(benchmark::State &state)
+{
+    const Network net = makeResnet50();
+    const ChipConfig chip = makeInferenceChip();
+    InferenceOptions opts;
+    opts.target = Precision::INT4;
+    opts.batch = 1;
+    for (auto _ : state) {
+        const InferenceSession session(chip, net);
+        benchmark::DoNotOptimize(session.run(opts));
+    }
+    state.counters["layers_per_s"] = benchmark::Counter(
+        double(state.iterations()) * double(net.layers.size()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_InferenceSessionRun)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
+
+/**
+ * One training session: construct it on resnet50 and a 4-chip system
+ * and run HFP8 at minibatch 512, reported in layers per second.
+ */
+void
+BM_TrainingSessionRun(benchmark::State &state)
+{
+    const Network net = makeResnet50();
+    const SystemConfig sys = makeTrainingSystem(4);
+    const TrainingOptions opts{Precision::HFP8, 512};
+    for (auto _ : state) {
+        const TrainingSession session(sys, net);
+        benchmark::DoNotOptimize(session.run(opts));
+    }
+    state.counters["layers_per_s"] = benchmark::Counter(
+        double(state.iterations()) * double(net.layers.size()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_TrainingSessionRun)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 /**
  * One routing-time cost of the calibrated admission tier: a warm

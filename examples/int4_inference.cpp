@@ -52,7 +52,8 @@ main()
 
     // --- Architecture part: ResNet50 INT4 on the 4-core chip ---
     std::printf("\nResNet50 INT4 batch-1 on the 4-core chip:\n");
-    InferenceSession session(makeInferenceChip(), makeResnet50());
+    const Network resnet = makeResnet50();
+    InferenceSession session(makeInferenceChip(), resnet);
     InferenceOptions opts;
     opts.target = Precision::INT4;
     opts.power_report_freq_ghz = 1.0;

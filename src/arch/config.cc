@@ -17,6 +17,23 @@ validateChipConfig(const ChipConfig &chip)
                        "corelet needs a non-empty MPE array, got ",
                        chip.core.corelet.mpe_rows, "x",
                        chip.core.corelet.mpe_cols);
+    const MpeConfig &mpe = chip.core.corelet.mpe;
+    RAPID_CHECK_CONFIG(mpe.fpu_simd_lanes >= 1 &&
+                           mpe.fxu_simd_lanes >= 1 &&
+                           mpe.int4_macs_per_fxu >= 1,
+                       "MPE needs non-zero SIMD widths, got fpu ",
+                       mpe.fpu_simd_lanes, ", fxu ", mpe.fxu_simd_lanes,
+                       ", int4_macs_per_fxu ", mpe.int4_macs_per_fxu);
+    const CoreletConfig &corelet = chip.core.corelet;
+    RAPID_CHECK_CONFIG(corelet.sfu_arrays >= 1 &&
+                           corelet.sfus_per_array >= 1 &&
+                           corelet.sfu_simd_lanes >= 1,
+                       "corelet needs a non-empty SFU, got ",
+                       corelet.sfu_arrays, " arrays x ",
+                       corelet.sfus_per_array, " SFUs x ",
+                       corelet.sfu_simd_lanes, " lanes");
+    RAPID_CHECK_CONFIG(chip.core.l1_bw_bytes_per_cycle >= 1,
+                       "l1_bw_bytes_per_cycle must be >= 1");
     RAPID_CHECK_CONFIG(std::isfinite(chip.core_freq_ghz) &&
                            chip.core_freq_ghz > 0.0,
                        "core_freq_ghz must be positive, got ",

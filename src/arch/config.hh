@@ -198,9 +198,10 @@ struct SystemConfig
 
 /**
  * Throw rapid::Error (InvalidConfig) when @p chip is not runnable:
- * zero counts, non-positive frequencies or bandwidths, or masks that
- * kill every core or every MPE row. A partially-masked chip is valid —
- * that is the graceful-degradation path.
+ * zero counts or SIMD/SFU widths, non-positive frequencies or
+ * bandwidths (L1, ring, memory), or masks that kill every core or
+ * every MPE row. A partially-masked chip is valid — that is the
+ * graceful-degradation path.
  */
 void validateChipConfig(const ChipConfig &chip);
 

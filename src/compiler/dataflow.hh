@@ -70,32 +70,64 @@ struct Mapping
 class DataflowMapper
 {
   public:
+    /**
+     * Validates @p chip (rapid::Error, InvalidConfig) and derives its
+     * live worker count, capacities and candidate splits once.
+     */
     explicit DataflowMapper(const ChipConfig &chip);
 
     /**
      * Spatial reduction capacity of one corelet at @p p:
      * rows x (MACs the sub-SIMD/FXU packing performs per lane).
+     * Zero at FP32, which has no MPE datapath.
      */
-    int64_t reductionCap(Precision p) const;
+    int64_t
+    reductionCap(Precision p) const
+    {
+        return red_cap_[size_t(p)];
+    }
 
     /** Spatial output capacity of one corelet: cols x SIMD lanes. */
-    int64_t outputCap() const;
+    int64_t outputCap() const { return out_cap_; }
 
     /** Total corelet workers on the chip. */
-    int workers() const;
+    int workers() const { return workers_; }
 
     /**
      * Map @p layer at @p batch and @p precision; returns the best
-     * mapping over all worker splits.
+     * mapping over all worker splits. Throws rapid::Error
+     * (InvalidArgument) when @p p has no reduction capacity (FP32).
      */
     Mapping map(const Layer &layer, int64_t batch, Precision p) const;
 
-    /** Cycle cost of one specific split (exposed for tests). */
+    /**
+     * Cycle cost of one specific split (exposed for tests). Throws
+     * like map() on a precision without reduction capacity.
+     */
     Mapping evaluateSplit(const MappedShape &shape, Precision p,
                           int workers_co, int workers_pos) const;
 
   private:
-    ChipConfig chip_;
+    /// What every split of one (shape, precision) pair shares.
+    struct Tiling
+    {
+        MappedShape shape;
+        int64_t red_cap;   ///< reduction capacity at the precision
+        int64_t n_red;     ///< reduction tiles
+        double tile_bytes; ///< one padded red_cap x out_cap weight block
+        double macs;       ///< MACs of the whole shape
+    };
+
+    Tiling tiling(const MappedShape &shape, Precision p) const;
+    Mapping split(const Tiling &t, int workers_co,
+                  int workers_pos) const;
+
+    /// Live cores x corelets: masked-dead cores contribute none.
+    int workers_ = 0;
+    int64_t out_cap_ = 0;
+    /// reductionCap per Precision, indexed by its enumerator.
+    int64_t red_cap_[size_t(Precision::INT2) + 1] = {};
+    double l1_bw_bytes_per_cycle_ = 0; ///< one corelet's L1 port
     /// Every w_co dividing workers(), ascending: the candidate splits
     /// map() scans, fixed by the chip so computed once.
     std::vector<int> splits_;

@@ -24,35 +24,35 @@ CycleBreakdown::operator+=(const CycleBreakdown &o)
 }
 
 PerfModel::PerfModel(const ChipConfig &chip, const FaultConfig &fault)
-    : chip_(chip), fault_(fault), mapper_(chip)
+    : chip_(chip), fault_(fault), mapper_(chip) // mapper_ validates chip
 {
-    validateChipConfig(chip);
     validateFaultConfig(fault);
-}
-
-double
-PerfModel::sfuElementsPerCycle() const
-{
-    return chip_.activeCores() * chip_.core.sfuLanes();
+    const unsigned cores = chip_.activeCores();
+    freq_ = ghz(chip_.core_freq_ghz);
+    mem_bytes_per_cycle_ = chip_.memBytesPerSecond() / freq_;
+    l1_total_ = double(cores) * chip_.core.l1_kib * 1024.0;
+    // Per-layer launch cost: program dispatch, pipeline warm-up, and
+    // token-sync barriers whose cost grows with the number of
+    // participating corelets. This is what saturates many-core
+    // scaling for networks made of many tiny layers (Figure 18(a)).
+    launch_cycles_ = 100.0 + 8.0 * cores * chip_.core.corelets;
+    // SFU compute bound: SIMD lanes across all SFU arrays.
+    sfu_lane_rate_ = cores * chip_.core.sfuLanes();
+    // SFU bandwidth bound: each element is read from and written back
+    // to the L1 in FP16 over the corelet's 128 B/cycle port, which the
+    // SFU shares with the MPE dataflow streams (it gets ~3/4 of it on
+    // average across the tile schedule).
+    constexpr double kSfuL1Share = 0.75;
+    const double bytes_per_elem = 2.0 * operandBytes(Precision::FP16);
+    sfu_bw_rate_ = double(cores) * chip_.core.corelets * kSfuL1Share *
+                   chip_.core.l1_bw_bytes_per_cycle / bytes_per_elem;
 }
 
 double
 PerfModel::sfuCycles(double elems, double ops_per_elem) const
 {
-    // Compute bound: SIMD lanes across all SFU arrays.
-    const double lane_cycles =
-        elems * ops_per_elem / sfuElementsPerCycle();
-    // Bandwidth bound: each element is read from and written back to
-    // the L1 in FP16 over the corelet's 128 B/cycle port, which the
-    // SFU shares with the MPE dataflow streams (it gets ~3/4 of it on
-    // average across the tile schedule).
-    constexpr double kSfuL1Share = 0.75;
-    const double bytes_per_elem = 2.0 * operandBytes(Precision::FP16);
-    const double bw_elems_per_cycle =
-        double(chip_.activeCores()) * chip_.core.corelets *
-        kSfuL1Share * chip_.core.l1_bw_bytes_per_cycle /
-        bytes_per_elem;
-    const double bw_cycles = elems / bw_elems_per_cycle;
+    const double lane_cycles = elems * ops_per_elem / sfu_lane_rate_;
+    const double bw_cycles = elems / sfu_bw_rate_;
     return std::max(lane_cycles, bw_cycles);
 }
 
@@ -66,11 +66,9 @@ PerfModel::weightsFitOnChip(const Network &net,
     for (size_t i = 0; i < net.layers.size(); ++i)
         bytes += double(net.layers[i].weightElems()) *
                  operandBytes(plan.at(i).precision);
-    const double l1_total = double(chip_.activeCores()) *
-                            chip_.core.l1_kib * 1024.0;
     // Batch-1 activations are small; 10% of L1 suffices for their
     // double buffering, the rest can pin weights.
-    return bytes <= 0.9 * l1_total;
+    return bytes <= 0.9 * l1_total_;
 }
 
 LayerPerf
@@ -92,28 +90,16 @@ PerfModel::costLayer(const Layer &layer, const LayerPlan &plan,
     perf.type = layer.type;
     perf.precision = plan.precision;
 
-    const double freq = ghz(chip_.core_freq_ghz);
-    const double mem_bytes_per_cycle = chip_.memBytesPerSecond() / freq;
-    const double l1_total = double(chip_.activeCores()) *
-                            chip_.core.l1_kib * 1024.0;
-
-    // Per-layer launch cost: program dispatch, pipeline warm-up, and
-    // token-sync barriers whose cost grows with the number of
-    // participating corelets. This is what saturates many-core
-    // scaling for networks made of many tiny layers (Figure 18(a)).
-    const double launch_cycles =
-        100.0 + 8.0 * chip_.activeCores() * chip_.core.corelets;
-
     if (layer.type == LayerType::Aux) {
         const double elems =
             double(layer.outputElemsPerSample()) * batch;
         perf.cycles.aux =
             sfuCycles(elems, auxOpsPerElement(layer.aux_kind)) +
-            launch_cycles;
+            launch_cycles_;
         // Aux operations are fused into the producer/consumer stream
         // (MPE output -> SFU -> L1), so they add no DRAM traffic of
         // their own; the compute layers account the tensor movement.
-        perf.seconds = perf.cycles.total() / (freq * plan.throttle);
+        perf.seconds = perf.cycles.total() / (freq_ * plan.throttle);
         return perf;
     }
 
@@ -138,7 +124,7 @@ PerfModel::costLayer(const Layer &layer, const LayerPlan &plan,
     // the fixed launch cost.
     perf.cycles.overhead =
         std::max(0.0, m.totalCycles() - perf.cycles.conv_gemm) +
-        launch_cycles;
+        launch_cycles_;
 
     // Quantization / scaling ops to convert FP16 <-> INT4/INT2 at the
     // layer boundary run on the SFU (Section V-E, category 3).
@@ -163,7 +149,7 @@ PerfModel::costLayer(const Layer &layer, const LayerPlan &plan,
     double traffic = 0;
     if (!weights_resident)
         traffic += wt_bytes; // streamed once, reused across the batch
-    if (in_bytes + out_bytes > 0.5 * l1_total)
+    if (in_bytes + out_bytes > 0.5 * l1_total_)
         traffic += in_bytes + out_bytes;
     perf.mem_bytes = traffic;
 
@@ -193,11 +179,11 @@ PerfModel::costLayer(const Layer &layer, const LayerPlan &plan,
                                 1.0);
     }
 
-    const double mem_cycles = traffic / mem_bytes_per_cycle;
+    const double mem_cycles = traffic / mem_bytes_per_cycle_;
     perf.cycles.mem_stall =
         std::max(0.0, mem_cycles - perf.cycles.busy());
 
-    perf.seconds = perf.cycles.total() / (freq * plan.throttle);
+    perf.seconds = perf.cycles.total() / (freq_ * plan.throttle);
     return perf;
 }
 
@@ -226,9 +212,24 @@ PerfModel::evaluate(const Network &net, const ExecutionPlan &plan,
     return result;
 }
 
-TrainingPerfModel::TrainingPerfModel(const SystemConfig &sys)
-    : sys_(sys)
+namespace {
+
+/** @p chip reduced to one healthy core, its dead MPE rows kept. */
+ChipConfig
+oneCore(const ChipConfig &chip)
 {
+    ChipConfig one = chip;
+    one.cores = 1;
+    one.dead_core_mask = 0;
+    return one;
+}
+
+} // namespace
+
+TrainingPerfModel::TrainingPerfModel(const SystemConfig &sys)
+    : sys_(sys), core_model_(oneCore(sys.chip))
+{
+    validateSystemConfig(sys);
 }
 
 TrainingPerf
@@ -254,13 +255,9 @@ TrainingPerfModel::evaluate(const Network &net, Precision precision,
     // run concurrently; weight tiles are multicast from HBM.
     const int64_t batch_local = std::max<int64_t>(
         1, chip_batch / sys_.chip.activeCores());
-    ChipConfig one_core = sys_.chip;
-    one_core.cores = 1;
-    one_core.dead_core_mask = 0; // modelling one healthy core
-    PerfModel chip_model(one_core);
-    const double freq = ghz(sys_.chip.core_freq_ghz);
-    const double mem_bytes_per_cycle =
-        sys_.chip.memBytesPerSecond() / freq;
+    // The core model runs at the chip's clock and memory bandwidth.
+    const double freq = core_model_.freq_;
+    const double mem_bytes_per_cycle = core_model_.mem_bytes_per_cycle_;
     // Weights are replicated per core, so residency is against one
     // core's L1 (minus the activation double-buffering share).
     const double l1_core = sys_.chip.core.l1_kib * 1024.0;
@@ -282,7 +279,7 @@ TrainingPerfModel::evaluate(const Network &net, Precision precision,
     for (size_t i = 0; i < net.layers.size(); ++i) {
         const Layer &layer = net.layers[i];
         const LayerPlan &lp = plan.at(i);
-        const LayerPerf f = chip_model.costLayer(
+        const LayerPerf f = core_model_.costLayer(
             layer, lp, batch_local,
             layer.type == LayerType::Aux || weights_resident);
         if (layer.type == LayerType::Aux) {

@@ -116,9 +116,6 @@ class PerfModel
     bool weightsFitOnChip(const Network &net,
                           const ExecutionPlan &plan) const;
 
-    /** Chip-wide SFU throughput in elements per cycle. */
-    double sfuElementsPerCycle() const;
-
     /**
      * Cycles to push @p elems elements through the SFU arrays at
      * @p ops_per_elem operations each. SFU work is bounded both by
@@ -137,6 +134,15 @@ class PerfModel
     ChipConfig chip_;
     FaultConfig fault_;
     DataflowMapper mapper_;
+
+    // Chip constants every layer reads, derived once from the live
+    // unit counts.
+    double freq_ = 0;                ///< core clock in Hz
+    double mem_bytes_per_cycle_ = 0; ///< DRAM bytes per core cycle
+    double l1_total_ = 0;            ///< aggregate live L1 bytes
+    double launch_cycles_ = 0;       ///< fixed per-layer launch cost
+    double sfu_lane_rate_ = 0;       ///< SFU elements/cycle, lane bound
+    double sfu_bw_rate_ = 0;         ///< SFU elements/cycle, L1 bound
 };
 
 /** Training-system performance result. */
@@ -174,6 +180,7 @@ struct TrainingPerf
 class TrainingPerfModel
 {
   public:
+    /** Validates @p sys (rapid::Error, InvalidConfig). */
     explicit TrainingPerfModel(const SystemConfig &sys);
 
     /** @p minibatch must be >= 1. */
@@ -185,6 +192,9 @@ class TrainingPerfModel
 
   private:
     SystemConfig sys_;
+    /// One healthy core of the system's chip (dead MPE rows kept):
+    /// every layer is costed on it at the per-core batch.
+    PerfModel core_model_;
 };
 
 } // namespace rapid

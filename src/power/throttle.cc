@@ -21,6 +21,7 @@ ThrottlePlanner::ThrottlePlanner(const PowerModel &power,
                         v * f +
                     si.leakagePower(f);
     }
+    dense_run_ = 1.0 - stallRate(0.0);
 }
 
 double
@@ -52,9 +53,7 @@ ThrottlePlanner::stallRate(double weight_sparsity) const
 double
 ThrottlePlanner::speedup(double weight_sparsity) const
 {
-    const double dense = 1.0 - stallRate(0.0);
-    const double sparse = 1.0 - stallRate(weight_sparsity);
-    return sparse / dense;
+    return (1.0 - stallRate(weight_sparsity)) / dense_run_;
 }
 
 void

@@ -63,6 +63,8 @@ class ThrottlePlanner
 
     const PowerModel &power_;
     double envelope_;
+    /// 1 - stallRate(0): the dense baseline's run fraction.
+    double dense_run_ = 1.0;
 };
 
 } // namespace rapid

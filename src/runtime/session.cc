@@ -32,8 +32,9 @@ validateTrainingOptions(const TrainingOptions &opts)
                     precisionName(opts.precision));
 }
 
-InferenceSession::InferenceSession(const ChipConfig &chip, Network net)
-    : chip_(chip), net_(std::move(net))
+InferenceSession::InferenceSession(const ChipConfig &chip,
+                                   const Network &net)
+    : chip_(chip), net_(&net)
 {
     validateChipConfig(chip);
 }
@@ -43,11 +44,11 @@ InferenceSession::compile(const InferenceOptions &opts) const
 {
     PrecisionOptions popts;
     popts.target = opts.target;
-    ExecutionPlan plan = assignPrecision(net_, popts);
+    ExecutionPlan plan = assignPrecision(*net_, popts);
     if (opts.sparsity_throttling) {
         PowerModel power(chip_);
         ThrottlePlanner planner(power);
-        planner.planThrottle(net_, plan);
+        planner.planThrottle(*net_, plan);
     }
     return plan;
 }
@@ -58,20 +59,21 @@ InferenceSession::run(const InferenceOptions &opts) const
     validateInferenceOptions(opts);
     InferenceResult result;
     result.plan = compile(opts);
-    rapid_dassert(result.plan.layers.size() == net_.layers.size(),
+    rapid_dassert(result.plan.layers.size() == net_->layers.size(),
                   "execution plan covers ", result.plan.layers.size(),
-                  " of ", net_.layers.size(), " layers");
+                  " of ", net_->layers.size(), " layers");
     PerfModel perf(chip_, opts.fault);
-    result.perf = perf.evaluate(net_, result.plan, opts.batch);
+    result.perf = perf.evaluate(*net_, result.plan, opts.batch);
     rapid_dassert(result.perf.total_seconds > 0.0,
                   "non-positive inference time");
     PowerModel power(chip_, opts.power_report_freq_ghz);
-    result.energy = power.evaluate(result.perf, net_);
+    result.energy = power.evaluate(result.perf, *net_);
     return result;
 }
 
-TrainingSession::TrainingSession(const SystemConfig &sys, Network net)
-    : sys_(sys), net_(std::move(net))
+TrainingSession::TrainingSession(const SystemConfig &sys,
+                                 const Network &net)
+    : sys_(sys), net_(&net)
 {
     validateSystemConfig(sys);
 }
@@ -81,7 +83,7 @@ TrainingSession::run(const TrainingOptions &opts) const
 {
     validateTrainingOptions(opts);
     TrainingPerfModel model(sys_);
-    return model.evaluate(net_, opts.precision, opts.minibatch);
+    return model.evaluate(*net_, opts.precision, opts.minibatch);
 }
 
 } // namespace rapid

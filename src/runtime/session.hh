@@ -6,9 +6,13 @@
  * bandwidth-centric performance/power models then report end-to-end
  * latency, throughput, and efficiency.
  *
+ * Sessions borrow their network: they hold a pointer to it, never a
+ * copy, so the network must outlive the session. Constructing one
+ * from a temporary network does not compile.
+ *
  * Typical use:
  * @code
- *   Network net = makeResnet50();
+ *   const Network net = makeResnet50();
  *   InferenceSession session(makeInferenceChip(), net);
  *   InferenceOptions opts;
  *   opts.target = Precision::INT4;
@@ -62,13 +66,18 @@ struct InferenceResult
     EnergyReport energy;
 };
 
-/** Compile-and-evaluate session for one network on one chip. */
+/**
+ * Compile-and-evaluate session for one network on one chip. Borrows
+ * the network, which must outlive the session.
+ */
 class InferenceSession
 {
   public:
-    InferenceSession(const ChipConfig &chip, Network net);
+    InferenceSession(const ChipConfig &chip, const Network &net);
+    /// A temporary network would dangle; hold it in a local instead.
+    InferenceSession(const ChipConfig &chip, Network &&net) = delete;
 
-    const Network &network() const { return net_; }
+    const Network &network() const { return *net_; }
     const ChipConfig &chip() const { return chip_; }
 
     /** Compile only: the plan the run would use. */
@@ -79,7 +88,7 @@ class InferenceSession
 
   private:
     ChipConfig chip_;
-    Network net_;
+    const Network *net_;
 };
 
 /** Training evaluation knobs. */
@@ -96,19 +105,25 @@ struct TrainingOptions
  */
 void validateTrainingOptions(const TrainingOptions &opts);
 
-/** Session for a multi-chip training system. */
+/**
+ * Session for a multi-chip training system. Borrows the network,
+ * which must outlive the session.
+ */
 class TrainingSession
 {
   public:
-    TrainingSession(const SystemConfig &sys, Network net);
+    TrainingSession(const SystemConfig &sys, const Network &net);
+    /// A temporary network would dangle; hold it in a local instead.
+    TrainingSession(const SystemConfig &sys, Network &&net) = delete;
 
     TrainingPerf run(const TrainingOptions &opts) const;
 
+    const Network &network() const { return *net_; }
     const SystemConfig &system() const { return sys_; }
 
   private:
     SystemConfig sys_;
-    Network net_;
+    const Network *net_;
 };
 
 } // namespace rapid

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hh"
+#include "compiler/dataflow.hh"
 #include "compiler/precision_assign.hh"
 #include "compiler/tiling.hh"
 #include "perf/perf_model.hh"
@@ -73,6 +76,82 @@ TEST(Contracts, TrainingModelRejectsNonPositiveMinibatch)
     for (int64_t minibatch : {-8, 0})
         expectInvalidArgument(
             [&] { tm.evaluate(net, Precision::HFP8, minibatch); });
+}
+
+/** Run @p fn and expect an InvalidConfig rapid::Error. */
+template <typename Fn>
+void
+expectInvalidConfig(Fn &&fn, const std::string &what)
+{
+    EXPECT_THROW(fn(), Error) << what;
+    try {
+        fn();
+    } catch (const Error &e) {
+        EXPECT_EQ(e.code(), ErrorCode::InvalidConfig) << what;
+    }
+}
+
+// A zero SIMD width would divide the mapper by zero and a zero SFU or
+// L1 width would make every layer time infinite, so each is a config
+// error at the validator, the mapper and the models alike.
+TEST(Contracts, ZeroWidthChipsAreRejected)
+{
+    const struct
+    {
+        const char *field;
+        void (*zero)(ChipConfig &);
+    } cases[] = {
+        {"fpu_simd_lanes",
+         [](ChipConfig &c) { c.core.corelet.mpe.fpu_simd_lanes = 0; }},
+        {"fxu_simd_lanes",
+         [](ChipConfig &c) { c.core.corelet.mpe.fxu_simd_lanes = 0; }},
+        {"int4_macs_per_fxu",
+         [](ChipConfig &c) { c.core.corelet.mpe.int4_macs_per_fxu = 0; }},
+        {"sfu_arrays",
+         [](ChipConfig &c) { c.core.corelet.sfu_arrays = 0; }},
+        {"sfus_per_array",
+         [](ChipConfig &c) { c.core.corelet.sfus_per_array = 0; }},
+        {"sfu_simd_lanes",
+         [](ChipConfig &c) { c.core.corelet.sfu_simd_lanes = 0; }},
+        {"l1_bw_bytes_per_cycle",
+         [](ChipConfig &c) { c.core.l1_bw_bytes_per_cycle = 0; }},
+    };
+    const Network net = makeMobilenetV1();
+    for (const auto &c : cases) {
+        ChipConfig chip = makeInferenceChip();
+        c.zero(chip);
+        expectInvalidConfig([&] { validateChipConfig(chip); }, c.field);
+        expectInvalidConfig([&] { DataflowMapper m(chip); }, c.field);
+        expectInvalidConfig([&] { PerfModel pm(chip); }, c.field);
+        expectInvalidConfig([&] { InferenceSession s(chip, net); },
+                            c.field);
+        SystemConfig sys = makeTrainingSystem(4);
+        c.zero(sys.chip);
+        expectInvalidConfig([&] { TrainingPerfModel tm(sys); }, c.field);
+    }
+}
+
+TEST(Contracts, TrainingModelRejectsFullyMaskedChip)
+{
+    SystemConfig sys = makeTrainingSystem(4);
+    sys.chip.dead_core_mask = ~uint64_t(0);
+    expectInvalidConfig([&] { TrainingPerfModel tm(sys); },
+                        "dead_core_mask");
+}
+
+// FP32 has no MPE datapath, so its reduction capacity is zero and the
+// mapper must refuse it rather than divide by that zero.
+TEST(Contracts, MapperRejectsFp32)
+{
+    const DataflowMapper m(makeInferenceChip());
+    EXPECT_EQ(m.reductionCap(Precision::FP32), 0);
+    Layer l;
+    l.type = LayerType::Gemm;
+    l.gm = l.gk = l.gn = 8;
+    expectInvalidArgument([&] { m.map(l, 1, Precision::FP32); });
+    expectInvalidArgument([&] {
+        m.evaluateSplit(mappedShape(l, 1), Precision::FP32, 1, 1);
+    });
 }
 
 TEST(Contracts, SystolicSimIsFpuOnly)

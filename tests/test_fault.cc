@@ -177,7 +177,8 @@ TEST(FaultZeroRate, SessionDefaultOptionsMatchFaultFreeModel)
     // InferenceOptions default-constructs with rate 0: the reported
     // perf must be bit-identical to the pre-fault model (the golden
     // figures enforce the same property end to end).
-    InferenceSession session(makeInferenceChip(), makeMobilenetV1());
+    const Network net = makeMobilenetV1();
+    InferenceSession session(makeInferenceChip(), net);
     InferenceOptions opts;
     const InferenceResult r = session.run(opts);
     EXPECT_EQ(r.perf.breakdown.retry, 0.0);
@@ -429,12 +430,11 @@ TEST_F(FaultTest, OneDeadCoreDeratesButRuns)
     InferenceOptions opts;
     opts.target = Precision::INT4;
     opts.batch = 8;
+    const Network net = makeResnet50();
     const double full =
-        InferenceSession(healthy, makeResnet50()).run(opts)
-            .perf.samplesPerSecond();
+        InferenceSession(healthy, net).run(opts).perf.samplesPerSecond();
     const double derated =
-        InferenceSession(degraded, makeResnet50()).run(opts)
-            .perf.samplesPerSecond();
+        InferenceSession(degraded, net).run(opts).perf.samplesPerSecond();
     EXPECT_GT(derated, 0.0);
     EXPECT_LT(derated, full);
     // Throughput lands in the [1/4, 1] derating band for 3/4 cores.
@@ -459,8 +459,9 @@ TEST(FaultDegradation, FullyMaskedChipIsRejected)
     ChipConfig chip = makeInferenceChip();
     chip.dead_core_mask = 0xf; // all 4 cores dead
     EXPECT_THROW(validateChipConfig(chip), Error);
+    const Network net = makeMobilenetV1();
     try {
-        InferenceSession session(chip, makeMobilenetV1());
+        InferenceSession session(chip, net);
         FAIL() << "fully-masked chip must be rejected";
     } catch (const Error &e) {
         EXPECT_EQ(e.code(), ErrorCode::InvalidConfig);
@@ -479,7 +480,8 @@ TEST(FaultSession, RetryCyclesDerateThroughput)
     faulty.fault = FaultConfig::withRate(1e-7);
     faulty.fault.protectAll(parityProtection(64.0));
 
-    InferenceSession session(makeInferenceChip(), makeResnet50());
+    const Network net = makeResnet50();
+    InferenceSession session(makeInferenceChip(), net);
     const InferenceResult r0 = session.run(clean);
     const InferenceResult r1 = session.run(faulty);
     EXPECT_EQ(r0.perf.breakdown.retry, 0.0);
@@ -493,7 +495,8 @@ TEST(FaultSession, RetryCyclesDerateThroughput)
 
 TEST(BoundaryErrors, InvalidInferenceOptionsThrow)
 {
-    InferenceSession session(makeInferenceChip(), makeMobilenetV1());
+    const Network net = makeMobilenetV1();
+    InferenceSession session(makeInferenceChip(), net);
     InferenceOptions opts;
     opts.batch = 0;
     EXPECT_THROW(session.run(opts), Error);
@@ -513,7 +516,8 @@ TEST(BoundaryErrors, InvalidInferenceOptionsThrow)
 
 TEST(BoundaryErrors, InvalidTrainingOptionsThrow)
 {
-    TrainingSession session(makeTrainingSystem(), makeBert(64));
+    const Network net = makeBert(64);
+    TrainingSession session(makeTrainingSystem(), net);
     TrainingOptions opts;
     opts.minibatch = 0;
     EXPECT_THROW(session.run(opts), Error);

@@ -353,6 +353,56 @@ TEST(PerfModel, PinnedDigestOverAllNetworks)
     EXPECT_EQ(train.value(), 0xfbe55072cd79940eull);
 }
 
+// The same pin on degraded chips, where every chip constant the model
+// derives (live cores, live MPE rows, and all that follows from them)
+// differs from the healthy value: a dead core, dead MPE rows, and
+// both, then a training system whose chips have both.
+TEST(PerfModel, PinnedDigestOnDegradedChips)
+{
+    const std::vector<Network> nets = allBenchmarks();
+    ASSERT_EQ(nets.size(), 11u);
+    const ChipConfig chips[] = {makeDegradedInferenceChip(1, 0),
+                                makeDegradedInferenceChip(0, 3),
+                                makeDegradedInferenceChip(2, 5)};
+    Fnv1a inf;
+    size_t layers = 0;
+    for (const ChipConfig &chip : chips) {
+        for (const Network &dense : nets) {
+            Network pruned = dense;
+            applySparsityProfile(pruned, 0.6);
+            for (bool throttled : {false, true}) {
+                const Network &net = throttled ? pruned : dense;
+                const InferenceSession session(chip, net);
+                for (Precision p : {Precision::INT2, Precision::INT4,
+                                    Precision::HFP8, Precision::FP16}) {
+                    for (int64_t batch : {1, 7}) {
+                        InferenceOptions opts;
+                        opts.target = p;
+                        opts.batch = batch;
+                        opts.sparsity_throttling = throttled;
+                        const InferenceResult r = session.run(opts);
+                        layers += r.perf.layers.size();
+                        inf.inference(r);
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(layers, 81504u);
+    EXPECT_EQ(inf.value(), 0x8f07df3d3c664c79ull);
+
+    SystemConfig sys = makeTrainingSystem(4);
+    sys.chip.dead_core_mask = 0b1001;
+    sys.chip.dead_mpe_row_mask = 0b11;
+    Fnv1a train;
+    const TrainingPerfModel tm(sys);
+    for (const Network &net : nets)
+        for (Precision p : {Precision::HFP8, Precision::FP16})
+            for (int64_t mb : {64, 512})
+                train.training(tm.evaluate(net, p, mb));
+    EXPECT_EQ(train.value(), 0xd78c12e3640f1d35ull);
+}
+
 TEST(PrecisionAssign, ProtectsEdgesAndSensitiveLayers)
 {
     Network net = makeResnet50();

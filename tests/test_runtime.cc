@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <type_traits>
 
 #include "runtime/report.hh"
 #include "runtime/session.hh"
@@ -17,9 +18,30 @@
 namespace rapid {
 namespace {
 
+// Sessions borrow their network: a temporary would dangle, so it does
+// not compile, and the session reads the caller's object itself.
+static_assert(!std::is_constructible_v<InferenceSession, const ChipConfig &,
+                                       Network &&>);
+static_assert(!std::is_constructible_v<TrainingSession, const SystemConfig &,
+                                       Network &&>);
+static_assert(std::is_constructible_v<InferenceSession, const ChipConfig &,
+                                      const Network &>);
+static_assert(std::is_constructible_v<TrainingSession, const SystemConfig &,
+                                      const Network &>);
+
+TEST(Sessions, BorrowTheNetwork)
+{
+    const Network net = makeMobilenetV1();
+    const InferenceSession inference(makeInferenceChip(), net);
+    EXPECT_EQ(&inference.network(), &net);
+    const TrainingSession training(makeTrainingSystem(4), net);
+    EXPECT_EQ(&training.network(), &net);
+}
+
 TEST(InferenceSession, EndToEndInt4)
 {
-    InferenceSession session(makeInferenceChip(), makeResnet50());
+    const Network net = makeResnet50();
+    InferenceSession session(makeInferenceChip(), net);
     InferenceOptions opts;
     opts.target = Precision::INT4;
     opts.power_report_freq_ghz = 1.0;
@@ -36,7 +58,8 @@ TEST(InferenceSession, EndToEndInt4)
 
 TEST(InferenceSession, PrecisionLadderIsMonotonic)
 {
-    InferenceSession session(makeInferenceChip(), makeVgg16());
+    const Network net = makeVgg16();
+    InferenceSession session(makeInferenceChip(), net);
     double prev = 0;
     for (auto p : {Precision::FP16, Precision::HFP8, Precision::INT4}) {
         InferenceOptions opts;
@@ -49,7 +72,8 @@ TEST(InferenceSession, PrecisionLadderIsMonotonic)
 
 TEST(InferenceSession, CompileOnlyMatchesRunPlan)
 {
-    InferenceSession session(makeInferenceChip(), makeBert());
+    const Network net = makeBert();
+    InferenceSession session(makeInferenceChip(), net);
     InferenceOptions opts;
     opts.target = Precision::HFP8;
     ExecutionPlan plan = session.compile(opts);
@@ -78,7 +102,8 @@ TEST(InferenceSession, SparsityThrottlingSpeedsUpPrunedModel)
 
 TEST(InferenceSession, ThrottlingIsNoOpForDenseModel)
 {
-    InferenceSession session(makeInferenceChip(), makeResnet50());
+    const Network net = makeResnet50();
+    InferenceSession session(makeInferenceChip(), net);
     InferenceOptions base;
     base.target = Precision::FP16;
     InferenceOptions throttled = base;
@@ -91,7 +116,8 @@ TEST(InferenceSession, ThrottlingIsNoOpForDenseModel)
 
 TEST(TrainingSession, EndToEndHfp8)
 {
-    TrainingSession session(makeTrainingSystem(4), makeResnet50());
+    const Network net = makeResnet50();
+    TrainingSession session(makeTrainingSystem(4), net);
     TrainingPerf r = session.run({Precision::HFP8, 512});
     EXPECT_GT(r.samplesPerSecond(), 1000.0);
     EXPECT_GT(r.sustainedTops(), 100.0);
@@ -163,7 +189,8 @@ TEST(Scaling, TrainingChipScalingShape)
 
 TEST(Report, SummaryAndTableContainKeyNumbers)
 {
-    InferenceSession session(makeInferenceChip(), makeResnet50());
+    const Network net = makeResnet50();
+    InferenceSession session(makeInferenceChip(), net);
     InferenceOptions opts;
     opts.target = Precision::INT4;
     InferenceResult r = session.run(opts);
@@ -184,7 +211,8 @@ TEST(Report, SummaryAndTableContainKeyNumbers)
 
 TEST(Report, CsvIsWellFormed)
 {
-    InferenceSession session(makeInferenceChip(), makeMobilenetV1());
+    const Network net = makeMobilenetV1();
+    InferenceSession session(makeInferenceChip(), net);
     InferenceOptions opts;
     opts.target = Precision::HFP8;
     InferenceResult r = session.run(opts);
