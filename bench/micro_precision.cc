@@ -172,20 +172,48 @@ BM_Fp16Conv2d(benchmark::State &state)
 }
 BENCHMARK(BM_Fp16Conv2d)->Arg(8)->Arg(16);
 
+/**
+ * Tensor FP8 quantize throughput on N(0, 0.5) values, one training
+ * activation's worth (32 x 160): the forward format (bias 4) and the
+ * backward format.
+ */
+void
+BM_QuantizeTensorFp8(benchmark::State &state, Fp8Kind kind)
+{
+    Rng rng(5);
+    Tensor t({32, 160});
+    t.fillGaussian(rng, 0.0, 0.5);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(quantizeTensorFp8(t, kind));
+    state.SetItemsProcessed(state.iterations() * t.numel());
+}
+BENCHMARK_CAPTURE(BM_QuantizeTensorFp8, forward, Fp8Kind::Forward);
+BENCHMARK_CAPTURE(BM_QuantizeTensorFp8, backward, Fp8Kind::Backward);
+
+/** HFP8 GEMM (M, K, N) MAC/s: square shapes, and the wide training
+ *  MLP's forward (32x160x160), weight-gradient (160x32x160) and
+ *  logit (32x160x2) GEMMs. */
 void
 BM_Hfp8Matmul(benchmark::State &state)
 {
-    const int64_t n = state.range(0);
+    const int64_t m = state.range(0), k = state.range(1),
+                  n = state.range(2);
     Rng rng(6);
-    Tensor a({n, n}), b({n, n});
+    Tensor a({m, k}), b({k, n});
     a.fillGaussian(rng, 0.0, 0.5);
     b.fillGaussian(rng, 0.0, 0.5);
     for (auto _ : state)
         benchmark::DoNotOptimize(
             hfp8Matmul(a, Fp8Kind::Forward, b, Fp8Kind::Forward));
-    state.SetItemsProcessed(state.iterations() * n * n * n);
+    state.SetItemsProcessed(state.iterations() * m * k * n);
 }
-BENCHMARK(BM_Hfp8Matmul)->Arg(32)->Arg(64)->Arg(160);
+BENCHMARK(BM_Hfp8Matmul)
+    ->Args({32, 32, 32})
+    ->Args({64, 64, 64})
+    ->Args({160, 160, 160})
+    ->Args({32, 160, 160})
+    ->Args({160, 32, 160})
+    ->Args({32, 160, 2});
 
 void
 BM_Fp16Matmul(benchmark::State &state)

@@ -24,6 +24,15 @@ validateChipConfig(const ChipConfig &chip)
                        "MPE needs non-zero SIMD widths, got fpu ",
                        mpe.fpu_simd_lanes, ", fxu ", mpe.fxu_simd_lanes,
                        ", int4_macs_per_fxu ", mpe.int4_macs_per_fxu);
+    // Bounded widths keep every derived capacity (MPE rows x MACs per
+    // lane, MPE columns x lanes) far inside int64.
+    RAPID_CHECK_CONFIG(mpe.fpu_simd_lanes <= kMaxSimdWidth &&
+                           mpe.fxu_simd_lanes <= kMaxSimdWidth &&
+                           mpe.int4_macs_per_fxu <= kMaxSimdWidth,
+                       "MPE SIMD widths above ", kMaxSimdWidth,
+                       " are out of range, got fpu ", mpe.fpu_simd_lanes,
+                       ", fxu ", mpe.fxu_simd_lanes,
+                       ", int4_macs_per_fxu ", mpe.int4_macs_per_fxu);
     const CoreletConfig &corelet = chip.core.corelet;
     RAPID_CHECK_CONFIG(corelet.sfu_arrays >= 1 &&
                            corelet.sfus_per_array >= 1 &&

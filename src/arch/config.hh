@@ -196,9 +196,14 @@ struct SystemConfig
     double c2cBytesPerSecond() const { return chip_to_chip_gbps * kGiga; }
 };
 
+/** Largest MPE SIMD width (FPU or FXU lanes, INT4 MACs per FXU lane)
+ *  validateChipConfig() accepts. */
+constexpr unsigned kMaxSimdWidth = 4096;
+
 /**
  * Throw rapid::Error (InvalidConfig) when @p chip is not runnable:
- * zero counts or SIMD/SFU widths, non-positive frequencies or
+ * zero counts, zero SFU widths, MPE SIMD widths outside
+ * [1, kMaxSimdWidth], non-positive frequencies or
  * bandwidths (L1, ring, memory), or masks that kill every core or
  * every MPE row. A partially-masked chip is valid — that is the
  * graceful-degradation path.

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <type_traits>
 #include <vector>
 
@@ -60,20 +61,118 @@ chunkedDot(const float *a, const float *b, int64_t n,
     return dlfloat16().quantize(acc.total(), cfg.rounding);
 }
 
-/** Output columns one chunkedGemm pass carries, one lane each. */
+/** Output columns one chunkedGemm pass carries, one lane each: two
+ *  halves of kHalf. */
 constexpr int64_t kLanes = 8;
+constexpr int64_t kHalf = 4;
+
+// Lane vectors of 16 bytes: one SSE2 register each on x86-64. (Wider
+// GCC vector types without AVX lower to scalar code.)
+using FloatLanes = float __attribute__((vector_size(16)));
+using BitLanes = uint32_t __attribute__((vector_size(16)));
+using MaskLanes = int32_t __attribute__((vector_size(16)));
+
+/** @p yes in the lanes where @p mask is all ones, else @p no. */
+inline BitLanes
+select(MaskLanes mask, BitLanes yes, BitLanes no)
+{
+    const BitLanes m = std::bit_cast<BitLanes>(mask);
+    return (yes & m) | (no & ~m);
+}
+
+/**
+ * dlfloat16RoundBits<Mode>() of four finite binary32 patterns. The
+ * kernel's sums are finite (every term and fold stays below 2^67), so
+ * the NaN select is dropped, and the round sum stays below 2^31.
+ */
+template <Rounding Mode>
+inline BitLanes
+dlfloat16RoundLanes(BitLanes in)
+{
+    constexpr int32_t kZeroAlias = 96 << 23;
+    constexpr int32_t kMaxFinite = (158 << 23) | 0x007fc000;
+    const BitLanes sign = in & 0x80000000u;
+    BitLanes x = in & 0x7fffffffu;
+    if constexpr (Mode == Rounding::NearestUp)
+        x += 1u << 13;
+    else if constexpr (Mode == Rounding::NearestEven)
+        x += (1u << 13) - 1 + ((x >> 14) & 1u);
+    const BitLanes r = x & ~0x3fffu;
+    const MaskLanes signed_r = std::bit_cast<MaskLanes>(r);
+    const BitLanes sat = select(signed_r > kMaxFinite,
+                                BitLanes{} + uint32_t(kMaxFinite), r);
+    // Everything that rounds to 2^-31 or below flushes to a signed
+    // zero.
+    return sign |
+           (sat & std::bit_cast<BitLanes>(
+                      std::bit_cast<MaskLanes>(sat) > kZeroAlias));
+}
 
 /** A lane's inter-chunk fold on binary32 patterns: the SFU's FP32 add,
  *  or the same add rounded to DLFloat16. */
 template <Rounding Mode, bool Fp32Outer>
-uint32_t
-foldBits(float outer, float chunk)
+inline BitLanes
+foldLanes(FloatLanes outer, FloatLanes chunk)
 {
-    const uint32_t sum = std::bit_cast<uint32_t>(outer + chunk);
+    const BitLanes sum = std::bit_cast<BitLanes>(outer + chunk);
     if constexpr (Fp32Outer)
         return sum;
     else
-        return dlfloat16RoundBits<Mode>(sum);
+        return dlfloat16RoundLanes<Mode>(sum);
+}
+
+/** One half of a lane block's state, held in registers across k. */
+struct LaneHalf
+{
+    FloatLanes acc{};   ///< DLFloat16 chunk accumulators
+    FloatLanes outer{}; ///< inter-chunk sums
+    BitLanes count{};   ///< gated-in terms of the open chunk
+};
+
+/**
+ * One k step of four lanes: acc += a * b in each lane whose @p b is
+ * nonzero, counted, and a lane whose count reaches @p limit folds its
+ * chunk into its outer sum and starts the next. The gate, the count and
+ * the fold are all taken by mask.
+ */
+template <Rounding Mode, bool Fp32Outer>
+inline void
+accumulate(LaneHalf &h, FloatLanes a, FloatLanes b, uint32_t limit)
+{
+    const MaskLanes live = (std::bit_cast<BitLanes>(b) & 0x7fffffffu) != 0;
+    const BitLanes kept = select(
+        live, dlfloat16RoundLanes<Mode>(
+                  std::bit_cast<BitLanes>(h.acc + a * b)),
+        std::bit_cast<BitLanes>(h.acc));
+    h.count -= std::bit_cast<BitLanes>(live);
+    const MaskLanes fold = h.count == limit;
+    h.outer = std::bit_cast<FloatLanes>(
+        select(fold,
+               foldLanes<Mode, Fp32Outer>(
+                   h.outer, std::bit_cast<FloatLanes>(kept)),
+               std::bit_cast<BitLanes>(h.outer)));
+    const BitLanes open = ~std::bit_cast<BitLanes>(fold);
+    h.acc = std::bit_cast<FloatLanes>(kept & open);
+    h.count &= open;
+}
+
+/** A lane's total: its outer sum, with the open chunk folded in by
+ *  mask where one is open. */
+template <Rounding Mode, bool Fp32Outer>
+inline BitLanes
+lastFold(const LaneHalf &h)
+{
+    return select(h.count != 0, foldLanes<Mode, Fp32Outer>(h.outer, h.acc),
+                  std::bit_cast<BitLanes>(h.outer));
+}
+
+/** The four floats at @p p, which need no alignment. */
+inline FloatLanes
+loadLanes(const float *p)
+{
+    FloatLanes v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
 }
 
 /**
@@ -83,9 +182,9 @@ foldBits(float outer, float chunk)
  * whole lane blocks). Each lane keeps its own DLFloat16 chunk
  * accumulator, outer accumulator and count of gated-in terms, and adds
  * its terms in ascending k exactly as ChunkAccumulator does; only
- * independent outputs run side by side, so no sum is reordered. A
- * gated lane keeps its state and a chunk fold is taken by mask, so the
- * lane loop has no branch and vectorises over j.
+ * independent outputs run side by side, so no sum is reordered. The
+ * block's state lives in two LaneHalf register sets for the whole k
+ * loop, and every step is branch-free over the lanes.
  *
  * binary32 arithmetic gives the scalar path's bits. ChunkAccumulator
  * computes float(double(acc) + double(a) * double(b)); here it is
@@ -111,72 +210,103 @@ chunkedGemmKernel(const float *qa, const float *qb, int64_t m, int64_t k,
     for (int64_t i = 0; i < m; ++i) {
         const float *a_row = qa + i * k;
         for (int64_t j0 = 0; j0 < n; j0 += kLanes) {
-            float acc[kLanes] = {};
-            float outer[kLanes] = {};
-            uint32_t count[kLanes] = {};
+            LaneHalf lo, hi;
             for (int64_t kk = 0; kk < k; ++kk) {
                 const float a = a_row[kk];
                 if (isZero(a))
                     continue; // gates every lane's FMA at this k
+                const FloatLanes av = {a, a, a, a};
                 const float *b = qb + kk * ldb + j0;
-                for (int64_t l = 0; l < kLanes; ++l) {
-                    const uint32_t live = isZero(b[l]) ? 0u : ~0u;
-                    const uint32_t old = std::bit_cast<uint32_t>(acc[l]);
-                    const uint32_t sum = dlfloat16RoundBits<Mode>(
-                        std::bit_cast<uint32_t>(acc[l] + a * b[l]));
-                    const uint32_t kept = (sum & live) | (old & ~live);
-                    count[l] += live & 1u;
-                    const uint32_t fold = count[l] == limit ? ~0u : 0u;
-                    const uint32_t folded = foldBits<Mode, Fp32Outer>(
-                        outer[l], std::bit_cast<float>(kept));
-                    outer[l] = std::bit_cast<float>(
-                        (folded & fold) |
-                        (std::bit_cast<uint32_t>(outer[l]) & ~fold));
-                    acc[l] = std::bit_cast<float>(kept & ~fold);
-                    count[l] &= ~fold;
-                }
+                accumulate<Mode, Fp32Outer>(lo, av, loadLanes(b), limit);
+                accumulate<Mode, Fp32Outer>(hi, av, loadLanes(b + kHalf),
+                                            limit);
             }
             // The last fold, the finiteness backstop and the output
-            // rounding, over every lane by select (padding lanes hold
-            // +0), so this loop vectorises too.
-            float rounded[kLanes];
-            uint32_t non_finite = 0;
-            for (int64_t l = 0; l < kLanes; ++l) {
-                const uint32_t pending = count[l] == 0 ? 0u : ~0u;
-                const uint32_t total =
-                    (foldBits<Mode, Fp32Outer>(outer[l], acc[l]) &
-                     pending) |
-                    (std::bit_cast<uint32_t>(outer[l]) & ~pending);
-                non_finite |= (total & 0x7f800000u) == 0x7f800000u;
-                rounded[l] = std::bit_cast<float>(
-                    dlfloat16RoundBits<Mode>(total));
-            }
-            RAPID_CHECK_NUMERIC(non_finite == 0,
+            // rounding (padding lanes hold +0).
+            const BitLanes total_lo = lastFold<Mode, Fp32Outer>(lo);
+            const BitLanes total_hi = lastFold<Mode, Fp32Outer>(hi);
+            const MaskLanes non_finite =
+                ((total_lo & 0x7f800000u) == 0x7f800000u) |
+                ((total_hi & 0x7f800000u) == 0x7f800000u);
+            RAPID_CHECK_NUMERIC((non_finite[0] | non_finite[1] |
+                                 non_finite[2] | non_finite[3]) == 0,
                                 "non-finite chunked dot product over ", k,
                                 " elements: a poisoned operand reached "
                                 "the training accumulation");
-            std::copy_n(rounded, std::min(kLanes, n - j0),
-                        out + i * n + j0);
+            const BitLanes rounded[] = {dlfloat16RoundLanes<Mode>(total_lo),
+                                        dlfloat16RoundLanes<Mode>(total_hi)};
+            std::memcpy(out + i * n + j0, rounded,
+                        size_t(std::min(kLanes, n - j0)) * sizeof(float));
         }
     }
 }
 
-/** Call @p fn with @p rounding as a compile-time constant. */
+/** Call @p fn with @p rounding as a compile-time constant, and return
+ *  what it returns. */
 template <typename Fn>
-void
+decltype(auto)
 withRounding(Rounding rounding, Fn &&fn)
 {
     switch (rounding) {
       case Rounding::NearestUp:
-        fn(std::integral_constant<Rounding, Rounding::NearestUp>{});
-        return;
+        return fn(std::integral_constant<Rounding, Rounding::NearestUp>{});
       case Rounding::Truncate:
-        fn(std::integral_constant<Rounding, Rounding::Truncate>{});
-        return;
+        return fn(std::integral_constant<Rounding, Rounding::Truncate>{});
       case Rounding::NearestEven:
         break;
     }
-    fn(std::integral_constant<Rounding, Rounding::NearestEven>{});
+    return fn(std::integral_constant<Rounding, Rounding::NearestEven>{});
+}
+
+/** The FP8 round of @p kind's format at @p cfg's forward bias. */
+Fp8RoundBits
+fp8Round(Fp8Kind kind, const ExecConfig &cfg)
+{
+    return Fp8RoundBits(kind == Fp8Kind::Forward ? fp8e4m3(cfg.fwd_bias)
+                                                 : fp8e5m2());
+}
+
+/** Fp8RoundBits::round<Mode>() as a bits-to-bits function holding its
+ *  own copy of @p fp8. */
+template <Rounding Mode>
+auto
+fp8Lanes(const Fp8RoundBits &fp8)
+{
+    return [fp8](uint32_t in) { return fp8.round<Mode>(in); };
+}
+
+/** dlfloat16RoundBits<Mode>() as a bits-to-bits function. */
+template <Rounding Mode>
+auto
+fp16Lanes()
+{
+    return [](uint32_t in) { return dlfloat16RoundBits<Mode>(in); };
+}
+
+/**
+ * @p round of the binary32 pattern of every v[i], i in [0, @p n), in
+ * place and in lanes; @p round is copied into the loop. One pointer,
+ * not a source and a destination: once this inlines, __restrict on
+ * two pointers is lost, and -O2's cost model will not version a loop
+ * for aliasing.
+ */
+template <typename Round>
+void
+roundInPlace(float *v, int64_t n, Round round)
+{
+    forEachBlocked(n, [v, round](int64_t i) {
+        v[i] = std::bit_cast<float>(round(std::bit_cast<uint32_t>(v[i])));
+    });
+}
+
+/** @p t rounded element-wise by @p round. */
+template <typename Round>
+Tensor
+roundTensor(const Tensor &t, Round round)
+{
+    Tensor out = t;
+    roundInPlace(out.data(), out.numel(), round);
+    return out;
 }
 
 /** @p n rounded up to whole blocks of @p lanes. */
@@ -230,26 +360,30 @@ chunkedGemm(const float *qa, const float *qb, int64_t m, int64_t k,
     });
 }
 
-/** chunkedGemm() of two rank-2 tensors. */
+/**
+ * chunkedGemm() of the rank-2 (M,K) @p a and (K,N) @p b, each rounded
+ * once on the way in: A by @p round_a in a dense copy, B by @p round_b
+ * after its rows are copied straight into rows padded to whole lane
+ * blocks (the zero padding rounds to zero and is gated off).
+ */
+template <typename RoundA, typename RoundB>
 Tensor
-chunkedGemm(const Tensor &qa, const Tensor &qb, const ExecConfig &cfg)
+roundedGemm(const Tensor &a, RoundA round_a, const Tensor &b,
+            RoundB round_b, const ExecConfig &cfg)
 {
-    rapid_assert(qa.rank() == 2 && qb.rank() == 2,
+    rapid_assert(a.rank() == 2 && b.rank() == 2,
                  "chunked GEMM operands must be rank-2");
-    const int64_t m = qa.dim(0), k = qa.dim(1), n = qb.dim(1);
-    rapid_assert(qb.dim(0) == k, "chunked GEMM inner-dimension mismatch");
-    // Whole lane blocks: the zero padding columns are gated off.
+    const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
+    rapid_assert(b.dim(0) == k, "chunked GEMM inner-dimension mismatch");
+    std::vector<float> qa(a.data(), a.data() + m * k);
+    roundInPlace(qa.data(), m * k, round_a);
     const int64_t ldb = laneStride(n, kLanes);
-    std::vector<float> padded;
-    const float *b = qb.data();
-    if (ldb != n) {
-        padded.assign(size_t(k * ldb), 0.0f);
-        for (int64_t kk = 0; kk < k; ++kk)
-            std::copy_n(b + kk * n, n, padded.data() + kk * ldb);
-        b = padded.data();
-    }
+    std::vector<float> qb(size_t(k * ldb), 0.0f);
+    for (int64_t kk = 0; kk < k; ++kk)
+        std::copy_n(b.data() + kk * n, n, qb.data() + kk * ldb);
+    roundInPlace(qb.data(), k * ldb, round_b);
     Tensor out({m, n});
-    chunkedGemm(qa.data(), b, m, k, n, ldb, cfg, out.data());
+    chunkedGemm(qa.data(), qb.data(), m, k, n, ldb, cfg, out.data());
     return out;
 }
 
@@ -457,56 +591,47 @@ checkFxuWidth(const PactQuantizer &act_q, const SawbQuantizer &wt_q,
                  "quantizer width mismatch");
 }
 
-Tensor
-quantizeWith(const Tensor &t, const FloatFormat &fmt, Rounding rounding)
-{
-    Tensor out = t;
-    out.apply([&](float v) { return fmt.quantize(v, rounding); });
-    return out;
-}
-
 } // namespace
 
 Tensor
 quantizeTensorFp8(const Tensor &t, Fp8Kind kind, const ExecConfig &cfg)
 {
-    return quantizeWith(t,
-                        (kind == Fp8Kind::Forward) ? fp8e4m3(cfg.fwd_bias)
-                                                   : fp8e5m2(),
-                        cfg.rounding);
+    const Fp8RoundBits fp8 = fp8Round(kind, cfg);
+    return withRounding(cfg.rounding, [&](auto mode) {
+        return roundTensor(t, fp8Lanes<decltype(mode)::value>(fp8));
+    });
 }
 
 Tensor
 quantizeTensorFp16(const Tensor &t, Rounding rounding)
 {
-    Tensor out = t;
-    float *v = out.data();
-    const int64_t n = out.numel();
-    withRounding(rounding, [&](auto mode) {
-        forEachBlocked(n, [&](int64_t i) {
-            v[i] = std::bit_cast<float>(
-                dlfloat16RoundBits<decltype(mode)::value>(
-                    std::bit_cast<uint32_t>(v[i])));
-        });
+    return withRounding(rounding, [&](auto mode) {
+        return roundTensor(t, fp16Lanes<decltype(mode)::value>());
     });
-    return out;
 }
 
 Tensor
 fp16Matmul(const Tensor &a, const Tensor &b, const ExecConfig &cfg)
 {
-    return chunkedGemm(quantizeTensorFp16(a, cfg.rounding),
-                       quantizeTensorFp16(b, cfg.rounding), cfg);
+    return withRounding(cfg.rounding, [&](auto mode) {
+        const auto round = fp16Lanes<decltype(mode)::value>();
+        return roundedGemm(a, round, b, round, cfg);
+    });
 }
 
 Tensor
 hfp8Matmul(const Tensor &a, Fp8Kind a_kind, const Tensor &b,
            Fp8Kind b_kind, const ExecConfig &cfg)
 {
-    // Quantize each operand tensor once (the FP8 -> FP9 input stage is
+    // Each operand is quantized once (the FP8 -> FP9 input stage is
     // exact, so the FP8 value is what the multiplier sees).
-    return chunkedGemm(quantizeTensorFp8(a, a_kind, cfg),
-                       quantizeTensorFp8(b, b_kind, cfg), cfg);
+    const Fp8RoundBits fp8_a = fp8Round(a_kind, cfg);
+    const Fp8RoundBits fp8_b = fp8Round(b_kind, cfg);
+    return withRounding(cfg.rounding, [&](auto mode) {
+        constexpr Rounding kMode = decltype(mode)::value;
+        return roundedGemm(a, fp8Lanes<kMode>(fp8_a), b,
+                           fp8Lanes<kMode>(fp8_b), cfg);
+    });
 }
 
 Tensor

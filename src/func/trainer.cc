@@ -284,15 +284,16 @@ Mlp::computeGradients(const Tensor &x, const std::vector<int> &labels,
             // Backprop through the PACT / ReLU activation (STE).
             Tensor gated = dy;
             float alpha_grad = 0.0f;
-            for (int64_t i = 0; i < dy.numel(); ++i) {
-                float pre = d.pre_act[i];
-                if (cfg_.use_pact) {
-                    PactQuantizer q(d.alpha, cfg_.pact_bits);
+            if (cfg_.use_pact) {
+                const PactQuantizer q(d.alpha, cfg_.pact_bits);
+                for (int64_t i = 0; i < dy.numel(); ++i) {
+                    const float pre = d.pre_act[i];
                     alpha_grad += dy[i] * q.gradAlpha(pre);
                     gated[i] = dy[i] * q.gradInput(pre);
-                } else {
-                    gated[i] = pre > 0 ? dy[i] : 0.0f;
                 }
+            } else {
+                for (int64_t i = 0; i < dy.numel(); ++i)
+                    gated[i] = d.pre_act[i] > 0 ? dy[i] : 0.0f;
             }
             d.alpha_grad = alpha_grad + cfg_.alpha_decay * d.alpha;
             dy = denseBackward(d, gated);

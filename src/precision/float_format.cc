@@ -254,6 +254,26 @@ dlfloat16()
     return fmt;
 }
 
+Fp8RoundBits::Fp8RoundBits(const FloatFormat &fmt)
+{
+    rapid_assert(fmt.bitDirect() && fmt.hasSubnormals() &&
+                     fmt.hasInfNan() && fmt.saturating(),
+                 fmt.name(), " has no branch-free FP8 round");
+    // bitDirect() puts the binary32 exponent fields of the subnormal
+    // quantum and of the top binade in [1, 254].
+    const int floor_exp = 128 - fmt.bias();
+    const int ceil_exp =
+        127 + int((1u << fmt.expBits()) - 2) - fmt.bias();
+    const unsigned drop = 23 - fmt.manBits();
+    manBits_ = int32_t(fmt.manBits());
+    minNormalExp_ = floor_exp;
+    maxFinite_ = int32_t((unsigned(ceil_exp) << 23) |
+                         (0x007fffffu >> drop << drop));
+    rapid_assert(floor_exp - manBits_ >= 2, fmt.name(),
+                 " has a quantum below 2^-125, where binary32 "
+                 "subnormals reach half of it");
+}
+
 FloatFormat
 fp8e4m3(int bias)
 {

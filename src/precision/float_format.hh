@@ -29,6 +29,7 @@
 #ifndef RAPID_PRECISION_FLOAT_FORMAT_HH
 #define RAPID_PRECISION_FLOAT_FORMAT_HH
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
@@ -246,6 +247,81 @@ dlfloat16RoundBits(uint32_t in)
     // included) flushes to a signed zero.
     const uint32_t val = sat > kZeroAlias ? sign | uint32_t(sat) : sign;
     return int32_t(mag) >= kInf ? 0x7fc00000u : val;
+}
+
+/**
+ * FloatFormat::quantize() on binary32 patterns for a bit-direct format
+ * with gradual underflow, a merged NaN and saturation, such as both
+ * FP8 kinds at every bias. Every rule is a select instead of a branch,
+ * so lane loops over round() vectorise. Bit-identical to quantize()
+ * for every input (Fp8TensorQuantize in tests/test_func.cc).
+ *
+ * Rounding at the format's mantissa width would need a per-input shift
+ * in the subnormal range (a fixed quantum), and lane loops have no
+ * per-lane shift, so every binade runs in binary32 arithmetic instead:
+ * the magnitude over its quantum (2^-manBits of the input's binade,
+ * or of the least normal binade below it; an exact power-of-two
+ * scale, to below 2^(manBits + 1)) splits into an integer part and an
+ * exact fraction,
+ * the mode picks the carry, and the integer times the quantum is the
+ * result. Inf and NaN lanes run as a finite value and are replaced at
+ * the end, so every float-to-int conversion stays in range.
+ *
+ * Copy the rounder into the loop that runs it (capture by value):
+ * through a reference, the compiler must assume a store to the output
+ * may change its constants, and the loop does not vectorise.
+ */
+class Fp8RoundBits
+{
+  public:
+    /** @p fmt must be bit-direct, with subnormals, a merged NaN and
+     *  saturation; others are rejected by assertion. */
+    explicit Fp8RoundBits(const FloatFormat &fmt);
+
+    template <Rounding Mode>
+    uint32_t round(uint32_t in) const;
+
+  private:
+    int32_t manBits_;      ///< the format's mantissa bits
+    int32_t minNormalExp_; ///< binary32 exponent field of its least normal
+    int32_t maxFinite_;    ///< binary32 pattern of its largest value
+};
+
+template <Rounding Mode>
+inline uint32_t
+Fp8RoundBits::round(uint32_t in) const
+{
+    const uint32_t sign = in & 0x80000000u;
+    const uint32_t mag = in & 0x7fffffffu;
+    // Inf and NaN lanes run as the largest binary32 value; the mask at
+    // the end replaces them.
+    const int32_t finite = std::min(int32_t(mag), 0x7f7fffff);
+    // The quantum's binary32 exponent field: the input's binade, or
+    // the subnormal binade below the least normal.
+    const int32_t quantum_exp =
+        std::max(finite >> 23, minNormalExp_) - manBits_;
+    const float quantum = std::bit_cast<float>(quantum_exp << 23);
+    const float inv_quantum =
+        std::bit_cast<float>((254 - quantum_exp) << 23);
+    // Power-of-two scales: exact, and below 2^(manBits + 1).
+    const float steps = std::bit_cast<float>(finite) * inv_quantum;
+    int32_t whole;
+    if constexpr (Mode == Rounding::NearestEven) {
+        // Adding 2^23 rounds steps to an integer, ties to even, and
+        // subtracting it again is exact.
+        whole = int32_t((steps + 0x1p23f) - 0x1p23f);
+    } else {
+        whole = int32_t(steps);
+        if constexpr (Mode == Rounding::NearestUp)
+            whole += int32_t(steps - float(whole) >= 0.5f);
+    }
+    // A carry to 2^(manBits + 1) steps lands in the next binade.
+    const int32_t r = std::bit_cast<int32_t>(float(whole) * quantum);
+    const uint32_t val = sign | uint32_t(std::min(r, maxFinite_));
+    // All ones for Inf and NaN, by arithmetic rather than a select, so
+    // the compiler has no branch to sink the float work into.
+    const uint32_t special = uint32_t(int32_t(mag + 0x00800000u) >> 31);
+    return (val & ~special) | (0x7fc00000u & special);
 }
 
 /** HFP8 forward format FP8 (1,4,3) with the given exponent bias. */

@@ -131,6 +131,57 @@ TEST(Contracts, ZeroWidthChipsAreRejected)
     }
 }
 
+// A huge SIMD width would overflow the mapper's int64 capacities
+// (rows x MACs per lane, columns x lanes), so widths past
+// kMaxSimdWidth are config errors too: first the probe chip (INT4
+// packing 1.6e19), then each field alone just past the bound.
+TEST(Contracts, HugeSimdWidthsAreRejected)
+{
+    const struct
+    {
+        const char *field;
+        void (*widen)(ChipConfig &);
+    } cases[] = {
+        {"fxu_simd_lanes",
+         [](ChipConfig &c) {
+             c.core.corelet.mpe.fxu_simd_lanes = 4000000000u;
+             c.core.corelet.mpe.int4_macs_per_fxu = 4000000000u;
+             c.core.corelet.mpe.fpu_simd_lanes = 1;
+         }},
+        {"fpu_simd_lanes",
+         [](ChipConfig &c) {
+             c.core.corelet.mpe.fpu_simd_lanes = kMaxSimdWidth + 1;
+         }},
+        {"fxu_simd_lanes",
+         [](ChipConfig &c) {
+             c.core.corelet.mpe.fxu_simd_lanes = kMaxSimdWidth + 1;
+         }},
+        {"int4_macs_per_fxu",
+         [](ChipConfig &c) {
+             c.core.corelet.mpe.int4_macs_per_fxu = kMaxSimdWidth + 1;
+         }},
+    };
+    const Network net = makeMobilenetV1();
+    for (const auto &c : cases) {
+        ChipConfig chip = makeInferenceChip();
+        c.widen(chip);
+        expectInvalidConfig([&] { validateChipConfig(chip); }, c.field);
+        expectInvalidConfig([&] { DataflowMapper m(chip); }, c.field);
+        expectInvalidConfig([&] { PerfModel pm(chip); }, c.field);
+        expectInvalidConfig([&] { InferenceSession s(chip, net); },
+                            c.field);
+        SystemConfig sys = makeTrainingSystem(4);
+        c.widen(sys.chip);
+        expectInvalidConfig([&] { TrainingPerfModel tm(sys); }, c.field);
+    }
+    // The bound itself is a valid width.
+    ChipConfig widest = makeInferenceChip();
+    widest.core.corelet.mpe.fpu_simd_lanes = kMaxSimdWidth;
+    widest.core.corelet.mpe.fxu_simd_lanes = kMaxSimdWidth;
+    widest.core.corelet.mpe.int4_macs_per_fxu = kMaxSimdWidth;
+    EXPECT_NO_THROW(DataflowMapper{widest});
+}
+
 TEST(Contracts, TrainingModelRejectsFullyMaskedChip)
 {
     SystemConfig sys = makeTrainingSystem(4);

@@ -10,6 +10,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <limits>
 #include <string>
 #include <utility>
@@ -18,9 +19,11 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hh"
+#include "common/parallel.hh"
 #include "func/datasets.hh"
 #include "func/quantized_ops.hh"
 #include "func/trainer.hh"
+#include "rounding_classes.hh"
 
 namespace rapid {
 namespace {
@@ -159,23 +162,43 @@ struct GemmRun
     Tensor want;
 };
 
+/** The format of @p kind at @p cfg's forward bias. */
+FloatFormat
+fp8Format(Fp8Kind kind, const ExecConfig &cfg)
+{
+    return kind == Fp8Kind::Forward ? fp8e4m3(cfg.fwd_bias) : fp8e5m2();
+}
+
+/** @p t quantized one element at a time by the scalar
+ *  FloatFormat::quantize(): the oracle's operands, independent of the
+ *  library's lane rounding. */
+Tensor
+quantizeEach(const Tensor &t, const FloatFormat &fmt, Rounding rounding)
+{
+    Tensor out = t;
+    for (int64_t i = 0; i < out.numel(); ++i)
+        out[i] = fmt.quantize(out[i], rounding);
+    return out;
+}
+
 GemmRun
 runHfp8(const Tensor &a, Fp8Kind a_kind, const Tensor &b, Fp8Kind b_kind,
         const ExecConfig &cfg)
 {
     return {hfp8Matmul(a, a_kind, b, b_kind, cfg),
-            referenceChunkedMatmul(quantizeTensorFp8(a, a_kind, cfg),
-                                   quantizeTensorFp8(b, b_kind, cfg),
-                                   cfg)};
+            referenceChunkedMatmul(
+                quantizeEach(a, fp8Format(a_kind, cfg), cfg.rounding),
+                quantizeEach(b, fp8Format(b_kind, cfg), cfg.rounding),
+                cfg)};
 }
 
 GemmRun
 runFp16(const Tensor &a, const Tensor &b, const ExecConfig &cfg)
 {
     return {fp16Matmul(a, b, cfg),
-            referenceChunkedMatmul(quantizeTensorFp16(a, cfg.rounding),
-                                   quantizeTensorFp16(b, cfg.rounding),
-                                   cfg)};
+            referenceChunkedMatmul(
+                quantizeEach(a, dlfloat16(), cfg.rounding),
+                quantizeEach(b, dlfloat16(), cfg.rounding), cfg)};
 }
 
 /** Outputs whose binary32 patterns differ; any two NaNs match. */
@@ -383,6 +406,54 @@ TEST(ChunkedGemmOracle, TiesAtBit14BitIdentical)
     EXPECT_GT(s.mode_differences, 0) << "no accumulate tied";
 }
 
+/**
+ * Lanes of one block whose chunks fold at different k: column c of B
+ * is zero with probability c / 2n, so the gated-in counts of the
+ * lanes drift apart along k. Every shape x chunk x mode x outer
+ * precision, HFP8 and FP16, against the oracle.
+ */
+TEST(ChunkedGemmOracle, DivergentLaneCountsBitIdentical)
+{
+    Rng rng(79);
+    constexpr int64_t n = 19; // two whole lane blocks and a part one
+    for (int64_t k : {63, 64, 65, 160, 200}) {
+        Tensor b = randomTensor(rng, {k, n});
+        std::vector<int64_t> live(size_t(n), 0);
+        for (int64_t r = 0; r < k; ++r) {
+            for (int64_t c = 0; c < n; ++c) {
+                if (rng.uniform() < double(c) / double(2 * n))
+                    b.at(r, c) = 0.0f;
+                live[size_t(c)] += b.at(r, c) != 0.0f;
+            }
+        }
+        // The ramp must split the first block's lanes, or every lane
+        // would fold at the same k.
+        EXPECT_NE(*std::min_element(live.begin(), live.begin() + 8),
+                  *std::max_element(live.begin(), live.begin() + 8));
+        for (int64_t m : {1, 3, 5}) {
+            const Tensor a = randomTensor(rng, {m, k});
+            for (size_t chunk : {size_t(1), size_t(3), size_t(64)}) {
+                for (bool fp32_outer : {true, false}) {
+                    for (Rounding mode : kOracleModes) {
+                        ExecConfig cfg;
+                        cfg.chunk_size = chunk;
+                        cfg.fp32_outer = fp32_outer;
+                        cfg.rounding = mode;
+                        for (const GemmRun &r :
+                             {runHfp8(a, Fp8Kind::Forward, b,
+                                      Fp8Kind::Forward, cfg),
+                              runFp16(a, b, cfg)})
+                            EXPECT_EQ(bitMismatches(r.got, r.want), 0)
+                                << "m=" << m << " k=" << k
+                                << " chunk=" << chunk << " fp32_outer="
+                                << fp32_outer << " mode=" << int(mode);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /** A poisoned operand whose every product is zero-gated: no throw, and
  *  the scalar path's bits. */
 TEST(ChunkedGemmOracle, GatedPoisonPassesThrough)
@@ -433,9 +504,9 @@ TEST(ChunkedGemmOracle, LivePoisonThrowsOracleFault)
         a.at(2, 33) = poison;
         ExecConfig cfg;
         const std::string want = numericFault([&] {
-            referenceChunkedMatmul(
-                quantizeTensorFp8(a, Fp8Kind::Forward, cfg),
-                quantizeTensorFp8(b, Fp8Kind::Forward, cfg), cfg);
+            const FloatFormat fp8 = fp8Format(Fp8Kind::Forward, cfg);
+            referenceChunkedMatmul(quantizeEach(a, fp8, cfg.rounding),
+                                   quantizeEach(b, fp8, cfg.rounding), cfg);
         });
         EXPECT_NE(want.find("element 33 of a 65-element"),
                   std::string::npos)
@@ -446,11 +517,115 @@ TEST(ChunkedGemmOracle, LivePoisonThrowsOracleFault)
                   }),
                   want);
         const std::string want16 = numericFault([&] {
-            referenceChunkedMatmul(quantizeTensorFp16(a),
-                                   quantizeTensorFp16(b), cfg);
+            referenceChunkedMatmul(quantizeEach(a, dlfloat16(), cfg.rounding),
+                                   quantizeEach(b, dlfloat16(), cfg.rounding),
+                                   cfg);
         });
         EXPECT_EQ(want16, want);
         EXPECT_EQ(numericFault([&] { fp16Matmul(a, b, cfg); }), want16);
+    }
+}
+
+/** One FP8 tensor-quantize case: a kind and its forward bias. */
+struct Fp8Case
+{
+    Fp8Kind kind;
+    int fwd_bias;
+};
+
+/** Both FP8 kinds: (1,4,3) at every bias, and (1,5,2). */
+std::vector<Fp8Case>
+allFp8Cases()
+{
+    std::vector<Fp8Case> out;
+    for (int bias = 1; bias <= 15; ++bias)
+        out.push_back({Fp8Kind::Forward, bias});
+    out.push_back({Fp8Kind::Backward, 4});
+    return out;
+}
+
+/** Inputs among the binary32 patterns @p in where quantizeTensorFp8()
+ *  and FloatFormat::quantize() differ as bit patterns (so a NaN cannot
+ *  hide behind NaN != NaN); the first lands in @p first. */
+size_t
+fp8LaneMismatches(const std::vector<uint32_t> &in, Fp8Kind kind,
+                  const ExecConfig &cfg, uint32_t &first)
+{
+    Tensor t({int64_t(in.size())});
+    for (size_t i = 0; i < in.size(); ++i)
+        t[int64_t(i)] = std::bit_cast<float>(in[i]);
+    const Tensor got = quantizeTensorFp8(t, kind, cfg);
+    const FloatFormat fmt = fp8Format(kind, cfg);
+    size_t bad = 0;
+    for (size_t i = 0; i < in.size(); ++i) {
+        const float v = std::bit_cast<float>(in[i]);
+        if (std::bit_cast<uint32_t>(got[int64_t(i)]) !=
+                std::bit_cast<uint32_t>(fmt.quantize(v, cfg.rounding)) &&
+            bad++ == 0)
+            first = in[i];
+    }
+    return bad;
+}
+
+/** The lane path against the scalar quantize over every rounding
+ *  class, for every FP8 kind and forward bias and every mode. */
+TEST(Fp8TensorQuantize, MatchesFormatQuantizeOverRoundingClasses)
+{
+    const std::vector<uint32_t> inputs = roundingClassInputs();
+    for (const Fp8Case &c : allFp8Cases()) {
+        for (Rounding mode : kOracleModes) {
+            ExecConfig cfg;
+            cfg.fwd_bias = c.fwd_bias;
+            cfg.rounding = mode;
+            uint32_t first = 0;
+            EXPECT_EQ(fp8LaneMismatches(inputs, c.kind, cfg, first), 0u)
+                << fp8Format(c.kind, cfg).name() << " mode " << int(mode)
+                << ", first input 0x" << std::hex << first;
+        }
+    }
+}
+
+/**
+ * The lane path against the scalar quantize over every binary32 input
+ * at a prime stride, for both datapath FP8 formats; set
+ * RAPID_FULL_QUANTIZE_SWEEP=1 to sweep all 2^32 inputs.
+ */
+TEST(Fp8TensorQuantize, MatchesFormatQuantizeOnStridedBinary32Sweep)
+{
+    const uint64_t stride =
+        std::getenv("RAPID_FULL_QUANTIZE_SWEEP") ? 1 : 4099;
+    constexpr size_t kSlices = 256;
+    constexpr uint64_t kSpan = (uint64_t(1) << 32) / kSlices;
+    constexpr size_t kBatch = size_t(1) << 16;
+    for (Fp8Kind kind : {Fp8Kind::Forward, Fp8Kind::Backward}) {
+        for (Rounding mode : kOracleModes) {
+            ExecConfig cfg;
+            cfg.rounding = mode;
+            const std::vector<size_t> bad =
+                parallelMap(kSlices, [&](size_t s) {
+                    size_t n = 0;
+                    uint32_t first = 0;
+                    std::vector<uint32_t> batch;
+                    batch.reserve(kBatch);
+                    // Each slice starts on the global stride grid.
+                    uint64_t in = (s * kSpan + stride - 1) / stride * stride;
+                    for (; in < (s + 1) * kSpan; in += stride) {
+                        batch.push_back(uint32_t(in));
+                        if (batch.size() == kBatch) {
+                            n += fp8LaneMismatches(batch, kind, cfg, first);
+                            batch.clear();
+                        }
+                    }
+                    if (!batch.empty())
+                        n += fp8LaneMismatches(batch, kind, cfg, first);
+                    return n;
+                });
+            size_t total = 0;
+            for (size_t n : bad)
+                total += n;
+            EXPECT_EQ(total, 0u)
+                << fp8Format(kind, cfg).name() << " mode " << int(mode);
+        }
     }
 }
 
