@@ -1,7 +1,11 @@
 #include "func/cnn.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
+
+#include "common/error.hh"
+#include "tensor/ops.hh"
 
 namespace rapid {
 
@@ -54,131 +58,81 @@ makeStripes(Rng &rng, int64_t samples_per_class, double noise)
 
 namespace {
 
-/** 2x2/2 max pool recording the winning flat index per output. */
+/** (N*Ho*Wo, Co) rows to (N, Co, Ho, Wo), or back if @p to_rows. */
 Tensor
-maxPoolArgmax(const Tensor &x, std::vector<int64_t> &argmax)
+permuteRows(const Tensor &t, const ConvShape &s, bool to_rows)
 {
-    const int64_t n = x.dim(0), c = x.dim(1);
-    const int64_t ho = x.dim(2) / 2, wo = x.dim(3) / 2;
-    Tensor out({n, c, ho, wo});
-    argmax.assign(size_t(out.numel()), 0);
-    int64_t oi = 0;
-    for (int64_t nn = 0; nn < n; ++nn) {
-        for (int64_t cc = 0; cc < c; ++cc) {
-            for (int64_t oy = 0; oy < ho; ++oy) {
-                for (int64_t ox = 0; ox < wo; ++ox, ++oi) {
-                    float best = -1e30f;
-                    int64_t best_idx = 0;
-                    for (int64_t dy = 0; dy < 2; ++dy) {
-                        for (int64_t dx = 0; dx < 2; ++dx) {
-                            const int64_t iy = oy * 2 + dy;
-                            const int64_t ix = ox * 2 + dx;
-                            const int64_t idx =
-                                ((nn * c + cc) * x.dim(2) + iy) *
-                                    x.dim(3) + ix;
-                            if (x[idx] > best) {
-                                best = x[idx];
-                                best_idx = idx;
-                            }
-                        }
-                    }
-                    out[oi] = best;
-                    argmax[size_t(oi)] = best_idx;
-                }
-            }
-        }
+    const int64_t pixels = s.pixels();
+    Tensor out(to_rows ? std::vector<int64_t>{s.n * pixels, s.co}
+                       : std::vector<int64_t>{s.n, s.co, s.ho, s.wo});
+    for (int64_t row = 0; row < out.numel(); ++row) {
+        const int64_t n = row / (pixels * s.co), c = row % s.co;
+        const int64_t nchw = (n * s.co + c) * pixels + row / s.co % pixels;
+        (to_rows ? out[row] : out[nchw]) = to_rows ? t[nchw] : t[row];
     }
     return out;
 }
 
-Tensor
-reluMasked(const Tensor &x)
+/** @p cfg, after throwing InvalidArgument if it is malformed. */
+const CnnConfig &
+validCnnConfig(const CnnConfig &cfg)
 {
-    Tensor out = x;
-    out.apply([](float v) { return v > 0 ? v : 0.0f; });
-    return out;
-}
-
-/** Per-channel bias gradient of an NCHW gradient tensor. */
-Tensor
-channelSum(const Tensor &g)
-{
-    Tensor out({g.dim(1)});
-    for (int64_t n = 0; n < g.dim(0); ++n)
-        for (int64_t c = 0; c < g.dim(1); ++c)
-            for (int64_t y = 0; y < g.dim(2); ++y)
-                for (int64_t x = 0; x < g.dim(3); ++x)
-                    out[c] += g.at(n, c, y, x);
-    return out;
-}
-
-void
-sgdUpdate(Tensor &w, Tensor &v, const Tensor &g, float lr, float mom)
-{
-    for (int64_t i = 0; i < w.numel(); ++i) {
-        v[i] = mom * v[i] - lr * g[i];
-        w[i] += v[i];
-    }
+    RAPID_CHECK_ARG(cfg.classes > 0 && cfg.conv1_channels > 0 &&
+                        cfg.conv2_channels > 0,
+                    "CnnConfig class and channel counts must be positive, "
+                    "got ", cfg.classes, ", ", cfg.conv1_channels, ", ",
+                    cfg.conv2_channels);
+    RAPID_CHECK_ARG(std::isfinite(cfg.learning_rate) &&
+                        cfg.learning_rate > 0.0f,
+                    "CnnConfig.learning_rate must be finite and "
+                    "positive, got ", cfg.learning_rate);
+    RAPID_CHECK_ARG(std::isfinite(cfg.momentum) && cfg.momentum >= 0.0f &&
+                        cfg.momentum < 1.0f,
+                    "CnnConfig.momentum must be in [0, 1), got ",
+                    cfg.momentum);
+    return cfg;
 }
 
 } // namespace
 
-SmallCnn::SmallCnn(const CnnConfig &cfg) : cfg_(cfg), rng_(cfg.seed)
+ConvLayer::ConvLayer(int64_t ci, int64_t co, int64_t k,
+                     const ConvParams &params, Rng &rng)
+    : dense(ci * k * k, co, rng), kernel_{co, ci, k, k}, params_(params)
 {
-    const int64_t c1 = cfg.conv1_channels, c2 = cfg.conv2_channels;
-    w1_ = Tensor({c1, 1, 3, 3});
-    w1_.fillKaiming(rng_, 9);
-    b1_ = Tensor({c1});
-    w2_ = Tensor({c2, c1, 3, 3});
-    w2_.fillKaiming(rng_, 9 * c1);
-    b2_ = Tensor({c2});
-    w3_ = Tensor({cfg.classes, c2});
-    w3_.fillKaiming(rng_, c2);
-    b3_ = Tensor({cfg.classes});
-    v_w1_ = Tensor(w1_.shape());
-    v_b1_ = Tensor(b1_.shape());
-    v_w2_ = Tensor(w2_.shape());
-    v_b2_ = Tensor(b2_.shape());
-    v_w3_ = Tensor(w3_.shape());
-    v_b3_ = Tensor(b3_.shape());
 }
 
 Tensor
-SmallCnn::asOperand(const Tensor &t, Fp8Kind kind) const
+ConvLayer::forward(TrainGemm &gemm, const Tensor &x)
 {
-    switch (cfg_.precision) {
-      case TrainPrecision::FP32:
-        return t;
-      case TrainPrecision::FP16:
-        return quantizeTensorFp16(t);
-      case TrainPrecision::HFP8: {
-        ExecConfig ec;
-        ec.fwd_bias = cfg_.fwd_bias;
-        return quantizeTensorFp8(t, kind, ec);
-      }
-    }
-    rapid_panic("unknown CNN precision");
+    shape_ = convShape(x, kernel_, params_);
+    return permuteRows(dense.forward(gemm, im2colRows(x, shape_)), shape_,
+                       false);
+}
+
+Tensor
+ConvLayer::backward(TrainGemm &gemm, const Tensor &dy)
+{
+    return col2imRows(dense.backward(gemm, permuteRows(dy, shape_, true)),
+                      shape_);
+}
+
+SmallCnn::SmallCnn(const CnnConfig &cfg)
+    : cfg_(validCnnConfig(cfg)), rng_(cfg.seed),
+      gemm_{cfg.precision, ExecConfig{.fwd_bias = cfg.fwd_bias}},
+      conv1_(1, cfg.conv1_channels, 3, ConvParams{.pad = 1}, rng_),
+      conv2_(cfg.conv1_channels, cfg.conv2_channels, 3,
+             ConvParams{.pad = 1}, rng_),
+      fc_(cfg.conv2_channels, cfg.classes, rng_)
+{
 }
 
 Tensor
 SmallCnn::forward(const Tensor &images)
 {
-    ConvParams p;
-    p.pad = 1;
-    x_in_ = images;
-    Tensor y1 = biasAdd(conv2d(asOperand(images, Fp8Kind::Forward),
-                               asOperand(w1_, Fp8Kind::Forward), p),
-                        b1_);
-    a1_ = reluMasked(y1);
-    p1_ = maxPoolArgmax(a1_, pool_argmax_);
-    Tensor y2 = biasAdd(conv2d(asOperand(p1_, Fp8Kind::Forward),
-                               asOperand(w2_, Fp8Kind::Forward), p),
-                        b2_);
-    a2_ = reluMasked(y2);
-    g2_ = globalAvgPool(a2_);
-    return biasAdd(matmul(asOperand(g2_, Fp8Kind::Forward),
-                          transpose(asOperand(w3_, Fp8Kind::Forward))),
-                   b3_);
+    a1_ = relu(conv1_.forward(gemm_, images));
+    p1_ = maxPool2d(a1_, 2, 2);
+    a2_ = relu(conv2_.forward(gemm_, p1_));
+    return fc_.forward(gemm_, globalAvgPool(a2_));
 }
 
 float
@@ -186,60 +140,38 @@ SmallCnn::trainStep(const Tensor &images, const std::vector<int> &labels)
 {
     Tensor logits = forward(images);
     const float loss = softmaxCrossEntropy(logits, labels);
-    Tensor dlogits = softmaxCrossEntropyGrad(logits, labels);
+    const Tensor dg2 =
+        fc_.backward(gemm_, softmaxCrossEntropyGrad(logits, labels));
 
-    ConvParams p;
-    p.pad = 1;
-    const int64_t n = images.dim(0);
+    // GAP backward: spread evenly over the window; ReLU masks.
+    Tensor da2(a2_.shape());
+    const int64_t hw = a2_.dim(2) * a2_.dim(3);
+    const float inv_hw = 1.0f / float(hw);
+    for (int64_t i = 0; i < da2.numel(); ++i)
+        if (a2_[i] > 0)
+            da2[i] = dg2[i / hw] * inv_hw;
+    const Tensor dp1 = conv2_.backward(gemm_, da2);
 
-    // FC backward (errors in the backward FP8 format).
-    Tensor dq = asOperand(dlogits, Fp8Kind::Backward);
-    Tensor dw3 = matmul(transpose(dq), asOperand(g2_, Fp8Kind::Forward));
-    Tensor db3({cfg_.classes});
-    for (int64_t j = 0; j < cfg_.classes; ++j)
-        for (int64_t i = 0; i < n; ++i)
-            db3[j] += dlogits.at(i, j);
-    Tensor dg2 = matmul(dq, asOperand(w3_, Fp8Kind::Forward));
-
-    // GAP backward: spread evenly over the 4x4 window.
-    Tensor da2 = a2_;
-    const float inv_hw = 1.0f / float(a2_.dim(2) * a2_.dim(3));
-    for (int64_t nn = 0; nn < n; ++nn)
-        for (int64_t c = 0; c < a2_.dim(1); ++c)
-            for (int64_t y = 0; y < a2_.dim(2); ++y)
-                for (int64_t x = 0; x < a2_.dim(3); ++x)
-                    da2.at(nn, c, y, x) =
-                        dg2.at(nn, c) * inv_hw *
-                        (a2_.at(nn, c, y, x) > 0 ? 1.0f : 0.0f);
-
-    Tensor dq2 = asOperand(da2, Fp8Kind::Backward);
-    Tensor dw2 = conv2dGradWeight(dq2, asOperand(p1_, Fp8Kind::Forward),
-                                  p, 3, 3);
-    Tensor db2 = channelSum(da2);
-    Tensor dp1 = conv2dGradInput(dq2, asOperand(w2_, Fp8Kind::Forward),
-                                 p, p1_.dim(2), p1_.dim(3));
-
-    // Max-pool backward: route to the winners; ReLU masks.
+    // Max-pool backward: route to the window's first maximum (a1 <= p1
+    // there, so >= finds it); ReLU masks.
     Tensor da1(a1_.shape());
+    const int64_t h = a1_.dim(2), w = a1_.dim(3), ho = h / 2, wo = w / 2;
     for (int64_t i = 0; i < dp1.numel(); ++i) {
-        const int64_t src = pool_argmax_[size_t(i)];
-        if (a1_[src] > 0)
-            da1[src] += dp1[i];
+        const int64_t corner =
+            (i / (ho * wo) * h + i / wo % ho * 2) * w + i % wo * 2;
+        for (int64_t d = 0; d < 4; ++d) {
+            const int64_t src = corner + d / 2 * w + d % 2;
+            if (a1_[src] >= p1_[i]) {
+                if (a1_[src] > 0)
+                    da1[src] += dp1[i];
+                break;
+            }
+        }
     }
+    conv1_.backward(gemm_, da1);
 
-    Tensor dq1 = asOperand(da1, Fp8Kind::Backward);
-    Tensor dw1 = conv2dGradWeight(dq1, asOperand(x_in_,
-                                                 Fp8Kind::Forward),
-                                  p, 3, 3);
-    Tensor db1 = channelSum(da1);
-
-    const float lr = cfg_.learning_rate, mom = cfg_.momentum;
-    sgdUpdate(w1_, v_w1_, dw1, lr, mom);
-    sgdUpdate(b1_, v_b1_, db1, lr, mom);
-    sgdUpdate(w2_, v_w2_, dw2, lr, mom);
-    sgdUpdate(b2_, v_b2_, db2, lr, mom);
-    sgdUpdate(w3_, v_w3_, dw3, lr, mom);
-    sgdUpdate(b3_, v_b3_, db3, lr, mom);
+    for (DenseLayer *d : {&conv1_.dense, &conv2_.dense, &fc_})
+        d->sgdStep(cfg_.learning_rate, cfg_.momentum, 1.0f);
     return loss;
 }
 
@@ -247,6 +179,8 @@ void
 SmallCnn::train(const ImageDataset &train, int epochs,
                 int64_t batch_size)
 {
+    RAPID_CHECK_ARG(batch_size > 0, "batch_size must be positive, got ",
+                    batch_size);
     for (int e = 0; e < epochs; ++e) {
         for (int64_t b = 0; b + batch_size <= train.size();
              b += batch_size) {
@@ -261,23 +195,6 @@ SmallCnn::evaluate(const ImageDataset &test)
 {
     Tensor logits = forward(test.images);
     return accuracy(logits, test.labels);
-}
-
-ParityResult
-runCnnTrainingParity(TrainPrecision precision, const ImageDataset &train,
-                     const ImageDataset &test, int epochs,
-                     int64_t batch)
-{
-    CnnConfig base;
-    base.precision = TrainPrecision::FP32;
-    CnnConfig reduced = base;
-    reduced.precision = precision;
-
-    SmallCnn fp32(base);
-    fp32.train(train, epochs, batch);
-    SmallCnn red(reduced);
-    red.train(train, epochs, batch);
-    return {fp32.evaluate(test), red.evaluate(test)};
 }
 
 } // namespace rapid

@@ -2,13 +2,11 @@
  * @file
  * A small convolutional network trainer with pluggable precision,
  * extending the HFP8-parity demonstration (Section II-B) from MLPs to
- * the convolution workloads RaPiD actually targets. Convolution
- * operands (activations/weights forward, errors backward) are
- * quantized to the pass's FP8 flavour element-by-element before the
- * reference convolution, modelling the exact operand formats of
- * Figure 3; accumulation is modelled at the SFU's FP32 level
- * (a documented simplification relative to the MLP path's chunked
- * FP16 emulation).
+ * the convolution workloads RaPiD actually targets. As in the MLP,
+ * every trained layer is a DenseLayer run by a TrainGemm: each
+ * convolution is lowered through im2col, so its forward, data- and
+ * weight-gradient GEMMs take Figure 3's FP8 operand formats and
+ * chunk-based DLFloat16 accumulation.
  */
 
 #ifndef RAPID_FUNC_CNN_HH
@@ -17,7 +15,6 @@
 #include <vector>
 
 #include "func/trainer.hh"
-#include "tensor/ops.hh"
 
 namespace rapid {
 
@@ -54,8 +51,40 @@ struct CnnConfig
 };
 
 /**
+ * A convolution lowered onto a DenseLayer: the input's im2col rows
+ * (N*Ho*Wo, Ci*Kh*Kw) go through the dense layer, whose (Co, Ci*Kh*Kw)
+ * weights are the (Co, Ci, Kh, Kw) kernel, and its output rows become
+ * NCHW. So the weight gradient comes out in kernel layout, the bias
+ * gradient is the dense layer's column sum, and the data gradient is
+ * col2im of dY x W. Ungrouped convolutions only.
+ */
+class ConvLayer
+{
+  public:
+    /** A @p k x @p k kernel from @p ci to @p co channels, initialised
+     *  from @p rng as DenseLayer does. */
+    ConvLayer(int64_t ci, int64_t co, int64_t k, const ConvParams &params,
+              Rng &rng);
+
+    /** (N, Ci, H, W) -> (N, Co, Ho, Wo); caches for backward(). */
+    Tensor forward(TrainGemm &gemm, const Tensor &x);
+
+    /** From the output error (N, Co, Ho, Wo), set the dense layer's
+     *  gradients and return the input error (N, Ci, H, W). */
+    Tensor backward(TrainGemm &gemm, const Tensor &dy);
+
+    DenseLayer dense;
+
+  private:
+    std::vector<int64_t> kernel_; ///< (Co, Ci, Kh, Kw)
+    ConvParams params_;
+    ConvShape shape_{}; ///< of the last forward()
+};
+
+/**
  * conv(3x3) -> ReLU -> maxpool(2) -> conv(3x3) -> ReLU -> global
- * average pool -> fc, trained with momentum SGD.
+ * average pool -> fc, trained with momentum SGD. Malformed
+ * configurations throw InvalidArgument.
  */
 class SmallCnn
 {
@@ -69,35 +98,23 @@ class SmallCnn
     float trainStep(const Tensor &images,
                     const std::vector<int> &labels);
 
+    /** Run @p epochs of minibatch SGD over @p train; a non-positive
+     *  @p batch_size throws InvalidArgument. */
     void train(const ImageDataset &train, int epochs,
                int64_t batch_size);
 
     double evaluate(const ImageDataset &test);
 
   private:
-    /** Quantize a tensor to the precision's operand format. */
-    Tensor asOperand(const Tensor &t, Fp8Kind kind) const;
-
     CnnConfig cfg_;
     Rng rng_;
-
-    Tensor w1_, b1_, w2_, b2_, w3_, b3_;
-    Tensor v_w1_, v_b1_, v_w2_, v_b2_, v_w3_, v_b3_;
+    TrainGemm gemm_;
+    ConvLayer conv1_, conv2_;
+    DenseLayer fc_;
 
     // Forward caches for backprop.
-    Tensor x_in_, a1_, p1_, a2_, g2_;
-    std::vector<int64_t> pool_argmax_;
+    Tensor a1_, p1_, a2_;
 };
-
-/**
- * Train identical CNNs at FP32 and @p precision on the stripes task
- * and compare test accuracies (CNN counterpart of
- * runTrainingParity()).
- */
-ParityResult runCnnTrainingParity(TrainPrecision precision,
-                                  const ImageDataset &train,
-                                  const ImageDataset &test,
-                                  int epochs = 12, int64_t batch = 16);
 
 } // namespace rapid
 

@@ -470,74 +470,29 @@ intChunkedGemm(const int16_t *qa, const int16_t *qb, int64_t m, int64_t k,
     kernel(qa, qb, m, k, n, ldb, span, scale, cfg.rounding, out);
 }
 
-/** Validated shape of a grouped 2-D convolution. */
-struct ConvShape
-{
-    int64_t n, ci, h, w;     ///< input (N, Ci, H, W)
-    int64_t co, cig, kh, kw; ///< weight (Co, Ci/groups, Kh, Kw)
-    int64_t ho, wo;          ///< output spatial dims
-    int64_t groups, stride, pad;
-
-    int64_t coPerGroup() const { return co / groups; }
-    /** Rows of one group's im2col matrix: the reduction length. */
-    int64_t reduction() const { return cig * kh * kw; }
-    int64_t pixels() const { return ho * wo; }
-};
-
-ConvShape
-convShape(const Tensor &input, const Tensor &weight, const ConvParams &p)
-{
-    rapid_assert(input.rank() == 4 && weight.rank() == 4,
-                 "conv expects rank-4 input and weight");
-    rapid_assert(p.groups >= 1 && p.stride >= 1 && p.pad >= 0,
-                 "bad conv params: groups ", p.groups, ", stride ",
-                 p.stride, ", pad ", p.pad);
-    const ConvShape s{
-        .n = input.dim(0),
-        .ci = input.dim(1),
-        .h = input.dim(2),
-        .w = input.dim(3),
-        .co = weight.dim(0),
-        .cig = weight.dim(1),
-        .kh = weight.dim(2),
-        .kw = weight.dim(3),
-        .ho = convOutDim(input.dim(2), weight.dim(2), p.stride, p.pad),
-        .wo = convOutDim(input.dim(3), weight.dim(3), p.stride, p.pad),
-        .groups = p.groups,
-        .stride = p.stride,
-        .pad = p.pad};
-    rapid_assert(s.co % s.groups == 0, "Co ", s.co,
-                 " not divisible by groups ", s.groups);
-    rapid_assert(s.ci == s.cig * s.groups, "input Ci ", s.ci,
-                 " != weight Ci/groups ", s.cig, " x groups ", s.groups);
-    rapid_assert(s.ho > 0 && s.wo > 0, "conv output collapsed to zero");
-    return s;
-}
-
 /**
- * Lower one group of one image to its im2col matrix: row
- * (icg, ky, kx) and column (oy, ox) of @p cols (row stride @p ld) hold
- * the input at channel icg of @p image (the group's first channel),
- * row oy * stride + ky - pad, column ox * stride + kx - pad, or zero
- * in the padding. Columns past the pixels are left as they are.
+ * Walk one group of one image's im2col matrix: @p fn(r, p, i) for row
+ * r = (icg, ky, kx) and column p = (oy, ox), in that order, where i is
+ * the offset of the input at channel icg of the group, row
+ * oy * stride + ky - pad, column ox * stride + kx - pad, or -1 in the
+ * padding.
  */
-template <typename T>
+template <typename Fn>
 void
-im2col(const T *image, const ConvShape &s, int64_t ld, T *cols)
+im2col(const ConvShape &s, Fn &&fn)
 {
     for (int64_t icg = 0; icg < s.cig; ++icg) {
-        const T *plane = image + icg * s.h * s.w;
         for (int64_t ky = 0; ky < s.kh; ++ky) {
             for (int64_t kx = 0; kx < s.kw; ++kx) {
-                T *row = cols + ((icg * s.kh + ky) * s.kw + kx) * ld;
+                const int64_t r = (icg * s.kh + ky) * s.kw + kx;
                 for (int64_t oy = 0; oy < s.ho; ++oy) {
                     const int64_t iy = oy * s.stride + ky - s.pad;
                     for (int64_t ox = 0; ox < s.wo; ++ox) {
                         const int64_t ix = ox * s.stride + kx - s.pad;
                         const bool inside =
                             iy >= 0 && iy < s.h && ix >= 0 && ix < s.w;
-                        row[oy * s.wo + ox] =
-                            inside ? plane[iy * s.w + ix] : T(0);
+                        fn(r, oy * s.wo + ox,
+                           inside ? (icg * s.h + iy) * s.w + ix : -1);
                     }
                 }
             }
@@ -562,8 +517,10 @@ lowerConv(const T *input, const T *weight, const ConvShape &s,
     Tensor out({s.n, s.co, s.ho, s.wo});
     for (int64_t in_n = 0; in_n < s.n; ++in_n) {
         for (int64_t g = 0; g < s.groups; ++g) {
-            im2col(input + (in_n * s.ci + g * s.cig) * s.h * s.w, s, ld,
-                   cols.data());
+            const T *image = input + (in_n * s.ci + g * s.cig) * s.h * s.w;
+            im2col(s, [&](int64_t r, int64_t p, int64_t i) {
+                cols[size_t(r * ld + p)] = i < 0 ? T(0) : image[i];
+            });
             const int64_t oc0 = g * s.coPerGroup();
             gemm(weight + oc0 * k, cols.data(), s.coPerGroup(), k,
                  pixels, ld,
@@ -592,6 +549,73 @@ checkFxuWidth(const PactQuantizer &act_q, const SawbQuantizer &wt_q,
 }
 
 } // namespace
+
+ConvShape
+convShape(const Tensor &input, const std::vector<int64_t> &kernel,
+          const ConvParams &p)
+{
+    rapid_assert(input.rank() == 4 && kernel.size() == 4,
+                 "conv expects rank-4 input and weight");
+    rapid_assert(p.groups >= 1 && p.stride >= 1 && p.pad >= 0,
+                 "bad conv params: groups ", p.groups, ", stride ",
+                 p.stride, ", pad ", p.pad);
+    const ConvShape s{
+        .n = input.dim(0),
+        .ci = input.dim(1),
+        .h = input.dim(2),
+        .w = input.dim(3),
+        .co = kernel[0],
+        .cig = kernel[1],
+        .kh = kernel[2],
+        .kw = kernel[3],
+        .ho = convOutDim(input.dim(2), kernel[2], p.stride, p.pad),
+        .wo = convOutDim(input.dim(3), kernel[3], p.stride, p.pad),
+        .groups = p.groups,
+        .stride = p.stride,
+        .pad = p.pad};
+    rapid_assert(s.co % s.groups == 0, "Co ", s.co,
+                 " not divisible by groups ", s.groups);
+    rapid_assert(s.ci == s.cig * s.groups, "input Ci ", s.ci,
+                 " != weight Ci/groups ", s.cig, " x groups ", s.groups);
+    rapid_assert(s.ho > 0 && s.wo > 0, "conv output collapsed to zero");
+    return s;
+}
+
+Tensor
+im2colRows(const Tensor &input, const ConvShape &s)
+{
+    rapid_assert(s.groups == 1 && input.numel() == s.n * s.ci * s.h * s.w,
+                 "im2col rows need an ungrouped conv of this input");
+    const int64_t k = s.reduction(), pixels = s.pixels();
+    Tensor rows({s.n * pixels, k});
+    for (int64_t in_n = 0; in_n < s.n; ++in_n) {
+        const float *image = input.data() + in_n * s.ci * s.h * s.w;
+        float *dst = rows.data() + in_n * pixels * k;
+        im2col(s, [&](int64_t r, int64_t p, int64_t i) {
+            dst[p * k + r] = i < 0 ? 0.0f : image[i];
+        });
+    }
+    return rows;
+}
+
+Tensor
+col2imRows(const Tensor &rows, const ConvShape &s)
+{
+    const int64_t k = s.reduction(), pixels = s.pixels();
+    rapid_assert(s.groups == 1 && rows.rank() == 2 &&
+                     rows.dim(0) == s.n * pixels && rows.dim(1) == k,
+                 "col2im rows do not match an ungrouped conv");
+    Tensor out({s.n, s.ci, s.h, s.w});
+    for (int64_t in_n = 0; in_n < s.n; ++in_n) {
+        const float *src = rows.data() + in_n * pixels * k;
+        float *image = out.data() + in_n * s.ci * s.h * s.w;
+        im2col(s, [&](int64_t r, int64_t p, int64_t i) {
+            if (i >= 0)
+                image[i] += src[p * k + r];
+        });
+    }
+    return out;
+}
 
 Tensor
 quantizeTensorFp8(const Tensor &t, Fp8Kind kind, const ExecConfig &cfg)
@@ -638,7 +662,7 @@ Tensor
 fp16Conv2d(const Tensor &input, const Tensor &weight,
            const ConvParams &p, const ExecConfig &cfg)
 {
-    const ConvShape s = convShape(input, weight, p);
+    const ConvShape s = convShape(input, weight.shape(), p);
     const Tensor qi = quantizeTensorFp16(input, cfg.rounding);
     const Tensor qw = quantizeTensorFp16(weight, cfg.rounding);
     // The weights take the A side: products are exact and commute, and
@@ -678,7 +702,7 @@ intConv2d(const Tensor &input, const PactQuantizer &act_q,
           unsigned width, const ConvParams &p, const ExecConfig &cfg)
 {
     checkFxuWidth(act_q, wt_q, width);
-    const ConvShape s = convShape(input, weight, p);
+    const ConvShape s = convShape(input, weight.shape(), p);
     const float scale = act_q.scale() * wt_q.scale();
     const std::vector<int16_t> qi = levels(input, act_q);
     const std::vector<int16_t> qw = levels(weight, wt_q);

@@ -75,6 +75,39 @@ Tensor intConv2d(const Tensor &input, const PactQuantizer &act_q,
                  unsigned width, const ConvParams &params = {},
                  const ExecConfig &cfg = {});
 
+/** Validated shape of a grouped 2-D convolution. */
+struct ConvShape
+{
+    int64_t n, ci, h, w;     ///< input (N, Ci, H, W)
+    int64_t co, cig, kh, kw; ///< weight (Co, Ci/groups, Kh, Kw)
+    int64_t ho, wo;          ///< output spatial dims
+    int64_t groups, stride, pad;
+
+    int64_t coPerGroup() const { return co / groups; }
+    /** Rows of one group's im2col matrix: the reduction length. */
+    int64_t reduction() const { return cig * kh * kw; }
+    int64_t pixels() const { return ho * wo; }
+};
+
+/** The shape of convolving @p input with a (Co, Ci/groups, Kh, Kw)
+ *  @p kernel; malformed geometry is rejected by assertion. */
+ConvShape convShape(const Tensor &input, const std::vector<int64_t> &kernel,
+                    const ConvParams &params);
+
+/**
+ * The im2col patches of an ungrouped convolution as rows: row
+ * (n, oy, ox) of the (N*Ho*Wo, Ci*Kh*Kw) result is the receptive field
+ * of that output in (ci, ky, kx) order, zero in the padding.
+ */
+Tensor im2colRows(const Tensor &input, const ConvShape &shape);
+
+/**
+ * The adjoint of im2colRows(): each entry of @p rows is added into the
+ * input element it was gathered from, per image in (ci, ky, kx, oy,
+ * ox) order, in FP32. Returns (N, Ci, H, W).
+ */
+Tensor col2imRows(const Tensor &rows, const ConvShape &shape);
+
 /** Quantize every element of @p t to the given FP8 flavour. */
 Tensor quantizeTensorFp8(const Tensor &t, Fp8Kind kind,
                          const ExecConfig &cfg = {});

@@ -76,7 +76,123 @@ sameValue(float a, float b)
     return a >= b && a <= b;
 }
 
+void
+injectFaults(TrainGemm &g, Tensor &out)
+{
+    // Mirror of the systolic MacOutput model at the training GEMM
+    // boundary: a struck output element has one bit of its DLFloat16
+    // (south-bus) encoding flipped. Items advance monotonically so
+    // each executed GEMM — including a replay of the same step after
+    // retry or rollback — is an independent exposure window. The
+    // Bernoulli is the hash pre-filter: the full mt19937 stream is
+    // only built for struck elements, keeping the per-element cost at
+    // a hash rather than an RNG construction.
+    const int64_t n = out.numel();
+    const uint64_t base = g.fault_item;
+    g.fault_item += uint64_t(n);
+    g.fault_stats.sampled += uint64_t(n);
+    for (int64_t i = 0; i < n; ++i) {
+        const uint64_t item = base + uint64_t(i);
+        if (!g.injector->hashEventDraw(FaultSite::TrainerGemm, item))
+            continue;
+        ++g.fault_stats.injected;
+        Rng rng = g.injector->stream(FaultSite::TrainerGemm, item);
+        const FaultOutcome hit = g.injector->resolveProtection(
+            FaultSite::TrainerGemm, rng, g.fault_stats);
+        if (hit != FaultOutcome::Silent)
+            continue; // corrected in place, or the GEMM tile replays
+        const uint32_t word = dlfloat16().encode(out[i]);
+        const float clean = dlfloat16().decode(word);
+        const float bad = dlfloat16().decode(g.injector->flipOneBit(
+            rng, dlfloat16().storageBits(), word));
+        if (sameValue(bad, clean)) {
+            ++g.fault_stats.masked; // e.g. a sign flip on zero
+            continue;
+        }
+        ++g.fault_stats.sdc;
+        out[i] = bad;
+    }
+}
+
 } // namespace
+
+Tensor
+TrainGemm::operator()(const Tensor &a, Fp8Kind a_kind, const Tensor &b,
+                      Fp8Kind b_kind)
+{
+    Tensor out;
+    switch (precision) {
+      case TrainPrecision::FP32:
+        out = matmul(a, b);
+        break;
+      case TrainPrecision::FP16:
+        out = fp16Matmul(a, b, exec);
+        break;
+      case TrainPrecision::HFP8:
+        out = hfp8Matmul(a, a_kind, b, b_kind, exec);
+        break;
+      default:
+        rapid_panic("unknown training precision");
+    }
+    if (injector && injector->active(FaultSite::TrainerGemm))
+        injectFaults(*this, out);
+    return out;
+}
+
+DenseLayer::DenseLayer(int64_t in, int64_t out, Rng &rng)
+    : w({out, in}), b({out}), w_vel({out, in}), b_vel({out})
+{
+    w.fillKaiming(rng, in);
+}
+
+Tensor
+DenseLayer::forward(TrainGemm &gemm, const Tensor &x)
+{
+    x_cache = x;
+    // Forward GEMM: both operands in the FP8 forward format (Fig 3).
+    Tensor y = gemm(x, Fp8Kind::Forward, transpose(w), Fp8Kind::Forward);
+    return biasAdd(y, b);
+}
+
+Tensor
+DenseLayer::backward(TrainGemm &gemm, const Tensor &dy)
+{
+    // Weight-gradient GEMM: errors in the FP8 backward format, cached
+    // activations in the forward format (Fig 3).
+    w_grad = gemm(transpose(dy), Fp8Kind::Backward, x_cache,
+                  Fp8Kind::Forward);
+    // Bias gradient: column reduction, performed on the SFU in FP32.
+    // Row by row, so each column still sums in ascending i.
+    rapid_assert(dy.rank() == 2, "dense error must be rank-2");
+    const int64_t rows = dy.dim(0), cols = dy.dim(1);
+    std::vector<double> acc(size_t(cols), 0.0);
+    for (int64_t i = 0; i < rows; ++i) {
+        const float *row = dy.data() + i * cols;
+        for (int64_t j = 0; j < cols; ++j)
+            acc[size_t(j)] += double(row[j]);
+    }
+    b_grad = Tensor({cols});
+    for (int64_t j = 0; j < cols; ++j)
+        b_grad[j] = float(acc[size_t(j)]);
+    // Data-gradient GEMM: errors (backward format) x weights (forward).
+    return gemm(dy, Fp8Kind::Backward, w, Fp8Kind::Forward);
+}
+
+void
+DenseLayer::sgdStep(float lr, float mom, float inv_scale)
+{
+    // inv_scale un-scales loss-scaled gradients. Multiplication by
+    // 1.0f is exact under IEEE 754, so an unscaled step stays
+    // bit-identical to plain SGD.
+    for (int64_t i = 0; i < w.numel(); ++i) {
+        w_vel[i] = mom * w_vel[i] - lr * (w_grad[i] * inv_scale);
+        w[i] += w_vel[i];
+    }
+    for (int64_t i = 0; i < b.numel(); ++i) {
+        b_vel[i] = mom * b_vel[i] - lr * (b_grad[i] * inv_scale);
+        b[i] += b_vel[i];
+    }
+}
 
 bool
 MlpState::operator==(const MlpState &o) const
@@ -107,92 +223,13 @@ MlpState::operator==(const MlpState &o) const
     return true;
 }
 
-Mlp::Mlp(const MlpConfig &cfg) : cfg_(cfg), rng_(cfg.seed)
+Mlp::Mlp(const MlpConfig &cfg)
+    : cfg_(cfg), gemm_{cfg.precision, cfg.exec}, rng_(cfg.seed)
 {
     validateMlpConfig(cfg);
-    for (size_t i = 0; i + 1 < cfg.dims.size(); ++i) {
-        Dense d;
-        int64_t in = cfg.dims[i];
-        int64_t out = cfg.dims[i + 1];
-        d.w = Tensor({out, in});
-        d.w.fillKaiming(rng_, in);
-        d.b = Tensor({out});
-        d.w_vel = Tensor({out, in});
-        d.b_vel = Tensor({out});
-        d.alpha = cfg.pact_alpha_init;
-        layers_.push_back(std::move(d));
-    }
-}
-
-Tensor
-Mlp::gemm(const Tensor &a, Fp8Kind a_kind, const Tensor &b,
-          Fp8Kind b_kind)
-{
-    Tensor out;
-    switch (cfg_.precision) {
-      case TrainPrecision::FP32:
-        out = matmul(a, b);
-        break;
-      case TrainPrecision::FP16:
-        out = fp16Matmul(a, b, cfg_.exec);
-        break;
-      case TrainPrecision::HFP8:
-        out = hfp8Matmul(a, a_kind, b, b_kind, cfg_.exec);
-        break;
-      default:
-        rapid_panic("unknown training precision");
-    }
-    if (injector_ && injector_->active(FaultSite::TrainerGemm))
-        injectGemmFaults(out);
-    return out;
-}
-
-void
-Mlp::injectGemmFaults(Tensor &out)
-{
-    // Mirror of the systolic MacOutput model at the training GEMM
-    // boundary: a struck output element has one bit of its DLFloat16
-    // (south-bus) encoding flipped. Items advance monotonically so
-    // each executed GEMM — including a replay of the same step after
-    // retry or rollback — is an independent exposure window. The
-    // Bernoulli is the hash pre-filter: the full mt19937 stream is
-    // only built for struck elements, keeping the per-element cost at
-    // a hash rather than an RNG construction.
-    const int64_t n = out.numel();
-    const uint64_t base = fault_item_;
-    fault_item_ += uint64_t(n);
-    fault_stats_.sampled += uint64_t(n);
-    for (int64_t i = 0; i < n; ++i) {
-        const uint64_t item = base + uint64_t(i);
-        if (!injector_->hashEventDraw(FaultSite::TrainerGemm, item))
-            continue;
-        ++fault_stats_.injected;
-        Rng rng = injector_->stream(FaultSite::TrainerGemm, item);
-        const FaultOutcome hit = injector_->resolveProtection(
-            FaultSite::TrainerGemm, rng, fault_stats_);
-        if (hit != FaultOutcome::Silent)
-            continue; // corrected in place, or the GEMM tile replays
-        const uint32_t word = dlfloat16().encode(out[i]);
-        const float clean = dlfloat16().decode(word);
-        const float bad = dlfloat16().decode(injector_->flipOneBit(
-            rng, dlfloat16().storageBits(), word));
-        if (sameValue(bad, clean)) {
-            ++fault_stats_.masked; // e.g. a sign flip on zero
-            continue;
-        }
-        ++fault_stats_.sdc;
-        out[i] = bad;
-    }
-}
-
-Tensor
-Mlp::denseForward(Dense &d, const Tensor &x)
-{
-    d.x_cache = x;
-    // Forward GEMM: both operands in the FP8 forward format (Fig 3).
-    Tensor y = gemm(x, Fp8Kind::Forward, transpose(d.w),
-                    Fp8Kind::Forward);
-    return biasAdd(y, d.b);
+    for (size_t i = 0; i + 1 < cfg.dims.size(); ++i)
+        layers_.emplace_back(cfg.dims[i], cfg.dims[i + 1], rng_,
+                             cfg.pact_alpha_init);
 }
 
 Tensor
@@ -201,7 +238,7 @@ Mlp::forward(const Tensor &x)
     Tensor h = x;
     for (size_t i = 0; i < layers_.size(); ++i) {
         Dense &d = layers_[i];
-        Tensor y = denseForward(d, h);
+        Tensor y = d.forward(gemm_, h);
         d.pre_act = y;
         if (i + 1 < layers_.size()) {
             if (cfg_.use_pact) {
@@ -218,46 +255,12 @@ Mlp::forward(const Tensor &x)
     return h;
 }
 
-Tensor
-Mlp::denseBackward(Dense &d, const Tensor &dy)
-{
-    // Weight-gradient GEMM: errors in the FP8 backward format, cached
-    // activations in the forward format (Fig 3).
-    d.w_grad = gemm(transpose(dy), Fp8Kind::Backward, d.x_cache,
-                    Fp8Kind::Forward);
-    // Bias gradient: column reduction, performed on the SFU in FP32.
-    // Row by row, so each column still sums in ascending i.
-    rapid_assert(dy.rank() == 2, "dense error must be rank-2");
-    const int64_t rows = dy.dim(0), cols = dy.dim(1);
-    std::vector<double> acc(size_t(cols), 0.0);
-    for (int64_t i = 0; i < rows; ++i) {
-        const float *row = dy.data() + i * cols;
-        for (int64_t j = 0; j < cols; ++j)
-            acc[size_t(j)] += double(row[j]);
-    }
-    d.b_grad = Tensor({cols});
-    for (int64_t j = 0; j < cols; ++j)
-        d.b_grad[j] = float(acc[size_t(j)]);
-    // Data-gradient GEMM: errors (backward format) x weights (forward).
-    return gemm(dy, Fp8Kind::Backward, d.w, Fp8Kind::Forward);
-}
-
 void
 Mlp::applyUpdates(Dense &d, float inv_scale)
 {
     const float lr = cfg_.learning_rate;
     const float mom = cfg_.momentum;
-    // inv_scale un-scales the loss-scaled gradients. Multiplication
-    // by 1.0f is exact under IEEE 754, so an unscaled step (the
-    // historical trainStep path) stays bit-identical.
-    for (int64_t i = 0; i < d.w.numel(); ++i) {
-        d.w_vel[i] = mom * d.w_vel[i] - lr * (d.w_grad[i] * inv_scale);
-        d.w[i] += d.w_vel[i];
-    }
-    for (int64_t i = 0; i < d.b.numel(); ++i) {
-        d.b_vel[i] = mom * d.b_vel[i] - lr * (d.b_grad[i] * inv_scale);
-        d.b[i] += d.b_vel[i];
-    }
+    d.sgdStep(lr, mom, inv_scale);
     if (cfg_.use_pact) {
         d.alpha_vel = mom * d.alpha_vel
                       - lr * cfg_.alpha_lr_scale *
@@ -296,9 +299,9 @@ Mlp::computeGradients(const Tensor &x, const std::vector<int> &labels,
                     gated[i] = d.pre_act[i] > 0 ? dy[i] : 0.0f;
             }
             d.alpha_grad = alpha_grad + cfg_.alpha_decay * d.alpha;
-            dy = denseBackward(d, gated);
+            dy = d.backward(gemm_, gated);
         } else {
-            dy = denseBackward(d, dy);
+            dy = d.backward(gemm_, dy);
         }
     }
     // Per-step finiteness scan over every pending gradient: the
@@ -345,6 +348,8 @@ Mlp::trainStep(const Tensor &x, const std::vector<int> &labels)
 void
 Mlp::train(const Dataset &train, int epochs, int64_t batch_size)
 {
+    RAPID_CHECK_ARG(batch_size > 0, "batch_size must be positive, got ",
+                    batch_size);
     for (int e = 0; e < epochs; ++e) {
         for (int64_t b = 0; b + batch_size <= train.size();
              b += batch_size) {
@@ -400,18 +405,6 @@ Mlp::pactAlpha(size_t i) const
     return layers_[i].alpha;
 }
 
-void
-Mlp::setPrecision(TrainPrecision precision)
-{
-    cfg_.precision = precision;
-}
-
-void
-Mlp::setFaultInjector(const FaultInjector *injector)
-{
-    injector_ = injector;
-}
-
 bool
 Mlp::weightsFinite() const
 {
@@ -428,7 +421,7 @@ MlpState
 Mlp::exportState() const
 {
     MlpState state;
-    state.precision = cfg_.precision;
+    state.precision = gemm_.precision;
     // The textual mt19937_64 representation is stable across runs and
     // platforms with the same libstdc++ wording; it round-trips the
     // stream position exactly.
@@ -465,7 +458,7 @@ Mlp::importState(const MlpState &state)
                 ls.b_vel.size() == size_t(d.b_vel.numel()),
             "MlpState layer ", i, " shape mismatch");
     }
-    cfg_.precision = state.precision;
+    gemm_.precision = state.precision;
     std::istringstream iss(state.rng);
     iss >> rng_.engine();
     RAPID_CHECK_ARG(!iss.fail(),
@@ -482,28 +475,6 @@ Mlp::importState(const MlpState &state)
         d.alpha_vel = ls.alpha_vel;
         d.alpha_grad = 0.0f;
     }
-}
-
-ParityResult
-runTrainingParity(TrainPrecision precision, const Dataset &train,
-                  const Dataset &test, int epochs, int64_t batch)
-{
-    MlpConfig base;
-    base.dims = {train.featureDim(), 48, 48,
-                 1 + *std::max_element(train.labels.begin(),
-                                       train.labels.end())};
-    base.precision = TrainPrecision::FP32;
-    base.seed = 99;
-
-    MlpConfig reduced = base;
-    reduced.precision = precision;
-
-    Mlp fp32_model(base);
-    fp32_model.train(train, epochs, batch);
-    Mlp reduced_model(reduced);
-    reduced_model.train(train, epochs, batch);
-
-    return {fp32_model.evaluate(test), reduced_model.evaluate(test)};
 }
 
 ParityResult

@@ -1,7 +1,9 @@
 /**
  * @file
- * A small from-scratch MLP training framework with pluggable GEMM
- * precision, used to reproduce the paper's algorithmic foundations:
+ * A small from-scratch training framework with pluggable GEMM
+ * precision, used to reproduce the paper's algorithmic foundations.
+ * Every trained layer is a DenseLayer, and every training GEMM runs
+ * through one TrainGemm:
  *
  *   - HFP8 training (Section II-B): forward GEMMs run with both
  *     operands in FP8 (1,4,3); the backward data-gradient and weight-
@@ -35,6 +37,57 @@ enum class TrainPrecision
     FP32, ///< golden baseline
     FP16, ///< DLFloat16 GEMMs with chunked accumulation
     HFP8, ///< hybrid FP8 GEMMs per Figure 3
+};
+
+/** The training GEMM: its precision, execution knobs and fault site. */
+struct TrainGemm
+{
+    TrainPrecision precision;
+    ExecConfig exec;
+    /// Makes every output element a FaultSite::TrainerGemm exposure,
+    /// keyed by fault_item (mixSeed discipline: deterministic across
+    /// runs and thread counts). Optional; must outlive this GEMM.
+    const FaultInjector *injector = nullptr;
+    FaultStats fault_stats{}; ///< cumulative TrainerGemm outcomes
+    /// Per-element exposure counter. Time-like: never rewound by
+    /// rollback, so a retried step sees fresh, independent fault draws
+    /// the way a re-executed step on real silicon would.
+    uint64_t fault_item = 0;
+
+    /** (M,K) x (K,N) at @c precision; @p a_kind / @p b_kind select
+     *  each operand's FP8 flavour under HFP8 (Figure 3). */
+    Tensor operator()(const Tensor &a, Fp8Kind a_kind, const Tensor &b,
+                      Fp8Kind b_kind);
+};
+
+/**
+ * One fully connected layer, y = x W^T + b, with FP32 master weights
+ * trained by momentum SGD. The forward GEMM takes both operands in the
+ * FP8 forward format; the weight- and data-gradient GEMMs take errors
+ * in the backward format against forward-format activations/weights.
+ */
+struct DenseLayer
+{
+    /** Kaiming (@p out, @p in) weights drawn from @p rng; zero bias. */
+    DenseLayer(int64_t in, int64_t out, Rng &rng);
+
+    /** (N, in) -> (N, out); caches @p x for backward(). */
+    Tensor forward(TrainGemm &gemm, const Tensor &x);
+
+    /** Set w_grad and b_grad from the output error (N, out); returns
+     *  the input error (N, in). */
+    Tensor backward(TrainGemm &gemm, const Tensor &dy);
+
+    /** Momentum SGD on the pending gradients times @p inv_scale. */
+    void sgdStep(float lr, float mom, float inv_scale);
+
+    Tensor w;       ///< (out, in) FP32 master weights
+    Tensor b;       ///< (out)
+    Tensor w_vel;   ///< momentum buffers
+    Tensor b_vel;
+    Tensor x_cache; ///< forward input
+    Tensor w_grad;
+    Tensor b_grad;
 };
 
 /** Hyper-parameters of the MLP and its training run. */
@@ -144,7 +197,8 @@ class Mlp
      */
     void applyStep(float inv_scale = 1.0f);
 
-    /** Run @p epochs of minibatch SGD over @p train. */
+    /** Run @p epochs of minibatch SGD over @p train; a non-positive
+     *  @p batch_size throws InvalidArgument. */
     void train(const Dataset &train, int epochs, int64_t batch_size);
 
     /** Classification accuracy at the configured precision. */
@@ -165,14 +219,17 @@ class Mlp
     size_t numLayers() const { return layers_.size(); }
 
     /** The GEMM precision currently executing. */
-    TrainPrecision precision() const { return cfg_.precision; }
+    TrainPrecision precision() const { return gemm_.precision; }
 
     /**
      * Switch the GEMM execution precision mid-run — the recovery
      * ladder's HFP8 -> FP16 escalation. Master weights, momentum and
      * PACT state carry over untouched.
      */
-    void setPrecision(TrainPrecision precision);
+    void setPrecision(TrainPrecision precision)
+    {
+        gemm_.precision = precision;
+    }
 
     /** Every master weight, bias, and PACT alpha is finite. */
     bool weightsFinite() const;
@@ -185,50 +242,37 @@ class Mlp
     MlpState exportState() const;
     void importState(const MlpState &state);
 
-    /**
-     * Attach a fault injector: every GEMM output element becomes a
-     * FaultSite::TrainerGemm exposure keyed by a monotonically
-     * increasing element counter (mixSeed discipline — deterministic
-     * across runs and thread counts, and *not* rewound by rollback,
-     * so a retried step sees fresh, independent fault draws the way a
-     * re-executed step on real silicon would). Pass nullptr to
-     * detach. The injector must outlive the model.
-     */
-    void setFaultInjector(const FaultInjector *injector);
+    /** Attach a fault injector (TrainGemm::injector) to every GEMM, or
+     *  detach with nullptr. The injector must outlive the model. */
+    void setFaultInjector(const FaultInjector *injector)
+    {
+        gemm_.injector = injector;
+    }
 
     /** Cumulative TrainerGemm fault outcomes. */
-    const FaultStats &faultStats() const { return fault_stats_; }
+    const FaultStats &faultStats() const { return gemm_.fault_stats; }
 
   private:
-    struct Dense
+    /** A dense layer with its PACT clip. */
+    struct Dense : DenseLayer
     {
-        Tensor w;       ///< (out, in) FP32 master weights
-        Tensor b;       ///< (out)
-        Tensor w_vel;   ///< momentum buffers
-        Tensor b_vel;
-        Tensor x_cache; ///< forward input, reduced-precision view
-        Tensor w_grad;
-        Tensor b_grad;
+        Dense(int64_t in, int64_t out, Rng &rng, float alpha_init)
+            : DenseLayer(in, out, rng), alpha(alpha_init)
+        {
+        }
+
         float alpha;        ///< PACT clip (hidden layers only)
         float alpha_vel = 0.0f;
         float alpha_grad = 0.0f;
         Tensor pre_act;     ///< pre-activation cache
     };
 
-    Tensor denseForward(Dense &d, const Tensor &x);
-    Tensor denseBackward(Dense &d, const Tensor &dy);
-    Tensor gemm(const Tensor &a, Fp8Kind a_kind, const Tensor &b,
-                Fp8Kind b_kind);
-    void injectGemmFaults(Tensor &out);
     void applyUpdates(Dense &d, float inv_scale);
 
     MlpConfig cfg_;
+    TrainGemm gemm_;
     std::vector<Dense> layers_;
     Rng rng_;
-    const FaultInjector *injector_ = nullptr;
-    FaultStats fault_stats_;
-    /// Per-element fault-exposure counter (time-like: never rewound).
-    uint64_t fault_item_ = 0;
 };
 
 /** Result of a precision-parity experiment. */
@@ -238,14 +282,6 @@ struct ParityResult
     double reduced_accuracy;   ///< reduced-precision counterpart
     double gap() const { return baseline_accuracy - reduced_accuracy; }
 };
-
-/**
- * Train two identically seeded MLPs, one at FP32 and one at
- * @p precision, and compare test accuracy (the Section II-B claim).
- */
-ParityResult runTrainingParity(TrainPrecision precision,
-                               const Dataset &train, const Dataset &test,
-                               int epochs = 30, int64_t batch = 32);
 
 /**
  * Train at FP32 with PACT, then evaluate FP32 vs INT-@p width

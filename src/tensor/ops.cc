@@ -16,58 +16,6 @@ convOutDim(int64_t in, int64_t kernel, int64_t stride, int64_t pad)
 }
 
 Tensor
-conv2d(const Tensor &input, const Tensor &weight, const ConvParams &p)
-{
-    rapid_assert(input.rank() == 4 && weight.rank() == 4,
-                 "conv2d expects rank-4 input and weight");
-    const int64_t n = input.dim(0), ci = input.dim(1);
-    const int64_t h = input.dim(2), w = input.dim(3);
-    const int64_t co = weight.dim(0), cig = weight.dim(1);
-    const int64_t kh = weight.dim(2), kw = weight.dim(3);
-    rapid_assert(ci % p.groups == 0 && co % p.groups == 0,
-                 "channels not divisible by groups");
-    rapid_assert(cig == ci / p.groups, "weight Ci/groups mismatch: ",
-                 cig, " vs ", ci / p.groups);
-
-    const int64_t ho = convOutDim(h, kh, p.stride, p.pad);
-    const int64_t wo = convOutDim(w, kw, p.stride, p.pad);
-    rapid_assert(ho > 0 && wo > 0, "conv output collapsed to zero");
-
-    Tensor out({n, co, ho, wo});
-    const int64_t co_per_g = co / p.groups;
-
-    for (int64_t in_n = 0; in_n < n; ++in_n) {
-        for (int64_t oc = 0; oc < co; ++oc) {
-            const int64_t g = oc / co_per_g;
-            for (int64_t oy = 0; oy < ho; ++oy) {
-                for (int64_t ox = 0; ox < wo; ++ox) {
-                    double acc = 0.0;
-                    for (int64_t icg = 0; icg < cig; ++icg) {
-                        const int64_t ic = g * cig + icg;
-                        for (int64_t ky = 0; ky < kh; ++ky) {
-                            const int64_t iy =
-                                oy * p.stride + ky - p.pad;
-                            if (iy < 0 || iy >= h)
-                                continue;
-                            for (int64_t kx = 0; kx < kw; ++kx) {
-                                const int64_t ix =
-                                    ox * p.stride + kx - p.pad;
-                                if (ix < 0 || ix >= w)
-                                    continue;
-                                acc += double(input.at(in_n, ic, iy, ix))
-                                     * double(weight.at(oc, icg, ky, kx));
-                            }
-                        }
-                    }
-                    out.at(in_n, oc, oy, ox) = float(acc);
-                }
-            }
-        }
-    }
-    return out;
-}
-
-Tensor
 matmul(const Tensor &a, const Tensor &b)
 {
     rapid_assert(a.rank() == 2 && b.rank() == 2, "matmul expects rank-2");
@@ -150,12 +98,8 @@ relu(const Tensor &x)
     return out;
 }
 
-namespace {
-
-template <typename Reduce>
 Tensor
-pool2d(const Tensor &x, int64_t k, int64_t s, float init, Reduce reduce,
-       bool average)
+maxPool2d(const Tensor &x, int64_t k, int64_t s)
 {
     rapid_assert(x.rank() == 4, "pooling expects NCHW");
     const int64_t ho = convOutDim(x.dim(2), k, s, 0);
@@ -165,35 +109,17 @@ pool2d(const Tensor &x, int64_t k, int64_t s, float init, Reduce reduce,
         for (int64_t c = 0; c < x.dim(1); ++c) {
             for (int64_t oy = 0; oy < ho; ++oy) {
                 for (int64_t ox = 0; ox < wo; ++ox) {
-                    float acc = init;
+                    float acc = -std::numeric_limits<float>::infinity();
                     for (int64_t ky = 0; ky < k; ++ky)
                         for (int64_t kx = 0; kx < k; ++kx)
-                            acc = reduce(acc, x.at(n, c, oy * s + ky,
-                                                   ox * s + kx));
-                    if (average)
-                        acc /= float(k * k);
+                            acc = std::max(acc, x.at(n, c, oy * s + ky,
+                                                     ox * s + kx));
                     out.at(n, c, oy, ox) = acc;
                 }
             }
         }
     }
     return out;
-}
-
-} // namespace
-
-Tensor
-maxPool2d(const Tensor &x, int64_t k, int64_t s)
-{
-    return pool2d(x, k, s, -std::numeric_limits<float>::infinity(),
-                  [](float a, float b) { return std::max(a, b); }, false);
-}
-
-Tensor
-avgPool2d(const Tensor &x, int64_t k, int64_t s)
-{
-    return pool2d(x, k, s, 0.0f,
-                  [](float a, float b) { return a + b; }, true);
 }
 
 Tensor
@@ -234,28 +160,6 @@ softmax(const Tensor &x)
         float *o = out.data() + i * cols;
         for (int64_t j = 0; j < cols; ++j)
             o[j] = float(e[size_t(j)] / sum);
-    }
-    return out;
-}
-
-Tensor
-batchNorm(const Tensor &x, const Tensor &gamma, const Tensor &beta,
-          const Tensor &mean, const Tensor &var, float eps)
-{
-    rapid_assert(x.rank() == 4, "batchNorm expects NCHW");
-    const int64_t c = x.dim(1);
-    rapid_assert(gamma.dim(0) == c && beta.dim(0) == c &&
-                 mean.dim(0) == c && var.dim(0) == c,
-                 "batchNorm parameter shape mismatch");
-    Tensor out = x;
-    for (int64_t ch = 0; ch < c; ++ch) {
-        const float inv = 1.0f / std::sqrt(var[ch] + eps);
-        for (int64_t n = 0; n < x.dim(0); ++n)
-            for (int64_t h = 0; h < x.dim(2); ++h)
-                for (int64_t w = 0; w < x.dim(3); ++w)
-                    out.at(n, ch, h, w) =
-                        gamma[ch] * (x.at(n, ch, h, w) - mean[ch]) * inv
-                        + beta[ch];
     }
     return out;
 }

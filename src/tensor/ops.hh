@@ -1,8 +1,8 @@
 /**
  * @file
- * Golden reference operators in full FP32. The functional simulator's
- * reduced-precision executors are validated against these, and the
- * mini training framework uses them for its FP32 baseline.
+ * FP32 tensor operators: the FP32 GEMM (the training GEMM's baseline
+ * precision), the elementwise, pooling and bias steps around the
+ * trained layers, and the softmax cross-entropy loss.
  */
 
 #ifndef RAPID_TENSOR_OPS_HH
@@ -20,31 +20,9 @@ struct ConvParams
     int64_t groups = 1; ///< groups == Ci for depthwise convolutions
 };
 
-/**
- * 2-D convolution. @p input is (N, Ci, H, W); @p weight is
- * (Co, Ci/groups, Kh, Kw); result is (N, Co, Ho, Wo).
- */
-Tensor conv2d(const Tensor &input, const Tensor &weight,
-              const ConvParams &params = {});
-
 /** Output spatial size of a convolution dimension. */
 int64_t convOutDim(int64_t in, int64_t kernel, int64_t stride,
                    int64_t pad);
-
-/**
- * Gradient of conv2d w.r.t. its input: full correlation of the output
- * gradient with the (flipped) weights. @p in_h / @p in_w give the
- * input geometry (not inferable from the gradient alone when the
- * convolution strides). Groups == 1 only.
- */
-Tensor conv2dGradInput(const Tensor &grad_out, const Tensor &weight,
-                       const ConvParams &params, int64_t in_h,
-                       int64_t in_w);
-
-/** Gradient of conv2d w.r.t. its weights. Groups == 1 only. */
-Tensor conv2dGradWeight(const Tensor &grad_out, const Tensor &input,
-                        const ConvParams &params, int64_t kh,
-                        int64_t kw);
 
 /** Matrix product: (M, K) x (K, N) -> (M, N). */
 Tensor matmul(const Tensor &a, const Tensor &b);
@@ -62,22 +40,11 @@ Tensor relu(const Tensor &x);
 /** Max pooling with square window @p k and stride @p s over NCHW. */
 Tensor maxPool2d(const Tensor &x, int64_t k, int64_t s);
 
-/** Average pooling with square window @p k and stride @p s. */
-Tensor avgPool2d(const Tensor &x, int64_t k, int64_t s);
-
 /** Global average pooling: (N, C, H, W) -> (N, C). */
 Tensor globalAvgPool(const Tensor &x);
 
 /** Row-wise softmax of a rank-2 tensor. */
 Tensor softmax(const Tensor &x);
-
-/**
- * Batch normalization (inference form) over channels of an NCHW
- * tensor: y = gamma * (x - mean) / sqrt(var + eps) + beta.
- */
-Tensor batchNorm(const Tensor &x, const Tensor &gamma, const Tensor &beta,
-                 const Tensor &mean, const Tensor &var,
-                 float eps = 1e-5f);
 
 /** Mean softmax cross-entropy of logits (N, C) against labels. */
 float softmaxCrossEntropy(const Tensor &logits,

@@ -16,15 +16,6 @@ Tensor::Tensor(std::vector<int64_t> shape) : shape_(std::move(shape))
     data_.assign(size_t(numel_), 0.0f);
 }
 
-Tensor
-Tensor::reshaped(std::vector<int64_t> new_shape) const
-{
-    Tensor out(std::move(new_shape));
-    rapid_assert(out.numel() == numel_, "reshape changes element count");
-    out.data_ = data_;
-    return out;
-}
-
 void
 Tensor::fill(float value)
 {
@@ -44,25 +35,6 @@ Tensor::fillKaiming(Rng &rng, int64_t fan_in)
 {
     rapid_assert(fan_in > 0, "non-positive fan-in");
     fillGaussian(rng, 0.0, std::sqrt(2.0 / double(fan_in)));
-}
-
-float
-Tensor::maxAbs() const
-{
-    float m = 0.0f;
-    for (float v : data_)
-        m = std::max(m, std::abs(v));
-    return m;
-}
-
-double
-Tensor::zeroFraction() const
-{
-    int64_t zeros = 0;
-    for (float v : data_)
-        if (std::fpclassify(v) == FP_ZERO)
-            ++zeros;
-    return numel_ ? double(zeros) / double(numel_) : 0.0;
 }
 
 double

@@ -52,9 +52,6 @@ class Tensor
     float &at(int64_t n, int64_t c, int64_t h, int64_t w);
     float at(int64_t n, int64_t c, int64_t h, int64_t w) const;
 
-    /** Reinterpret with a new shape of identical element count. */
-    Tensor reshaped(std::vector<int64_t> new_shape) const;
-
     void fill(float value);
 
     /** Fill with N(mean, stddev) draws from @p rng. */
@@ -71,12 +68,6 @@ class Tensor
         for (auto &v : data_)
             v = fn(v);
     }
-
-    /** Max |element|. */
-    float maxAbs() const;
-
-    /** Fraction of exactly-zero elements. */
-    double zeroFraction() const;
 
   private:
     int64_t flatIndex2(int64_t i, int64_t j) const;

@@ -1,9 +1,13 @@
 /**
  * @file
- * Reference gradients of the convolution operator (FP32 golden
- * model), used by the CNN training framework and validated against
- * finite differences.
+ * FP32 reference convolutions for the tests: the forward convolution
+ * and its input and weight gradients as plain per-output loops. The
+ * finite-difference tests check the gradients against the forward,
+ * and the reduced-precision executors' tests use them as oracles.
  */
+
+#ifndef RAPID_TESTS_CONV_REFERENCE_HH
+#define RAPID_TESTS_CONV_REFERENCE_HH
 
 #include <cmath>
 
@@ -11,7 +15,69 @@
 
 namespace rapid {
 
-Tensor
+/**
+ * 2-D convolution. @p input is (N, Ci, H, W); @p weight is
+ * (Co, Ci/groups, Kh, Kw); result is (N, Co, Ho, Wo).
+ */
+inline Tensor
+conv2d(const Tensor &input, const Tensor &weight, const ConvParams &p = {})
+{
+    rapid_assert(input.rank() == 4 && weight.rank() == 4,
+                 "conv2d expects rank-4 input and weight");
+    const int64_t n = input.dim(0), ci = input.dim(1);
+    const int64_t h = input.dim(2), w = input.dim(3);
+    const int64_t co = weight.dim(0), cig = weight.dim(1);
+    const int64_t kh = weight.dim(2), kw = weight.dim(3);
+    rapid_assert(ci % p.groups == 0 && co % p.groups == 0,
+                 "channels not divisible by groups");
+    rapid_assert(cig == ci / p.groups, "weight Ci/groups mismatch: ",
+                 cig, " vs ", ci / p.groups);
+
+    const int64_t ho = convOutDim(h, kh, p.stride, p.pad);
+    const int64_t wo = convOutDim(w, kw, p.stride, p.pad);
+    rapid_assert(ho > 0 && wo > 0, "conv output collapsed to zero");
+
+    Tensor out({n, co, ho, wo});
+    const int64_t co_per_g = co / p.groups;
+
+    for (int64_t in_n = 0; in_n < n; ++in_n) {
+        for (int64_t oc = 0; oc < co; ++oc) {
+            const int64_t g = oc / co_per_g;
+            for (int64_t oy = 0; oy < ho; ++oy) {
+                for (int64_t ox = 0; ox < wo; ++ox) {
+                    double acc = 0.0;
+                    for (int64_t icg = 0; icg < cig; ++icg) {
+                        const int64_t ic = g * cig + icg;
+                        for (int64_t ky = 0; ky < kh; ++ky) {
+                            const int64_t iy =
+                                oy * p.stride + ky - p.pad;
+                            if (iy < 0 || iy >= h)
+                                continue;
+                            for (int64_t kx = 0; kx < kw; ++kx) {
+                                const int64_t ix =
+                                    ox * p.stride + kx - p.pad;
+                                if (ix < 0 || ix >= w)
+                                    continue;
+                                acc += double(input.at(in_n, ic, iy, ix))
+                                     * double(weight.at(oc, icg, ky, kx));
+                            }
+                        }
+                    }
+                    out.at(in_n, oc, oy, ox) = float(acc);
+                }
+            }
+        }
+    }
+    return out;
+}
+
+/**
+ * Gradient of conv2d w.r.t. its input: full correlation of the output
+ * gradient with the (flipped) weights. @p in_h / @p in_w give the
+ * input geometry (not inferable from the gradient alone when the
+ * convolution strides). Groups == 1 only.
+ */
+inline Tensor
 conv2dGradInput(const Tensor &grad_out, const Tensor &weight,
                 const ConvParams &p, int64_t in_h, int64_t in_w)
 {
@@ -55,7 +121,8 @@ conv2dGradInput(const Tensor &grad_out, const Tensor &weight,
     return dx;
 }
 
-Tensor
+/** Gradient of conv2d w.r.t. its weights. Groups == 1 only. */
+inline Tensor
 conv2dGradWeight(const Tensor &grad_out, const Tensor &input,
                  const ConvParams &p, int64_t kh, int64_t kw)
 {
@@ -97,3 +164,5 @@ conv2dGradWeight(const Tensor &grad_out, const Tensor &input,
 }
 
 } // namespace rapid
+
+#endif // RAPID_TESTS_CONV_REFERENCE_HH

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "conv_reference.hh"
 #include "func/cnn.hh"
 
 namespace rapid {
@@ -113,6 +114,27 @@ TEST(Stripes, DatasetIsBalancedAndOriented)
         EXPECT_GT(row_var, col_var);
         break; // one sample suffices
     }
+}
+
+/**
+ * Train identical CNNs at FP32 and @p precision on the stripes task
+ * and compare test accuracies (CNN counterpart of runTrainingParity()).
+ */
+ParityResult
+runCnnTrainingParity(TrainPrecision precision, const ImageDataset &train,
+                     const ImageDataset &test, int epochs = 12,
+                     int64_t batch = 16)
+{
+    CnnConfig base;
+    base.precision = TrainPrecision::FP32;
+    CnnConfig reduced = base;
+    reduced.precision = precision;
+
+    SmallCnn fp32(base);
+    fp32.train(train, epochs, batch);
+    SmallCnn red(reduced);
+    red.train(train, epochs, batch);
+    return {fp32.evaluate(test), red.evaluate(test)};
 }
 
 TEST(SmallCnn, Fp32LearnsStripes)

@@ -7,12 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "common/error.hh"
 #include "compiler/dataflow.hh"
 #include "compiler/precision_assign.hh"
 #include "compiler/tiling.hh"
+#include "func/cnn.hh"
 #include "perf/perf_model.hh"
 #include "power/throttle.hh"
 #include "runtime/session.hh"
@@ -217,7 +219,39 @@ TEST(Contracts, TensorBoundsChecked)
     EXPECT_DEATH(t[4], "flat index");
     EXPECT_DEATH(t.at(0, 0, 0, 0), "rank-4");
     EXPECT_DEATH(Tensor({0, 4}), "non-positive");
-    EXPECT_DEATH(t.reshaped({3, 3}), "element count");
+}
+
+TEST(Contracts, TrainingRejectsNonPositiveBatch)
+{
+    Rng rng(5);
+    const Dataset spirals = makeSpirals(rng, 8);
+    MlpConfig mlp_cfg;
+    mlp_cfg.dims = {spirals.featureDim(), 4, 2};
+    Mlp mlp(mlp_cfg);
+    const ImageDataset stripes = makeStripes(rng, 4);
+    SmallCnn cnn(CnnConfig{});
+    for (int64_t batch : {0, -1}) {
+        expectInvalidArgument([&] { mlp.train(spirals, 1, batch); });
+        expectInvalidArgument([&] { cnn.train(stripes, 1, batch); });
+    }
+}
+
+TEST(Contracts, CnnConfigValidated)
+{
+    const auto bad = [](auto edit) {
+        CnnConfig cfg;
+        edit(cfg);
+        expectInvalidArgument([&] { SmallCnn cnn(cfg); });
+    };
+    bad([](CnnConfig &c) { c.classes = 0; });
+    bad([](CnnConfig &c) { c.conv1_channels = 0; });
+    bad([](CnnConfig &c) { c.conv2_channels = -2; });
+    bad([](CnnConfig &c) { c.learning_rate = 0.0f; });
+    bad([](CnnConfig &c) {
+        c.learning_rate = std::numeric_limits<float>::quiet_NaN();
+    });
+    bad([](CnnConfig &c) { c.momentum = 1.0f; });
+    bad([](CnnConfig &c) { c.momentum = -0.5f; });
 }
 
 TEST(Contracts, ThrottleRejectsBadSparsity)

@@ -20,6 +20,8 @@
 
 #include "common/error.hh"
 #include "common/parallel.hh"
+#include "conv_reference.hh"
+#include "func/cnn.hh"
 #include "func/datasets.hh"
 #include "func/quantized_ops.hh"
 #include "func/trainer.hh"
@@ -1182,6 +1184,278 @@ TEST(ConvLoweringOracle, IntBitIdentical)
     }
 }
 
+/** Geometry of one lowered training convolution (3x3 kernel). */
+struct TrainConvCase
+{
+    int64_t n, ci, h, w, co;
+    ConvParams p;
+};
+
+/** A training precision's operand rounding and reduction, computed
+ *  independently of the library. */
+struct TrainConvOracle
+{
+    TrainPrecision precision;
+    ExecConfig cfg;
+
+    Tensor
+    operand(const Tensor &t, Fp8Kind kind) const
+    {
+        switch (precision) {
+          case TrainPrecision::FP16:
+            return quantizeEach(t, dlfloat16(), cfg.rounding);
+          case TrainPrecision::HFP8:
+            return quantizeEach(t, fp8Format(kind, cfg), cfg.rounding);
+          case TrainPrecision::FP32:
+            break;
+        }
+        return t;
+    }
+
+    /** Chunked DLFloat16 for FP16/HFP8; FP32 sums exact products in
+     *  binary64 from +0.0 and rounds once, as matmul does. */
+    float
+    dot(const std::vector<float> &a, const std::vector<float> &b) const
+    {
+        if (precision != TrainPrecision::FP32)
+            return referenceChunkedDot(a.data(), b.data(),
+                                       int64_t(a.size()), cfg);
+        double acc = 0.0;
+        for (size_t i = 0; i < a.size(); ++i)
+            acc += double(a[i]) * double(b[i]);
+        return float(acc);
+    }
+};
+
+/** A lowered convolution's forward output and its three gradients. */
+struct TrainConvRun
+{
+    Tensor y, dx, dw, db;
+};
+
+/**
+ * Per-output reference of ConvLayer: every output gathers its terms in
+ * the lowering's k order, r = (ci, ky, kx) for the forward and
+ * data-gradient patches and (n, oy, ox) for the weight gradient. The
+ * data gradient sums its (co-reduced) patch entries in FP32 in
+ * (ky, kx, oy, ox) order, as col2im adds them.
+ */
+TrainConvRun
+referenceTrainConv(const Tensor &x, const Tensor &w, const Tensor &b,
+                   const Tensor &dy, const ConvParams &p,
+                   const TrainConvOracle &o)
+{
+    const Tensor qx = o.operand(x, Fp8Kind::Forward);
+    const Tensor qw = o.operand(w, Fp8Kind::Forward);
+    const Tensor qdy = o.operand(dy, Fp8Kind::Backward);
+    const int64_t n = x.dim(0), ci = x.dim(1), h = x.dim(2), wd = x.dim(3);
+    const int64_t co = dy.dim(1), ho = dy.dim(2), wo = dy.dim(3);
+    const int64_t k = ci * 9;
+    // The quantized input patch entry r of output (oy, ox): zero in the
+    // padding.
+    auto tap = [&](int64_t in_n, int64_t r, int64_t oy, int64_t ox) {
+        const int64_t iy = oy * p.stride + r / 3 % 3 - p.pad;
+        const int64_t ix = ox * p.stride + r % 3 - p.pad;
+        const bool inside = iy >= 0 && iy < h && ix >= 0 && ix < wd;
+        return inside ? qx.at(in_n, r / 9, iy, ix) : 0.0f;
+    };
+    TrainConvRun want{Tensor({n, co, ho, wo}), Tensor(x.shape()),
+                      Tensor({co, k}), Tensor({co})};
+    std::vector<float> a, bv;
+    for (int64_t in_n = 0; in_n < n; ++in_n)
+        for (int64_t c = 0; c < co; ++c)
+            for (int64_t oy = 0; oy < ho; ++oy)
+                for (int64_t ox = 0; ox < wo; ++ox) {
+                    a.clear();
+                    bv.clear();
+                    for (int64_t r = 0; r < k; ++r) {
+                        a.push_back(tap(in_n, r, oy, ox));
+                        bv.push_back(qw.at(c, r));
+                    }
+                    want.y.at(in_n, c, oy, ox) = o.dot(a, bv) + b[c];
+                }
+    for (int64_t c = 0; c < co; ++c) {
+        double bias = 0.0;
+        for (int64_t in_n = 0; in_n < n; ++in_n)
+            for (int64_t oy = 0; oy < ho; ++oy)
+                for (int64_t ox = 0; ox < wo; ++ox)
+                    bias += double(dy.at(in_n, c, oy, ox));
+        want.db[c] = float(bias);
+        for (int64_t r = 0; r < k; ++r) {
+            a.clear();
+            bv.clear();
+            for (int64_t in_n = 0; in_n < n; ++in_n)
+                for (int64_t oy = 0; oy < ho; ++oy)
+                    for (int64_t ox = 0; ox < wo; ++ox) {
+                        a.push_back(qdy.at(in_n, c, oy, ox));
+                        bv.push_back(tap(in_n, r, oy, ox));
+                    }
+            want.dw.at(c, r) = o.dot(a, bv);
+        }
+    }
+    // Patch entry r of output (oy, ox)'s data gradient: dY row x W
+    // column, reduced over co.
+    auto dcol = [&](int64_t in_n, int64_t oy, int64_t ox, int64_t r) {
+        a.clear();
+        bv.clear();
+        for (int64_t c = 0; c < co; ++c) {
+            a.push_back(qdy.at(in_n, c, oy, ox));
+            bv.push_back(qw.at(c, r));
+        }
+        return o.dot(a, bv);
+    };
+    for (int64_t in_n = 0; in_n < n; ++in_n)
+        for (int64_t ic = 0; ic < ci; ++ic)
+            for (int64_t iy = 0; iy < h; ++iy)
+                for (int64_t ix = 0; ix < wd; ++ix) {
+                    float acc = 0.0f;
+                    for (int64_t ky = 0; ky < 3; ++ky)
+                        for (int64_t kx = 0; kx < 3; ++kx)
+                            for (int64_t oy = 0; oy < ho; ++oy)
+                                for (int64_t ox = 0; ox < wo; ++ox)
+                                    if (oy * p.stride + ky - p.pad == iy &&
+                                        ox * p.stride + kx - p.pad == ix)
+                                        acc += dcol(in_n, oy, ox,
+                                                    (ic * 3 + ky) * 3 + kx);
+                    want.dx.at(in_n, ic, iy, ix) = acc;
+                }
+    return want;
+}
+
+/** ConvLayer's forward and backward with weights @p w and bias @p b. */
+TrainConvRun
+runTrainConv(const Tensor &x, const Tensor &w, const Tensor &b,
+             const Tensor &dy, const ConvParams &p, const TrainConvOracle &o)
+{
+    Rng rng(1);
+    ConvLayer layer(x.dim(1), w.dim(0), 3, p, rng);
+    layer.dense.w = w;
+    layer.dense.b = b;
+    TrainGemm gemm{o.precision, o.cfg};
+    TrainConvRun got;
+    got.y = layer.forward(gemm, x);
+    got.dx = layer.backward(gemm, dy);
+    got.dw = layer.dense.w_grad;
+    got.db = layer.dense.b_grad;
+    return got;
+}
+
+/** Each element of @p t (any rank) drawn as fillOperand() draws @p fill:
+ *  Gaussian, Zeros or Subnormal. */
+void
+fillFlat(Tensor &t, Fill fill, Rng &rng)
+{
+    static constexpr double kScales[] = {0x1p-4, 0x1p-15, 0x1p-31, 1.0};
+    for (int64_t i = 0; i < t.numel(); ++i) {
+        const double g = rng.gaussian(0.0, 0.5);
+        switch (fill) {
+          case Fill::Zeros:
+            t[i] = rng.uniform() < 0.3
+                       ? (rng.uniform() < 0.5 ? -0.0f : 0.0f)
+                       : float(g);
+            break;
+          case Fill::Subnormal:
+            t[i] = float(g * kScales[rng.uniformInt(0, 3)]);
+            break;
+          default:
+            t[i] = float(g);
+            break;
+        }
+    }
+}
+
+/** Stride {1, 2} x pad {0, 1}, and a reduction that spans chunks. */
+const TrainConvCase kTrainConvCases[] = {
+    {2, 3, 7, 6, 5, {1, 0, 1}},
+    {2, 3, 7, 6, 5, {1, 1, 1}},
+    {2, 3, 7, 6, 5, {2, 0, 1}},
+    {2, 3, 7, 6, 5, {2, 1, 1}},
+    {1, 9, 5, 5, 9, {1, 1, 1}}, // K = 81
+};
+
+TEST(TrainConvOracle, BitIdenticalOverStridesPadsChunksModesAndFills)
+{
+    Rng rng(3000);
+    int64_t runs = 0;
+    for (const TrainConvCase &c : kTrainConvCases) {
+        const int64_t ho = convOutDim(c.h, 3, c.p.stride, c.p.pad);
+        const int64_t wo = convOutDim(c.w, 3, c.p.stride, c.p.pad);
+        for (Fill fill : {Fill::Gaussian, Fill::Zeros, Fill::Subnormal}) {
+            Tensor x({c.n, c.ci, c.h, c.w}), w({c.co, c.ci * 9}),
+                b({c.co}), dy({c.n, c.co, ho, wo});
+            for (Tensor *t : {&x, &w, &b, &dy})
+                fillFlat(*t, fill, rng);
+            std::vector<TrainConvOracle> oracles{
+                {TrainPrecision::FP32, ExecConfig{}}};
+            for (TrainPrecision prec :
+                 {TrainPrecision::FP16, TrainPrecision::HFP8})
+                for (size_t chunk : kOracleChunks)
+                    for (bool fp32_outer : {true, false})
+                        for (Rounding mode : kOracleModes) {
+                            ExecConfig cfg;
+                            cfg.chunk_size = chunk;
+                            cfg.fp32_outer = fp32_outer;
+                            cfg.rounding = mode;
+                            oracles.push_back({prec, cfg});
+                        }
+            for (const TrainConvOracle &o : oracles) {
+                const TrainConvRun got = runTrainConv(x, w, b, dy, c.p, o);
+                const TrainConvRun want =
+                    referenceTrainConv(x, w, b, dy, c.p, o);
+                const auto at = [&] {
+                    return ::testing::Message()
+                           << "stride=" << c.p.stride << " pad=" << c.p.pad
+                           << " ci=" << c.ci << " fill=" << int(fill)
+                           << " precision=" << trainPrecisionName(o.precision)
+                           << " chunk=" << o.cfg.chunk_size
+                           << " fp32_outer=" << o.cfg.fp32_outer
+                           << " mode=" << int(o.cfg.rounding);
+                };
+                EXPECT_EQ(bitMismatches(got.y, want.y), 0) << at();
+                EXPECT_EQ(bitMismatches(got.dx, want.dx), 0) << at();
+                EXPECT_EQ(bitMismatches(got.dw, want.dw), 0) << at();
+                EXPECT_EQ(bitMismatches(got.db, want.db), 0) << at();
+                ++runs;
+            }
+        }
+    }
+    EXPECT_EQ(runs, 5 * 3 * (1 + 2 * 4 * 2 * 3));
+}
+
+/** A NaN or Inf operand that meets a nonzero one raises NumericFault in
+ *  the lowered forward and backward, as in the reference. */
+TEST(TrainConvOracle, LivePoisonThrowsNumericFault)
+{
+    Rng rng(3001);
+    const TrainConvCase &c = kTrainConvCases[1];
+    Tensor x({c.n, c.ci, c.h, c.w}), w({c.co, c.ci * 9}), b({c.co}),
+        dy({c.n, c.co, c.h, c.w});
+    for (Tensor *t : {&x, &w, &dy})
+        fillFlat(*t, Fill::Gaussian, rng);
+    for (TrainPrecision prec : {TrainPrecision::FP16, TrainPrecision::HFP8}) {
+        for (float poison : {std::numeric_limits<float>::quiet_NaN(),
+                             -std::numeric_limits<float>::infinity()}) {
+            const TrainConvOracle o{prec, ExecConfig{}};
+            Tensor bad_x = x, bad_dy = dy;
+            bad_x.at(1, 2, 3, 4) = poison;
+            bad_dy.at(0, 3, 2, 5) = poison;
+            for (const auto &[px, pdy] : {std::pair{&bad_x, &dy},
+                                          std::pair{&x, &bad_dy}}) {
+                EXPECT_NE(numericFault([&] {
+                              runTrainConv(*px, w, b, *pdy, c.p, o);
+                          }),
+                          "")
+                    << trainPrecisionName(prec);
+                EXPECT_NE(numericFault([&] {
+                              referenceTrainConv(*px, w, b, *pdy, c.p, o);
+                          }),
+                          "")
+                    << trainPrecisionName(prec);
+            }
+        }
+    }
+}
+
 /** Malformed INT shapes stop at an assertion instead of reading past
  *  an operand. */
 TEST(IntExecDeathTest, MatmulRejectsMalformedShapes)
@@ -1209,6 +1483,32 @@ TEST(IntExecDeathTest, ConvRejectsMalformedShapes)
     p.groups = 3; // Co 4 does not split into 3 groups
     Tensor x6({1, 6, 4, 4});
     EXPECT_DEATH(intConv2d(x6, act_q, w2, wt_q, 4, p), "groups");
+}
+
+/**
+ * Train two identically seeded MLPs, one at FP32 and one at
+ * @p precision, and compare test accuracy (the Section II-B claim).
+ */
+ParityResult
+runTrainingParity(TrainPrecision precision, const Dataset &train,
+                  const Dataset &test, int epochs = 30, int64_t batch = 32)
+{
+    MlpConfig base;
+    base.dims = {train.featureDim(), 48, 48,
+                 1 + *std::max_element(train.labels.begin(),
+                                       train.labels.end())};
+    base.precision = TrainPrecision::FP32;
+    base.seed = 99;
+
+    MlpConfig reduced = base;
+    reduced.precision = precision;
+
+    Mlp fp32_model(base);
+    fp32_model.train(train, epochs, batch);
+    Mlp reduced_model(reduced);
+    reduced_model.train(train, epochs, batch);
+
+    return {fp32_model.evaluate(test), reduced_model.evaluate(test)};
 }
 
 TEST(Datasets, SpiralsShapeAndLabels)

@@ -22,7 +22,7 @@ are prebuilt archives, not our objects, and are outside the
 discipline.
 
 A second pass finds dead exports: external functions of librapid_*
-objects that no relocation (readelf -rW) in a library, bench, example
+objects that no relocation (objdump -r) in a library, bench, example
 or test object names. The assembler resolves in-section calls without
 a relocation and optimised builds inline, so the defining object's
 branch targets (objdump -d) and inline sites (DWARF: build with -g,
@@ -48,6 +48,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 FORBIDDEN = frozenset({
@@ -81,24 +82,77 @@ ROLE_DIRS = {"src": "library", "bench": "bench", "examples": "example",
 #: GCC clone suffixes: a call to foo.isra.0 is a use of foo.
 CLONE_SUFFIX = re.compile(r"\.(isra|constprop|part|cold)(\.\d+)?")
 DIE_HEADER = re.compile(r"<([0-9a-f]+)>: Abbrev Number: \d+ \((\w+)\)")
+#: The lines of a DWARF info dump that inlined_functions() reads, and
+#: the multi-file "File:" headers.
+DWARF_LINES = ("^File: |Abbrev Number|DW_AT_linkage_name|"
+               "DW_AT_specification|DW_AT_abstract_origin")
+#: readelf -SW: the section a relocation section applies to.
+RELA_TARGET = re.compile(r"\] \.rela(\S+)\s+RELA\s")
+#: objdump's header before each file of a multi-file run.
+OBJDUMP_FILE = r"^(\S+):\s+file format \S+\n"
+#: objdump -r: a relocation's symbol, without its addend.
+RELOC_SYMBOL = re.compile(r"^[0-9a-f]+ R_\S+\s+([^\s+-]+)", re.M)
+
+#: Concurrent binutils processes per pass. Each pass splits its files
+#: into at most this many multi-file invocations, so the process count
+#: stays fixed however many objects the build has.
+JOBS = 4
 
 
-def undefined_symbols(nm, path):
-    """Undefined symbol names of an object or binary, version suffixes
-    (sym@GLIBC_x) stripped. Returns None when nm cannot read it."""
+def run_batched(cmd, paths, pipe=None):
+    """Run @p cmd over @p paths as at most JOBS multi-file invocations,
+    concurrently; @p pipe, if given, filters each one's stdout. Returns
+    (batch, stdout, stderr) per invocation."""
+    paths = [str(p) for p in paths]
+    count = min(JOBS, len(paths))
+
+    def run(batch):
+        if pipe is None:
+            proc = subprocess.run([*cmd, *batch], capture_output=True,
+                                  text=True)
+            return batch, proc.stdout, proc.stderr
+        first = subprocess.Popen([*cmd, *batch], stdout=subprocess.PIPE,
+                                 stderr=subprocess.DEVNULL)
+        out = subprocess.run(pipe, stdin=first.stdout, capture_output=True,
+                             text=True).stdout
+        first.stdout.close()
+        first.wait()
+        return batch, out, ""
+
+    with ThreadPoolExecutor(max(count, 1)) as pool:
+        return list(pool.map(run, [paths[i::count] for i in range(count)]))
+
+
+def per_file(batch, out, header):
+    """Split multi-file binutils output at the lines @p header matches
+    (group 1 names the file). A one-file batch may print no header."""
+    parts = re.split(header, out, flags=re.M)
+    if len(parts) == 1:
+        return {batch[0]: out} if len(batch) == 1 else {}
+    return dict(zip(parts[1::2], parts[2::2]))
+
+
+def undefined_symbols(nm, paths):
+    """Undefined symbol names of each object or binary in @p paths,
+    version suffixes (sym@GLIBC_x) stripped: a dict from path to its
+    set, or to None when nm cannot read the file."""
+    symbols = {str(p): set() for p in paths}
     try:
-        proc = subprocess.run(
-            [nm, "--undefined-only", "--format=posix", str(path)],
-            capture_output=True, text=True)
+        runs = run_batched([nm, "-A", "--undefined-only", "--format=posix"],
+                           paths)
     except OSError:
-        return None
-    if proc.returncode != 0:
-        return None
-    symbols = set()
-    for line in proc.stdout.splitlines():
-        fields = line.split()
-        if fields:
-            symbols.add(fields[0].split("@")[0])
+        return dict.fromkeys(symbols)
+    for batch, out, err in runs:
+        for line in out.splitlines():
+            path, _, rest = line.partition(": ")
+            fields = rest.split()
+            if fields:
+                symbols[path].add(fields[0].split("@")[0])
+        # nm names each file it cannot read on stderr, and carries on.
+        for path in batch:
+            if any(path in line and not line.endswith(": no symbols")
+                   for line in err.splitlines()):
+                symbols[path] = None
     return symbols
 
 
@@ -127,30 +181,54 @@ def source_of_object(rel_parts):
     return source[:-2] if source.endswith(".o") else source
 
 
-def tool_lines(*cmd):
-    """stdout lines of a binutils command."""
-    return subprocess.run([str(c) for c in cmd], capture_output=True,
-                          text=True).stdout.splitlines()
+def relocated_symbols(paths):
+    """Symbols named by each object's relocations: a dict from path to
+    set. DWARF sections are left out; their relocations name section
+    symbols only, never a function, and they are most of the output."""
+    targets = {}
+    for batch, out, _ in run_batched(["readelf", "-SW"], paths):
+        for path, text in per_file(batch, out, r"^File: (.+)\n").items():
+            targets[path] = {name for name in RELA_TARGET.findall(text)
+                             if not name.startswith(".debug")}
+    symbols = {str(p): set() for p in paths}
+    sections = sorted(set().union(*targets.values()))
+    if not sections:
+        return symbols
+    select = [arg for name in sections for arg in ("-j", name)]
+    for batch, out, _ in run_batched(["objdump", "-r", *select], paths):
+        for path, text in per_file(batch, out, OBJDUMP_FILE).items():
+            symbols[path] = set(RELOC_SYMBOL.findall(text))
+    return symbols
 
 
-def relocated_symbols(path):
-    """Symbols named by an object's relocations."""
-    return {fields[4]
-            for fields in map(str.split, tool_lines("readelf", "-rW", path))
-            if len(fields) >= 5 and fields[2].startswith("R_")}
-
-
-def local_references(path):
-    """Names an object uses without a relocation: branch and address
+def local_references(paths):
+    """Names each object uses without a relocation: branch and address
     targets the assembler resolved in place (objdump -d), and functions
-    inlined at one of its call sites (DWARF)."""
-    names = {CLONE_SUFFIX.sub("", target)
-             for line in tool_lines("objdump", "-d", "--no-show-raw-insn",
-                                    path) if line.startswith(" ")
-             for target in re.findall(r"<([^<>+]+)>", line)}
+    inlined at one of its call sites (DWARF). A dict from path to
+    set."""
+    names = {str(p): set() for p in paths}
+    for batch, out, _ in run_batched(
+            ["objdump", "-d", "--no-show-raw-insn"], paths):
+        for path, text in per_file(batch, out, OBJDUMP_FILE).items():
+            names[path] = {CLONE_SUFFIX.sub("", target)
+                           for line in text.splitlines()
+                           if line.startswith(" ")
+                           for target in re.findall(r"<([^<>+]+)>", line)}
+    # The DIE headers and the three attributes read below are a small
+    # share of the dump; grep drops the rest before Python reads it.
+    for batch, out, _ in run_batched(
+            ["readelf", "--debug-dump=info", "--wide"], paths,
+            pipe=["grep", "-E", DWARF_LINES]):
+        for path, text in per_file(batch, out, r"^File: (.+)\n").items():
+            names[path] |= inlined_functions(text)
+    return names
+
+
+def inlined_functions(text):
+    """Linkage names of the functions a DWARF info dump shows inlined."""
+    names = set()
     dies, die = {}, {}
-    for line in tool_lines("readelf", "--debug-dump=info", "--wide",
-                           path):
+    for line in text.splitlines():
         if "Abbrev Number" in line:
             m = DIE_HEADER.search(line)
             die = {"tag": m.group(2)} if m else {}
@@ -185,17 +263,23 @@ def dead_exports(nm, library, users):
     "test") to the objects whose relocations count, library objects
     included. Returns (dead, test_only): sorted (demangled name,
     defining object) pairs."""
+    defined = {}  # path -> [(symbol, type)] in nm's order
+    for _, out, _ in run_batched([nm, "-A", "--defined-only",
+                                  "--format=posix"], library):
+        for line in out.splitlines():
+            path, _, rest = line.partition(": ")
+            fields = rest.split()
+            if len(fields) >= 2:
+                defined.setdefault(path, []).append(fields[:2])
     exports = {}  # mangled -> defining object
     for obj in library:
-        for line in tool_lines(nm, "--defined-only", "--format=posix",
-                               obj):
-            fields = line.split()
-            if len(fields) >= 2 and fields[1] == "T":
-                exports.setdefault(fields[0], obj)
+        for symbol, kind in defined.get(str(obj), []):
+            if kind == "T":
+                exports.setdefault(symbol, obj)
     refs = {}  # mangled -> roles
     for role, objs in users.items():
-        for obj in objs:
-            for name in relocated_symbols(obj):
+        for names in relocated_symbols(objs).values():
+            for name in names:
                 refs.setdefault(name, set()).add(role)
     names = demangle(set(exports) | set(refs))
     roles_of = {}  # demangled, so C1/C2 and D1/D2 merge
@@ -205,8 +289,9 @@ def dead_exports(nm, library, users):
     # every export that no non-test object names.
     suspects = {obj for mangled, obj in exports.items()
                 if roles_of.get(names[mangled], set()) <= {"test"}}
-    for obj in sorted(suspects):
-        for name in demangle(local_references(obj)).values():
+    if suspects:
+        local = set().union(*local_references(sorted(suspects)).values())
+        for name in demangle(local).values():
             roles_of.setdefault(name, set()).add("library")
     dead, test_only = set(), set()
     for mangled, obj in exports.items():
@@ -257,11 +342,12 @@ def audit_build(build_dir, nm, json_path=None):
     findings = []
     allowed_refs = set()
     objects = sorted(build.rglob("CMakeFiles/**/*.o"))
+    object_symbols = undefined_symbols(nm, objects)
     scanned = 0
     for obj in objects:
         rel = obj.relative_to(build)
         source = source_of_object(rel.parts)
-        symbols = undefined_symbols(nm, obj)
+        symbols = object_symbols[str(obj)]
         if symbols is None:
             continue
         scanned += 1
@@ -279,7 +365,7 @@ def audit_build(build_dir, nm, json_path=None):
                            "symbol '%s'" % (rel.as_posix(), source, sym),
             })
 
-    binaries_scanned = 0
+    binaries = []
     for top in BINARY_DIRS:
         base = build / top
         if not base.is_dir():
@@ -289,23 +375,26 @@ def audit_build(build_dir, nm, json_path=None):
                 continue
             if path.suffix in (".cmake", ".txt", ".o"):
                 continue
-            symbols = undefined_symbols(nm, path)
-            if symbols is None:
-                continue
-            binaries_scanned += 1
-            for sym in sorted(symbols & FORBIDDEN):
-                if sym in allowed_refs:
-                    continue  # brought in by parallel./sweep. objects
-                findings.append({
-                    "kind": "binary",
-                    "path": path.relative_to(build).as_posix(),
-                    "source": None, "symbol": sym,
-                    "message": "binary %s imports forbidden symbol "
-                               "'%s' from outside the allowed "
-                               "src/common/parallel./sweep. objects"
-                               % (path.relative_to(build).as_posix(),
-                                  sym),
-                })
+            binaries.append(path)
+    binary_symbols = undefined_symbols(nm, binaries)
+    binaries_scanned = 0
+    for path in binaries:
+        symbols = binary_symbols[str(path)]
+        if symbols is None:
+            continue
+        binaries_scanned += 1
+        for sym in sorted(symbols & FORBIDDEN):
+            if sym in allowed_refs:
+                continue  # brought in by parallel./sweep. objects
+            findings.append({
+                "kind": "binary",
+                "path": path.relative_to(build).as_posix(),
+                "source": None, "symbol": sym,
+                "message": "binary %s imports forbidden symbol "
+                           "'%s' from outside the allowed "
+                           "src/common/parallel./sweep. objects"
+                           % (path.relative_to(build).as_posix(), sym),
+            })
 
     dead, test_only = audit_dead_exports(build, nm)
     findings += dead
@@ -379,7 +468,7 @@ def self_test(cxx, nm, root):
         if None in (planted_obj, clean_obj, lib_obj, user_obj):
             return 2
 
-        symbols = undefined_symbols(nm, planted_obj)
+        symbols = undefined_symbols(nm, [planted_obj])[str(planted_obj)]
         hit = sorted((symbols or set()) & FORBIDDEN)
         if "clock_gettime" in hit:
             print("self-test ok: planted_wallclock.o references %s"
@@ -389,7 +478,7 @@ def self_test(cxx, nm, root):
                   "detected (undefined: %s)" % sorted(symbols or ()))
             failures += 1
 
-        symbols = undefined_symbols(nm, clean_obj)
+        symbols = undefined_symbols(nm, [clean_obj])[str(clean_obj)]
         hit = sorted((symbols or set()) & FORBIDDEN)
         if hit:
             print("SELF-TEST FAIL: clean fixture references %s"
