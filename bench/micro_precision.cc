@@ -229,20 +229,35 @@ BM_Fp16Matmul(benchmark::State &state)
 }
 BENCHMARK(BM_Fp16Matmul)->Arg(32)->Arg(64)->Arg(160);
 
+/**
+ * SystolicArraySim::gemm of an (M,K) x (K,N) GEMM at FP16 (last arg 0)
+ * or HFP8 (1), reported in MACs per second: perfbench chip_model's
+ * shapes (M = 16, K in {32, 64, 96}, N in {32, 48}) and two squares.
+ */
 void
 BM_SystolicGemm(benchmark::State &state)
 {
-    const int64_t n = state.range(0);
+    const int64_t m = state.range(0), k = state.range(1),
+                  n = state.range(2);
     Rng rng(7);
-    Tensor a({n, n}), b({n, n});
+    Tensor a({m, k}), b({k, n});
     a.fillGaussian(rng, 0.0, 0.5);
     b.fillGaussian(rng, 0.0, 0.5);
-    SystolicArraySim sim(CoreletConfig{}, Precision::FP16);
+    SystolicArraySim sim(CoreletConfig{}, state.range(3)
+                                              ? Precision::HFP8
+                                              : Precision::FP16);
     for (auto _ : state)
         benchmark::DoNotOptimize(sim.gemm(a, b));
-    state.SetItemsProcessed(state.iterations() * n * n * n);
+    state.counters["macs_per_s"] = benchmark::Counter(
+        double(state.iterations()) * double(m * k * n),
+        benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_SystolicGemm)->Arg(32)->Arg(64);
+BENCHMARK(BM_SystolicGemm)
+    ->ArgsProduct({{16}, {32, 64, 96}, {32, 48}, {0, 1}})
+    ->Args({32, 32, 32, 0})
+    ->Args({64, 64, 64, 0})
+    ->Args({64, 64, 64, 1})
+    ->ArgNames({"m", "k", "n", "hfp8"});
 
 void
 BM_RingMulticast(benchmark::State &state)

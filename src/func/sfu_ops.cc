@@ -142,13 +142,6 @@ sfuSigmoid(const Tensor &x, SfuMode mode)
 }
 
 Tensor
-sfuTanh(const Tensor &x, SfuMode mode)
-{
-    return applySfu(x, mode, sfu::fastTanh,
-                    [](double v) { return std::tanh(v); });
-}
-
-Tensor
 sfuSoftmax(const Tensor &x, SfuMode mode)
 {
     rapid_assert(x.rank() == 2, "sfuSoftmax expects rank-2 logits");
@@ -174,21 +167,6 @@ sfuSoftmax(const Tensor &x, SfuMode mode)
                 dlfloat16().quantize(out.at(i, j) * inv);
     }
     return out;
-}
-
-double
-sfuMaxError(float (*fast_fn)(float), double (*ref_fn)(double),
-            const std::vector<float> &samples)
-{
-    double max_err = 0.0;
-    for (float s : samples) {
-        double ref = ref_fn(double(s));
-        double err = std::abs(double(fast_fn(s)) - ref);
-        // Relative where the value is large, absolute near zero.
-        max_err = std::max(max_err,
-                           err / std::max(1.0, std::abs(ref)));
-    }
-    return max_err;
 }
 
 } // namespace rapid

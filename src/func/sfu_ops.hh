@@ -55,7 +55,6 @@ float fastGelu(float x);
  * DLFloat16 like everything leaving the SFU datapath.
  */
 Tensor sfuSigmoid(const Tensor &x, SfuMode mode = SfuMode::Fast);
-Tensor sfuTanh(const Tensor &x, SfuMode mode = SfuMode::Fast);
 
 /**
  * SFU softmax over the rows of a rank-2 tensor: max-subtract, fast
@@ -63,10 +62,6 @@ Tensor sfuTanh(const Tensor &x, SfuMode mode = SfuMode::Fast);
  * auxiliary category pays for.
  */
 Tensor sfuSoftmax(const Tensor &x, SfuMode mode = SfuMode::Fast);
-
-/** Max absolute error of @p mode vs accurate over @p samples. */
-double sfuMaxError(float (*fast_fn)(float), double (*ref_fn)(double),
-                   const std::vector<float> &samples);
 
 } // namespace rapid
 

@@ -36,9 +36,10 @@ MniFabric::recv(unsigned consumer, unsigned producer, uint64_t tag,
     t.consumer = consumer;
     t.local_addr = local_addr;
     t.n_consumers = n_consumers;
-    track(t, consumer, {producer}, cfg_.request_bytes);
+    request_dst_.assign(1, producer);
+    track(t, consumer, request_dst_, cfg_.request_bytes);
 
-    auto &ps = pending_[{producer, tag}];
+    PendingSend &ps = pending(producer, tag);
     ps.bytes = std::max(ps.bytes, bytes);
     ps.expected = n_consumers;
     return true;
@@ -48,22 +49,52 @@ void
 MniFabric::send(unsigned producer, uint64_t tag, uint64_t bytes,
                 unsigned n_consumers)
 {
-    auto &ps = pending_[{producer, tag}];
+    PendingSend &ps = pending(producer, tag);
     ps.bytes = std::max(ps.bytes, bytes);
     ps.expected = n_consumers;
     ps.send_posted = true;
-    maybeLaunchData(producer, tag);
+    maybeLaunchData(ps);
 }
 
 void
-MniFabric::maybeLaunchData(unsigned producer, uint64_t tag)
+MniFabric::reserve(size_t transfers)
 {
-    auto it = pending_.find({producer, tag});
-    if (it == pending_.end())
-        return;
-    PendingSend &ps = it->second;
+    // A request per transfer, and at most one data message per
+    // transfer; each transfer is one request and one data destination.
+    ring_.reserve(2 * transfers, 2 * transfers);
+    tracked_.reserve(2 * transfers);
+    completions_.reserve(transfers);
+}
+
+MniFabric::PendingSend &
+MniFabric::pending(unsigned producer, uint64_t tag)
+{
+    PendingSend *free_slot = nullptr;
+    for (PendingSend &ps : pending_) {
+        if (ps.live && ps.producer == producer && ps.tag == tag)
+            return ps;
+        if (!ps.live && !free_slot)
+            free_slot = &ps;
+    }
+    if (!free_slot)
+        free_slot = &pending_.emplace_back();
+    PendingSend &ps = *free_slot;
+    ps.live = true;
+    ps.producer = producer;
+    ps.tag = tag;
+    ps.bytes = 0;
+    ps.expected = 0;
+    ps.send_posted = false;
+    ps.consumers.clear();
+    ps.consumer_addrs.clear();
+    return ps;
+}
+
+void
+MniFabric::maybeLaunchData(PendingSend &ps)
+{
     // Memory is always ready: its Send auto-posts on first request.
-    if (producer == memoryNode())
+    if (ps.producer == memoryNode())
         ps.send_posted = true;
     if (!ps.send_posted || ps.consumers.size() < ps.expected)
         return;
@@ -72,16 +103,16 @@ MniFabric::maybeLaunchData(unsigned producer, uint64_t tag)
     // with the dynamically built consumer list (Figure 8, steps 4-7).
     Tracked t;
     t.kind = Tracked::Kind::Data;
-    t.producer = producer;
-    t.tag = tag;
-    track(t, producer, ps.consumers, ps.bytes);
+    t.producer = ps.producer;
+    t.tag = ps.tag;
+    track(t, ps.producer, ps.consumers, ps.bytes);
 }
 
 void
 MniFabric::track(const Tracked &t, unsigned src,
-                 std::vector<unsigned> dsts, uint64_t bytes)
+                 const std::vector<unsigned> &dsts, uint64_t bytes)
 {
-    const size_t id = ring_.send(src, std::move(dsts), bytes, t.tag);
+    const size_t id = ring_.send(src, dsts, bytes, t.tag);
     rapid_dassert(id == tracked_.size(), "ring message ", id,
                   " sent outside track()");
     tracked_.push_back(t);
@@ -96,14 +127,14 @@ MniFabric::processDelivered()
         const Tracked t = tracked_[id];
         if (t.kind == Tracked::Kind::RecvRequest) {
             // Request arrived at the producer's MNI-SU: aggregate.
-            auto &ps = pending_[{t.producer, t.tag}];
+            PendingSend &ps = pending(t.producer, t.tag);
             ps.consumers.push_back(t.consumer);
             ps.consumer_addrs.push_back(t.local_addr);
-            maybeLaunchData(t.producer, t.tag);
+            maybeLaunchData(ps);
         } else {
             // Data landed at every consumer: retire the load-queue
             // entries, writing each consumer's tracked local address.
-            auto &ps = pending_[{t.producer, t.tag}];
+            PendingSend &ps = pending(t.producer, t.tag);
             for (size_t i = 0; i < ps.consumers.size(); ++i) {
                 MniCompletion c;
                 c.tag = t.tag;
@@ -116,7 +147,7 @@ MniFabric::processDelivered()
                 --outstanding_[c.consumer];
                 --open_transfers_;
             }
-            pending_.erase({t.producer, t.tag});
+            ps.live = false;
         }
     }
 }

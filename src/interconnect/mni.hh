@@ -24,7 +24,6 @@
 #define RAPID_INTERCONNECT_MNI_HH
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "interconnect/ring.hh"
@@ -86,6 +85,10 @@ class MniFabric
     /** Advance one cycle (ring + MNI bookkeeping). */
     void step();
 
+    /** Make room for @p transfers recv() calls, so a run within them
+     *  allocates no more ring, tracking or completion storage. */
+    void reserve(size_t transfers);
+
     /** Nothing in flight on the ring. MNI state changes only when a
      *  message lands or a caller posts a recv()/send(), so stepping an
      *  idle fabric only advances its clock. */
@@ -113,6 +116,9 @@ class MniFabric
     /** Aggregation entry at a producer's MNI-SU. */
     struct PendingSend
     {
+        bool live = false; ///< the slot holds an open (producer, tag)
+        unsigned producer = 0;
+        uint64_t tag = 0;
         uint64_t bytes = 0;
         unsigned expected = 0;
         bool send_posted = false;
@@ -133,15 +139,22 @@ class MniFabric
 
     /** Post @p t on the ring as one message from @p src to @p dsts. */
     void track(const Tracked &t, unsigned src,
-               std::vector<unsigned> dsts, uint64_t bytes);
+               const std::vector<unsigned> &dsts, uint64_t bytes);
 
-    void maybeLaunchData(unsigned producer, uint64_t tag);
+    /** The open aggregation entry of (@p producer, @p tag), claimed
+     *  fresh if there is none. */
+    PendingSend &pending(unsigned producer, uint64_t tag);
+
+    void maybeLaunchData(PendingSend &ps);
     void processDelivered();
 
     RingNetwork ring_;
     MniConfig cfg_;
-    /// (producer, tag) -> aggregation state.
-    std::map<std::pair<unsigned, uint64_t>, PendingSend> pending_;
+    /// Aggregation entries; a closed one is reused, vectors and all.
+    /// Few are open at once (at most the cores' outstanding loads), so
+    /// a scan finds one.
+    std::vector<PendingSend> pending_;
+    std::vector<unsigned> request_dst_; ///< a Recv's one destination
     /// tracked_[i] is ring message i: every message goes through
     /// track(), which sends it and appends it in one step.
     std::vector<Tracked> tracked_;

@@ -48,7 +48,7 @@ RingNetwork::chooseDirection(unsigned src,
 }
 
 size_t
-RingNetwork::send(unsigned src, std::vector<unsigned> dsts,
+RingNetwork::send(unsigned src, const std::vector<unsigned> &dsts,
                   uint64_t bytes, uint64_t tag)
 {
     rapid_assert(!dsts.empty(), "message without destinations");
@@ -59,33 +59,41 @@ RingNetwork::send(unsigned src, std::vector<unsigned> dsts,
 
     RingMessage msg;
     msg.src = src;
-    msg.dsts = std::move(dsts);
     msg.bytes = bytes;
     msg.tag = tag;
     msg.issue_cycle = cycle_;
     const size_t id = messages_.size();
-    messages_.push_back(std::move(msg));
-    pending_tails_.push_back(unsigned(messages_[id].dsts.size()));
+    messages_.push_back(msg);
 
     InFlight fl;
-    fl.id = id;
-    fl.dir = chooseDirection(src, messages_[id].dsts);
+    fl.dir = chooseDirection(src, dsts);
     fl.flits_total =
         std::max<uint64_t>(1, (bytes + cfg_.bytes_per_flit - 1) /
                                   cfg_.bytes_per_flit);
-    for (unsigned d : messages_[id].dsts)
+    for (unsigned d : dsts)
         fl.max_hops =
             std::max(fl.max_hops, hopDistance(src, d, fl.dir));
     rapid_dassert(fl.max_hops >= 1 && fl.max_hops < cfg_.num_nodes,
                   "multicast span ", fl.max_hops,
                   " outside the ring of ", cfg_.num_nodes, " nodes");
+    fl.dst_begin = dsts_.size();
+    fl.dst_count = unsigned(dsts.size());
+    fl.pending_tails = fl.dst_count;
+    dsts_.insert(dsts_.end(), dsts.begin(), dsts.end());
     inflight_.push_back(fl);
-    const size_t fl_idx = inflight_.size() - 1;
     if (fl.dir == RingDir::Clockwise)
-        cw_.queue.push_back(fl_idx);
+        cw_.queue.push_back(id);
     else
-        ccw_.queue.push_back(fl_idx);
+        ccw_.queue.push_back(id);
     return id;
+}
+
+void
+RingNetwork::reserve(size_t messages, size_t destinations)
+{
+    messages_.reserve(messages);
+    inflight_.reserve(messages);
+    dsts_.reserve(destinations);
 }
 
 void
@@ -130,13 +138,15 @@ RingNetwork::stepDirection(DirState &st, RingDir dir)
                                   : (node + n - 1) % n;
         ++flit_hops_;
         --f.hops_left;
-        RingMessage &m = messages_[f.msg_id];
+        InFlight &fl = inflight_[f.msg_id];
         // Multicast delivery: the flit is copied to every destination
         // it passes and terminates at the furthest one.
-        bool is_dst =
-            std::find(m.dsts.begin(), m.dsts.end(), next) !=
-            m.dsts.end();
-        if (is_dst && f.tail && --pending_tails_[f.msg_id] == 0) {
+        const auto first = dsts_.begin() + ptrdiff_t(fl.dst_begin);
+        const bool is_dst =
+            std::find(first, first + fl.dst_count, next) !=
+            first + fl.dst_count;
+        if (is_dst && f.tail && --fl.pending_tails == 0) {
+            RingMessage &m = messages_[f.msg_id];
             m.delivered = true;
             m.complete_cycle = cycle_ + 1;
             completed_.push_back(f.msg_id);
@@ -155,12 +165,11 @@ RingNetwork::stepDirection(DirState &st, RingDir dir)
     }
     if (st.busy) {
         InFlight &fl = inflight_[st.active];
-        RingMessage &m = messages_[fl.id];
         Flit f;
-        f.msg_id = fl.id;
+        f.msg_id = st.active;
         f.hops_left = fl.max_hops;
         f.tail = (fl.flits_sent + 1 == fl.flits_total);
-        st.pipes[m.src].push_back(f);
+        st.pipes[messages_[st.active].src].push_back(f);
         ++st.flits;
         if (++fl.flits_sent == fl.flits_total)
             st.busy = false;

@@ -12,8 +12,9 @@
 #ifndef RAPID_INTERCONNECT_RING_HH
 #define RAPID_INTERCONNECT_RING_HH
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/logging.hh"
@@ -45,7 +46,6 @@ enum class RingDir
 struct RingMessage
 {
     unsigned src = 0;
-    std::vector<unsigned> dsts;
     uint64_t bytes = 0;
     uint64_t tag = 0;
 
@@ -76,8 +76,12 @@ class RingNetwork
      * Enqueue a message. Returns an id used to query completion.
      * Destination list must be non-empty and exclude the source.
      */
-    size_t send(unsigned src, std::vector<unsigned> dsts,
+    size_t send(unsigned src, const std::vector<unsigned> &dsts,
                 uint64_t bytes, uint64_t tag = 0);
+
+    /** Make room for @p messages messages with @p destinations
+     *  destinations in all, so sends within them do not allocate. */
+    void reserve(size_t messages, size_t destinations);
 
     /** Advance one ring cycle. */
     void step();
@@ -139,22 +143,72 @@ class RingNetwork
         bool tail;
     };
 
+    /** A message's routing state; inflight_[id] is message id's. */
     struct InFlight
     {
-        size_t id;
         RingDir dir;
         uint64_t flits_total;
         uint64_t flits_sent = 0;
         unsigned max_hops = 0;
+        size_t dst_begin = 0;   ///< its destinations in dsts_
+        unsigned dst_count = 0;
+        unsigned pending_tails = 0; ///< destinations the tail has yet to reach
+    };
+
+    /** A FIFO on one circular buffer that doubles when full, so it
+     *  stops allocating once it has reached its peak length. */
+    template <typename T>
+    class Fifo
+    {
+      public:
+        bool empty() const { return size_ == 0; }
+        T &front() { return buf_[head_]; }
+        void
+        pop_front()
+        {
+            head_ = (head_ + 1) & (buf_.size() - 1);
+            --size_;
+        }
+        void
+        push_back(const T &v)
+        {
+            grow();
+            buf_[(head_ + size_++) & (buf_.size() - 1)] = v;
+        }
+        void
+        push_front(const T &v)
+        {
+            grow();
+            head_ = (head_ + buf_.size() - 1) & (buf_.size() - 1);
+            buf_[head_] = v;
+            ++size_;
+        }
+
+      private:
+        void
+        grow()
+        {
+            if (size_ < buf_.size())
+                return;
+            std::vector<T> next(std::max<size_t>(8, 2 * buf_.size()));
+            for (size_t i = 0; i < size_; ++i)
+                next[i] = buf_[(head_ + i) & (buf_.size() - 1)];
+            buf_.swap(next);
+            head_ = 0;
+        }
+
+        std::vector<T> buf_; ///< power-of-two size
+        size_t head_ = 0;
+        size_t size_ = 0;
     };
 
     /** Per-direction state: injection queue + node output pipes. */
     struct DirState
     {
-        std::deque<size_t> queue; ///< in-flight indices awaiting inject
+        Fifo<size_t> queue;       ///< message ids awaiting inject
         bool busy = false;
-        size_t active = 0;        ///< index into inflight_
-        std::vector<std::deque<Flit>> pipes; ///< per-node output queue
+        size_t active = 0;        ///< the injecting message's id
+        std::vector<Fifo<Flit>> pipes; ///< per-node output queue
         size_t flits = 0;         ///< flits in all pipes
     };
 
@@ -167,8 +221,8 @@ class RingNetwork
     uint64_t fault_items_ = 0; ///< monotone per-hop injection index
     FaultStats fault_stats_;
     std::vector<RingMessage> messages_;
-    std::vector<unsigned> pending_tails_; ///< per message
     std::vector<InFlight> inflight_;
+    std::vector<unsigned> dsts_; ///< every message's destinations
     DirState cw_;
     DirState ccw_;
     std::vector<size_t> completed_; ///< see completed()

@@ -21,6 +21,7 @@ ChipSim::run(const LayerProgram &prog, SimTime lrf_load_cycles) const
     RingConfig ring_cfg;
     ring_cfg.num_nodes = numCores_ + 1; // + memory interface
     MniFabric mni(ring_cfg, mniCfg_);
+    mni.reserve(size_t(numCores_) * prog.transfers.size());
 
     // Every core's MPE thread runs on one domain, which each cycle
     // below advances through that cycle's events.
@@ -90,7 +91,8 @@ ChipSim::run(const LayerProgram &prog, SimTime lrf_load_cycles) const
             cores[comp.consumer]->tokens().post(
                 unsigned(comp.local_addr));
         }
-        engine.run(tick + 1);
+        if (chip.earliest() <= tick)
+            engine.run(tick + 1);
         // Nothing pending and nothing left to land: a core that is
         // still waiting waits forever.
         if (chip.pending() == 0 &&

@@ -13,13 +13,14 @@
 #ifndef RAPID_SIM_MPE_THREAD_HH
 #define RAPID_SIM_MPE_THREAD_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <utility>
 #include <vector>
 
 #include "common/des.hh"
+#include "common/logging.hh"
 #include "compiler/codegen.hh"
 
 namespace rapid {
@@ -28,11 +29,15 @@ namespace rapid {
  * Token-based synchronization board (Section II-A): programmable
  * units post and wait on counting tokens to enforce producer/consumer
  * ordering between decoupled data-sequencing and data-processing
- * programs.
+ * programs. Token ids are the ISA's 16-bit immediates, so the board
+ * keeps a flat per-id table; steady state allocates nothing.
  */
 class TokenBoard
 {
   public:
+    /** Largest token id (a 16-bit instruction immediate). */
+    static constexpr unsigned kMaxToken = 0xffff;
+
     explicit TokenBoard(DesDomain &domain) : domain_(domain) {}
 
     /** Post one token with id @p token, waking the oldest waiter at
@@ -40,14 +45,17 @@ class TokenBoard
     void
     post(unsigned token)
     {
-        State &st = tokens_[token];
-        if (!st.waiters.empty()) {
-            auto fn = std::move(st.waiters.front());
-            st.waiters.erase(st.waiters.begin());
-            domain_.scheduleIn(0, 0, std::move(fn));
-        } else {
-            ++st.count;
+        const auto oldest =
+            std::find_if(parked_.begin(), parked_.end(),
+                         [token](const Parked &p) {
+                             return p.token == token;
+                         });
+        if (oldest == parked_.end()) {
+            ++banked(token);
+            return;
         }
+        domain_.scheduleIn(0, 0, std::move(oldest->fn));
+        parked_.erase(oldest);
     }
 
     /**
@@ -57,24 +65,38 @@ class TokenBoard
     void
     wait(unsigned token, DesDomain::Callback fn)
     {
-        State &st = tokens_[token];
-        if (st.count > 0) {
-            --st.count;
+        unsigned &count = banked(token);
+        if (count > 0) {
+            --count;
             domain_.scheduleIn(0, 0, std::move(fn));
         } else {
-            st.waiters.push_back(std::move(fn));
+            parked_.push_back({token, std::move(fn)});
         }
     }
 
   private:
-    struct State
+    struct Parked
     {
-        unsigned count = 0;
-        std::vector<DesDomain::Callback> waiters;
+        unsigned token;
+        DesDomain::Callback fn;
     };
 
+    /** Posts of @p token that no waiter has consumed. */
+    unsigned &
+    banked(unsigned token)
+    {
+        rapid_assert(token <= kMaxToken, "token id ", token,
+                     " exceeds the 16-bit immediate");
+        if (token >= banked_.size())
+            banked_.resize(token + 1);
+        return banked_[token];
+    }
+
     DesDomain &domain_;
-    std::map<unsigned, State> tokens_;
+    std::vector<unsigned> banked_; ///< by token id
+    /// Waiters of every id, oldest first: a thread parks on one token
+    /// at a time, so this holds about one entry per waiting unit.
+    std::vector<Parked> parked_;
 };
 
 /** Outcome of one core's program run. */

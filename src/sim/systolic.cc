@@ -1,13 +1,142 @@
 #include "sim/systolic.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "common/bitfield.hh"
+#include "common/lanes.hh"
 #include "common/logging.hh"
-#include "precision/mpe_datapath.hh"
+#include "precision/float_format.hh"
 
 namespace rapid {
+
+namespace {
+
+/** Output columns one row pass carries in registers: two halves of
+ *  four lanes. */
+constexpr int64_t kLanes = 8;
+constexpr int64_t kHalf = 4;
+
+// Lane vectors of 16 bytes: one SSE2 register each on x86-64. These
+// and the helpers below mirror the chunked GEMM kernel's in
+// func/quantized_ops.cc. Shared through a header, they changed the
+// code GCC 12 generates for that kernel (about 4% fewer INT deployment
+// samples/s on a 4-vCPU x86 host), so each file keeps its own.
+using FloatLanes = float __attribute__((vector_size(16)));
+using BitLanes = uint32_t __attribute__((vector_size(16)));
+using MaskLanes = int32_t __attribute__((vector_size(16)));
+
+/** @p yes in the lanes where @p mask is all ones, else @p no. */
+inline BitLanes
+select(MaskLanes mask, BitLanes yes, BitLanes no)
+{
+    const BitLanes m = std::bit_cast<BitLanes>(mask);
+    return (yes & m) | (no & ~m);
+}
+
+/** The four floats at @p p, which need no alignment. */
+inline FloatLanes
+loadLanes(const float *p)
+{
+    FloatLanes v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+}
+
+/** dlfloat16RoundBits<NearestEven>() of four binary32 patterns. */
+inline BitLanes
+roundLanes(BitLanes in)
+{
+    constexpr int32_t kZeroAlias = 96 << 23;
+    constexpr int32_t kMaxFinite = (158 << 23) | 0x007fc000;
+    const BitLanes sign = in & 0x80000000u;
+    const BitLanes mag = in & 0x7fffffffu;
+    const BitLanes r = (mag + (1u << 13) - 1 + ((mag >> 14) & 1u)) & ~0x3fffu;
+    const BitLanes sat = select(std::bit_cast<MaskLanes>(r) > kMaxFinite,
+                                BitLanes{} + uint32_t(kMaxFinite), r);
+    // Everything that rounds to 2^-31 or below flushes to a signed
+    // zero; Inf and NaN give the merged NaN.
+    const BitLanes val =
+        sign | (sat & std::bit_cast<BitLanes>(
+                          std::bit_cast<MaskLanes>(sat) > kZeroAlias));
+    return select(mag >= 0x7f800000u, BitLanes{} + 0x7fc00000u, val);
+}
+
+/**
+ * MpeDatapath::fp16Fma() of four lanes on operands that are already
+ * DLFloat16 or FP9 values, and a scalar a: acc + a * b rounded to
+ * DLFloat16, ties to even, in the lanes where b is nonzero, each
+ * counted in @p issued; the other lanes pass acc through (zero-gating).
+ * The caller gates a zero a.
+ *
+ * binary32 gives fp16Fma's bits: both multiplicands carry at most 10
+ * significant bits and lie within [2^-31, 2^33), so the product is
+ * exact in binary32, and rounding the sum of two binary32 values to
+ * binary64 and then to binary32 equals rounding it to binary32 once.
+ * A NaN operand or accumulator makes the sum NaN, which rounds to the
+ * merged NaN.
+ */
+inline void
+fmaLanes(FloatLanes &acc, BitLanes &issued, FloatLanes a, FloatLanes b)
+{
+    const MaskLanes on = (std::bit_cast<BitLanes>(b) & 0x7fffffffu) != 0;
+    const BitLanes rounded =
+        roundLanes(std::bit_cast<BitLanes>(acc + a * b));
+    acc = std::bit_cast<FloatLanes>(
+        select(on, rounded, std::bit_cast<BitLanes>(acc)));
+    issued -= std::bit_cast<BitLanes>(on);
+}
+
+/** fmaLanes() of one lane. */
+inline float
+fmaScalar(float acc, float a, float b, uint64_t &issued)
+{
+    if ((std::bit_cast<uint32_t>(b) & 0x7fffffffu) == 0)
+        return acc;
+    ++issued;
+    return std::bit_cast<float>(dlfloat16RoundBits<Rounding::NearestEven>(
+        std::bit_cast<uint32_t>(acc + a * b)));
+}
+
+/**
+ * One tile pass of one output row: @p c[j] continues its accumulation
+ * chain over @p depth reduction steps, a[ki] * b[ki * @p ldb + j], for
+ * every j in [0, @p width), in ascending ki per output. Whole blocks
+ * of kLanes columns hold their accumulators in registers; the tail
+ * runs one lane at a time. Returns the FMAs issued (not gated).
+ */
+uint64_t
+rowPass(const float *a, const float *b, int64_t ldb, int64_t depth,
+        int64_t width, float *c)
+{
+    uint64_t issued = 0;
+    int64_t j0 = 0;
+    for (; j0 + kLanes <= width; j0 += kLanes) {
+        FloatLanes lo = loadLanes(c + j0), hi = loadLanes(c + j0 + kHalf);
+        BitLanes issued_lo{}, issued_hi{};
+        for (int64_t ki = 0; ki < depth; ++ki) {
+            if ((std::bit_cast<uint32_t>(a[ki]) & 0x7fffffffu) == 0)
+                continue; // gates every lane at this ki
+            const FloatLanes av = FloatLanes{} + a[ki];
+            const float *b_row = b + ki * ldb + j0;
+            fmaLanes(lo, issued_lo, av, loadLanes(b_row));
+            fmaLanes(hi, issued_hi, av, loadLanes(b_row + kHalf));
+        }
+        std::memcpy(c + j0, &lo, sizeof(lo));
+        std::memcpy(c + j0 + kHalf, &hi, sizeof(hi));
+        const BitLanes lanes = issued_lo + issued_hi;
+        issued += lanes[0] + lanes[1] + lanes[2] + lanes[3];
+    }
+    for (; j0 < width; ++j0)
+        for (int64_t ki = 0; ki < depth; ++ki)
+            if ((std::bit_cast<uint32_t>(a[ki]) & 0x7fffffffu) != 0)
+                c[j0] = fmaScalar(c[j0], a[ki], b[ki * ldb + j0], issued);
+    return issued;
+}
+
+} // namespace
 
 SystolicArraySim::SystolicArraySim(const CoreletConfig &corelet,
                                    Precision precision, int fwd_bias)
@@ -80,7 +209,6 @@ SystolicArraySim::gemm(const Tensor &a, const Tensor &b, Fp8Kind a_kind,
                   ", output cap ", out_cap);
     const int64_t pipe_fill = corelet_.mpe_rows + 3; // skew + adder
 
-    MpeDatapath dp(fwdBias_);
     uint64_t fault_item = 0;
     SystolicResult res;
     res.c = Tensor({m, n});
@@ -88,20 +216,34 @@ SystolicArraySim::gemm(const Tensor &a, const Tensor &b, Fp8Kind a_kind,
 
     const double wt_bytes_per_elem = operandBytes(precision_);
 
-    // Convert each operand once: through the FP8 input stage to FP9
-    // (HFP8) or to DLFloat16 (FP16). The two pipelines merge at the
-    // adder, so one FP16 FMA on the converted values serves both.
+    // Convert each operand once, on the bits: through the FP8 input
+    // stage (HFP8; the FP9 step after it is exact) or to DLFloat16
+    // (FP16). The two pipelines merge at the adder, so one FP16 FMA on
+    // the converted values serves both.
     auto convert = [&](const Tensor &t, Fp8Kind kind) {
-        std::vector<float> out(size_t(t.numel()));
-        for (int64_t i = 0; i < t.numel(); ++i)
-            out[size_t(i)] = precision_ == Precision::HFP8
-                                 ? dp.toFp9(t[i], kind)
-                                 : dlfloat16().quantize(t[i]);
+        std::vector<float> out(t.data(), t.data() + t.numel());
+        if (precision_ == Precision::HFP8) {
+            const Fp8RoundBits fp8(kind == Fp8Kind::Forward
+                                       ? fp8e4m3(fwdBias_)
+                                       : fp8e5m2());
+            forEachBlocked(t.numel(), [v = out.data(), fp8](int64_t i) {
+                v[i] = std::bit_cast<float>(fp8.round<Rounding::NearestEven>(
+                    std::bit_cast<uint32_t>(v[i])));
+            });
+        } else {
+            forEachBlocked(t.numel(), [v = out.data()](int64_t i) {
+                v[i] = std::bit_cast<float>(
+                    dlfloat16RoundBits<Rounding::NearestEven>(
+                        std::bit_cast<uint32_t>(v[i])));
+            });
+        }
         return out;
     };
     const std::vector<float> a_op = convert(a, a_kind);
     const std::vector<float> b_op = convert(b, b_kind);
     const int64_t l1_bw = corelet_.l0_bw_bytes_per_cycle * 2;
+    float *c = res.c.data();
+    uint64_t issued = 0;
 
     for (int64_t n0 = 0; n0 < n; n0 += out_cap) {
         const int64_t n_hi = std::min(n, n0 + out_cap);
@@ -127,30 +269,26 @@ SystolicArraySim::gemm(const Tensor &a, const Tensor &b, Fp8Kind a_kind,
             // Numerics: each output's accumulation chain continues
             // from the previous tile's value (psums enter north).
             for (int64_t mi = 0; mi < m; ++mi) {
-                for (int64_t ni = n0; ni < n_hi; ++ni) {
-                    float acc = res.c.at(mi, ni);
-                    for (int64_t ki = k0; ki < k_hi; ++ki)
-                        acc = dp.fp16Fma(a_op[size_t(mi * k + ki)],
-                                         b_op[size_t(ki * n + ni)], acc);
-                    // Fault site: the accumulator value leaving the
-                    // array south. One injection item per output per
-                    // tile pass, indexed by a monotone counter so the
-                    // fault pattern only depends on the config seed.
-                    if (injector_ &&
-                        injector_->active(FaultSite::MacOutput)) {
-                        acc = injectMacFault(acc, fault_item++,
-                                             res.faults);
-                    }
-                    res.c.at(mi, ni) = acc;
-                }
+                float *c_row = c + mi * n;
+                issued += rowPass(a_op.data() + mi * k + k0,
+                                b_op.data() + k0 * n + n0, n, k_hi - k0,
+                                n_hi - n0, c_row + n0);
+                // Fault site: the accumulator value leaving the array
+                // south. One injection item per output per tile pass,
+                // indexed by a monotone counter so the fault pattern
+                // only depends on the config seed.
+                if (injector_ && injector_->active(FaultSite::MacOutput))
+                    for (int64_t ni = n0; ni < n_hi; ++ni)
+                        c_row[ni] = injectMacFault(c_row[ni], fault_item++,
+                                                   res.faults);
             }
         }
     }
     // Detected-but-uncorrected faults re-issue their tile pass; the
     // replay cost lands on the cycle count (zero when fault-free).
     res.cycles += uint64_t(std::llround(res.faults.retry_cycles));
-    res.fmas = dp.fmaCount();
-    res.zero_gated = dp.zeroGatedCount();
+    res.fmas = uint64_t(m * k * n);
+    res.zero_gated = res.fmas - issued;
     return res;
 }
 

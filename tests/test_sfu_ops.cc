@@ -6,6 +6,7 @@
  * functions' structural identities.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -18,6 +19,22 @@
 
 namespace rapid {
 namespace {
+
+/** Max error of @p fast_fn against @p ref_fn over @p samples:
+ *  relative where the value is large, absolute near zero. */
+double
+sfuMaxError(float (*fast_fn)(float), double (*ref_fn)(double),
+            const std::vector<float> &samples)
+{
+    double max_err = 0.0;
+    for (float s : samples) {
+        double ref = ref_fn(double(s));
+        double err = std::abs(double(fast_fn(s)) - ref);
+        max_err = std::max(max_err,
+                           err / std::max(1.0, std::abs(ref)));
+    }
+    return max_err;
+}
 
 std::vector<float>
 uniformSamples(double lo, double hi, int n)
@@ -173,9 +190,11 @@ TEST(SfuTensor, OutputsAreDlFloatRepresentable)
     Rng rng(8);
     Tensor x({256});
     x.fillGaussian(rng, 0.0, 2.0);
-    Tensor y = sfuTanh(x, SfuMode::Fast);
-    for (int64_t i = 0; i < y.numel(); ++i)
-        EXPECT_EQ(dlfloat16().quantize(y[i]), y[i]);
+    for (SfuMode mode : {SfuMode::Fast, SfuMode::Accurate}) {
+        Tensor y = sfuSigmoid(x, mode);
+        for (int64_t i = 0; i < y.numel(); ++i)
+            EXPECT_EQ(dlfloat16().quantize(y[i]), y[i]);
+    }
 }
 
 } // namespace

@@ -10,6 +10,8 @@
 
 #include <bit>
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "common/bitfield.hh"
 #include "common/fault.hh"
@@ -63,6 +65,41 @@ TEST(TokenBoard, BanksTokensWhenNoWaiter)
     dom.schedule(9, 0, [&] { tokens.post(3); });
     engine.run();
     EXPECT_EQ(fired, (std::vector<SimTime>{5, 5, 9}));
+}
+
+TEST(TokenBoard, FlatTableCoversSparseIdsUpToTheImmediateLimit)
+{
+    // Ids far apart and the largest 16-bit immediate, on one board:
+    // waiters on one id wake in the order they parked, a post with no
+    // waiter on its id banks a token (even while other ids have
+    // waiters), and a later wait takes the banked token at once.
+    DesEngine engine;
+    DesDomain &dom = engine.domain(engine.addDomain("tokens"));
+    TokenBoard tokens(dom);
+    std::vector<std::string> trace;
+    auto waiter = [&](const std::string &name) {
+        return [&trace, &dom, name] {
+            trace.push_back(name + "@" + std::to_string(dom.now()));
+        };
+    };
+    tokens.wait(TokenBoard::kMaxToken, waiter("max-a"));
+    tokens.wait(7, waiter("seven"));
+    tokens.wait(TokenBoard::kMaxToken, waiter("max-b"));
+    tokens.wait(40000, waiter("sparse"));
+    tokens.post(12); // banked: nobody waits on 12
+    dom.schedule(2, 0, [&] { tokens.post(TokenBoard::kMaxToken); });
+    dom.schedule(3, 0, [&] { tokens.post(40000); });
+    dom.schedule(4, 0, [&] {
+        tokens.post(TokenBoard::kMaxToken);
+        tokens.post(7);
+    });
+    dom.schedule(6, 0, [&] { tokens.wait(12, waiter("banked")); });
+    engine.run();
+    EXPECT_EQ(trace, (std::vector<std::string>{"max-a@2", "sparse@3",
+                                               "max-b@4", "seven@4",
+                                               "banked@6"}));
+    EXPECT_DEATH(tokens.post(TokenBoard::kMaxToken + 1),
+                 "exceeds the 16-bit immediate");
 }
 
 CoreletConfig
@@ -391,6 +428,93 @@ TEST(Systolic, GemmMatchesPerMacReference)
         }
     }
     EXPECT_GT(faults_seen, 0u);
+}
+
+// The systolic sim against the per-MAC reference on what the lane
+// kernel must get right besides plain values: +-Inf and NaN operands
+// (the merged NaN, which poisons its outputs), -0.0 and binary32
+// subnormals (zeros after conversion, so gated), sums that saturate
+// DLFloat16, a single output row, and output widths with a lane tail
+// (under one lane block, and past one column tile).
+TEST(Systolic, GemmMatchesPerMacReferenceOnSpecialValues)
+{
+    const CoreletConfig corelet = corelet8x8();
+    FaultConfig faulty = FaultConfig::withRate(0.05);
+    faulty.protectAll(parityProtection(16.0));
+    const FaultInjector faulty_inj(faulty);
+    const float inf = std::numeric_limits<float>::infinity();
+    const float specials[] = {inf,
+                              -inf,
+                              std::numeric_limits<float>::quiet_NaN(),
+                              -0.0f,
+                              std::numeric_limits<float>::denorm_min(),
+                              -std::ldexp(1.5f, -130),
+                              std::ldexp(1.0f, 40),
+                              -std::ldexp(1.0f, 40)};
+    const uint32_t fp16_max = 0x4f7fc000u; // DLFloat16's largest value
+
+    struct Case
+    {
+        Precision precision;
+        Fp8Kind a_kind, b_kind;
+    };
+    const Case cases[] = {
+        {Precision::FP16, Fp8Kind::Forward, Fp8Kind::Forward},
+        {Precision::HFP8, Fp8Kind::Forward, Fp8Kind::Forward},
+        {Precision::HFP8, Fp8Kind::Backward, Fp8Kind::Backward}};
+    const int64_t shapes[][2] = {{1, 3}, {1, 8}, {1, 13}, {2, 5},
+                                 {4, 21}, {3, 70}};
+    Rng rng(27);
+    size_t nan_outputs = 0, saturated_outputs = 0;
+    for (const Case &cs : cases) {
+        SystolicArraySim sim(corelet, cs.precision, 4);
+        const int64_t cap = sim.reductionCap();
+        for (const auto &shape : shapes) {
+            for (int64_t k : {int64_t(1), cap + 3}) {
+                const int64_t m = shape[0], n = shape[1];
+                Tensor a({m, k}), b({k, n});
+                // Wide values, a few specials, and large ones that
+                // make saturating sums.
+                for (Tensor *t : {&a, &b}) {
+                    fillWideWithZeros(*t, rng);
+                    for (int64_t i = 0; i < t->numel(); ++i) {
+                        const double u = rng.uniform();
+                        if (u < 0.08)
+                            (*t)[i] = specials[rng.uniformInt(0, 7)];
+                        else if (u < 0.3)
+                            (*t)[i] = float(std::ldexp(
+                                1.0 + rng.uniform(), 12 + int(u * 60)));
+                    }
+                }
+                for (const FaultInjector *inj :
+                     {static_cast<const FaultInjector *>(nullptr),
+                      &faulty_inj}) {
+                    SCOPED_TRACE(testing::Message()
+                                 << precisionName(cs.precision)
+                                 << " kinds " << int(cs.a_kind)
+                                 << int(cs.b_kind) << " m " << m << " k "
+                                 << k << " n " << n
+                                 << (inj ? " faulty" : ""));
+                    sim.setFaultInjector(inj);
+                    const SystolicResult got =
+                        sim.gemm(a, b, cs.a_kind, cs.b_kind);
+                    const SystolicResult want = referenceSystolicGemm(
+                        corelet, cs.precision, 4, inj, a, b, cs.a_kind,
+                        cs.b_kind);
+                    expectSameResult(got, want);
+                    for (int64_t i = 0; i < want.c.numel(); ++i) {
+                        const uint32_t mag =
+                            std::bit_cast<uint32_t>(want.c[i]) &
+                            0x7fffffffu;
+                        nan_outputs += mag > 0x7f800000u;
+                        saturated_outputs += mag == fp16_max;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(nan_outputs, 0u);
+    EXPECT_GT(saturated_outputs, 0u);
 }
 
 // The HFP8 datapath is the FP16 FMA on FP9 operands: the two pipelines

@@ -31,6 +31,11 @@ so C1/C2 and D1/D2 variants match. Test-only exports are reported,
 not failed; WAIVED lists the exports whose only users the build tree
 cannot see.
 
+An incremental build keeps the object of a deleted source. Nothing
+links it, so both passes skip every object whose source (reconstructed
+from its build-tree path) exists neither under --root nor, for a
+generated source, in the build tree.
+
 Modes
   --build-dir BUILD     audit every object and binary under BUILD
   --self-test --cxx CXX compile the planted fixtures under
@@ -181,6 +186,18 @@ def source_of_object(rel_parts):
     return source[:-2] if source.endswith(".o") else source
 
 
+def live_objects(build, root):
+    """The objects under @p build, sorted, less those whose source is
+    gone: neither @p root nor @p build (generated sources) holds it."""
+    objects = []
+    for obj in sorted(build.rglob("CMakeFiles/**/*.o")):
+        source = source_of_object(obj.relative_to(build).parts)
+        if (source is None or (root / source).exists()
+                or (build / source).exists()):
+            objects.append(obj)
+    return objects
+
+
 def relocated_symbols(paths):
     """Symbols named by each object's relocations: a dict from path to
     set. DWARF sections are left out; their relocations name section
@@ -305,11 +322,11 @@ def dead_exports(nm, library, users):
     return sorted(dead), sorted(test_only)
 
 
-def audit_dead_exports(build, nm):
+def audit_dead_exports(build, nm, root):
     """The dead-export pass over a build tree: (findings, test-only
     records)."""
     users = {}
-    for obj in sorted(build.rglob("CMakeFiles/**/*.o")):
+    for obj in live_objects(build, root):
         rel = obj.relative_to(build)
         role = ROLE_DIRS.get(rel.parts[0])
         if role == "library" and not any(
@@ -333,15 +350,19 @@ def audit_dead_exports(build, nm):
                       for name, obj in test_only]
 
 
-def audit_build(build_dir, nm, json_path=None):
-    build = Path(build_dir)
+def audit_build(build_dir, nm, root, json_path=None):
+    build, root = Path(build_dir), Path(root)
     if not build.is_dir():
         print("audit_symbols: no build directory at %s" % build)
+        return 2
+    if not (root / "src").is_dir():
+        # Every library object would read as stale and be skipped.
+        print("audit_symbols: no source tree at %s" % (root / "src"))
         return 2
 
     findings = []
     allowed_refs = set()
-    objects = sorted(build.rglob("CMakeFiles/**/*.o"))
+    objects = live_objects(build, root)
     object_symbols = undefined_symbols(nm, objects)
     scanned = 0
     for obj in objects:
@@ -396,7 +417,7 @@ def audit_build(build_dir, nm, json_path=None):
                            % (path.relative_to(build).as_posix(), sym),
             })
 
-    dead, test_only = audit_dead_exports(build, nm)
+    dead, test_only = audit_dead_exports(build, nm, root)
     findings += dead
 
     if json_path:
@@ -450,7 +471,8 @@ def self_test(cxx, nm, root):
     clean = fixtures / "clean_virtual.cc"
     dead_lib = fixtures / "planted_dead_export.cc"
     dead_user = fixtures / "dead_export_user.cc"
-    for path in (planted, clean, dead_lib, dead_user):
+    stale = fixtures / "stale_object.cc"
+    for path in (planted, clean, dead_lib, dead_user, stale):
         if not path.is_file():
             print("audit_symbols self-test: missing fixture %s" % path)
             return 2
@@ -503,6 +525,30 @@ def self_test(cxx, nm, root):
                   % (got, want))
             failures += 1
 
+        # A library object left behind in a build tree whose source
+        # tree no longer has its source: skipped while the source is
+        # gone, audited (a dead export) once it is back.
+        tree = Path(tmp) / "tree"
+        obj_dir = (tree / "build" / "src" / "fixture" / "CMakeFiles" /
+                   "rapid_fixture.dir")
+        obj_dir.mkdir(parents=True)
+        (tree / "src" / "fixture").mkdir(parents=True)
+        stale_obj = compile_fixture(cxx, stale, obj_dir, ("-O2",))
+        if stale_obj is None:
+            return 2
+        stale_obj.rename(obj_dir / "stale_object.cc.o")
+        gone = audit_dead_exports(tree / "build", nm, tree)
+        (tree / "src" / "fixture" / "stale_object.cc").write_text("")
+        back = audit_dead_exports(tree / "build", nm, tree)
+        if gone == ([], []) and [f["symbol"] for f in back[0]] == [
+                "rapid_fixture::staleExport(int)"]:
+            print("self-test ok: stale_object.cc.o is skipped while its "
+                  "source is gone")
+        else:
+            print("SELF-TEST FAIL: stale object audited as %s without "
+                  "its source and %s with it" % (gone, back))
+            failures += 1
+
     if failures:
         return 2
     print("audit_symbols self-test passed")
@@ -519,8 +565,12 @@ def main(argv):
                         help="prove the audit on the planted fixtures")
     parser.add_argument("--cxx", default="c++",
                         help="C++ compiler for --self-test fixtures")
-    parser.add_argument("--root", default=".",
-                        help="repository root (for --self-test fixtures)")
+    parser.add_argument("--root",
+                        default=str(Path(__file__).resolve().parents[1]),
+                        help="repository root: the sources stale objects "
+                             "are checked against, and the --self-test "
+                             "fixtures (default: this script's "
+                             "repository)")
     args = parser.parse_args(argv)
 
     if args.self_test:
@@ -529,7 +579,7 @@ def main(argv):
         parser.print_usage()
         print("audit_symbols: --build-dir or --self-test is required")
         return 2
-    return audit_build(args.build_dir, args.nm, args.json)
+    return audit_build(args.build_dir, args.nm, args.root, args.json)
 
 
 if __name__ == "__main__":
