@@ -4,19 +4,20 @@ pairs, and append the result as one row of BENCH_perf.json.
 
 Run from the repository root:
 
-    python3 scripts/ab_pairs.py --pr N --workload chip_model --pairs 6 \\
-        --scratch /tmp/ab --seconds 8 --seed 7
+    python3 scripts/ab_pairs.py --pr N --workload chip_model serving \\
+        --pairs 10 --scratch /tmp/ab --seed 7
 
-The parent (default HEAD~1 when --change names a commit, else HEAD) is
-exported with `git archive` into <scratch>/parent; an archive, unlike a
-worktree, leaves the repository's own metadata untouched and needs only
-local history. The change is --change exported the same way, or, by
-default, this checkout as it stands (uncommitted edits included). Each
-side builds once through perfbench/run.py into its own build directory
-under <scratch>, then the pairs run one process at a time, the side
-that goes first alternating, so slow drift on the host hits both sides
-alike. perfbench caps its pool at min(4, nproc) threads. A run that
-reports `correct: false` or exits non-zero aborts the measurement.
+The change (--change, default HEAD) and its parent (--parent, default
+the change's first parent) are each exported with `git archive` into
+<scratch>; an archive, unlike a worktree, leaves the repository's own
+metadata untouched and needs only local history, and every row names
+the two commits it can be reproduced from. Each side builds once
+through perfbench/run.py into its own build directory under <scratch>.
+Then, per workload, the pairs run one process at a time for the run
+length BENCHMARK.json sets (`run_seconds`), the side that goes first
+alternating, so slow drift on the host hits both sides alike.
+perfbench caps its pool at min(4, nproc) threads. A run that reports
+`correct: false` or exits non-zero aborts the measurement.
 
 For every end-to-end metric BENCHMARK.json declares, the row holds each
 side's median and interquartile range, the ratio of the medians (change
@@ -42,6 +43,8 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 MIN_PAIRS = 6
+# The run that builds each side; its result is discarded.
+BUILD_RUN_SECONDS = 1
 SCHEMA = ("One row per change: alternating perfbench pairs of the change "
           "and its parent on one host. Compare ratios across rows, never "
           "absolute rates: hosts differ between rows.")
@@ -70,12 +73,12 @@ def export(rev, dest):
         fail("git archive %s failed" % rev)
 
 
-def run_side(tree, build_dir, args):
+def run_side(tree, build_dir, workload, seed, seconds):
     """One perfbench run of @p tree: its JSON result (last stdout
     line). Builds on the first call."""
     cmd = [sys.executable, os.path.join(tree, "perfbench", "run.py"),
-           "--workload", args.workload, "--seed", str(args.seed),
-           "--seconds", str(args.seconds), "--trace", "0"]
+           "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
     env = dict(os.environ, CARGO_TARGET_DIR=build_dir)
     done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True,
                           text=True)
@@ -165,11 +168,11 @@ def main(argv):
                         help="validate every row of FILE and exit")
     parser.add_argument("--pr", type=int, help="the change's PR number")
     parser.add_argument("--parent", help="parent revision")
-    parser.add_argument("--change", help="change revision (default: "
-                        "this checkout as it stands)")
-    parser.add_argument("--workload", default="chip_model")
+    parser.add_argument("--change", default="HEAD",
+                        help="change revision (default: HEAD)")
+    parser.add_argument("--workload", nargs="+", default=["chip_model"],
+                        help="workloads, one row each")
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--seconds", type=float, default=8)
     parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
     parser.add_argument("--scratch", help="directory for the exported "
                         "trees and build directories")
@@ -185,57 +188,54 @@ def main(argv):
         parser.error("--pairs must be at least %d" % MIN_PAIRS)
 
     scratch = os.path.abspath(args.scratch)
-    change_rev = git("rev-parse", args.change) if args.change else None
-    parent_rev = git("rev-parse", args.parent or
-                     (change_rev + "~1" if change_rev else "HEAD"))
-    parent_tree = os.path.join(scratch, "parent")
-    export(parent_rev, parent_tree)
-    change_tree = ROOT
-    if change_rev:
-        change_tree = os.path.join(scratch, "change")
-        export(change_rev, change_tree)
-    sides = {"parent": (parent_tree, os.path.join(scratch, "build-parent")),
-             "change": (change_tree, os.path.join(scratch, "build-change"))}
+    change_rev = git("rev-parse", args.change)
+    parent_rev = git("rev-parse", args.parent or change_rev + "~1")
+    sides = {}
+    for side, rev in (("parent", parent_rev), ("change", change_rev)):
+        tree = os.path.join(scratch, side)
+        export(rev, tree)
+        sides[side] = (tree, os.path.join(scratch, "build-" + side))
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        metrics = json.load(f)["end_to_end"]
+        bench = json.load(f)
+    metrics, seconds = bench["end_to_end"], bench["run_seconds"]
 
-    # Build both sides (a short run each, discarded).
-    warm = argparse.Namespace(**vars(args))
-    warm.seconds = 1
     for tree, build in sides.values():
-        run_side(tree, build, warm)
-    runs = {"parent": [], "change": []}
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            runs[side].append(run_side(*sides[side], args))
-        print("ab_pairs: pair %d/%d done" % (i + 1, args.pairs),
-              file=sys.stderr)
-
-    row = {
-        "pr": args.pr, "parent": parent_rev,
-        "change": change_rev or "checkout of " + git("rev-parse", "HEAD"),
-        "host": host(), "workload": args.workload, "seed": args.seed,
-        "seconds": args.seconds, "pairs": args.pairs,
-        "metrics": summarize(metrics, runs["parent"], runs["change"]),
-    }
-    why = check_row(row)
-    if why:
-        fail("new row: " + why)
+        run_side(tree, build, args.workload[0], args.seed,
+                 BUILD_RUN_SECONDS)
     doc = {"schema": SCHEMA, "rows": []}
     if os.path.exists(args.out):
         with open(args.out) as f:
             doc = json.load(f)
-    doc["rows"].append(row)
-    with open(args.out, "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
-    for name, m in row["metrics"].items():
-        print("%-14s parent %-12.6g (IQR %-10.4g) change %-12.6g "
-              "(IQR %-10.4g) ratio %.3f wins %d/%d"
-              % (name, m["parent_median"], m["parent_iqr"],
-                 m["change_median"], m["change_iqr"], m["ratio"] or 0,
-                 m["wins"], args.pairs))
+    for workload in args.workload:
+        runs = {"parent": [], "change": []}
+        for i in range(args.pairs):
+            order = (("parent", "change") if i % 2 == 0
+                     else ("change", "parent"))
+            for side in order:
+                runs[side].append(run_side(*sides[side], workload,
+                                           args.seed, seconds))
+            print("ab_pairs: %s pair %d/%d done"
+                  % (workload, i + 1, args.pairs), file=sys.stderr)
+        row = {
+            "pr": args.pr, "parent": parent_rev, "change": change_rev,
+            "host": host(), "workload": workload, "seed": args.seed,
+            "seconds": seconds, "pairs": args.pairs,
+            "metrics": summarize(metrics, runs["parent"], runs["change"]),
+        }
+        why = check_row(row)
+        if why:
+            fail("new row: " + why)
+        doc["rows"].append(row)
+        with open(args.out, "w") as f:
+            json.dump(doc, f, indent=2)
+            f.write("\n")
+        print("ab_pairs: %s" % workload)
+        for name, m in row["metrics"].items():
+            print("%-14s parent %-12.6g (IQR %-10.4g) change %-12.6g "
+                  "(IQR %-10.4g) ratio %.3f wins %d/%d"
+                  % (name, m["parent_median"], m["parent_iqr"],
+                     m["change_median"], m["change_iqr"], m["ratio"] or 0,
+                     m["wins"], args.pairs))
     return 0
 
 

@@ -4,12 +4,17 @@
  * model only takes loops whose trip count is a compile-time multiple of
  * the vector width, so a loop over a runtime length runs as whole
  * fixed-size blocks and then a scalar tail.
+ *
+ * And the lane vectors that register kernels hold their state in
+ * across a reduction, where no loop shape vectorises by itself.
  */
 
 #ifndef RAPID_COMMON_LANES_HH
 #define RAPID_COMMON_LANES_HH
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 
 namespace rapid {
 
@@ -25,6 +30,34 @@ forEachBlocked(int64_t n, Fn &&fn)
             fn(i + l);
     for (; i < n; ++i)
         fn(i);
+}
+
+/** Output columns a lane kernel carries in registers: two halves of
+ *  kHalf lanes. */
+constexpr int64_t kLanes = 8;
+constexpr int64_t kHalf = 4;
+
+// Lane vectors of 16 bytes: one SSE2 register each on x86-64. (Wider
+// GCC vector types without AVX lower to scalar code.)
+using FloatLanes = float __attribute__((vector_size(16)));
+using BitLanes = uint32_t __attribute__((vector_size(16)));
+using MaskLanes = int32_t __attribute__((vector_size(16)));
+
+/** @p yes in the lanes where @p mask is all ones, else @p no. */
+inline BitLanes
+selectLanes(MaskLanes mask, BitLanes yes, BitLanes no)
+{
+    const BitLanes m = std::bit_cast<BitLanes>(mask);
+    return (yes & m) | (no & ~m);
+}
+
+/** The four floats at @p p, which need no alignment. */
+inline FloatLanes
+loadLanes(const float *p)
+{
+    FloatLanes v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
 }
 
 } // namespace rapid

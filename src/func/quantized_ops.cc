@@ -61,53 +61,6 @@ chunkedDot(const float *a, const float *b, int64_t n,
     return dlfloat16().quantize(acc.total(), cfg.rounding);
 }
 
-/** Output columns one chunkedGemm pass carries, one lane each: two
- *  halves of kHalf. */
-constexpr int64_t kLanes = 8;
-constexpr int64_t kHalf = 4;
-
-// Lane vectors of 16 bytes: one SSE2 register each on x86-64. (Wider
-// GCC vector types without AVX lower to scalar code.)
-using FloatLanes = float __attribute__((vector_size(16)));
-using BitLanes = uint32_t __attribute__((vector_size(16)));
-using MaskLanes = int32_t __attribute__((vector_size(16)));
-
-/** @p yes in the lanes where @p mask is all ones, else @p no. */
-inline BitLanes
-select(MaskLanes mask, BitLanes yes, BitLanes no)
-{
-    const BitLanes m = std::bit_cast<BitLanes>(mask);
-    return (yes & m) | (no & ~m);
-}
-
-/**
- * dlfloat16RoundBits<Mode>() of four finite binary32 patterns. The
- * kernel's sums are finite (every term and fold stays below 2^67), so
- * the NaN select is dropped, and the round sum stays below 2^31.
- */
-template <Rounding Mode>
-inline BitLanes
-dlfloat16RoundLanes(BitLanes in)
-{
-    constexpr int32_t kZeroAlias = 96 << 23;
-    constexpr int32_t kMaxFinite = (158 << 23) | 0x007fc000;
-    const BitLanes sign = in & 0x80000000u;
-    BitLanes x = in & 0x7fffffffu;
-    if constexpr (Mode == Rounding::NearestUp)
-        x += 1u << 13;
-    else if constexpr (Mode == Rounding::NearestEven)
-        x += (1u << 13) - 1 + ((x >> 14) & 1u);
-    const BitLanes r = x & ~0x3fffu;
-    const MaskLanes signed_r = std::bit_cast<MaskLanes>(r);
-    const BitLanes sat = select(signed_r > kMaxFinite,
-                                BitLanes{} + uint32_t(kMaxFinite), r);
-    // Everything that rounds to 2^-31 or below flushes to a signed
-    // zero.
-    return sign |
-           (sat & std::bit_cast<BitLanes>(
-                      std::bit_cast<MaskLanes>(sat) > kZeroAlias));
-}
-
 /** A lane's inter-chunk fold on binary32 patterns: the SFU's FP32 add,
  *  or the same add rounded to DLFloat16. */
 template <Rounding Mode, bool Fp32Outer>
@@ -140,17 +93,17 @@ inline void
 accumulate(LaneHalf &h, FloatLanes a, FloatLanes b, uint32_t limit)
 {
     const MaskLanes live = (std::bit_cast<BitLanes>(b) & 0x7fffffffu) != 0;
-    const BitLanes kept = select(
+    const BitLanes kept = selectLanes(
         live, dlfloat16RoundLanes<Mode>(
                   std::bit_cast<BitLanes>(h.acc + a * b)),
         std::bit_cast<BitLanes>(h.acc));
     h.count -= std::bit_cast<BitLanes>(live);
     const MaskLanes fold = h.count == limit;
     h.outer = std::bit_cast<FloatLanes>(
-        select(fold,
-               foldLanes<Mode, Fp32Outer>(
-                   h.outer, std::bit_cast<FloatLanes>(kept)),
-               std::bit_cast<BitLanes>(h.outer)));
+        selectLanes(fold,
+                    foldLanes<Mode, Fp32Outer>(
+                        h.outer, std::bit_cast<FloatLanes>(kept)),
+                    std::bit_cast<BitLanes>(h.outer)));
     const BitLanes open = ~std::bit_cast<BitLanes>(fold);
     h.acc = std::bit_cast<FloatLanes>(kept & open);
     h.count &= open;
@@ -162,17 +115,9 @@ template <Rounding Mode, bool Fp32Outer>
 inline BitLanes
 lastFold(const LaneHalf &h)
 {
-    return select(h.count != 0, foldLanes<Mode, Fp32Outer>(h.outer, h.acc),
-                  std::bit_cast<BitLanes>(h.outer));
-}
-
-/** The four floats at @p p, which need no alignment. */
-inline FloatLanes
-loadLanes(const float *p)
-{
-    FloatLanes v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
+    return selectLanes(h.count != 0,
+                       foldLanes<Mode, Fp32Outer>(h.outer, h.acc),
+                       std::bit_cast<BitLanes>(h.outer));
 }
 
 /**

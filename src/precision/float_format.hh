@@ -35,6 +35,8 @@
 #include <limits>
 #include <string>
 
+#include "common/lanes.hh"
+
 namespace rapid {
 
 /** Rounding mode applied when narrowing to a reduced format. */
@@ -247,6 +249,41 @@ dlfloat16RoundBits(uint32_t in)
     // included) flushes to a signed zero.
     const uint32_t val = sat > kZeroAlias ? sign | uint32_t(sat) : sign;
     return int32_t(mag) >= kInf ? 0x7fc00000u : val;
+}
+
+/**
+ * dlfloat16RoundBits<Mode>() of four binary32 patterns. With
+ * @p NonFinite false the caller promises finite inputs, so the NaN
+ * select is dropped (an Inf lane saturates instead), and the round sum
+ * stays below 2^31.
+ */
+template <Rounding Mode, bool NonFinite = false>
+inline BitLanes
+dlfloat16RoundLanes(BitLanes in)
+{
+    constexpr int32_t kZeroAlias = 96 << 23;
+    constexpr int32_t kMaxFinite = (158 << 23) | 0x007fc000;
+    const BitLanes sign = in & 0x80000000u;
+    const BitLanes mag = in & 0x7fffffffu;
+    BitLanes x = mag;
+    if constexpr (Mode == Rounding::NearestUp)
+        x += 1u << 13;
+    else if constexpr (Mode == Rounding::NearestEven)
+        x += (1u << 13) - 1 + ((x >> 14) & 1u);
+    const BitLanes r = x & ~0x3fffu;
+    const MaskLanes signed_r = std::bit_cast<MaskLanes>(r);
+    const BitLanes sat = selectLanes(signed_r > kMaxFinite,
+                                     BitLanes{} + uint32_t(kMaxFinite), r);
+    // Everything that rounds to 2^-31 or below flushes to a signed
+    // zero.
+    const BitLanes val =
+        sign | (sat & std::bit_cast<BitLanes>(
+                          std::bit_cast<MaskLanes>(sat) > kZeroAlias));
+    if constexpr (NonFinite)
+        return selectLanes(mag >= 0x7f800000u, BitLanes{} + 0x7fc00000u,
+                           val);
+    else
+        return val;
 }
 
 /**

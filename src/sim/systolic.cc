@@ -14,56 +14,6 @@ namespace rapid {
 
 namespace {
 
-/** Output columns one row pass carries in registers: two halves of
- *  four lanes. */
-constexpr int64_t kLanes = 8;
-constexpr int64_t kHalf = 4;
-
-// Lane vectors of 16 bytes: one SSE2 register each on x86-64. These
-// and the helpers below mirror the chunked GEMM kernel's in
-// func/quantized_ops.cc. Shared through a header, they changed the
-// code GCC 12 generates for that kernel (about 4% fewer INT deployment
-// samples/s on a 4-vCPU x86 host), so each file keeps its own.
-using FloatLanes = float __attribute__((vector_size(16)));
-using BitLanes = uint32_t __attribute__((vector_size(16)));
-using MaskLanes = int32_t __attribute__((vector_size(16)));
-
-/** @p yes in the lanes where @p mask is all ones, else @p no. */
-inline BitLanes
-select(MaskLanes mask, BitLanes yes, BitLanes no)
-{
-    const BitLanes m = std::bit_cast<BitLanes>(mask);
-    return (yes & m) | (no & ~m);
-}
-
-/** The four floats at @p p, which need no alignment. */
-inline FloatLanes
-loadLanes(const float *p)
-{
-    FloatLanes v;
-    std::memcpy(&v, p, sizeof(v));
-    return v;
-}
-
-/** dlfloat16RoundBits<NearestEven>() of four binary32 patterns. */
-inline BitLanes
-roundLanes(BitLanes in)
-{
-    constexpr int32_t kZeroAlias = 96 << 23;
-    constexpr int32_t kMaxFinite = (158 << 23) | 0x007fc000;
-    const BitLanes sign = in & 0x80000000u;
-    const BitLanes mag = in & 0x7fffffffu;
-    const BitLanes r = (mag + (1u << 13) - 1 + ((mag >> 14) & 1u)) & ~0x3fffu;
-    const BitLanes sat = select(std::bit_cast<MaskLanes>(r) > kMaxFinite,
-                                BitLanes{} + uint32_t(kMaxFinite), r);
-    // Everything that rounds to 2^-31 or below flushes to a signed
-    // zero; Inf and NaN give the merged NaN.
-    const BitLanes val =
-        sign | (sat & std::bit_cast<BitLanes>(
-                          std::bit_cast<MaskLanes>(sat) > kZeroAlias));
-    return select(mag >= 0x7f800000u, BitLanes{} + 0x7fc00000u, val);
-}
-
 /**
  * MpeDatapath::fp16Fma() of four lanes on operands that are already
  * DLFloat16 or FP9 values, and a scalar a: acc + a * b rounded to
@@ -83,9 +33,10 @@ fmaLanes(FloatLanes &acc, BitLanes &issued, FloatLanes a, FloatLanes b)
 {
     const MaskLanes on = (std::bit_cast<BitLanes>(b) & 0x7fffffffu) != 0;
     const BitLanes rounded =
-        roundLanes(std::bit_cast<BitLanes>(acc + a * b));
+        dlfloat16RoundLanes<Rounding::NearestEven, true>(
+            std::bit_cast<BitLanes>(acc + a * b));
     acc = std::bit_cast<FloatLanes>(
-        select(on, rounded, std::bit_cast<BitLanes>(acc)));
+        selectLanes(on, rounded, std::bit_cast<BitLanes>(acc)));
     issued -= std::bit_cast<BitLanes>(on);
 }
 

@@ -607,5 +607,46 @@ TEST(BitDirectQuantize, MatchesCodecOnStridedBinary32Sweep)
             << "dlfloat16RoundBits mode " << int(mode);
 }
 
+/** dlfloat16RoundLanes<Mode, NonFinite>() at a runtime rounding mode,
+ *  with @p in in lane @p lane and the other lanes holding other inputs. */
+template <bool NonFinite>
+uint32_t
+dlfloat16RoundLanesAt(Rounding mode, uint32_t in, int lane)
+{
+    BitLanes v = {0x3f800000u, 0xff800000u, 0x00000001u, 0x7fc00000u};
+    v[lane] = in;
+    switch (mode) {
+      case Rounding::NearestUp:
+        return dlfloat16RoundLanes<Rounding::NearestUp, NonFinite>(v)[lane];
+      case Rounding::Truncate:
+        return dlfloat16RoundLanes<Rounding::Truncate, NonFinite>(v)[lane];
+      case Rounding::NearestEven:
+        break;
+    }
+    return dlfloat16RoundLanes<Rounding::NearestEven, NonFinite>(v)[lane];
+}
+
+/** The lane rounder gives the scalar rounder's bits in every lane: for
+ *  every input when it takes non-finite lanes, for every finite input
+ *  when it does not. */
+TEST(BitDirectQuantize, LaneRounderMatchesScalarRounder)
+{
+    std::vector<uint32_t> inputs = roundingClassInputs();
+    for (uint64_t in = 0; in < (uint64_t(1) << 32); in += 4099)
+        inputs.push_back(uint32_t(in));
+    for (Rounding mode : kModes) {
+        size_t bad = 0;
+        for (size_t i = 0; i < inputs.size(); ++i) {
+            const uint32_t in = inputs[i];
+            const int lane = int(i % 4);
+            const uint32_t want = dlfloat16RoundBitsAt(mode, in);
+            bad += dlfloat16RoundLanesAt<true>(mode, in, lane) != want;
+            if ((in & 0x7fffffffu) < 0x7f800000u)
+                bad += dlfloat16RoundLanesAt<false>(mode, in, lane) != want;
+        }
+        EXPECT_EQ(bad, 0u) << "mode " << int(mode);
+    }
+}
+
 } // namespace
 } // namespace rapid
