@@ -10,6 +10,8 @@
  * and the metrics aggregation of one serving run.
  */
 
+#include <string>
+
 #include <benchmark/benchmark.h>
 
 #include "common/random.hh"
@@ -190,6 +192,13 @@ BM_QuantizeTensorFp8(benchmark::State &state, Fp8Kind kind)
 BENCHMARK_CAPTURE(BM_QuantizeTensorFp8, forward, Fp8Kind::Forward);
 BENCHMARK_CAPTURE(BM_QuantizeTensorFp8, backward, Fp8Kind::Backward);
 
+/** Each row's label: the lane width its GEMM ran at. */
+std::string
+laneLabel()
+{
+    return "lane width " + std::to_string(chunkedGemmLaneWidth());
+}
+
 /** HFP8 GEMM (M, K, N) MAC/s: square shapes, and the wide training
  *  MLP's forward (32x160x160), weight-gradient (160x32x160) and
  *  logit (32x160x2) GEMMs. */
@@ -206,6 +215,7 @@ BM_Hfp8Matmul(benchmark::State &state)
         benchmark::DoNotOptimize(
             hfp8Matmul(a, Fp8Kind::Forward, b, Fp8Kind::Forward));
     state.SetItemsProcessed(state.iterations() * m * k * n);
+    state.SetLabel(laneLabel());
 }
 BENCHMARK(BM_Hfp8Matmul)
     ->Args({32, 32, 32})
@@ -215,19 +225,29 @@ BENCHMARK(BM_Hfp8Matmul)
     ->Args({160, 32, 160})
     ->Args({32, 160, 2});
 
+/** FP16 GEMM (M, K, N) MAC/s: square shapes, and the wide INT
+ *  deployment's FP16 edge layers over 1024 samples (1024x2x160 and
+ *  1024x160x2). */
 void
 BM_Fp16Matmul(benchmark::State &state)
 {
-    const int64_t n = state.range(0);
+    const int64_t m = state.range(0), k = state.range(1),
+                  n = state.range(2);
     Rng rng(6);
-    Tensor a({n, n}), b({n, n});
+    Tensor a({m, k}), b({k, n});
     a.fillGaussian(rng, 0.0, 0.5);
     b.fillGaussian(rng, 0.0, 0.5);
     for (auto _ : state)
         benchmark::DoNotOptimize(fp16Matmul(a, b));
-    state.SetItemsProcessed(state.iterations() * n * n * n);
+    state.SetItemsProcessed(state.iterations() * m * k * n);
+    state.SetLabel(laneLabel());
 }
-BENCHMARK(BM_Fp16Matmul)->Arg(32)->Arg(64)->Arg(160);
+BENCHMARK(BM_Fp16Matmul)
+    ->Args({32, 32, 32})
+    ->Args({64, 64, 64})
+    ->Args({160, 160, 160})
+    ->Args({1024, 2, 160})
+    ->Args({1024, 160, 2});
 
 /**
  * SystolicArraySim::gemm of an (M,K) x (K,N) GEMM at FP16 (last arg 0)

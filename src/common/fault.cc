@@ -137,12 +137,30 @@ FaultInjector::FaultInjector(const FaultConfig &cfg) : cfg_(cfg)
     validateFaultConfig(cfg);
 }
 
+namespace {
+
+/** The seed of @p site's item streams under injector seed @p seed. */
+uint64_t
+siteSalt(uint64_t seed, FaultSite site)
+{
+    return seed ^ (uint64_t(site) + 1) * 0xd6e8feb86659fd93ULL;
+}
+
+/** The hash draw of @p item under @p salt: the top 53 bits of the mix
+ *  as a uniform double in [0, 1), mirroring the mt19937 real
+ *  distribution's resolution, against @p rate. */
+bool
+hashHit(uint64_t salt, uint64_t item, double rate)
+{
+    return double(mixSeed(salt, item) >> 11) * 0x1.0p-53 < rate;
+}
+
+} // namespace
+
 Rng
 FaultInjector::stream(FaultSite site, uint64_t item) const
 {
-    const uint64_t salted =
-        cfg_.seed ^ (uint64_t(site) + 1) * 0xd6e8feb86659fd93ULL;
-    return Rng(mixSeed(salted, item));
+    return Rng(mixSeed(siteSalt(cfg_.seed, site), item));
 }
 
 bool
@@ -154,12 +172,20 @@ FaultInjector::eventDraw(Rng &rng) const
 bool
 FaultInjector::hashEventDraw(FaultSite site, uint64_t item) const
 {
-    const uint64_t salted =
-        cfg_.seed ^ (uint64_t(site) + 1) * 0xd6e8feb86659fd93ULL;
-    const uint64_t mix = mixSeed(salted, item);
-    // Top 53 bits -> uniform double in [0, 1), mirroring the mt19937
-    // real distribution's resolution.
-    return double(mix >> 11) * 0x1.0p-53 < cfg_.rate;
+    return hashHit(siteSalt(cfg_.seed, site), item, cfg_.rate);
+}
+
+std::vector<uint64_t>
+FaultInjector::hashEventHits(FaultSite site, uint64_t first,
+                             uint64_t n) const
+{
+    const uint64_t salt = siteSalt(cfg_.seed, site);
+    const double rate = cfg_.rate;
+    std::vector<uint64_t> hits;
+    for (uint64_t i = 0; i < n; ++i)
+        if (hashHit(salt, first + i, rate))
+            hits.push_back(i);
+    return hits;
 }
 
 uint32_t

@@ -40,6 +40,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/random.hh"
 
@@ -184,6 +185,14 @@ class FaultInjector
      * through this draw rather than eventDraw(stream(...)).
      */
     bool hashEventDraw(FaultSite site, uint64_t item) const;
+
+    /**
+     * The offsets i in [0, @p n), ascending, for which
+     * hashEventDraw(@p site, @p first + i) hits: one pass over the
+     * items with the site's salt computed once.
+     */
+    std::vector<uint64_t> hashEventHits(FaultSite site, uint64_t first,
+                                        uint64_t n) const;
 
     /**
      * Flip each of the low @p bits of @p word independently with

@@ -32,30 +32,93 @@ forEachBlocked(int64_t n, Fn &&fn)
         fn(i);
 }
 
-/** Output columns a lane kernel carries in registers: two halves of
- *  kHalf lanes. */
-constexpr int64_t kLanes = 8;
-constexpr int64_t kHalf = 4;
+/**
+ * GCC vectors of @p W lanes (4W bytes): floats, their binary32
+ * patterns, and lane masks (all ones or all zeros). W = 4 is one SSE2
+ * register, the x86-64 baseline; W = 8 and 16 need AVX2 and AVX-512,
+ * so code over them runs only inside functions compiled for those
+ * targets (RAPID_TARGET_AVX2, RAPID_TARGET_AVX512), into which every
+ * helper below is always inlined. Without that target a wide vector
+ * lowers to scalar code.
+ *
+ * Wide vectors must cross no call: a function compiled without the
+ * target passes and returns them differently (a Debug build that calls
+ * std::bit_cast out of line reads garbage), so every function over
+ * lane vectors is always inlined, even at -O0, and bit casts between
+ * them go through lanesAs(), not std::bit_cast. GCC still checks each
+ * inline helper's calling convention at the end of a translation unit
+ * and warns (-Wpsabi) that a wide vector return needs AVX, so a file
+ * that instantiates W = 8 or 16 switches that warning off for itself.
+ */
+template <int W>
+struct LaneVectors
+{
+    typedef float Float __attribute__((vector_size(4 * W)));
+    typedef uint32_t Bits __attribute__((vector_size(4 * W)));
+    typedef int32_t Mask __attribute__((vector_size(4 * W)));
+};
 
-// Lane vectors of 16 bytes: one SSE2 register each on x86-64. (Wider
-// GCC vector types without AVX lower to scalar code.)
-using FloatLanes = float __attribute__((vector_size(16)));
-using BitLanes = uint32_t __attribute__((vector_size(16)));
-using MaskLanes = int32_t __attribute__((vector_size(16)));
+template <int W>
+using FloatLanes = typename LaneVectors<W>::Float;
+template <int W>
+using BitLanes = typename LaneVectors<W>::Bits;
+template <int W>
+using MaskLanes = typename LaneVectors<W>::Mask;
+
+#if defined(__x86_64__)
+#define RAPID_TARGET_AVX2 __attribute__((target("avx2")))
+#define RAPID_TARGET_AVX512                                                 \
+    __attribute__((target("avx512f,avx512dq,avx512bw,avx512vl")))
+#else
+#define RAPID_TARGET_AVX2
+#define RAPID_TARGET_AVX512
+#endif
+
+/** Whether this CPU executes lane code of half-width @p w: 4 on every
+ *  x86-64 (SSE2), 8 with AVX2, 16 with AVX-512 F/DQ/BW/VL. */
+inline bool
+cpuRunsLanes(int w)
+{
+#if defined(__x86_64__)
+    __builtin_cpu_init();
+    switch (w) {
+      case 16:
+        return __builtin_cpu_supports("avx512f") &&
+               __builtin_cpu_supports("avx512dq") &&
+               __builtin_cpu_supports("avx512bw") &&
+               __builtin_cpu_supports("avx512vl");
+      case 8:
+        return __builtin_cpu_supports("avx2");
+      default:
+        break;
+    }
+#endif
+    return w == 4;
+}
+
+/** The bits of lane vector @p v as a lane vector of type @p To. */
+template <typename To, typename From>
+[[gnu::always_inline]] inline To
+lanesAs(const From &v)
+{
+    return __builtin_bit_cast(To, v);
+}
 
 /** @p yes in the lanes where @p mask is all ones, else @p no. */
-inline BitLanes
-selectLanes(MaskLanes mask, BitLanes yes, BitLanes no)
+template <typename Bits, typename Mask>
+[[gnu::always_inline]] inline Bits
+selectLanes(const Mask &mask, const Bits &yes, const Bits &no)
 {
-    const BitLanes m = std::bit_cast<BitLanes>(mask);
+    const Bits m = lanesAs<Bits>(mask);
     return (yes & m) | (no & ~m);
 }
 
-/** The four floats at @p p, which need no alignment. */
-inline FloatLanes
+/** The @p W floats at @p p, which need no alignment. */
+template <int W>
+[[gnu::always_inline]] inline FloatLanes<W>
 loadLanes(const float *p)
 {
-    FloatLanes v;
+    FloatLanes<W> v;
     std::memcpy(&v, p, sizeof(v));
     return v;
 }

@@ -1,0 +1,244 @@
+/**
+ * @file
+ * The lane kernel of the chunked DLFloat16 GEMM (quantized_ops.cc),
+ * one template over the lane half-width W: 4, 8 or 16 floats, in 16-,
+ * 32- and 64-byte GCC vectors (common/lanes.hh). The library compiles
+ * one entry per width, each for its own target, and picks one per
+ * process from the CPU's features; a test compiles its own entries the
+ * same way and runs the library's GEMMs on each under a LaneGemmScope.
+ *
+ * Every width gives the same bits. A lane does exactly one output's
+ * arithmetic in ascending k, the scalar chunkedDot()'s: an exact
+ * binary32 product, a binary32 add, a DLFloat16 round on the bits, and
+ * the zero gate, the count and the chunk fold taken by mask. Outputs
+ * never share a sum, so the width only decides how many run side by
+ * side. A compiler that contracts acc + a * b into an FMA changes
+ * nothing either, because the product is exact.
+ */
+
+#ifndef RAPID_FUNC_LANE_GEMM_HH
+#define RAPID_FUNC_LANE_GEMM_HH
+
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <cstring>
+
+#include "common/error.hh"
+#include "common/lanes.hh"
+#include "func/quantized_ops.hh"
+#include "precision/float_format.hh"
+
+namespace rapid {
+
+/**
+ * A chunked GEMM over finite quantized operands at one lane
+ * half-width: @p run computes every output of the (M,K) x (K,N) GEMM
+ * of row-major @p qa and @p qb, whose row stride @p ldb is a whole
+ * number of blocks and whose padding columns are zero.
+ */
+struct LaneGemm
+{
+    using Run = void (*)(const float *qa, const float *qb, int64_t m,
+                         int64_t k, int64_t n, int64_t ldb,
+                         const ExecConfig &cfg, float *out);
+
+    int64_t half; ///< W, the lanes of one vector
+    Run run;
+
+    /** Output columns one lane block carries: two vectors. */
+    int64_t block() const { return 2 * half; }
+};
+
+/**
+ * Runs the calling thread's chunked GEMMs on @p gemm instead of the
+ * process's pick while it lives, so tests can run the library at
+ * every width the CPU executes. Nothing outside a test constructs
+ * one.
+ */
+class LaneGemmScope
+{
+  public:
+    explicit LaneGemmScope(const LaneGemm &gemm) : outer_(active_)
+    {
+        active_ = &gemm;
+    }
+    ~LaneGemmScope() { active_ = outer_; }
+    LaneGemmScope(const LaneGemmScope &) = delete;
+    LaneGemmScope &operator=(const LaneGemmScope &) = delete;
+
+    /** The innermost scope's GEMM on this thread, or null. */
+    static const LaneGemm *active() { return active_; }
+
+  private:
+    static inline thread_local constinit const LaneGemm *active_ = nullptr;
+    const LaneGemm *outer_;
+};
+
+/** A lane's inter-chunk fold on binary32 patterns: the SFU's FP32 add,
+ *  or the same add rounded to DLFloat16. */
+template <Rounding Mode, bool Fp32Outer, int W>
+[[gnu::always_inline]] inline BitLanes<W>
+foldLanes(const FloatLanes<W> &outer, const FloatLanes<W> &chunk)
+{
+    const BitLanes<W> sum = lanesAs<BitLanes<W>>(outer + chunk);
+    if constexpr (Fp32Outer)
+        return sum;
+    else
+        return dlfloat16RoundLanes<Mode>(sum);
+}
+
+/** One half of a lane block's state, held in registers across k. */
+template <int W>
+struct LaneHalf
+{
+    FloatLanes<W> acc{};   ///< DLFloat16 chunk accumulators
+    FloatLanes<W> outer{}; ///< inter-chunk sums
+    BitLanes<W> count{};   ///< gated-in terms of the open chunk
+};
+
+/**
+ * One k step of W lanes: acc += a * b in each lane whose @p b is
+ * nonzero, counted, and a lane whose count reaches @p limit folds its
+ * chunk into its outer sum and starts the next. The gate, the count and
+ * the fold are all taken by mask.
+ */
+template <Rounding Mode, bool Fp32Outer, int W>
+[[gnu::always_inline]] inline void
+accumulate(LaneHalf<W> &h, const FloatLanes<W> &a, const FloatLanes<W> &b,
+           uint32_t limit)
+{
+    using Bits = BitLanes<W>;
+    const MaskLanes<W> live = (lanesAs<Bits>(b) & 0x7fffffffu) != 0;
+    const Bits kept = selectLanes(
+        live, dlfloat16RoundLanes<Mode>(lanesAs<Bits>(h.acc + a * b)),
+        lanesAs<Bits>(h.acc));
+    h.count -= lanesAs<Bits>(live);
+    const MaskLanes<W> fold = h.count == limit;
+    h.outer = lanesAs<FloatLanes<W>>(selectLanes(
+        fold,
+        foldLanes<Mode, Fp32Outer, W>(h.outer,
+                                      lanesAs<FloatLanes<W>>(kept)),
+        lanesAs<Bits>(h.outer)));
+    const Bits open = ~lanesAs<Bits>(fold);
+    h.acc = lanesAs<FloatLanes<W>>(kept & open);
+    h.count &= open;
+}
+
+/** A lane's total: its outer sum, with the open chunk folded in by
+ *  mask where one is open. */
+template <Rounding Mode, bool Fp32Outer, int W>
+[[gnu::always_inline]] inline BitLanes<W>
+lastFold(const LaneHalf<W> &h)
+{
+    return selectLanes(h.count != 0,
+                       foldLanes<Mode, Fp32Outer, W>(h.outer, h.acc),
+                       lanesAs<BitLanes<W>>(h.outer));
+}
+
+/**
+ * chunkedDot() for every output of a GEMM over finite quantized
+ * operands, 2W output columns at a time: each row of @p qa against
+ * columns j0..j0+2W of @p qb (row stride @p ldb, zero-padded to whole
+ * blocks). Each lane keeps its own DLFloat16 chunk accumulator, outer
+ * accumulator and count of gated-in terms, and adds its terms in
+ * ascending k exactly as ChunkAccumulator does. The block's state
+ * lives in two LaneHalf register sets for the whole k loop, and every
+ * step is branch-free over the lanes.
+ *
+ * binary32 arithmetic gives the scalar path's bits. ChunkAccumulator
+ * computes float(double(acc) + double(a) * double(b)); here it is
+ * acc + a * b in binary32. (1) The product is exact in binary32: FP8
+ * and DLFloat16 values carry at most 10 significant bits, so a product
+ * carries at most 20, and every product of two nonzero values of those
+ * formats lies within [2^-62, 2^66], inside the binary32 normal range.
+ * (2) acc and the product are binary32 values, and for a sum of two
+ * such values rounding to binary64 and then to binary32 equals
+ * rounding straight to binary32, since 53 >= 2 * 24 + 2. An FMA
+ * contraction of acc + a * b changes nothing either, as the product
+ * is exact. The folds are binary32 adds in both paths.
+ */
+template <int W, Rounding Mode, bool Fp32Outer>
+[[gnu::always_inline]] inline void
+chunkedGemmKernel(const float *qa, const float *qb, int64_t m, int64_t k,
+                  int64_t n, int64_t ldb, size_t chunk_size, float *out)
+{
+    // A lane folds when its gated-in count reaches this; a chunk longer
+    // than the reduction never folds before the end.
+    const uint32_t limit = uint32_t(std::min(chunk_size, size_t(k) + 1));
+    for (int64_t i = 0; i < m; ++i) {
+        const float *a_row = qa + i * k;
+        for (int64_t j0 = 0; j0 < n; j0 += 2 * W) {
+            LaneHalf<W> lo, hi;
+            for (int64_t kk = 0; kk < k; ++kk) {
+                const float a = a_row[kk];
+                if ((std::bit_cast<uint32_t>(a) & 0x7fffffffu) == 0)
+                    continue; // gates every lane's FMA at this k
+                const FloatLanes<W> av = FloatLanes<W>{} + a;
+                const float *b = qb + kk * ldb + j0;
+                accumulate<Mode, Fp32Outer>(lo, av, loadLanes<W>(b), limit);
+                accumulate<Mode, Fp32Outer>(hi, av, loadLanes<W>(b + W),
+                                            limit);
+            }
+            // The last fold, the finiteness backstop and the output
+            // rounding (padding lanes hold +0).
+            const BitLanes<W> total_lo = lastFold<Mode, Fp32Outer>(lo);
+            const BitLanes<W> total_hi = lastFold<Mode, Fp32Outer>(hi);
+            const BitLanes<W> non_finite = lanesAs<BitLanes<W>>(
+                ((total_lo & 0x7f800000u) == 0x7f800000u) |
+                ((total_hi & 0x7f800000u) == 0x7f800000u));
+            uint32_t any_non_finite = 0;
+            for (int l = 0; l < W; ++l)
+                any_non_finite |= non_finite[l];
+            RAPID_CHECK_NUMERIC(any_non_finite == 0,
+                                "non-finite chunked dot product over ", k,
+                                " elements: a poisoned operand reached "
+                                "the training accumulation");
+            const BitLanes<W> rounded[] = {dlfloat16RoundLanes<Mode>(total_lo),
+                                           dlfloat16RoundLanes<Mode>(total_hi)};
+            std::memcpy(out + i * n + j0, rounded,
+                        size_t(std::min(2 * int64_t(W), n - j0)) *
+                            sizeof(float));
+        }
+    }
+}
+
+/** chunkedGemmKernel() at @p cfg's rounding mode and outer precision;
+ *  a lane GEMM entry instantiates this at its width under its target. */
+template <int W>
+[[gnu::always_inline]] inline void
+chunkedGemmLanes(const float *qa, const float *qb, int64_t m, int64_t k,
+                 int64_t n, int64_t ldb, const ExecConfig &cfg, float *out)
+{
+    const size_t chunk = cfg.chunk_size;
+    if (cfg.fp32_outer) {
+        switch (cfg.rounding) {
+          case Rounding::NearestUp:
+            return chunkedGemmKernel<W, Rounding::NearestUp, true>(
+                qa, qb, m, k, n, ldb, chunk, out);
+          case Rounding::Truncate:
+            return chunkedGemmKernel<W, Rounding::Truncate, true>(
+                qa, qb, m, k, n, ldb, chunk, out);
+          case Rounding::NearestEven:
+            break;
+        }
+        return chunkedGemmKernel<W, Rounding::NearestEven, true>(
+            qa, qb, m, k, n, ldb, chunk, out);
+    }
+    switch (cfg.rounding) {
+      case Rounding::NearestUp:
+        return chunkedGemmKernel<W, Rounding::NearestUp, false>(
+            qa, qb, m, k, n, ldb, chunk, out);
+      case Rounding::Truncate:
+        return chunkedGemmKernel<W, Rounding::Truncate, false>(
+            qa, qb, m, k, n, ldb, chunk, out);
+      case Rounding::NearestEven:
+        break;
+    }
+    chunkedGemmKernel<W, Rounding::NearestEven, false>(qa, qb, m, k, n, ldb,
+                                                       chunk, out);
+}
+
+} // namespace rapid
+
+#endif // RAPID_FUNC_LANE_GEMM_HH

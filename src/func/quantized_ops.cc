@@ -1,16 +1,20 @@
+// Every lane vector of 32 or 64 bytes here lives inside a function
+// compiled for AVX2 or AVX-512 (common/lanes.hh).
+#pragma GCC diagnostic ignored "-Wpsabi"
+
 #include "func/quantized_ops.hh"
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <type_traits>
 #include <vector>
 
 #include "common/error.hh"
 #include "common/lanes.hh"
 #include "common/logging.hh"
+#include "func/lane_gemm.hh"
 
 namespace rapid {
 
@@ -61,129 +65,43 @@ chunkedDot(const float *a, const float *b, int64_t n,
     return dlfloat16().quantize(acc.total(), cfg.rounding);
 }
 
-/** A lane's inter-chunk fold on binary32 patterns: the SFU's FP32 add,
- *  or the same add rounded to DLFloat16. */
-template <Rounding Mode, bool Fp32Outer>
-inline BitLanes
-foldLanes(FloatLanes outer, FloatLanes chunk)
+// The lane GEMM at each width, compiled for its target: every helper
+// over the lane vectors inlines into these, so no wide vector code is
+// compiled for a CPU that may lack it.
+
+RAPID_TARGET_AVX512 void
+chunkedGemmAvx512(const float *qa, const float *qb, int64_t m, int64_t k,
+                  int64_t n, int64_t ldb, const ExecConfig &cfg, float *out)
 {
-    const BitLanes sum = std::bit_cast<BitLanes>(outer + chunk);
-    if constexpr (Fp32Outer)
-        return sum;
-    else
-        return dlfloat16RoundLanes<Mode>(sum);
+    chunkedGemmLanes<16>(qa, qb, m, k, n, ldb, cfg, out);
 }
 
-/** One half of a lane block's state, held in registers across k. */
-struct LaneHalf
+RAPID_TARGET_AVX2 void
+chunkedGemmAvx2(const float *qa, const float *qb, int64_t m, int64_t k,
+                int64_t n, int64_t ldb, const ExecConfig &cfg, float *out)
 {
-    FloatLanes acc{};   ///< DLFloat16 chunk accumulators
-    FloatLanes outer{}; ///< inter-chunk sums
-    BitLanes count{};   ///< gated-in terms of the open chunk
-};
-
-/**
- * One k step of four lanes: acc += a * b in each lane whose @p b is
- * nonzero, counted, and a lane whose count reaches @p limit folds its
- * chunk into its outer sum and starts the next. The gate, the count and
- * the fold are all taken by mask.
- */
-template <Rounding Mode, bool Fp32Outer>
-inline void
-accumulate(LaneHalf &h, FloatLanes a, FloatLanes b, uint32_t limit)
-{
-    const MaskLanes live = (std::bit_cast<BitLanes>(b) & 0x7fffffffu) != 0;
-    const BitLanes kept = selectLanes(
-        live, dlfloat16RoundLanes<Mode>(
-                  std::bit_cast<BitLanes>(h.acc + a * b)),
-        std::bit_cast<BitLanes>(h.acc));
-    h.count -= std::bit_cast<BitLanes>(live);
-    const MaskLanes fold = h.count == limit;
-    h.outer = std::bit_cast<FloatLanes>(
-        selectLanes(fold,
-                    foldLanes<Mode, Fp32Outer>(
-                        h.outer, std::bit_cast<FloatLanes>(kept)),
-                    std::bit_cast<BitLanes>(h.outer)));
-    const BitLanes open = ~std::bit_cast<BitLanes>(fold);
-    h.acc = std::bit_cast<FloatLanes>(kept & open);
-    h.count &= open;
+    chunkedGemmLanes<8>(qa, qb, m, k, n, ldb, cfg, out);
 }
 
-/** A lane's total: its outer sum, with the open chunk folded in by
- *  mask where one is open. */
-template <Rounding Mode, bool Fp32Outer>
-inline BitLanes
-lastFold(const LaneHalf &h)
-{
-    return selectLanes(h.count != 0,
-                       foldLanes<Mode, Fp32Outer>(h.outer, h.acc),
-                       std::bit_cast<BitLanes>(h.outer));
-}
-
-/**
- * chunkedDot() for every output of a GEMM over finite quantized
- * operands, kLanes output columns at a time: each row of @p qa against
- * columns j0..j0+kLanes of @p qb (row stride @p ldb, zero-padded to
- * whole lane blocks). Each lane keeps its own DLFloat16 chunk
- * accumulator, outer accumulator and count of gated-in terms, and adds
- * its terms in ascending k exactly as ChunkAccumulator does; only
- * independent outputs run side by side, so no sum is reordered. The
- * block's state lives in two LaneHalf register sets for the whole k
- * loop, and every step is branch-free over the lanes.
- *
- * binary32 arithmetic gives the scalar path's bits. ChunkAccumulator
- * computes float(double(acc) + double(a) * double(b)); here it is
- * acc + a * b in binary32. (1) The product is exact in binary32: FP8
- * and DLFloat16 values carry at most 10 significant bits, so a product
- * carries at most 20, and every product of two nonzero values of those
- * formats lies within [2^-62, 2^66], inside the binary32 normal range.
- * (2) acc and the product are binary32 values, and for a sum of two
- * such values rounding to binary64 and then to binary32 equals
- * rounding straight to binary32, since 53 >= 2 * 24 + 2. An FMA
- * contraction of acc + a * b changes nothing either, as the product
- * is exact. The folds are binary32 adds in both paths.
- */
-template <Rounding Mode, bool Fp32Outer>
 void
-chunkedGemmKernel(const float *qa, const float *qb, int64_t m, int64_t k,
-                  int64_t n, int64_t ldb, size_t chunk_size, float *out)
+chunkedGemmBaseline(const float *qa, const float *qb, int64_t m, int64_t k,
+                    int64_t n, int64_t ldb, const ExecConfig &cfg,
+                    float *out)
 {
-    // A lane folds when its gated-in count reaches this; a chunk longer
-    // than the reduction never folds before the end.
-    const uint32_t limit =
-        uint32_t(std::min(chunk_size, size_t(k) + 1));
-    for (int64_t i = 0; i < m; ++i) {
-        const float *a_row = qa + i * k;
-        for (int64_t j0 = 0; j0 < n; j0 += kLanes) {
-            LaneHalf lo, hi;
-            for (int64_t kk = 0; kk < k; ++kk) {
-                const float a = a_row[kk];
-                if (isZero(a))
-                    continue; // gates every lane's FMA at this k
-                const FloatLanes av = {a, a, a, a};
-                const float *b = qb + kk * ldb + j0;
-                accumulate<Mode, Fp32Outer>(lo, av, loadLanes(b), limit);
-                accumulate<Mode, Fp32Outer>(hi, av, loadLanes(b + kHalf),
-                                            limit);
-            }
-            // The last fold, the finiteness backstop and the output
-            // rounding (padding lanes hold +0).
-            const BitLanes total_lo = lastFold<Mode, Fp32Outer>(lo);
-            const BitLanes total_hi = lastFold<Mode, Fp32Outer>(hi);
-            const MaskLanes non_finite =
-                ((total_lo & 0x7f800000u) == 0x7f800000u) |
-                ((total_hi & 0x7f800000u) == 0x7f800000u);
-            RAPID_CHECK_NUMERIC((non_finite[0] | non_finite[1] |
-                                 non_finite[2] | non_finite[3]) == 0,
-                                "non-finite chunked dot product over ", k,
-                                " elements: a poisoned operand reached "
-                                "the training accumulation");
-            const BitLanes rounded[] = {dlfloat16RoundLanes<Mode>(total_lo),
-                                        dlfloat16RoundLanes<Mode>(total_hi)};
-            std::memcpy(out + i * n + j0, rounded,
-                        size_t(std::min(kLanes, n - j0)) * sizeof(float));
-        }
-    }
+    chunkedGemmLanes<4>(qa, qb, m, k, n, ldb, cfg, out);
+}
+
+/** The lane GEMM of the calling thread: a LaneGemmScope's, else the
+ *  widest this CPU executes, picked on first use. */
+const LaneGemm &
+activeLaneGemm()
+{
+    static const LaneGemm picked =
+        cpuRunsLanes(16)  ? LaneGemm{16, &chunkedGemmAvx512}
+        : cpuRunsLanes(8) ? LaneGemm{8, &chunkedGemmAvx2}
+                          : LaneGemm{4, &chunkedGemmBaseline};
+    const LaneGemm *scoped = LaneGemmScope::active();
+    return scoped ? *scoped : picked;
 }
 
 /** Call @p fn with @p rounding as a compile-time constant, and return
@@ -267,24 +185,54 @@ allFinite(const float *v, int64_t n)
     return std::all_of(v, v + n, [](float x) { return std::isfinite(x); });
 }
 
+/** The (@p cols, @p rows) transpose of the row-major @p src (row
+ *  stride @p lds) into @p dst (row stride @p ldd), in square tiles
+ *  whose rows of @p dst are written in order. */
+void
+transposeInto(const float *src, int64_t rows, int64_t cols, int64_t lds,
+              float *dst, int64_t ldd)
+{
+    constexpr int64_t kTile = 16;
+    for (int64_t r0 = 0; r0 < rows; r0 += kTile) {
+        const int64_t r1 = std::min(rows, r0 + kTile);
+        for (int64_t c0 = 0; c0 < cols; c0 += kTile)
+            for (int64_t c = c0; c < std::min(cols, c0 + kTile); ++c)
+                for (int64_t r = r0; r < r1; ++r)
+                    dst[c * ldd + r] = src[r * lds + c];
+    }
+}
+
+/**
+ * Whether an (M,K) x (K,N) GEMM on @p lanes runs as C^T = B^T A^T: an
+ * output narrower than one lane vector and taller than it is wide, so
+ * that M fills the lanes instead of N. Each output keeps the same exact
+ * products, gated by the same zeros, in the same ascending k, so its
+ * bits do not change.
+ */
+bool
+swapsRoles(const LaneGemm &lanes, int64_t m, int64_t n)
+{
+    return n < lanes.half && m > n;
+}
+
 /**
  * (M,K) x (K,N) GEMM of quantized operands with chunked DLFloat16
- * accumulation: chunkedDot() of row i of @p qa and column j of @p qb
- * for every output. @p qb has row stride @p ldb, a whole number of
- * lane blocks, and its padding columns are zero.
+ * accumulation on @p lanes: chunkedDot() of row i of @p qa and column
+ * j of @p qb for every output. @p qb has row stride @p ldb; unless the
+ * GEMM swapsRoles(), that is a whole number of @p lanes blocks and the
+ * padding columns are zero.
  */
 void
 chunkedGemm(const float *qa, const float *qb, int64_t m, int64_t k,
-            int64_t n, int64_t ldb, const ExecConfig &cfg, float *out)
+            int64_t n, int64_t ldb, const LaneGemm &lanes,
+            const ExecConfig &cfg, float *out)
 {
     if (!allFinite(qa, m * k) || !allFinite(qb, k * ldb)) {
         // A poisoned operand: the scalar path gates a NaN paired with a
         // zero through, and names the element of the first product
         // that faults.
         std::vector<float> qbt(size_t(n * k));
-        for (int64_t kk = 0; kk < k; ++kk)
-            for (int64_t j = 0; j < n; ++j)
-                qbt[size_t(j * k + kk)] = qb[kk * ldb + j];
+        transposeInto(qb, k, n, ldb, qbt.data(), k);
         for (int64_t i = 0; i < m; ++i)
             for (int64_t j = 0; j < n; ++j)
                 out[i * n + j] = chunkedDot(qa + i * k,
@@ -294,22 +242,26 @@ chunkedGemm(const float *qa, const float *qb, int64_t m, int64_t k,
     rapid_assert(cfg.chunk_size >= 1, "chunk size must be positive");
     rapid_assert(k < int64_t(UINT32_MAX), "chunked GEMM reduction of ",
                  k, " terms overflows a lane count");
-    withRounding(cfg.rounding, [&](auto mode) {
-        constexpr Rounding kMode = decltype(mode)::value;
-        if (cfg.fp32_outer)
-            chunkedGemmKernel<kMode, true>(qa, qb, m, k, n, ldb,
-                                           cfg.chunk_size, out);
-        else
-            chunkedGemmKernel<kMode, false>(qa, qb, m, k, n, ldb,
-                                            cfg.chunk_size, out);
-    });
+    if (!swapsRoles(lanes, m, n)) {
+        lanes.run(qa, qb, m, k, n, ldb, cfg, out);
+        return;
+    }
+    std::vector<float> bt(size_t(n * k));
+    transposeInto(qb, k, n, ldb, bt.data(), k);
+    const int64_t ldm = laneStride(m, lanes.block());
+    std::vector<float> at(size_t(k * ldm), 0.0f);
+    transposeInto(qa, m, k, k, at.data(), ldm);
+    std::vector<float> ct(size_t(n * m));
+    lanes.run(bt.data(), at.data(), n, k, m, ldm, cfg, ct.data());
+    transposeInto(ct.data(), n, m, m, out, n);
 }
 
 /**
  * chunkedGemm() of the rank-2 (M,K) @p a and (K,N) @p b, each rounded
  * once on the way in: A by @p round_a in a dense copy, B by @p round_b
  * after its rows are copied straight into rows padded to whole lane
- * blocks (the zero padding rounds to zero and is gated off).
+ * blocks (the zero padding rounds to zero and is gated off), or dense
+ * when the GEMM swapsRoles().
  */
 template <typename RoundA, typename RoundB>
 Tensor
@@ -320,15 +272,17 @@ roundedGemm(const Tensor &a, RoundA round_a, const Tensor &b,
                  "chunked GEMM operands must be rank-2");
     const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
     rapid_assert(b.dim(0) == k, "chunked GEMM inner-dimension mismatch");
+    const LaneGemm &lanes = activeLaneGemm();
     std::vector<float> qa(a.data(), a.data() + m * k);
     roundInPlace(qa.data(), m * k, round_a);
-    const int64_t ldb = laneStride(n, kLanes);
+    const int64_t ldb =
+        swapsRoles(lanes, m, n) ? n : laneStride(n, lanes.block());
     std::vector<float> qb(size_t(k * ldb), 0.0f);
     for (int64_t kk = 0; kk < k; ++kk)
         std::copy_n(b.data() + kk * n, n, qb.data() + kk * ldb);
     roundInPlace(qb.data(), k * ldb, round_b);
     Tensor out({m, n});
-    chunkedGemm(qa.data(), qb.data(), m, k, n, ldb, cfg, out.data());
+    chunkedGemm(qa.data(), qb.data(), m, k, n, ldb, lanes, cfg, out.data());
     return out;
 }
 
@@ -495,6 +449,12 @@ checkFxuWidth(const PactQuantizer &act_q, const SawbQuantizer &wt_q,
 
 } // namespace
 
+int64_t
+chunkedGemmLaneWidth()
+{
+    return activeLaneGemm().half;
+}
+
 ConvShape
 convShape(const Tensor &input, const std::vector<int64_t> &kernel,
           const ConvParams &p)
@@ -612,10 +572,11 @@ fp16Conv2d(const Tensor &input, const Tensor &weight,
     const Tensor qw = quantizeTensorFp16(weight, cfg.rounding);
     // The weights take the A side: products are exact and commute, and
     // each output still adds its terms in the receptive field's order.
-    return lowerConv(qi.data(), qw.data(), s, kLanes,
+    const LaneGemm &lanes = activeLaneGemm();
+    return lowerConv(qi.data(), qw.data(), s, lanes.block(),
                      [&](const float *w, const float *cols, int64_t m,
                          int64_t k, int64_t n, int64_t ld, float *out) {
-                         chunkedGemm(w, cols, m, k, n, ld, cfg, out);
+                         chunkedGemm(w, cols, m, k, n, ld, lanes, cfg, out);
                      });
 }
 

@@ -36,6 +36,13 @@ struct ExecConfig
     Rounding rounding = Rounding::NearestEven;
 };
 
+/**
+ * The lane half-width W, in floats, of the calling thread's FP16 and
+ * HFP8 GEMM kernel: 16 on a CPU with AVX-512 F/DQ/BW/VL, 8 with AVX2,
+ * else 4. Picked once per process; every width gives the same bits.
+ */
+int64_t chunkedGemmLaneWidth();
+
 /** FP16 (DLFloat16) GEMM: (M,K) x (K,N), FP16-rounded accumulation. */
 Tensor fp16Matmul(const Tensor &a, const Tensor &b,
                   const ExecConfig &cfg = {});

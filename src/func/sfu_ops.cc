@@ -64,27 +64,6 @@ fastReciprocal(float x)
 }
 
 float
-fastRsqrt(float x)
-{
-    rapid_assert(x > 0.0f, "fastRsqrt of non-positive value");
-    // The classic 0x5f3759df seed plus two Newton steps.
-    uint32_t bits = std::bit_cast<uint32_t>(x);
-    bits = 0x5f3759dfu - (bits >> 1);
-    float y = std::bit_cast<float>(bits);
-    y = y * (1.5f - 0.5f * x * y * y);
-    y = y * (1.5f - 0.5f * x * y * y);
-    return y;
-}
-
-float
-fastSqrt(float x)
-{
-    if (std::fpclassify(x) == FP_ZERO)
-        return 0.0f;
-    return x * fastRsqrt(x);
-}
-
-float
 fastSigmoid(float x)
 {
     // sigmoid(-x) = 1 - sigmoid(x): evaluate on the stable side.
@@ -94,21 +73,6 @@ fastSigmoid(float x)
     }
     const float e = fastExp(x);
     return e * fastReciprocal(1.0f + e);
-}
-
-float
-fastTanh(float x)
-{
-    // tanh(x) = 2*sigmoid(2x) - 1.
-    return 2.0f * fastSigmoid(2.0f * x) - 1.0f;
-}
-
-float
-fastGelu(float x)
-{
-    // tanh-form GELU: 0.5x(1 + tanh(sqrt(2/pi)(x + 0.044715 x^3))).
-    const float u = 0.7978845608f * (x + 0.044715f * x * x * x);
-    return 0.5f * x * (1.0f + fastTanh(u));
 }
 
 } // namespace sfu

@@ -3,10 +3,11 @@
  * SFU function library (Section III-B): the Special Function Units
  * provide both *accurate* and *fast* versions of the non-linear
  * functions — sqrt, exp, ln, tanh, sigmoid, and reciprocal are
- * "realized using approximations". The fast versions here use the
- * range-reduction + low-degree-polynomial schemes a hardware SFU
- * implements, evaluated in FP32 and emitted as DLFloat16, and carry
- * accuracy guarantees proven by the test suite.
+ * "realized using approximations". The fast versions here (exp, ln,
+ * reciprocal and sigmoid) use the range-reduction +
+ * low-degree-polynomial schemes a hardware SFU implements, evaluated
+ * in FP32 and emitted as DLFloat16, and carry accuracy guarantees
+ * proven by the test suite.
  */
 
 #ifndef RAPID_FUNC_SFU_OPS_HH
@@ -35,18 +36,8 @@ float fastLog(float x);
 /** Fast reciprocal: Newton-Raphson on a bit-trick seed (2 steps). */
 float fastReciprocal(float x);
 
-/** Fast inverse square root (2 Newton steps); sqrt = x * rsqrt(x). */
-float fastRsqrt(float x);
-float fastSqrt(float x);
-
 /** Fast sigmoid built on fastExp with symmetric range reduction. */
 float fastSigmoid(float x);
-
-/** Fast tanh via the sigmoid identity. */
-float fastTanh(float x);
-
-/** Fast GELU (tanh form), the BERT activation. */
-float fastGelu(float x);
 
 } // namespace sfu
 

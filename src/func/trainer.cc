@@ -91,10 +91,9 @@ injectFaults(TrainGemm &g, Tensor &out)
     const uint64_t base = g.fault_item;
     g.fault_item += uint64_t(n);
     g.fault_stats.sampled += uint64_t(n);
-    for (int64_t i = 0; i < n; ++i) {
-        const uint64_t item = base + uint64_t(i);
-        if (!g.injector->hashEventDraw(FaultSite::TrainerGemm, item))
-            continue;
+    for (const uint64_t i : g.injector->hashEventHits(FaultSite::TrainerGemm,
+                                                      base, uint64_t(n))) {
+        const uint64_t item = base + i;
         ++g.fault_stats.injected;
         Rng rng = g.injector->stream(FaultSite::TrainerGemm, item);
         const FaultOutcome hit = g.injector->resolveProtection(

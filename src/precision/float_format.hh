@@ -252,36 +252,35 @@ dlfloat16RoundBits(uint32_t in)
 }
 
 /**
- * dlfloat16RoundBits<Mode>() of four binary32 patterns. With
- * @p NonFinite false the caller promises finite inputs, so the NaN
- * select is dropped (an Inf lane saturates instead), and the round sum
- * stays below 2^31.
+ * dlfloat16RoundBits<Mode>() of a lane vector of binary32 patterns (any
+ * width, common/lanes.hh). With @p NonFinite false the caller promises
+ * finite inputs, so the NaN select is dropped (an Inf lane saturates
+ * instead), and the round sum stays below 2^31.
  */
-template <Rounding Mode, bool NonFinite = false>
-inline BitLanes
-dlfloat16RoundLanes(BitLanes in)
+template <Rounding Mode, bool NonFinite = false, typename Bits>
+[[gnu::always_inline]] inline Bits
+dlfloat16RoundLanes(const Bits &in)
 {
     constexpr int32_t kZeroAlias = 96 << 23;
     constexpr int32_t kMaxFinite = (158 << 23) | 0x007fc000;
-    const BitLanes sign = in & 0x80000000u;
-    const BitLanes mag = in & 0x7fffffffu;
-    BitLanes x = mag;
+    const Bits sign = in & 0x80000000u;
+    const Bits mag = in & 0x7fffffffu;
+    Bits x = mag;
     if constexpr (Mode == Rounding::NearestUp)
         x += 1u << 13;
     else if constexpr (Mode == Rounding::NearestEven)
         x += (1u << 13) - 1 + ((x >> 14) & 1u);
-    const BitLanes r = x & ~0x3fffu;
-    const MaskLanes signed_r = std::bit_cast<MaskLanes>(r);
-    const BitLanes sat = selectLanes(signed_r > kMaxFinite,
-                                     BitLanes{} + uint32_t(kMaxFinite), r);
+    const Bits r = x & ~0x3fffu;
+    using Mask = decltype(x > r); // signed lanes of the same width
+    const Mask signed_r = lanesAs<Mask>(r);
+    const Bits sat = selectLanes(signed_r > kMaxFinite,
+                                 Bits{} + uint32_t(kMaxFinite), r);
     // Everything that rounds to 2^-31 or below flushes to a signed
     // zero.
-    const BitLanes val =
-        sign | (sat & std::bit_cast<BitLanes>(
-                          std::bit_cast<MaskLanes>(sat) > kZeroAlias));
+    const Bits val =
+        sign | (sat & lanesAs<Bits>(lanesAs<Mask>(sat) > kZeroAlias));
     if constexpr (NonFinite)
-        return selectLanes(mag >= 0x7f800000u, BitLanes{} + 0x7fc00000u,
-                           val);
+        return selectLanes(mag >= 0x7f800000u, Bits{} + 0x7fc00000u, val);
     else
         return val;
 }

@@ -14,6 +14,14 @@ namespace rapid {
 
 namespace {
 
+/** Output columns a rowPass() block carries in registers: two halves
+ *  of kHalf lanes, one SSE2 register each. */
+constexpr int kHalf = 4;
+constexpr int64_t kLanes = 2 * kHalf;
+using Floats = FloatLanes<kHalf>;
+using Bits = BitLanes<kHalf>;
+using Mask = MaskLanes<kHalf>;
+
 /**
  * MpeDatapath::fp16Fma() of four lanes on operands that are already
  * DLFloat16 or FP9 values, and a scalar a: acc + a * b rounded to
@@ -29,15 +37,15 @@ namespace {
  * merged NaN.
  */
 inline void
-fmaLanes(FloatLanes &acc, BitLanes &issued, FloatLanes a, FloatLanes b)
+fmaLanes(Floats &acc, Bits &issued, Floats a, Floats b)
 {
-    const MaskLanes on = (std::bit_cast<BitLanes>(b) & 0x7fffffffu) != 0;
-    const BitLanes rounded =
+    const Mask on = (std::bit_cast<Bits>(b) & 0x7fffffffu) != 0;
+    const Bits rounded =
         dlfloat16RoundLanes<Rounding::NearestEven, true>(
-            std::bit_cast<BitLanes>(acc + a * b));
-    acc = std::bit_cast<FloatLanes>(
-        selectLanes(on, rounded, std::bit_cast<BitLanes>(acc)));
-    issued -= std::bit_cast<BitLanes>(on);
+            std::bit_cast<Bits>(acc + a * b));
+    acc = std::bit_cast<Floats>(
+        selectLanes(on, rounded, std::bit_cast<Bits>(acc)));
+    issued -= std::bit_cast<Bits>(on);
 }
 
 /** fmaLanes() of one lane. */
@@ -65,19 +73,20 @@ rowPass(const float *a, const float *b, int64_t ldb, int64_t depth,
     uint64_t issued = 0;
     int64_t j0 = 0;
     for (; j0 + kLanes <= width; j0 += kLanes) {
-        FloatLanes lo = loadLanes(c + j0), hi = loadLanes(c + j0 + kHalf);
-        BitLanes issued_lo{}, issued_hi{};
+        Floats lo = loadLanes<kHalf>(c + j0),
+               hi = loadLanes<kHalf>(c + j0 + kHalf);
+        Bits issued_lo{}, issued_hi{};
         for (int64_t ki = 0; ki < depth; ++ki) {
             if ((std::bit_cast<uint32_t>(a[ki]) & 0x7fffffffu) == 0)
                 continue; // gates every lane at this ki
-            const FloatLanes av = FloatLanes{} + a[ki];
+            const Floats av = Floats{} + a[ki];
             const float *b_row = b + ki * ldb + j0;
-            fmaLanes(lo, issued_lo, av, loadLanes(b_row));
-            fmaLanes(hi, issued_hi, av, loadLanes(b_row + kHalf));
+            fmaLanes(lo, issued_lo, av, loadLanes<kHalf>(b_row));
+            fmaLanes(hi, issued_hi, av, loadLanes<kHalf>(b_row + kHalf));
         }
         std::memcpy(c + j0, &lo, sizeof(lo));
         std::memcpy(c + j0 + kHalf, &hi, sizeof(hi));
-        const BitLanes lanes = issued_lo + issued_hi;
+        const Bits lanes = issued_lo + issued_hi;
         issued += lanes[0] + lanes[1] + lanes[2] + lanes[3];
     }
     for (; j0 < width; ++j0)

@@ -6,9 +6,14 @@
  * stage is exact (Section III-A.2).
  */
 
+// The lane rounder runs here at every width (common/lanes.hh).
+#pragma GCC diagnostic ignored "-Wpsabi"
+
 #include <bit>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -607,45 +612,104 @@ TEST(BitDirectQuantize, MatchesCodecOnStridedBinary32Sweep)
             << "dlfloat16RoundBits mode " << int(mode);
 }
 
-/** dlfloat16RoundLanes<Mode, NonFinite>() at a runtime rounding mode,
- *  with @p in in lane @p lane and the other lanes holding other inputs. */
-template <bool NonFinite>
-uint32_t
-dlfloat16RoundLanesAt(Rounding mode, uint32_t in, int lane)
+/** dlfloat16RoundLanes<Mode, NonFinite>() at a runtime rounding mode
+ *  of the @p n patterns at @p in (a multiple of @p W), W at a time. */
+template <int W, bool NonFinite>
+[[gnu::always_inline]] inline void
+roundLanesOf(Rounding mode, const uint32_t *in, uint32_t *out, size_t n)
 {
-    BitLanes v = {0x3f800000u, 0xff800000u, 0x00000001u, 0x7fc00000u};
-    v[lane] = in;
-    switch (mode) {
-      case Rounding::NearestUp:
-        return dlfloat16RoundLanes<Rounding::NearestUp, NonFinite>(v)[lane];
-      case Rounding::Truncate:
-        return dlfloat16RoundLanes<Rounding::Truncate, NonFinite>(v)[lane];
-      case Rounding::NearestEven:
-        break;
+    for (size_t i = 0; i < n; i += W) {
+        BitLanes<W> v;
+        std::memcpy(&v, in + i, sizeof(v));
+        switch (mode) {
+          case Rounding::NearestUp:
+            v = dlfloat16RoundLanes<Rounding::NearestUp, NonFinite>(v);
+            break;
+          case Rounding::Truncate:
+            v = dlfloat16RoundLanes<Rounding::Truncate, NonFinite>(v);
+            break;
+          case Rounding::NearestEven:
+            v = dlfloat16RoundLanes<Rounding::NearestEven, NonFinite>(v);
+            break;
+        }
+        std::memcpy(out + i, &v, sizeof(v));
     }
-    return dlfloat16RoundLanes<Rounding::NearestEven, NonFinite>(v)[lane];
 }
 
-/** The lane rounder gives the scalar rounder's bits in every lane: for
- *  every input when it takes non-finite lanes, for every finite input
- *  when it does not. */
+RAPID_TARGET_AVX512 void
+roundLanes16(bool non_finite, Rounding mode, const uint32_t *in,
+             uint32_t *out, size_t n)
+{
+    if (non_finite)
+        roundLanesOf<16, true>(mode, in, out, n);
+    else
+        roundLanesOf<16, false>(mode, in, out, n);
+}
+
+RAPID_TARGET_AVX2 void
+roundLanes8(bool non_finite, Rounding mode, const uint32_t *in,
+            uint32_t *out, size_t n)
+{
+    if (non_finite)
+        roundLanesOf<8, true>(mode, in, out, n);
+    else
+        roundLanesOf<8, false>(mode, in, out, n);
+}
+
+void
+roundLanes4(bool non_finite, Rounding mode, const uint32_t *in,
+            uint32_t *out, size_t n)
+{
+    if (non_finite)
+        roundLanesOf<4, true>(mode, in, out, n);
+    else
+        roundLanesOf<4, false>(mode, in, out, n);
+}
+
+/** The lane rounder at one width, compiled for that width's target. */
+struct LaneRounder
+{
+    int width;
+    void (*round)(bool non_finite, Rounding mode, const uint32_t *in,
+                  uint32_t *out, size_t n);
+};
+
+/** The lane rounder gives the scalar rounder's bits in every lane at
+ *  every lane width the CPU executes: for every input when it takes
+ *  non-finite lanes, for every finite input when it does not. */
 TEST(BitDirectQuantize, LaneRounderMatchesScalarRounder)
 {
     std::vector<uint32_t> inputs = roundingClassInputs();
     for (uint64_t in = 0; in < (uint64_t(1) << 32); in += 4099)
         inputs.push_back(uint32_t(in));
-    for (Rounding mode : kModes) {
-        size_t bad = 0;
-        for (size_t i = 0; i < inputs.size(); ++i) {
-            const uint32_t in = inputs[i];
-            const int lane = int(i % 4);
-            const uint32_t want = dlfloat16RoundBitsAt(mode, in);
-            bad += dlfloat16RoundLanesAt<true>(mode, in, lane) != want;
-            if ((in & 0x7fffffffu) < 0x7f800000u)
-                bad += dlfloat16RoundLanesAt<false>(mode, in, lane) != want;
+    inputs.resize((inputs.size() + 15) / 16 * 16, 0x3f800000u);
+    std::vector<uint32_t> got(inputs.size());
+    std::string missing;
+    for (const LaneRounder &r : {LaneRounder{16, &roundLanes16},
+                                 LaneRounder{8, &roundLanes8},
+                                 LaneRounder{4, &roundLanes4}}) {
+        if (!cpuRunsLanes(r.width)) {
+            missing += " " + std::to_string(r.width);
+            continue;
         }
-        EXPECT_EQ(bad, 0u) << "mode " << int(mode);
+        for (Rounding mode : kModes) {
+            for (bool non_finite : {true, false}) {
+                r.round(non_finite, mode, inputs.data(), got.data(),
+                        inputs.size());
+                size_t bad = 0;
+                for (size_t i = 0; i < inputs.size(); ++i)
+                    if (non_finite ||
+                        (inputs[i] & 0x7fffffffu) < 0x7f800000u)
+                        bad += got[i] != dlfloat16RoundBitsAt(mode, inputs[i]);
+                EXPECT_EQ(bad, 0u)
+                    << "lane width " << r.width << ", mode " << int(mode)
+                    << ", non-finite lanes " << non_finite;
+            }
+        }
     }
+    if (!missing.empty())
+        GTEST_SKIP() << "lane width(s)" << missing
+                     << " not executable on this CPU";
 }
 
 } // namespace

@@ -6,6 +6,9 @@
  * (Sections II-B and II-C).
  */
 
+// The lane kernel runs here at every width (lane_widths.hh).
+#pragma GCC diagnostic ignored "-Wpsabi"
+
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -13,6 +16,7 @@
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -25,6 +29,7 @@
 #include "func/datasets.hh"
 #include "func/quantized_ops.hh"
 #include "func/trainer.hh"
+#include "lane_widths.hh"
 #include "rounding_classes.hh"
 
 namespace rapid {
@@ -372,112 +377,52 @@ constexpr std::pair<Fp8Kind, Fp8Kind> kBwdBwd{Fp8Kind::Backward,
 
 TEST(ChunkedGemmOracle, GaussianBitIdentical)
 {
-    EXPECT_EQ(sweepOracle(Fill::Gaussian, {kFwdFwd, kBwdFwd}).mismatches,
-              0);
+    RAPID_AT_EVERY_LANE_WIDTH([] {
+        EXPECT_EQ(sweepOracle(Fill::Gaussian, {kFwdFwd, kBwdFwd}).mismatches,
+                  0);
+    });
 }
 
 TEST(ChunkedGemmOracle, SignedZerosAndGatedLanesBitIdentical)
 {
-    EXPECT_EQ(sweepOracle(Fill::Zeros, {kFwdFwd, kBwdFwd}).mismatches, 0);
+    RAPID_AT_EVERY_LANE_WIDTH([] {
+        EXPECT_EQ(sweepOracle(Fill::Zeros, {kFwdFwd, kBwdFwd}).mismatches, 0);
+    });
 }
 
 TEST(ChunkedGemmOracle, Fp8SubnormalsBitIdentical)
 {
-    EXPECT_EQ(sweepOracle(Fill::Subnormal, {kFwdFwd, kBwdBwd}).mismatches,
-              0);
+    RAPID_AT_EVERY_LANE_WIDTH([] {
+        EXPECT_EQ(sweepOracle(Fill::Subnormal, {kFwdFwd, kBwdBwd}).mismatches,
+                  0);
+    });
 }
 
 TEST(ChunkedGemmOracle, SaturatingSumsBitIdentical)
 {
-    const OracleSweep s = sweepOracle(Fill::Saturating, {kBwdBwd});
-    EXPECT_EQ(s.mismatches, 0);
-    EXPECT_GT(s.saturated, 0) << "no sum reached DLFloat16 max";
+    RAPID_AT_EVERY_LANE_WIDTH([] {
+        const OracleSweep s = sweepOracle(Fill::Saturating, {kBwdBwd});
+        EXPECT_EQ(s.mismatches, 0);
+        EXPECT_GT(s.saturated, 0) << "no sum reached DLFloat16 max";
+    });
 }
 
 TEST(ChunkedGemmOracle, CancellingRowsBitIdentical)
 {
-    EXPECT_EQ(sweepOracle(Fill::Cancelling, {kFwdFwd}).mismatches, 0);
+    RAPID_AT_EVERY_LANE_WIDTH([] {
+        EXPECT_EQ(sweepOracle(Fill::Cancelling, {kFwdFwd}).mismatches, 0);
+    });
 }
 
 TEST(ChunkedGemmOracle, TiesAtBit14BitIdentical)
 {
-    const OracleSweep s = sweepOracle(Fill::Ties, {kFwdFwd});
-    EXPECT_EQ(s.mismatches, 0);
-    // The two nearest modes differ only at ties, so this proves the
-    // fill reached them.
-    EXPECT_GT(s.mode_differences, 0) << "no accumulate tied";
-}
-
-/**
- * Lanes of one block whose chunks fold at different k: column c of B
- * is zero with probability c / 2n, so the gated-in counts of the
- * lanes drift apart along k. Every shape x chunk x mode x outer
- * precision, HFP8 and FP16, against the oracle.
- */
-TEST(ChunkedGemmOracle, DivergentLaneCountsBitIdentical)
-{
-    Rng rng(79);
-    constexpr int64_t n = 19; // two whole lane blocks and a part one
-    for (int64_t k : {63, 64, 65, 160, 200}) {
-        Tensor b = randomTensor(rng, {k, n});
-        std::vector<int64_t> live(size_t(n), 0);
-        for (int64_t r = 0; r < k; ++r) {
-            for (int64_t c = 0; c < n; ++c) {
-                if (rng.uniform() < double(c) / double(2 * n))
-                    b.at(r, c) = 0.0f;
-                live[size_t(c)] += b.at(r, c) != 0.0f;
-            }
-        }
-        // The ramp must split the first block's lanes, or every lane
-        // would fold at the same k.
-        EXPECT_NE(*std::min_element(live.begin(), live.begin() + 8),
-                  *std::max_element(live.begin(), live.begin() + 8));
-        for (int64_t m : {1, 3, 5}) {
-            const Tensor a = randomTensor(rng, {m, k});
-            for (size_t chunk : {size_t(1), size_t(3), size_t(64)}) {
-                for (bool fp32_outer : {true, false}) {
-                    for (Rounding mode : kOracleModes) {
-                        ExecConfig cfg;
-                        cfg.chunk_size = chunk;
-                        cfg.fp32_outer = fp32_outer;
-                        cfg.rounding = mode;
-                        for (const GemmRun &r :
-                             {runHfp8(a, Fp8Kind::Forward, b,
-                                      Fp8Kind::Forward, cfg),
-                              runFp16(a, b, cfg)})
-                            EXPECT_EQ(bitMismatches(r.got, r.want), 0)
-                                << "m=" << m << " k=" << k
-                                << " chunk=" << chunk << " fp32_outer="
-                                << fp32_outer << " mode=" << int(mode);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/** A poisoned operand whose every product is zero-gated: no throw, and
- *  the scalar path's bits. */
-TEST(ChunkedGemmOracle, GatedPoisonPassesThrough)
-{
-    Rng rng(77);
-    for (float poison : {std::numeric_limits<float>::quiet_NaN(),
-                         std::numeric_limits<float>::infinity()}) {
-        Tensor a = randomTensor(rng, {3, 65});
-        Tensor b = randomTensor(rng, {65, 9});
-        a.at(1, 10) = poison; // B row 10 is all zero
-        for (int64_t j = 0; j < 9; ++j)
-            b.at(10, j) = 0.0f;
-        b.at(20, 4) = -poison; // A column 20 is all zero
-        for (int64_t i = 0; i < 3; ++i)
-            a.at(i, 20) = -0.0f;
-        ExecConfig cfg;
-        GemmRun h = runHfp8(a, Fp8Kind::Forward, b, Fp8Kind::Backward,
-                            cfg);
-        EXPECT_EQ(bitMismatches(h.got, h.want), 0);
-        GemmRun f = runFp16(a, b, cfg);
-        EXPECT_EQ(bitMismatches(f.got, f.want), 0);
-    }
+    RAPID_AT_EVERY_LANE_WIDTH([] {
+        const OracleSweep s = sweepOracle(Fill::Ties, {kFwdFwd});
+        EXPECT_EQ(s.mismatches, 0);
+        // The two nearest modes differ only at ties, so this proves the
+        // fill reached them.
+        EXPECT_GT(s.mode_differences, 0) << "no accumulate tied";
+    });
 }
 
 /** The NumericFault message() of @p fn, or "" if it does not throw. */
@@ -494,38 +439,177 @@ numericFault(Fn &&fn)
     return "";
 }
 
+/**
+ * Lanes of one block whose chunks fold at different k: column c of B
+ * is zero with probability (c mod 32) / 64, so the gated-in counts of
+ * the lanes of every block drift apart along k. Widths n straddle the
+ * block of every lane width (8, 16, 32 columns). Every shape x chunk x
+ * mode x outer precision, HFP8 and FP16, against the oracle.
+ */
+TEST(ChunkedGemmOracle, DivergentLaneCountsBitIdentical)
+{
+    RAPID_AT_EVERY_LANE_WIDTH([] {
+        Rng rng(79);
+        for (int64_t n : {1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 160}) {
+            for (int64_t k : {63, 64, 65, 160, 200}) {
+                Tensor b = randomTensor(rng, {k, n});
+                std::vector<int64_t> live(size_t(n), 0);
+                for (int64_t r = 0; r < k; ++r) {
+                    for (int64_t c = 0; c < n; ++c) {
+                        if (rng.uniform() < double(c % 32) / 64.0)
+                            b.at(r, c) = 0.0f;
+                        live[size_t(c)] += b.at(r, c) != 0.0f;
+                    }
+                }
+                // The ramp must split the first block's lanes, or every
+                // lane would fold at the same k.
+                const auto first = live.begin() + std::min<int64_t>(n, 8);
+                if (n > 1) {
+                    EXPECT_NE(*std::min_element(live.begin(), first),
+                              *std::max_element(live.begin(), first));
+                }
+                for (int64_t m : {1, 3, 5}) {
+                    const Tensor a = randomTensor(rng, {m, k});
+                    for (size_t chunk : {size_t(1), size_t(3), size_t(64)}) {
+                        for (bool fp32_outer : {true, false}) {
+                            for (Rounding mode : kOracleModes) {
+                                ExecConfig cfg;
+                                cfg.chunk_size = chunk;
+                                cfg.fp32_outer = fp32_outer;
+                                cfg.rounding = mode;
+                                for (const GemmRun &r :
+                                     {runHfp8(a, Fp8Kind::Forward, b,
+                                              Fp8Kind::Forward, cfg),
+                                      runFp16(a, b, cfg)})
+                                    EXPECT_EQ(bitMismatches(r.got, r.want),
+                                              0)
+                                        << "m=" << m << " k=" << k
+                                        << " n=" << n << " chunk=" << chunk
+                                        << " fp32_outer=" << fp32_outer
+                                        << " mode=" << int(mode);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    });
+}
+
+/**
+ * Outputs narrower than a lane vector and taller than wide, which run
+ * as C^T = B^T A^T: the training MLP's N = 2 shapes among others, with
+ * signed zeros in both operands, every chunk size, outer precision and
+ * mode, HFP8 and FP16, against the oracle. A poisoned operand still
+ * names the element of the unswapped orientation.
+ */
+TEST(ChunkedGemmOracle, NarrowOutputsSwapOperandRolesBitIdentical)
+{
+    RAPID_AT_EVERY_LANE_WIDTH([] {
+        Rng rng(80);
+        for (auto [m, k, n] : {std::tuple<int64_t, int64_t, int64_t>{32, 160, 2},
+                               {160, 32, 2},
+                               {9, 65, 1},
+                               {17, 64, 3},
+                               {33, 1, 7},
+                               {40, 200, 15}}) {
+            Tensor a({m, k}), b({k, n});
+            fillOperand(a, Fill::Zeros, rng, true);
+            fillOperand(b, Fill::Zeros, rng, false);
+            for (size_t chunk : kOracleChunks) {
+                for (bool fp32_outer : {true, false}) {
+                    for (Rounding mode : kOracleModes) {
+                        ExecConfig cfg;
+                        cfg.chunk_size = chunk;
+                        cfg.fp32_outer = fp32_outer;
+                        cfg.rounding = mode;
+                        for (const GemmRun &r :
+                             {runHfp8(a, Fp8Kind::Backward, b,
+                                      Fp8Kind::Forward, cfg),
+                              runFp16(a, b, cfg)})
+                            EXPECT_EQ(bitMismatches(r.got, r.want), 0)
+                                << "m=" << m << " k=" << k << " n=" << n
+                                << " chunk=" << chunk
+                                << " fp32_outer=" << fp32_outer
+                                << " mode=" << int(mode);
+                    }
+                }
+            }
+        }
+        // Row-major, output (0, 1) faults first, at k = 30; column-major
+        // it would be output (5, 0), at k = 70.
+        Tensor a = randomTensor(rng, {32, 160});
+        Tensor b = randomTensor(rng, {160, 2});
+        a.at(5, 70) = std::numeric_limits<float>::quiet_NaN();
+        b.at(30, 1) = std::numeric_limits<float>::infinity();
+        const std::string fault =
+            numericFault([&] { fp16Matmul(a, b, ExecConfig{}); });
+        EXPECT_NE(fault.find("element 30 of a 160-element"),
+                  std::string::npos)
+            << fault;
+    });
+}
+
+/** A poisoned operand whose every product is zero-gated: no throw, and
+ *  the scalar path's bits. */
+TEST(ChunkedGemmOracle, GatedPoisonPassesThrough)
+{
+    RAPID_AT_EVERY_LANE_WIDTH([] {
+        Rng rng(77);
+        for (float poison : {std::numeric_limits<float>::quiet_NaN(),
+                             std::numeric_limits<float>::infinity()}) {
+            Tensor a = randomTensor(rng, {3, 65});
+            Tensor b = randomTensor(rng, {65, 9});
+            a.at(1, 10) = poison; // B row 10 is all zero
+            for (int64_t j = 0; j < 9; ++j)
+                b.at(10, j) = 0.0f;
+            b.at(20, 4) = -poison; // A column 20 is all zero
+            for (int64_t i = 0; i < 3; ++i)
+                a.at(i, 20) = -0.0f;
+            ExecConfig cfg;
+            GemmRun h = runHfp8(a, Fp8Kind::Forward, b, Fp8Kind::Backward,
+                                cfg);
+            EXPECT_EQ(bitMismatches(h.got, h.want), 0);
+            GemmRun f = runFp16(a, b, cfg);
+            EXPECT_EQ(bitMismatches(f.got, f.want), 0);
+        }
+    });
+}
+
 /** A poisoned operand that meets a nonzero one throws the oracle's
  *  NumericFault, naming the same element. */
 TEST(ChunkedGemmOracle, LivePoisonThrowsOracleFault)
 {
-    Rng rng(78);
-    for (float poison : {std::numeric_limits<float>::quiet_NaN(),
-                         -std::numeric_limits<float>::infinity()}) {
-        Tensor a = randomTensor(rng, {3, 65});
-        Tensor b = randomTensor(rng, {65, 9});
-        a.at(2, 33) = poison;
-        ExecConfig cfg;
-        const std::string want = numericFault([&] {
-            const FloatFormat fp8 = fp8Format(Fp8Kind::Forward, cfg);
-            referenceChunkedMatmul(quantizeEach(a, fp8, cfg.rounding),
-                                   quantizeEach(b, fp8, cfg.rounding), cfg);
-        });
-        EXPECT_NE(want.find("element 33 of a 65-element"),
-                  std::string::npos)
-            << want;
-        EXPECT_EQ(numericFault([&] {
-                      hfp8Matmul(a, Fp8Kind::Forward, b,
-                                 Fp8Kind::Forward, cfg);
-                  }),
-                  want);
-        const std::string want16 = numericFault([&] {
-            referenceChunkedMatmul(quantizeEach(a, dlfloat16(), cfg.rounding),
-                                   quantizeEach(b, dlfloat16(), cfg.rounding),
-                                   cfg);
-        });
-        EXPECT_EQ(want16, want);
-        EXPECT_EQ(numericFault([&] { fp16Matmul(a, b, cfg); }), want16);
-    }
+    RAPID_AT_EVERY_LANE_WIDTH([] {
+        Rng rng(78);
+        for (float poison : {std::numeric_limits<float>::quiet_NaN(),
+                             -std::numeric_limits<float>::infinity()}) {
+            Tensor a = randomTensor(rng, {3, 65});
+            Tensor b = randomTensor(rng, {65, 9});
+            a.at(2, 33) = poison;
+            ExecConfig cfg;
+            const std::string want = numericFault([&] {
+                const FloatFormat fp8 = fp8Format(Fp8Kind::Forward, cfg);
+                referenceChunkedMatmul(quantizeEach(a, fp8, cfg.rounding),
+                                       quantizeEach(b, fp8, cfg.rounding), cfg);
+            });
+            EXPECT_NE(want.find("element 33 of a 65-element"),
+                      std::string::npos)
+                << want;
+            EXPECT_EQ(numericFault([&] {
+                          hfp8Matmul(a, Fp8Kind::Forward, b,
+                                     Fp8Kind::Forward, cfg);
+                      }),
+                      want);
+            const std::string want16 = numericFault([&] {
+                referenceChunkedMatmul(quantizeEach(a, dlfloat16(), cfg.rounding),
+                                       quantizeEach(b, dlfloat16(), cfg.rounding),
+                                       cfg);
+            });
+            EXPECT_EQ(want16, want);
+            EXPECT_EQ(numericFault([&] { fp16Matmul(a, b, cfg); }), want16);
+        }
+    });
 }
 
 /** One FP8 tensor-quantize case: a kind and its forward bias. */
@@ -1375,85 +1459,89 @@ const TrainConvCase kTrainConvCases[] = {
 
 TEST(TrainConvOracle, BitIdenticalOverStridesPadsChunksModesAndFills)
 {
-    Rng rng(3000);
-    int64_t runs = 0;
-    for (const TrainConvCase &c : kTrainConvCases) {
-        const int64_t ho = convOutDim(c.h, 3, c.p.stride, c.p.pad);
-        const int64_t wo = convOutDim(c.w, 3, c.p.stride, c.p.pad);
-        for (Fill fill : {Fill::Gaussian, Fill::Zeros, Fill::Subnormal}) {
-            Tensor x({c.n, c.ci, c.h, c.w}), w({c.co, c.ci * 9}),
-                b({c.co}), dy({c.n, c.co, ho, wo});
-            for (Tensor *t : {&x, &w, &b, &dy})
-                fillFlat(*t, fill, rng);
-            std::vector<TrainConvOracle> oracles{
-                {TrainPrecision::FP32, ExecConfig{}}};
-            for (TrainPrecision prec :
-                 {TrainPrecision::FP16, TrainPrecision::HFP8})
-                for (size_t chunk : kOracleChunks)
-                    for (bool fp32_outer : {true, false})
-                        for (Rounding mode : kOracleModes) {
-                            ExecConfig cfg;
-                            cfg.chunk_size = chunk;
-                            cfg.fp32_outer = fp32_outer;
-                            cfg.rounding = mode;
-                            oracles.push_back({prec, cfg});
-                        }
-            for (const TrainConvOracle &o : oracles) {
-                const TrainConvRun got = runTrainConv(x, w, b, dy, c.p, o);
-                const TrainConvRun want =
-                    referenceTrainConv(x, w, b, dy, c.p, o);
-                const auto at = [&] {
-                    return ::testing::Message()
-                           << "stride=" << c.p.stride << " pad=" << c.p.pad
-                           << " ci=" << c.ci << " fill=" << int(fill)
-                           << " precision=" << trainPrecisionName(o.precision)
-                           << " chunk=" << o.cfg.chunk_size
-                           << " fp32_outer=" << o.cfg.fp32_outer
-                           << " mode=" << int(o.cfg.rounding);
-                };
-                EXPECT_EQ(bitMismatches(got.y, want.y), 0) << at();
-                EXPECT_EQ(bitMismatches(got.dx, want.dx), 0) << at();
-                EXPECT_EQ(bitMismatches(got.dw, want.dw), 0) << at();
-                EXPECT_EQ(bitMismatches(got.db, want.db), 0) << at();
-                ++runs;
+    RAPID_AT_EVERY_LANE_WIDTH([] {
+        Rng rng(3000);
+        int64_t runs = 0;
+        for (const TrainConvCase &c : kTrainConvCases) {
+            const int64_t ho = convOutDim(c.h, 3, c.p.stride, c.p.pad);
+            const int64_t wo = convOutDim(c.w, 3, c.p.stride, c.p.pad);
+            for (Fill fill : {Fill::Gaussian, Fill::Zeros, Fill::Subnormal}) {
+                Tensor x({c.n, c.ci, c.h, c.w}), w({c.co, c.ci * 9}),
+                    b({c.co}), dy({c.n, c.co, ho, wo});
+                for (Tensor *t : {&x, &w, &b, &dy})
+                    fillFlat(*t, fill, rng);
+                std::vector<TrainConvOracle> oracles{
+                    {TrainPrecision::FP32, ExecConfig{}}};
+                for (TrainPrecision prec :
+                     {TrainPrecision::FP16, TrainPrecision::HFP8})
+                    for (size_t chunk : kOracleChunks)
+                        for (bool fp32_outer : {true, false})
+                            for (Rounding mode : kOracleModes) {
+                                ExecConfig cfg;
+                                cfg.chunk_size = chunk;
+                                cfg.fp32_outer = fp32_outer;
+                                cfg.rounding = mode;
+                                oracles.push_back({prec, cfg});
+                            }
+                for (const TrainConvOracle &o : oracles) {
+                    const TrainConvRun got = runTrainConv(x, w, b, dy, c.p, o);
+                    const TrainConvRun want =
+                        referenceTrainConv(x, w, b, dy, c.p, o);
+                    const auto at = [&] {
+                        return ::testing::Message()
+                               << "stride=" << c.p.stride << " pad=" << c.p.pad
+                               << " ci=" << c.ci << " fill=" << int(fill)
+                               << " precision=" << trainPrecisionName(o.precision)
+                               << " chunk=" << o.cfg.chunk_size
+                               << " fp32_outer=" << o.cfg.fp32_outer
+                               << " mode=" << int(o.cfg.rounding);
+                    };
+                    EXPECT_EQ(bitMismatches(got.y, want.y), 0) << at();
+                    EXPECT_EQ(bitMismatches(got.dx, want.dx), 0) << at();
+                    EXPECT_EQ(bitMismatches(got.dw, want.dw), 0) << at();
+                    EXPECT_EQ(bitMismatches(got.db, want.db), 0) << at();
+                    ++runs;
+                }
             }
         }
-    }
-    EXPECT_EQ(runs, 5 * 3 * (1 + 2 * 4 * 2 * 3));
+        EXPECT_EQ(runs, 5 * 3 * (1 + 2 * 4 * 2 * 3));
+    });
 }
 
 /** A NaN or Inf operand that meets a nonzero one raises NumericFault in
  *  the lowered forward and backward, as in the reference. */
 TEST(TrainConvOracle, LivePoisonThrowsNumericFault)
 {
-    Rng rng(3001);
-    const TrainConvCase &c = kTrainConvCases[1];
-    Tensor x({c.n, c.ci, c.h, c.w}), w({c.co, c.ci * 9}), b({c.co}),
-        dy({c.n, c.co, c.h, c.w});
-    for (Tensor *t : {&x, &w, &dy})
-        fillFlat(*t, Fill::Gaussian, rng);
-    for (TrainPrecision prec : {TrainPrecision::FP16, TrainPrecision::HFP8}) {
-        for (float poison : {std::numeric_limits<float>::quiet_NaN(),
-                             -std::numeric_limits<float>::infinity()}) {
-            const TrainConvOracle o{prec, ExecConfig{}};
-            Tensor bad_x = x, bad_dy = dy;
-            bad_x.at(1, 2, 3, 4) = poison;
-            bad_dy.at(0, 3, 2, 5) = poison;
-            for (const auto &[px, pdy] : {std::pair{&bad_x, &dy},
-                                          std::pair{&x, &bad_dy}}) {
-                EXPECT_NE(numericFault([&] {
-                              runTrainConv(*px, w, b, *pdy, c.p, o);
-                          }),
-                          "")
-                    << trainPrecisionName(prec);
-                EXPECT_NE(numericFault([&] {
-                              referenceTrainConv(*px, w, b, *pdy, c.p, o);
-                          }),
-                          "")
-                    << trainPrecisionName(prec);
+    RAPID_AT_EVERY_LANE_WIDTH([] {
+        Rng rng(3001);
+        const TrainConvCase &c = kTrainConvCases[1];
+        Tensor x({c.n, c.ci, c.h, c.w}), w({c.co, c.ci * 9}), b({c.co}),
+            dy({c.n, c.co, c.h, c.w});
+        for (Tensor *t : {&x, &w, &dy})
+            fillFlat(*t, Fill::Gaussian, rng);
+        for (TrainPrecision prec : {TrainPrecision::FP16, TrainPrecision::HFP8}) {
+            for (float poison : {std::numeric_limits<float>::quiet_NaN(),
+                                 -std::numeric_limits<float>::infinity()}) {
+                const TrainConvOracle o{prec, ExecConfig{}};
+                Tensor bad_x = x, bad_dy = dy;
+                bad_x.at(1, 2, 3, 4) = poison;
+                bad_dy.at(0, 3, 2, 5) = poison;
+                for (const auto &[px, pdy] : {std::pair{&bad_x, &dy},
+                                              std::pair{&x, &bad_dy}}) {
+                    EXPECT_NE(numericFault([&] {
+                                  runTrainConv(*px, w, b, *pdy, c.p, o);
+                              }),
+                              "")
+                        << trainPrecisionName(prec);
+                    EXPECT_NE(numericFault([&] {
+                                  referenceTrainConv(*px, w, b, *pdy, c.p, o);
+                              }),
+                              "")
+                        << trainPrecisionName(prec);
+                }
             }
         }
-    }
+    });
 }
 
 /** Malformed INT shapes stop at an assertion instead of reading past

@@ -761,3 +761,49 @@ TEST(FaultPrefilter, HashDrawIsDeterministicAndRateFaithful)
                      : 0u;
     EXPECT_NEAR(double(agree) / 4096.0, 0.5, 0.05);
 }
+
+/** hashEventHits() of [first, first + n) against hashEventDraw() of
+ *  each item in it. */
+void
+expectHitsMatchDraws(const FaultInjector &inj, uint64_t first, uint64_t n)
+{
+    std::vector<uint64_t> want;
+    for (uint64_t i = 0; i < n; ++i)
+        if (inj.hashEventDraw(FaultSite::TrainerGemm, first + i))
+            want.push_back(i);
+    EXPECT_EQ(inj.hashEventHits(FaultSite::TrainerGemm, first, n), want)
+        << "rate " << inj.config().rate << ", items [" << first << ", "
+        << first + n << ")";
+}
+
+TEST(FaultPrefilter, HitListMatchesPerItemDraws)
+{
+    // The scenarios above: the fault configs of the recovery-ladder and
+    // rework tests, walked in the GEMM output sizes of one 2-16-16-2
+    // step at batch 32 (forward, then each layer's weight and data
+    // gradient) from item 0, as TrainGemm consumes them, for 200 steps.
+    const int64_t kStepGemms[] = {512, 512, 64, 32, 64, 256, 512, 32, 512};
+    std::vector<FaultConfig> scenarios = {FaultConfig::withRate(0.5),
+                                          FaultConfig::withRate(1e-3,
+                                                                0x5eed)};
+    for (uint64_t seed = 0; seed < 3; ++seed)
+        scenarios.push_back(FaultConfig::withRate(1e-3, 0x5eed + seed));
+    for (const FaultConfig &fc : scenarios) {
+        const FaultInjector inj(fc);
+        uint64_t item = 0;
+        for (int step = 0; step < 200; ++step)
+            for (int64_t n : kStepGemms) {
+                expectHitsMatchDraws(inj, item, uint64_t(n));
+                item += uint64_t(n);
+            }
+    }
+    // Random ranges at every rate class, empty ones included.
+    Rng rng(4242);
+    for (double rate : {0.0, 1e-4, 6e-3, 0.5, 1.0}) {
+        const FaultInjector inj(FaultConfig::withRate(rate, 99));
+        for (int r = 0; r < 200; ++r)
+            expectHitsMatchDraws(
+                inj, uint64_t(rng.uniformInt(0, int64_t(1) << 40)),
+                uint64_t(rng.uniformInt(0, 5000)));
+    }
+}

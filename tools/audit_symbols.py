@@ -34,7 +34,8 @@ cannot see.
 An incremental build keeps the object of a deleted source. Nothing
 links it, so both passes skip every object whose source (reconstructed
 from its build-tree path) exists neither under --root nor, for a
-generated source, in the build tree.
+generated source, in the build tree, and every header self-containment
+TU whose header is gone from src/ (its generated source outlives it).
 
 Modes
   --build-dir BUILD     audit every object and binary under BUILD
@@ -186,14 +187,30 @@ def source_of_object(rel_parts):
     return source[:-2] if source.endswith(".o") else source
 
 
+def tu_header(generated):
+    """The src/-relative header a generated header self-containment TU
+    (tools/header_tus/*.cc) includes, or None for any other source."""
+    if generated.parent.name != "header_tus":
+        return None
+    match = re.search(r'^#include "([^"]+)"', generated.read_text(), re.M)
+    return match.group(1) if match else None
+
+
 def live_objects(build, root):
     """The objects under @p build, sorted, less those whose source is
-    gone: neither @p root nor @p build (generated sources) holds it."""
+    gone: neither @p root nor @p build (generated sources) holds it,
+    or it is a header TU whose header is gone from @p root's src/."""
     objects = []
     for obj in sorted(build.rglob("CMakeFiles/**/*.o")):
         source = source_of_object(obj.relative_to(build).parts)
-        if (source is None or (root / source).exists()
-                or (build / source).exists()):
+        if source is None or (root / source).exists():
+            objects.append(obj)
+            continue
+        generated = build / source
+        if not generated.exists():
+            continue
+        header = tu_header(generated)
+        if header is None or (root / "src" / header).exists():
             objects.append(obj)
     return objects
 
@@ -547,6 +564,29 @@ def self_test(cxx, nm, root):
         else:
             print("SELF-TEST FAIL: stale object audited as %s without "
                   "its source and %s with it" % (gone, back))
+            failures += 1
+
+        # A header self-containment TU whose generated source is still
+        # in the build tree: skipped while its header is gone from
+        # src/, scanned once the header is back.
+        tu_dir = tree / "build" / "tools" / "header_tus"
+        tu_dir.mkdir(parents=True)
+        (tu_dir / "fixture__gone.cc").write_text(
+            '#include "fixture/gone.hh"\n#include "fixture/gone.hh"\n')
+        tu_obj_dir = (tree / "build" / "tools" / "CMakeFiles" /
+                      "header_selfcontained.dir" / "header_tus")
+        tu_obj_dir.mkdir(parents=True)
+        tu_obj = tu_obj_dir / "fixture__gone.cc.o"
+        tu_obj.write_bytes(clean_obj.read_bytes())
+        gone = tu_obj in live_objects(tree / "build", tree)
+        (tree / "src" / "fixture" / "gone.hh").write_text("")
+        back = tu_obj in live_objects(tree / "build", tree)
+        if not gone and back:
+            print("self-test ok: header_tus/fixture__gone.cc.o is skipped "
+                  "while its header is gone")
+        else:
+            print("SELF-TEST FAIL: header TU object live=%s without its "
+                  "header and live=%s with it" % (gone, back))
             failures += 1
 
     if failures:
