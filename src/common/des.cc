@@ -128,13 +128,6 @@ DesEngine::domain(DomainId id)
     return *domains_[id];
 }
 
-const DesDomain &
-DesEngine::domain(DomainId id) const
-{
-    RAPID_CHECK_ARG(id < domains_.size(), "unknown domain ", id);
-    return *domains_[id];
-}
-
 void
 DesEngine::finalizeChannels()
 {

@@ -228,7 +228,6 @@ class DesEngine
     void connect(DomainId src, DomainId dst, SimTime lookahead_ns);
 
     DesDomain &domain(DomainId id);
-    const DesDomain &domain(DomainId id) const;
 
     /**
      * Run every event with time < @p until, in windows; by default

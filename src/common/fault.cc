@@ -169,12 +169,6 @@ FaultInjector::eventDraw(Rng &rng) const
     return rng.uniform() < cfg_.rate;
 }
 
-bool
-FaultInjector::hashEventDraw(FaultSite site, uint64_t item) const
-{
-    return hashHit(siteSalt(cfg_.seed, site), item, cfg_.rate);
-}
-
 std::vector<uint64_t>
 FaultInjector::hashEventHits(FaultSite site, uint64_t first,
                              uint64_t n) const

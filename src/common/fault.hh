@@ -178,18 +178,12 @@ class FaultInjector
     bool eventDraw(Rng &rng) const;
 
     /**
-     * Hash-derived Bernoulli(rate) for (site, item): no mt19937
+     * The offsets i in [0, @p n), ascending, for which the hash-derived
+     * Bernoulli(rate) draw of (@p site, @p first + i) hits: no mt19937
      * construction, so high-volume sites (one item per GEMM output
-     * element) can pre-filter in a few ns and build the full stream()
-     * only on the rare hit. Sites opting in define their hit set
-     * through this draw rather than eventDraw(stream(...)).
-     */
-    bool hashEventDraw(FaultSite site, uint64_t item) const;
-
-    /**
-     * The offsets i in [0, @p n), ascending, for which
-     * hashEventDraw(@p site, @p first + i) hits: one pass over the
-     * items with the site's salt computed once.
+     * element) pre-filter in a few ns per item and build the full
+     * stream() only on the rare hit. Sites opting in define their hit
+     * set through this draw rather than eventDraw(stream(...)).
      */
     std::vector<uint64_t> hashEventHits(FaultSite site, uint64_t first,
                                         uint64_t n) const;

@@ -121,13 +121,6 @@ DataflowMapper::split(const Tiling &t, int workers_co,
 }
 
 Mapping
-DataflowMapper::evaluateSplit(const MappedShape &shape, Precision p,
-                              int workers_co, int workers_pos) const
-{
-    return split(tiling(shape, p), workers_co, workers_pos);
-}
-
-Mapping
 DataflowMapper::map(const Layer &layer, int64_t batch, Precision p)
     const
 {

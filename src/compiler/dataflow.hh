@@ -100,13 +100,6 @@ class DataflowMapper
      */
     Mapping map(const Layer &layer, int64_t batch, Precision p) const;
 
-    /**
-     * Cycle cost of one specific split (exposed for tests). Throws
-     * like map() on a precision without reduction capacity.
-     */
-    Mapping evaluateSplit(const MappedShape &shape, Precision p,
-                          int workers_co, int workers_pos) const;
-
   private:
     /// What every split of one (shape, precision) pair shares.
     struct Tiling

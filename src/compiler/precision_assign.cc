@@ -34,29 +34,4 @@ assignPrecision(const Network &net, const PrecisionOptions &opts)
     return plan;
 }
 
-ExecutionPlan
-uniformPlan(const Network &net, Precision p)
-{
-    ExecutionPlan plan;
-    plan.layers.resize(net.layers.size());
-    for (size_t i = 0; i < net.layers.size(); ++i)
-        plan.layers[i].precision =
-            net.layers[i].isCompute() ? p : Precision::FP16;
-    return plan;
-}
-
-double
-macFractionAt(const Network &net, const ExecutionPlan &plan,
-              Precision p)
-{
-    double at = 0, total = 0;
-    for (size_t i = 0; i < net.layers.size(); ++i) {
-        double macs = double(net.layers[i].macsPerSample());
-        total += macs;
-        if (plan.at(i).precision == p)
-            at += macs;
-    }
-    return total > 0 ? at / total : 0.0;
-}
-
 } // namespace rapid

@@ -31,13 +31,6 @@ struct PrecisionOptions
 ExecutionPlan assignPrecision(const Network &net,
                               const PrecisionOptions &opts);
 
-/** Convenience: uniform-precision plan (used for FP16 baselines). */
-ExecutionPlan uniformPlan(const Network &net, Precision p);
-
-/** Fraction of the network's MACs the plan runs at @p p. */
-double macFractionAt(const Network &net, const ExecutionPlan &plan,
-                     Precision p);
-
 } // namespace rapid
 
 #endif // RAPID_COMPILER_PRECISION_ASSIGN_HH

@@ -22,11 +22,11 @@ MniFabric::recv(unsigned consumer, unsigned producer, uint64_t tag,
                 uint64_t bytes, uint64_t local_addr,
                 unsigned n_consumers)
 {
-    rapid_assert(consumer != producer, "self transfers do not use MNI");
+    rapid_assert(producer == memoryNode() && consumer != producer,
+                 "MNI transfers pull from the memory node");
     if (outstanding_[consumer] >= cfg_.max_outstanding_loads)
         return false; // MNI-LU program stalls (Section III-E)
     ++outstanding_[consumer];
-    ++open_transfers_;
 
     // The Recv control message travels to the producer on the ring.
     Tracked t;
@@ -43,17 +43,6 @@ MniFabric::recv(unsigned consumer, unsigned producer, uint64_t tag,
     ps.bytes = std::max(ps.bytes, bytes);
     ps.expected = n_consumers;
     return true;
-}
-
-void
-MniFabric::send(unsigned producer, uint64_t tag, uint64_t bytes,
-                unsigned n_consumers)
-{
-    PendingSend &ps = pending(producer, tag);
-    ps.bytes = std::max(ps.bytes, bytes);
-    ps.expected = n_consumers;
-    ps.send_posted = true;
-    maybeLaunchData(ps);
 }
 
 void
@@ -84,7 +73,6 @@ MniFabric::pending(unsigned producer, uint64_t tag)
     ps.tag = tag;
     ps.bytes = 0;
     ps.expected = 0;
-    ps.send_posted = false;
     ps.consumers.clear();
     ps.consumer_addrs.clear();
     return ps;
@@ -93,10 +81,9 @@ MniFabric::pending(unsigned producer, uint64_t tag)
 void
 MniFabric::maybeLaunchData(PendingSend &ps)
 {
-    // Memory is always ready: its Send auto-posts on first request.
-    if (ps.producer == memoryNode())
-        ps.send_posted = true;
-    if (!ps.send_posted || ps.consumers.size() < ps.expected)
+    // Memory is always ready: its Send auto-posts, so the data leaves
+    // once every consumer's request has arrived.
+    if (ps.consumers.size() < ps.expected)
         return;
 
     // Request aggregation complete: post one multicast data transfer
@@ -145,7 +132,6 @@ MniFabric::processDelivered()
                 rapid_assert(outstanding_[c.consumer] > 0,
                              "load queue underflow");
                 --outstanding_[c.consumer];
-                --open_transfers_;
             }
             ps.live = false;
         }
@@ -157,17 +143,6 @@ MniFabric::step()
 {
     ring_.step();
     processDelivered();
-}
-
-void
-MniFabric::drain(uint64_t max_cycles)
-{
-    uint64_t steps = 0;
-    while (open_transfers_ > 0) {
-        step();
-        rapid_assert(++steps <= max_cycles,
-                     "MNI failed to drain in ", max_cycles, " cycles");
-    }
 }
 
 } // namespace rapid

@@ -7,17 +7,17 @@
  *  - Consumers issue tagged Recv requests naming the producer and the
  *    number of participating consumers (steps 1-2 of Figure 8).
  *  - The producer's MNI-SU performs *request aggregation*: once every
- *    participating consumer's request has arrived and the producer's
- *    program has posted the matching Send, it dynamically builds the
- *    consumer list and posts one multicast data transfer (steps 3-7).
+ *    participating consumer's request has arrived, it dynamically
+ *    builds the consumer list and posts one multicast data transfer
+ *    (steps 3-7).
  *  - The MNI-LU tracks the local scratchpad address per tag in its
  *    load queue, so data returns may complete out of order; it stalls
  *    when its outstanding-request limit is reached.
  *
- * The external memory interface is modelled as a ring node whose
- * MNI-SU auto-posts Sends (memory is always ready), with the same
- * request-aggregation support so that shared data is fetched once and
- * multicast to all requesting cores.
+ * Only the pull path from the external memory interface is modelled:
+ * a ring node whose MNI-SU is always ready (its Sends auto-post), so
+ * shared data is fetched once and multicast to all requesting cores.
+ * Core-to-core transfers, whose producers post Sends, are not.
  */
 
 #ifndef RAPID_INTERCONNECT_MNI_HH
@@ -65,8 +65,9 @@ class MniFabric
 
     /**
      * Consumer-side Recv: request @p bytes tagged @p tag from
-     * @p producer, to be written at @p local_addr. @p n_consumers is
-     * the multicast group size agreed on at compile time.
+     * @p producer, the memory node, to be written at @p local_addr.
+     * @p n_consumers is the multicast group size agreed on at compile
+     * time.
      *
      * @return false if the consumer's load queue is full (the MNI-LU
      *         program stalls and must retry after step()).
@@ -75,13 +76,6 @@ class MniFabric
               uint64_t bytes, uint64_t local_addr,
               unsigned n_consumers = 1);
 
-    /**
-     * Producer-side Send: the producer's program makes @p bytes of
-     * data tagged @p tag available for @p n_consumers consumers.
-     */
-    void send(unsigned producer, uint64_t tag, uint64_t bytes,
-              unsigned n_consumers);
-
     /** Advance one cycle (ring + MNI bookkeeping). */
     void step();
 
@@ -89,17 +83,15 @@ class MniFabric
      *  allocates no more ring, tracking or completion storage. */
     void reserve(size_t transfers);
 
-    /** Nothing in flight on the ring. MNI state changes only when a
-     *  message lands or a caller posts a recv()/send(), so stepping an
-     *  idle fabric only advances its clock. */
+    /** Nothing in flight on the ring, so every posted transfer has
+     *  completed. MNI state changes only when a message lands or a
+     *  caller posts a recv(), so stepping an idle fabric only advances
+     *  its clock. */
     bool idle() const { return ring_.idle(); }
 
     /** Advance an idle fabric's clock by @p cycles, as that many
      *  step() calls would (panics unless idle()). */
     void advanceIdle(uint64_t cycles) { ring_.advanceIdle(cycles); }
-
-    /** Run until every posted transfer completed. */
-    void drain(uint64_t max_cycles = 100000000);
 
     uint64_t now() const { return ring_.now(); }
     const std::vector<MniCompletion> &completions() const
@@ -121,7 +113,6 @@ class MniFabric
         uint64_t tag = 0;
         uint64_t bytes = 0;
         unsigned expected = 0;
-        bool send_posted = false;
         std::vector<unsigned> consumers;      ///< aggregated list
         std::vector<uint64_t> consumer_addrs; ///< matching local addrs
     };
@@ -160,7 +151,6 @@ class MniFabric
     std::vector<Tracked> tracked_;
     std::vector<MniCompletion> completions_;
     std::vector<unsigned> outstanding_; ///< per consumer
-    uint64_t open_transfers_ = 0;
 };
 
 } // namespace rapid

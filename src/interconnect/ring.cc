@@ -208,20 +208,12 @@ void
 RingNetwork::drain(uint64_t max_cycles)
 {
     uint64_t steps = 0;
-    while (!allDelivered()) {
+    while (std::any_of(messages_.begin(), messages_.end(),
+                       [](const RingMessage &m) { return !m.delivered; })) {
         step();
         rapid_assert(++steps <= max_cycles,
                      "ring failed to drain in ", max_cycles, " cycles");
     }
-}
-
-bool
-RingNetwork::allDelivered() const
-{
-    for (const auto &m : messages_)
-        if (!m.delivered)
-            return false;
-    return true;
 }
 
 const RingMessage &

@@ -105,7 +105,6 @@ class RingNetwork
     /** Run until all queued messages are delivered (bounded). */
     void drain(uint64_t max_cycles = 100000000);
 
-    bool allDelivered() const;
     uint64_t now() const { return cycle_; }
 
     const RingMessage &message(size_t id) const;

@@ -7,13 +7,6 @@
 
 namespace rapid {
 
-std::string
-llmModeName(const LlmMode &mode)
-{
-    return std::string(precisionName(mode.act)) + "+" +
-           precisionName(mode.kv) + "kv";
-}
-
 const char *
 batchPolicyName(BatchPolicy policy)
 {

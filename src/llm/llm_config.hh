@@ -35,9 +35,6 @@ struct LlmMode
     Precision kv = Precision::INT4;
 };
 
-/** "int4+int4kv" style display name. */
-std::string llmModeName(const LlmMode &mode);
-
 /** How decode work is batched onto the executor. */
 enum class BatchPolicy
 {

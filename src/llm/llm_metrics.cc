@@ -1,6 +1,5 @@
 #include "llm/llm_metrics.hh"
 
-#include <cstdio>
 #include <sstream>
 #include <utility>
 
@@ -113,7 +112,6 @@ computeLlmMetrics(const LlmServeConfig &cfg, const LlmResult &result)
     if (out.total.generated_tokens > 0)
         out.energy_per_token_mj = 1e3 * out.energy_j /
                                   double(out.total.generated_tokens);
-    out.admission_active = cfg.admission.enabled;
     for (const AdmissionStats &ga : result.group_admission)
         if (ga.fuse_tripped)
             ++out.fuse_trips;
@@ -129,62 +127,6 @@ ms(int64_t ns)
 }
 
 } // namespace
-
-std::string
-llmReport(const LlmServeConfig &cfg, const LlmMetrics &m)
-{
-    std::vector<std::string> headers{
-        "Tenant",  "Offered/s", "Goodput/s", "Tok/s",
-        "Shed",    "TTFTv",     "TPOTv",     "TTFT p50",
-        "TTFT p95", "TPOT p95"};
-    for (const LlmMode &mode : cfg.ladder)
-        headers.push_back(llmModeName(mode));
-    Table t(headers);
-    auto row = [&](const LlmTenantMetrics &tm) {
-        std::vector<std::string> cells{
-            tm.name,
-            Table::fmt(tm.offered_rps, 1),
-            Table::fmt(tm.goodput_rps, 1),
-            Table::fmt(tm.tokens_per_s, 0),
-            Table::pct(tm.shed, tm.offered),
-            Table::pct(tm.ttft_violations, tm.completed),
-            Table::pct(tm.tpot_violations, tm.completed),
-            ms(tm.ttft.p50),
-            ms(tm.ttft.p95),
-            ms(tm.tpot_p95_ns)};
-        for (uint64_t n : tm.served_by_mode)
-            cells.push_back(Table::pct(n, tm.completed));
-        t.addRow(std::move(cells));
-    };
-    for (const LlmTenantMetrics &tm : m.tenants)
-        row(tm);
-    row(m.total);
-
-    std::ostringstream oss;
-    oss << t.str();
-    char buf[224];
-    std::snprintf(buf, sizeof(buf),
-                  "steps %llu prefill / %llu decode (live %.2f of "
-                  "batch %.2f), spill %.3f ms over %llu steps, "
-                  "%.4f mJ/token\n",
-                  (unsigned long long)m.prefill_steps,
-                  (unsigned long long)m.decode_steps,
-                  m.mean_decode_live, m.mean_decode_batch,
-                  double(m.spill_ns_total) * 1e-6,
-                  (unsigned long long)m.spilled_steps,
-                  m.energy_per_token_mj);
-    oss << buf;
-    if (m.admission_active) {
-        std::snprintf(buf, sizeof(buf),
-                      "admission: calibrated %llu / bound %llu, fuse "
-                      "trips %llu\n",
-                      (unsigned long long)m.total.admitted_calibrated,
-                      (unsigned long long)m.total.admitted_bound,
-                      (unsigned long long)m.fuse_trips);
-        oss << buf;
-    }
-    return oss.str();
-}
 
 std::string
 llmJsonRecord(const std::string &section, const std::string &label,

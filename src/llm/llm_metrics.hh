@@ -84,19 +84,12 @@ struct LlmMetrics
     double mean_decode_batch = 0; ///< mean charged batch size
     int64_t spill_ns_total = 0;   ///< summed KV refetch penalty
     uint64_t spilled_steps = 0;   ///< decode steps that paid it
-    /// Calibrated-admission aggregates; admission_active mirrors
-    /// cfg.admission.enabled and gates the extra llmReport line so
-    /// admission-off goldens stay byte-identical.
-    bool admission_active = false;
     uint64_t fuse_trips = 0; ///< ladder groups whose fuse tripped
 };
 
 /** Aggregate a raw simulation result. */
 LlmMetrics computeLlmMetrics(const LlmServeConfig &cfg,
                              const LlmResult &result);
-
-/** Stable text report suitable for golden diffing. */
-std::string llmReport(const LlmServeConfig &cfg, const LlmMetrics &m);
 
 /**
  * One JSON line for the BENCH_llm.json assembly, including the

@@ -46,14 +46,6 @@ ChunkAccumulator::total() const
     return foldOuter(outerAcc_, chunkAcc_);
 }
 
-void
-ChunkAccumulator::reset()
-{
-    chunkAcc_ = 0.0f;
-    outerAcc_ = 0.0f;
-    inChunk_ = 0;
-}
-
 float
 ChunkAccumulator::naiveFp16Sum(const double *terms, size_t n,
                                Rounding rounding)

@@ -42,9 +42,6 @@ class ChunkAccumulator
     /** Total with the current partial chunk folded in. */
     float total() const;
 
-    /** Reset to an empty sum. */
-    void reset();
-
     /**
      * Reference helper: naive FP16 accumulation of @p terms (every add
      * rounded), for comparisons against the chunked scheme.

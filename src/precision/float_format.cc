@@ -61,51 +61,12 @@ FloatFormat::FloatFormat(unsigned exp_bits, unsigned man_bits, int bias,
                  && ceil_exp <= 254;
 }
 
-float
-FloatFormat::maxFinite() const
-{
-    int e = int(maxNormalExpField(*this)) - bias_;
-    double man = 2.0 - std::ldexp(1.0, -int(manBits_));
-    return float(std::ldexp(man, e));
-}
-
-float
-FloatFormat::minNormal() const
-{
-    int e = int(minNormalExpField(*this)) - bias_;
-    if (!hasSubnormals_) {
-        // The all-zero pattern is zero, so the smallest normal has a
-        // non-zero fraction when the exponent field is zero.
-        double man = 1.0 + std::ldexp(1.0, -int(manBits_));
-        return float(std::ldexp(man, e));
-    }
-    return float(std::ldexp(1.0, e));
-}
-
-float
-FloatFormat::minPositive() const
-{
-    if (!hasSubnormals_)
-        return minNormal();
-    int e = 1 - bias_;
-    return float(std::ldexp(std::ldexp(1.0, -int(manBits_)), e));
-}
-
 uint32_t
 FloatFormat::nanBits() const
 {
     rapid_assert(hasInfNan_, "format ", name(), " has no NaN encoding");
     // Merged NaN/Inf symbol: all-ones exponent, all-ones mantissa.
     return (specialExpField(*this) << manBits_) | mask<uint32_t>(manBits_);
-}
-
-bool
-FloatFormat::isNan(uint32_t pattern) const
-{
-    if (!hasInfNan_)
-        return false;
-    unsigned e = bits(pattern, manBits_, expBits_);
-    return e == specialExpField(*this);
 }
 
 uint32_t
@@ -297,14 +258,6 @@ fp9()
 {
     static const FloatFormat fmt(5, 3, 15, /*subnormals=*/true,
                                  /*inf_nan=*/true, /*saturating=*/true);
-    return fmt;
-}
-
-const FloatFormat &
-ieeeHalf()
-{
-    static const FloatFormat fmt(5, 10, 15, /*subnormals=*/true,
-                                 /*inf_nan=*/true, /*saturating=*/false);
     return fmt;
 }
 

@@ -82,15 +82,6 @@ class FloatFormat
     /** Number of distinct encodings (2^storageBits). */
     uint32_t numEncodings() const { return 1u << storageBits(); }
 
-    /** Largest finite representable magnitude. */
-    float maxFinite() const;
-
-    /** Smallest positive normal magnitude. */
-    float minNormal() const;
-
-    /** Smallest positive representable magnitude (subnormal if any). */
-    float minPositive() const;
-
     /** The format's NaN encoding; only valid if hasInfNan(). */
     uint32_t nanBits() const;
 
@@ -124,9 +115,6 @@ class FloatFormat
 
     /** Whether quantize() rounds on the bits (false: codec path). */
     bool bitDirect() const { return bitDirect_; }
-
-    /** True if @p pattern is the merged NaN/Inf symbol. */
-    bool isNan(uint32_t pattern) const;
 
     /** Human-readable description, e.g. "fp8(1,4,3,bias=4)". */
     std::string name() const;
@@ -368,9 +356,6 @@ const FloatFormat &fp8e5m2();
 
 /** Internal FPU operand format FP9 (1,5,3), bias 15. */
 const FloatFormat &fp9();
-
-/** IEEE-754 binary16 (for comparisons in tests). */
-const FloatFormat &ieeeHalf();
 
 } // namespace rapid
 

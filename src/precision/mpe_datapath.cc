@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "common/logging.hh"
-
 namespace rapid {
 
 namespace {
@@ -22,31 +20,10 @@ MpeDatapath::MpeDatapath(int fwd_bias, Rounding rounding)
 {
 }
 
-void
-MpeDatapath::setForwardBias(int fwd_bias)
-{
-    fwdFormat_ = fp8e4m3(fwd_bias);
-}
-
 float
 MpeDatapath::roundFp16(float value) const
 {
     return dlfloat16().quantize(value, rounding_);
-}
-
-float
-MpeDatapath::fp16Fma(float a, float b, float acc)
-{
-    ++fmaCount_;
-    if (isZero(a) || isZero(b)) {
-        ++zeroGatedCount_;
-        return acc; // zero-gating: pass the addend through
-    }
-    // DLFloat16 significands are 10 bits, so the product's 20-bit
-    // significand and the subsequent sum are exact in double; a single
-    // rounding models the fused accumulate output.
-    double product = double(a) * double(b);
-    return roundFp16(float(product + double(acc)));
 }
 
 float
@@ -77,26 +54,6 @@ MpeDatapath::hfp8Fma(float a, Fp8Kind a_kind, float b, Fp8Kind b_kind,
     // adder, so the result is rounded to DLFloat16.
     double product = double(a9) * double(b9);
     return roundFp16(float(product + double(acc)));
-}
-
-int64_t
-MpeDatapath::intMac(int a, int b, int64_t acc, unsigned width) const
-{
-    rapid_assert(width == 4 || width == 2,
-                 "FXU supports INT4/INT2, not INT", width);
-    const IntFormat &fmt = (width == 4) ? int4() : int2();
-    rapid_assert(a >= fmt.minLevel() && a <= fmt.maxLevel(),
-                 "operand a=", a, " outside INT", width, " range");
-    rapid_assert(b >= fmt.minLevel() && b <= fmt.maxLevel(),
-                 "operand b=", b, " outside INT", width, " range");
-    return acc + int64_t(a) * int64_t(b);
-}
-
-void
-MpeDatapath::resetCounters()
-{
-    fmaCount_ = 0;
-    zeroGatedCount_ = 0;
 }
 
 } // namespace rapid

@@ -49,19 +49,6 @@ class MpeDatapath
     explicit MpeDatapath(int fwd_bias = 4,
                          Rounding rounding = Rounding::NearestEven);
 
-    /** Reconfigure the programmable forward-format bias. */
-    void setForwardBias(int fwd_bias);
-
-    /**
-     * FP16 FMA: returns round_fp16(a * b + acc). All three values are
-     * DLFloat16-representable floats; the product is formed exactly
-     * (18-bit significand fits single precision... the emulation uses
-     * double) and a single rounding happens at the accumulate output.
-     * FP9 values are DLFloat16-representable and the HFP8 path merges
-     * here, so fp16Fma(toFp9(a), toFp9(b), acc) equals hfp8Fma.
-     */
-    float fp16Fma(float a, float b, float acc);
-
     /**
      * HFP8 FMA: quantizes @p a to the @p a_kind FP8 format and @p b to
      * the @p b_kind format, converts both to FP9 (exactly), multiplies
@@ -82,19 +69,11 @@ class MpeDatapath
     /** Round @p value to the FP16 (DLFloat16) output format. */
     float roundFp16(float value) const;
 
-    /**
-     * INT4/INT2 MAC: acc += a * b on integer levels. The caller tracks
-     * scales; the datapath is pure integer. @p width is 4 or 2.
-     */
-    int64_t intMac(int a, int b, int64_t acc, unsigned width) const;
-
     /** Number of FMAs executed (including gated ones). */
     uint64_t fmaCount() const { return fmaCount_; }
 
     /** Number of FMAs bypassed because a multiplicand was zero. */
     uint64_t zeroGatedCount() const { return zeroGatedCount_; }
-
-    void resetCounters();
 
   private:
     FloatFormat fwdFormat_; ///< FP8 (1,4,3) at the programmed bias

@@ -47,12 +47,6 @@ PactQuantizer::PactQuantizer(float alpha, unsigned bits)
     rapid_assert(bits >= 2 && bits <= 8, "unsupported PACT width ", bits);
 }
 
-int
-PactQuantizer::quantizeLevel(float x) const
-{
-    return pactLevel(x, alpha_, scale());
-}
-
 void
 PactQuantizer::quantizeLevels(const float *x, int64_t n, int16_t *out) const
 {
@@ -60,12 +54,6 @@ PactQuantizer::quantizeLevels(const float *x, int64_t n, int16_t *out) const
     forEachBlocked(n, [&](int64_t i) {
         out[i] = int16_t(pactLevel(x[i], alpha_, step));
     });
-}
-
-float
-PactQuantizer::quantize(float x) const
-{
-    return float(quantizeLevel(x)) * scale();
 }
 
 float
@@ -128,12 +116,6 @@ SawbQuantizer::scale() const
     return alpha_ / float(max_level);
 }
 
-int
-SawbQuantizer::quantizeLevel(float w) const
-{
-    return sawbLevel(w, alpha_, scale(), (1 << (bits_ - 1)) - 1);
-}
-
 void
 SawbQuantizer::quantizeLevels(const float *w, int64_t n, int16_t *out) const
 {
@@ -144,101 +126,12 @@ SawbQuantizer::quantizeLevels(const float *w, int64_t n, int16_t *out) const
     });
 }
 
-float
-SawbQuantizer::quantize(float w) const
-{
-    return float(quantizeLevel(w)) * scale();
-}
-
-double
-SawbQuantizer::quantizationMse(const std::vector<float> &weights,
-                               unsigned bits, double alpha)
-{
-    rapid_assert(!weights.empty() && alpha > 0, "bad MSE query");
-    int max_level = (1 << (bits - 1)) - 1;
-    double scale = alpha / max_level;
-    double err = 0.0;
-    for (float w : weights) {
-        double x = std::clamp(double(w), -alpha, alpha) / scale;
-        double level = std::round(x);
-        double q = std::clamp(level, double(-max_level),
-                              double(max_level)) * scale;
-        err += (q - double(w)) * (q - double(w));
-    }
-    return err / double(weights.size());
-}
-
-double
-SawbQuantizer::optimalAlpha(const std::vector<float> &weights,
-                            unsigned bits)
-{
-    double max_abs = 0.0;
-    for (float w : weights)
-        max_abs = std::max(max_abs, std::abs(double(w)));
-    rapid_assert(max_abs > 0, "optimalAlpha of an all-zero tensor");
-
-    // Coarse grid scan followed by golden-section refinement.
-    const int grid = 96;
-    double best_alpha = max_abs;
-    double best_mse = quantizationMse(weights, bits, max_abs);
-    for (int i = 1; i < grid; ++i) {
-        double a = max_abs * double(i) / grid;
-        double mse = quantizationMse(weights, bits, a);
-        if (mse < best_mse) {
-            best_mse = mse;
-            best_alpha = a;
-        }
-    }
-
-    double lo = std::max(best_alpha - max_abs / grid, max_abs * 1e-3);
-    double hi = std::min(best_alpha + max_abs / grid, max_abs);
-    const double phi = 0.5 * (std::sqrt(5.0) - 1.0);
-    for (int iter = 0; iter < 40; ++iter) {
-        double m1 = hi - phi * (hi - lo);
-        double m2 = lo + phi * (hi - lo);
-        if (quantizationMse(weights, bits, m1) <
-            quantizationMse(weights, bits, m2)) {
-            hi = m2;
-        } else {
-            lo = m1;
-        }
-    }
-    return 0.5 * (lo + hi);
-}
-
-SawbQuantizer::Coefficients
-SawbQuantizer::fitCoefficients(
-    const std::vector<std::vector<float>> &sample_sets, unsigned bits)
-{
-    rapid_assert(sample_sets.size() >= 2,
-                 "need >= 2 distributions to identify (c1, c2)");
-    // Least squares: alpha*_i ~= c1 * rms_i - c2 * mean_abs_i.
-    double sxx = 0, sxy = 0, syy = 0, sxz = 0, syz = 0;
-    for (const auto &samples : sample_sets) {
-        TensorMoments m = computeMoments(samples);
-        double x = m.rms;
-        double y = -m.mean_abs;
-        double z = optimalAlpha(samples, bits);
-        sxx += x * x;
-        sxy += x * y;
-        syy += y * y;
-        sxz += x * z;
-        syz += y * z;
-    }
-    double det = sxx * syy - sxy * sxy;
-    rapid_assert(std::abs(det) > 1e-12,
-                 "degenerate SaWB fit: distributions too similar");
-    double c1 = (sxz * syy - syz * sxy) / det;
-    double c2 = (sxx * syz - sxy * sxz) / det;
-    return {c1, c2};
-}
-
 SawbQuantizer::Coefficients
 SawbQuantizer::stockCoefficients(unsigned bits)
 {
     rapid_assert(bits >= 2 && bits <= 4, "no stock coefficients for INT",
                  bits);
-    // fitCoefficients over canonical weight-like distributions
+    // The least-squares fit over canonical weight-like distributions
     // (Gaussian, Laplace, uniform and a Gaussian mixture; 20000 draws
     // each from Rng(0xC0EFF5 + bits)), frozen as exact binary64 values.
     // Sawb.StockCoefficientsMatchRefit repeats the fit and compares.

@@ -11,8 +11,8 @@
  *     alpha* = c1 * sqrt(E[w^2]) - c2 * E[|w|]. The (c1, c2)
  *     coefficients per bit width are fitted offline by minimizing the
  *     quantization MSE over representative weight distributions; the
- *     fitting routine ships here so the constants are reproducible
- *     (see DESIGN.md section 4.7).
+ *     fit lives with the test that reproduces the frozen constants
+ *     (Sawb.StockCoefficientsMatchRefit, DESIGN.md section 4.7).
  */
 
 #ifndef RAPID_PRECISION_QUANTIZE_HH
@@ -38,14 +38,9 @@ class PactQuantizer
     unsigned numLevels() const { return (1u << bits_) - 1; }
     float scale() const { return alpha_ / float(numLevels()); }
 
-    /** Clip-and-quantize to an integer level in [0, 2^bits - 1]. */
-    int quantizeLevel(float x) const;
-
-    /** quantizeLevel() of each of the @p n values at @p x, into @p out. */
+    /** Clip-and-quantize each of the @p n values at @p x to an integer
+     *  level in [0, 2^bits - 1], into @p out. */
     void quantizeLevels(const float *x, int64_t n, int16_t *out) const;
-
-    /** Quantize and reconstruct the real value. */
-    float quantize(float x) const;
 
     /**
      * Straight-through-estimator gradient of the PACT activation
@@ -93,35 +88,12 @@ class SawbQuantizer
     /** Step between adjacent quantization levels. */
     float scale() const;
 
-    /** Quantize to a signed level in [-(2^(b-1)-1), 2^(b-1)-1]. */
-    int quantizeLevel(float w) const;
-
-    /** quantizeLevel() of each of the @p n values at @p w, into @p out. */
+    /** Quantize each of the @p n values at @p w to a signed level in
+     *  [-(2^(b-1)-1), 2^(b-1)-1], into @p out. */
     void quantizeLevels(const float *w, int64_t n, int16_t *out) const;
-
-    /** Quantize and reconstruct. */
-    float quantize(float w) const;
 
     /** Library default coefficients for @p bits (2, 3 or 4). */
     static Coefficients stockCoefficients(unsigned bits);
-
-    /**
-     * Reproduce the stock coefficients: for each sample set (each
-     * drawn from a representative weight distribution), find the
-     * MSE-optimal clip alpha, then least-squares fit (c1, c2) so that
-     * c1 * rms - c2 * mean_abs predicts those optima.
-     */
-    static Coefficients
-    fitCoefficients(const std::vector<std::vector<float>> &sample_sets,
-                    unsigned bits);
-
-    /** Find the clip value minimizing quantization MSE numerically. */
-    static double optimalAlpha(const std::vector<float> &weights,
-                               unsigned bits);
-
-    /** Mean squared error of quantizing @p weights at clip @p alpha. */
-    static double quantizationMse(const std::vector<float> &weights,
-                                  unsigned bits, double alpha);
 
   private:
     void deriveAlpha(const std::vector<float> &weights,

@@ -1,7 +1,6 @@
 #include "resilience/checkpoint.hh"
 
 #include <cstring>
-#include <fstream>
 
 #include "common/error.hh"
 
@@ -106,14 +105,6 @@ struct Reader
 
 } // namespace
 
-bool
-TrainerCheckpoint::operator==(const TrainerCheckpoint &o) const
-{
-    // Compare through the serialized form: one definition of equality,
-    // and float fields compare by bit pattern (NaN != garbage).
-    return serializeCheckpoint(*this) == serializeCheckpoint(o);
-}
-
 std::vector<uint8_t>
 serializeCheckpoint(const TrainerCheckpoint &ckpt)
 {
@@ -188,32 +179,6 @@ deserializeCheckpoint(const std::vector<uint8_t> &bytes)
                     "trailing bytes after checkpoint payload: ",
                     bytes.size() - r.pos);
     return ckpt;
-}
-
-void
-saveCheckpoint(const TrainerCheckpoint &ckpt, const std::string &path)
-{
-    const std::vector<uint8_t> bytes = serializeCheckpoint(ckpt);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    RAPID_CHECK_ARG(out.good(), "cannot open checkpoint file '", path,
-                    "' for writing");
-    out.write(reinterpret_cast<const char *>(bytes.data()),
-              long(bytes.size()));
-    out.flush();
-    RAPID_CHECK_ARG(out.good(), "write to checkpoint file '", path,
-                    "' failed");
-}
-
-TrainerCheckpoint
-loadCheckpoint(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    RAPID_CHECK_ARG(in.good(), "cannot open checkpoint file '", path,
-                    "'");
-    std::vector<uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
-    return deserializeCheckpoint(bytes);
 }
 
 uint64_t

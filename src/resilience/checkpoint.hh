@@ -36,12 +36,6 @@ struct TrainerCheckpoint
     MlpState model;
     LossScalerState scaler;
     std::vector<float> loss_window; ///< sentinel accepted-loss window
-
-    bool operator==(const TrainerCheckpoint &o) const;
-    bool operator!=(const TrainerCheckpoint &o) const
-    {
-        return !(*this == o);
-    }
 };
 
 /** Serialize @p ckpt to the byte-stable on-disk format. */
@@ -53,13 +47,6 @@ std::vector<uint8_t> serializeCheckpoint(const TrainerCheckpoint &ckpt);
  * truncated/trailing payload.
  */
 TrainerCheckpoint deserializeCheckpoint(const std::vector<uint8_t> &bytes);
-
-/** Serialize @p ckpt and write it to @p path (throws on I/O error). */
-void saveCheckpoint(const TrainerCheckpoint &ckpt,
-                    const std::string &path);
-
-/** Read @p path and deserialize it (throws on I/O or format error). */
-TrainerCheckpoint loadCheckpoint(const std::string &path);
 
 /** Serialized size in bytes — the checkpoint cost model's input. */
 uint64_t checkpointBytes(const TrainerCheckpoint &ckpt);

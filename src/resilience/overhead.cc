@@ -83,44 +83,6 @@ expectedReworkFraction(double step_seconds, uint64_t interval_steps,
     return std::min(1.0, 0.5 * interval_seconds / mtbf_seconds);
 }
 
-ReworkEstimator::ReworkEstimator(uint64_t min_samples)
-    : min_samples_(min_samples)
-{
-    RAPID_CHECK_ARG(min_samples >= 1,
-                    "ReworkEstimator needs min_samples >= 1, got ",
-                    min_samples);
-}
-
-void
-ReworkEstimator::record(uint64_t steps, uint64_t replayed)
-{
-    RAPID_CHECK_ARG(steps > 0,
-                    "ReworkEstimator::record: a sample must hold at "
-                    "least one completed step");
-    ++samples_;
-    total_steps_ += steps;
-    total_replayed_ += replayed;
-}
-
-double
-ReworkEstimator::observedFraction() const
-{
-    const uint64_t computed = total_steps_ + total_replayed_;
-    if (computed == 0)
-        return 0.0;
-    return double(total_replayed_) / double(computed);
-}
-
-double
-ReworkEstimator::estimate(double step_seconds, uint64_t interval_steps,
-                          double mtbf_seconds) const
-{
-    if (calibrated())
-        return observedFraction();
-    return expectedReworkFraction(step_seconds, interval_steps,
-                                  mtbf_seconds);
-}
-
 void
 chargeCheckpoint(CycleBreakdown &b, double cycles)
 {

@@ -66,52 +66,6 @@ double expectedReworkFraction(double step_seconds,
 /** Charge @p cycles of snapshot traffic into @p b's checkpoint lane. */
 void chargeCheckpoint(CycleBreakdown &b, double cycles);
 
-/**
- * Rework estimator calibrated against measured recovery history.
- * The analytic expectedReworkFraction assumes a uniform failure
- * instant inside every interval; real runs (RecoveryStats.replayed)
- * deviate whenever failures cluster or the re-checkpoint-after-
- * rollback optimization shortens the replay window. The estimator
- * records observed (completed steps, replayed steps) samples and
- * switches from the analytic worst-case fallback tier to the
- * observed-history tier once enough samples accumulated.
- */
-class ReworkEstimator
-{
-  public:
-    /** @p min_samples observations gate the calibrated tier. Throws
-     *  rapid::Error when it is zero. */
-    explicit ReworkEstimator(uint64_t min_samples = 3);
-
-    /** Record one run: @p steps completed, @p replayed recomputed
-     *  (RecoveryStats.steps / .replayed). Zero-step runs are
-     *  rejected. */
-    void record(uint64_t steps, uint64_t replayed);
-
-    /** True once the observed-history tier is active. */
-    bool calibrated() const { return samples_ >= min_samples_; }
-    uint64_t samples() const { return samples_; }
-
-    /** Observed replayed / computed fraction across all samples
-     *  (replayed steps are recomputed, so the denominator is
-     *  steps + replayed); 0 before the first sample. */
-    double observedFraction() const;
-
-    /**
-     * The estimate: the observed fraction once calibrated, else the
-     * analytic expectedReworkFraction of the supplied scenario (the
-     * worst-case fallback tier).
-     */
-    double estimate(double step_seconds, uint64_t interval_steps,
-                    double mtbf_seconds) const;
-
-  private:
-    uint64_t min_samples_;
-    uint64_t samples_ = 0;
-    uint64_t total_steps_ = 0;
-    uint64_t total_replayed_ = 0;
-};
-
 } // namespace rapid
 
 #endif // RAPID_RESILIENCE_OVERHEAD_HH

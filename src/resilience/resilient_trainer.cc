@@ -267,19 +267,6 @@ ResilientTrainer::runSteps(const Dataset &train, int64_t batch_size,
     }
 }
 
-void
-ResilientTrainer::train(const Dataset &train, int epochs,
-                        int64_t batch_size)
-{
-    RAPID_CHECK_ARG(batch_size > 0, "batch_size must be positive, got ",
-                    batch_size);
-    const int64_t steps_per_epoch = train.size() / batch_size;
-    RAPID_CHECK_ARG(steps_per_epoch > 0, "dataset of ", train.size(),
-                    " rows holds no full batch of ", batch_size);
-    runSteps(train, batch_size,
-             uint64_t(epochs) * uint64_t(steps_per_epoch));
-}
-
 RecoveryStats
 ResilientTrainer::stats() const
 {

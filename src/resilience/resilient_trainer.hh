@@ -142,9 +142,6 @@ class ResilientTrainer
     void runSteps(const Dataset &train, int64_t batch_size,
                   uint64_t steps);
 
-    /** Epoch-style driver: epochs x (size / batch) steps. */
-    void train(const Dataset &train, int epochs, int64_t batch_size);
-
     double evaluate(const Dataset &test) { return model_.evaluate(test); }
 
     Mlp &model() { return model_; }

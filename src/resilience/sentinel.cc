@@ -7,26 +7,6 @@
 
 namespace rapid {
 
-const char *
-healthEventKindName(HealthEventKind kind)
-{
-    switch (kind) {
-      case HealthEventKind::NonFiniteLoss:
-        return "non-finite-loss";
-      case HealthEventKind::NonFiniteGradient:
-        return "non-finite-gradient";
-      case HealthEventKind::NonFiniteWeight:
-        return "non-finite-weight";
-      case HealthEventKind::LossSpike:
-        return "loss-spike";
-      case HealthEventKind::GradientOutlier:
-        return "gradient-outlier";
-      case HealthEventKind::NumericFault:
-        return "numeric-fault";
-    }
-    return "?";
-}
-
 void
 validateSentinelConfig(const SentinelConfig &cfg)
 {

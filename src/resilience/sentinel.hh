@@ -37,8 +37,6 @@ enum class HealthEventKind
     NumericFault,      ///< a checked datapath threw rapid::Error
 };
 
-const char *healthEventKindName(HealthEventKind kind);
-
 /** One structured sentinel detection. */
 struct HealthEvent
 {

@@ -7,16 +7,6 @@
 
 namespace rapid {
 
-const char *
-arrivalPatternName(ArrivalPattern pattern)
-{
-    switch (pattern) {
-      case ArrivalPattern::Poisson: return "poisson";
-      case ArrivalPattern::Bursty: return "bursty";
-    }
-    return "?";
-}
-
 int
 servingQuality(Precision p)
 {

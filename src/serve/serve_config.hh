@@ -31,8 +31,6 @@ enum class ArrivalPattern
     Bursty,  ///< Poisson burst epochs, geometric burst sizes
 };
 
-const char *arrivalPatternName(ArrivalPattern pattern);
-
 /** One tenant: a traffic stream against one network with one SLA. */
 struct TenantConfig
 {

@@ -23,13 +23,14 @@ using Bits = BitLanes<kHalf>;
 using Mask = MaskLanes<kHalf>;
 
 /**
- * MpeDatapath::fp16Fma() of four lanes on operands that are already
- * DLFloat16 or FP9 values, and a scalar a: acc + a * b rounded to
- * DLFloat16, ties to even, in the lanes where b is nonzero, each
- * counted in @p issued; the other lanes pass acc through (zero-gating).
+ * The MPE's FP16 FMA (hfp8Fma's adder stage) of four lanes on
+ * operands that are already DLFloat16 or FP9 values, and a scalar a:
+ * acc + a * b rounded to DLFloat16, ties to even, in the lanes where b
+ * is nonzero, each counted in @p issued; the other lanes pass acc
+ * through (zero-gating).
  * The caller gates a zero a.
  *
- * binary32 gives fp16Fma's bits: both multiplicands carry at most 10
+ * binary32 gives the FMA's bits: both multiplicands carry at most 10
  * significant bits and lie within [2^-31, 2^33), so the product is
  * exact in binary32, and rounding the sum of two binary32 values to
  * binary64 and then to binary32 equals rounding it to binary32 once.

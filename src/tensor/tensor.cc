@@ -17,13 +17,6 @@ Tensor::Tensor(std::vector<int64_t> shape) : shape_(std::move(shape))
 }
 
 void
-Tensor::fill(float value)
-{
-    for (auto &v : data_)
-        v = value;
-}
-
-void
 Tensor::fillGaussian(Rng &rng, double mean, double stddev)
 {
     for (auto &v : data_)

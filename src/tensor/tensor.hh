@@ -52,8 +52,6 @@ class Tensor
     float &at(int64_t n, int64_t c, int64_t h, int64_t w);
     float at(int64_t n, int64_t c, int64_t h, int64_t w) const;
 
-    void fill(float value);
-
     /** Fill with N(mean, stddev) draws from @p rng. */
     void fillGaussian(Rng &rng, double mean = 0.0, double stddev = 1.0);
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "conv_reference.hh"
 #include "func/cnn.hh"
 
@@ -34,7 +36,7 @@ TEST(ConvGrad, WeightGradientMatchesFiniteDifference)
 
     Tensor y = conv2d(x, w, p);
     Tensor ones(y.shape());
-    ones.fill(1.0f);
+    std::ranges::fill(ones.storage(), 1.0f);
     Tensor dw = conv2dGradWeight(ones, x, p, 3, 3);
 
     const double eps = 1e-3;
@@ -60,7 +62,7 @@ TEST(ConvGrad, InputGradientMatchesFiniteDifference)
 
     Tensor y = conv2d(x, w, p);
     Tensor ones(y.shape());
-    ones.fill(1.0f);
+    std::ranges::fill(ones.storage(), 1.0f);
     Tensor dx = conv2dGradInput(ones, w, p, 5, 5);
     ASSERT_EQ(dx.shape(), x.shape());
 
@@ -84,7 +86,7 @@ TEST(ConvGrad, StridedShapesConsistent)
     p.stride = 2;
     Tensor y = conv2d(x, w, p);
     Tensor g(y.shape());
-    g.fill(1.0f);
+    std::ranges::fill(g.storage(), 1.0f);
     EXPECT_EQ(conv2dGradInput(g, w, p, 8, 8).shape(), x.shape());
     EXPECT_EQ(conv2dGradWeight(g, x, p, 3, 3).shape(), w.shape());
 }

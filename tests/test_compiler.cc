@@ -1,7 +1,6 @@
 /**
  * @file
- * Tests for the graph-compiler passes: scratchpad tiling /
- * double-buffer planning and MPE/MNI program generation, including
+ * Tests for the graph compiler's MPE/MNI program generation, including
  * the consistency contract between the generated programs and the
  * analytical dataflow mapping.
  */
@@ -14,7 +13,6 @@
 #include "common/error.hh"
 #include "compiler/codegen.hh"
 #include "compiler/precision_assign.hh"
-#include "compiler/tiling.hh"
 #include "workloads/networks.hh"
 
 namespace rapid {
@@ -33,98 +31,6 @@ bigConv()
     l.kh = l.kw = 3;
     l.pad_h = l.pad_w = 1;
     return l;
-}
-
-TEST(Tiling, RespectsL1Capacity)
-{
-    CoreConfig core;
-    TilePlanner planner(core, 128.0);
-    for (const auto &net : allBenchmarks()) {
-        for (const auto &l : net.layers) {
-            if (!l.isCompute())
-                continue;
-            TileSchedule s = planner.plan(l, 1, Precision::INT4);
-            const double l1 = core.l1_kib * 1024.0;
-            double resident =
-                (s.double_buffered ? 2.0 : 1.0) *
-                (s.input_tile_bytes + s.output_tile_bytes);
-            EXPECT_LE(resident, l1 * 1.001)
-                << net.name << "/" << l.name;
-            EXPECT_GE(s.positions_per_tile, 1) << l.name;
-            EXPECT_GE(s.num_tiles, 1) << l.name;
-        }
-    }
-}
-
-TEST(Tiling, TilesCoverAllPositions)
-{
-    CoreConfig core;
-    TilePlanner planner(core, 128.0);
-    Layer l = bigConv();
-    for (int64_t batch : {1L, 8L, 64L}) {
-        TileSchedule s = planner.plan(l, batch, Precision::FP16);
-        int64_t positions = l.outH() * l.outW() * batch;
-        EXPECT_GE(s.num_tiles * s.positions_per_tile, positions);
-        EXPECT_LT((s.num_tiles - 1) * s.positions_per_tile,
-                  positions);
-    }
-}
-
-TEST(Tiling, LowerPrecisionMeansBiggerTiles)
-{
-    CoreConfig core;
-    TilePlanner planner(core, 128.0);
-    Layer l = bigConv();
-    TileSchedule fp16 = planner.plan(l, 8, Precision::FP16);
-    TileSchedule int4 = planner.plan(l, 8, Precision::INT4);
-    // Quarter the bytes per element -> at least 2x the tile.
-    EXPECT_GE(int4.positions_per_tile,
-              fp16.positions_per_tile * 2);
-}
-
-TEST(Tiling, DoubleBufferingHidesFetchWhenComputeBound)
-{
-    CoreConfig core;
-    TilePlanner planner(core, 128.0);
-    // 3x3 conv over many channels: heavily compute bound.
-    TileSchedule s = planner.plan(bigConv(), 8, Precision::FP16);
-    EXPECT_TRUE(s.double_buffered);
-    EXPECT_DOUBLE_EQ(s.prefetchCoverage(), 1.0);
-    // Total time then equals pure compute.
-    EXPECT_NEAR(s.totalCycles(),
-                s.num_tiles * s.compute_cycles_per_tile,
-                s.compute_cycles_per_tile);
-}
-
-TEST(Tiling, BandwidthStarvedLayerExposesFetch)
-{
-    CoreConfig core;
-    // Starve the memory system: 0.5 bytes/cycle.
-    TilePlanner planner(core, 0.5);
-    Layer fc;
-    fc.type = LayerType::Gemm;
-    fc.name = "fc";
-    fc.gm = 1;
-    fc.gk = 4096;
-    fc.gn = 4096;
-    TileSchedule s = planner.plan(fc, 1, Precision::FP16);
-    EXPECT_LT(s.prefetchCoverage(), 1.0);
-    EXPECT_GT(s.totalCycles(),
-              s.num_tiles * s.compute_cycles_per_tile);
-}
-
-TEST(Tiling, WeightHeavyLayerStillGetsActivationBudget)
-{
-    CoreConfig core;
-    TilePlanner planner(core, 128.0);
-    Layer fc;
-    fc.type = LayerType::Gemm;
-    fc.name = "fc6";
-    fc.gm = 1;
-    fc.gk = 25088;
-    fc.gn = 4096; // ~100M weights: far beyond any L1
-    double budget = planner.activationBudget(fc, Precision::FP16);
-    EXPECT_GE(budget, 0.25 * core.l1_kib * 1024.0);
 }
 
 TEST(Codegen, ProgramStructureIsWellFormed)

@@ -13,7 +13,6 @@
 #include "common/error.hh"
 #include "compiler/dataflow.hh"
 #include "compiler/precision_assign.hh"
-#include "compiler/tiling.hh"
 #include "func/cnn.hh"
 #include "perf/perf_model.hh"
 #include "power/throttle.hh"
@@ -202,9 +201,6 @@ TEST(Contracts, MapperRejectsFp32)
     l.type = LayerType::Gemm;
     l.gm = l.gk = l.gn = 8;
     expectInvalidArgument([&] { m.map(l, 1, Precision::FP32); });
-    expectInvalidArgument([&] {
-        m.evaluateSplit(mappedShape(l, 1), Precision::FP32, 1, 1);
-    });
 }
 
 TEST(Contracts, SystolicSimIsFpuOnly)
@@ -262,15 +258,6 @@ TEST(Contracts, ThrottleRejectsBadSparsity)
     EXPECT_DEATH(tp.stallRate(-0.1), "sparsity");
 }
 
-TEST(Contracts, TilePlannerRejectsAuxLayers)
-{
-    TilePlanner tp(CoreConfig{}, 128.0);
-    Layer aux;
-    aux.type = LayerType::Aux;
-    aux.aux_elems = 10;
-    EXPECT_DEATH(tp.plan(aux, 1, Precision::FP16), "non-compute");
-}
-
 TEST(Contracts, TrainingModelRejectsIntPrecisions)
 {
     TrainingPerfModel tm(makeTrainingSystem(4));
@@ -326,14 +313,13 @@ TEST(ProgrammableBias, MatchesTensorDynamicRange)
               5.0 * quantize_error(small, best_small));
 }
 
-/** The compiler-facing knob: MpeDatapath reconfigures per layer. */
+/** The compiler-facing knob: each layer's datapath takes its bias. */
 TEST(ProgrammableBias, DatapathReconfiguresBetweenLayers)
 {
-    MpeDatapath dp(4);
     const float tiny = 0.001f;
-    float coarse = dp.toFp9(tiny, Fp8Kind::Forward);
-    dp.setForwardBias(12); // shift range down for a small-valued layer
-    float fine = dp.toFp9(tiny, Fp8Kind::Forward);
+    float coarse = MpeDatapath(4).toFp9(tiny, Fp8Kind::Forward);
+    // Bias 12 shifts the range down for a small-valued layer.
+    float fine = MpeDatapath(12).toFp9(tiny, Fp8Kind::Forward);
     EXPECT_LT(std::abs(fine - tiny), std::abs(coarse - tiny));
 }
 

@@ -21,6 +21,7 @@
 #include "common/parallel.hh"
 #include "common/random.hh"
 #include "precision/float_format.hh"
+#include "format_limits.hh"
 #include "rounding_classes.hh"
 
 namespace rapid {
@@ -34,7 +35,7 @@ TEST(DlFloat16, BasicConstants)
     EXPECT_EQ(f.manBits(), 9u);
     EXPECT_EQ(f.bias(), 31);
     // Max finite: 2^(62-31) * (2 - 2^-9)
-    EXPECT_FLOAT_EQ(f.maxFinite(), std::ldexp(2.0f - std::ldexp(1.0f, -9),
+    EXPECT_FLOAT_EQ(maxFinite(f), std::ldexp(2.0f - std::ldexp(1.0f, -9),
                                               31));
     EXPECT_FALSE(f.hasSubnormals());
 }
@@ -64,15 +65,15 @@ TEST(DlFloat16, RoundToNearestEvenTies)
 TEST(DlFloat16, SaturatesOnOverflow)
 {
     const FloatFormat &f = dlfloat16();
-    EXPECT_EQ(f.quantize(1e30f), f.maxFinite());
-    EXPECT_EQ(f.quantize(-1e30f), -f.maxFinite());
+    EXPECT_EQ(f.quantize(1e30f), maxFinite(f));
+    EXPECT_EQ(f.quantize(-1e30f), -maxFinite(f));
 }
 
 TEST(DlFloat16, FlushesToZeroBelowMinNormal)
 {
     const FloatFormat &f = dlfloat16();
-    EXPECT_EQ(f.quantize(f.minNormal()), f.minNormal());
-    EXPECT_EQ(f.quantize(f.minNormal() * 0.25f), 0.0f);
+    EXPECT_EQ(f.quantize(minNormal(f)), minNormal(f));
+    EXPECT_EQ(f.quantize(minNormal(f) * 0.25f), 0.0f);
     // The zero-encoding collision: 2^-31 itself is not representable.
     EXPECT_EQ(f.quantize(std::ldexp(1.0f, -31)), 0.0f);
 }
@@ -81,11 +82,11 @@ TEST(DlFloat16, NanHandling)
 {
     const FloatFormat &f = dlfloat16();
     uint32_t nan_bits = f.encode(std::nanf(""));
-    EXPECT_TRUE(f.isNan(nan_bits));
+    EXPECT_TRUE(isSpecial(f, nan_bits));
     EXPECT_TRUE(std::isnan(f.decode(nan_bits)));
     // Infinity maps to the merged NaN/Inf symbol.
     uint32_t inf_bits = f.encode(std::numeric_limits<float>::infinity());
-    EXPECT_TRUE(f.isNan(inf_bits));
+    EXPECT_TRUE(isSpecial(f, inf_bits));
 }
 
 TEST(DlFloat16, SignedZeroPreserved)
@@ -94,6 +95,16 @@ TEST(DlFloat16, SignedZeroPreserved)
     EXPECT_EQ(f.encode(0.0f), 0u);
     EXPECT_EQ(f.encode(-0.0f), 0x8000u);
     EXPECT_TRUE(std::signbit(f.decode(0x8000u)));
+}
+
+/** IEEE-754 binary16, the reference the datapath formats are compared
+ *  with. */
+const FloatFormat &
+ieeeHalf()
+{
+    static const FloatFormat fmt(5, 10, 15, /*subnormals=*/true,
+                                 /*inf_nan=*/true, /*saturating=*/false);
+    return fmt;
 }
 
 TEST(IeeeHalf, MatchesKnownEncodings)
@@ -114,7 +125,7 @@ checkRoundTripExhaustive(const FloatFormat &f)
 {
     for (uint32_t p = 0; p < f.numEncodings(); ++p) {
         float v = f.decode(p);
-        if (f.isNan(p)) {
+        if (isSpecial(f, p)) {
             EXPECT_TRUE(std::isnan(v));
             continue;
         }
@@ -137,7 +148,7 @@ checkMonotonic(const FloatFormat &f)
     uint32_t max_exp_pattern =
         f.numEncodings() / 2 - 1; // positive patterns end here
     for (uint32_t p = 1; p <= max_exp_pattern; ++p) {
-        if (f.isNan(p))
+        if (isSpecial(f, p))
             continue;
         float v = f.decode(p);
         EXPECT_GE(v, prev) << f.name() << " p=" << p;
@@ -169,7 +180,7 @@ checkSignedTotalOrder(const FloatFormat &f)
     float prev = 0.0f;
     bool prev_canonical = false;
     for (uint32_t p : order) {
-        if (f.isNan(p))
+        if (isSpecial(f, p))
             continue;
         float v = f.decode(p);
         bool canonical = f.encode(v) == p;
@@ -200,7 +211,7 @@ checkNanRegionExhaustive(const FloatFormat &f)
     const uint32_t sign_bit = 1u << (f.storageBits() - 1);
     for (uint32_t p = 0; p < f.numEncodings(); ++p) {
         float v = f.decode(p);
-        if (f.isNan(p)) {
+        if (isSpecial(f, p)) {
             EXPECT_TRUE(std::isnan(v)) << f.name() << " p=" << p;
             // Any mantissa in the region canonicalizes on re-encode.
             EXPECT_EQ(f.encode(v) & ~sign_bit, f.nanBits())
@@ -213,12 +224,12 @@ checkNanRegionExhaustive(const FloatFormat &f)
         const float inf = std::numeric_limits<float>::infinity();
         EXPECT_EQ(f.encode(inf), f.nanBits());
         EXPECT_EQ(f.encode(-inf), sign_bit | f.nanBits());
-        EXPECT_TRUE(f.isNan(f.encode(std::nanf(""))));
+        EXPECT_TRUE(isSpecial(f, f.encode(std::nanf(""))));
     } else {
         // Saturating format: Inf clamps to the largest finite value.
         const float inf = std::numeric_limits<float>::infinity();
-        EXPECT_EQ(f.decode(f.encode(inf)), f.maxFinite());
-        EXPECT_EQ(f.decode(f.encode(-inf)), -f.maxFinite());
+        EXPECT_EQ(f.decode(f.encode(inf)), maxFinite(f));
+        EXPECT_EQ(f.decode(f.encode(-inf)), -maxFinite(f));
     }
 }
 
@@ -231,7 +242,7 @@ void
 checkIdempotentExhaustive(const FloatFormat &f)
 {
     for (uint32_t p = 0; p < f.numEncodings(); ++p) {
-        if (f.isNan(p))
+        if (isSpecial(f, p))
             continue;
         float v = f.decode(p);
         for (Rounding mode : {Rounding::NearestEven, Rounding::NearestUp,
@@ -288,10 +299,10 @@ TEST_P(SmallFormatTest, RelativeErrorBounded)
     Rng rng(43);
     // For values in the normal range, relative error <= 2^-(man+1).
     double bound = std::ldexp(1.0, -int(f.manBits()) - 1) * 1.0000001;
+    const double lo = std::log(double(minNormal(f)));
+    const double hi = std::log(double(maxFinite(f)) / 2);
     for (int i = 0; i < 5000; ++i) {
-        double mag = std::exp(rng.uniform(std::log(double(f.minNormal())),
-                                          std::log(double(f.maxFinite()) /
-                                                   2)));
+        double mag = std::exp(rng.uniform(lo, hi));
         float x = float(rng.uniform() < 0.5 ? -mag : mag);
         float q = f.quantize(x);
         EXPECT_LE(std::abs(double(q) - x), bound * std::abs(x) * (1 + 1e-6))
@@ -320,7 +331,7 @@ TEST(Fp9Conversion, ExactForAllFp8Forward)
     for (int bias = 1; bias <= 15; ++bias) {
         FloatFormat f8 = fp8e4m3(bias);
         for (uint32_t p = 0; p < f8.numEncodings(); ++p) {
-            if (f8.isNan(p))
+            if (isSpecial(f8, p))
                 continue;
             float v = f8.decode(p);
             EXPECT_EQ(fp9().quantize(v), v)
@@ -333,7 +344,7 @@ TEST(Fp9Conversion, ExactForAllFp8Backward)
 {
     const FloatFormat &f8 = fp8e5m2();
     for (uint32_t p = 0; p < f8.numEncodings(); ++p) {
-        if (f8.isNan(p))
+        if (isSpecial(f8, p))
             continue;
         float v = f8.decode(p);
         EXPECT_EQ(fp9().quantize(v), v) << "p=" << p << " v=" << v;
@@ -346,29 +357,29 @@ TEST(Fp8Forward, ProgrammableBiasShiftsRange)
     FloatFormat lo_bias = fp8e4m3(1);
     FloatFormat hi_bias = fp8e4m3(11);
     // Raising the bias by 10 scales the whole range down by 2^10.
-    EXPECT_FLOAT_EQ(hi_bias.maxFinite(),
-                    lo_bias.maxFinite() / std::ldexp(1.0f, 10));
-    EXPECT_FLOAT_EQ(hi_bias.minPositive(),
-                    lo_bias.minPositive() / std::ldexp(1.0f, 10));
+    EXPECT_FLOAT_EQ(maxFinite(hi_bias),
+                    maxFinite(lo_bias) / std::ldexp(1.0f, 10));
+    EXPECT_FLOAT_EQ(minPositive(hi_bias),
+                    minPositive(lo_bias) / std::ldexp(1.0f, 10));
 }
 
 TEST(Fp8Forward, SubnormalsRepresented)
 {
     FloatFormat f8 = fp8e4m3(4);
     // Min subnormal = 2^(1-4) * 2^-3 = 2^-6.
-    EXPECT_FLOAT_EQ(f8.minPositive(), std::ldexp(1.0f, -6));
+    EXPECT_FLOAT_EQ(minPositive(f8), std::ldexp(1.0f, -6));
     EXPECT_EQ(f8.quantize(std::ldexp(1.0f, -6)), std::ldexp(1.0f, -6));
     // Half of it rounds to it or to zero, never elsewhere.
     float half = std::ldexp(1.0f, -7);
     float q = f8.quantize(half);
-    EXPECT_TRUE(q == 0.0f || q == f8.minPositive());
+    EXPECT_TRUE(q == 0.0f || q == minPositive(f8));
 }
 
 TEST(Fp8Backward, WiderDynamicRangeThanForward)
 {
     // The (1,5,2) gradient format trades mantissa for range.
-    EXPECT_GT(fp8e5m2().maxFinite(), fp8e4m3(4).maxFinite());
-    EXPECT_LT(fp8e5m2().minPositive(), fp8e4m3(4).minPositive());
+    EXPECT_GT(maxFinite(fp8e5m2()), maxFinite(fp8e4m3(4)));
+    EXPECT_LT(minPositive(fp8e5m2()), minPositive(fp8e4m3(4)));
 }
 
 
@@ -382,7 +393,7 @@ TEST(CrossFormat, DlFloat16RepresentsAllFp8AndFp9)
     for (const FloatFormat &f8 :
          {fp8e4m3(1), fp8e4m3(4), fp8e4m3(15), fp8e5m2(), fp9()}) {
         for (uint32_t p = 0; p < f8.numEncodings(); ++p) {
-            if (f8.isNan(p))
+            if (isSpecial(f8, p))
                 continue;
             float v = f8.decode(p);
             EXPECT_EQ(dlfloat16().quantize(v), v)

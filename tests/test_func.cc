@@ -25,11 +25,13 @@
 #include "common/error.hh"
 #include "common/parallel.hh"
 #include "conv_reference.hh"
+#include "format_limits.hh"
 #include "func/cnn.hh"
 #include "func/datasets.hh"
 #include "func/quantized_ops.hh"
 #include "func/trainer.hh"
 #include "lane_widths.hh"
+#include "quantizer_levels.hh"
 #include "rounding_classes.hh"
 
 namespace rapid {
@@ -324,7 +326,7 @@ sweepOracle(Fill fill,
 {
     OracleSweep s;
     Rng rng(1000 + uint64_t(fill));
-    const float max16 = dlfloat16().maxFinite();
+    const float max16 = maxFinite(dlfloat16());
     for (int64_t n : kOracleN) {
         for (int64_t k : kOracleK) {
             const int64_t m = 2;
@@ -784,8 +786,8 @@ TEST(IntExec, ChunkSaturationEngages)
     // chunk boundary must cap the result.
     const int64_t k = 4096;
     Tensor a({1, k}), b({k, 1});
-    a.fill(100.0f); // clips to PACT alpha
-    b.fill(100.0f); // clips to SaWB alpha
+    std::ranges::fill(a.storage(), 100.0f); // clips to PACT alpha
+    std::ranges::fill(b.storage(), 100.0f); // clips to SaWB alpha
     PactQuantizer act_q(1.0f, 4);
     std::vector<float> wts(size_t(k), 1.0f);
     wts[0] = -1.0f; // avoid degenerate all-equal tensor
@@ -831,7 +833,7 @@ referenceLevels(const Tensor &t, const Q &q)
 {
     std::vector<int> out(size_t(t.numel()));
     for (int64_t i = 0; i < t.numel(); ++i)
-        out[size_t(i)] = q.quantizeLevel(t[i]);
+        out[size_t(i)] = referenceLevel(q, t[i]);
     return out;
 }
 
@@ -1062,11 +1064,11 @@ struct ExactInt4
     {
         for (size_t kk = 0; kk < a_levels.size(); ++kk) {
             a[int64_t(kk)] = float(a_levels[kk]);
-            EXPECT_EQ(act_q.quantizeLevel(a[int64_t(kk)]), a_levels[kk]);
+            EXPECT_EQ(referenceLevel(act_q, a[int64_t(kk)]), a_levels[kk]);
             for (size_t j = 0; j < b_columns.size(); ++j) {
                 float &v = b.at(int64_t(kk), int64_t(j));
                 v = float(b_columns[j][kk]) * wt_q.scale();
-                EXPECT_EQ(wt_q.quantizeLevel(v), b_columns[j][kk]);
+                EXPECT_EQ(referenceLevel(wt_q, v), b_columns[j][kk]);
             }
         }
     }

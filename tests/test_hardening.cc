@@ -20,6 +20,7 @@
 #include "common/logging.hh"
 #include "precision/int_format.hh"
 #include "precision/quantize.hh"
+#include "quantizer_levels.hh"
 #include "tensor/tensor.hh"
 
 namespace rapid {
@@ -136,20 +137,20 @@ TEST(QuantizerUbRegression, IntFormatNearestRoundingUnchanged)
 TEST(QuantizerUbRegression, PactHandlesNanAndNegatives)
 {
     PactQuantizer q(1.0f, 4);
-    EXPECT_EQ(q.quantizeLevel(kNan), 0);
-    EXPECT_EQ(q.quantizeLevel(-3.0f), 0);
-    EXPECT_EQ(q.quantizeLevel(kInf), int((1u << 4) - 1));
-    EXPECT_EQ(q.quantize(kNan), 0.0f);
+    EXPECT_EQ(levelOf(q, kNan), 0);
+    EXPECT_EQ(levelOf(q, -3.0f), 0);
+    EXPECT_EQ(levelOf(q, kInf), int((1u << 4) - 1));
+    EXPECT_EQ(quantizedOf(q, kNan), 0.0f);
 }
 
 TEST(QuantizerUbRegression, SawbHandlesNan)
 {
     SawbQuantizer q({-1.0f, -0.5f, 0.5f, 1.0f}, 4);
-    EXPECT_EQ(q.quantizeLevel(kNan), 0);
-    EXPECT_EQ(q.quantize(kNan), 0.0f);
+    EXPECT_EQ(levelOf(q, kNan), 0);
+    EXPECT_EQ(quantizedOf(q, kNan), 0.0f);
     // Saturation at the clip value still reaches the extreme levels.
-    EXPECT_EQ(q.quantizeLevel(1e30f), 7);
-    EXPECT_EQ(q.quantizeLevel(-1e30f), -7);
+    EXPECT_EQ(levelOf(q, 1e30f), 7);
+    EXPECT_EQ(levelOf(q, -1e30f), -7);
 }
 
 } // namespace

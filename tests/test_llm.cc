@@ -230,9 +230,6 @@ TEST_F(LlmTest, BitIdenticalAcrossThreadCounts)
     ASSERT_EQ(serial.steps.size(), batched.steps.size());
     EXPECT_EQ(serial.end_ns, wide.end_ns);
     EXPECT_EQ(serial.end_ns, batched.end_ns);
-    const LlmMetrics ms = computeLlmMetrics(cfg, serial);
-    const LlmMetrics mw = computeLlmMetrics(cfg, wide);
-    EXPECT_EQ(llmReport(cfg, ms), llmReport(cfg, mw)); // stable text
 }
 
 TEST_F(LlmTest, ContinuousBatchingBeatsOneShotUnderLoad)

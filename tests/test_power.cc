@@ -122,7 +122,7 @@ TEST(PowerModel, ZeroGatingLowersPrunedPower)
     Network dense = makeVgg16();
     Network pruned = makeVgg16();
     applySparsityProfile(pruned, 0.8);
-    ExecutionPlan plan = uniformPlan(dense, Precision::FP16);
+    ExecutionPlan plan = assignPrecision(dense, {Precision::FP16});
     NetworkPerf perf = pm.evaluate(dense, plan, 1);
     double p_dense = pw.evaluate(perf, dense).avg_power_w;
     double p_pruned = pw.evaluate(perf, pruned).avg_power_w;
@@ -167,7 +167,7 @@ TEST(Throttle, PlanFollowsLayerSparsity)
 {
     Network net = makeVgg16();
     applySparsityProfile(net, 0.8);
-    ExecutionPlan plan = uniformPlan(net, Precision::FP16);
+    ExecutionPlan plan = assignPrecision(net, {Precision::FP16});
     PowerModel pw(makeInferenceChip(), 1.5);
     ThrottlePlanner tp(pw);
     tp.planThrottle(net, plan);
@@ -194,7 +194,7 @@ TEST(Throttle, EndToEndPrunedSpeedupBand)
     PowerModel pw(chip, 1.5);
     ThrottlePlanner tp(pw);
     for (auto &[net, avg] : prunedBenchmarks()) {
-        ExecutionPlan base = uniformPlan(net, Precision::FP16);
+        ExecutionPlan base = assignPrecision(net, {Precision::FP16});
         double t0 = pm.evaluate(net, base, 1).total_seconds;
         ExecutionPlan boosted = base;
         tp.planThrottle(net, boosted);

@@ -15,40 +15,40 @@
 
 #include "common/parallel.hh"
 #include "common/random.hh"
+#include "format_limits.hh"
+#include "fp16_fma.hh"
 #include "precision/chunk_accumulator.hh"
 #include "precision/int_format.hh"
 #include "precision/mpe_datapath.hh"
 #include "precision/quantize.hh"
+#include "quantizer_levels.hh"
 
 namespace rapid {
 namespace {
 
 TEST(MpeDatapath, Fp16FmaExactWhenRepresentable)
 {
-    MpeDatapath dp;
-    EXPECT_FLOAT_EQ(dp.fp16Fma(2.0f, 3.0f, 4.0f), 10.0f);
-    EXPECT_FLOAT_EQ(dp.fp16Fma(-1.5f, 2.0f, 0.0f), -3.0f);
+    EXPECT_FLOAT_EQ(fp16Fma(2.0f, 3.0f, 4.0f), 10.0f);
+    EXPECT_FLOAT_EQ(fp16Fma(-1.5f, 2.0f, 0.0f), -3.0f);
 }
 
 TEST(MpeDatapath, Fp16FmaRoundsOnce)
 {
-    MpeDatapath dp;
     // 1024 + 1 is a tie at the 10-bit significand: RNE keeps 1024.
-    EXPECT_FLOAT_EQ(dp.fp16Fma(1.0f, 1.0f, 1024.0f), 1024.0f);
+    EXPECT_FLOAT_EQ(fp16Fma(1.0f, 1.0f, 1024.0f), 1024.0f);
     // 1026 + 1 ties toward 1028 under RNE.
-    EXPECT_FLOAT_EQ(dp.fp16Fma(1.0f, 1.0f, 1026.0f), 1028.0f);
+    EXPECT_FLOAT_EQ(fp16Fma(1.0f, 1.0f, 1026.0f), 1028.0f);
 }
 
 TEST(MpeDatapath, ZeroGatingBypassesAndCounts)
 {
     MpeDatapath dp;
-    EXPECT_FLOAT_EQ(dp.fp16Fma(0.0f, 5.0f, 7.25f), 7.25f);
-    EXPECT_FLOAT_EQ(dp.fp16Fma(5.0f, 0.0f, -2.5f), -2.5f);
-    EXPECT_FLOAT_EQ(dp.fp16Fma(2.0f, 2.0f, 1.0f), 5.0f);
+    const Fp8Kind f = Fp8Kind::Forward;
+    EXPECT_FLOAT_EQ(dp.hfp8Fma(0.0f, f, 5.0f, f, 7.25f), 7.25f);
+    EXPECT_FLOAT_EQ(dp.hfp8Fma(5.0f, f, 0.0f, f, -2.5f), -2.5f);
+    EXPECT_FLOAT_EQ(dp.hfp8Fma(2.0f, f, 2.0f, f, 1.0f), 5.0f);
     EXPECT_EQ(dp.fmaCount(), 3u);
     EXPECT_EQ(dp.zeroGatedCount(), 2u);
-    dp.resetCounters();
-    EXPECT_EQ(dp.fmaCount(), 0u);
 }
 
 TEST(MpeDatapath, Hfp8ZeroGatingTriggersOnUnderflowedOperands)
@@ -79,7 +79,7 @@ TEST(MpeDatapath, Hfp8MixedFormatsUsedInBackwardPass)
     MpeDatapath dp(4);
     // 20000 saturates the forward format (max 1920 at bias 4) but is
     // representable in the (1,5,2) backward format (max 57344).
-    float fwd_sat = fp8e4m3(4).maxFinite();
+    float fwd_sat = maxFinite(fp8e4m3(4));
     EXPECT_FLOAT_EQ(dp.hfp8Fma(20000.0f, Fp8Kind::Forward, 1.0f,
                                Fp8Kind::Forward, 0.0f),
                     fwd_sat);
@@ -93,24 +93,13 @@ TEST(MpeDatapath, ProgrammableBiasChangesForwardRange)
 {
     MpeDatapath dp(4);
     float v = 3000.0f; // above max finite (1920) at bias 4
-    EXPECT_FLOAT_EQ(dp.toFp9(v, Fp8Kind::Forward), fp8e4m3(4).maxFinite());
-    dp.setForwardBias(1);
-    // Bias 1 extends the range to 2^13 * 1.875 = 15360, so 3000 now
+    EXPECT_FLOAT_EQ(dp.toFp9(v, Fp8Kind::Forward), maxFinite(fp8e4m3(4)));
+    // Bias 1 extends the range to 2^13 * 1.875 = 15360, so 3000
     // quantizes normally instead of saturating.
-    EXPECT_FLOAT_EQ(dp.toFp9(v, Fp8Kind::Forward),
+    const MpeDatapath wide(1);
+    EXPECT_FLOAT_EQ(wide.toFp9(v, Fp8Kind::Forward),
                     fp8e4m3(1).quantize(3000.0f));
-    EXPECT_LT(dp.toFp9(v, Fp8Kind::Forward) - 3000.0f, 3000.0f * 0.07f);
-}
-
-TEST(MpeDatapath, IntMacAccumulates)
-{
-    MpeDatapath dp;
-    int64_t acc = 0;
-    acc = dp.intMac(7, -7, acc, 4);
-    acc = dp.intMac(-8 + 1, -7, acc, 4); // -7 * -7
-    EXPECT_EQ(acc, -49 + 49);
-    acc = dp.intMac(1, 1, acc, 2);
-    EXPECT_EQ(acc, 1);
+    EXPECT_LT(wide.toFp9(v, Fp8Kind::Forward) - 3000.0f, 3000.0f * 0.07f);
 }
 
 TEST(IntFormat, SymmetricRanges)
@@ -201,28 +190,17 @@ TEST_P(ChunkSizeTest, ChunkedErrorNoWorseThanNaive)
 INSTANTIATE_TEST_SUITE_P(Sweep, ChunkSizeTest,
                          ::testing::Values(8, 16, 64, 256));
 
-TEST(ChunkAccumulator, ResetClearsState)
-{
-    ChunkAccumulator acc(8, true);
-    for (int i = 0; i < 20; ++i)
-        acc.add(2.0);
-    acc.reset();
-    EXPECT_FLOAT_EQ(acc.total(), 0.0f);
-    acc.add(3.0);
-    EXPECT_FLOAT_EQ(acc.total(), 3.0f);
-}
-
 TEST(Pact, ClipsAndQuantizes)
 {
     PactQuantizer q(/*alpha=*/6.0f, /*bits=*/4);
     EXPECT_EQ(q.numLevels(), 15u);
-    EXPECT_FLOAT_EQ(q.quantize(-1.0f), 0.0f);
-    EXPECT_FLOAT_EQ(q.quantize(100.0f), 6.0f);
-    EXPECT_FLOAT_EQ(q.quantize(6.0f), 6.0f);
+    EXPECT_FLOAT_EQ(quantizedOf(q, -1.0f), 0.0f);
+    EXPECT_FLOAT_EQ(quantizedOf(q, 100.0f), 6.0f);
+    EXPECT_FLOAT_EQ(quantizedOf(q, 6.0f), 6.0f);
     // Mid-range values land on the uniform grid.
     float s = q.scale();
     for (int level = 0; level <= 15; ++level)
-        EXPECT_FLOAT_EQ(q.quantize(level * s), level * s);
+        EXPECT_FLOAT_EQ(quantizedOf(q, level * s), level * s);
 }
 
 TEST(Pact, StraightThroughGradients)
@@ -241,8 +219,89 @@ TEST(Pact, QuantizationErrorBounded)
     Rng rng(11);
     for (int i = 0; i < 2000; ++i) {
         float x = float(rng.uniform(0.0, 2.0));
-        EXPECT_LE(std::abs(q.quantize(x) - x), q.scale() / 2 + 1e-6f);
+        EXPECT_LE(std::abs(quantizedOf(q, x) - x), q.scale() / 2 + 1e-6f);
     }
+}
+
+/** Mean squared error of quantizing @p weights to @p bits at clip
+ *  @p alpha, in double throughout. */
+double
+quantizationMse(const std::vector<float> &weights, unsigned bits,
+                double alpha)
+{
+    int max_level = (1 << (bits - 1)) - 1;
+    double scale = alpha / max_level;
+    double err = 0.0;
+    for (float w : weights) {
+        double x = std::clamp(double(w), -alpha, alpha) / scale;
+        double level = std::round(x);
+        double q = std::clamp(level, double(-max_level),
+                              double(max_level)) * scale;
+        err += (q - double(w)) * (q - double(w));
+    }
+    return err / double(weights.size());
+}
+
+/** The clip minimizing quantizationMse(): a coarse grid scan, then
+ *  golden-section refinement. */
+double
+optimalAlpha(const std::vector<float> &weights, unsigned bits)
+{
+    double max_abs = 0.0;
+    for (float w : weights)
+        max_abs = std::max(max_abs, std::abs(double(w)));
+
+    const int grid = 96;
+    double best_alpha = max_abs;
+    double best_mse = quantizationMse(weights, bits, max_abs);
+    for (int i = 1; i < grid; ++i) {
+        double a = max_abs * double(i) / grid;
+        double mse = quantizationMse(weights, bits, a);
+        if (mse < best_mse) {
+            best_mse = mse;
+            best_alpha = a;
+        }
+    }
+
+    double lo = std::max(best_alpha - max_abs / grid, max_abs * 1e-3);
+    double hi = std::min(best_alpha + max_abs / grid, max_abs);
+    const double phi = 0.5 * (std::sqrt(5.0) - 1.0);
+    for (int iter = 0; iter < 40; ++iter) {
+        double m1 = hi - phi * (hi - lo);
+        double m2 = lo + phi * (hi - lo);
+        if (quantizationMse(weights, bits, m1) <
+            quantizationMse(weights, bits, m2)) {
+            hi = m2;
+        } else {
+            lo = m1;
+        }
+    }
+    return 0.5 * (lo + hi);
+}
+
+/** The offline SaWB fit the stock coefficients froze: for each sample
+ *  set, the MSE-optimal clip; then the least-squares (c1, c2) with
+ *  c1 * rms - c2 * mean_abs predicting those optima. */
+SawbQuantizer::Coefficients
+fitCoefficients(const std::vector<std::vector<float>> &sample_sets,
+                unsigned bits)
+{
+    double sxx = 0, sxy = 0, syy = 0, sxz = 0, syz = 0;
+    for (const auto &samples : sample_sets) {
+        TensorMoments m = computeMoments(samples);
+        double x = m.rms;
+        double y = -m.mean_abs;
+        double z = optimalAlpha(samples, bits);
+        sxx += x * x;
+        sxy += x * y;
+        syy += y * y;
+        sxz += x * z;
+        syz += y * z;
+    }
+    double det = sxx * syy - sxy * sxy;
+    double c1 = (sxz * syy - syz * sxy) / det;
+    double c2 = (sxx * syz - sxy * sxz) / det;
+    return {c1, c2};
 }
 
 TEST(Sawb, AlphaNearMseOptimal)
@@ -251,11 +310,11 @@ TEST(Sawb, AlphaNearMseOptimal)
     for (unsigned bits : {2u, 4u}) {
         auto weights = rng.gaussianVector(20000, 0.0, 0.7);
         SawbQuantizer q(weights, bits);
-        double opt_alpha = SawbQuantizer::optimalAlpha(weights, bits);
+        double opt_alpha = optimalAlpha(weights, bits);
         double opt_mse =
-            SawbQuantizer::quantizationMse(weights, bits, opt_alpha);
+            quantizationMse(weights, bits, opt_alpha);
         double got_mse =
-            SawbQuantizer::quantizationMse(weights, bits, q.alpha());
+            quantizationMse(weights, bits, q.alpha());
         EXPECT_LE(got_mse, opt_mse * 1.10)
             << "bits=" << bits << " alpha=" << q.alpha()
             << " opt=" << opt_alpha;
@@ -269,9 +328,9 @@ TEST(Sawb, WorksOnLaplacianWeights)
     for (auto &w : weights)
         w = float(rng.laplace(0.4));
     SawbQuantizer q(weights, 4);
-    double opt_alpha = SawbQuantizer::optimalAlpha(weights, 4);
-    double opt_mse = SawbQuantizer::quantizationMse(weights, 4, opt_alpha);
-    double got_mse = SawbQuantizer::quantizationMse(weights, 4, q.alpha());
+    double opt_alpha = optimalAlpha(weights, 4);
+    double opt_mse = quantizationMse(weights, 4, opt_alpha);
+    double got_mse = quantizationMse(weights, 4, q.alpha());
     EXPECT_LE(got_mse, opt_mse * 1.15);
 }
 
@@ -282,31 +341,8 @@ TEST(Sawb, QuantizationIsSymmetric)
     SawbQuantizer q(weights, 4);
     for (int i = 0; i < 500; ++i) {
         float w = weights[i];
-        EXPECT_FLOAT_EQ(q.quantize(-w), -q.quantize(w));
+        EXPECT_FLOAT_EQ(quantizedOf(q, -w), -quantizedOf(q, w));
     }
-}
-
-/** PactQuantizer::quantizeLevel() as it was first written, branch
- *  and all: the oracle for the select form and the batch call. */
-int
-referencePactLevel(const PactQuantizer &q, float x)
-{
-    if (!(x > 0.0f))
-        return 0;
-    float clipped = std::min(x, q.alpha());
-    return int(clipped / q.scale() + 0.5f);
-}
-
-/** SawbQuantizer::quantizeLevel() as it was first written. */
-int
-referenceSawbLevel(const SawbQuantizer &q, float w)
-{
-    if (std::isnan(w))
-        return 0;
-    int max_level = (1 << (q.bits() - 1)) - 1;
-    float x = std::clamp(w, -q.alpha(), q.alpha()) / q.scale();
-    int level = int(x >= 0 ? x + 0.5f : x - 0.5f);
-    return std::clamp(level, -max_level, max_level);
 }
 
 /** Inputs on every rounding class of a quantizer with step @p step and
@@ -332,7 +368,7 @@ levelEdgeInputs(float step, float alpha, uint64_t seed)
     return v;
 }
 
-TEST(QuantizerLevels, BatchAndScalarMatchTheOriginalRounding)
+TEST(QuantizerLevels, BatchMatchesTheOriginalRounding)
 {
     for (unsigned bits : {2u, 4u}) {
         const PactQuantizer pact(2.5f, bits);
@@ -351,13 +387,8 @@ TEST(QuantizerLevels, BatchAndScalarMatchTheOriginalRounding)
                 sawb.quantizeLevels(in.data(), int64_t(in.size()),
                                     batch.data());
             for (size_t i = 0; i < in.size(); ++i) {
-                const int want = which == 0
-                                     ? referencePactLevel(pact, in[i])
-                                     : referenceSawbLevel(sawb, in[i]);
-                const int scalar = which == 0 ? pact.quantizeLevel(in[i])
-                                              : sawb.quantizeLevel(in[i]);
-                EXPECT_EQ(scalar, want) << "bits=" << bits << " which="
-                                        << which << " x=" << in[i];
+                const int want = which == 0 ? referenceLevel(pact, in[i])
+                                            : referenceLevel(sawb, in[i]);
                 EXPECT_EQ(batch[i], want) << "bits=" << bits << " which="
                                           << which << " x=" << in[i];
             }
@@ -397,7 +428,7 @@ TEST(Sawb, StockCoefficientsMatchRefit)
         sets.push_back(std::move(lap));
         sets.push_back(std::move(uni));
         sets.push_back(std::move(mix));
-        const auto fit = SawbQuantizer::fitCoefficients(sets, bits);
+        const auto fit = fitCoefficients(sets, bits);
         const auto stock = SawbQuantizer::stockCoefficients(bits);
         EXPECT_EQ(fit.c1, stock.c1) << "bits=" << bits;
         EXPECT_EQ(fit.c2, stock.c2) << "bits=" << bits;
@@ -426,8 +457,8 @@ TEST(Sawb, MoreBitsMeansLessError)
     auto weights = rng.gaussianVector(10000, 0.0, 1.0);
     SawbQuantizer q2(weights, 2);
     SawbQuantizer q4(weights, 4);
-    double mse2 = SawbQuantizer::quantizationMse(weights, 2, q2.alpha());
-    double mse4 = SawbQuantizer::quantizationMse(weights, 4, q4.alpha());
+    double mse2 = quantizationMse(weights, 2, q2.alpha());
+    double mse4 = quantizationMse(weights, 4, q4.alpha());
     EXPECT_LT(mse4, mse2 / 4);
 }
 

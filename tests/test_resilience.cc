@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -233,9 +234,7 @@ TEST(Sentinel, EventLogCountsByKind)
     EXPECT_EQ(s.count(HealthEventKind::NonFiniteWeight), 0u);
     ASSERT_EQ(s.events().size(), 3u);
     EXPECT_EQ(s.events()[0].step, 3u);
-    EXPECT_STREQ(healthEventKindName(s.events()[0].kind), "loss-spike");
-    EXPECT_STREQ(healthEventKindName(HealthEventKind::GradientOutlier),
-                 "gradient-outlier");
+    EXPECT_EQ(s.events()[0].kind, HealthEventKind::LossSpike);
 }
 
 TEST(Sentinel, ValidationRejectsBadKnobs)
@@ -335,8 +334,8 @@ TEST(NumericGuard, PoisonedOperandThrowsStructuredNumericFault)
 {
     Tensor a({2, 4});
     Tensor b({4, 2});
-    a.fill(1.0f);
-    b.fill(1.0f);
+    std::ranges::fill(a.storage(), 1.0f);
+    std::ranges::fill(b.storage(), 1.0f);
     a[1] = std::numeric_limits<float>::quiet_NaN();
     try {
         fp16Matmul(a, b);
@@ -374,19 +373,7 @@ TEST(Checkpoint, SerializeRoundTripIsByteStable)
     const std::vector<uint8_t> bytes = serializeCheckpoint(ckpt);
     EXPECT_EQ(checkpointBytes(ckpt), bytes.size());
     const TrainerCheckpoint parsed = deserializeCheckpoint(bytes);
-    EXPECT_TRUE(parsed == ckpt);
     EXPECT_EQ(serializeCheckpoint(parsed), bytes);
-}
-
-TEST(Checkpoint, SaveLoadFileRoundTrip)
-{
-    const TrainerCheckpoint ckpt = trainedCheckpoint();
-    const std::string path =
-        testing::TempDir() + "rapid_ckpt_test.bin";
-    saveCheckpoint(ckpt, path);
-    const TrainerCheckpoint loaded = loadCheckpoint(path);
-    EXPECT_TRUE(loaded == ckpt);
-    EXPECT_THROW(loadCheckpoint(path + ".does-not-exist"), Error);
 }
 
 TEST(Checkpoint, RejectsCorruptedPayloads)
@@ -482,7 +469,7 @@ TEST(ResilientTrainer, RateZeroIsBitIdenticalToPlainTrainer)
 
     ResilienceConfig rc; // defaults: rate 0, sentinels on, ckpt on
     ResilientTrainer resilient(mc, rc);
-    resilient.train(train, 4, kBatch);
+    resilient.runSteps(train, kBatch, uint64_t(4 * (train.size() / kBatch)));
 
     EXPECT_TRUE(plain.exportState() == resilient.model().exportState());
     const RecoveryStats s = resilient.stats();
@@ -677,61 +664,21 @@ TEST(Overhead, ChargesTheCheckpointLane)
     EXPECT_NEAR(b.busy(), busy + 10.0, 1e-12);
 }
 
-TEST(Overhead, ReworkEstimatorTiersAndValidation)
-{
-    ReworkEstimator est(2);
-    // Fallback tier: before calibration the analytic worst case.
-    EXPECT_FALSE(est.calibrated());
-    EXPECT_NEAR(est.estimate(1.0, 10, 100.0),
-                expectedReworkFraction(1.0, 10, 100.0), 1e-12);
-    est.record(90, 10); // 10 replayed of 100 computed
-    EXPECT_FALSE(est.calibrated()); // one sample short
-    EXPECT_NEAR(est.estimate(1.0, 10, 100.0), 0.05, 1e-12);
-    est.record(95, 5);
-    EXPECT_TRUE(est.calibrated());
-    // Observed tier: (10 + 5) / (185 + 15) pooled across samples.
-    EXPECT_NEAR(est.observedFraction(), 15.0 / 200.0, 1e-12);
-    EXPECT_NEAR(est.estimate(1.0, 10, 100.0), 15.0 / 200.0, 1e-12);
-
-    EXPECT_THROW(ReworkEstimator(0), Error);
-    EXPECT_THROW(est.record(0, 3), Error);
-}
-
-TEST(Overhead, ReworkEstimatorPinsMeasuredRecoveryHistory)
-{
-    // The calibration loop the fleet uses: feed measured
-    // RecoveryStats.replayed samples and compare against the analytic
-    // prediction for the same checkpoint interval.
-    const Dataset data = spiralData();
-    ResilienceConfig rc = faultedConfig(1e-3);
-    rc.enable_retry = false; // detections go straight to rollback
-    rc.enable_escalation = false;
-    ReworkEstimator est(3);
-    uint64_t total_replayed = 0;
-    for (uint64_t seed = 0; seed < 3; ++seed) {
-        ResilienceConfig run_rc = rc;
-        run_rc.fault = FaultConfig::withRate(1e-3, 0x5eed + seed);
-        ResilientTrainer trainer(smallModel(), run_rc);
-        trainer.runSteps(data.slice(0, 192), kBatch, 60);
-        const RecoveryStats s = trainer.stats();
-        ASSERT_TRUE(s.closed());
-        est.record(s.steps, s.replayed);
-        total_replayed += s.replayed;
-    }
-    ASSERT_GT(total_replayed, 0u); // the scenario does roll back
-    EXPECT_TRUE(est.calibrated());
-    EXPECT_NEAR(est.observedFraction(),
-                double(total_replayed) /
-                    double(180 + total_replayed), 1e-12);
-    // The measured fraction is finite, positive, and bounded by the
-    // every-step-lost-once clamp of the analytic model.
-    EXPECT_GT(est.estimate(1.0, 10, 1.0), 0.0);
-    EXPECT_LE(est.estimate(1.0, 10, 1.0), 1.0);
-}
-
 // ---------------------------------------------------------------------
 // The hash pre-filter that makes per-element trainer injection cheap
 // ---------------------------------------------------------------------
+
+/** The per-item draw hashEventHits() batches, written out on its own:
+ *  the site's salt mixed with @p item, whose top 53 bits as a uniform
+ *  in [0, 1) are compared with the rate. */
+bool
+hashEventDraw(const FaultInjector &inj, FaultSite site, uint64_t item)
+{
+    const FaultConfig &cfg = inj.config();
+    const uint64_t salt =
+        cfg.seed ^ (uint64_t(site) + 1) * 0xd6e8feb86659fd93ULL;
+    return double(mixSeed(salt, item) >> 11) * 0x1.0p-53 < cfg.rate;
+}
 
 TEST(FaultPrefilter, HashDrawIsDeterministicAndRateFaithful)
 {
@@ -741,13 +688,13 @@ TEST(FaultPrefilter, HashDrawIsDeterministicAndRateFaithful)
 
     uint64_t hits = 0;
     for (uint64_t item = 0; item < 4096; ++item) {
-        EXPECT_FALSE(off.hashEventDraw(FaultSite::TrainerGemm, item));
-        EXPECT_TRUE(always.hashEventDraw(FaultSite::TrainerGemm, item));
+        EXPECT_FALSE(hashEventDraw(off, FaultSite::TrainerGemm, item));
+        EXPECT_TRUE(hashEventDraw(always, FaultSite::TrainerGemm, item));
         const bool hit =
-            half.hashEventDraw(FaultSite::TrainerGemm, item);
+            hashEventDraw(half, FaultSite::TrainerGemm, item);
         // Pure function of (seed, site, item): stable on re-ask.
         EXPECT_EQ(hit,
-                  half.hashEventDraw(FaultSite::TrainerGemm, item));
+                  hashEventDraw(half, FaultSite::TrainerGemm, item));
         hits += hit ? 1u : 0u;
     }
     EXPECT_NEAR(double(hits) / 4096.0, 0.5, 0.05);
@@ -755,8 +702,8 @@ TEST(FaultPrefilter, HashDrawIsDeterministicAndRateFaithful)
     // Different sites draw from decorrelated streams.
     uint64_t agree = 0;
     for (uint64_t item = 0; item < 4096; ++item)
-        agree += half.hashEventDraw(FaultSite::TrainerGemm, item) ==
-                         half.hashEventDraw(FaultSite::MacOutput, item)
+        agree += hashEventDraw(half, FaultSite::TrainerGemm, item) ==
+                         hashEventDraw(half, FaultSite::MacOutput, item)
                      ? 1u
                      : 0u;
     EXPECT_NEAR(double(agree) / 4096.0, 0.5, 0.05);
@@ -769,7 +716,7 @@ expectHitsMatchDraws(const FaultInjector &inj, uint64_t first, uint64_t n)
 {
     std::vector<uint64_t> want;
     for (uint64_t i = 0; i < n; ++i)
-        if (inj.hashEventDraw(FaultSite::TrainerGemm, first + i))
+        if (hashEventDraw(inj, FaultSite::TrainerGemm, first + i))
             want.push_back(i);
     EXPECT_EQ(inj.hashEventHits(FaultSite::TrainerGemm, first, n), want)
         << "rate " << inj.config().rate << ", items [" << first << ", "

@@ -8,10 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
 #include <type_traits>
 
-#include "runtime/report.hh"
 #include "runtime/session.hh"
 #include "workloads/networks.hh"
 
@@ -184,47 +182,6 @@ TEST(Scaling, TrainingChipScalingShape)
         EXPECT_GT(sps, prev) << chips;
         prev = sps;
     }
-}
-
-
-TEST(Report, SummaryAndTableContainKeyNumbers)
-{
-    const Network net = makeResnet50();
-    InferenceSession session(makeInferenceChip(), net);
-    InferenceOptions opts;
-    opts.target = Precision::INT4;
-    InferenceResult r = session.run(opts);
-
-    std::string summary = summaryLine(r.perf, r.energy);
-    EXPECT_NE(summary.find("resnet50"), std::string::npos);
-    EXPECT_NE(summary.find("TOPS/W"), std::string::npos);
-
-    std::string table = layerReport(r.perf);
-    EXPECT_NE(table.find("conv1"), std::string::npos);
-    EXPECT_NE(table.find("INT4"), std::string::npos);
-    EXPECT_NE(table.find("FP16"), std::string::npos); // edge layers
-    // Aux layers excluded by default, included on request.
-    EXPECT_EQ(table.find("softmax"), std::string::npos);
-    std::string with_aux = layerReport(r.perf, true);
-    EXPECT_NE(with_aux.find("softmax"), std::string::npos);
-}
-
-TEST(Report, CsvIsWellFormed)
-{
-    const Network net = makeMobilenetV1();
-    InferenceSession session(makeInferenceChip(), net);
-    InferenceOptions opts;
-    opts.target = Precision::HFP8;
-    InferenceResult r = session.run(opts);
-    std::string csv = layerCsv(r.perf);
-    // Header plus one line per layer, all with 13 fields.
-    size_t lines = std::count(csv.begin(), csv.end(), '\n');
-    EXPECT_EQ(lines, r.perf.layers.size() + 1);
-    std::istringstream in(csv);
-    std::string line;
-    while (std::getline(in, line))
-        EXPECT_EQ(std::count(line.begin(), line.end(), ','), 12u)
-            << line;
 }
 
 } // namespace

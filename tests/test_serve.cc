@@ -352,7 +352,7 @@ TEST_F(ServeTest, OfferedLoadMatchesConfiguredRate)
             tenantArrivalTimes(cfg.tenants[0], 0, cfg.horizon_ns,
                                cfg.seed).size());
         EXPECT_NEAR(n, 2000.0, 6.0 * std::sqrt(8.0 * 2000.0))
-            << arrivalPatternName(p);
+            << int(p);
     }
 }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <limits>
@@ -20,6 +21,7 @@
 #include "func/quantized_ops.hh"
 #include "compiler/codegen.hh"
 #include "compiler/dataflow.hh"
+#include "fp16_fma.hh"
 #include "sim/chip_sim.hh"
 #include "sim/mpe_thread.hh"
 #include "sim/systolic.hh"
@@ -119,14 +121,12 @@ TEST(Systolic, Fp16GemmMatchesDatapathChain)
     SystolicArraySim sim(corelet8x8(), Precision::FP16);
     SystolicResult res = sim.gemm(a, b);
 
-    MpeDatapath dp;
     for (int64_t m = 0; m < 5; ++m) {
         for (int64_t n = 0; n < 12; ++n) {
             float acc = 0.0f;
             for (int64_t k = 0; k < 8; ++k)
-                acc = dp.fp16Fma(dlfloat16().quantize(a.at(m, k)),
-                                 dlfloat16().quantize(b.at(k, n)),
-                                 acc);
+                acc = fp16Fma(dlfloat16().quantize(a.at(m, k)),
+                              dlfloat16().quantize(b.at(k, n)), acc);
             EXPECT_FLOAT_EQ(res.c.at(m, n), acc)
                 << "m=" << m << " n=" << n;
         }
@@ -168,10 +168,10 @@ TEST(Systolic, GemmCloseToGoldenReference)
 TEST(Systolic, ZeroGatingCountsSparseOperands)
 {
     Tensor a({4, 8}), b({8, 8});
-    a.fill(0.0f);
+    std::ranges::fill(a.storage(), 0.0f);
     for (int64_t i = 0; i < 4; ++i)
         a.at(i, 0) = 1.0f; // 1 of 8 operands non-zero
-    b.fill(1.0f);
+    std::ranges::fill(b.storage(), 1.0f);
     SystolicArraySim sim(corelet8x8(), Precision::FP16);
     SystolicResult res = sim.gemm(a, b);
     EXPECT_EQ(res.fmas, uint64_t(4 * 8 * 8));
@@ -198,9 +198,11 @@ TEST(Systolic, CycleCountTracksAnalyticalModel)
     l.gm = m;
     l.gk = k;
     l.gn = n;
-    DataflowMapper mapper(makeInferenceChip());
-    Mapping map = mapper.evaluateSplit(mappedShape(l, 1),
-                                       Precision::FP16, 1, 1);
+    // One core of one corelet: the mapper's only split is (1, 1).
+    ChipConfig one_corelet = makeInferenceChip();
+    one_corelet.cores = 1;
+    one_corelet.core.corelets = 1;
+    Mapping map = DataflowMapper(one_corelet).map(l, 1, Precision::FP16);
     const double analytical = map.totalCycles();
     EXPECT_NEAR(double(res.cycles), analytical, analytical * 0.15);
     EXPECT_GE(double(res.cycles), analytical); // fill/drain only adds
@@ -297,6 +299,7 @@ referenceSystolicGemm(const CoreletConfig &corelet, Precision precision,
     const double wt_bytes_per_elem = operandBytes(precision);
 
     MpeDatapath dp(fwd_bias);
+    uint64_t fp16_fmas = 0, fp16_gated = 0;
     uint64_t fault_item = 0;
     SystolicResult res;
     res.c = Tensor({m, n});
@@ -312,14 +315,17 @@ referenceSystolicGemm(const CoreletConfig &corelet, Precision precision,
                 for (int64_t ni = n0; ni < n_hi; ++ni) {
                     float acc = res.c.at(mi, ni);
                     for (int64_t ki = k0; ki < k_hi; ++ki) {
-                        if (precision == Precision::HFP8)
+                        if (precision == Precision::HFP8) {
                             acc = dp.hfp8Fma(a.at(mi, ki), a_kind,
                                              b.at(ki, ni), b_kind, acc);
-                        else
-                            acc = dp.fp16Fma(
-                                dlfloat16().quantize(a.at(mi, ki)),
-                                dlfloat16().quantize(b.at(ki, ni)),
-                                acc);
+                            continue;
+                        }
+                        const float qa = dlfloat16().quantize(a.at(mi, ki));
+                        const float qb = dlfloat16().quantize(b.at(ki, ni));
+                        ++fp16_fmas;
+                        fp16_gated += std::fpclassify(qa) == FP_ZERO ||
+                                      std::fpclassify(qb) == FP_ZERO;
+                        acc = fp16Fma(qa, qb, acc);
                     }
                     if (inj && inj->active(FaultSite::MacOutput))
                         acc = referenceMacFault(*inj, acc, fault_item++,
@@ -330,8 +336,8 @@ referenceSystolicGemm(const CoreletConfig &corelet, Precision precision,
         }
     }
     res.cycles += uint64_t(std::llround(res.faults.retry_cycles));
-    res.fmas = dp.fmaCount();
-    res.zero_gated = dp.zeroGatedCount();
+    res.fmas = dp.fmaCount() + fp16_fmas;
+    res.zero_gated = dp.zeroGatedCount() + fp16_gated;
     return res;
 }
 
@@ -519,8 +525,8 @@ TEST(Systolic, GemmMatchesPerMacReferenceOnSpecialValues)
 
 // The HFP8 datapath is the FP16 FMA on FP9 operands: the two pipelines
 // merge at the adder, so converting each operand once with toFp9 and
-// running fp16Fma equals hfp8Fma, counters included, over operands of
-// every rounding class of both FP8 flavours and every bias.
+// running fp16Fma equals hfp8Fma over operands of every rounding class
+// of both FP8 flavours and every bias.
 TEST(MpeDatapath, Fp16FmaOnFp9OperandsEqualsHfp8Fma)
 {
     // Operands of every rounding class of both FP8 flavours at biases
@@ -546,8 +552,8 @@ TEST(MpeDatapath, Fp16FmaOnFp9OperandsEqualsHfp8Fma)
                     const float b = vals[(i * 7919 + 13) % vals.size()];
                     const float acc = accs[i % 5];
                     const float want = ref.hfp8Fma(a, ak, b, bk, acc);
-                    const float got = dp.fp16Fma(dp.toFp9(a, ak),
-                                                 dp.toFp9(b, bk), acc);
+                    const float got = fp16Fma(dp.toFp9(a, ak),
+                                              dp.toFp9(b, bk), acc);
                     bad += std::bit_cast<uint32_t>(got) !=
                            std::bit_cast<uint32_t>(want);
                 }
@@ -555,8 +561,6 @@ TEST(MpeDatapath, Fp16FmaOnFp9OperandsEqualsHfp8Fma)
                                    << int(ak) << int(bk);
             }
         }
-        EXPECT_EQ(dp.fmaCount(), ref.fmaCount());
-        EXPECT_EQ(dp.zeroGatedCount(), ref.zeroGatedCount());
     }
 }
 

@@ -92,7 +92,7 @@ TEST(Ops, ConvPaddingZeroes)
     Tensor x({1, 1, 1, 1});
     x[0] = 2.0f;
     Tensor w({1, 1, 3, 3});
-    w.fill(1.0f);
+    std::ranges::fill(w.storage(), 1.0f);
     ConvParams p;
     p.pad = 1;
     Tensor y = conv2d(x, w, p);
@@ -105,7 +105,7 @@ TEST(Ops, DepthwiseConvViaGroups)
 {
     // groups == channels: each output channel sees only its input.
     Tensor x({1, 2, 2, 2});
-    x.fill(1.0f);
+    std::ranges::fill(x.storage(), 1.0f);
     x.at(0, 1, 0, 0) = 5.0f;
     Tensor w({2, 1, 1, 1});
     w[0] = 2.0f;
@@ -155,7 +155,7 @@ TEST(Ops, MaxPool)
 TEST(Ops, GlobalAvgPool)
 {
     Tensor x({2, 3, 4, 4});
-    x.fill(2.0f);
+    std::ranges::fill(x.storage(), 2.0f);
     Tensor y = globalAvgPool(x);
     EXPECT_EQ(y.dim(0), 2);
     EXPECT_EQ(y.dim(1), 3);

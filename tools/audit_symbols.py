@@ -21,15 +21,19 @@ allowed objects is what references it; third-party test frameworks
 are prebuilt archives, not our objects, and are outside the
 discipline.
 
-A second pass finds dead exports: external functions of librapid_*
-objects that no relocation (objdump -r) in a library, bench, example
-or test object names. The assembler resolves in-section calls without
-a relocation and optimised builds inline, so the defining object's
-branch targets (objdump -d) and inline sites (DWARF: build with -g,
-as RelWithDebInfo and Debug do) count too. Names compare demangled,
-so C1/C2 and D1/D2 variants match. Test-only exports are reported,
-not failed; WAIVED lists the exports whose only users the build tree
-cannot see.
+A second pass decides which external functions of librapid_* objects
+are live, by reachability. Its roots are what bench and example
+objects reference, what .init_array runs, and the WAIVED names; a
+function or data symbol is live when a live one references it: by a
+relocation (objdump -r), by a branch the assembler resolved in place
+(objdump -d, for the objects that need it), or by an inline site
+(DWARF: build with -g, as RelWithDebInfo and Debug do), attributed to
+the symbol that contains it. A clone (.cold, .part.N, .isra.N,
+.constprop.N) is its function, so its references never count as a
+use of that function. Names compare demangled, so C1/C2 and D1/D2
+variants match. An export no root reaches fails the run, as
+test-only when a test object reaches it and as dead otherwise; so
+does a WAIVED entry that names no export, or one live without it.
 
 An incremental build keeps the object of a deleted source. Nothing
 links it, so both passes skip every object whose source (reconstructed
@@ -41,13 +45,15 @@ Modes
   --build-dir BUILD     audit every object and binary under BUILD
   --self-test --cxx CXX compile the planted fixtures under
                         tools/lint_fixtures/audit/ and prove the audit
-                        fails on the wall-clock and dead-export plants
-                        and passes the clean ones
+                        fails on each planted fault (wall clock, dead
+                        and test-only exports, stale waivers) and
+                        passes the clean and live ones
 
 Exit status: 0 clean, 1 violations, 2 usage or self-test failure.
 """
 
 import argparse
+import bisect
 import json
 import os
 import re
@@ -69,35 +75,113 @@ ALLOWED_SOURCES = ("src/common/parallel.", "src/common/sweep.")
 #: Directories whose executables get the binary-level scan.
 BINARY_DIRS = ("tests", "bench", "examples")
 
-#: Dead-export waivers: library functions whose only users are outside
-#: the build tree, keyed by demangled name.
+#: Waivers: library functions whose users the build tree does not
+#: link, keyed by demangled name, each with the user it names. They are
+#: roots of the reachability walk; one that names no export, or an
+#: export live without it, is a finding.
+CNN_EXPERIMENT = ("SmallCnn, the convnet parity experiment test_cnn "
+                  "drives and EXPERIMENTS.md cites")
 WAIVED = {
-    "rapid::ThreadPool::hardwareThreads()":
-        "perfbench sizes its pool with it (separate CMake project)",
     "rapid::DesEngine::totalExecuted() const":
         "perfbench counts DES events with it (separate CMake project)",
     "rapid::FaultStats::accountingConsistent() const":
         "perfbench checks fault ledgers with it (separate CMake "
         "project)",
+    "rapid::ChipSim::runBatch(std::vector<rapid::LayerProgram, "
+    "std::allocator<rapid::LayerProgram> > const&, long) const":
+        "perfbench chip_model runs its program batches through it "
+        "(separate CMake project)",
+    "rapid::SmallCnn::SmallCnn(rapid::CnnConfig const&)": CNN_EXPERIMENT,
+    "rapid::SmallCnn::train(rapid::ImageDataset const&, int, long)":
+        CNN_EXPERIMENT,
+    "rapid::SmallCnn::evaluate(rapid::ImageDataset const&)":
+        CNN_EXPERIMENT,
+    "rapid::makeStripes(rapid::Rng&, long, double)": CNN_EXPERIMENT,
 }
 
 #: Build-tree top directory of each object role.
 ROLE_DIRS = {"src": "library", "bench": "bench", "examples": "example",
              "tests": "test"}
 
-#: GCC clone suffixes: a call to foo.isra.0 is a use of foo.
-CLONE_SUFFIX = re.compile(r"\.(isra|constprop|part|cold)(\.\d+)?")
-DIE_HEADER = re.compile(r"<([0-9a-f]+)>: Abbrev Number: \d+ \((\w+)\)")
+#: GCC clone suffixes: a call to foo.isra.0 is a use of foo, and what
+#: foo.cold references, foo references.
+CLONE_SUFFIX = re.compile(r"\.(isra|constprop|part|cold|localalias)(\.\d+)?")
+#: objdump -dl --inlines: the lines that name a file or a function.
+#: A "name():" line names the innermost function at the next address,
+#: printed only when it differs from the last one printed; an "inlined
+#: by" line names a caller it is inlined into, and repeats at every
+#: line change, so awk keeps its first copy in each function. A local
+#: function has no mangled name.
+INLINE_LINES = ("/file format|^[0-9a-f]+ </ { delete seen; print; next } "
+                "/\\(\\):$/ { print; next } "
+                "/^inlined by / { if (!seen[$0]++) print }")
+NAME_LINE = re.compile(r"^(\S+)\(\):$", re.M)
+INLINED_BY = re.compile(r"\((_Z[^\s()]+)\)$", re.M)
 #: The lines of a DWARF info dump that inlined_functions() reads, and
 #: the multi-file "File:" headers.
 DWARF_LINES = ("^File: |Abbrev Number|DW_AT_linkage_name|"
-               "DW_AT_specification|DW_AT_abstract_origin")
+               "DW_AT_specification|DW_AT_inline")
+#: A subprogram DIE's linkage name, and one that DW_AT_inline marks
+#: inlined, with its linkage name or its declaration's offset.
+DECLARATION = re.compile(r"<([0-9a-f]+)>: Abbrev Number: \d+ "
+                         r"\(DW_TAG_subprogram\)\n.*DW_AT_linkage_name.*: "
+                         r"(\S+)$", re.M)
+INLINE_MARK = re.compile(r"\(DW_TAG_subprogram\)\n"
+                         r"(?:.*DW_AT_linkage_name.*: (\S+)\n)?"
+                         r"(?:.*DW_AT_specification.*<0x([0-9a-f]+)>\n)?"
+                         r".*DW_AT_inline\s*: \([^)]*\) [13]\s", re.M)
 #: readelf -SW: the section a relocation section applies to.
 RELA_TARGET = re.compile(r"\] \.rela(\S+)\s+RELA\s")
 #: objdump's header before each file of a multi-file run.
 OBJDUMP_FILE = r"^(\S+):\s+file format \S+\n"
 #: objdump -r: a relocation's symbol, without its addend.
 RELOC_SYMBOL = re.compile(r"^[0-9a-f]+ R_\S+\s+([^\s+-]+)", re.M)
+#: objdump -t: value, the seven flag columns, section, size, name.
+SYMBOL_LINE = re.compile(
+    r"^([0-9a-f]+) (.{7}) (\S+)\t([0-9a-f]+) (?:\.hidden )?(\S+)$", re.M)
+#: objdump -r: one section's relocation records.
+RELOCATIONS = re.compile(
+    r"^RELOCATION RECORDS FOR \[(.+)\]:\n.*\n((?:.+\n?)*)", re.M)
+#: awk over objdump -r: drops the records of the DWARF and unwind
+#: sections, most of the output and never a use of a function.
+SKIP_DWARF_RELOCATIONS = (
+    "/^RELOCATION RECORDS FOR / { skip = ($0 ~ /\\[\\.(debug|eh_frame)/) } "
+    "/: +file format / { skip = 0 } !skip")
+#: objdump -dr: a function's first line.
+FUNCTION_LINE = re.compile(r"^[0-9a-f]+ <(.+)>:$")
+#: awk over objdump -dr: each function's first line, then "T target"
+#: once for each other symbol one of its branches names in place. An
+#: instruction whose operand is relocated reads as a branch to the next
+#: address, so its relocation cancels that target.
+IN_PLACE_BRANCHES = r"""
+function flush() {
+    if (pending != "" && !seen[pending]++) print "T " pending
+    pending = ""
+}
+/^Disassembly of section |^[0-9a-f]+ <.*>:$/ {
+    flush(); delete seen; fn = substr($2, 2, length($2) - 3); print; next
+}
+/^\t\t\t[0-9a-f]+: R_/ { pending = ""; next }
+/^ +[0-9a-f]+:\t/ {
+    flush()
+    if (match($0, /<[^<>]*>/)) {
+        target = substr($0, RSTART + 1, RLENGTH - 2)
+        sub(/\+0x[0-9a-f]+$/, "", target)
+        if (target != fn) pending = target
+    }
+}
+END { flush() }
+"""
+#: objdump -r: offset, type and target of one relocation.
+RELOC_RECORD = re.compile(r"^([0-9a-f]+) (R_\S+)\s+(\S+)$", re.M)
+#: A relocation target: a symbol or section, and its addend.
+RELOC_TARGET = re.compile(r"^(.+?)(?:([+-])0x([0-9a-f]+))?$")
+#: Relocations whose addend is the target less the 4-byte field.
+PC_RELATIVE = frozenset({"R_X86_64_PC32", "R_X86_64_PLT32",
+                         "R_X86_64_GOTPCREL", "R_X86_64_GOTPCRELX",
+                         "R_X86_64_REX_GOTPCRELX"})
+#: Sections whose targets run when their object is linked.
+INIT_SECTIONS = (".init_array", ".preinit_array", ".ctors")
 
 #: Concurrent binutils processes per pass. Each pass splits its files
 #: into at most this many multi-file invocations, so the process count
@@ -235,51 +319,146 @@ def relocated_symbols(paths):
     return symbols
 
 
-def local_references(paths):
-    """Names each object uses without a relocation: branch and address
-    targets the assembler resolved in place (objdump -d), and functions
-    inlined at one of its call sites (DWARF). A dict from path to
-    set."""
-    names = {str(p): set() for p in paths}
-    for batch, out, _ in run_batched(
-            ["objdump", "-d", "--no-show-raw-insn"], paths):
+def library_graph(paths):
+    """The relocation graph of the library objects @p paths, from one
+    objdump -t -r pass.
+
+    Returns (edges, init, exports, functions). edges maps a symbol
+    (mangled, clone suffix dropped) to the symbols its code or data
+    relocations name; a relocation against a section plus addend names
+    the symbol at that address. init holds what .init_array runs;
+    exports maps each external function to its first defining object;
+    functions maps each function to the (path, section) pairs that
+    hold its code."""
+    edges, init, exports, functions = {}, set(), {}, {}
+    for batch, out, _ in run_batched(["objdump", "-t", "-r"], paths,
+                                     pipe=["awk", SKIP_DWARF_RELOCATIONS]):
         for path, text in per_file(batch, out, OBJDUMP_FILE).items():
-            names[path] = {CLONE_SUFFIX.sub("", target)
-                           for line in text.splitlines()
-                           if line.startswith(" ")
-                           for target in re.findall(r"<([^<>+]+)>", line)}
-    # The DIE headers and the three attributes read below are a small
-    # share of the dump; grep drops the rest before Python reads it.
+            table = {}  # section -> ([start], [(start, end, symbol)])
+            for value, flags, section, size, name in sorted(
+                    SYMBOL_LINE.findall(text), key=lambda s: int(s[0], 16)):
+                base = CLONE_SUFFIX.sub("", name)
+                if flags[6] in "FO" and int(size, 16):
+                    start = int(value, 16)
+                    starts, spans = table.setdefault(section, ([], []))
+                    starts.append(start)
+                    spans.append((start, start + int(size, 16), base))
+                if flags[6] == "F":
+                    functions.setdefault(base, set()).add((path, section))
+                    if flags[:2] == "g ":
+                        exports.setdefault(name, Path(path))
+            for section, records in RELOCATIONS.findall(text):
+                for offset, kind, target in RELOC_RECORD.findall(records):
+                    name = resolve(table, target, kind)
+                    if section in INIT_SECTIONS:
+                        init.add(name)
+                    elif (source := holder(table, section, int(offset, 16))
+                          ) and name:
+                        edges.setdefault(source, set()).add(name)
+    init.discard(None)
+    return edges, init, exports, functions
+
+
+def holder(table, section, offset):
+    """The symbol of @p table (section -> (starts, spans), both sorted
+    by start) whose bytes hold @p offset of @p section, or None."""
+    starts, spans = table.get(section, ((), ()))
+    i = bisect.bisect_right(starts, offset) - 1
+    if i >= 0 and offset < spans[i][1]:
+        return spans[i][2]
+    return None
+
+
+def resolve(table, target, kind):
+    """The symbol a relocation of type @p kind against @p target
+    names: the target itself, or for a section plus addend the symbol
+    of @p table at that address. None for a label or padding."""
+    name, sign, addend = RELOC_TARGET.match(target).groups()
+    if name not in table:
+        return None if name.startswith(".") else CLONE_SUFFIX.sub("", name)
+    offset = int(addend or "0", 16) * (-1 if sign == "-" else 1)
+    return holder(table, name, offset + (4 if kind in PC_RELATIVE else 0))
+
+
+def branch_edges(paths, sections):
+    """(function, target) pairs of the branches the assembler resolved
+    in place in @p sections of @p paths' code, with no relocation left
+    to show them: calls to local functions and clones in the same
+    section."""
+    pairs = set()
+    select = [arg for name in sorted(sections) for arg in ("-j", name)]
+    for _, out, _ in run_batched(
+            ["objdump", "-dr", "--no-show-raw-insn", *select], paths,
+            pipe=["awk", IN_PLACE_BRANCHES]):
+        source = None
+        for line in out.splitlines():
+            if line.startswith("T "):
+                if source and not line.startswith("T ."):
+                    pairs.add((source, CLONE_SUFFIX.sub("", line[2:])))
+            elif function := FUNCTION_LINE.match(line):
+                source = CLONE_SUFFIX.sub("", function.group(1))
+    return pairs
+
+
+def inline_edges(paths):
+    """The inline sites of @p paths, from DWARF (build with -g, as
+    RelWithDebInfo and Debug do): objdump's line view names, inside
+    each function, the functions inlined into it. Returns (sites,
+    lost): sites holds demangled (function, inlined function) pairs;
+    lost maps each path to the functions DWARF marks inlined
+    (DW_AT_inline) that no other function of it names, since folding
+    left no instruction of their sites."""
+    sites = {}  # path -> (function, inlined) pairs
+    for batch, out, _ in run_batched(
+            ["objdump", "-dl", "--inlines", "--no-show-raw-insn"], paths,
+            pipe=["awk", INLINE_LINES]):
+        for path, text in per_file(batch, out, OBJDUMP_FILE).items():
+            sites[path] = set()
+            # Every "name():" line in a function's block names it or a
+            # function inlined into it, and so does every "inlined by"
+            # caller. A block whose first site precedes its first
+            # "name():" line inlines the innermost function last named.
+            blocks = re.split(r"^[0-9a-f]+ <(.+)>:\n", text, flags=re.M)
+            innermost = None
+            for function, block in zip(blocks[1::2], blocks[2::2]):
+                named = NAME_LINE.findall(block)
+                inlined = set(named) | set(INLINED_BY.findall(block))
+                site = block.find("inlined by")
+                if innermost and site >= 0 and not NAME_LINE.search(
+                        block, 0, site):
+                    inlined.add(innermost)
+                innermost = named[-1] if named else innermost
+                source = CLONE_SUFFIX.sub("", function)
+                sites[path].update((source, CLONE_SUFFIX.sub("", n))
+                                   for n in inlined if n.startswith("_Z"))
+    marked = {}
     for batch, out, _ in run_batched(
             ["readelf", "--debug-dump=info", "--wide"], paths,
             pipe=["grep", "-E", DWARF_LINES]):
         for path, text in per_file(batch, out, r"^File: (.+)\n").items():
-            names[path] |= inlined_functions(text)
-    return names
+            marked[path] = inlined_functions(text)
+    # Demangled, so constructor and destructor variants are one name
+    # and a function's own lines are no site of it.
+    names = demangle(set().union(*marked.values(),
+                                 *(pair for found in sites.values()
+                                   for pair in found)))
+    pairs, lost = set(), {}
+    for path, found in sites.items():
+        found = {(names[a], names[b]) for a, b in found
+                 if names[a] != names[b]}
+        pairs |= found
+        lost[path] = ({names[n] for n in marked.get(path, ())} -
+                      {callee for _, callee in found})
+    return pairs, lost
 
 
 def inlined_functions(text):
-    """Linkage names of the functions a DWARF info dump shows inlined."""
-    names = set()
-    dies, die = {}, {}
-    for line in text.splitlines():
-        if "Abbrev Number" in line:
-            m = DIE_HEADER.search(line)
-            die = {"tag": m.group(2)} if m else {}
-            if m:
-                dies[m.group(1)] = die
-        elif "DW_AT_linkage_name" in line:
-            die["name"] = line.rsplit(": ", 1)[1].strip()
-        elif ("DW_AT_specification" in line or
-              "DW_AT_abstract_origin" in line):
-            die["link"] = line.rsplit("<0x", 1)[1].rstrip(">")
-    for die in list(dies.values()):
-        if die["tag"] == "DW_TAG_inlined_subroutine":
-            for _ in range(4):  # inline instance -> abstract -> decl
-                die = dies.get(die.get("link"), {})
-                if "name" in die:
-                    names.add(die["name"])
-                    break
+    """Linkage names of the functions a DWARF info dump marks inlined
+    (DW_AT_inline 1, inlined, or 3, declared inline and inlined)."""
+    declared = dict(DECLARATION.findall(text))
+    names = {name or declared.get(spec)
+             for name, spec in INLINE_MARK.findall(text)}
+    names.discard(None)
     return names
 
 
@@ -291,56 +470,101 @@ def demangle(names):
     return dict(zip(names, out.splitlines()))
 
 
-def dead_exports(nm, library, users):
+def reach(graph, roots):
+    """Every name of @p graph reachable from @p roots, roots included."""
+    seen, todo = set(roots), list(roots)
+    while todo:
+        for name in graph.get(todo.pop(), ()):
+            if name not in seen:
+                seen.add(name)
+                todo.append(name)
+    return seen
+
+
+def dead_exports(library, users, waived=None):
     """Classify the external functions defined in @p library objects by
-    who uses them. @p users maps a role ("library", "bench", "example",
-    "test") to the objects whose relocations count, library objects
-    included. Returns (dead, test_only): sorted (demangled name,
-    defining object) pairs."""
-    defined = {}  # path -> [(symbol, type)] in nm's order
-    for _, out, _ in run_batched([nm, "-A", "--defined-only",
-                                  "--format=posix"], library):
-        for line in out.splitlines():
-            path, _, rest = line.partition(": ")
-            fields = rest.split()
-            if len(fields) >= 2:
-                defined.setdefault(path, []).append(fields[:2])
-    exports = {}  # mangled -> defining object
-    for obj in library:
-        for symbol, kind in defined.get(str(obj), []):
-            if kind == "T":
-                exports.setdefault(symbol, obj)
-    refs = {}  # mangled -> roles
-    for role, objs in users.items():
-        for names in relocated_symbols(objs).values():
-            for name in names:
-                refs.setdefault(name, set()).add(role)
-    names = demangle(set(exports) | set(refs))
-    roles_of = {}  # demangled, so C1/C2 and D1/D2 merge
-    for mangled, roles in refs.items():
-        roles_of.setdefault(names[mangled], set()).update(roles)
-    # Uses no relocation shows: look inside the defining object of
-    # every export that no non-test object names.
-    suspects = {obj for mangled, obj in exports.items()
-                if roles_of.get(names[mangled], set()) <= {"test"}}
+    reachability. The roots are the symbols @p users' "bench" and
+    "example" objects reference, what .init_array runs, and the
+    @p waived names (default WAIVED); a function is live when a live
+    function or data symbol references it. Names compare demangled, so
+    C1/C2 and D1/D2 variants are one function.
+
+    Returns (dead, test_only, stale): the exports no root reaches, as
+    sorted (demangled name, defining object) pairs, split by whether
+    @p users' "test" objects reach them; and sorted (name, reason)
+    pairs of waivers that name no export or one live without them."""
+    waived = WAIVED if waived is None else waived
+    edges, init, exports, functions = library_graph(library)
+    refs = {role: set().union(*relocated_symbols(objs).values())
+            for role, objs in users.items()}
+    names = demangle(set(edges).union(init, exports, functions,
+                                      *edges.values(), *refs.values()))
+    graph = {}
+
+    def link(pairs):  # mangled or already demangled names
+        for source, target in pairs:
+            graph.setdefault(names.get(source, source), set()).add(
+                names.get(target, target))
+
+    link((s, t) for s, targets in edges.items() for t in targets)
+    base = {names[n] for n in init.union(refs.get("bench", ()),
+                                         refs.get("example", ()))}
+    roots = base | set(waived)
+    live = reach(graph, roots)
+
+    # Branches resolved in place carry no relocation. Disassemble the
+    # sections holding unreached functions that lead to an unreached
+    # export, until no new one does; on a clean tree that is a handful.
+    holders = {}
+    for function, places in functions.items():
+        holders.setdefault(names[function], set()).update(places)
+    disassembled = set()
+    while True:
+        callers = {}
+        for source, targets in graph.items():
+            if source not in live:
+                for target in targets:
+                    callers.setdefault(target, set()).add(source)
+        lead = reach(callers, {names[m] for m, obj in exports.items()
+                               if names[m] not in live})
+        todo = {p for n in lead for p in holders.get(n, ())} - disassembled
+        if not todo:
+            break
+        link(branch_edges(sorted({p for p, _ in todo}),
+                          {section for _, section in todo}))
+        disassembled |= todo
+        live = reach(graph, roots)
+    # An export inlined into a function of its own object has no
+    # relocation to it; the inline sites of the objects that define an
+    # unreached export add those edges.
+    suspects = sorted({str(obj) for m, obj in exports.items()
+                       if names[m] not in live})
     if suspects:
-        local = set().union(*local_references(sorted(suspects)).values())
-        for name in demangle(local).values():
-            roles_of.setdefault(name, set()).add("library")
+        sites, lost = inline_edges(suspects)
+        link(sites)
+        # A site folding emptied has no caller left to name: each
+        # export of its object stands in for it.
+        link((m, callee) for m, obj in exports.items()
+             for callee in lost.get(str(obj), ()))
+        live = reach(graph, roots)
+    tested = reach(graph, {names[n] for n in refs.get("test", ())})
     dead, test_only = set(), set()
     for mangled, obj in exports.items():
-        roles = roles_of.get(names[mangled], set())
-        if names[mangled] in WAIVED:
-            continue
-        if not roles:
-            dead.add((names[mangled], obj))
-        elif roles == {"test"}:
-            test_only.add((names[mangled], obj))
-    return sorted(dead), sorted(test_only)
+        name = names[mangled]
+        if name not in live:
+            (test_only if name in tested else dead).add((name, obj))
+    defined = {names[m] for m in exports}
+    stale = []
+    for name in sorted(waived):
+        if name not in defined:
+            stale.append((name, "names no exported function"))
+        elif name in reach(graph, base | (set(waived) - {name})):
+            stale.append((name, "is live without its waiver"))
+    return sorted(dead), sorted(test_only), stale
 
 
-def audit_dead_exports(build, nm, root):
-    """The dead-export pass over a build tree: (findings, test-only
+def audit_dead_exports(build, root, waived=None):
+    """The reachability pass over a build tree: (findings, test-only
     records)."""
     users = {}
     for obj in live_objects(build, root):
@@ -352,22 +576,35 @@ def audit_dead_exports(build, nm, root):
             continue  # not a librapid_* archive member
         if role:
             users.setdefault(role, []).append(obj)
-    dead, test_only = dead_exports(nm, users.get("library", []), users)
+    library = users.pop("library", [])
+    dead, test_only, stale = dead_exports(library, users, waived)
 
     def source(obj):
         return source_of_object(obj.relative_to(build).parts)
 
-    findings = [{
-        "kind": "dead-export", "path": obj.relative_to(build).as_posix(),
-        "source": source(obj), "symbol": name,
-        "message": "%s (from %s) is exported but no library, bench, "
-                   "example or test object uses it" % (name, source(obj)),
-    } for name, obj in dead]
+    def finding(kind, name, obj, message):
+        return {"kind": kind, "path": obj.relative_to(build).as_posix(),
+                "source": source(obj), "symbol": name,
+                "message": message % (name, source(obj))}
+
+    findings = [finding("dead-export", name, obj,
+                        "%s (from %s) is exported but nothing reaches it "
+                        "from a bench, example or test object")
+                for name, obj in dead]
+    findings += [finding("test-only-export", name, obj,
+                         "%s (from %s) is exported but only tests reach "
+                         "it: delete it, move it into tests/, or waive "
+                         "it naming its user")
+                 for name, obj in test_only]
+    findings += [{"kind": "stale-waiver", "path": None, "source": None,
+                  "symbol": name,
+                  "message": "WAIVED entry %s %s" % (name, reason)}
+                 for name, reason in stale]
     return findings, [{"symbol": name, "source": source(obj)}
                       for name, obj in test_only]
 
 
-def audit_build(build_dir, nm, root, json_path=None):
+def audit_build(build_dir, nm, root, json_path=None, waived=None):
     build, root = Path(build_dir), Path(root)
     if not build.is_dir():
         print("audit_symbols: no build directory at %s" % build)
@@ -434,7 +671,7 @@ def audit_build(build_dir, nm, root, json_path=None):
                            % (path.relative_to(build).as_posix(), sym),
             })
 
-    dead, test_only = audit_dead_exports(build, nm, root)
+    dead, test_only = audit_dead_exports(build, root, waived)
     findings += dead
 
     if json_path:
@@ -446,7 +683,7 @@ def audit_build(build_dir, nm, root, json_path=None):
             "binaries_scanned": binaries_scanned,
             "forbidden": sorted(FORBIDDEN),
             "allowed_wallclock_refs": sorted(allowed_refs),
-            "waived_exports": WAIVED,
+            "waived_exports": WAIVED if waived is None else waived,
             "test_only_exports": test_only,
             "violations": len(findings),
             "findings": findings,
@@ -454,9 +691,6 @@ def audit_build(build_dir, nm, root, json_path=None):
 
     for finding in findings:
         print("audit_symbols: " + finding["message"])
-    if test_only:
-        print("audit_symbols: %d export(s) referenced only from tests "
-              "(reported, not failing)" % len(test_only))
     if findings:
         print("audit_symbols: %d violation(s) (%d objects, %d binaries "
               "scanned)" % (len(findings), scanned, binaries_scanned))
@@ -484,87 +718,128 @@ def compile_fixture(cxx, source, out_dir, flags=()):
 
 def self_test(cxx, nm, root):
     fixtures = Path(root) / "tools" / "lint_fixtures" / "audit"
-    planted = fixtures / "planted_wallclock.cc"
-    clean = fixtures / "clean_virtual.cc"
-    dead_lib = fixtures / "planted_dead_export.cc"
-    dead_user = fixtures / "dead_export_user.cc"
-    stale = fixtures / "stale_object.cc"
-    for path in (planted, clean, dead_lib, dead_user, stale):
+    library_names = ("planted_dead_export", "test_only_cold",
+                     "test_only_callee", "inlined_live", "waived_export")
+    names = ("planted_wallclock", "clean_virtual", *library_names,
+             "live_user", "dead_export_user", "stale_object")
+    sources = {name: fixtures / (name + ".cc") for name in names}
+    for path in sources.values():
         if not path.is_file():
             print("audit_symbols self-test: missing fixture %s" % path)
             return 2
 
     failures = 0
+
+    def check(ok, passed, failed):
+        nonlocal failures
+        print(("self-test ok: " + passed) if ok
+              else ("SELF-TEST FAIL: " + failed))
+        failures += not ok
+
     with tempfile.TemporaryDirectory(prefix="audit_selftest") as tmp:
-        planted_obj = compile_fixture(cxx, planted, tmp)
-        clean_obj = compile_fixture(cxx, clean, tmp)
         # Flags under which an in-section call carries no relocation
         # and a small callee is inlined away, as in optimised builds.
-        lib_obj = compile_fixture(
-            cxx, dead_lib, tmp,
-            ("-O2", "-g", "-fPIC", "-fno-semantic-interposition"))
-        user_obj = compile_fixture(cxx, dead_user, tmp)
-        if None in (planted_obj, clean_obj, lib_obj, user_obj):
+        lib_flags = ("-O2", "-g", "-fPIC", "-fno-semantic-interposition")
+        objs = {name: compile_fixture(
+                    cxx, sources[name], tmp,
+                    lib_flags if name in library_names else ())
+                for name in names if name != "stale_object"}
+        if None in objs.values():
             return 2
 
-        symbols = undefined_symbols(nm, [planted_obj])[str(planted_obj)]
-        hit = sorted((symbols or set()) & FORBIDDEN)
-        if "clock_gettime" in hit:
-            print("self-test ok: planted_wallclock.o references %s"
-                  % ", ".join(hit))
-        else:
-            print("SELF-TEST FAIL: planted clock_gettime reference not "
-                  "detected (undefined: %s)" % sorted(symbols or ()))
-            failures += 1
+        symbols = undefined_symbols(nm, [objs["planted_wallclock"]])
+        hit = sorted((symbols[str(objs["planted_wallclock"])] or set())
+                     & FORBIDDEN)
+        check("clock_gettime" in hit,
+              "planted_wallclock.o references %s" % ", ".join(hit),
+              "planted clock_gettime reference not detected")
 
-        symbols = undefined_symbols(nm, [clean_obj])[str(clean_obj)]
-        hit = sorted((symbols or set()) & FORBIDDEN)
-        if hit:
-            print("SELF-TEST FAIL: clean fixture references %s"
-                  % ", ".join(hit))
-            failures += 1
-        else:
-            print("self-test ok: clean_virtual.o references no "
-                  "forbidden symbol")
+        symbols = undefined_symbols(nm, [objs["clean_virtual"]])
+        hit = sorted((symbols[str(objs["clean_virtual"])] or set())
+                     & FORBIDDEN)
+        check(not hit, "clean_virtual.o references no forbidden symbol",
+              "clean fixture references %s" % ", ".join(hit))
 
-        dead, test_only = dead_exports(
-            nm, [lib_obj], {"library": [lib_obj], "test": [user_obj]})
+        # The .cold rule proves nothing unless GCC split the fragment.
+        cold = subprocess.run(["objdump", "-t", str(objs["test_only_cold"])],
+                              capture_output=True, text=True).stdout
+        check(".cold" in cold, "test_only_cold.o has a .cold fragment",
+              "test_only_cold.o has no .cold fragment to prove the rule")
+
+        library = [objs[n] for n in library_names]
+        waived = {"rapid_fixture::outsideOnly(int)": "used outside",
+                  "rapid_fixture::alreadyLive(int)": "stale: live",
+                  "rapid_fixture::goneExport(int)": "stale: gone"}
+        dead, test_only, stale = dead_exports(
+            library, {"bench": [objs["live_user"]],
+                      "test": [objs["dead_export_user"]]}, waived)
         got = ([n for n, _ in dead], [n for n, _ in test_only])
         want = (["rapid_fixture::plantedDeadExport(int)"],
-                ["rapid_fixture::Widget::Widget(int)",
+                ["rapid_fixture::Meter::Meter(int)",
+                 "rapid_fixture::Widget::Widget(int)",
                  "rapid_fixture::Widget::~Widget()",
-                 "rapid_fixture::testOnlyExport(int)"])
-        if got == want:
-            print("self-test ok: planted_dead_export.o has exactly the "
-                  "planted dead export")
-        else:
-            print("SELF-TEST FAIL: dead/test-only exports %s, want %s"
-                  % (got, want))
-            failures += 1
+                 "rapid_fixture::checkedThird(int)",
+                 "rapid_fixture::halfStep(int)",
+                 "rapid_fixture::scaledSum(int)",
+                 "rapid_fixture::testOnlyEntry(int)",
+                 "rapid_fixture::testOnlyExport(int)",
+                 "rapid_fixture::testOnlyStep(int)"])
+        check(got == want,
+              "the planted dead and test-only exports, and no live one "
+              "(in-place call, inline site, folded inline site, a call "
+              "that reads as a branch to the next .cold fragment, "
+              "test-only callers)",
+              "dead/test-only exports %s, want %s" % (got, want))
+        want_stale = [
+            ("rapid_fixture::alreadyLive(int)", "is live without its waiver"),
+            ("rapid_fixture::goneExport(int)", "names no exported function")]
+        check(stale == want_stale,
+              "stale waivers found: one live without it, one naming "
+              "nothing",
+              "stale waivers %s, want %s" % (stale, want_stale))
+
+        # A tree whose only fault is a test-only export fails the run.
+        tree = Path(tmp) / "tree"
+        lib_dir = (tree / "build" / "src" / "fixture" / "CMakeFiles" /
+                   "rapid_fixture.dir")
+        test_dir = tree / "build" / "tests" / "CMakeFiles" / "t.dir"
+        lib_dir.mkdir(parents=True)
+        test_dir.mkdir(parents=True)
+        (tree / "src" / "fixture").mkdir(parents=True)
+        (tree / "tests").mkdir()
+        (tree / "src" / "fixture" / "test_only_callee.cc").write_text("")
+        (tree / "tests" / "dead_export_user.cc").write_text("")
+        (lib_dir / "test_only_callee.cc.o").write_bytes(
+            objs["test_only_callee"].read_bytes())
+        (test_dir / "dead_export_user.cc.o").write_bytes(
+            objs["dead_export_user"].read_bytes())
+        report = tree / "findings.json"
+        status = audit_build(tree / "build", nm, tree, report, waived={})
+        kinds = sorted(f["kind"] for f in
+                       json.loads(report.read_text())["findings"])
+        check(status == 1 and kinds == ["test-only-export"] * 2,
+              "a tree whose only findings are test-only exports fails",
+              "test-only tree exited %d with findings %s" % (status, kinds))
+        for path in (lib_dir / "test_only_callee.cc.o",
+                     test_dir / "dead_export_user.cc.o", report):
+            path.unlink()
 
         # A library object left behind in a build tree whose source
         # tree no longer has its source: skipped while the source is
         # gone, audited (a dead export) once it is back.
-        tree = Path(tmp) / "tree"
-        obj_dir = (tree / "build" / "src" / "fixture" / "CMakeFiles" /
-                   "rapid_fixture.dir")
-        obj_dir.mkdir(parents=True)
-        (tree / "src" / "fixture").mkdir(parents=True)
-        stale_obj = compile_fixture(cxx, stale, obj_dir, ("-O2",))
+        stale_obj = compile_fixture(cxx, sources["stale_object"], lib_dir,
+                                    ("-O2",))
         if stale_obj is None:
             return 2
-        stale_obj.rename(obj_dir / "stale_object.cc.o")
-        gone = audit_dead_exports(tree / "build", nm, tree)
+        stale_obj.rename(lib_dir / "stale_object.cc.o")
+        gone = audit_dead_exports(tree / "build", tree, waived={})
         (tree / "src" / "fixture" / "stale_object.cc").write_text("")
-        back = audit_dead_exports(tree / "build", nm, tree)
-        if gone == ([], []) and [f["symbol"] for f in back[0]] == [
-                "rapid_fixture::staleExport(int)"]:
-            print("self-test ok: stale_object.cc.o is skipped while its "
-                  "source is gone")
-        else:
-            print("SELF-TEST FAIL: stale object audited as %s without "
-                  "its source and %s with it" % (gone, back))
-            failures += 1
+        back = audit_dead_exports(tree / "build", tree, waived={})
+        check(gone == ([], []) and [f["symbol"] for f in back[0]] == [
+                  "rapid_fixture::staleExport(int)"],
+              "stale_object.cc.o is skipped while its source is gone",
+              "stale object audited as %s without its source and %s "
+              "with it" % (gone, back))
 
         # A header self-containment TU whose generated source is still
         # in the build tree: skipped while its header is gone from
@@ -577,17 +852,15 @@ def self_test(cxx, nm, root):
                       "header_selfcontained.dir" / "header_tus")
         tu_obj_dir.mkdir(parents=True)
         tu_obj = tu_obj_dir / "fixture__gone.cc.o"
-        tu_obj.write_bytes(clean_obj.read_bytes())
+        tu_obj.write_bytes(objs["clean_virtual"].read_bytes())
         gone = tu_obj in live_objects(tree / "build", tree)
         (tree / "src" / "fixture" / "gone.hh").write_text("")
         back = tu_obj in live_objects(tree / "build", tree)
-        if not gone and back:
-            print("self-test ok: header_tus/fixture__gone.cc.o is skipped "
-                  "while its header is gone")
-        else:
-            print("SELF-TEST FAIL: header TU object live=%s without its "
-                  "header and live=%s with it" % (gone, back))
-            failures += 1
+        check(not gone and back,
+              "header_tus/fixture__gone.cc.o is skipped while its header "
+              "is gone",
+              "header TU object live=%s without its header and live=%s "
+              "with it" % (gone, back))
 
     if failures:
         return 2

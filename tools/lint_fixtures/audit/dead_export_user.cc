@@ -1,9 +1,12 @@
-// Audit fixture: the test-role user of planted_dead_export.cc. It calls
+// Audit fixture: the test-role user of the library fixtures. It calls
 // Widget's constructor and destructor through their C1/D1 aliases,
 // which must match the C2/D2 definitions by demangled name.
 namespace rapid_fixture {
 
 int testOnlyExport(int x);
+int checkedThird(int x);
+int testOnlyEntry(int x);
+int testOnlyStep(int x);
 
 struct Widget
 {
@@ -12,10 +15,19 @@ struct Widget
     int v_;
 };
 
-int useFixtureExports(int x)
+struct Meter
+{
+    explicit Meter(int v);
+    int v_;
+};
+
+int
+useFixtureExports(int x)
 {
     Widget w(x);
-    return testOnlyExport(w.v_);
+    Meter m(x);
+    return testOnlyExport(w.v_) + checkedThird(x) + testOnlyEntry(x) +
+           testOnlyStep(x) + m.v_;
 }
 
 } // namespace rapid_fixture

@@ -1,19 +1,12 @@
 // Audit fixture (bad): the self-test compiles this as a library object
-// (-O2 -g -fPIC -fno-semantic-interposition) and must find exactly one
-// dead export, plantedDeadExport(). No relocation names branchTarget()
-// (an in-section call) or liveExport() (inlined away), yet both are
-// live; dead_export_user.cc is the test-only user of the rest.
+// (-O2 -g -fPIC -fno-semantic-interposition). plantedDeadExport() is
+// dead: nothing reaches it. dead_export_user.cc, a test object, is the
+// only user of testOnlyExport() and of Widget, so both are test-only.
 namespace rapid_fixture {
 
 int plantedDeadExport(int x) { return x + 1; }
 
-__attribute__((noinline)) int branchTarget(int x) { return x * 3 + 7; }
-
-int liveExport(int x) { return x * 2; }
-
-static int localCaller(int x) { return liveExport(x) + 1; }
-
-int testOnlyExport(int x) { return localCaller(x) + branchTarget(x); }
+int testOnlyExport(int x) { return x * 5 - 2; }
 
 struct Widget
 {
