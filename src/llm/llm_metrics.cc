@@ -118,16 +118,6 @@ computeLlmMetrics(const LlmServeConfig &cfg, const LlmResult &result)
     return out;
 }
 
-namespace {
-
-std::string
-ms(int64_t ns)
-{
-    return Table::fmt(double(ns) * 1e-6, 3);
-}
-
-} // namespace
-
 std::string
 llmJsonRecord(const std::string &section, const std::string &label,
               const LlmMetrics &m)
@@ -155,8 +145,8 @@ llmJsonRecord(const std::string &section, const std::string &label,
         << (t.tokenAccountingClosed() ? "true" : "false")
         << ",\"goodput_rps\":" << Table::fmt(t.goodput_rps, 3)
         << ",\"tokens_per_s\":" << Table::fmt(t.tokens_per_s, 3)
-        << ",\"ttft_p95_ms\":" << ms(t.ttft.p95)
-        << ",\"tpot_p95_ms\":" << ms(t.tpot_p95_ns)
+        << ",\"ttft_p95_ms\":" << Table::fmt(double(t.ttft.p95) * 1e-6, 3)
+        << ",\"tpot_p95_ms\":" << Table::fmt(double(t.tpot_p95_ns) * 1e-6, 3)
         << ",\"mean_decode_live\":"
         << Table::fmt(m.mean_decode_live, 3)
         << ",\"mean_decode_batch\":"

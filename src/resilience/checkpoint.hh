@@ -20,7 +20,6 @@
 #define RAPID_RESILIENCE_CHECKPOINT_HH
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "func/trainer.hh"

@@ -300,23 +300,19 @@ def live_objects(build, root):
 
 
 def relocated_symbols(paths):
-    """Symbols named by each object's relocations: a dict from path to
-    set. DWARF sections are left out; their relocations name section
-    symbols only, never a function, and they are most of the output."""
-    targets = {}
-    for batch, out, _ in run_batched(["readelf", "-SW"], paths):
-        for path, text in per_file(batch, out, r"^File: (.+)\n").items():
-            targets[path] = {name for name in RELA_TARGET.findall(text)
-                             if not name.startswith(".debug")}
-    symbols = {str(p): set() for p in paths}
-    sections = sorted(set().union(*targets.values()))
+    """Symbols named by the relocations of @p paths. DWARF sections are
+    left out; their relocations name section symbols only, never a
+    function, and they are most of the output."""
+    sections = set()
+    for _, out, _ in run_batched(["readelf", "-SW"], paths):
+        sections.update(name for name in RELA_TARGET.findall(out)
+                        if not name.startswith(".debug"))
     if not sections:
-        return symbols
-    select = [arg for name in sections for arg in ("-j", name)]
-    for batch, out, _ in run_batched(["objdump", "-r", *select], paths):
-        for path, text in per_file(batch, out, OBJDUMP_FILE).items():
-            symbols[path] = set(RELOC_SYMBOL.findall(text))
-    return symbols
+        return set()
+    select = [arg for name in sorted(sections) for arg in ("-j", name)]
+    return {symbol for _, out, _ in run_batched(["objdump", "-r", *select],
+                                                paths)
+            for symbol in RELOC_SYMBOL.findall(out)}
 
 
 def library_graph(paths):
@@ -495,8 +491,7 @@ def dead_exports(library, users, waived=None):
     pairs of waivers that name no export or one live without them."""
     waived = WAIVED if waived is None else waived
     edges, init, exports, functions = library_graph(library)
-    refs = {role: set().union(*relocated_symbols(objs).values())
-            for role, objs in users.items()}
+    refs = {role: relocated_symbols(objs) for role, objs in users.items()}
     names = demangle(set(edges).union(init, exports, functions,
                                       *edges.values(), *refs.values()))
     graph = {}
@@ -747,18 +742,15 @@ def self_test(cxx, nm, root):
         if None in objs.values():
             return 2
 
-        symbols = undefined_symbols(nm, [objs["planted_wallclock"]])
-        hit = sorted((symbols[str(objs["planted_wallclock"])] or set())
-                     & FORBIDDEN)
-        check("clock_gettime" in hit,
-              "planted_wallclock.o references %s" % ", ".join(hit),
+        symbols = undefined_symbols(
+            nm, [objs["planted_wallclock"], objs["clean_virtual"]])
+        planted, clean = (sorted((symbols[str(objs[n])] or set()) & FORBIDDEN)
+                          for n in ("planted_wallclock", "clean_virtual"))
+        check("clock_gettime" in planted,
+              "planted_wallclock.o references %s" % ", ".join(planted),
               "planted clock_gettime reference not detected")
-
-        symbols = undefined_symbols(nm, [objs["clean_virtual"]])
-        hit = sorted((symbols[str(objs["clean_virtual"])] or set())
-                     & FORBIDDEN)
-        check(not hit, "clean_virtual.o references no forbidden symbol",
-              "clean fixture references %s" % ", ".join(hit))
+        check(not clean, "clean_virtual.o references no forbidden symbol",
+              "clean fixture references %s" % ", ".join(clean))
 
         # The .cold rule proves nothing unless GCC split the fragment.
         cold = subprocess.run(["objdump", "-t", str(objs["test_only_cold"])],
