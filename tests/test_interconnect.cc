@@ -224,6 +224,26 @@ TEST(Mni, RequestAggregationMulticastsSharedData)
     }
 }
 
+TEST(Mni, OutOfOrderReturns)
+{
+    MniFabric mni(ring5(), MniConfig{});
+    // Tag 1 leaves memory only once its second consumer asks for it;
+    // tag 2, requested after it, must complete first, matched by tag
+    // to its scratchpad address.
+    ASSERT_TRUE(mni.recv(0, mni.memoryNode(), 1, 128 * 20, 0x1000, 2));
+    ASSERT_TRUE(mni.recv(0, mni.memoryNode(), 2, 128, 0x2000, 1));
+    for (int i = 0; i < 100; ++i)
+        mni.step();
+    ASSERT_TRUE(mni.recv(1, mni.memoryNode(), 1, 128 * 20, 0x3000, 2));
+    drainMni(mni);
+    ASSERT_EQ(mni.completions().size(), 3u);
+    EXPECT_EQ(mni.completions()[0].tag, 2u); // small one first
+    EXPECT_EQ(mni.completions()[0].local_addr, 0x2000u);
+    EXPECT_EQ(mni.completions()[1].tag, 1u);
+    EXPECT_EQ(mni.completions()[1].local_addr, 0x1000u);
+    EXPECT_EQ(mni.completions()[2].local_addr, 0x3000u);
+}
+
 TEST(Mni, LoadQueueLimitStalls)
 {
     MniConfig cfg;

@@ -368,7 +368,7 @@ levelEdgeInputs(float step, float alpha, uint64_t seed)
     return v;
 }
 
-TEST(QuantizerLevels, BatchMatchesTheOriginalRounding)
+TEST(QuantizerLevels, BatchAndScalarMatchTheOriginalRounding)
 {
     for (unsigned bits : {2u, 4u}) {
         const PactQuantizer pact(2.5f, bits);
@@ -389,6 +389,11 @@ TEST(QuantizerLevels, BatchMatchesTheOriginalRounding)
             for (size_t i = 0; i < in.size(); ++i) {
                 const int want = which == 0 ? referenceLevel(pact, in[i])
                                             : referenceLevel(sawb, in[i]);
+                // One value per call: the block loop's tail alone.
+                const int scalar = which == 0 ? levelOf(pact, in[i])
+                                              : levelOf(sawb, in[i]);
+                EXPECT_EQ(scalar, want) << "bits=" << bits << " which="
+                                        << which << " x=" << in[i];
                 EXPECT_EQ(batch[i], want) << "bits=" << bits << " which="
                                           << which << " x=" << in[i];
             }
