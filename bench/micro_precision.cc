@@ -100,21 +100,31 @@ BM_SawbConstruct(benchmark::State &state)
 }
 BENCHMARK(BM_SawbConstruct)->Arg(1024)->Arg(16384);
 
-/** The FP32 reference GEMM the emulated ones are measured against
- *  (items/s is MAC/s, as for the GEMMs below). */
+/** The FP32 training GEMM (M, K, N) the emulated ones are measured
+ *  against (items/s is MAC/s, as for the GEMMs below): square shapes,
+ *  and the wide training MLP's forward (32x160x160), weight-gradient
+ *  (160x32x160) and logit-edge (32x160x2, 160x32x2) GEMMs. */
 void
 BM_Matmul(benchmark::State &state)
 {
-    const int64_t n = state.range(0);
+    const int64_t m = state.range(0), k = state.range(1),
+                  n = state.range(2);
     Rng rng(7);
-    Tensor a({n, n}), b({n, n});
+    Tensor a({m, k}), b({k, n});
     a.fillGaussian(rng, 0.0, 0.5);
     b.fillGaussian(rng, 0.0, 0.5);
     for (auto _ : state)
         benchmark::DoNotOptimize(matmul(a, b));
-    state.SetItemsProcessed(state.iterations() * n * n * n);
+    state.SetItemsProcessed(state.iterations() * m * k * n);
 }
-BENCHMARK(BM_Matmul)->Arg(32)->Arg(64)->Arg(160);
+BENCHMARK(BM_Matmul)
+    ->Args({32, 32, 32})
+    ->Args({64, 64, 64})
+    ->Args({160, 160, 160})
+    ->Args({32, 160, 160})
+    ->Args({160, 32, 160})
+    ->Args({32, 160, 2})
+    ->Args({160, 32, 2});
 
 void
 BM_IntMatmul(benchmark::State &state)

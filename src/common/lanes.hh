@@ -13,6 +13,7 @@
 #define RAPID_COMMON_LANES_HH
 
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 
@@ -34,7 +35,8 @@ forEachBlocked(int64_t n, Fn &&fn)
 
 /**
  * GCC vectors of @p W lanes (4W bytes): floats, their binary32
- * patterns, and lane masks (all ones or all zeros). W = 4 is one SSE2
+ * patterns, and lane masks (all ones or all zeros); and the same
+ * register as W/2 doubles. W = 4 is one SSE2
  * register, the x86-64 baseline; W = 8 and 16 need AVX2 and AVX-512,
  * so code over them runs only inside functions compiled for those
  * targets (RAPID_TARGET_AVX2, RAPID_TARGET_AVX512), into which every
@@ -56,6 +58,7 @@ struct LaneVectors
     typedef float Float __attribute__((vector_size(4 * W)));
     typedef uint32_t Bits __attribute__((vector_size(4 * W)));
     typedef int32_t Mask __attribute__((vector_size(4 * W)));
+    typedef double Double __attribute__((vector_size(4 * W)));
 };
 
 template <int W>
@@ -64,6 +67,8 @@ template <int W>
 using BitLanes = typename LaneVectors<W>::Bits;
 template <int W>
 using MaskLanes = typename LaneVectors<W>::Mask;
+template <int W>
+using DoubleLanes = typename LaneVectors<W>::Double;
 
 #if defined(__x86_64__)
 #define RAPID_TARGET_AVX2 __attribute__((target("avx2")))
@@ -96,6 +101,63 @@ cpuRunsLanes(int w)
     return w == 4;
 }
 
+/**
+ * The widest of @p kernels this CPU executes. Each kernel is a struct
+ * whose `width` is the W it was compiled for; they come widest first,
+ * and the last is W = 4, which every x86-64 executes.
+ */
+template <typename Kernel, size_t N>
+const Kernel &
+widestLanes(const Kernel (&kernels)[N])
+{
+    for (const Kernel &kernel : kernels)
+        if (cpuRunsLanes(int(kernel.width)))
+            return kernel;
+    return kernels[N - 1];
+}
+
+/**
+ * Runs the calling thread's kernels of type @p Kernel on one given
+ * width instead of the process's pick while it lives, so tests can run
+ * the library at every width the CPU executes. Nothing outside a test
+ * constructs one.
+ */
+template <typename Kernel>
+class LaneScope
+{
+  public:
+    explicit LaneScope(const Kernel &kernel) : outer_(active_)
+    {
+        active_ = &kernel;
+    }
+    ~LaneScope() { active_ = outer_; }
+    LaneScope(const LaneScope &) = delete;
+    LaneScope &operator=(const LaneScope &) = delete;
+
+    /** The innermost scope's kernel on this thread, else @p picked. */
+    static const Kernel &activeOr(const Kernel &picked)
+    {
+        return active_ ? *active_ : picked;
+    }
+
+  private:
+    static inline thread_local constinit const Kernel *active_ = nullptr;
+    const Kernel *outer_;
+};
+
+/**
+ * Whether an (M,K) x (K,N) GEMM whose kernel fills @p width output
+ * columns per vector runs as C^T = B^T A^T: an output narrower than one
+ * vector and taller than it is wide, so that M fills the lanes instead
+ * of N. Each output keeps the same exact products in the same
+ * ascending k, so its bits do not change.
+ */
+inline bool
+swapsRoles(int64_t width, int64_t m, int64_t n)
+{
+    return n < width && m > n;
+}
+
 /** The bits of lane vector @p v as a lane vector of type @p To. */
 template <typename To, typename From>
 [[gnu::always_inline]] inline To
@@ -121,6 +183,25 @@ loadLanes(const float *p)
     FloatLanes<W> v;
     std::memcpy(&v, p, sizeof(v));
     return v;
+}
+
+/** The @p W / 2 doubles at @p p (one vector of W floats' width), which
+ *  need no alignment. */
+template <int W>
+[[gnu::always_inline]] inline DoubleLanes<W>
+loadLanes(const double *p)
+{
+    DoubleLanes<W> v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+}
+
+/** Lane vector @p v to the floats at @p p, which need no alignment. */
+template <typename Lanes>
+[[gnu::always_inline]] inline void
+storeLanes(float *p, const Lanes &v)
+{
+    std::memcpy(p, &v, sizeof(v));
 }
 
 } // namespace rapid

@@ -5,7 +5,7 @@
  * 32- and 64-byte GCC vectors (common/lanes.hh). The library compiles
  * one entry per width, each for its own target, and picks one per
  * process from the CPU's features; a test compiles its own entries the
- * same way and runs the library's GEMMs on each under a LaneGemmScope.
+ * same way and runs the library's GEMMs on each under a LaneScope.
  *
  * Every width gives the same bits. A lane does exactly one output's
  * arithmetic in ascending k, the scalar chunkedDot()'s: an exact
@@ -43,36 +43,11 @@ struct LaneGemm
                          int64_t k, int64_t n, int64_t ldb,
                          const ExecConfig &cfg, float *out);
 
-    int64_t half; ///< W, the lanes of one vector
+    int64_t width; ///< W, the lanes of one vector
     Run run;
 
     /** Output columns one lane block carries: two vectors. */
-    int64_t block() const { return 2 * half; }
-};
-
-/**
- * Runs the calling thread's chunked GEMMs on @p gemm instead of the
- * process's pick while it lives, so tests can run the library at
- * every width the CPU executes. Nothing outside a test constructs
- * one.
- */
-class LaneGemmScope
-{
-  public:
-    explicit LaneGemmScope(const LaneGemm &gemm) : outer_(active_)
-    {
-        active_ = &gemm;
-    }
-    ~LaneGemmScope() { active_ = outer_; }
-    LaneGemmScope(const LaneGemmScope &) = delete;
-    LaneGemmScope &operator=(const LaneGemmScope &) = delete;
-
-    /** The innermost scope's GEMM on this thread, or null. */
-    static const LaneGemm *active() { return active_; }
-
-  private:
-    static inline thread_local constinit const LaneGemm *active_ = nullptr;
-    const LaneGemm *outer_;
+    int64_t block() const { return 2 * width; }
 };
 
 /** A lane's inter-chunk fold on binary32 patterns: the SFU's FP32 add,

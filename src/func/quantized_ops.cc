@@ -91,17 +91,16 @@ chunkedGemmBaseline(const float *qa, const float *qb, int64_t m, int64_t k,
     chunkedGemmLanes<4>(qa, qb, m, k, n, ldb, cfg, out);
 }
 
-/** The lane GEMM of the calling thread: a LaneGemmScope's, else the
+/** The lane GEMM of the calling thread: a LaneScope's, else the
  *  widest this CPU executes, picked on first use. */
 const LaneGemm &
 activeLaneGemm()
 {
-    static const LaneGemm picked =
-        cpuRunsLanes(16)  ? LaneGemm{16, &chunkedGemmAvx512}
-        : cpuRunsLanes(8) ? LaneGemm{8, &chunkedGemmAvx2}
-                          : LaneGemm{4, &chunkedGemmBaseline};
-    const LaneGemm *scoped = LaneGemmScope::active();
-    return scoped ? *scoped : picked;
+    static const LaneGemm kWidths[] = {{16, &chunkedGemmAvx512},
+                                       {8, &chunkedGemmAvx2},
+                                       {4, &chunkedGemmBaseline}};
+    static const LaneGemm &picked = widestLanes(kWidths);
+    return LaneScope<LaneGemm>::activeOr(picked);
 }
 
 /** Call @p fn with @p rounding as a compile-time constant, and return
@@ -179,42 +178,6 @@ laneStride(int64_t n, int64_t lanes)
     return (n + lanes - 1) / lanes * lanes;
 }
 
-bool
-allFinite(const float *v, int64_t n)
-{
-    return std::all_of(v, v + n, [](float x) { return std::isfinite(x); });
-}
-
-/** The (@p cols, @p rows) transpose of the row-major @p src (row
- *  stride @p lds) into @p dst (row stride @p ldd), in square tiles
- *  whose rows of @p dst are written in order. */
-void
-transposeInto(const float *src, int64_t rows, int64_t cols, int64_t lds,
-              float *dst, int64_t ldd)
-{
-    constexpr int64_t kTile = 16;
-    for (int64_t r0 = 0; r0 < rows; r0 += kTile) {
-        const int64_t r1 = std::min(rows, r0 + kTile);
-        for (int64_t c0 = 0; c0 < cols; c0 += kTile)
-            for (int64_t c = c0; c < std::min(cols, c0 + kTile); ++c)
-                for (int64_t r = r0; r < r1; ++r)
-                    dst[c * ldd + r] = src[r * lds + c];
-    }
-}
-
-/**
- * Whether an (M,K) x (K,N) GEMM on @p lanes runs as C^T = B^T A^T: an
- * output narrower than one lane vector and taller than it is wide, so
- * that M fills the lanes instead of N. Each output keeps the same exact
- * products, gated by the same zeros, in the same ascending k, so its
- * bits do not change.
- */
-bool
-swapsRoles(const LaneGemm &lanes, int64_t m, int64_t n)
-{
-    return n < lanes.half && m > n;
-}
-
 /**
  * (M,K) x (K,N) GEMM of quantized operands with chunked DLFloat16
  * accumulation on @p lanes: chunkedDot() of row i of @p qa and column
@@ -242,7 +205,7 @@ chunkedGemm(const float *qa, const float *qb, int64_t m, int64_t k,
     rapid_assert(cfg.chunk_size >= 1, "chunk size must be positive");
     rapid_assert(k < int64_t(UINT32_MAX), "chunked GEMM reduction of ",
                  k, " terms overflows a lane count");
-    if (!swapsRoles(lanes, m, n)) {
+    if (!swapsRoles(lanes.width, m, n)) {
         lanes.run(qa, qb, m, k, n, ldb, cfg, out);
         return;
     }
@@ -276,7 +239,7 @@ roundedGemm(const Tensor &a, RoundA round_a, const Tensor &b,
     std::vector<float> qa(a.data(), a.data() + m * k);
     roundInPlace(qa.data(), m * k, round_a);
     const int64_t ldb =
-        swapsRoles(lanes, m, n) ? n : laneStride(n, lanes.block());
+        swapsRoles(lanes.width, m, n) ? n : laneStride(n, lanes.block());
     std::vector<float> qb(size_t(k * ldb), 0.0f);
     for (int64_t kk = 0; kk < k; ++kk)
         std::copy_n(b.data() + kk * n, n, qb.data() + kk * ldb);
@@ -452,7 +415,7 @@ checkFxuWidth(const PactQuantizer &act_q, const SawbQuantizer &wt_q,
 int64_t
 chunkedGemmLaneWidth()
 {
-    return activeLaneGemm().half;
+    return activeLaneGemm().width;
 }
 
 ConvShape

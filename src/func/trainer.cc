@@ -59,15 +59,6 @@ trainPrecisionName(TrainPrecision precision)
 
 namespace {
 
-bool
-allFinite(const std::vector<float> &v)
-{
-    for (float x : v)
-        if (!std::isfinite(x))
-            return false;
-    return true;
-}
-
 /** IEEE equality (+0 equals -0, NaN equals nothing) spelled without
  *  ==, which -Wfloat-equal rejects. */
 bool
@@ -408,7 +399,8 @@ bool
 Mlp::weightsFinite() const
 {
     for (const Dense &d : layers_) {
-        if (!allFinite(d.w.storage()) || !allFinite(d.b.storage()))
+        if (!allFinite(d.w.data(), d.w.numel()) ||
+            !allFinite(d.b.data(), d.b.numel()))
             return false;
         if (cfg_.use_pact && !std::isfinite(d.alpha))
             return false;

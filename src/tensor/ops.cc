@@ -1,13 +1,79 @@
+// Every lane vector of 32 or 64 bytes here lives inside a function
+// compiled for AVX2 or AVX-512 (common/lanes.hh).
+#pragma GCC diagnostic ignored "-Wpsabi"
+
 #include "tensor/ops.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <vector>
 
 #include "common/lanes.hh"
+#include "tensor/lane_matmul.hh"
 
 namespace rapid {
+
+namespace {
+
+// The FP32 GEMM at each width, compiled for its target: every helper
+// over the lane vectors inlines into these, so no wide vector code is
+// compiled for a CPU that may lack it.
+
+RAPID_TARGET_AVX512 void
+matmulAvx512(const float *a, const float *b, int64_t m, int64_t k,
+             int64_t n, float *out)
+{
+    matmulLanes<16>(a, b, m, k, n, out);
+}
+
+RAPID_TARGET_AVX2 void
+matmulAvx2(const float *a, const float *b, int64_t m, int64_t k, int64_t n,
+           float *out)
+{
+    matmulLanes<8>(a, b, m, k, n, out);
+}
+
+void
+matmulBaseline(const float *a, const float *b, int64_t m, int64_t k,
+               int64_t n, float *out)
+{
+    matmulLanes<4>(a, b, m, k, n, out);
+}
+
+/** The FP32 GEMM of the calling thread: a LaneScope's, else the widest
+ *  this CPU executes, picked on first use. */
+const LaneMatmul &
+activeLaneMatmul()
+{
+    static const LaneMatmul kWidths[] = {
+        {16, &matmulAvx512}, {8, &matmulAvx2}, {4, &matmulBaseline}};
+    static const LaneMatmul &picked = widestLanes(kWidths);
+    return LaneScope<LaneMatmul>::activeOr(picked);
+}
+
+/**
+ * Output (i, j) of the GEMM of row @p a_row and the column of @p b at
+ * stride @p ldb, by the triple loop with its NaN spelled out: x86 keeps
+ * the first operand's NaN, and each add puts the product first, as the
+ * i-k-j loop the kernel replaced did, so an output keeps the NaN of its
+ * last NaN product (a's NaN before b's), or the default NaN of an
+ * Inf - Inf that no NaN product followed.
+ */
+float
+nanOrderedDot(const float *a_row, const float *b, int64_t k, int64_t ldb)
+{
+    double acc = 0.0;
+    for (int64_t kk = 0; kk < k; ++kk) {
+        const double x = double(a_row[kk]), y = double(b[kk * ldb]);
+        const double product = std::isnan(x) ? x : std::isnan(y) ? y : x * y;
+        acc = std::isnan(product) ? product : acc + product;
+    }
+    return float(acc);
+}
+
+} // namespace
 
 int64_t
 convOutDim(int64_t in, int64_t kernel, int64_t stride, int64_t pad)
@@ -23,29 +89,68 @@ matmul(const Tensor &a, const Tensor &b)
     rapid_assert(b.dim(0) == k, "matmul inner-dimension mismatch");
     const int64_t n = b.dim(1);
     Tensor out({m, n});
-    // i-k-j order: each output row keeps a row of double accumulators
-    // and B is read a row at a time. Every output still sums its exact
-    // products in ascending k from +0.0 and rounds to float once, so
-    // the bits match the i-j-k triple loop. Only the j loop may be
-    // vectorised, never k; zero operands are not skipped (0 * Inf is
-    // NaN). The j loop runs in blocks, which GCC vectorises at -O2.
-    std::vector<double> acc(size_t(n), 0.0);
-    for (int64_t i = 0; i < m; ++i) {
-        std::fill(acc.begin(), acc.end(), 0.0);
-        const float *a_row = a.data() + i * k;
-        for (int64_t kk = 0; kk < k; ++kk) {
-            const double a_ik = double(a_row[kk]);
-            const float *b_row = b.data() + kk * n;
-            double *acc_row = acc.data();
-            forEachBlocked(n, [&](int64_t j) {
-                acc_row[j] += a_ik * double(b_row[j]);
-            });
-        }
-        float *out_row = out.data() + i * n;
-        for (int64_t j = 0; j < n; ++j)
-            out_row[j] = float(acc[size_t(j)]);
+    const LaneMatmul &lanes = activeLaneMatmul();
+    if (swapsRoles(lanes.width, m, n)) {
+        std::vector<float> bt(size_t(n * k)), at(size_t(k * m)),
+            ct(size_t(n * m));
+        transposeInto(b.data(), k, n, n, bt.data(), k);
+        transposeInto(a.data(), m, k, k, at.data(), m);
+        lanes.run(bt.data(), at.data(), n, k, m, ct.data());
+        transposeInto(ct.data(), n, m, m, out.data(), n);
+    } else {
+        lanes.run(a.data(), b.data(), m, k, n, out.data());
     }
+    // Which NaN an output keeps depends on the operand order of the
+    // instruction the compiler picks (an FMA keeps its addend's NaN,
+    // an add its first operand's), not on the source; so every output
+    // that came out NaN is summed again with the order spelled out.
+    if (!allFinite(out.data(), m * n))
+        for (int64_t i = 0; i < m; ++i)
+            for (int64_t j = 0; j < n; ++j)
+                if (std::isnan(out.at(i, j)))
+                    out.at(i, j) = nanOrderedDot(a.data() + i * k,
+                                                 b.data() + j, k, n);
     return out;
+}
+
+void
+transposeInto(const float *src, int64_t rows, int64_t cols, int64_t lds,
+              float *dst, int64_t ldd)
+{
+    // 4x4 tiles through SSE2 registers: two rounds of interleaves turn
+    // four rows of a tile into its four columns. The ragged edges move
+    // one element at a time. Either way every pattern is copied as is.
+    using Lanes = FloatLanes<4>;
+    using Pick = MaskLanes<4>;
+    int64_t r = 0;
+    for (; r + 4 <= rows; r += 4) {
+        const float *s = src + r * lds;
+        int64_t c = 0;
+        for (; c + 4 <= cols; c += 4) {
+            const Lanes x0 = loadLanes<4>(s + c),
+                        x1 = loadLanes<4>(s + lds + c),
+                        x2 = loadLanes<4>(s + 2 * lds + c),
+                        x3 = loadLanes<4>(s + 3 * lds + c);
+            const Lanes lo01 = __builtin_shuffle(x0, x1, Pick{0, 4, 1, 5}),
+                        hi01 = __builtin_shuffle(x0, x1, Pick{2, 6, 3, 7}),
+                        lo23 = __builtin_shuffle(x2, x3, Pick{0, 4, 1, 5}),
+                        hi23 = __builtin_shuffle(x2, x3, Pick{2, 6, 3, 7});
+            float *d = dst + c * ldd + r;
+            storeLanes(d, __builtin_shuffle(lo01, lo23, Pick{0, 1, 4, 5}));
+            storeLanes(d + ldd,
+                       __builtin_shuffle(lo01, lo23, Pick{2, 3, 6, 7}));
+            storeLanes(d + 2 * ldd,
+                       __builtin_shuffle(hi01, hi23, Pick{0, 1, 4, 5}));
+            storeLanes(d + 3 * ldd,
+                       __builtin_shuffle(hi01, hi23, Pick{2, 3, 6, 7}));
+        }
+        for (; c < cols; ++c)
+            for (int64_t l = 0; l < 4; ++l)
+                dst[c * ldd + r + l] = s[l * lds + c];
+    }
+    for (; r < rows; ++r)
+        for (int64_t c = 0; c < cols; ++c)
+            dst[c * ldd + r] = src[r * lds + c];
 }
 
 Tensor
@@ -54,12 +159,20 @@ transpose(const Tensor &a)
     rapid_assert(a.rank() == 2, "transpose expects rank-2");
     const int64_t rows = a.dim(0), cols = a.dim(1);
     Tensor out({cols, rows});
-    const float *src = a.data();
-    float *dst = out.data();
-    for (int64_t i = 0; i < rows; ++i)
-        for (int64_t j = 0; j < cols; ++j)
-            dst[j * rows + i] = src[i * cols + j];
+    transposeInto(a.data(), rows, cols, cols, out.data(), rows);
     return out;
+}
+
+bool
+allFinite(const float *v, int64_t n)
+{
+    // A binary32 is NaN or Inf exactly when its exponent field is all
+    // ones, and then adding one to the field carries into the sign bit.
+    uint32_t carries = 0;
+    forEachBlocked(n, [&](int64_t i) {
+        carries |= (std::bit_cast<uint32_t>(v[i]) & 0x7f800000u) + 0x00800000u;
+    });
+    return (carries & 0x80000000u) == 0;
 }
 
 Tensor

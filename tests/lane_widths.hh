@@ -1,9 +1,10 @@
 /**
  * @file
- * The chunked GEMM's lane kernel at every width, compiled in the
- * including test's translation unit under the same targets as the
- * library's entries, and a loop that runs a test body once at each
- * width this CPU executes with the library's GEMMs on it.
+ * A loop that runs a test body once at each lane width this CPU
+ * executes, with the library's kernels of one type on that width. The
+ * including test compiles its own entry per width, under the same
+ * targets as the library's, so no test-only entry is exported from the
+ * library.
  *
  * A file that includes this must switch -Wpsabi off before its first
  * include (common/lanes.hh says why).
@@ -17,55 +18,28 @@
 #include <gtest/gtest.h>
 
 #include "common/lanes.hh"
-#include "func/lane_gemm.hh"
 
 namespace rapid {
 namespace {
 
-RAPID_TARGET_AVX512 void
-laneGemm16(const float *qa, const float *qb, int64_t m, int64_t k, int64_t n,
-           int64_t ldb, const ExecConfig &cfg, float *out)
-{
-    chunkedGemmLanes<16>(qa, qb, m, k, n, ldb, cfg, out);
-}
-
-RAPID_TARGET_AVX2 void
-laneGemm8(const float *qa, const float *qb, int64_t m, int64_t k, int64_t n,
-          int64_t ldb, const ExecConfig &cfg, float *out)
-{
-    chunkedGemmLanes<8>(qa, qb, m, k, n, ldb, cfg, out);
-}
-
-void
-laneGemm4(const float *qa, const float *qb, int64_t m, int64_t k, int64_t n,
-          int64_t ldb, const ExecConfig &cfg, float *out)
-{
-    chunkedGemmLanes<4>(qa, qb, m, k, n, ldb, cfg, out);
-}
-
-/** Every lane width's GEMM. */
-const LaneGemm kLaneGemms[] = {
-    {16, &laneGemm16}, {8, &laneGemm8}, {4, &laneGemm4}};
-
 /**
- * @p body() once at each lane width in @p widths that this CPU
- * executes, with the calling thread's chunked GEMMs on that width.
- * Returns "" when every width ran, else a message naming the widths
- * that did not, for GTEST_SKIP.
+ * @p body() once for each kernel of @p kernels (one per lane width)
+ * that this CPU executes, with the calling thread's kernels of that
+ * type on it. Returns "" when every width ran, else a message naming
+ * the widths that did not, for GTEST_SKIP.
  */
-template <typename Body>
+template <typename Kernel, size_t N, typename Body>
 std::string
-atEveryLaneWidth(Body &&body)
+atEveryLaneWidth(const Kernel (&kernels)[N], Body &&body)
 {
     std::string missing;
-    for (const LaneGemm &gemm : kLaneGemms) {
-        if (!cpuRunsLanes(int(gemm.half))) {
-            missing += " " + std::to_string(gemm.half);
+    for (const Kernel &kernel : kernels) {
+        if (!cpuRunsLanes(int(kernel.width))) {
+            missing += " " + std::to_string(kernel.width);
             continue;
         }
-        SCOPED_TRACE(::testing::Message() << "lane width " << gemm.half);
-        const LaneGemmScope scope(gemm);
-        EXPECT_EQ(chunkedGemmLaneWidth(), gemm.half);
+        SCOPED_TRACE(::testing::Message() << "lane width " << kernel.width);
+        const LaneScope<Kernel> scope(kernel);
         body();
     }
     return missing.empty() ? ""
@@ -73,8 +47,9 @@ atEveryLaneWidth(Body &&body)
                                  " not executable on this CPU";
 }
 
-/** atEveryLaneWidth() of the statements that follow, as one test
- *  body; skips the test, naming them, if a width could not run. */
+/** atEveryLaneWidth() of the kernel table and the statements that
+ *  follow, as one test body; skips the test, naming them, if a width
+ *  could not run. */
 #define RAPID_AT_EVERY_LANE_WIDTH(...)                                      \
     do {                                                                    \
         const std::string lanes_skipped_ = atEveryLaneWidth(__VA_ARGS__);   \

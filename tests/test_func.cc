@@ -6,7 +6,8 @@
  * (Sections II-B and II-C).
  */
 
-// The lane kernel runs here at every width (lane_widths.hh).
+// The chunked GEMM's lane kernel runs here at every width
+// (lane_widths.hh).
 #pragma GCC diagnostic ignored "-Wpsabi"
 
 #include <algorithm>
@@ -28,6 +29,7 @@
 #include "format_limits.hh"
 #include "func/cnn.hh"
 #include "func/datasets.hh"
+#include "func/lane_gemm.hh"
 #include "func/quantized_ops.hh"
 #include "func/trainer.hh"
 #include "lane_widths.hh"
@@ -36,6 +38,34 @@
 
 namespace rapid {
 namespace {
+
+// The chunked GEMM's lane kernel at every width, compiled here under
+// the same targets as the library's entries.
+
+RAPID_TARGET_AVX512 void
+laneGemm16(const float *qa, const float *qb, int64_t m, int64_t k, int64_t n,
+           int64_t ldb, const ExecConfig &cfg, float *out)
+{
+    chunkedGemmLanes<16>(qa, qb, m, k, n, ldb, cfg, out);
+}
+
+RAPID_TARGET_AVX2 void
+laneGemm8(const float *qa, const float *qb, int64_t m, int64_t k, int64_t n,
+          int64_t ldb, const ExecConfig &cfg, float *out)
+{
+    chunkedGemmLanes<8>(qa, qb, m, k, n, ldb, cfg, out);
+}
+
+void
+laneGemm4(const float *qa, const float *qb, int64_t m, int64_t k, int64_t n,
+          int64_t ldb, const ExecConfig &cfg, float *out)
+{
+    chunkedGemmLanes<4>(qa, qb, m, k, n, ldb, cfg, out);
+}
+
+/** Every lane width's chunked GEMM. */
+const LaneGemm kLaneGemms[] = {
+    {16, &laneGemm16}, {8, &laneGemm8}, {4, &laneGemm4}};
 
 Tensor
 randomTensor(Rng &rng, std::vector<int64_t> shape, double stddev = 0.5)
@@ -377,9 +407,17 @@ constexpr std::pair<Fp8Kind, Fp8Kind> kBwdFwd{Fp8Kind::Backward,
 constexpr std::pair<Fp8Kind, Fp8Kind> kBwdBwd{Fp8Kind::Backward,
                                               Fp8Kind::Backward};
 
+TEST(ChunkedGemmOracle, LaneScopeSetsTheLibrarysWidth)
+{
+    for (const LaneGemm &gemm : kLaneGemms) {
+        const LaneScope<LaneGemm> scope(gemm);
+        EXPECT_EQ(chunkedGemmLaneWidth(), gemm.width);
+    }
+}
+
 TEST(ChunkedGemmOracle, GaussianBitIdentical)
 {
-    RAPID_AT_EVERY_LANE_WIDTH([] {
+    RAPID_AT_EVERY_LANE_WIDTH(kLaneGemms, [] {
         EXPECT_EQ(sweepOracle(Fill::Gaussian, {kFwdFwd, kBwdFwd}).mismatches,
                   0);
     });
@@ -387,14 +425,14 @@ TEST(ChunkedGemmOracle, GaussianBitIdentical)
 
 TEST(ChunkedGemmOracle, SignedZerosAndGatedLanesBitIdentical)
 {
-    RAPID_AT_EVERY_LANE_WIDTH([] {
+    RAPID_AT_EVERY_LANE_WIDTH(kLaneGemms, [] {
         EXPECT_EQ(sweepOracle(Fill::Zeros, {kFwdFwd, kBwdFwd}).mismatches, 0);
     });
 }
 
 TEST(ChunkedGemmOracle, Fp8SubnormalsBitIdentical)
 {
-    RAPID_AT_EVERY_LANE_WIDTH([] {
+    RAPID_AT_EVERY_LANE_WIDTH(kLaneGemms, [] {
         EXPECT_EQ(sweepOracle(Fill::Subnormal, {kFwdFwd, kBwdBwd}).mismatches,
                   0);
     });
@@ -402,7 +440,7 @@ TEST(ChunkedGemmOracle, Fp8SubnormalsBitIdentical)
 
 TEST(ChunkedGemmOracle, SaturatingSumsBitIdentical)
 {
-    RAPID_AT_EVERY_LANE_WIDTH([] {
+    RAPID_AT_EVERY_LANE_WIDTH(kLaneGemms, [] {
         const OracleSweep s = sweepOracle(Fill::Saturating, {kBwdBwd});
         EXPECT_EQ(s.mismatches, 0);
         EXPECT_GT(s.saturated, 0) << "no sum reached DLFloat16 max";
@@ -411,14 +449,14 @@ TEST(ChunkedGemmOracle, SaturatingSumsBitIdentical)
 
 TEST(ChunkedGemmOracle, CancellingRowsBitIdentical)
 {
-    RAPID_AT_EVERY_LANE_WIDTH([] {
+    RAPID_AT_EVERY_LANE_WIDTH(kLaneGemms, [] {
         EXPECT_EQ(sweepOracle(Fill::Cancelling, {kFwdFwd}).mismatches, 0);
     });
 }
 
 TEST(ChunkedGemmOracle, TiesAtBit14BitIdentical)
 {
-    RAPID_AT_EVERY_LANE_WIDTH([] {
+    RAPID_AT_EVERY_LANE_WIDTH(kLaneGemms, [] {
         const OracleSweep s = sweepOracle(Fill::Ties, {kFwdFwd});
         EXPECT_EQ(s.mismatches, 0);
         // The two nearest modes differ only at ties, so this proves the
@@ -450,7 +488,7 @@ numericFault(Fn &&fn)
  */
 TEST(ChunkedGemmOracle, DivergentLaneCountsBitIdentical)
 {
-    RAPID_AT_EVERY_LANE_WIDTH([] {
+    RAPID_AT_EVERY_LANE_WIDTH(kLaneGemms, [] {
         Rng rng(79);
         for (int64_t n : {1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 160}) {
             for (int64_t k : {63, 64, 65, 160, 200}) {
@@ -507,7 +545,7 @@ TEST(ChunkedGemmOracle, DivergentLaneCountsBitIdentical)
  */
 TEST(ChunkedGemmOracle, NarrowOutputsSwapOperandRolesBitIdentical)
 {
-    RAPID_AT_EVERY_LANE_WIDTH([] {
+    RAPID_AT_EVERY_LANE_WIDTH(kLaneGemms, [] {
         Rng rng(80);
         for (auto [m, k, n] : {std::tuple<int64_t, int64_t, int64_t>{32, 160, 2},
                                {160, 32, 2},
@@ -556,7 +594,7 @@ TEST(ChunkedGemmOracle, NarrowOutputsSwapOperandRolesBitIdentical)
  *  the scalar path's bits. */
 TEST(ChunkedGemmOracle, GatedPoisonPassesThrough)
 {
-    RAPID_AT_EVERY_LANE_WIDTH([] {
+    RAPID_AT_EVERY_LANE_WIDTH(kLaneGemms, [] {
         Rng rng(77);
         for (float poison : {std::numeric_limits<float>::quiet_NaN(),
                              std::numeric_limits<float>::infinity()}) {
@@ -582,7 +620,7 @@ TEST(ChunkedGemmOracle, GatedPoisonPassesThrough)
  *  NumericFault, naming the same element. */
 TEST(ChunkedGemmOracle, LivePoisonThrowsOracleFault)
 {
-    RAPID_AT_EVERY_LANE_WIDTH([] {
+    RAPID_AT_EVERY_LANE_WIDTH(kLaneGemms, [] {
         Rng rng(78);
         for (float poison : {std::numeric_limits<float>::quiet_NaN(),
                              -std::numeric_limits<float>::infinity()}) {
@@ -1461,7 +1499,7 @@ const TrainConvCase kTrainConvCases[] = {
 
 TEST(TrainConvOracle, BitIdenticalOverStridesPadsChunksModesAndFills)
 {
-    RAPID_AT_EVERY_LANE_WIDTH([] {
+    RAPID_AT_EVERY_LANE_WIDTH(kLaneGemms, [] {
         Rng rng(3000);
         int64_t runs = 0;
         for (const TrainConvCase &c : kTrainConvCases) {
@@ -1514,7 +1552,7 @@ TEST(TrainConvOracle, BitIdenticalOverStridesPadsChunksModesAndFills)
  *  the lowered forward and backward, as in the reference. */
 TEST(TrainConvOracle, LivePoisonThrowsNumericFault)
 {
-    RAPID_AT_EVERY_LANE_WIDTH([] {
+    RAPID_AT_EVERY_LANE_WIDTH(kLaneGemms, [] {
         Rng rng(3001);
         const TrainConvCase &c = kTrainConvCases[1];
         Tensor x({c.n, c.ci, c.h, c.w}), w({c.co, c.ci * 9}), b({c.co}),

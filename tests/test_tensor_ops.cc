@@ -3,6 +3,9 @@
  * Tests for the dense tensor container and the FP32 golden operators.
  */
 
+// The FP32 GEMM's kernel runs here at every width (lane_widths.hh).
+#pragma GCC diagnostic ignored "-Wpsabi"
+
 #include <algorithm>
 #include <cfloat>
 #include <cmath>
@@ -10,16 +13,54 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "conv_reference.hh"
+#include "lane_widths.hh"
+#include "tensor/lane_matmul.hh"
 #include "tensor/ops.hh"
 #include "tensor/tensor.hh"
 
 namespace rapid {
 namespace {
+
+/** Calls of the FP32 GEMM entries below, so a test can see that
+ *  matmul() ran on the width it was given. */
+int64_t lane_matmul_runs = 0;
+
+// The FP32 GEMM's kernel at every width, compiled here under the same
+// targets as the library's entries.
+
+RAPID_TARGET_AVX512 void
+laneMatmul16(const float *a, const float *b, int64_t m, int64_t k, int64_t n,
+             float *out)
+{
+    ++lane_matmul_runs;
+    matmulLanes<16>(a, b, m, k, n, out);
+}
+
+RAPID_TARGET_AVX2 void
+laneMatmul8(const float *a, const float *b, int64_t m, int64_t k, int64_t n,
+            float *out)
+{
+    ++lane_matmul_runs;
+    matmulLanes<8>(a, b, m, k, n, out);
+}
+
+void
+laneMatmul4(const float *a, const float *b, int64_t m, int64_t k, int64_t n,
+            float *out)
+{
+    ++lane_matmul_runs;
+    matmulLanes<4>(a, b, m, k, n, out);
+}
+
+/** Every lane width's FP32 GEMM. */
+const LaneMatmul kLaneMatmuls[] = {
+    {16, &laneMatmul16}, {8, &laneMatmul8}, {4, &laneMatmul4}};
 
 TEST(Tensor, ShapeAndAccess)
 {
@@ -218,14 +259,20 @@ TEST(Ops, CrossEntropyOfPerfectPrediction)
 // ---------------------------------------------------------------------
 // Differential oracles: the accessor-based loops the row-pointer
 // kernels replaced. Results must agree bit for bit: signed zeros,
-// subnormals, infinities and the last mantissa bit all count. NaNs
-// compare as a class. IEEE 754 leaves the sign and payload of a NaN
-// computed from NaN operands open, and x86 returns the first source
-// operand's NaN, an order the register allocator picks for
-// `acc += a * b` in either loop.
+// subnormals, infinities and the last mantissa bit all count. The
+// GEMM's NaNs must agree bit for bit too; elsewhere NaNs compare as a
+// class. IEEE 754 leaves the sign and payload of a NaN computed from
+// NaN operands open, and x86 returns the first source operand's NaN,
+// an order the register allocator picks for `x + y` in a plain loop.
 // ---------------------------------------------------------------------
 
-/** The i-j-k triple loop: one double accumulator per output. */
+/**
+ * The i-j-k triple loop: one double accumulator per output. Its NaN is
+ * the one the i-k-j loop that matmul() used to run kept, and the one
+ * matmul() keeps at every width: each add puts the product first and
+ * x86 keeps the first operand's NaN, so a NaN product replaces the sum.
+ * That order is spelled out here, not left to the register allocator.
+ */
 Tensor
 referenceMatmul(const Tensor &a, const Tensor &b)
 {
@@ -234,8 +281,13 @@ referenceMatmul(const Tensor &a, const Tensor &b)
     for (int64_t i = 0; i < m; ++i) {
         for (int64_t j = 0; j < n; ++j) {
             double acc = 0.0;
-            for (int64_t kk = 0; kk < k; ++kk)
-                acc += double(a.at(i, kk)) * double(b.at(kk, j));
+            for (int64_t kk = 0; kk < k; ++kk) {
+                const double x = a.at(i, kk), y = b.at(kk, j);
+                const double product = std::isnan(x)   ? x
+                                       : std::isnan(y) ? y
+                                                       : x * y;
+                acc = std::isnan(product) ? product : acc + product;
+            }
             out.at(i, j) = float(acc);
         }
     }
@@ -302,24 +354,33 @@ referenceCrossEntropyGrad(const Tensor &logits,
     return grad;
 }
 
-/** binary32 patterns, with every NaN mapped to the default quiet NaN. */
+/** How a bit comparison treats NaNs. */
+enum class Nans
+{
+    AsClass,  ///< every NaN equals every other
+    Payloads, ///< sign and payload count
+};
+
+/** binary32 patterns, with every NaN mapped to the default quiet NaN
+ *  unless @p nans keeps payloads. */
 std::vector<uint32_t>
-bitsOf(const Tensor &t)
+bitsOf(const Tensor &t, Nans nans)
 {
     std::vector<uint32_t> bits(size_t(t.numel()));
     std::memcpy(bits.data(), t.data(), bits.size() * sizeof(uint32_t));
     for (uint32_t &b : bits)
-        if ((b & 0x7fffffffu) > 0x7f800000u)
+        if (nans == Nans::AsClass && (b & 0x7fffffffu) > 0x7f800000u)
             b = 0x7fc00000u;
     return bits;
 }
 
 /** Shape and bit-pattern identity, reporting the first mismatch. */
 void
-expectSameBits(const Tensor &got, const Tensor &want, const char *what)
+expectSameBits(const Tensor &got, const Tensor &want, const char *what,
+               Nans nans = Nans::AsClass)
 {
     ASSERT_EQ(got.shape(), want.shape()) << what;
-    const std::vector<uint32_t> g = bitsOf(got), w = bitsOf(want);
+    const std::vector<uint32_t> g = bitsOf(got, nans), w = bitsOf(want, nans);
     for (size_t i = 0; i < g.size(); ++i)
         ASSERT_EQ(g[i], w[i]) << what << ": element " << i << " got "
                               << got[int64_t(i)] << " want "
@@ -389,52 +450,115 @@ TEST(OpsOracle, MatmulBitIdenticalToTripleLoop)
         int64_t m, k, n;
     };
     // Degenerate, single-column, odd n with k > 64, and the MLP layers
-    // (batch 32, widths 2/32/160) in forward and gradient orientation.
-    const Shape shapes[] = {{1, 1, 1},    {1, 97, 1},     {7, 130, 9},
-                            {32, 2, 32},  {32, 32, 32},   {32, 160, 160},
-                            {160, 32, 160}};
+    // (batch 32, widths 2/32/160) in forward and gradient orientation,
+    // the logit and input edges included. Then every tail of the
+    // kernel: m = 5 and 33 leave one row past whole 4-row blocks, and
+    // n = 1, 2, 3, 9 and 17 are below one vector or between one and two
+    // at some width, run as they are (m < n) or swapped (m > n).
+    std::vector<Shape> shapes = {
+        {1, 1, 1},    {1, 97, 1},    {7, 130, 9},   {32, 2, 32},
+        {32, 32, 32}, {32, 160, 160}, {160, 32, 160}, {32, 160, 2},
+        {160, 32, 2}, {2, 32, 160},  {32, 2, 160}};
+    for (int64_t m : {5, 33})
+        for (int64_t n : {1, 2, 3, 9, 17})
+            shapes.push_back({m, 37, n});
+    struct Case
+    {
+        Tensor a, b, want;
+        std::string what;
+    };
+    std::vector<Case> cases;
     uint64_t seed = 1;
     for (const Shape &s : shapes) {
         for (Fill fa : kFills) {
             for (Fill fb : kFills) {
-                const Tensor a = filled({s.m, s.k}, fa, seed++);
-                const Tensor b = filled({s.k, s.n}, fb, seed++);
-                SCOPED_TRACE(testing::Message()
-                             << s.m << "x" << s.k << "x" << s.n << " fills "
-                             << int(fa) << "," << int(fb));
-                expectSameBits(matmul(a, b), referenceMatmul(a, b),
-                               "matmul");
+                Tensor a = filled({s.m, s.k}, fa, seed++);
+                Tensor b = filled({s.k, s.n}, fb, seed++);
+                Tensor want = referenceMatmul(a, b);
+                cases.push_back(
+                    {std::move(a), std::move(b), std::move(want),
+                     std::to_string(s.m) + "x" + std::to_string(s.k) + "x" +
+                         std::to_string(s.n) + " fills " +
+                         std::to_string(int(fa)) + "," +
+                         std::to_string(int(fb))});
             }
         }
     }
+    RAPID_AT_EVERY_LANE_WIDTH(kLaneMatmuls, [&] {
+        for (const Case &c : cases) {
+            SCOPED_TRACE(c.what);
+            expectSameBits(matmul(c.a, c.b), c.want, "matmul", Nans::Payloads);
+        }
+    });
 }
 
 TEST(OpsOracle, MatmulSpecialProducts)
 {
-    // One MAC per special pair: the sign of zero sums, 0 * Inf = NaN,
-    // FLT_MAX^2 overflowing the float result but not the double sum.
-    const int64_t n = int64_t(std::size(kSpecials));
-    Tensor a({n, 1}), b({1, n});
-    for (int64_t i = 0; i < n; ++i) {
-        a[i] = kSpecials[i];
-        b[i] = kSpecials[i];
+    RAPID_AT_EVERY_LANE_WIDTH(kLaneMatmuls, [] {
+        // One MAC per special pair: the sign of zero sums, 0 * Inf =
+        // NaN, FLT_MAX^2 overflowing the float result but not the
+        // double sum.
+        const int64_t n = int64_t(std::size(kSpecials));
+        Tensor a({n, 1}), b({1, n});
+        for (int64_t i = 0; i < n; ++i) {
+            a[i] = kSpecials[i];
+            b[i] = kSpecials[i];
+        }
+        expectSameBits(matmul(a, b), referenceMatmul(a, b), "outer product",
+                       Nans::Payloads);
+        Tensor row({1, 2}), col({2, 1});
+        row[0] = FLT_MAX;
+        row[1] = -FLT_MAX;
+        col[0] = FLT_MAX;
+        col[1] = FLT_MAX;
+        const Tensor c = matmul(row, col);
+        expectSameBits(c, referenceMatmul(row, col), "cancelling overflow",
+                       Nans::Payloads);
+        EXPECT_EQ(c[0], 0.0f);
+    });
+}
+
+TEST(OpsOracle, MatmulRunsOnTheScopedWidth)
+{
+    RAPID_AT_EVERY_LANE_WIDTH(kLaneMatmuls, [] {
+        const int64_t before = lane_matmul_runs;
+        const Tensor a({3, 5}), b({5, 7});
+        matmul(a, b);
+        EXPECT_EQ(lane_matmul_runs, before + 1);
+    });
+}
+
+TEST(OpsOracle, AllFiniteFindsEachNonFiniteInEveryLane)
+{
+    // 41 elements: five 8-lane blocks and a one-element tail, all
+    // finite, subnormals and -0 included.
+    const float finite[] = {0.0f,    -0.0f,   FLT_TRUE_MIN, -FLT_TRUE_MIN,
+                            1e-40f,  -3e-39f, FLT_MIN,      -FLT_MIN,
+                            FLT_MAX, -FLT_MAX, 1.0f,        -1.5f};
+    std::vector<float> v(41);
+    for (size_t i = 0; i < v.size(); ++i)
+        v[i] = finite[i % std::size(finite)];
+    const int64_t n = int64_t(v.size());
+    EXPECT_TRUE(allFinite(v.data(), n));
+    EXPECT_TRUE(allFinite(v.data(), 0));
+    const float bad[] = {kNan, -kNan, kInf, -kInf,
+                         std::numeric_limits<float>::signaling_NaN()};
+    for (int64_t pos = 0; pos < n; ++pos) {
+        for (float x : bad) {
+            std::vector<float> w = v;
+            w[size_t(pos)] = x;
+            EXPECT_FALSE(allFinite(w.data(), n)) << "at " << pos << ": " << x;
+            EXPECT_TRUE(allFinite(w.data(), pos)) << "before " << pos;
+        }
     }
-    expectSameBits(matmul(a, b), referenceMatmul(a, b), "outer product");
-    Tensor row({1, 2}), col({2, 1});
-    row[0] = FLT_MAX;
-    row[1] = -FLT_MAX;
-    col[0] = FLT_MAX;
-    col[1] = FLT_MAX;
-    const Tensor c = matmul(row, col);
-    expectSameBits(c, referenceMatmul(row, col), "cancelling overflow");
-    EXPECT_EQ(c[0], 0.0f);
 }
 
 TEST(OpsOracle, TransposeBiasAddSoftmaxBitIdentical)
 {
     uint64_t seed = 100;
     for (const auto &shape : std::vector<std::vector<int64_t>>{
-             {1, 1}, {1, 9}, {7, 130}, {32, 160}, {160, 2}}) {
+             {1, 1}, {1, 9}, {7, 130}, {32, 160}, {160, 2}, {17, 33},
+             {1, 37}, {37, 1}}) {
         for (Fill f : kFills) {
             const Tensor x = filled(shape, f, seed++);
             const Tensor bias = filled({shape[1]}, f, seed++);
