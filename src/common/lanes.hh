@@ -146,10 +146,10 @@ class LaneScope
 };
 
 /**
- * Whether an (M,K) x (K,N) GEMM whose kernel fills @p width output
- * columns per vector runs as C^T = B^T A^T: an output narrower than one
- * vector and taller than it is wide, so that M fills the lanes instead
- * of N. Each output keeps the same exact products in the same
+ * Whether an (M,K) x (K,N) GEMM whose kernel runs at lane width
+ * @p width runs as C^T = B^T A^T: an output narrower than one vector of
+ * @p width floats and taller than it is wide, so that M fills the lanes
+ * instead of N. Each output keeps the same exact products in the same
  * ascending k, so its bits do not change.
  */
 inline bool
