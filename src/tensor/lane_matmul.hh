@@ -13,8 +13,9 @@
  * of two floats is exact in double (48 significant bits, exponents
  * within [2^-298, 2^256]), so an FMA contraction of acc + a * b rounds
  * the same sum once, as the separate add does. Outputs never share a
- * sum, so the width only decides how many run side by side. Which NaN
- * an output keeps is not the kernel's to decide (matmul() says why).
+ * sum, so the width only decides how many run side by side. Which
+ * NaN a NaN output keeps is left open, as IEEE 754 leaves it: x86
+ * keeps the first source operand's, and the compiler picks the order.
  */
 
 #ifndef RAPID_TENSOR_LANE_MATMUL_HH

@@ -53,26 +53,6 @@ activeLaneMatmul()
     return LaneScope<LaneMatmul>::activeOr(picked);
 }
 
-/**
- * Output (i, j) of the GEMM of row @p a_row and the column of @p b at
- * stride @p ldb, by the triple loop with its NaN spelled out: x86 keeps
- * the first operand's NaN, and each add puts the product first, as the
- * i-k-j loop the kernel replaced did, so an output keeps the NaN of its
- * last NaN product (a's NaN before b's), or the default NaN of an
- * Inf - Inf that no NaN product followed.
- */
-float
-nanOrderedDot(const float *a_row, const float *b, int64_t k, int64_t ldb)
-{
-    double acc = 0.0;
-    for (int64_t kk = 0; kk < k; ++kk) {
-        const double x = double(a_row[kk]), y = double(b[kk * ldb]);
-        const double product = std::isnan(x) ? x : std::isnan(y) ? y : x * y;
-        acc = std::isnan(product) ? product : acc + product;
-    }
-    return float(acc);
-}
-
 } // namespace
 
 int64_t
@@ -100,16 +80,6 @@ matmul(const Tensor &a, const Tensor &b)
     } else {
         lanes.run(a.data(), b.data(), m, k, n, out.data());
     }
-    // Which NaN an output keeps depends on the operand order of the
-    // instruction the compiler picks (an FMA keeps its addend's NaN,
-    // an add its first operand's), not on the source; so every output
-    // that came out NaN is summed again with the order spelled out.
-    if (!allFinite(out.data(), m * n))
-        for (int64_t i = 0; i < m; ++i)
-            for (int64_t j = 0; j < n; ++j)
-                if (std::isnan(out.at(i, j)))
-                    out.at(i, j) = nanOrderedDot(a.data() + i * k,
-                                                 b.data() + j, k, n);
     return out;
 }
 
@@ -117,40 +87,14 @@ void
 transposeInto(const float *src, int64_t rows, int64_t cols, int64_t lds,
               float *dst, int64_t ldd)
 {
-    // 4x4 tiles through SSE2 registers: two rounds of interleaves turn
-    // four rows of a tile into its four columns. The ragged edges move
-    // one element at a time. Either way every pattern is copied as is.
-    using Lanes = FloatLanes<4>;
-    using Pick = MaskLanes<4>;
-    int64_t r = 0;
-    for (; r + 4 <= rows; r += 4) {
-        const float *s = src + r * lds;
-        int64_t c = 0;
-        for (; c + 4 <= cols; c += 4) {
-            const Lanes x0 = loadLanes<4>(s + c),
-                        x1 = loadLanes<4>(s + lds + c),
-                        x2 = loadLanes<4>(s + 2 * lds + c),
-                        x3 = loadLanes<4>(s + 3 * lds + c);
-            const Lanes lo01 = __builtin_shuffle(x0, x1, Pick{0, 4, 1, 5}),
-                        hi01 = __builtin_shuffle(x0, x1, Pick{2, 6, 3, 7}),
-                        lo23 = __builtin_shuffle(x2, x3, Pick{0, 4, 1, 5}),
-                        hi23 = __builtin_shuffle(x2, x3, Pick{2, 6, 3, 7});
-            float *d = dst + c * ldd + r;
-            storeLanes(d, __builtin_shuffle(lo01, lo23, Pick{0, 1, 4, 5}));
-            storeLanes(d + ldd,
-                       __builtin_shuffle(lo01, lo23, Pick{2, 3, 6, 7}));
-            storeLanes(d + 2 * ldd,
-                       __builtin_shuffle(hi01, hi23, Pick{0, 1, 4, 5}));
-            storeLanes(d + 3 * ldd,
-                       __builtin_shuffle(hi01, hi23, Pick{2, 3, 6, 7}));
-        }
-        for (; c < cols; ++c)
-            for (int64_t l = 0; l < 4; ++l)
-                dst[c * ldd + r + l] = s[l * lds + c];
+    constexpr int64_t kTile = 16;
+    for (int64_t r0 = 0; r0 < rows; r0 += kTile) {
+        const int64_t r1 = std::min(rows, r0 + kTile);
+        for (int64_t c0 = 0; c0 < cols; c0 += kTile)
+            for (int64_t c = c0; c < std::min(cols, c0 + kTile); ++c)
+                for (int64_t r = r0; r < r1; ++r)
+                    dst[c * ldd + r] = src[r * lds + c];
     }
-    for (; r < rows; ++r)
-        for (int64_t c = 0; c < cols; ++c)
-            dst[c * ldd + r] = src[r * lds + c];
 }
 
 Tensor

@@ -29,7 +29,8 @@ int64_t convOutDim(int64_t in, int64_t kernel, int64_t stride,
  * i-j-k triple loop: each output has its own double accumulator,
  * starts at +0.0, adds double(a) * double(b) in ascending k, skipping
  * no zero (0 * Inf is NaN), and is rounded to float once. The product
- * is exact in double, so an FMA contraction changes nothing.
+ * is exact in double, so an FMA contraction changes nothing. Only
+ * the sign and payload of a NaN output are left open.
  *
  * The kernel (tensor/lane_matmul.hh) holds a block of 4 output rows by
  * W output columns in double vector registers across the whole k loop,
@@ -45,8 +46,8 @@ Tensor matmul(const Tensor &a, const Tensor &b);
 Tensor transpose(const Tensor &a);
 
 /** The (@p cols, @p rows) transpose of the row-major @p src (row
- *  stride @p lds) into @p dst (row stride @p ldd), 4x4 tiles at a time
- *  through registers; every bit pattern is copied as is. */
+ *  stride @p lds) into @p dst (row stride @p ldd), in square tiles
+ *  whose rows of @p dst are written in order. */
 void transposeInto(const float *src, int64_t rows, int64_t cols,
                    int64_t lds, float *dst, int64_t ldd);
 

