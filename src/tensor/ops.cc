@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -87,14 +88,39 @@ void
 transposeInto(const float *src, int64_t rows, int64_t cols, int64_t lds,
               float *dst, int64_t ldd)
 {
-    constexpr int64_t kTile = 16;
-    for (int64_t r0 = 0; r0 < rows; r0 += kTile) {
-        const int64_t r1 = std::min(rows, r0 + kTile);
-        for (int64_t c0 = 0; c0 < cols; c0 += kTile)
-            for (int64_t c = c0; c < std::min(cols, c0 + kTile); ++c)
-                for (int64_t r = r0; r < r1; ++r)
-                    dst[c * ldd + r] = src[r * lds + c];
+    // 4x4 tiles through SSE2 registers: two rounds of interleaves turn
+    // four rows of a tile into its four columns. The ragged edges move
+    // one element at a time. Either way every pattern is copied as is.
+    using Lanes = FloatLanes<4>;
+    int64_t r = 0;
+    for (; r + 4 <= rows; r += 4) {
+        const float *s = src + r * lds;
+        int64_t c = 0;
+        for (; c + 4 <= cols; c += 4) {
+            const Lanes x0 = loadLanes<4>(s + c),
+                        x1 = loadLanes<4>(s + lds + c),
+                        x2 = loadLanes<4>(s + 2 * lds + c),
+                        x3 = loadLanes<4>(s + 3 * lds + c);
+            const Lanes lo01 = __builtin_shufflevector(x0, x1, 0, 4, 1, 5),
+                        hi01 = __builtin_shufflevector(x0, x1, 2, 6, 3, 7),
+                        lo23 = __builtin_shufflevector(x2, x3, 0, 4, 1, 5),
+                        hi23 = __builtin_shufflevector(x2, x3, 2, 6, 3, 7);
+            const Lanes cols4[] = {
+                __builtin_shufflevector(lo01, lo23, 0, 1, 4, 5),
+                __builtin_shufflevector(lo01, lo23, 2, 3, 6, 7),
+                __builtin_shufflevector(hi01, hi23, 0, 1, 4, 5),
+                __builtin_shufflevector(hi01, hi23, 2, 3, 6, 7)};
+            for (int64_t l = 0; l < 4; ++l)
+                std::memcpy(dst + (c + l) * ldd + r, &cols4[l],
+                            sizeof(Lanes));
+        }
+        for (; c < cols; ++c)
+            for (int64_t l = 0; l < 4; ++l)
+                dst[c * ldd + r + l] = s[l * lds + c];
     }
+    for (; r < rows; ++r)
+        for (int64_t c = 0; c < cols; ++c)
+            dst[c * ldd + r] = src[r * lds + c];
 }
 
 Tensor

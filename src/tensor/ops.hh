@@ -46,8 +46,8 @@ Tensor matmul(const Tensor &a, const Tensor &b);
 Tensor transpose(const Tensor &a);
 
 /** The (@p cols, @p rows) transpose of the row-major @p src (row
- *  stride @p lds) into @p dst (row stride @p ldd), in square tiles
- *  whose rows of @p dst are written in order. */
+ *  stride @p lds) into @p dst (row stride @p ldd), 4x4 tiles at a time
+ *  through registers; every bit pattern is copied as is. */
 void transposeInto(const float *src, int64_t rows, int64_t cols,
                    int64_t lds, float *dst, int64_t ldd);
 
