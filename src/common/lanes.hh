@@ -196,6 +196,14 @@ loadLanes(const double *p)
     return v;
 }
 
+/** Lane vector @p v to the floats at @p p, which need no alignment. */
+template <typename Lanes>
+[[gnu::always_inline]] inline void
+storeLanes(float *p, const Lanes &v)
+{
+    std::memcpy(p, &v, sizeof(v));
+}
+
 } // namespace rapid
 
 #endif // RAPID_COMMON_LANES_HH

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -105,14 +104,14 @@ transposeInto(const float *src, int64_t rows, int64_t cols, int64_t lds,
                         hi01 = __builtin_shufflevector(x0, x1, 2, 6, 3, 7),
                         lo23 = __builtin_shufflevector(x2, x3, 0, 4, 1, 5),
                         hi23 = __builtin_shufflevector(x2, x3, 2, 6, 3, 7);
-            const Lanes cols4[] = {
-                __builtin_shufflevector(lo01, lo23, 0, 1, 4, 5),
-                __builtin_shufflevector(lo01, lo23, 2, 3, 6, 7),
-                __builtin_shufflevector(hi01, hi23, 0, 1, 4, 5),
-                __builtin_shufflevector(hi01, hi23, 2, 3, 6, 7)};
-            for (int64_t l = 0; l < 4; ++l)
-                std::memcpy(dst + (c + l) * ldd + r, &cols4[l],
-                            sizeof(Lanes));
+            float *d = dst + c * ldd + r;
+            storeLanes(d, __builtin_shufflevector(lo01, lo23, 0, 1, 4, 5));
+            storeLanes(d + ldd,
+                       __builtin_shufflevector(lo01, lo23, 2, 3, 6, 7));
+            storeLanes(d + 2 * ldd,
+                       __builtin_shufflevector(hi01, hi23, 0, 1, 4, 5));
+            storeLanes(d + 3 * ldd,
+                       __builtin_shufflevector(hi01, hi23, 2, 3, 6, 7));
         }
         for (; c < cols; ++c)
             for (int64_t l = 0; l < 4; ++l)
