@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "llm/llm_sim.hh"
 #include "llm/llm_workload.hh"
 #include "serve/queue_delay.hh"
+#include "serve/workload.hh"
 
 using namespace rapid;
 
@@ -156,6 +158,68 @@ TEST_F(LlmTest, RequestTraceIsDeterministicAndWellFormed)
             EXPECT_GE(a[i].arrival_ns, a[i - 1].arrival_ns);
         }
     }
+}
+
+// The serve and LLM generators share one arrival process; this FNV-1a
+// digest of both merged traces over Poisson, bursty (burst_mean 8 and
+// 40) and zero-rate tenants at three seeds pins every draw they make.
+TEST_F(LlmTest, ArrivalStreamsArePinned)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    const auto mix = [&h](uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    struct Traffic
+    {
+        double rps;
+        ArrivalPattern pattern;
+        double burst_mean;
+    };
+    const Traffic traffic[] = {{2000.0, ArrivalPattern::Poisson, 8.0},
+                               {1500.0, ArrivalPattern::Bursty, 8.0},
+                               {0.0, ArrivalPattern::Poisson, 8.0},
+                               {1000.0, ArrivalPattern::Bursty, 40.0}};
+    size_t serve_arrivals = 0, llm_requests = 0;
+    for (uint64_t seed : {1ull, 0x5e77eull, 0xdeadbeefull}) {
+        ServeConfig s;
+        s.seed = seed;
+        s.horizon_ns = 200 * kMs;
+        LlmServeConfig l = microConfig(0.0);
+        l.seed = seed;
+        l.tenants.clear();
+        for (const Traffic &t : traffic) {
+            TenantConfig st;
+            st.arrival_rps = t.rps;
+            st.pattern = t.pattern;
+            st.burst_mean = t.burst_mean;
+            s.tenants.push_back(st);
+            LlmTenantConfig lt = microConfig(t.rps / 10.0).tenants[0];
+            lt.pattern = t.pattern;
+            lt.burst_mean = t.burst_mean;
+            l.tenants.push_back(lt);
+        }
+        for (const Arrival &a : generateArrivals(s)) {
+            mix(uint64_t(a.time_ns));
+            mix(a.tenant);
+            mix(a.id);
+            ++serve_arrivals;
+        }
+        for (const LlmRequest &r :
+             generateLlmRequests(l, llmModelByName(l.model))) {
+            mix(r.id);
+            mix(r.tenant);
+            mix(uint64_t(r.arrival_ns));
+            mix(uint64_t(r.prompt_tokens));
+            mix(uint64_t(r.output_tokens));
+            ++llm_requests;
+        }
+    }
+    EXPECT_GT(serve_arrivals, 1000u);
+    EXPECT_GT(llm_requests, 100u);
+    EXPECT_EQ(h, 0xd39f6a78e93b0519ull);
 }
 
 // ---------------------------------------------------------------------
