@@ -91,13 +91,12 @@ struct FailoverConfig
 
 /** Chip-to-chip/router fabric latency model: messages ride the
  *  interconnect ring (chips at nodes 0..N-1, router at node N) with
- *  a software/RPC floor plus a per-hop cost; the per-channel DES
- *  lookahead is exactly this message latency. */
+ *  a software/RPC floor plus a fixed 10 us per hop; the per-channel
+ *  DES lookahead is exactly this message latency. Checkpoint
+ *  payloads add their bytes at a fixed 128 Gbit/s. */
 struct FabricConfig
 {
-    int64_t base_ns = 100'000; ///< software/RPC floor per message
-    int64_t per_hop_ns = 10'000;
-    double gbps = 128.0;           ///< replication payload bandwidth
+    int64_t base_ns = 100'000;     ///< software/RPC floor per message
     unsigned bytes_per_flit = 128; ///< ring geometry (RingConfig)
 };
 
@@ -135,7 +134,9 @@ struct FailureModel
 
 /** The co-scheduled training tenant: lives on home_chip, replicates
  *  every checkpoint_interval-step snapshot to replica_chip, and under
- *  FailoverRestore resumes there bit-exactly after a home death. */
+ *  FailoverRestore resumes there bit-exactly after a home death. It
+ *  trains on a fixed 256-sample spiral set (data seed 7) in
+ *  minibatches of 32. */
 struct TrainingTenantConfig
 {
     bool enabled = false;
@@ -148,9 +149,6 @@ struct TrainingTenantConfig
     uint64_t steps = 200;
     /// Steps between replicated checkpoints.
     int checkpoint_interval = 25;
-    int64_t batch_size = 32;
-    int64_t samples_per_class = 128; ///< spiral training set size / 2
-    uint64_t data_seed = 7;
 };
 
 /** A full fleet scenario. */

@@ -19,6 +19,14 @@ namespace rapid {
 
 namespace {
 
+/// Replication payload bandwidth of the fabric, in Gbit/s.
+constexpr double kFabricGbps = 128.0;
+/// The training tenant's minibatch, spiral set size per class (the
+/// set holds twice this), and data seed.
+constexpr int64_t kTrainingBatchSize = 32;
+constexpr int64_t kTrainingSamplesPerClass = 128;
+constexpr uint64_t kTrainingDataSeed = 7;
+
 /** One request offered to a failover target by the router. */
 struct AdoptItem
 {
@@ -81,7 +89,7 @@ struct ChipHost
     void buildTrainingData();
     void trainTick();
     void replicate();
-    void onReplicaCheckpoint(uint64_t step, std::vector<uint8_t> bytes);
+    void onReplicaCheckpoint(std::vector<uint8_t> bytes);
     void adoptTraining();
 };
 
@@ -155,8 +163,7 @@ struct FleetCell
     int64_t
     payloadNs(size_t bytes) const
     {
-        return int64_t(
-            std::ceil(double(bytes) * 8.0 / cfg.fabric.gbps));
+        return int64_t(std::ceil(double(bytes) * 8.0 / kFabricGbps));
     }
 };
 
@@ -269,9 +276,8 @@ ChipHost::onAdopt(std::vector<AdoptItem> items)
 void
 ChipHost::buildTrainingData()
 {
-    Rng rng(cell.cfg.training.data_seed);
-    train_data =
-        makeSpirals(rng, cell.cfg.training.samples_per_class);
+    Rng rng(kTrainingDataSeed);
+    train_data = makeSpirals(rng, kTrainingSamplesPerClass);
 }
 
 void
@@ -280,7 +286,7 @@ ChipHost::trainTick()
     if (status.failed_stop || !trainer_active)
         return;
     const TrainingTenantConfig &t = cell.cfg.training;
-    trainer->runSteps(train_data, t.batch_size, 1);
+    trainer->runSteps(train_data, kTrainingBatchSize, 1);
     const bool is_home = idx == t.home_chip;
     if (is_home &&
         trainer->step() % uint64_t(t.checkpoint_interval) == 0)
@@ -305,21 +311,17 @@ ChipHost::replicate()
     ++checkpoints_replicated;
     dom.send(cell.chip_dom[t.replica_chip], dom.now() + delay,
              ServeDomainCore::kPriOverlay,
-             [r = cell.chips[t.replica_chip].get(), step = ckpt.step,
-              moved = std::move(bytes)] {
-                 r->onReplicaCheckpoint(step, moved);
-             });
+             [r = cell.chips[t.replica_chip].get(),
+              moved = std::move(bytes)] { r->onReplicaCheckpoint(moved); });
 }
 
 void
-ChipHost::onReplicaCheckpoint(uint64_t step,
-                              std::vector<uint8_t> bytes)
+ChipHost::onReplicaCheckpoint(std::vector<uint8_t> bytes)
 {
     if (status.failed_stop)
         return;
     replica_ckpt = std::move(bytes);
     has_replica_ckpt = true;
-    (void)step;
 }
 
 void

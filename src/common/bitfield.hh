@@ -42,42 +42,12 @@ insertBits(T value, unsigned first, unsigned count, T field)
     return (value & ~(m << first)) | ((field & m) << first);
 }
 
-/** Position of the most significant set bit, or -1 if none. */
-constexpr int
-msbPosition(uint64_t value)
-{
-    int pos = -1;
-    while (value) {
-        value >>= 1;
-        ++pos;
-    }
-    return pos;
-}
-
 /** Ceiling division for non-negative integers. */
 template <typename T>
 constexpr T
 divCeil(T num, T den)
 {
     return (num + den - 1) / den;
-}
-
-/** Round @p value up to the next multiple of @p align. */
-template <typename T>
-constexpr T
-roundUp(T value, T align)
-{
-    return divCeil(value, align) * align;
-}
-
-/** Sign-extend the low @p width bits of @p value. */
-constexpr int64_t
-signExtend(uint64_t value, unsigned width)
-{
-    const uint64_t sign_bit = uint64_t(1) << (width - 1);
-    const uint64_t m = mask<uint64_t>(width);
-    value &= m;
-    return (value ^ sign_bit) - int64_t(sign_bit);
 }
 
 } // namespace rapid

@@ -1,21 +1,18 @@
 /**
  * @file
- * Lightweight scalar statistics: running mean/min/max/geomean
+ * Lightweight scalar statistics: running mean/min/max
  * accumulators used when summarizing per-benchmark results.
  */
 
 #ifndef RAPID_COMMON_STATS_HH
 #define RAPID_COMMON_STATS_HH
 
-#include <cmath>
+#include <algorithm>
 #include <limits>
 
 namespace rapid {
 
-/**
- * Accumulates samples and reports min / max / arithmetic mean /
- * geometric mean.
- */
+/** Accumulates samples and reports min / max / arithmetic mean. */
 class SummaryStat
 {
   public:
@@ -24,10 +21,6 @@ class SummaryStat
     {
         ++count_;
         sum_ += sample;
-        if (sample > 0)
-            log_sum_ += std::log(sample);
-        else
-            has_nonpositive_ = true;
         min_ = std::min(min_, sample);
         max_ = std::max(max_, sample);
     }
@@ -37,22 +30,11 @@ class SummaryStat
     double max() const { return max_; }
     double mean() const { return count_ ? sum_ / count_ : 0.0; }
 
-    /** Geometric mean; 0 if any sample was non-positive. */
-    double
-    geomean() const
-    {
-        if (!count_ || has_nonpositive_)
-            return 0.0;
-        return std::exp(log_sum_ / count_);
-    }
-
   private:
     size_t count_ = 0;
     double sum_ = 0.0;
-    double log_sum_ = 0.0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
-    bool has_nonpositive_ = false;
 };
 
 } // namespace rapid

@@ -31,8 +31,6 @@ class Table
     /** Render and write to stdout. */
     void print() const;
 
-    size_t numRows() const { return rows_.size(); }
-
     /** Format a double with @p digits decimal places. */
     static std::string fmt(double value, int digits = 2);
 

@@ -357,16 +357,14 @@ Mlp::evaluate(const Dataset &test)
 }
 
 double
-Mlp::evaluateInt(const Dataset &test, unsigned width,
-                 bool keep_edges_fp16)
+Mlp::evaluateInt(const Dataset &test, unsigned width)
 {
     rapid_assert(cfg_.use_pact, "INT deployment requires PACT training");
     Tensor h = test.features;
     for (size_t i = 0; i < layers_.size(); ++i) {
         Dense &d = layers_[i];
-        const bool edge = (i == 0 || i + 1 == layers_.size());
         Tensor y({h.dim(0), d.w.dim(0)});
-        if (edge && keep_edges_fp16) {
+        if (i == 0 || i + 1 == layers_.size()) {
             y = fp16Matmul(h, transpose(d.w), cfg_.exec);
         } else {
             // Input of a hidden layer is post-PACT of layer i-1:

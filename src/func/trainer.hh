@@ -210,8 +210,7 @@ class Mlp
      * @p width bits. First and last layers stay FP16, mirroring the
      * precision-assignment rule the compiler applies on RaPiD.
      */
-    double evaluateInt(const Dataset &test, unsigned width,
-                       bool keep_edges_fp16 = true);
+    double evaluateInt(const Dataset &test, unsigned width);
 
     /** Learned PACT clip value of hidden layer @p i. */
     float pactAlpha(size_t i) const;

@@ -47,8 +47,7 @@ validateLlmConfig(const LlmServeConfig &cfg)
     }
     for (const LlmTenantConfig &t : cfg.tenants) {
         RAPID_CHECK_ARG(!t.name.empty(), "tenant with empty name");
-        RAPID_CHECK_ARG(t.arrival_rps >= 0.0, "tenant '", t.name,
-                        "': negative arrival rate ", t.arrival_rps);
+        validateTraffic(t.name, t.arrival_rps, t.pattern, t.burst_mean);
         RAPID_CHECK_ARG(t.mean_prompt_tokens >= 1.0, "tenant '",
                         t.name, "': mean prompt ",
                         t.mean_prompt_tokens, " below one token");
@@ -71,10 +70,6 @@ validateLlmConfig(const LlmServeConfig &cfg)
                         "tenant '", t.name, "': quality floor ",
                         precisionName(t.min_precision),
                         " is not servable");
-        if (t.pattern == ArrivalPattern::Bursty)
-            RAPID_CHECK_ARG(t.burst_mean >= 1.0, "tenant '", t.name,
-                            "': burst mean ", t.burst_mean,
-                            " below 1");
         // The floor must be reachable on the ladder, or the tenant
         // could never be served at all.
         const int floor = servingQuality(t.min_precision);

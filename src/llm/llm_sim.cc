@@ -1,11 +1,8 @@
 #include "llm/llm_sim.hh"
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "common/des.hh"
-#include "common/error.hh"
 #include "common/logging.hh"
 #include "llm/decode_batcher.hh"
 #include "workloads/networks.hh"
@@ -104,25 +101,7 @@ LlmSim::run() const
 std::vector<LlmResult>
 runLlmBatch(const std::vector<const LlmSim *> &sims)
 {
-    DesEngine engine;
-    std::vector<std::unique_ptr<DecodeBatcher>> doms;
-    doms.reserve(sims.size());
-    for (size_t i = 0; i < sims.size(); ++i) {
-        RAPID_CHECK_ARG(sims[i] != nullptr,
-                        "runLlmBatch: null simulator at index ", i);
-        const DomainId id = engine.addDomain("llm" + std::to_string(i));
-        doms.push_back(std::make_unique<DecodeBatcher>(
-            *sims[i], engine.domain(id)));
-        doms.back()->start();
-    }
-    // No channels: the scenarios are independent, so the whole batch
-    // is one fully parallel window.
-    engine.run();
-    std::vector<LlmResult> out;
-    out.reserve(doms.size());
-    for (auto &d : doms)
-        out.push_back(d->finish());
-    return out;
+    return runIndependent<DecodeBatcher>(sims, "llm");
 }
 
 } // namespace rapid

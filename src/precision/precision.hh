@@ -44,14 +44,6 @@ operandBytes(Precision p)
     return operandBits(p) / 8.0;
 }
 
-/** True when the mode runs on the floating-point pipeline. */
-constexpr bool
-usesFpu(Precision p)
-{
-    return p == Precision::FP16 || p == Precision::HFP8
-           || p == Precision::FP32;
-}
-
 /** True when the mode runs on the fixed-point pipeline. */
 constexpr bool
 usesFxu(Precision p)

@@ -21,26 +21,29 @@ servingQuality(Precision p)
 }
 
 void
+validateTraffic(const std::string &name, double rate,
+                ArrivalPattern pattern, double burst_mean)
+{
+    RAPID_CHECK_ARG(std::isfinite(rate) && rate >= 0.0, "tenant '",
+                    name, "': arrival_rps must be >= 0, got ", rate);
+    RAPID_CHECK_ARG(pattern != ArrivalPattern::Bursty ||
+                        (std::isfinite(burst_mean) && burst_mean >= 1.0),
+                    "tenant '", name,
+                    "': bursty traffic needs burst_mean >= 1, got ",
+                    burst_mean);
+}
+
+void
 validateServeConfig(const ServeConfig &cfg)
 {
     RAPID_CHECK_ARG(!cfg.tenants.empty(),
                     "a serving scenario needs at least one tenant");
     for (const TenantConfig &t : cfg.tenants) {
         RAPID_CHECK_ARG(!t.name.empty(), "tenant name must be set");
-        RAPID_CHECK_ARG(std::isfinite(t.arrival_rps) &&
-                            t.arrival_rps >= 0.0,
-                        "tenant '", t.name,
-                        "': arrival_rps must be >= 0, got ",
-                        t.arrival_rps);
+        validateTraffic(t.name, t.arrival_rps, t.pattern, t.burst_mean);
         RAPID_CHECK_ARG(t.deadline_ns > 0, "tenant '", t.name,
                         "': deadline_ns must be positive, got ",
                         t.deadline_ns);
-        RAPID_CHECK_ARG(t.pattern != ArrivalPattern::Bursty ||
-                            (std::isfinite(t.burst_mean) &&
-                             t.burst_mean >= 1.0),
-                        "tenant '", t.name,
-                        "': bursty traffic needs burst_mean >= 1, got ",
-                        t.burst_mean);
         RAPID_CHECK_ARG(servingQuality(t.min_precision) >= 0,
                         "tenant '", t.name, "': quality floor ",
                         precisionName(t.min_precision),

@@ -103,6 +103,15 @@ struct ServeConfig
 int servingQuality(Precision p);
 
 /**
+ * Throw rapid::Error (InvalidArgument) unless tenant @p name's traffic
+ * is one the arrival process can draw: a finite rate >= 0 and, when
+ * bursty, a finite burst_mean >= 1. The serve and LLM validators
+ * share it.
+ */
+void validateTraffic(const std::string &name, double rate,
+                     ArrivalPattern pattern, double burst_mean);
+
+/**
  * Throw rapid::Error (InvalidArgument / InvalidConfig) on a
  * non-runnable scenario: no tenants, non-positive rates/deadlines/
  * horizon, empty or FP32-bearing ladder, zero max_batch, negative

@@ -1,12 +1,9 @@
 #include "serve/server_sim.hh"
 
 #include <algorithm>
-#include <memory>
 #include <string>
-#include <utility>
 
 #include "common/des.hh"
-#include "common/error.hh"
 #include "common/logging.hh"
 #include "serve/serve_domain.hh"
 #include "workloads/networks.hh"
@@ -74,27 +71,7 @@ ServeSim::run() const
 std::vector<ServeResult>
 runServeBatch(const std::vector<const ServeSim *> &sims)
 {
-    DesEngine engine;
-    std::vector<std::unique_ptr<ServeDomainCore>> doms;
-    doms.reserve(sims.size());
-    for (size_t i = 0; i < sims.size(); ++i) {
-        RAPID_CHECK_ARG(sims[i] != nullptr,
-                        "runServeBatch: null simulator at index ", i);
-        const DomainId id =
-            engine.addDomain("serve" + std::to_string(i));
-        doms.push_back(
-            std::make_unique<ServeDomainCore>(*sims[i],
-                                              engine.domain(id)));
-        doms.back()->start();
-    }
-    // No channels: the scenarios are independent, so the whole batch
-    // is one fully parallel window.
-    engine.run();
-    std::vector<ServeResult> out;
-    out.reserve(doms.size());
-    for (auto &d : doms)
-        out.push_back(d->finish());
-    return out;
+    return runIndependent<ServeDomainCore>(sims, "serve");
 }
 
 } // namespace rapid

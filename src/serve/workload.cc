@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.hh"
-#include "common/random.hh"
-
 namespace rapid {
 
 int64_t
@@ -21,12 +18,10 @@ expGapNs(Rng &rng, double rate_per_s)
     return int64_t(gap_ns);
 }
 
-namespace {
-
-/** Geometric draw with the given mean (>= 1), support {1, 2, ...}. */
 int64_t
-geometricSize(Rng &rng, double mean)
+geometricDraw(Rng &rng, double mean, int64_t cap)
 {
+    rapid_dassert(cap >= 1, "geometric cap below one");
     if (mean <= 1.0)
         return 1;
     // P(size > k) = (1 - 1/mean)^k
@@ -35,40 +30,18 @@ geometricSize(Rng &rng, double mean)
     const double k = std::floor(std::log1p(-u) / std::log(q));
     if (!(k >= 0.0))
         return 1;
-    if (k > 4096.0) // clamp pathological tails; keeps traces bounded
-        return 4097;
-    return 1 + int64_t(k);
+    return k >= double(cap - 1) ? cap : 1 + int64_t(k);
 }
-
-} // namespace
 
 std::vector<int64_t>
 tenantArrivalTimes(const TenantConfig &tenant, unsigned tenant_index,
                    int64_t horizon_ns, uint64_t seed)
 {
-    rapid_assert(horizon_ns > 0, "non-positive workload horizon");
     Rng rng(mixSeed(seed, tenant_index));
     std::vector<int64_t> times;
-    if (tenant.pattern == ArrivalPattern::Poisson) {
-        int64_t t = expGapNs(rng, tenant.arrival_rps);
-        while (t < horizon_ns) {
-            times.push_back(t);
-            t += expGapNs(rng, tenant.arrival_rps);
-        }
-        return times;
-    }
-    // Bursty: epochs arrive at rate/burst_mean; each epoch carries a
-    // geometric(burst_mean) group of coincident requests, so the
-    // average offered load stays arrival_rps.
-    const double mean = std::max(1.0, tenant.burst_mean);
-    const double epoch_rate = tenant.arrival_rps / mean;
-    int64_t t = expGapNs(rng, epoch_rate);
-    while (t < horizon_ns) {
-        const int64_t burst = geometricSize(rng, mean);
-        for (int64_t i = 0; i < burst; ++i)
-            times.push_back(t);
-        t += expGapNs(rng, epoch_rate);
-    }
+    forEachArrival(rng, tenant.arrival_rps, tenant.pattern,
+                   tenant.burst_mean, horizon_ns,
+                   [&times](int64_t t) { times.push_back(t); });
     return times;
 }
 

@@ -81,7 +81,6 @@ TEST(Precision, OperandWidths)
     EXPECT_EQ(operandBits(Precision::INT4), 4u);
     EXPECT_EQ(operandBits(Precision::INT2), 2u);
     EXPECT_DOUBLE_EQ(operandBytes(Precision::INT4), 0.5);
-    EXPECT_TRUE(usesFpu(Precision::HFP8));
     EXPECT_TRUE(usesFxu(Precision::INT2));
     EXPECT_FALSE(usesFxu(Precision::FP16));
 }

@@ -37,23 +37,9 @@ TEST(Bitfield, DivCeilAndRoundUp)
 {
     EXPECT_EQ(divCeil<int64_t>(10, 3), 4);
     EXPECT_EQ(divCeil<int64_t>(9, 3), 3);
-    EXPECT_EQ(roundUp<int64_t>(10, 8), 16);
-    EXPECT_EQ(roundUp<int64_t>(16, 8), 16);
-}
-
-TEST(Bitfield, SignExtend)
-{
-    EXPECT_EQ(signExtend(0x7, 4), 7);
-    EXPECT_EQ(signExtend(0x8, 4), -8);
-    EXPECT_EQ(signExtend(0xF, 4), -1);
-    EXPECT_EQ(signExtend(0xFF, 8), -1);
-}
-
-TEST(Bitfield, MsbPosition)
-{
-    EXPECT_EQ(msbPosition(0), -1);
-    EXPECT_EQ(msbPosition(1), 0);
-    EXPECT_EQ(msbPosition(0x80), 7);
+    // Rounding up to a multiple of 8.
+    EXPECT_EQ(divCeil<int64_t>(10, 8) * 8, 16);
+    EXPECT_EQ(divCeil<int64_t>(16, 8) * 8, 16);
 }
 
 TEST(Rng, DeterministicAcrossInstances)
@@ -95,15 +81,6 @@ TEST(SummaryStat, BasicAggregates)
     EXPECT_DOUBLE_EQ(s.min(), 2.0);
     EXPECT_DOUBLE_EQ(s.max(), 8.0);
     EXPECT_NEAR(s.mean(), 14.0 / 3, 1e-12);
-    EXPECT_NEAR(s.geomean(), 4.0, 1e-12); // cbrt(64)
-}
-
-TEST(SummaryStat, GeomeanZeroOnNonPositive)
-{
-    SummaryStat s;
-    s.add(1.0);
-    s.add(-1.0);
-    EXPECT_DOUBLE_EQ(s.geomean(), 0.0);
 }
 
 TEST(Table, AlignsColumnsAndCounts)
@@ -111,7 +88,6 @@ TEST(Table, AlignsColumnsAndCounts)
     Table t({"a", "long-header"});
     t.addRow({"xxxxxx", "1"});
     t.addRow({"y", "2"});
-    EXPECT_EQ(t.numRows(), 2u);
     std::string out = t.str();
     // Header, rule, two rows.
     EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 4);
@@ -136,9 +112,6 @@ TEST(Table, MismatchedRowIsFatal)
 TEST(Units, Conversions)
 {
     EXPECT_DOUBLE_EQ(ghz(1.5), 1.5e9);
-    EXPECT_DOUBLE_EQ(toGBps(2e9), 2.0);
-    EXPECT_DOUBLE_EQ(toTops(3e12), 3.0);
-    EXPECT_DOUBLE_EQ(picojoules(1.0), 1e-12);
 }
 
 } // namespace

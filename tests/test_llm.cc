@@ -539,6 +539,14 @@ TEST_F(LlmTest, ValidationRejectsBadConfigs)
         c.tenants[0].pattern = ArrivalPattern::Bursty;
         c.tenants[0].burst_mean = 0.5;
     });
+    // Infinite traffic would draw a request per nanosecond of the
+    // horizon and die in bad_alloc inside run() instead of here.
+    constexpr double kInf = std::numeric_limits<double>::infinity();
+    reject([](LlmServeConfig &c) { c.tenants[0].arrival_rps = kInf; });
+    reject([](LlmServeConfig &c) {
+        c.tenants[0].pattern = ArrivalPattern::Bursty;
+        c.tenants[0].burst_mean = kInf;
+    });
     reject([](LlmServeConfig &c) { c.fault.rate = -0.5; });
     // The calibrated TPOT tier shares the serve-side knob contract.
     reject([](LlmServeConfig &c) { c.admission.window = 0; });

@@ -1416,6 +1416,9 @@ TEST_F(ServeTest, RejectsNegativeRateAllowsZero)
     EXPECT_NO_THROW(validateServeConfig(cfg));
     cfg.tenants[0].arrival_rps = -1.0;
     EXPECT_THROW(validateServeConfig(cfg), Error);
+    // An infinite rate would draw 1 ns gaps across the whole horizon.
+    cfg.tenants[0].arrival_rps = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(validateServeConfig(cfg), Error);
 }
 
 TEST_F(ServeTest, RejectsZeroMaxBatch)
