@@ -1,5 +1,6 @@
 #include "arch/config.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.hh"
@@ -89,21 +90,29 @@ makeInferenceChip(double freq_ghz)
 }
 
 ChipConfig
+degradeChip(ChipConfig chip, unsigned dead_cores, unsigned dead_mpe_rows)
+{
+    // Bounded before the shifts: a mask names at most 64 units.
+    RAPID_CHECK_CONFIG(dead_cores < std::min(chip.cores, 64u),
+                       "cannot kill ", dead_cores, " of ", chip.cores,
+                       " cores: one must live, and a mask holds 64");
+    RAPID_CHECK_CONFIG(
+        dead_mpe_rows < std::min(chip.core.corelet.mpe_rows, 64u),
+        "cannot kill ", dead_mpe_rows, " of ",
+        chip.core.corelet.mpe_rows,
+        " MPE rows: one must live, and a mask holds 64");
+    chip.dead_core_mask |= (uint64_t(1) << dead_cores) - 1;
+    chip.dead_mpe_row_mask |= (uint64_t(1) << dead_mpe_rows) - 1;
+    validateChipConfig(chip);
+    return chip;
+}
+
+ChipConfig
 makeDegradedInferenceChip(unsigned dead_cores, unsigned dead_mpe_rows,
                           double freq_ghz)
 {
-    ChipConfig chip = makeInferenceChip(freq_ghz);
-    RAPID_CHECK_CONFIG(dead_cores < chip.cores,
-                       "a degraded chip must keep at least one of ",
-                       chip.cores, " cores, asked to kill ",
-                       dead_cores);
-    RAPID_CHECK_CONFIG(dead_mpe_rows < chip.core.corelet.mpe_rows,
-                       "a degraded chip must keep at least one of ",
-                       chip.core.corelet.mpe_rows,
-                       " MPE rows, asked to kill ", dead_mpe_rows);
-    chip.dead_core_mask = (uint64_t(1) << dead_cores) - 1;
-    chip.dead_mpe_row_mask = (uint64_t(1) << dead_mpe_rows) - 1;
-    return chip;
+    return degradeChip(makeInferenceChip(freq_ghz), dead_cores,
+                       dead_mpe_rows);
 }
 
 ChipConfig

@@ -217,10 +217,17 @@ void validateSystemConfig(const SystemConfig &sys);
 ChipConfig makeInferenceChip(double freq_ghz = 1.5);
 
 /**
- * The inference chip with its lowest @p dead_cores cores and lowest
- * @p dead_mpe_rows MPE rows masked dead — the canonical degraded-mode
- * configuration used by the fault and serving studies. Throws when
- * the masks would leave no live unit.
+ * @p chip with its lowest @p dead_cores cores and lowest
+ * @p dead_mpe_rows MPE rows also masked dead. Throws InvalidConfig
+ * when a count reaches the unit count or the 64-bit mask width, or
+ * when the masks would leave no live unit.
+ */
+ChipConfig degradeChip(ChipConfig chip, unsigned dead_cores,
+                       unsigned dead_mpe_rows = 0);
+
+/**
+ * The inference chip degraded by degradeChip — the canonical
+ * degraded-mode configuration used by the fault and serving studies.
  */
 ChipConfig makeDegradedInferenceChip(unsigned dead_cores,
                                      unsigned dead_mpe_rows = 0,

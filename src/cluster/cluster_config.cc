@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/error.hh"
 #include "common/fault.hh"
@@ -26,42 +27,39 @@ fleetPolicyName(FleetPolicy policy)
 
 namespace {
 
-/// Fabric message cost per ring hop, on top of FabricConfig::base_ns.
+/// Fabric message cost: a software/RPC floor plus a cost per ring hop.
+constexpr int64_t kFabricBaseNs = 100'000;
 constexpr int64_t kFabricPerHopNs = 10'000;
 
-/** The fleet's ring geometry: chips at 0..N-1, router at node N. */
-RingConfig
-fleetRing(const FabricConfig &fabric, size_t num_chips)
-{
-    RingConfig ring;
-    ring.num_nodes = unsigned(num_chips) + 1;
-    ring.bytes_per_flit = fabric.bytes_per_flit;
-    return ring;
-}
+/// Seeded strikes land uniformly inside this fraction of the horizon,
+/// so detection and drain always have room on both sides.
+constexpr double kStrikeWindowLo = 0.1;
+constexpr double kStrikeWindowHi = 0.9;
 
 } // namespace
 
 int64_t
-fabricDelayNs(const FabricConfig &fabric, size_t num_chips, size_t src,
-              size_t dst)
+fabricDelayNs(size_t num_chips, size_t src, size_t dst)
 {
     RAPID_CHECK_ARG(src <= num_chips && dst <= num_chips && src != dst,
                     "fabricDelayNs: bad ring endpoints ", src, " -> ",
                     dst, " on ", num_chips, " chips");
-    const RingNetwork ring(fleetRing(fabric, num_chips));
+    RingConfig geometry;
+    geometry.num_nodes = unsigned(num_chips) + 1; // chips, then router
+    const RingNetwork ring(geometry);
     const std::vector<unsigned> dsts{unsigned(dst)};
     const RingDir dir = ring.chooseDirection(unsigned(src), dsts);
     const unsigned hops =
         ring.hopDistance(unsigned(src), unsigned(dst), dir);
-    return fabric.base_ns + int64_t(hops) * kFabricPerHopNs;
+    return kFabricBaseNs + int64_t(hops) * kFabricPerHopNs;
 }
 
 int64_t
-maxFabricDelayNs(const FabricConfig &fabric, size_t num_chips)
+maxFabricDelayNs(size_t num_chips)
 {
     // The shortest-direction hop count is at most half the ring.
     const int64_t max_hops = int64_t((num_chips + 1) / 2);
-    return fabric.base_ns + max_hops * kFabricPerHopNs;
+    return kFabricBaseNs + max_hops * kFabricPerHopNs;
 }
 
 void
@@ -69,25 +67,29 @@ validateClusterConfig(const ClusterConfig &cfg)
 {
     RAPID_CHECK_ARG(cfg.num_chips >= 1,
                     "ClusterConfig.num_chips must be >= 1");
+    // The fleet ring's node count (chips plus the router) is an
+    // unsigned; reject what it cannot hold before any hop arithmetic.
+    RAPID_CHECK_CONFIG(
+        cfg.num_chips < std::numeric_limits<unsigned>::max(),
+        "ClusterConfig.num_chips ", cfg.num_chips,
+        " does not fit the fleet ring with its router");
+    // The detection window must be wider than one heartbeat period
+    // plus the worst-case delivery delay, or a live chip whose
+    // heartbeat is merely in flight would be declared dead. The
+    // delay grows with the ring, so this caps the fleet size.
+    const int64_t window =
+        int64_t(kHeartbeatMissThreshold) * kHeartbeatIntervalNs;
+    const int64_t worst =
+        kHeartbeatIntervalNs + maxFabricDelayNs(cfg.num_chips);
+    RAPID_CHECK_CONFIG(window > worst,
+                       "heartbeat detection window ", window,
+                       " ns must exceed one period plus the "
+                       "worst-case fabric delay on ", cfg.num_chips,
+                       " chips (", worst,
+                       " ns): a live chip's in-flight heartbeat "
+                       "would be a false positive");
     validateServeConfig(cfg.serve);
 
-    RAPID_CHECK_CONFIG(cfg.heartbeat.interval_ns > 0,
-                       "heartbeat interval_ns must be positive, got ",
-                       cfg.heartbeat.interval_ns);
-    RAPID_CHECK_CONFIG(cfg.heartbeat.miss_threshold >= 2,
-                       "heartbeat miss_threshold must be >= 2 (one "
-                       "period always elapses between receipts), got ",
-                       cfg.heartbeat.miss_threshold);
-
-    RAPID_CHECK_CONFIG(cfg.failover.request_timeout_ns > 0,
-                       "failover request_timeout_ns must be positive, "
-                       "got ", cfg.failover.request_timeout_ns);
-    RAPID_CHECK_CONFIG(cfg.failover.retry_backoff_ns >= 0,
-                       "failover retry_backoff_ns must be >= 0, got ",
-                       cfg.failover.retry_backoff_ns);
-    RAPID_CHECK_CONFIG(cfg.failover.max_retries >= 1,
-                       "failover max_retries must be >= 1, got ",
-                       cfg.failover.max_retries);
     if (cfg.failover.budget.enabled) {
         RAPID_CHECK_CONFIG(
             std::isfinite(cfg.failover.budget.tokens_per_s) &&
@@ -101,27 +103,6 @@ validateClusterConfig(const ClusterConfig &cfg)
                            cfg.failover.budget.burst);
     }
 
-    RAPID_CHECK_CONFIG(cfg.fabric.base_ns > 0,
-                       "fabric base_ns must be positive (channels "
-                       "need strictly positive lookahead), got ",
-                       cfg.fabric.base_ns);
-    RAPID_CHECK_CONFIG(cfg.fabric.bytes_per_flit >= 1,
-                       "fabric bytes_per_flit must be >= 1");
-
-    // The detection window must be wider than one heartbeat period
-    // plus the worst-case delivery delay, or a live chip whose
-    // heartbeat is merely in flight would be declared dead.
-    const int64_t window = int64_t(cfg.heartbeat.miss_threshold) *
-                           cfg.heartbeat.interval_ns;
-    const int64_t worst = cfg.heartbeat.interval_ns +
-                          maxFabricDelayNs(cfg.fabric, cfg.num_chips);
-    RAPID_CHECK_CONFIG(window > worst,
-                       "heartbeat detection window ", window,
-                       " ns must exceed one period plus the "
-                       "worst-case fabric delay (", worst,
-                       " ns): a live chip's in-flight heartbeat "
-                       "would be a false positive");
-
     RAPID_CHECK_CONFIG(std::isfinite(cfg.failures.rate) &&
                            cfg.failures.rate >= 0.0 &&
                            cfg.failures.rate <= 1.0,
@@ -132,15 +113,6 @@ validateClusterConfig(const ClusterConfig &cfg)
                            cfg.failures.degraded_fraction <= 1.0,
                        "degraded_fraction must be in [0, 1], got ",
                        cfg.failures.degraded_fraction);
-    RAPID_CHECK_CONFIG(std::isfinite(cfg.failures.strike_window_lo) &&
-                           std::isfinite(cfg.failures.strike_window_hi) &&
-                           cfg.failures.strike_window_lo >= 0.0 &&
-                           cfg.failures.strike_window_lo <
-                               cfg.failures.strike_window_hi &&
-                           cfg.failures.strike_window_hi <= 1.0,
-                       "failure strike window must satisfy 0 <= lo < "
-                       "hi <= 1, got [", cfg.failures.strike_window_lo,
-                       ", ", cfg.failures.strike_window_hi, "]");
     std::vector<bool> seen(cfg.num_chips, false);
     for (const ScriptedFailure &f : cfg.failures.scripted) {
         RAPID_CHECK_CONFIG(f.chip < cfg.num_chips,
@@ -207,12 +179,10 @@ buildFailurePlan(const ClusterConfig &cfg)
             Rng rng(mixSeed(cfg.failures.seed, chip));
             if (rng.uniform() >= cfg.failures.rate)
                 continue;
-            // Strike inside the configured window of the horizon so
-            // detection and drain always have room on both sides.
-            const double lo = cfg.failures.strike_window_lo *
-                              double(cfg.serve.horizon_ns);
-            const double hi = cfg.failures.strike_window_hi *
-                              double(cfg.serve.horizon_ns);
+            const double lo =
+                kStrikeWindowLo * double(cfg.serve.horizon_ns);
+            const double hi =
+                kStrikeWindowHi * double(cfg.serve.horizon_ns);
             const int64_t when =
                 std::max<int64_t>(1, int64_t(rng.uniform(lo, hi)));
             const bool degrade =

@@ -47,17 +47,14 @@ enum class FleetPolicy
 
 const char *fleetPolicyName(FleetPolicy policy);
 
-/** Failure detector knobs. */
-struct HeartbeatConfig
-{
-    /// Period of each chip's heartbeat to the router (and of the
-    /// router's liveness sweep).
-    int64_t interval_ns = 5'000'000;
-    /// Missed intervals before the router declares a chip dead. Must
-    /// leave the detection window wider than one heartbeat period
-    /// plus the worst-case fabric delivery delay (validated).
-    int miss_threshold = 3;
-};
+/// Period of each chip's heartbeat to the router (and of the
+/// router's liveness sweep).
+inline constexpr int64_t kHeartbeatIntervalNs = 5'000'000;
+/// Missed intervals before the router declares a chip dead. The
+/// detection window must stay wider than one heartbeat period plus
+/// the worst-case fabric delay, which caps the fleet size
+/// (validated).
+inline constexpr int kHeartbeatMissThreshold = 3;
 
 /**
  * Fleet-level retry budget: a token bucket per failover target chip.
@@ -75,29 +72,11 @@ struct RetryBudgetConfig
     double burst = 10.0;
 };
 
-/** Failover retry/backoff bounds. */
+/** Failover knobs; the retry timeout, backoff and hop limit are fixed
+ *  (fleet.hh). */
 struct FailoverConfig
 {
-    /// A request stranded on a dead chip is presumed lost this long
-    /// after its arrival; the retry fires at
-    /// max(detection, arrival + timeout) + attempts * backoff.
-    int64_t request_timeout_ns = 20'000'000;
-    int64_t retry_backoff_ns = 1'000'000;
-    /// Failover hops any one request may take before it is written
-    /// off (each adoption or bounce re-dispatch consumes one).
-    int max_retries = 3;
     RetryBudgetConfig budget;
-};
-
-/** Chip-to-chip/router fabric latency model: messages ride the
- *  interconnect ring (chips at nodes 0..N-1, router at node N) with
- *  a software/RPC floor plus a fixed 10 us per hop; the per-channel
- *  DES lookahead is exactly this message latency. Checkpoint
- *  payloads add their bytes at a fixed 128 Gbit/s. */
-struct FabricConfig
-{
-    int64_t base_ns = 100'000;     ///< software/RPC floor per message
-    unsigned bytes_per_flit = 128; ///< ring geometry (RingConfig)
 };
 
 /** One scripted chip transition for tests and kill-sequence fuzzing. */
@@ -118,15 +97,8 @@ struct FailureModel
     /// Of the failing chips, the fraction that degrade (dead cores /
     /// MPE rows via the existing chip masks) instead of fail-stop.
     double degraded_fraction = 0.0;
-    /// Seeded strikes land uniformly inside the
-    /// [strike_window_lo, strike_window_hi] fraction of the horizon,
-    /// so detection and drain always have room on both sides.
-    /// Requires 0 <= lo < hi <= 1.
-    double strike_window_lo = 0.1;
-    double strike_window_hi = 0.9;
-    /// Dead-core / dead-MPE-row masks applied on a degrade.
+    /// Lowest cores masked dead on a degrade (no MPE rows die).
     unsigned degrade_dead_cores = 1;
-    unsigned degrade_dead_mpe_rows = 0;
     uint64_t seed = 0xfa11edULL;
     /// When non-empty, overrides the seeded draw entirely.
     std::vector<ScriptedFailure> scripted;
@@ -159,20 +131,19 @@ struct ClusterConfig
     /// mod num_chips (see shardServeConfig).
     ServeConfig serve;
     FleetPolicy policy = FleetPolicy::FailoverRestore;
-    HeartbeatConfig heartbeat;
     FailoverConfig failover;
-    FabricConfig fabric;
     FailureModel failures;
     TrainingTenantConfig training;
 };
 
 /**
  * Throw rapid::Error (InvalidArgument / InvalidConfig) on a
- * non-runnable fleet: zero chips, bad heartbeat/timeout/fabric knobs,
- * a detection window narrower than one heartbeat period plus the
- * worst-case fabric delay, failure rates outside [0, 1], scripted
- * failures out of range or duplicated per chip, or a training tenant
- * whose home/replica placement is invalid.
+ * non-runnable fleet: zero chips, more chips than the fleet ring
+ * holds, a detection window narrower than one heartbeat period plus
+ * the worst-case fabric delay (more than 1,978 chips), bad retry
+ * budget knobs, failure rates outside [0, 1], scripted failures out
+ * of range or duplicated per chip, or a training tenant whose
+ * home/replica placement is invalid.
  */
 void validateClusterConfig(const ClusterConfig &cfg);
 
@@ -197,16 +168,21 @@ struct PlannedFailure
 std::vector<PlannedFailure> buildFailurePlan(const ClusterConfig &cfg);
 
 /**
- * Worst-case one-way fabric latency (ns) between any two of the
- * num_chips + 1 ring nodes under @p fabric — the heartbeat
- * feasibility bound and the channel-lookahead ceiling.
+ * Chip-to-chip/router fabric latency model: messages ride the
+ * interconnect ring (chips at nodes 0..N-1, router at node N) with a
+ * 100 us software/RPC floor plus a fixed 10 us per hop; the
+ * per-channel DES lookahead is exactly this message latency.
+ * Checkpoint payloads add their bytes at a fixed 128 Gbit/s.
+ *
+ * maxFabricDelayNs is the worst-case one-way latency between any two
+ * of the num_chips + 1 ring nodes — the heartbeat feasibility bound
+ * and the channel-lookahead ceiling.
  */
-int64_t maxFabricDelayNs(const FabricConfig &fabric, size_t num_chips);
+int64_t maxFabricDelayNs(size_t num_chips);
 
 /** One-way fabric latency between ring nodes @p src and @p dst
  *  (chips at 0..num_chips-1, router at num_chips). */
-int64_t fabricDelayNs(const FabricConfig &fabric, size_t num_chips,
-                      size_t src, size_t dst);
+int64_t fabricDelayNs(size_t num_chips, size_t src, size_t dst);
 
 } // namespace rapid
 

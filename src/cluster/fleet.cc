@@ -21,6 +21,14 @@ namespace {
 
 /// Replication payload bandwidth of the fabric, in Gbit/s.
 constexpr double kFabricGbps = 128.0;
+/// A request stranded on a dead chip is presumed lost this long after
+/// its arrival; its retry fires at
+/// max(detection, arrival + timeout) + attempts * backoff.
+constexpr int64_t kRequestTimeoutNs = 20'000'000;
+constexpr int64_t kRetryBackoffNs = 1'000'000;
+/// Failover hops any one request may take before it is written off
+/// (each adoption or bounce re-dispatch consumes one).
+constexpr int kMaxRetries = 3;
 /// The training tenant's minibatch, spiral set size per class (the
 /// set holds twice this), and data seed.
 constexpr int64_t kTrainingBatchSize = 32;
@@ -179,7 +187,7 @@ ChipHost::heartbeat()
              [r = cell.router.get(), chip = idx] {
                  r->onHeartbeat(chip);
              });
-    const int64_t next = dom.now() + cell.cfg.heartbeat.interval_ns;
+    const int64_t next = dom.now() + kHeartbeatIntervalNs;
     if (next <= cell.stop_ns)
         dom.schedule(next, ServeDomainCore::kPriOverlay,
                      [this] { heartbeat(); });
@@ -203,16 +211,16 @@ ChipHost::onFailure(bool degrade)
         trainer_active = false;
         steps_at_death = trainer->step();
     }
-    HaltReport rep = core.halt();
-    status.orphans = rep.orphans.size();
+    const std::vector<OrphanRequest> orphans = core.halt();
+    status.orphans = orphans.size();
 
     // The death manifest: the front-end's request ledger for this
     // chip, transferred lazily — stranded requests joined with their
     // failover history so retry hops stay bounded across chained
     // deaths.
     std::vector<OrphanWire> wires;
-    wires.reserve(rep.orphans.size());
-    for (const OrphanRequest &o : rep.orphans) {
+    wires.reserve(orphans.size());
+    for (const OrphanRequest &o : orphans) {
         OrphanWire w;
         const auto it = std::lower_bound(
             adoptions.begin(), adoptions.end(), o.id,
@@ -361,8 +369,8 @@ void
 RouterHost::onCheck()
 {
     const int64_t now = dom.now();
-    const int64_t window = int64_t(cell.cfg.heartbeat.miss_threshold) *
-                           cell.cfg.heartbeat.interval_ns;
+    const int64_t window =
+        int64_t(kHeartbeatMissThreshold) * kHeartbeatIntervalNs;
     for (size_t chip = 0; chip < declared.size(); ++chip) {
         if (declared[chip] || now - last_heard[chip] < window)
             continue;
@@ -379,7 +387,7 @@ RouterHost::onCheck()
                          r->adoptTraining();
                      });
     }
-    const int64_t next = now + cell.cfg.heartbeat.interval_ns;
+    const int64_t next = now + kHeartbeatIntervalNs;
     if (next <= cell.stop_ns)
         dom.schedule(next, kPriCheck, [this] { onCheck(); });
 }
@@ -448,7 +456,6 @@ RouterHost::tryProcess(size_t chip)
         return;
     }
     const int64_t t_detect = detect_ns[chip];
-    const FailoverConfig &fo = cell.cfg.failover;
     std::vector<AdoptItem> items;
     for (const OrphanWire &w : manifests[chip]) {
         // Traffic arriving after detection is a clean redirect; the
@@ -460,7 +467,7 @@ RouterHost::tryProcess(size_t chip)
         if (cell.cfg.policy == FleetPolicy::DrainOnly && !future)
             continue;
         const int attempts = w.attempts + 1;
-        if (attempts > fo.max_retries)
+        if (attempts > kMaxRetries)
             continue;
         // Clean redirects of post-detection traffic ride free; only
         // stranded-request retries draw from the target's budget.
@@ -474,8 +481,8 @@ RouterHost::tryProcess(size_t chip)
         it.when = future
                       ? w.local_arrival_ns
                       : std::max(t_detect, w.origin_arrival_ns +
-                                               fo.request_timeout_ns) +
-                            int64_t(attempts) * fo.retry_backoff_ns;
+                                               kRequestTimeoutNs) +
+                            int64_t(attempts) * kRetryBackoffNs;
         it.origin_chip = w.origin_chip;
         it.origin_id = w.origin_id;
         it.origin_arrival_ns = w.origin_arrival_ns;
@@ -492,12 +499,11 @@ RouterHost::onBounce(size_t from, std::vector<AdoptItem> items)
     const size_t target = successor(from);
     if (target == SIZE_MAX)
         return;
-    const FailoverConfig &fo = cell.cfg.failover;
     std::vector<AdoptItem> retry;
     retry.reserve(items.size());
     for (AdoptItem it : items) {
         ++it.attempts; // the bounced hop was consumed
-        if (it.attempts > fo.max_retries)
+        if (it.attempts > kMaxRetries)
             continue;
         if (!budgetAllow(target)) {
             denials.push_back(
@@ -505,7 +511,7 @@ RouterHost::onBounce(size_t from, std::vector<AdoptItem> items)
             continue;
         }
         it.when =
-            std::max(it.when, dom.now()) + fo.retry_backoff_ns;
+            std::max(it.when, dom.now()) + kRetryBackoffNs;
         retry.push_back(it);
     }
     dispatchTo(target, std::move(retry));
@@ -532,7 +538,7 @@ FleetCell::FleetCell(DesEngine &eng, const FleetSim &fleet_sim,
     for (size_t a = 0; a <= n; ++a)
         for (size_t b = 0; b <= n; ++b)
             if (a != b)
-                lat[a][b] = fabricDelayNs(cfg.fabric, n, a, b);
+                lat[a][b] = fabricDelayNs(n, a, b);
 
     for (size_t i = 0; i < n; ++i) {
         engine.connect(chip_dom[i], router_dom, lat[i][n]);
@@ -545,10 +551,8 @@ FleetCell::FleetCell(DesEngine &eng, const FleetSim &fleet_sim,
                           [cfg.training.replica_chip]);
 
     stop_ns = cfg.serve.horizon_ns +
-              int64_t(cfg.heartbeat.miss_threshold) *
-                  cfg.heartbeat.interval_ns +
-              maxFabricDelayNs(cfg.fabric, n) +
-              cfg.heartbeat.interval_ns;
+              int64_t(kHeartbeatMissThreshold) * kHeartbeatIntervalNs +
+              maxFabricDelayNs(n) + kHeartbeatIntervalNs;
 
     router = std::make_unique<RouterHost>(*this,
                                           engine.domain(router_dom),
@@ -569,8 +573,6 @@ FleetCell::FleetCell(DesEngine &eng, const FleetSim &fleet_sim,
     }
     for (const PlannedFailure &f : fleet_sim.plan()) {
         ChipHost &host = *chips[f.chip];
-        host.status.planned_failure = true;
-        host.status.planned_degrade = f.degrade;
         host.status.planned_ns = f.time_ns;
         host.dom.schedule(f.time_ns, ServeDomainCore::kPriOverlay,
                           [h = &host, degrade = f.degrade] {
@@ -578,7 +580,7 @@ FleetCell::FleetCell(DesEngine &eng, const FleetSim &fleet_sim,
                           });
     }
     engine.domain(router_dom)
-        .schedule(cfg.heartbeat.interval_ns, RouterHost::kPriCheck,
+        .schedule(kHeartbeatIntervalNs, RouterHost::kPriCheck,
                   [r = router.get()] { r->onCheck(); });
 
     if (cfg.training.enabled) {
@@ -661,19 +663,10 @@ FleetSim::FleetSim(const ChipConfig &chip, const ClusterConfig &cfg)
             chip_, shardServeConfig(cfg_, i)));
 
     // The degraded-mode table: the same chip with the configured
-    // dead-core / dead-MPE-row masks. Shard tables are identical
-    // across chips (every shard carries the full tenant list), so
-    // one degraded table serves the whole fleet.
-    degraded_chip_ = chip_;
-    degraded_chip_.dead_core_mask |=
-        (uint64_t(1) << cfg_.failures.degrade_dead_cores) - 1;
-    degraded_chip_.dead_mpe_row_mask |=
-        (uint64_t(1) << cfg_.failures.degrade_dead_mpe_rows) - 1;
-    RAPID_CHECK_CONFIG(degraded_chip_.activeCores() >= 1,
-                       "degrade_dead_cores ",
-                       cfg_.failures.degrade_dead_cores,
-                       " leaves no live core on a ", chip_.cores,
-                       "-core chip");
+    // dead-core mask. Shard tables are identical across chips (every
+    // shard carries the full tenant list), so one degraded table
+    // serves the whole fleet.
+    degraded_chip_ = degradeChip(chip_, cfg_.failures.degrade_dead_cores);
     const ServeSim &shard0 = *sims_[0];
     std::vector<Network> nets;
     nets.reserve(shard0.networkNames().size());

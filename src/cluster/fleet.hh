@@ -11,10 +11,11 @@
  *
  * Failure protocol (all times on the shared virtual clock):
  *
- *  1. Every chip heartbeats the router each interval; the router
- *     sweeps liveness each interval and declares a chip dead once
- *     now - last_heard >= miss_threshold * interval (the config
- *     validator guarantees a live chip can never trip this).
+ *  1. Every chip heartbeats the router every kHeartbeatIntervalNs
+ *     (5 ms); the router sweeps liveness at the same period and
+ *     declares a chip dead once now - last_heard >=
+ *     kHeartbeatMissThreshold (3) periods (the config validator
+ *     guarantees a live chip can never trip this).
  *  2. A fail-stop chip halts its serving core at the failure instant;
  *     every unfinished request becomes `failed` locally and is sent
  *     to the router as an orphan manifest (the front-end's request
@@ -25,8 +26,8 @@
  *     the router dispatches per policy: NoFailover writes everything
  *     off; DrainOnly re-routes only traffic arriving after detection
  *     to the ring successor; FailoverRestore also retries stranded
- *     requests at max(detection, arrival + request_timeout) +
- *     attempts * backoff, each request taking at most max_retries
+ *     requests at max(detection, arrival + 20 ms timeout) +
+ *     attempts * 1 ms backoff, each request taking at most 3
  *     failover hops (a hop onto a chip that died meanwhile bounces
  *     back and consumes another hop).
  *  4. Adopted requests are fresh records on the target chip
@@ -75,8 +76,6 @@ struct AdoptionMeta
 /** Per-chip outcome of one fleet run. */
 struct ChipStatus
 {
-    bool planned_failure = false;
-    bool planned_degrade = false;
     int64_t planned_ns = -1;
     bool failed_stop = false; ///< chip actually halted
     bool degraded = false;    ///< chip actually degraded

@@ -19,7 +19,6 @@ mappedShape(const Layer &layer, int64_t batch)
         s.outputs = layer.gn;
         s.kernel = 1;
         s.positions = layer.gm * batch;
-        s.weight_elems = layer.gk * layer.gn;
         return s;
     }
     const int64_t ci_per_group = layer.ci / layer.groups;
@@ -28,19 +27,16 @@ mappedShape(const Layer &layer, int64_t batch)
         // compiler maps the kernel window along the rows (reduction)
         // and the channels along columns/SIMD. Utilization suffers at
         // low precision exactly as the paper observes for mobile nets.
-        s.depthwise = true;
         s.reduction = layer.kh * layer.kw;
         s.outputs = layer.co;
         s.kernel = 1;
         s.positions = layer.outH() * layer.outW() * batch;
-        s.weight_elems = layer.co * layer.kh * layer.kw;
         return s;
     }
     s.reduction = ci_per_group;
     s.outputs = layer.co;
     s.kernel = layer.kh * layer.kw;
     s.positions = layer.outH() * layer.outW() * batch;
-    s.weight_elems = layer.weightElems();
     return s;
 }
 

@@ -37,8 +37,6 @@ struct MappedShape
     int64_t outputs;       ///< Co, or N columns for GEMMs
     int64_t kernel;        ///< Kh * Kw (1 for GEMMs)
     int64_t positions;     ///< Ho * Wo * batch, or M * batch
-    int64_t weight_elems;  ///< parameters to block-load
-    bool depthwise = false;
 };
 
 /** Extract the mapped shape of a compute layer at @p batch. */

@@ -9,6 +9,18 @@
 
 namespace rapid {
 
+namespace {
+
+/// PACT alpha learns more slowly than the weights: its step is this
+/// fraction of the learning rate.
+constexpr float kAlphaLrScale = 0.01f;
+/// L2 decay on alpha: PACT regularizes the clip value so it shrinks
+/// toward the live activation range instead of idling above it
+/// (keeps the quantization grid dense).
+constexpr float kAlphaDecay = 0.05f;
+
+} // namespace
+
 void
 validateMlpConfig(const MlpConfig &cfg)
 {
@@ -33,14 +45,6 @@ validateMlpConfig(const MlpConfig &cfg)
     RAPID_CHECK_ARG(cfg.pact_bits >= 2,
                     "MlpConfig.pact_bits must be at least 2, got ",
                     cfg.pact_bits);
-    RAPID_CHECK_ARG(std::isfinite(cfg.alpha_lr_scale) &&
-                        cfg.alpha_lr_scale >= 0.0f,
-                    "MlpConfig.alpha_lr_scale must be finite and "
-                    ">= 0, got ", cfg.alpha_lr_scale);
-    RAPID_CHECK_ARG(std::isfinite(cfg.alpha_decay) &&
-                        cfg.alpha_decay >= 0.0f,
-                    "MlpConfig.alpha_decay must be finite and >= 0, "
-                    "got ", cfg.alpha_decay);
 }
 
 const char *
@@ -253,7 +257,7 @@ Mlp::applyUpdates(Dense &d, float inv_scale)
     d.sgdStep(lr, mom, inv_scale);
     if (cfg_.use_pact) {
         d.alpha_vel = mom * d.alpha_vel
-                      - lr * cfg_.alpha_lr_scale *
+                      - lr * kAlphaLrScale *
                             (d.alpha_grad * inv_scale);
         d.alpha = std::max(0.1f, d.alpha + d.alpha_vel);
     }
@@ -288,7 +292,7 @@ Mlp::computeGradients(const Tensor &x, const std::vector<int> &labels,
                 for (int64_t i = 0; i < dy.numel(); ++i)
                     gated[i] = d.pre_act[i] > 0 ? dy[i] : 0.0f;
             }
-            d.alpha_grad = alpha_grad + cfg_.alpha_decay * d.alpha;
+            d.alpha_grad = alpha_grad + kAlphaDecay * d.alpha;
             dy = d.backward(gemm_, gated);
         } else {
             dy = d.backward(gemm_, dy);

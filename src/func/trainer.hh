@@ -101,11 +101,6 @@ struct MlpConfig
     unsigned pact_bits = 4;      ///< quantized level count when deployed
     float learning_rate = 0.1f;
     float momentum = 0.9f;
-    float alpha_lr_scale = 0.01f; ///< PACT alpha learns more slowly
-    /// L2 decay on alpha: PACT regularizes the clip value so it
-    /// shrinks toward the live activation range instead of idling
-    /// above it (keeps the quantization grid dense).
-    float alpha_decay = 0.05f;
     uint64_t seed = 1234;
 };
 

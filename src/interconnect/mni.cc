@@ -4,6 +4,13 @@
 
 namespace rapid {
 
+namespace {
+
+/// Size of a Recv control message on the ring, in bytes.
+constexpr uint64_t kRequestBytes = 32;
+
+} // namespace
+
 MniFabric::MniFabric(const RingConfig &ring_cfg, const MniConfig &mni_cfg)
     : ring_(ring_cfg), cfg_(mni_cfg),
       outstanding_(ring_cfg.num_nodes, 0)
@@ -37,7 +44,7 @@ MniFabric::recv(unsigned consumer, unsigned producer, uint64_t tag,
     t.local_addr = local_addr;
     t.n_consumers = n_consumers;
     request_dst_.assign(1, producer);
-    track(t, consumer, request_dst_, cfg_.request_bytes);
+    track(t, consumer, request_dst_, kRequestBytes);
 
     PendingSend &ps = pending(producer, tag);
     ps.bytes = std::max(ps.bytes, bytes);
@@ -127,7 +134,6 @@ MniFabric::processDelivered()
                 c.tag = t.tag;
                 c.consumer = ps.consumers[i];
                 c.local_addr = ps.consumer_addrs[i];
-                c.cycle = ring_.now();
                 completions_.push_back(c);
                 rapid_assert(outstanding_[c.consumer] > 0,
                              "load queue underflow");

@@ -34,7 +34,6 @@ namespace rapid {
 struct MniConfig
 {
     unsigned max_outstanding_loads = 16; ///< per-core load queue depth
-    uint64_t request_bytes = 32;         ///< Recv control message size
 };
 
 /** A completed tagged transfer as seen by one consumer. */
@@ -43,7 +42,6 @@ struct MniCompletion
     uint64_t tag = 0;
     unsigned consumer = 0;
     uint64_t local_addr = 0; ///< scratchpad address from the load queue
-    uint64_t cycle = 0;
 };
 
 /**

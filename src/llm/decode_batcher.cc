@@ -131,13 +131,11 @@ DecodeBatcher::routeRequest(LlmRequestRecord &rec)
         }
         if (tpot_pred > tenant.tpot_deadline_ns)
             continue;
-        const int64_t ttft =
-            ttftEstimateNs(rec.arrival_ns, gi, rec);
-        if (ttft > tenant.ttft_deadline_ns)
+        if (ttftEstimateNs(rec.arrival_ns, gi, rec) >
+            tenant.ttft_deadline_ns)
             continue;
         rec.mode = int(gi);
         rec.tier = tier;
-        rec.predicted_ttft_ns = ttft;
         if (!admission_.empty())
             admission_[gi].noteAdmit(tier);
         groups_[gi].waiting.push_back(rec.id);

@@ -14,11 +14,8 @@ finishTenant(LlmTenantMetrics &m, std::vector<int64_t> &ttfts,
              std::vector<int64_t> &tpots, int64_t horizon_ns)
 {
     m.ttft = summarizeLatencies(std::move(ttfts));
-    if (!tpots.empty()) {
-        const LatencyStats tpot = summarizeLatencies(std::move(tpots));
-        m.tpot_mean_ns = int64_t(tpot.mean);
-        m.tpot_p95_ns = tpot.p95;
-    }
+    if (!tpots.empty())
+        m.tpot_p95_ns = summarizeLatencies(std::move(tpots)).p95;
     const double horizon_s = double(horizon_ns) * 1e-9;
     m.goodput_rps = double(m.sla_met) / horizon_s;
     m.offered_rps = double(m.offered) / horizon_s;

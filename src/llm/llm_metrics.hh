@@ -35,8 +35,7 @@ struct LlmTenantMetrics
     int64_t generated_tokens = 0; ///< tokens actually produced
     int64_t dropped_tokens = 0;   ///< planned tokens of shed requests
     LatencyStats ttft; ///< over completed requests
-    int64_t tpot_mean_ns = 0; ///< over multi-token completions
-    int64_t tpot_p95_ns = 0;
+    int64_t tpot_p95_ns = 0; ///< over multi-token completions
     double goodput_rps = 0; ///< SLA-met requests per offered second
     double offered_rps = 0;
     double tokens_per_s = 0; ///< generated tokens per offered second

@@ -51,7 +51,6 @@ struct LlmRequestRecord
     /// full-batch step bound, or the calibrated observed-p95 tier
     /// (cfg.admission). Always Bound when admission is off.
     AdmitTier tier = AdmitTier::Bound;
-    int64_t predicted_ttft_ns = -1; ///< router's admission estimate
     int64_t first_token_ns = -1;    ///< prefill completion
     int64_t completion_ns = -1;     ///< last generated token
     int64_t generated_tokens = 0;   ///< == output_tokens once done

@@ -7,21 +7,20 @@
 
 namespace rapid {
 
+namespace {
+
+/// Scale multipliers after a healthy run and after a bad step.
+constexpr float kGrowthFactor = 2.0f;
+constexpr float kBackoffFactor = 0.5f;
+
+} // namespace
+
 void
 validateLossScalerConfig(const LossScalerConfig &cfg)
 {
     RAPID_CHECK_ARG(std::isfinite(cfg.init_scale) && cfg.init_scale > 0,
                     "LossScalerConfig.init_scale must be finite and "
                     "positive, got ", cfg.init_scale);
-    RAPID_CHECK_ARG(std::isfinite(cfg.growth_factor) &&
-                        cfg.growth_factor >= 1.0f,
-                    "LossScalerConfig.growth_factor must be >= 1, got ",
-                    cfg.growth_factor);
-    RAPID_CHECK_ARG(std::isfinite(cfg.backoff_factor) &&
-                        cfg.backoff_factor > 0.0f &&
-                        cfg.backoff_factor < 1.0f,
-                    "LossScalerConfig.backoff_factor must be in (0, 1), "
-                    "got ", cfg.backoff_factor);
     RAPID_CHECK_ARG(cfg.growth_interval > 0,
                     "LossScalerConfig.growth_interval must be positive, "
                     "got ", cfg.growth_interval);
@@ -49,7 +48,7 @@ LossScaler::update(bool healthy)
     if (healthy) {
         if (++state_.good_steps >= cfg_.growth_interval) {
             const float grown = std::min(
-                cfg_.max_scale, state_.scale * cfg_.growth_factor);
+                cfg_.max_scale, state_.scale * kGrowthFactor);
             if (grown > state_.scale)
                 ++state_.growths;
             state_.scale = grown;
@@ -60,7 +59,7 @@ LossScaler::update(bool healthy)
     ++state_.skips;
     ++state_.backoffs;
     state_.scale = std::max(cfg_.min_scale,
-                            state_.scale * cfg_.backoff_factor);
+                            state_.scale * kBackoffFactor);
     state_.good_steps = 0;
     return false;
 }

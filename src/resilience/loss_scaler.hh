@@ -9,8 +9,8 @@
  * costs no precision in the FP32 master copies.
  *
  * State machine: a step whose gradients scan non-finite is *skipped*
- * (no weight update) and the scale backs off; after growth_interval
- * consecutive healthy steps the scale grows. The full state is a
+ * (no weight update) and the scale halves; after growth_interval
+ * consecutive healthy steps the scale doubles. The full state is a
  * plain struct that the checkpoint engine serializes, so a rollback
  * restores the scaler to the exact point of the snapshot.
  */
@@ -29,8 +29,6 @@ struct LossScalerConfig
     /// scaled training path bit-identical to the unscaled trainer.
     bool enabled = false;
     float init_scale = 256.0f;
-    float growth_factor = 2.0f;   ///< multiplier after a healthy run
-    float backoff_factor = 0.5f;  ///< multiplier after a bad step
     int growth_interval = 100;    ///< consecutive healthy steps to grow
     float min_scale = 1.0f;
     /// Conservative ceiling: DLFloat16 chunk accumulation saturates

@@ -16,6 +16,11 @@ trainerFaultConfig(FaultConfig fault)
     return fault;
 }
 
+/// Unscaled-gradient magnitude ceiling: a finite gradient above this
+/// is an outlier (a flipped exponent bit produces huge values far
+/// more often than NaN).
+constexpr double kGradLimit = 1e3;
+
 } // namespace
 
 void
@@ -33,16 +38,13 @@ validateResilienceConfig(const ResilienceConfig &cfg)
     RAPID_CHECK_ARG(cfg.max_rollbacks >= 0,
                     "ResilienceConfig.max_rollbacks must be >= 0, got ",
                     cfg.max_rollbacks);
-    RAPID_CHECK_ARG(cfg.deescalation_clean_steps >= 1,
-                    "ResilienceConfig.deescalation_clean_steps must be "
-                    ">= 1, got ", cfg.deescalation_clean_steps);
 }
 
 ResilientTrainer::ResilientTrainer(const MlpConfig &model_cfg,
                                    const ResilienceConfig &cfg)
     : cfg_(cfg), model_(model_cfg),
       injector_(trainerFaultConfig(cfg.fault)), scaler_(cfg.scaler),
-      sentinel_(cfg.sentinel), base_precision_(model_cfg.precision)
+      sentinel_(cfg.sentinel)
 {
     validateResilienceConfig(cfg);
     model_.setFaultInjector(&injector_);
@@ -77,7 +79,6 @@ ResilientTrainer::rollbackTo(const TrainerCheckpoint &ckpt)
     step_ = ckpt.step;
     if (classes_.size() > size_t(step_))
         classes_.resize(size_t(step_));
-    clean_streak_ = 0; // replayed history must re-earn the cooldown
 }
 
 bool
@@ -120,18 +121,6 @@ ResilientTrainer::finishStep(StepClass attempt_class)
     classes_.push_back(final_class);
     step_rollbacks_.erase(step_);
     ++step_;
-    if (final_class == StepClass::Clean)
-        ++clean_streak_;
-    else
-        clean_streak_ = 0;
-    if (cfg_.enable_deescalation &&
-        clean_streak_ >= uint64_t(cfg_.deescalation_clean_steps) &&
-        model_.precision() == TrainPrecision::FP16 &&
-        base_precision_ == TrainPrecision::HFP8) {
-        model_.setPrecision(TrainPrecision::HFP8);
-        ++deescalations_;
-        clean_streak_ = 0; // a relapse must re-earn the cooldown too
-    }
     if (reckpt_pending_ && step_ > reckpt_after_) {
         reckpt_pending_ = false;
         takeCheckpoint();
@@ -183,9 +172,7 @@ ResilientTrainer::runSteps(const Dataset &train, int64_t batch_size,
             // before the update is applied (compare unscaled).
             const bool outlier =
                 cfg_.enable_sentinels && finite_ok &&
-                cfg_.sentinel.grad_limit > 0 &&
-                double(health.grad_max_abs) >
-                    cfg_.sentinel.grad_limit * double(scale);
+                double(health.grad_max_abs) > kGradLimit * double(scale);
             const bool apply =
                 cfg_.enable_sentinels
                     ? finite_ok && !spike && !outlier
@@ -294,7 +281,6 @@ ResilientTrainer::stats() const
     s.retries = retries_;
     s.rollbacks = rollbacks_;
     s.escalations = escalations_;
-    s.deescalations = deescalations_;
     s.checkpoints = checkpoints_;
     s.replayed = replayed_;
     return s;

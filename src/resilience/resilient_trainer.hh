@@ -18,10 +18,7 @@
  *      time-like and never rewound) -> rollback to the last
  *      checkpoint -> escalate precision HFP8 -> FP16 ->
  *      force-skip the update (AMP semantics) as the terminal guard.
- *      FP16 need not be terminal: an optional cooldown rung
- *      de-escalates back to the configured HFP8 once enough
- *      consecutive clean steps prove the incident has passed (the
- *      streak resets on any recovery action or rollback).
+ *      Escalation is once per run: FP16 stays for the rest of it.
  *   4. Healthy attempts apply the update; periodic checkpoints
  *      snapshot the complete training state.
  *
@@ -73,13 +70,6 @@ struct ResilienceConfig
     bool enable_retry = true;
     bool enable_rollback = true;
     bool enable_escalation = true; ///< HFP8 -> FP16 precision bump
-    /// Cooldown rung: after an escalation, return to the configured
-    /// HFP8 precision once deescalation_clean_steps consecutive
-    /// steps completed Clean (escalation is monotonic per incident,
-    /// not per run). Off by default — the paper's baseline ladder.
-    bool enable_deescalation = false;
-    /// Consecutive Clean steps that end the FP16 cooldown.
-    int deescalation_clean_steps = 50;
     /// When false the runtime is blind: every computed update is
     /// applied, healthy or not — the baseline the sentinel + ladder
     /// configurations are measured against.
@@ -110,10 +100,7 @@ struct RecoveryStats
     uint64_t skipped = 0;
     uint64_t retries = 0;     ///< individual retry attempts
     uint64_t rollbacks = 0;   ///< rollback events
-    /// Precision escalations: at most 1 without de-escalation; with
-    /// the cooldown rung each new incident may escalate again.
-    uint64_t escalations = 0;
-    uint64_t deescalations = 0; ///< cooldown returns to HFP8
+    uint64_t escalations = 0; ///< HFP8 -> FP16 bumps (at most 1)
     uint64_t checkpoints = 0; ///< snapshots taken
     uint64_t replayed = 0;    ///< completed steps recomputed by rollback
 
@@ -197,15 +184,8 @@ class ResilientTrainer
     uint64_t retries_ = 0;
     uint64_t rollbacks_ = 0;
     uint64_t escalations_ = 0;
-    uint64_t deescalations_ = 0;
     uint64_t checkpoints_ = 0;
     uint64_t replayed_ = 0;
-    /// Consecutive Clean completions since the last recovery action;
-    /// feeds the de-escalation cooldown.
-    uint64_t clean_streak_ = 0;
-    /// Precision the model was configured with (the de-escalation
-    /// target; only HFP8-based models ever de-escalate).
-    TrainPrecision base_precision_ = TrainPrecision::FP32;
 };
 
 } // namespace rapid

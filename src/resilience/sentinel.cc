@@ -23,9 +23,6 @@ validateSentinelConfig(const SentinelConfig &cfg)
     RAPID_CHECK_ARG(std::isfinite(cfg.abs_floor) && cfg.abs_floor >= 0,
                     "SentinelConfig.abs_floor must be finite and >= 0, "
                     "got ", cfg.abs_floor);
-    RAPID_CHECK_ARG(std::isfinite(cfg.grad_limit) && cfg.grad_limit >= 0,
-                    "SentinelConfig.grad_limit must be finite and >= 0, "
-                    "got ", cfg.grad_limit);
 }
 
 HealthSentinel::HealthSentinel(const SentinelConfig &cfg) : cfg_(cfg)

@@ -58,10 +58,6 @@ struct SentinelConfig
     /// Losses below this are never spike *baselines* of zero: the
     /// threshold is max(spike_factor x median, abs_floor).
     double abs_floor = 1e-3;
-    /// Unscaled-gradient magnitude ceiling: a finite gradient above
-    /// this is an outlier (a flipped exponent bit produces huge
-    /// values far more often than NaN). 0 disables the check.
-    double grad_limit = 1e3;
 };
 
 /** Throw rapid::Error when @p cfg holds out-of-range knobs. */

@@ -7,7 +7,6 @@
 
 #include "common/logging.hh"
 #include "common/table.hh"
-#include "serve/queue_delay.hh"
 
 namespace rapid {
 
@@ -171,66 +170,6 @@ computeMetrics(const ServeConfig &cfg, const ServeResult &result)
     out.mean_queue_depth =
         span > 0 ? result.queue_depth_integral / double(span) : 0.0;
     out.max_queue_depth = result.max_queue_depth;
-
-    // Observed queue-delay slice: replay each completed request's
-    // wait into its (network, precision) queue's history-window
-    // estimator, in completion (launch) order so the window holds the
-    // most recent waits, and report the window stats beside the
-    // proven admission bounds on the same requests. Queues are ordered
-    // by (network name, precision); each tenant's first queue index is
-    // computed once.
-    constexpr size_t kPrecisions = size_t(Precision::INT2) + 1;
-    std::vector<std::string> nets;
-    for (const TenantConfig &t : cfg.tenants)
-        nets.push_back(t.network);
-    std::sort(nets.begin(), nets.end());
-    nets.erase(std::unique(nets.begin(), nets.end()), nets.end());
-    std::vector<size_t> tenant_queues(cfg.tenants.size());
-    for (size_t ti = 0; ti < cfg.tenants.size(); ++ti)
-        tenant_queues[ti] =
-            kPrecisions *
-            size_t(std::lower_bound(nets.begin(), nets.end(),
-                                    cfg.tenants[ti].network) -
-                   nets.begin());
-    std::vector<std::vector<const RequestRecord *>> queues(
-        nets.size() * kPrecisions);
-    for (const RequestRecord &r : result.requests)
-        if (!r.shed && !r.failed)
-            queues[tenant_queues[r.tenant] + size_t(r.precision)]
-                .push_back(&r);
-    for (size_t qi = 0; qi < queues.size(); ++qi) {
-        std::vector<const RequestRecord *> &done = queues[qi];
-        if (done.empty())
-            continue;
-        std::stable_sort(
-            done.begin(), done.end(),
-            [](const RequestRecord *a, const RequestRecord *b) {
-                return a->launch_ns < b->launch_ns;
-            });
-        double bound_sum = 0;
-        int64_t bound_max = 0;
-        for (const RequestRecord *r : done) {
-            bound_sum += double(r->predicted_ns);
-            bound_max = std::max(bound_max, r->predicted_ns);
-        }
-        // Only the last window of waits survives a replay. Starting at
-        // a multiple of the window, the tail fills every slot a full
-        // replay would, with the same value.
-        QueueDelayEstimator est;
-        const size_t n = done.size();
-        const size_t w = est.capacity();
-        for (size_t i = n < w ? 0 : (n - w) / w * w; i < n; ++i)
-            est.record(done[i]->queueWaitNs());
-        QueueWaitMetrics qw;
-        qw.network = nets[qi / kPrecisions];
-        qw.precision = Precision(qi % kPrecisions);
-        qw.samples = n;
-        qw.observed_mean_ns = est.meanNs();
-        qw.observed_p95_ns = est.p95Ns();
-        qw.bound_mean_ns = int64_t(bound_sum / double(n));
-        qw.bound_max_ns = bound_max;
-        out.queue_waits.push_back(qw);
-    }
 
     out.overload_active = cfg.overload.anyEnabled();
     for (const QueueOverloadStats &qs : result.queue_overload) {

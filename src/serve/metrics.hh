@@ -88,26 +88,6 @@ struct TenantMetrics
     }
 };
 
-/**
- * Observed queue-delay slice for one (network, precision) batching
- * queue: history-window mean/p95 of the waits completed requests
- * actually experienced, reported beside the router's admission-time
- * prediction on the same requests. With the default bound-only router
- * every individual wait is covered by its own request's bound, so
- * both window stats are <= bound_max_ns; the mean-vs-mean gap is the
- * headroom the calibrated tier (cfg.overload.admission) reclaims.
- */
-struct QueueWaitMetrics
-{
-    std::string network;
-    Precision precision = Precision::INT4;
-    uint64_t samples = 0;         ///< completed requests observed
-    int64_t observed_mean_ns = 0; ///< estimator window mean
-    int64_t observed_p95_ns = 0;  ///< estimator window p95
-    int64_t bound_mean_ns = 0;    ///< mean proven latency bound
-    int64_t bound_max_ns = 0;     ///< max proven latency bound
-};
-
 /** Whole-run aggregate view. */
 struct ServeMetrics
 {
@@ -119,10 +99,6 @@ struct ServeMetrics
     int64_t max_queue_depth = 0;
     double mean_batch_size = 0;
     uint64_t batches = 0;
-    /// Per-(network, precision) observed queue waits, ordered by
-    /// (network name, precision); queues that completed no request
-    /// are absent. Not rendered by serveReport/serveJsonRecord.
-    std::vector<QueueWaitMetrics> queue_waits;
     /// Overload-control aggregates (all zero when every feature is
     /// off; overload_active mirrors cfg.overload.anyEnabled() and
     /// gates the extra serveReport line so overload-off goldens are

@@ -43,19 +43,6 @@ QueueDelayEstimator::record(int64_t wait_ns)
     }
     window_[next_] = wait_ns;
     next_ = (next_ + 1) % window_.size();
-    ++count_;
-}
-
-int64_t
-QueueDelayEstimator::meanNs() const
-{
-    const size_t n = windowFill();
-    if (n == 0)
-        return 0;
-    double sum = 0;
-    for (size_t i = 0; i < n; ++i)
-        sum += double(window_[i]);
-    return int64_t(sum / double(n));
 }
 
 int64_t

@@ -8,14 +8,12 @@
  * sits far below it, so the router sheds requests that would have met
  * their deadline comfortably. This estimator records the waits
  * requests actually experienced, per (network, precision) queue, over
- * a sliding history window, and exposes the window mean and p95 next
- * to the hard bound.
+ * a sliding history window, and exposes the window p95 next to the
+ * hard bound.
  *
- * Two consumers: the metrics layer replays completed waits through it
- * for the observational QueueWaitMetrics slice, and the calibrated
- * admission tier (serve/overload.hh) feeds it online at launch time
- * and routes against windowFill()/p95Ns() when the window is warm —
- * the closing ROADMAP item 5 slice.
+ * The calibrated admission tier (serve/overload.hh) feeds it online
+ * at launch time and routes against windowFill()/p95Ns() when the
+ * window is warm.
  *
  * The router asks for the p95 on every routing decision, so a sorted
  * mirror of the ring is kept beside it: record() moves the evicted
@@ -32,7 +30,7 @@
 
 namespace rapid {
 
-/** Sliding-window mean/p95 over observed queue waits. */
+/** Sliding-window p95 over observed queue waits. */
 class QueueDelayEstimator
 {
   public:
@@ -47,17 +45,8 @@ class QueueDelayEstimator
      *  observation once the window is full. */
     void record(int64_t wait_ns);
 
-    /** Total observations ever recorded. */
-    uint64_t count() const { return count_; }
-
-    /** History length the window holds once full. */
-    size_t capacity() const { return window_.size(); }
-
     /** Observations currently in the window. */
     size_t windowFill() const { return sorted_.size(); }
-
-    /** Mean wait over the window (0 when empty). */
-    int64_t meanNs() const;
 
     /** Nearest-rank p95 wait over the window (0 when empty). */
     int64_t p95Ns() const;
@@ -66,7 +55,6 @@ class QueueDelayEstimator
     std::vector<int64_t> window_; ///< ring buffer
     std::vector<int64_t> sorted_; ///< the filled slots, ascending
     size_t next_ = 0;             ///< next slot to overwrite
-    uint64_t count_ = 0;
 };
 
 } // namespace rapid

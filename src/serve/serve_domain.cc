@@ -444,15 +444,14 @@ ServeDomainCore::injectArrival(int64_t time_ns, unsigned tenant,
     return id;
 }
 
-HaltReport
+std::vector<OrphanRequest>
 ServeDomainCore::halt()
 {
     rapid_assert(bootstrapped_ && !dead_,
                  "halt outside the live window");
     dead_ = true;
     halt_ns_ = dom_.now();
-    HaltReport report;
-    report.halt_ns = halt_ns_;
+    std::vector<OrphanRequest> orphans;
 
     auto file = [&](uint64_t id, bool admitted) {
         RequestRecord &rec = result_.requests[id];
@@ -462,7 +461,7 @@ ServeDomainCore::halt()
         o.tenant = rec.tenant;
         o.arrival_ns = rec.arrival_ns;
         o.admitted = admitted;
-        report.orphans.push_back(o);
+        orphans.push_back(o);
     };
 
     // In-flight launched requests (the executor died mid-batch), in
@@ -502,7 +501,7 @@ ServeDomainCore::halt()
         file(a.id, false);
     }
     next_arrival_ = arrivals_.size();
-    return report;
+    return orphans;
 }
 
 void

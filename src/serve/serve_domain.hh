@@ -72,13 +72,6 @@ struct OrphanRequest
     bool admitted = false; ///< queued or in flight (vs trace remainder)
 };
 
-/** halt() outcome: the instant plus the stranded-request manifest. */
-struct HaltReport
-{
-    int64_t halt_ns = 0;
-    std::vector<OrphanRequest> orphans;
-};
-
 /** Event-driven serving scheduler bound to one DES domain. */
 class ServeDomainCore
 {
@@ -123,7 +116,7 @@ class ServeDomainCore
      * Subsequent events on the domain are no-ops, and end_ns freezes
      * at the halt instant.
      */
-    HaltReport halt();
+    std::vector<OrphanRequest> halt();
 
     /** Switch the latency table used by future launches (degraded
      *  mode). @p table must outlive the core. */

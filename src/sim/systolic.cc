@@ -121,40 +121,6 @@ SystolicArraySim::outputCap() const
     return int64_t(corelet_.mpe_cols) * corelet_.mpe.fpu_simd_lanes;
 }
 
-std::vector<MpeInstruction>
-SystolicArraySim::buildTileProgram(int64_t stream_len) const
-{
-    std::vector<MpeInstruction> prog;
-    MpeInstruction set_prec;
-    set_prec.op = Opcode::SetPrec;
-    set_prec.prec = precision_;
-    prog.push_back(set_prec);
-    if (precision_ == Precision::HFP8) {
-        MpeInstruction set_bias;
-        set_bias.op = Opcode::SetBias;
-        set_bias.imm = uint16_t(fwdBias_);
-        prog.push_back(set_bias);
-    }
-    // Block-load the stationary weights into LRF register 0.
-    prog.push_back(makeLrfLoad(0));
-    // Streamed FMMA: operand A from the west link, operand B from the
-    // LRF, accumulator continues the south chain.
-    MpeInstruction fmma =
-        makeFmma(precision_, OperandSel::West, OperandSel::Lrf, 1, 0);
-    fmma.imm = uint16_t(std::min<int64_t>(stream_len, 0xffff));
-    prog.push_back(fmma);
-    prog.push_back(makeMovSouth(1));
-    prog.push_back(makeHalt());
-
-    // The hardware consumes encoded words; round-trip through the
-    // encoder so the simulation exercises the ISA format.
-    std::vector<MpeInstruction> decoded;
-    decoded.reserve(prog.size());
-    for (const auto &inst : prog)
-        decoded.push_back(MpeInstruction::decode(inst.encode()));
-    return decoded;
-}
-
 SystolicResult
 SystolicArraySim::gemm(const Tensor &a, const Tensor &b, Fp8Kind a_kind,
                        Fp8Kind b_kind)
@@ -173,7 +139,6 @@ SystolicArraySim::gemm(const Tensor &a, const Tensor &b, Fp8Kind a_kind,
     uint64_t fault_item = 0;
     SystolicResult res;
     res.c = Tensor({m, n});
-    res.program = buildTileProgram(m);
 
     const double wt_bytes_per_elem = operandBytes(precision_);
 

@@ -1,10 +1,11 @@
 /**
  * @file
- * Cycle-level simulator of one corelet's systolic MPE array executing
- * a generated MPE ISA program (Figure 4). Used to validate the
- * analytical dataflow model's cycle counts and to demonstrate that
- * the ISA + bit-accurate datapath reproduce the functional executors'
- * numerics exactly.
+ * Cycle-level simulator of one corelet's systolic MPE array running a
+ * GEMM (Figure 4). It computes the GEMM directly on the bit-accurate
+ * datapath, with no instruction stream: it validates the analytical
+ * dataflow model's cycle counts and shows that the datapath
+ * reproduces the functional executors' numerics exactly. The MPE ISA
+ * itself runs in MpeThread (sim/mpe_thread.hh).
  *
  * The simulated dataflow is the paper's weight-stationary GEMM
  * mapping: the reduction dimension spans the rows (scaled by the
@@ -19,16 +20,15 @@
 #define RAPID_SIM_SYSTOLIC_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "arch/config.hh"
-#include "arch/isa.hh"
 #include "common/fault.hh"
+#include "precision/mpe_datapath.hh"
 #include "tensor/tensor.hh"
 
 namespace rapid {
 
-/** Result of a simulated GEMM. */
+/** Result of a GEMM the array computed directly (no ISA program). */
 struct SystolicResult
 {
     Tensor c;              ///< DLFloat16-valued output (M x N)
@@ -37,7 +37,6 @@ struct SystolicResult
     uint64_t fmas = 0;     ///< FMA slots issued
     uint64_t zero_gated = 0;
     FaultStats faults;     ///< MacOutput-site injection outcome
-    std::vector<MpeInstruction> program; ///< the executed inner loop
 };
 
 /** One corelet's MPE array, cycle-level. */
@@ -65,14 +64,6 @@ class SystolicArraySim
 
     /** Output capacity (cols x SIMD lanes). */
     int64_t outputCap() const;
-
-    /**
-     * Build the data-processing program for one tile pass: set
-     * precision/bias, block-load the LRF, stream FMMAs, drain south.
-     * Exposed so tests can check the encoding round-trips.
-     */
-    std::vector<MpeInstruction> buildTileProgram(int64_t stream_len)
-        const;
 
     /**
      * Attach a fault injector (MacOutput site); nullptr detaches.

@@ -142,8 +142,8 @@ TEST(Dataflow, DepthwiseMapsKernelAlongRows)
     l.kh = l.kw = 3;
     l.pad_h = l.pad_w = 1;
     MappedShape s = mappedShape(l, 1);
-    EXPECT_TRUE(s.depthwise);
     EXPECT_EQ(s.reduction, 9);
+    EXPECT_EQ(s.kernel, 1);
     EXPECT_EQ(s.outputs, 64);
     // At INT4 the 9-deep reduction wastes most of the 64-wide
     // capacity: the mobile-network effect of Section V-B.

@@ -617,17 +617,14 @@ TEST_F(ServeTest, EnergyAccountingMatchesBatches)
 TEST_F(ServeTest, QueueDelayEstimatorWindowStatsAreExact)
 {
     // A repeating 8-value cycle fills the 256-slot window with exactly
-    // 32 copies of each value, so the window stats are computable by
-    // hand: mean 450, nearest-rank p95 at rank 244 -> 800.
+    // 32 copies of each value, so the window p95 is computable by
+    // hand: nearest rank 244 -> 800.
     QueueDelayEstimator est(256);
-    EXPECT_EQ(est.meanNs(), 0);
     EXPECT_EQ(est.p95Ns(), 0);
     for (int rep = 0; rep < 100; ++rep)
         for (int64_t v = 100; v <= 800; v += 100)
             est.record(v);
-    EXPECT_EQ(est.count(), 800u);
     EXPECT_EQ(est.windowFill(), 256u);
-    EXPECT_EQ(est.meanNs(), 450);
     EXPECT_EQ(est.p95Ns(), 800);
     EXPECT_THROW(est.record(-1), Error);
     EXPECT_THROW(QueueDelayEstimator{0}, Error);
@@ -639,8 +636,8 @@ TEST_F(ServeTest, QueueDelayEstimatorWindowStatsAreExact)
 
 TEST_F(ServeTest, QueueDelayEstimatorConvergesOnStationaryWorkload)
 {
-    // On a stationary stream the window mean must settle near the
-    // distribution mean and stay there as the window slides; an old
+    // On a stationary stream the window p95 must settle near the
+    // distribution's and stay there as the window slides; an old
     // transient must be fully evicted.
     QueueDelayEstimator est(256);
     for (int i = 0; i < 256; ++i)
@@ -648,24 +645,19 @@ TEST_F(ServeTest, QueueDelayEstimatorConvergesOnStationaryWorkload)
     Rng rng(77);
     for (int i = 0; i < 4096; ++i)
         est.record(rng.uniformInt(900, 1100));
-    EXPECT_EQ(est.count(), 256u + 4096u);
-    EXPECT_GE(est.meanNs(), 950);
-    EXPECT_LE(est.meanNs(), 1050);
     EXPECT_GE(est.p95Ns(), 1050);
     EXPECT_LE(est.p95Ns(), 1100);
 }
 
 TEST_F(ServeTest, QueueDelayEstimatorSingleSampleAndWrapAround)
 {
-    // One sample: both window stats collapse to it (and zero waits
-    // are legal observations).
+    // One sample: the window p95 collapses to it (and zero waits are
+    // legal observations).
     QueueDelayEstimator one(4);
     one.record(0);
     EXPECT_EQ(one.windowFill(), 1u);
-    EXPECT_EQ(one.meanNs(), 0);
     EXPECT_EQ(one.p95Ns(), 0);
     one.record(500);
-    EXPECT_EQ(one.meanNs(), 250);
     EXPECT_EQ(one.p95Ns(), 500);
 
     // Ring wrap-around: the fifth record into a window of four must
@@ -674,15 +666,16 @@ TEST_F(ServeTest, QueueDelayEstimatorSingleSampleAndWrapAround)
     for (int64_t v : {10, 20, 30, 40})
         est.record(v);
     EXPECT_EQ(est.windowFill(), 4u);
-    EXPECT_EQ(est.meanNs(), 25);
-    est.record(50); // window now {20, 30, 40, 50}
+    EXPECT_EQ(est.p95Ns(), 40);
+    est.record(5); // window now {20, 30, 40, 5}
     EXPECT_EQ(est.windowFill(), 4u);
-    EXPECT_EQ(est.count(), 5u);
-    EXPECT_EQ(est.meanNs(), 35);
-    EXPECT_EQ(est.p95Ns(), 50);
-    est.record(60); // window now {30, 40, 50, 60}
-    EXPECT_EQ(est.meanNs(), 45);
-    EXPECT_EQ(est.p95Ns(), 60);
+    EXPECT_EQ(est.p95Ns(), 40);
+    est.record(6); // window now {30, 40, 5, 6}: evicts 20, not 5
+    EXPECT_EQ(est.p95Ns(), 40);
+    est.record(7); // window now {40, 5, 6, 7}
+    EXPECT_EQ(est.p95Ns(), 40);
+    est.record(8); // window now {5, 6, 7, 8}: the 40 is gone
+    EXPECT_EQ(est.p95Ns(), 8);
 }
 
 TEST_F(ServeTest, QueueDelayEstimatorPercentileIsOrderInvariant)
@@ -702,8 +695,6 @@ TEST_F(ServeTest, QueueDelayEstimatorPercentileIsOrderInvariant)
     EXPECT_EQ(asc.p95Ns(), 950);
     EXPECT_EQ(desc.p95Ns(), asc.p95Ns());
     EXPECT_EQ(mixed.p95Ns(), asc.p95Ns());
-    EXPECT_EQ(desc.meanNs(), asc.meanNs());
-    EXPECT_EQ(mixed.meanNs(), asc.meanNs());
 }
 
 // The copy-and-sort window p95 the estimator computed before it kept a
@@ -724,7 +715,6 @@ TEST_F(ServeTest, QueueDelayEstimatorMatchesCopyAndSortOracle)
     // evictions hit runs of equal values from both sides.
     for (size_t w : {1, 2, 3, 255, 256, 512}) {
         QueueDelayEstimator est(w);
-        ASSERT_EQ(est.capacity(), w);
         std::vector<int64_t> ring(w, 0);
         size_t next = 0, fill = 0;
         Rng rng(1000 + w);
@@ -741,17 +731,11 @@ TEST_F(ServeTest, QueueDelayEstimatorMatchesCopyAndSortOracle)
             ring[next] = v;
             next = (next + 1) % w;
             fill = std::min(fill + 1, w);
-            double sum = 0;
-            for (size_t i = 0; i < fill; ++i)
-                sum += double(ring[i]);
             ASSERT_EQ(est.windowFill(), fill) << "w " << w << " step "
                                               << step;
             ASSERT_EQ(est.p95Ns(), referenceP95(ring, fill))
                 << "w " << w << " step " << step;
-            ASSERT_EQ(est.meanNs(), int64_t(sum / double(fill)))
-                << "w " << w << " step " << step;
         }
-        EXPECT_EQ(est.count(), steps);
     }
 }
 
@@ -844,123 +828,24 @@ TEST_F(ServeTest, SummarizeLatenciesMatchesSortThenSummarize)
     expectSummaryMatchesOracle(big, "sum beyond 2^53");
 }
 
-TEST_F(ServeTest, QueueWaitTailReplayMatchesFullReplay)
-{
-    // computeMetrics replays only the aligned tail of each queue's
-    // waits; a full replay of every completed request, in launch order
-    // with record order breaking ties, is the oracle. Queue sizes sit
-    // on and around multiples of the window. Records interleave the
-    // queues, share launch instants and arrive out of launch order,
-    // and shed and failed records must be skipped.
-    const size_t w = QueueDelayEstimator().capacity();
-    const std::vector<size_t> sizes{0, 1, w - 1, w, w + 1,
-                                    2 * w, 2 * w + 1, 5 * w + 3};
-    ServeConfig cfg;
-    for (size_t i = 0; i < sizes.size(); ++i) {
-        TenantConfig t;
-        t.name = "t" + std::to_string(i);
-        // Two tenants per network, in reverse name order, so queue
-        // order is not tenant order.
-        t.network = "net" + std::to_string(9 - i / 2);
-        cfg.tenants.push_back(t);
-    }
-    const Precision precisions[] = {Precision::INT4, Precision::HFP8,
-                                    Precision::FP16, Precision::INT2};
-    ServeResult res;
-    res.horizon_ns = 1'000'000'000;
-    Rng rng(55);
-    std::vector<size_t> left = sizes;
-    for (bool any = true; any;) {
-        any = false;
-        for (size_t ti = 0; ti < sizes.size(); ++ti) {
-            RequestRecord r;
-            r.id = res.requests.size();
-            r.tenant = unsigned(ti);
-            r.arrival_ns = rng.uniformInt(0, 1'000'000);
-            if (left[ti] == 0) {
-                r.shed = true;
-                res.requests.push_back(r);
-                continue;
-            }
-            any = true;
-            --left[ti];
-            r.precision = precisions[ti % 4];
-            r.launch_ns = r.arrival_ns + 1000 * rng.uniformInt(0, 40);
-            r.completion_ns = r.launch_ns + 500;
-            r.predicted_ns = rng.uniformInt(1, 90'000);
-            res.requests.push_back(r);
-            if (rng.uniformInt(0, 9) == 0) {
-                RequestRecord f = r;
-                f.id = res.requests.size();
-                f.failed = true;
-                res.requests.push_back(f);
-            }
-        }
-    }
-    const ServeMetrics m = computeMetrics(cfg, res);
-
-    std::map<std::pair<std::string, int>, std::vector<RequestRecord>>
-        queues;
-    for (const RequestRecord &r : res.requests)
-        if (!r.shed && !r.failed)
-            queues[{cfg.tenants[r.tenant].network, int(r.precision)}]
-                .push_back(r);
-    ASSERT_EQ(m.queue_waits.size(), queues.size());
-    size_t qi = 0;
-    for (auto &[key, done] : queues) {
-        std::stable_sort(done.begin(), done.end(),
-                         [](const RequestRecord &a,
-                            const RequestRecord &b) {
-                             return a.launch_ns < b.launch_ns;
-                         });
-        QueueDelayEstimator est;
-        double bound_sum = 0;
-        int64_t bound_max = 0;
-        for (const RequestRecord &r : done) {
-            est.record(r.queueWaitNs());
-            bound_sum += double(r.predicted_ns);
-            bound_max = std::max(bound_max, r.predicted_ns);
-        }
-        const QueueWaitMetrics &q = m.queue_waits[qi++];
-        const std::string what =
-            key.first + "/" + std::to_string(key.second);
-        EXPECT_EQ(q.network, key.first) << what;
-        EXPECT_EQ(int(q.precision), key.second) << what;
-        EXPECT_EQ(q.samples, done.size()) << what;
-        EXPECT_EQ(q.observed_mean_ns, est.meanNs()) << what;
-        EXPECT_EQ(q.observed_p95_ns, est.p95Ns()) << what;
-        EXPECT_EQ(q.bound_mean_ns,
-                  int64_t(bound_sum / double(done.size())))
-            << what;
-        EXPECT_EQ(q.bound_max_ns, bound_max) << what;
-    }
-    // Every non-empty size appears as one queue's sample count.
-    std::vector<uint64_t> got;
-    for (const QueueWaitMetrics &q : m.queue_waits)
-        got.push_back(q.samples);
-    std::sort(got.begin(), got.end());
-    EXPECT_EQ(got, (std::vector<uint64_t>(sizes.begin() + 1,
-                                          sizes.end())));
-}
-
 TEST_F(ServeTest, ObservedQueueWaitsSitUnderProvenBound)
 {
+    // The bound-only router admits a request only when its proven
+    // latency bound holds, so every admitted request's queue wait sits
+    // under its own admission-time bound.
     const ServeConfig cfg = singleTenantConfig(1500.0);
     const ServeResult r = ServeSim(makeInferenceChip(), cfg).run();
-    const ServeMetrics m = computeMetrics(cfg, r);
-    ASSERT_FALSE(m.queue_waits.empty());
-    uint64_t samples = 0;
-    for (const QueueWaitMetrics &w : m.queue_waits) {
-        EXPECT_GT(w.samples, 0u);
-        samples += w.samples;
-        // Every individual wait is covered by its own request's
-        // proven bound, so the window stats sit under the max bound.
-        EXPECT_LE(w.observed_mean_ns, w.bound_max_ns);
-        EXPECT_LE(w.observed_p95_ns, w.bound_max_ns);
-        EXPECT_GE(w.observed_mean_ns, 0);
-        EXPECT_GE(w.bound_mean_ns, 0);
+    uint64_t admitted = 0;
+    for (const RequestRecord &rec : r.requests) {
+        if (rec.shed || rec.failed)
+            continue;
+        ++admitted;
+        EXPECT_GE(rec.queueWaitNs(), 0) << "request " << rec.id;
+        EXPECT_LE(rec.queueWaitNs(), rec.predicted_ns)
+            << "request " << rec.id;
     }
-    EXPECT_EQ(samples, m.total.completed);
+    EXPECT_GT(admitted, 0u);
+    EXPECT_EQ(admitted, computeMetrics(cfg, r).total.completed);
 }
 
 // ---------------------------------------------------------------------
@@ -1582,19 +1467,19 @@ TEST_F(ServeTest, HaltFilesOnlyUnadmittedInjectedArrivals)
     ServeDomainCore core(sim, dom);
     core.start();
     std::vector<uint64_t> ids;
-    HaltReport rep;
+    std::vector<OrphanRequest> orphans;
     dom.schedule(1 * kMs, ServeDomainCore::kPriOverlay, [&] {
         for (int64_t at_ms : {1, 3, 2, 5, 4})
             ids.push_back(core.injectArrival(at_ms * kMs, 0, 10 * kMs));
     });
     dom.schedule(3 * kMs, ServeDomainCore::kPriOverlay,
-                 [&] { rep = core.halt(); });
+                 [&] { orphans = core.halt(); });
     engine.run();
 
     ASSERT_EQ(ids.size(), 5u);
     std::vector<uint64_t> unadmitted;
     std::map<uint64_t, int> filed;
-    for (const OrphanRequest &o : rep.orphans) {
+    for (const OrphanRequest &o : orphans) {
         ++filed[o.id];
         if (!o.admitted)
             unadmitted.push_back(o.id);

@@ -208,26 +208,6 @@ TEST(Systolic, CycleCountTracksAnalyticalModel)
     EXPECT_GE(double(res.cycles), analytical); // fill/drain only adds
 }
 
-TEST(Systolic, TileProgramEncodesAndDisassembles)
-{
-    SystolicArraySim sim(corelet8x8(), Precision::HFP8, 6);
-    auto prog = sim.buildTileProgram(64);
-    ASSERT_GE(prog.size(), 5u);
-    EXPECT_EQ(prog[0].op, Opcode::SetPrec);
-    EXPECT_EQ(prog[0].prec, Precision::HFP8);
-    EXPECT_EQ(prog[1].op, Opcode::SetBias);
-    EXPECT_EQ(prog[1].imm, 6);
-    EXPECT_EQ(prog.back().op, Opcode::Halt);
-    // Round-tripped through encode(): still prints sensibly.
-    bool has_fmma = false;
-    for (const auto &inst : prog)
-        if (inst.op == Opcode::Fmma) {
-            has_fmma = true;
-            EXPECT_EQ(inst.toString().substr(0, 9), "fmma.HFP8");
-        }
-    EXPECT_TRUE(has_fmma);
-}
-
 TEST(Systolic, MatchesFunctionalExecutorWithSingleChunk)
 {
     // The functional hfp8Matmul with chunk >= K and FP16-chained
