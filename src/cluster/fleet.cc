@@ -655,7 +655,8 @@ FleetSim::FleetSim(const ChipConfig &chip, const ClusterConfig &cfg)
     // keeps the always-on checks ahead of the field copies.
     : chip_((validateClusterConfig(cfg), validateChipConfig(chip),
              chip)),
-      cfg_(cfg), plan_(buildFailurePlan(cfg_))
+      cfg_(cfg), plan_(buildFailurePlan(cfg_)),
+      degraded_chip_(degradeChip(chip_, cfg_.failures.degrade_dead_cores))
 {
     sims_.reserve(cfg_.num_chips);
     for (size_t i = 0; i < cfg_.num_chips; ++i)
@@ -666,7 +667,6 @@ FleetSim::FleetSim(const ChipConfig &chip, const ClusterConfig &cfg)
     // dead-core mask. Shard tables are identical across chips (every
     // shard carries the full tenant list), so one degraded table
     // serves the whole fleet.
-    degraded_chip_ = degradeChip(chip_, cfg_.failures.degrade_dead_cores);
     const ServeSim &shard0 = *sims_[0];
     std::vector<Network> nets;
     nets.reserve(shard0.networkNames().size());

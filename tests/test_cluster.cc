@@ -431,7 +431,8 @@ TEST_F(ClusterTest, StrikeWindowConfinesSeededFailurePlan)
         EXPECT_GE(f.time_ns, int64_t(0.1 * horizon));
         EXPECT_LE(f.time_ns, int64_t(0.9 * horizon));
     }
-    // The plan is sorted by time.
+    // The plan is sorted by time: its first and last strikes sit near
+    // the two edges of the window.
     EXPECT_LT(plan.front().time_ns, int64_t(0.15 * horizon));
     EXPECT_GT(plan.back().time_ns, int64_t(0.85 * horizon));
 }
