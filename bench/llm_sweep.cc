@@ -151,11 +151,7 @@ batchingRampSection()
                 computeLlmMetrics(cfgs[point], results[point]);
             ++point;
             row.push_back(Table::fmt(m.total.goodput_rps, 1));
-            row.push_back(
-                m.total.offered
-                    ? Table::fmt(100.0 * double(m.total.shed) /
-                                     double(m.total.offered), 1) + "%"
-                    : "-");
+            row.push_back(Table::pct(m.total.shed, m.total.offered));
             row.push_back(Table::fmt(m.mean_decode_live, 1) + "/" +
                           Table::fmt(m.mean_decode_batch, 1));
             if (m.total.goodput_rps >= 0.9 * m.total.offered_rps)

@@ -120,11 +120,7 @@ rampSection(const char *title, const char *section,
                 computeMetrics(cfgs[point], results[point]);
             ++point;
             row.push_back(Table::fmt(m.total.goodput_rps, 1));
-            row.push_back(
-                m.total.offered
-                    ? Table::fmt(100.0 * double(m.total.shed) /
-                                     double(m.total.offered), 1) + "%"
-                    : "-");
+            row.push_back(Table::pct(m.total.shed, m.total.offered));
             row.push_back(
                 Table::fmt(double(m.total.latency.p99) * 1e-6, 2));
             sweepRecord("serve",
@@ -243,10 +239,7 @@ faultTailSection()
         const ServeMetrics m = computeMetrics(cfg, results[point]);
         t.addRow({faultConfigSummary(cfg.fault),
                   Table::fmt(m.total.goodput_rps, 1),
-                  m.total.offered
-                      ? Table::fmt(100.0 * double(m.total.shed) /
-                                       double(m.total.offered), 1) + "%"
-                      : "-",
+                  Table::pct(m.total.shed, m.total.offered),
                   Table::fmt(double(m.total.latency.p50) * 1e-6, 2),
                   Table::fmt(double(m.total.latency.p99) * 1e-6, 2),
                   Table::fmt(m.energy_per_request_mj, 2)});

@@ -28,7 +28,6 @@ main()
 
     MlpConfig cfg;
     cfg.dims = {2, 48, 48, 2};
-    cfg.use_pact = true;
     cfg.pact_bits = 4;
     cfg.seed = 11;
     Mlp model(cfg);

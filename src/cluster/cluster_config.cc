@@ -7,7 +7,6 @@
 #include "common/error.hh"
 #include "common/fault.hh"
 #include "common/random.hh"
-#include "interconnect/ring.hh"
 
 namespace rapid {
 
@@ -44,13 +43,11 @@ fabricDelayNs(size_t num_chips, size_t src, size_t dst)
     RAPID_CHECK_ARG(src <= num_chips && dst <= num_chips && src != dst,
                     "fabricDelayNs: bad ring endpoints ", src, " -> ",
                     dst, " on ", num_chips, " chips");
-    RingConfig geometry;
-    geometry.num_nodes = unsigned(num_chips) + 1; // chips, then router
-    const RingNetwork ring(geometry);
-    const std::vector<unsigned> dsts{unsigned(dst)};
-    const RingDir dir = ring.chooseDirection(unsigned(src), dsts);
-    const unsigned hops =
-        ring.hopDistance(unsigned(src), unsigned(dst), dir);
+    // Each message goes the shorter way round the ring of chips plus
+    // the router.
+    const size_t nodes = num_chips + 1;
+    const size_t clockwise = (dst + nodes - src) % nodes;
+    const size_t hops = std::min(clockwise, nodes - clockwise);
     return kFabricBaseNs + int64_t(hops) * kFabricPerHopNs;
 }
 
@@ -67,8 +64,9 @@ validateClusterConfig(const ClusterConfig &cfg)
 {
     RAPID_CHECK_ARG(cfg.num_chips >= 1,
                     "ClusterConfig.num_chips must be >= 1");
-    // The fleet ring's node count (chips plus the router) is an
-    // unsigned; reject what it cannot hold before any hop arithmetic.
+    // Bound the chip count before any hop arithmetic, so that
+    // num_chips + 1 (chips plus the router) and the hop-delay
+    // products cannot wrap.
     RAPID_CHECK_CONFIG(
         cfg.num_chips < std::numeric_limits<unsigned>::max(),
         "ClusterConfig.num_chips ", cfg.num_chips,

@@ -168,8 +168,10 @@ struct PlannedFailure
 std::vector<PlannedFailure> buildFailurePlan(const ClusterConfig &cfg);
 
 /**
- * Chip-to-chip/router fabric latency model: messages ride the
- * interconnect ring (chips at nodes 0..N-1, router at node N) with a
+ * Chip-to-chip/router fabric latency model: the chips (nodes 0..N-1)
+ * and the router (node N) sit on one bidirectional ring, and each
+ * message takes the shorter way round it, as RaPiD's ring routes:
+ * min(d, N + 1 - d) hops for nodes d apart. A message costs a
  * 100 us software/RPC floor plus a fixed 10 us per hop; the
  * per-channel DES lookahead is exactly this message latency.
  * Checkpoint payloads add their bytes at a fixed 128 Gbit/s.

@@ -35,27 +35,20 @@ constexpr int64_t kTrainingBatchSize = 32;
 constexpr int64_t kTrainingSamplesPerClass = 128;
 constexpr uint64_t kTrainingDataSeed = 7;
 
-/** One request offered to a failover target by the router. */
-struct AdoptItem
-{
-    unsigned tenant = 0;
-    int64_t when = 0; ///< planned arrival (clamped at injection)
-    size_t origin_chip = 0;
-    uint64_t origin_id = 0;
-    int64_t origin_arrival_ns = 0;
-    int attempts = 0; ///< failover hops consumed, this one included
-};
-
-/** One stranded request reported to the router by a halting chip. */
-struct OrphanWire
+/** One request stranded by a halting chip. The chip reports it in its
+ *  death manifest; the router then updates it in place each time it
+ *  offers it to a failover target. */
+struct StrandedRequest
 {
     size_t origin_chip = 0;
     uint64_t origin_id = 0;
-    unsigned tenant = 0;
     int64_t origin_arrival_ns = 0;
-    int64_t local_arrival_ns = 0;
-    int attempts = 0; ///< hops already consumed before the halt
-    bool admitted = false;
+    unsigned tenant = 0;
+    /// Arrival on the halted chip; once dispatched, the planned
+    /// arrival on the target (clamped at injection).
+    int64_t when = 0;
+    int attempts = 0; ///< failover hops consumed
+    bool admitted = false; ///< admitted by the halted chip
 };
 
 struct FleetCell;
@@ -83,8 +76,7 @@ struct ChipHost
     uint64_t checkpoints_replicated = 0;
     bool restored = false;
     uint64_t restore_step = 0;
-    std::vector<uint8_t> replica_ckpt;
-    bool has_replica_ckpt = false;
+    std::vector<uint8_t> replica_ckpt; ///< empty until one arrives
 
     ChipHost(FleetCell &c, size_t i, DesDomain &d, const ServeSim &s)
         : cell(c), idx(i), dom(d), core(s, d)
@@ -93,7 +85,7 @@ struct ChipHost
 
     void heartbeat();
     void onFailure(bool degrade);
-    void onAdopt(std::vector<AdoptItem> items);
+    void onAdopt(std::vector<StrandedRequest> items);
     void buildTrainingData();
     void trainTick();
     void replicate();
@@ -110,40 +102,44 @@ struct RouterHost
     static constexpr int32_t kPriRecv = 0;
     static constexpr int32_t kPriCheck = 1;
 
-    /** Per-failover-target retry-budget token bucket, refilled on the
-     *  virtual clock. Starts full. */
-    struct Bucket
+    /** What the router knows of one chip. */
+    struct ChipView
     {
+        int64_t last_heard = 0;
+        /// When the router declared the chip dead; -1 while it is
+        /// believed alive (the first sweep runs at one heartbeat
+        /// period, so a declaration is always later than 0).
+        int64_t detect_ns = -1;
+        bool manifest_seen = false;
+        std::vector<StrandedRequest> manifest;
+        /// Retry-budget token bucket of this chip as a failover
+        /// target, refilled on the virtual clock. Starts full.
         double tokens = 0;
-        int64_t last_ns = 0;
+        int64_t tokens_ns = 0;
+
+        bool declared() const { return detect_ns >= 0; }
     };
 
     FleetCell &cell;
     DesDomain &dom;
-    std::vector<int64_t> last_heard;
-    std::vector<bool> declared;
-    std::vector<bool> manifest_seen;
-    std::vector<bool> processed;
-    std::vector<int64_t> detect_ns;
-    std::vector<std::vector<OrphanWire>> manifests;
-    std::vector<Bucket> buckets;
+    std::vector<ChipView> chips;
     std::vector<RetryDenial> denials;
 
-    RouterHost(FleetCell &c, DesDomain &d, size_t num_chips)
-        : cell(c), dom(d), last_heard(num_chips, 0),
-          declared(num_chips, false), manifest_seen(num_chips, false),
-          processed(num_chips, false), detect_ns(num_chips, -1),
-          manifests(num_chips), buckets(num_chips)
+    RouterHost(FleetCell &c, DesDomain &d, size_t num_chips,
+               double burst)
+        : cell(c), dom(d), chips(num_chips)
     {
+        for (ChipView &v : chips)
+            v.tokens = burst;
     }
 
-    void onHeartbeat(size_t chip) { last_heard[chip] = dom.now(); }
-    void onManifest(size_t chip, std::vector<OrphanWire> wires);
-    void onBounce(size_t from, std::vector<AdoptItem> items);
+    void onHeartbeat(size_t chip) { chips[chip].last_heard = dom.now(); }
+    void onManifest(size_t chip, std::vector<StrandedRequest> manifest);
+    void onBounce(size_t from, std::vector<StrandedRequest> items);
     void onCheck();
     void tryProcess(size_t chip);
     size_t successor(size_t from) const;
-    void dispatchTo(size_t target, std::vector<AdoptItem> items);
+    void dispatchTo(size_t target, std::vector<StrandedRequest> items);
     bool budgetAllow(size_t target);
 };
 
@@ -157,9 +153,6 @@ struct FleetCell
     DomainId router_dom = 0;
     std::vector<std::unique_ptr<ChipHost>> chips;
     std::unique_ptr<RouterHost> router;
-    /// One-way fabric latency between ring nodes (chips 0..N-1,
-    /// router at N), precomputed from the interconnect ring model.
-    std::vector<std::vector<int64_t>> lat;
     /// Heartbeats and liveness sweeps stop here so the engine drains:
     /// failures are confined to the horizon, so nothing can need
     /// detection later.
@@ -181,8 +174,8 @@ ChipHost::heartbeat()
     if (status.failed_stop)
         return;
     ++status.heartbeats_sent;
-    const size_t router_node = cell.cfg.num_chips;
-    dom.send(cell.router_dom, dom.now() + cell.lat[idx][router_node],
+    const size_t n = cell.cfg.num_chips;
+    dom.send(cell.router_dom, dom.now() + fabricDelayNs(n, idx, n),
              RouterHost::kPriRecv,
              [r = cell.router.get(), chip = idx] {
                  r->onHeartbeat(chip);
@@ -218,50 +211,41 @@ ChipHost::onFailure(bool degrade)
     // chip, transferred lazily — stranded requests joined with their
     // failover history so retry hops stay bounded across chained
     // deaths.
-    std::vector<OrphanWire> wires;
-    wires.reserve(orphans.size());
+    std::vector<StrandedRequest> manifest;
+    manifest.reserve(orphans.size());
     for (const OrphanRequest &o : orphans) {
-        OrphanWire w;
+        StrandedRequest s{idx,          o.id, o.arrival_ns, o.tenant,
+                          o.arrival_ns, 0,    o.admitted};
         const auto it = std::lower_bound(
             adoptions.begin(), adoptions.end(), o.id,
             [](const AdoptionMeta &m, uint64_t id) {
                 return m.local_id < id;
             });
         if (it != adoptions.end() && it->local_id == o.id) {
-            const AdoptionMeta &m = *it;
-            w.origin_chip = m.origin_chip;
-            w.origin_id = m.origin_id;
-            w.origin_arrival_ns = m.origin_arrival_ns;
-            w.attempts = m.attempts;
-        } else {
-            w.origin_chip = idx;
-            w.origin_id = o.id;
-            w.origin_arrival_ns = o.arrival_ns;
-            w.attempts = 0;
+            s.origin_chip = it->origin_chip;
+            s.origin_id = it->origin_id;
+            s.origin_arrival_ns = it->origin_arrival_ns;
+            s.attempts = it->attempts;
         }
-        w.tenant = o.tenant;
-        w.local_arrival_ns = o.arrival_ns;
-        w.admitted = o.admitted;
-        wires.push_back(w);
+        manifest.push_back(s);
     }
-    const size_t router_node = cell.cfg.num_chips;
-    dom.send(cell.router_dom, dom.now() + cell.lat[idx][router_node],
+    const size_t n = cell.cfg.num_chips;
+    dom.send(cell.router_dom, dom.now() + fabricDelayNs(n, idx, n),
              RouterHost::kPriRecv,
              [r = cell.router.get(), chip = idx,
-              moved = std::move(wires)] {
+              moved = std::move(manifest)] {
                  r->onManifest(chip, moved);
              });
 }
 
 void
-ChipHost::onAdopt(std::vector<AdoptItem> items)
+ChipHost::onAdopt(std::vector<StrandedRequest> items)
 {
     if (status.failed_stop) {
         // The router raced a death it had not detected yet: bounce
         // the batch back so it can walk to the next successor.
-        const size_t router_node = cell.cfg.num_chips;
-        dom.send(cell.router_dom,
-                 dom.now() + cell.lat[idx][router_node],
+        const size_t n = cell.cfg.num_chips;
+        dom.send(cell.router_dom, dom.now() + fabricDelayNs(n, idx, n),
                  RouterHost::kPriRecv,
                  [r = cell.router.get(), chip = idx,
                   moved = std::move(items)] {
@@ -269,7 +253,7 @@ ChipHost::onAdopt(std::vector<AdoptItem> items)
                  });
         return;
     }
-    for (const AdoptItem &it : items) {
+    for (const StrandedRequest &it : items) {
         // A retried request gets a fresh serving budget on the new
         // chip; the fleet ledger still measures its SLA from the
         // original arrival.
@@ -314,8 +298,9 @@ ChipHost::replicate()
     std::vector<uint8_t> bytes = serializeCheckpoint(ckpt);
     // Checkpoint payloads ride the same fabric as control messages,
     // charged byte-by-byte at the configured bandwidth.
-    const int64_t delay = cell.lat[idx][t.replica_chip] +
-                          cell.payloadNs(bytes.size());
+    const int64_t delay =
+        fabricDelayNs(cell.cfg.num_chips, idx, t.replica_chip) +
+        cell.payloadNs(bytes.size());
     ++checkpoints_replicated;
     dom.send(cell.chip_dom[t.replica_chip], dom.now() + delay,
              ServeDomainCore::kPriOverlay,
@@ -329,7 +314,6 @@ ChipHost::onReplicaCheckpoint(std::vector<uint8_t> bytes)
     if (status.failed_stop)
         return;
     replica_ckpt = std::move(bytes);
-    has_replica_ckpt = true;
 }
 
 void
@@ -341,7 +325,7 @@ ChipHost::adoptTraining()
     trainer = std::make_unique<ResilientTrainer>(t.model,
                                                  t.resilience);
     buildTrainingData();
-    if (has_replica_ckpt) {
+    if (!replica_ckpt.empty()) {
         const TrainerCheckpoint ckpt =
             deserializeCheckpoint(replica_ckpt);
         trainer->rollbackTo(ckpt);
@@ -358,10 +342,11 @@ ChipHost::adoptTraining()
 }
 
 void
-RouterHost::onManifest(size_t chip, std::vector<OrphanWire> wires)
+RouterHost::onManifest(size_t chip,
+                       std::vector<StrandedRequest> manifest)
 {
-    manifests[chip] = std::move(wires);
-    manifest_seen[chip] = true;
+    chips[chip].manifest = std::move(manifest);
+    chips[chip].manifest_seen = true;
     tryProcess(chip);
 }
 
@@ -371,17 +356,18 @@ RouterHost::onCheck()
     const int64_t now = dom.now();
     const int64_t window =
         int64_t(kHeartbeatMissThreshold) * kHeartbeatIntervalNs;
-    for (size_t chip = 0; chip < declared.size(); ++chip) {
-        if (declared[chip] || now - last_heard[chip] < window)
+    const size_t n = chips.size();
+    for (size_t chip = 0; chip < n; ++chip) {
+        ChipView &v = chips[chip];
+        if (v.declared() || now - v.last_heard < window)
             continue;
-        declared[chip] = true;
-        detect_ns[chip] = now;
+        v.detect_ns = now;
         tryProcess(chip);
         const TrainingTenantConfig &t = cell.cfg.training;
         if (t.enabled && chip == t.home_chip &&
             cell.cfg.policy == FleetPolicy::FailoverRestore)
             dom.send(cell.chip_dom[t.replica_chip],
-                     now + cell.lat[declared.size()][t.replica_chip],
+                     now + fabricDelayNs(n, n, t.replica_chip),
                      ServeDomainCore::kPriOverlay,
                      [r = cell.chips[t.replica_chip].get()] {
                          r->adoptTraining();
@@ -404,117 +390,108 @@ RouterHost::budgetAllow(size_t target)
     const RetryBudgetConfig &b = cell.cfg.failover.budget;
     if (!b.enabled)
         return true;
-    Bucket &bk = buckets[target];
+    ChipView &v = chips[target];
     const int64_t now = dom.now();
-    bk.tokens = std::min(b.burst,
-                         bk.tokens + double(now - bk.last_ns) * 1e-9 *
-                                         b.tokens_per_s);
-    bk.last_ns = now;
-    if (bk.tokens < 1.0)
+    v.tokens = std::min(b.burst,
+                        v.tokens + double(now - v.tokens_ns) * 1e-9 *
+                                       b.tokens_per_s);
+    v.tokens_ns = now;
+    if (v.tokens < 1.0)
         return false;
-    bk.tokens -= 1.0;
+    v.tokens -= 1.0;
     return true;
 }
 
 size_t
 RouterHost::successor(size_t from) const
 {
-    const size_t n = declared.size();
+    const size_t n = chips.size();
     for (size_t k = 1; k < n; ++k) {
         const size_t chip = (from + k) % n;
-        if (!declared[chip])
+        if (!chips[chip].declared())
             return chip;
     }
     return SIZE_MAX; // nobody the router believes alive
 }
 
 void
-RouterHost::dispatchTo(size_t target, std::vector<AdoptItem> items)
+RouterHost::dispatchTo(size_t target,
+                       std::vector<StrandedRequest> items)
 {
     if (items.empty())
         return;
-    dom.send(cell.chip_dom[target],
-             dom.now() + cell.lat[declared.size()][target],
+    const size_t n = chips.size();
+    dom.send(cell.chip_dom[target], dom.now() + fabricDelayNs(n, n, target),
              ServeDomainCore::kPriOverlay,
              [h = cell.chips[target].get(),
               moved = std::move(items)] { h->onAdopt(moved); });
 }
 
+/**
+ * Dispatch a dead chip's manifest once the router holds both it and
+ * the declaration. Each arrives once per chip (a chip halts at most
+ * once, and a declared chip is never swept again), so this runs at
+ * most twice per chip and only the second call can act.
+ */
 void
 RouterHost::tryProcess(size_t chip)
 {
-    if (!declared[chip] || !manifest_seen[chip] || processed[chip])
+    ChipView &v = chips[chip];
+    if (!v.declared() || !v.manifest_seen)
         return;
-    processed[chip] = true;
-    if (cell.cfg.policy == FleetPolicy::NoFailover) {
-        manifests[chip].clear(); // written off wholesale
-        return;
-    }
+    std::vector<StrandedRequest> items = std::exchange(v.manifest, {});
+    if (cell.cfg.policy == FleetPolicy::NoFailover)
+        return; // written off wholesale
     const size_t target = successor(chip);
-    if (target == SIZE_MAX) {
-        manifests[chip].clear();
+    if (target == SIZE_MAX)
         return;
-    }
-    const int64_t t_detect = detect_ns[chip];
-    std::vector<AdoptItem> items;
-    for (const OrphanWire &w : manifests[chip]) {
+    const int64_t t_detect = v.detect_ns;
+    size_t kept = 0;
+    for (StrandedRequest &s : items) {
         // Traffic arriving after detection is a clean redirect; the
         // rest was stranded inside the failure and (under
         // FailoverRestore) retries once its per-request timeout has
         // expired, plus backoff per hop already consumed.
-        const bool future =
-            !w.admitted && w.local_arrival_ns >= t_detect;
+        const bool future = !s.admitted && s.when >= t_detect;
         if (cell.cfg.policy == FleetPolicy::DrainOnly && !future)
             continue;
-        const int attempts = w.attempts + 1;
-        if (attempts > kMaxRetries)
+        if (++s.attempts > kMaxRetries)
             continue;
         // Clean redirects of post-detection traffic ride free; only
         // stranded-request retries draw from the target's budget.
         if (!future && !budgetAllow(target)) {
-            denials.push_back(
-                {w.origin_chip, w.origin_id, dom.now()});
+            denials.push_back({s.origin_chip, s.origin_id, dom.now()});
             continue;
         }
-        AdoptItem it;
-        it.tenant = w.tenant;
-        it.when = future
-                      ? w.local_arrival_ns
-                      : std::max(t_detect, w.origin_arrival_ns +
-                                               kRequestTimeoutNs) +
-                            int64_t(attempts) * kRetryBackoffNs;
-        it.origin_chip = w.origin_chip;
-        it.origin_id = w.origin_id;
-        it.origin_arrival_ns = w.origin_arrival_ns;
-        it.attempts = attempts;
-        items.push_back(it);
+        if (!future)
+            s.when = std::max(t_detect, s.origin_arrival_ns +
+                                            kRequestTimeoutNs) +
+                     int64_t(s.attempts) * kRetryBackoffNs;
+        items[kept++] = s;
     }
-    manifests[chip].clear();
+    items.resize(kept);
     dispatchTo(target, std::move(items));
 }
 
 void
-RouterHost::onBounce(size_t from, std::vector<AdoptItem> items)
+RouterHost::onBounce(size_t from, std::vector<StrandedRequest> items)
 {
     const size_t target = successor(from);
     if (target == SIZE_MAX)
         return;
-    std::vector<AdoptItem> retry;
-    retry.reserve(items.size());
-    for (AdoptItem it : items) {
-        ++it.attempts; // the bounced hop was consumed
-        if (it.attempts > kMaxRetries)
+    size_t kept = 0;
+    for (StrandedRequest &s : items) {
+        if (++s.attempts > kMaxRetries) // the bounced hop was consumed
             continue;
         if (!budgetAllow(target)) {
-            denials.push_back(
-                {it.origin_chip, it.origin_id, dom.now()});
+            denials.push_back({s.origin_chip, s.origin_id, dom.now()});
             continue;
         }
-        it.when =
-            std::max(it.when, dom.now()) + kRetryBackoffNs;
-        retry.push_back(it);
+        s.when = std::max(s.when, dom.now()) + kRetryBackoffNs;
+        items[kept++] = s;
     }
-    dispatchTo(target, std::move(retry));
+    items.resize(kept);
+    dispatchTo(target, std::move(items));
 }
 
 FleetCell::FleetCell(DesEngine &eng, const FleetSim &fleet_sim,
@@ -531,34 +508,24 @@ FleetCell::FleetCell(DesEngine &eng, const FleetSim &fleet_sim,
             engine.addDomain(prefix + "chip" + std::to_string(i)));
     router_dom = engine.addDomain(prefix + "router");
 
-    // Fabric latencies from the interconnect ring model (chips at
-    // nodes 0..N-1, router at node N); each becomes the channel
-    // lookahead of its direction.
-    lat.assign(n + 1, std::vector<int64_t>(n + 1, 0));
-    for (size_t a = 0; a <= n; ++a)
-        for (size_t b = 0; b <= n; ++b)
-            if (a != b)
-                lat[a][b] = fabricDelayNs(n, a, b);
-
+    // Each channel's lookahead is the fabric latency of its direction
+    // (chips at ring nodes 0..N-1, router at node N).
     for (size_t i = 0; i < n; ++i) {
-        engine.connect(chip_dom[i], router_dom, lat[i][n]);
-        engine.connect(router_dom, chip_dom[i], lat[n][i]);
+        engine.connect(chip_dom[i], router_dom, fabricDelayNs(n, i, n));
+        engine.connect(router_dom, chip_dom[i], fabricDelayNs(n, n, i));
     }
     if (cfg.training.enabled)
         engine.connect(chip_dom[cfg.training.home_chip],
                        chip_dom[cfg.training.replica_chip],
-                       lat[cfg.training.home_chip]
-                          [cfg.training.replica_chip]);
+                       fabricDelayNs(n, cfg.training.home_chip,
+                                     cfg.training.replica_chip));
 
     stop_ns = cfg.serve.horizon_ns +
               int64_t(kHeartbeatMissThreshold) * kHeartbeatIntervalNs +
               maxFabricDelayNs(n) + kHeartbeatIntervalNs;
 
-    router = std::make_unique<RouterHost>(*this,
-                                          engine.domain(router_dom),
-                                          n);
-    for (RouterHost::Bucket &b : router->buckets)
-        b.tokens = cfg.failover.budget.burst; // buckets start full
+    router = std::make_unique<RouterHost>(
+        *this, engine.domain(router_dom), n, cfg.failover.budget.burst);
     for (size_t i = 0; i < n; ++i) {
         chips.push_back(std::make_unique<ChipHost>(
             *this, i, engine.domain(chip_dom[i]),
@@ -567,7 +534,7 @@ FleetCell::FleetCell(DesEngine &eng, const FleetSim &fleet_sim,
         host.core.start();
         // Pretend a boot heartbeat is already in flight so a chip
         // failing before its first one is still detected on time.
-        router->last_heard[i] = lat[i][n];
+        router->chips[i].last_heard = fabricDelayNs(n, i, n);
         host.dom.schedule(0, ServeDomainCore::kPriOverlay,
                           [h = &host] { h->heartbeat(); });
     }
@@ -608,9 +575,7 @@ collectCell(FleetCell &cell, uint64_t windows)
         ChipHost &host = *cell.chips[i];
         out.chips.push_back(host.core.finish());
         ChipStatus st = host.status;
-        st.detect_ns = cell.router->declared[i]
-                           ? cell.router->detect_ns[i]
-                           : -1;
+        st.detect_ns = cell.router->chips[i].detect_ns;
         out.status.push_back(st);
         out.adoptions.insert(out.adoptions.end(),
                              host.adoptions.begin(),

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -54,21 +55,21 @@ buildFleetLedger(const ClusterConfig &cfg, const FleetResult &result)
     // Origins whose retry the budget denied: their chain ends in a
     // failed record, but the write-off was a *deliberate* shed, so
     // the ledger accounts it separately from a genuine loss.
-    std::map<RecordKey, bool> denied;
+    std::set<RecordKey> denied;
     for (const RetryDenial &d : result.budget_denials)
-        denied[{d.origin_chip, d.origin_id}] = true;
+        denied.insert({d.origin_chip, d.origin_id});
 
-    // Join each adoption to its host record, and group the chains by
-    // ultimate origin (wires flatten multi-hop chains, so the group
-    // key is direct).
-    std::map<RecordKey, const AdoptionMeta *> hosts;
+    // Mark each adoption's host record, and group the chains by
+    // ultimate origin (manifests flatten multi-hop chains, so the
+    // group key is direct).
+    std::set<RecordKey> hosts;
     std::map<RecordKey, std::vector<const AdoptionMeta *>> chains;
     for (const AdoptionMeta &a : result.adoptions) {
         rapid_assert(a.host_chip < result.chips.size() &&
                          a.local_id <
                              result.chips[a.host_chip].requests.size(),
                      "adoption points at a missing record");
-        hosts[{a.host_chip, a.local_id}] = &a;
+        hosts.insert({a.host_chip, a.local_id});
         chains[{a.origin_chip, a.origin_id}].push_back(&a);
     }
 

@@ -235,14 +235,10 @@ Mlp::forward(const Tensor &x)
         Tensor y = d.forward(gemm_, h);
         d.pre_act = y;
         if (i + 1 < layers_.size()) {
-            if (cfg_.use_pact) {
-                const float alpha = d.alpha;
-                y.apply([alpha](float v) {
-                    return std::clamp(v, 0.0f, alpha);
-                });
-            } else {
-                y.apply([](float v) { return v > 0 ? v : 0.0f; });
-            }
+            const float alpha = d.alpha;
+            y.apply([alpha](float v) {
+                return std::clamp(v, 0.0f, alpha);
+            });
         }
         h = std::move(y);
     }
@@ -255,12 +251,9 @@ Mlp::applyUpdates(Dense &d, float inv_scale)
     const float lr = cfg_.learning_rate;
     const float mom = cfg_.momentum;
     d.sgdStep(lr, mom, inv_scale);
-    if (cfg_.use_pact) {
-        d.alpha_vel = mom * d.alpha_vel
-                      - lr * kAlphaLrScale *
-                            (d.alpha_grad * inv_scale);
-        d.alpha = std::max(0.1f, d.alpha + d.alpha_vel);
-    }
+    d.alpha_vel = mom * d.alpha_vel
+                  - lr * kAlphaLrScale * (d.alpha_grad * inv_scale);
+    d.alpha = std::max(0.1f, d.alpha + d.alpha_vel);
 }
 
 GradHealth
@@ -278,19 +271,14 @@ Mlp::computeGradients(const Tensor &x, const std::vector<int> &labels,
     for (size_t li = layers_.size(); li-- > 0;) {
         Dense &d = layers_[li];
         if (li + 1 < layers_.size()) {
-            // Backprop through the PACT / ReLU activation (STE).
+            // Backprop through the PACT activation (STE).
             Tensor gated = dy;
             float alpha_grad = 0.0f;
-            if (cfg_.use_pact) {
-                const PactQuantizer q(d.alpha, cfg_.pact_bits);
-                for (int64_t i = 0; i < dy.numel(); ++i) {
-                    const float pre = d.pre_act[i];
-                    alpha_grad += dy[i] * q.gradAlpha(pre);
-                    gated[i] = dy[i] * q.gradInput(pre);
-                }
-            } else {
-                for (int64_t i = 0; i < dy.numel(); ++i)
-                    gated[i] = d.pre_act[i] > 0 ? dy[i] : 0.0f;
+            const PactQuantizer q(d.alpha, cfg_.pact_bits);
+            for (int64_t i = 0; i < dy.numel(); ++i) {
+                const float pre = d.pre_act[i];
+                alpha_grad += dy[i] * q.gradAlpha(pre);
+                gated[i] = dy[i] * q.gradInput(pre);
             }
             d.alpha_grad = alpha_grad + kAlphaDecay * d.alpha;
             dy = d.backward(gemm_, gated);
@@ -318,7 +306,7 @@ Mlp::computeGradients(const Tensor &x, const std::vector<int> &labels,
                 health.grad_max_abs =
                     std::max(health.grad_max_abs, std::abs(g));
         }
-        if (cfg_.use_pact && !std::isfinite(d.alpha_grad))
+        if (!std::isfinite(d.alpha_grad))
             health.grads_finite = false;
     }
     return health;
@@ -363,7 +351,6 @@ Mlp::evaluate(const Dataset &test)
 double
 Mlp::evaluateInt(const Dataset &test, unsigned width)
 {
-    rapid_assert(cfg_.use_pact, "INT deployment requires PACT training");
     Tensor h = test.features;
     for (size_t i = 0; i < layers_.size(); ++i) {
         Dense &d = layers_[i];
@@ -404,7 +391,7 @@ Mlp::weightsFinite() const
         if (!allFinite(d.w.data(), d.w.numel()) ||
             !allFinite(d.b.data(), d.b.numel()))
             return false;
-        if (cfg_.use_pact && !std::isfinite(d.alpha))
+        if (!std::isfinite(d.alpha))
             return false;
     }
     return true;
@@ -479,7 +466,6 @@ runInferenceParity(unsigned width, const Dataset &train,
                 1 + *std::max_element(train.labels.begin(),
                                       train.labels.end())};
     cfg.precision = TrainPrecision::FP32;
-    cfg.use_pact = true;
     cfg.pact_bits = width;
     cfg.seed = 99;
 

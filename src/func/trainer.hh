@@ -96,7 +96,6 @@ struct MlpConfig
     std::vector<int64_t> dims;   ///< e.g. {2, 48, 48, 2}
     TrainPrecision precision = TrainPrecision::FP32;
     ExecConfig exec;             ///< chunking / FP8 bias knobs
-    bool use_pact = true;        ///< PACT-ReLU (learned clip) vs ReLU
     float pact_alpha_init = 6.0f;
     unsigned pact_bits = 4;      ///< quantized level count when deployed
     float learning_rate = 0.1f;

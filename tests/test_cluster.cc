@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <climits>
 #include <cstdint>
 #include <memory>
@@ -21,6 +22,7 @@
 #include "cluster/fleet_metrics.hh"
 #include "common/error.hh"
 #include "common/parallel.hh"
+#include "interconnect/ring.hh"
 #include "serve/metrics.hh"
 #include "workloads/networks.hh"
 
@@ -587,6 +589,35 @@ TEST_F(ClusterTest, RejectsInfeasibleHeartbeatWindow)
     }
     cfg.num_chips = 1978; // 989 hops: the largest feasible fleet
     EXPECT_NO_THROW(validateClusterConfig(cfg));
+}
+
+TEST_F(ClusterTest, FabricDelayIsRingShortestPath)
+{
+    // The fleet's closed-form hop count must agree with the
+    // interconnect ring's own shortest-direction routing for every
+    // pair of nodes (chips at 0..n-1, router at n).
+    constexpr int64_t kBaseNs = 100'000, kPerHopNs = 10'000;
+    for (size_t n = 1; n <= 64; ++n) {
+        RingConfig geometry;
+        geometry.num_nodes = unsigned(n) + 1;
+        const RingNetwork ring(geometry);
+        int64_t worst = 0;
+        for (unsigned a = 0; a <= n; ++a) {
+            for (unsigned b = 0; b <= n; ++b) {
+                if (a == b)
+                    continue;
+                const RingDir dir = ring.chooseDirection(a, {b});
+                const int64_t want =
+                    kBaseNs +
+                    int64_t(ring.hopDistance(a, b, dir)) * kPerHopNs;
+                const int64_t got = fabricDelayNs(n, a, b);
+                ASSERT_EQ(got, want)
+                    << n << " chips, " << a << " -> " << b;
+                worst = std::max(worst, got);
+            }
+        }
+        EXPECT_EQ(maxFabricDelayNs(n), worst) << n << " chips";
+    }
 }
 
 TEST_F(ClusterTest, RejectsBadKnobs)

@@ -32,8 +32,9 @@ and error machinery beside it in common.
 
 The fleet layer (src/cluster) sits alone at tier 6: it composes
 whole ServeSims and ResilientTrainers behind a router, so it may
-reach down into serve, resilience, and the interconnect fabric
-model, but nothing below tier 6 may know a fleet exists — a serve
+reach down into serve and resilience (its ring fabric delay is
+closed-form arithmetic, so it includes nothing from interconnect),
+but nothing below tier 6 may know a fleet exists — a serve
 chip that included cluster headers could observe its own failover,
 which is exactly the dependency inversion the router abstraction
 forbids.
