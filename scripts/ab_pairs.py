@@ -31,6 +31,11 @@ across rows.
 validates every row and exits 1 on the first bad one: fewer than 6
 pairs, a missing parent, or a ratio that disagrees with its medians.
 Every new row is validated the same way before it is written.
+
+A run whose two sides are one commit (--change REV --parent REV) is a
+control: it measures the host's noise, not a change, and its row says
+so with `"control": true`. --check rejects a control row whose sides
+differ and an unmarked row whose sides are one commit.
 """
 
 import argparse
@@ -136,6 +141,9 @@ def check_row(row):
     """Why @p row is bad, or None."""
     if not row.get("parent"):
         return "no parent commit"
+    if bool(row.get("control")) != (row["parent"] == row.get("change")):
+        return ("a control row must compare one commit with itself, and "
+                "only a control row may")
     if int(row.get("pairs", 0)) < MIN_PAIRS:
         return "%s pairs, need at least %d" % (row.get("pairs"), MIN_PAIRS)
     for name, m in row.get("metrics", {}).items():
@@ -222,6 +230,8 @@ def main(argv):
             "seconds": seconds, "pairs": args.pairs,
             "metrics": summarize(metrics, runs["parent"], runs["change"]),
         }
+        if parent_rev == change_rev:
+            row["control"] = True
         why = check_row(row)
         if why:
             fail("new row: " + why)

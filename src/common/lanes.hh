@@ -70,6 +70,18 @@ using MaskLanes = typename LaneVectors<W>::Mask;
 template <int W>
 using DoubleLanes = typename LaneVectors<W>::Double;
 
+/** A GCC vector of @p N lanes of @p T, for lanes that are not 32 bits
+ *  wide or a block of several registers (GCC splits a vector wider
+ *  than the target's registers into registers). */
+template <typename T, int N>
+struct VectorOf
+{
+    typedef T Type __attribute__((vector_size(N * sizeof(T))));
+};
+
+template <typename T, int N>
+using LanesOf = typename VectorOf<T, N>::Type;
+
 #if defined(__x86_64__)
 #define RAPID_TARGET_AVX2 __attribute__((target("avx2")))
 #define RAPID_TARGET_AVX512                                                 \

@@ -1,14 +1,16 @@
 /**
  * @file
- * The lane kernel of the chunked DLFloat16 GEMM (quantized_ops.cc),
- * one template over the lane half-width W: 4, 8 or 16 floats, in 16-,
- * 32- and 64-byte GCC vectors (common/lanes.hh). The library compiles
- * one entry per width, each for its own target, and picks one per
- * process from the CPU's features; a test compiles its own entries the
- * same way and runs the library's GEMMs on each under a LaneScope.
+ * The lane kernels of the chunked DLFloat16 GEMM and of the FXU's
+ * integer GEMM (quantized_ops.cc), each one template over the lane
+ * half-width W: 4, 8 or 16 32-bit lanes, in 16-, 32- and 64-byte GCC
+ * vectors (common/lanes.hh). The library compiles one entry per width,
+ * each for its own target, and picks one per process from the CPU's
+ * features; a test compiles its own entries the same way and runs the
+ * library's GEMMs on each under a LaneScope.
  *
- * Every width gives the same bits. A lane does exactly one output's
- * arithmetic in ascending k, the scalar chunkedDot()'s: an exact
+ * Every width gives the same bits. In the chunked GEMM a lane does
+ * exactly one output's arithmetic in ascending k, the scalar
+ * chunkedDot()'s: an exact
  * binary32 product, a binary32 add, a DLFloat16 round on the bits, and
  * the zero gate, the count and the chunk fold taken by mask. Outputs
  * never share a sum, so the width only decides how many run side by
@@ -28,6 +30,7 @@
 #include "common/lanes.hh"
 #include "func/quantized_ops.hh"
 #include "precision/float_format.hh"
+#include "precision/int_format.hh"
 
 namespace rapid {
 
@@ -212,6 +215,182 @@ chunkedGemmLanes(const float *qa, const float *qb, int64_t m, int64_t k,
     }
     chunkedGemmKernel<W, Rounding::NearestEven, false>(qa, qb, m, k, n, ldb,
                                                        chunk, out);
+}
+
+/**
+ * The FXU's integer GEMM at one lane half-width: @p run computes every
+ * output of the (M,K) x (K,N) GEMM of row-major INT levels @p qa and
+ * @p qb (row stride @p ldb, a whole number of blocks, zero padding
+ * columns) at @p cfg's chunk size and rounding, in int16_t lanes when
+ * @p int16_lanes, else in int32_t lanes, times @p scale.
+ */
+struct LaneIntGemm
+{
+    using Run = void (*)(const int16_t *qa, const int16_t *qb, int64_t m,
+                         int64_t k, int64_t n, int64_t ldb, bool int16_lanes,
+                         float scale, const ExecConfig &cfg, float *out);
+
+    int64_t width; ///< W: the 32-bit lanes of one vector
+    Run run;
+
+    /** Output columns one lane block carries: one vector of int16_t. */
+    int64_t block() const { return 2 * width; }
+};
+
+/** Output rows one INT register block carries. */
+constexpr int64_t kIntGemmRows = 4;
+
+/** The @p V lanes at @p p, which need no alignment. */
+template <typename V, typename T>
+[[gnu::always_inline]] inline V
+loadVector(const T *p)
+{
+    V v;
+    std::memcpy(&v, p, sizeof(v));
+    return v;
+}
+
+/** A chunk sum saturated to INT16 in every lane: the identity on
+ *  int16_t lanes, whose sums the caller proved cannot leave it. */
+template <typename AccLanes>
+[[gnu::always_inline]] inline AccLanes
+saturateLanesToInt16(const AccLanes &acc)
+{
+    if constexpr (sizeof(acc[0]) == sizeof(int16_t)) {
+        return acc;
+    } else {
+        const AccLanes hi = selectLanes(acc > INT16_MAX,
+                                        AccLanes{} + INT16_MAX, acc);
+        return selectLanes(hi < INT16_MIN, AccLanes{} + INT16_MIN, hi);
+    }
+}
+
+/**
+ * @p R rows of @p qa (row stride @p k) against the 2W columns of @p qb
+ * at @p b (row stride @p ldb) over the whole reduction. Each lane sums
+ * the products of one chunk of @p chunk k in @p Acc, saturates the sum
+ * to INT16 and adds it to its outer sum, a binary64 integer: every
+ * partial outer sum is a whole number of magnitude below
+ * 2^15 * ceil(K / chunk) < 2^53, so each add is exact. The outer sum
+ * times @p scale, rounded to binary32 and then to DLFloat16 on the
+ * bits, gives the first @p cols columns of each row of @p out (row
+ * stride @p ldc).
+ */
+template <int W, typename Acc, Rounding Mode, int R>
+[[gnu::always_inline]] inline void
+intGemmBlock(const int16_t *qa, const int16_t *b, int64_t k, int64_t ldb,
+             int64_t chunk, double scale, int64_t cols, float *out,
+             int64_t ldc)
+{
+    using AccLanes = LanesOf<Acc, 2 * W>;
+    using OuterLanes = LanesOf<double, 2 * W>;
+    OuterLanes outer[R] = {};
+    for (int64_t k0 = 0; k0 < k; k0 += chunk) {
+        const int64_t k1 = std::min(k, k0 + chunk);
+        AccLanes acc[R] = {};
+        for (int64_t kk = k0; kk < k1; ++kk) {
+            const AccLanes bv = __builtin_convertvector(
+                loadVector<LanesOf<int16_t, 2 * W>>(b + kk * ldb), AccLanes);
+#pragma GCC unroll 4
+            for (int r = 0; r < R; ++r)
+                acc[r] += (AccLanes{} + Acc(qa[r * k + kk])) * bv;
+        }
+#pragma GCC unroll 4
+        for (int r = 0; r < R; ++r)
+            outer[r] += __builtin_convertvector(
+                __builtin_convertvector(saturateLanesToInt16(acc[r]),
+                                        LanesOf<int32_t, 2 * W>),
+                OuterLanes);
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+        const LanesOf<float, 2 * W> value =
+            __builtin_convertvector(outer[r] * scale, LanesOf<float, 2 * W>);
+        const LanesOf<uint32_t, 2 * W> rounded =
+            dlfloat16RoundLanes<Mode, true>(
+                lanesAs<LanesOf<uint32_t, 2 * W>>(value));
+        std::memcpy(out + r * ldc, &rounded, size_t(cols) * sizeof(float));
+    }
+}
+
+/**
+ * The INT GEMM of @p LaneIntGemm::run at lane half-width @p W, lane
+ * type @p Acc and rounding @p Mode: one block of 2W output columns at
+ * a time, down every row of @p qa, kIntGemmRows rows at a time and
+ * then the rest as one block. Every k step adds into every lane, with
+ * no branch on the levels: a zero level adds nothing, and the chunk
+ * boundaries stay at multiples of @p chunk in k.
+ */
+template <int W, typename Acc, Rounding Mode>
+[[gnu::always_inline]] inline void
+intGemmKernel(const int16_t *qa, const int16_t *qb, int64_t m, int64_t k,
+              int64_t n, int64_t ldb, int64_t chunk, float scale,
+              float *out)
+{
+    const double s = double(scale);
+    for (int64_t j0 = 0; j0 < n; j0 += 2 * W) {
+        const int64_t cols = std::min(2 * int64_t(W), n - j0);
+        const int16_t *b = qb + j0;
+        int64_t i = 0;
+        for (; i + kIntGemmRows <= m; i += kIntGemmRows)
+            intGemmBlock<W, Acc, Mode, kIntGemmRows>(
+                qa + i * k, b, k, ldb, chunk, s, cols, out + i * n + j0, n);
+        const int16_t *a_rest = qa + i * k;
+        float *out_rest = out + i * n + j0;
+        switch (m - i) {
+          case 3:
+            intGemmBlock<W, Acc, Mode, 3>(a_rest, b, k, ldb, chunk, s, cols,
+                                          out_rest, n);
+            break;
+          case 2:
+            intGemmBlock<W, Acc, Mode, 2>(a_rest, b, k, ldb, chunk, s, cols,
+                                          out_rest, n);
+            break;
+          case 1:
+            intGemmBlock<W, Acc, Mode, 1>(a_rest, b, k, ldb, chunk, s, cols,
+                                          out_rest, n);
+            break;
+          default:
+            break;
+        }
+    }
+}
+
+/** intGemmKernel() in @p Acc lanes at @p rounding. */
+template <int W, typename Acc>
+[[gnu::always_inline]] inline void
+intGemmRounded(const int16_t *qa, const int16_t *qb, int64_t m, int64_t k,
+               int64_t n, int64_t ldb, int64_t chunk, float scale,
+               Rounding rounding, float *out)
+{
+    switch (rounding) {
+      case Rounding::NearestUp:
+        return intGemmKernel<W, Acc, Rounding::NearestUp>(
+            qa, qb, m, k, n, ldb, chunk, scale, out);
+      case Rounding::Truncate:
+        return intGemmKernel<W, Acc, Rounding::Truncate>(
+            qa, qb, m, k, n, ldb, chunk, scale, out);
+      case Rounding::NearestEven:
+        break;
+    }
+    intGemmKernel<W, Acc, Rounding::NearestEven>(qa, qb, m, k, n, ldb, chunk,
+                                                 scale, out);
+}
+
+/** LaneIntGemm::run at lane half-width @p W; a lane INT GEMM entry
+ *  instantiates this at its width under its target. */
+template <int W>
+[[gnu::always_inline]] inline void
+intGemmLanes(const int16_t *qa, const int16_t *qb, int64_t m, int64_t k,
+             int64_t n, int64_t ldb, bool int16_lanes, float scale,
+             const ExecConfig &cfg, float *out)
+{
+    const int64_t chunk = int64_t(std::min(cfg.chunk_size, size_t(k)));
+    if (int16_lanes)
+        return intGemmRounded<W, int16_t>(qa, qb, m, k, n, ldb, chunk, scale,
+                                          cfg.rounding, out);
+    intGemmRounded<W, int32_t>(qa, qb, m, k, n, ldb, chunk, scale,
+                               cfg.rounding, out);
 }
 
 } // namespace rapid

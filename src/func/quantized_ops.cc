@@ -65,7 +65,7 @@ chunkedDot(const float *a, const float *b, int64_t n,
     return dlfloat16().quantize(acc.total(), cfg.rounding);
 }
 
-// The lane GEMM at each width, compiled for its target: every helper
+// The lane GEMMs at each width, compiled for their target: every helper
 // over the lane vectors inlines into these, so no wide vector code is
 // compiled for a CPU that may lack it.
 
@@ -101,6 +101,42 @@ activeLaneGemm()
                                        {4, &chunkedGemmBaseline}};
     static const LaneGemm &picked = widestLanes(kWidths);
     return LaneScope<LaneGemm>::activeOr(picked);
+}
+
+RAPID_TARGET_AVX512 void
+intGemmAvx512(const int16_t *qa, const int16_t *qb, int64_t m, int64_t k,
+              int64_t n, int64_t ldb, bool int16_lanes, float scale,
+              const ExecConfig &cfg, float *out)
+{
+    intGemmLanes<16>(qa, qb, m, k, n, ldb, int16_lanes, scale, cfg, out);
+}
+
+RAPID_TARGET_AVX2 void
+intGemmAvx2(const int16_t *qa, const int16_t *qb, int64_t m, int64_t k,
+            int64_t n, int64_t ldb, bool int16_lanes, float scale,
+            const ExecConfig &cfg, float *out)
+{
+    intGemmLanes<8>(qa, qb, m, k, n, ldb, int16_lanes, scale, cfg, out);
+}
+
+void
+intGemmBaseline(const int16_t *qa, const int16_t *qb, int64_t m, int64_t k,
+                int64_t n, int64_t ldb, bool int16_lanes, float scale,
+                const ExecConfig &cfg, float *out)
+{
+    intGemmLanes<4>(qa, qb, m, k, n, ldb, int16_lanes, scale, cfg, out);
+}
+
+/** The lane INT GEMM of the calling thread: a LaneScope's, else the
+ *  widest this CPU executes, picked on first use. */
+const LaneIntGemm &
+activeLaneIntGemm()
+{
+    static const LaneIntGemm kWidths[] = {{16, &intGemmAvx512},
+                                          {8, &intGemmAvx2},
+                                          {4, &intGemmBaseline}};
+    static const LaneIntGemm &picked = widestLanes(kWidths);
+    return LaneScope<LaneIntGemm>::activeOr(picked);
 }
 
 /** Call @p fn with @p rounding as a compile-time constant, and return
@@ -147,19 +183,28 @@ fp16Lanes()
 
 /**
  * @p round of the binary32 pattern of every v[i], i in [0, @p n), in
- * place and in lanes; @p round is copied into the loop. One pointer,
- * not a source and a destination: once this inlines, __restrict on
- * two pointers is lost, and -O2's cost model will not version a loop
- * for aliasing.
+ * place and in lanes; @p round is copied into the loop. Returns whether
+ * every rounded value is finite. One pointer, not a source and a
+ * destination: once this inlines, __restrict on two pointers is lost,
+ * and -O2's cost model will not version a loop for aliasing.
  */
 template <typename Round>
-void
+bool
 roundInPlace(float *v, int64_t n, Round round)
 {
-    forEachBlocked(n, [v, round](int64_t i) {
-        v[i] = std::bit_cast<float>(round(std::bit_cast<uint32_t>(v[i])));
+    // A binary32 is NaN or Inf exactly when its exponent field is all
+    // ones, and then adding one to the field carries into the sign bit.
+    uint32_t carries = 0;
+    forEachBlocked(n, [v, round, &carries](int64_t i) {
+        const uint32_t r = round(std::bit_cast<uint32_t>(v[i]));
+        v[i] = std::bit_cast<float>(r);
+        carries |= (r & 0x7f800000u) + 0x00800000u;
     });
+    return (carries & 0x80000000u) == 0;
 }
+
+/** The binary32 pattern as is: roundInPlace() of it only scans. */
+constexpr auto kAsIs = [](uint32_t in) { return in; };
 
 /** @p t rounded element-wise by @p round. */
 template <typename Round>
@@ -178,44 +223,73 @@ laneStride(int64_t n, int64_t lanes)
     return (n + lanes - 1) / lanes * lanes;
 }
 
+/** chunkedDot() of row i of @p qa and row j of @p qbt (both (., K))
+ *  into out[i][j], row by row: the path for poisoned operands, which
+ *  gates a NaN paired with a zero through and names the element of the
+ *  first product that faults. */
+void
+chunkedDots(const float *qa, const float *qbt, int64_t m, int64_t k,
+            int64_t n, const ExecConfig &cfg, float *out)
+{
+    for (int64_t i = 0; i < m; ++i)
+        for (int64_t j = 0; j < n; ++j)
+            out[i * n + j] = chunkedDot(qa + i * k, qbt + j * k, k, cfg);
+}
+
 /**
  * (M,K) x (K,N) GEMM of quantized operands with chunked DLFloat16
  * accumulation on @p lanes: chunkedDot() of row i of @p qa and column
- * j of @p qb for every output. @p qb has row stride @p ldb; unless the
- * GEMM swapsRoles(), that is a whole number of @p lanes blocks and the
- * padding columns are zero.
+ * j of @p qb for every output. @p qb has row stride @p ldb, a whole
+ * number of @p lanes blocks, and zero padding columns; @p finite says
+ * whether every operand value is finite.
  */
 void
 chunkedGemm(const float *qa, const float *qb, int64_t m, int64_t k,
-            int64_t n, int64_t ldb, const LaneGemm &lanes,
+            int64_t n, int64_t ldb, bool finite, const LaneGemm &lanes,
             const ExecConfig &cfg, float *out)
 {
-    if (!allFinite(qa, m * k) || !allFinite(qb, k * ldb)) {
-        // A poisoned operand: the scalar path gates a NaN paired with a
-        // zero through, and names the element of the first product
-        // that faults.
+    if (!finite) {
         std::vector<float> qbt(size_t(n * k));
         transposeInto(qb, k, n, ldb, qbt.data(), k);
-        for (int64_t i = 0; i < m; ++i)
-            for (int64_t j = 0; j < n; ++j)
-                out[i * n + j] = chunkedDot(qa + i * k,
-                                            qbt.data() + j * k, k, cfg);
+        chunkedDots(qa, qbt.data(), m, k, n, cfg, out);
         return;
     }
     rapid_assert(cfg.chunk_size >= 1, "chunk size must be positive");
     rapid_assert(k < int64_t(UINT32_MAX), "chunked GEMM reduction of ",
                  k, " terms overflows a lane count");
-    if (!swapsRoles(lanes.width, m, n)) {
-        lanes.run(qa, qb, m, k, n, ldb, cfg, out);
-        return;
-    }
+    lanes.run(qa, qb, m, k, n, ldb, cfg, out);
+}
+
+/**
+ * chunkedGemm() of (M,K) @p a and (K,N) @p b (row stride @p ldb) for a
+ * GEMM that swapsRoles(), as C^T = B^T A^T: each operand is rounded
+ * straight into its transposed copy, A's padded to whole lane blocks
+ * (the zero padding rounds to zero and is gated off), by @p round_a
+ * and @p round_b. A poisoned operand takes the scalar path in the
+ * order of C, so the first product that faults is the same one.
+ */
+template <typename RoundA, typename RoundB>
+void
+swappedGemm(const float *a, RoundA round_a, const float *b, int64_t ldb,
+            RoundB round_b, int64_t m, int64_t k, int64_t n,
+            const LaneGemm &lanes, const ExecConfig &cfg, float *out)
+{
     std::vector<float> bt(size_t(n * k));
-    transposeInto(qb, k, n, ldb, bt.data(), k);
+    transposeInto(b, k, n, ldb, bt.data(), k);
+    const bool finite_b = roundInPlace(bt.data(), n * k, round_b);
     const int64_t ldm = laneStride(m, lanes.block());
     std::vector<float> at(size_t(k * ldm), 0.0f);
-    transposeInto(qa, m, k, k, at.data(), ldm);
+    transposeInto(a, m, k, k, at.data(), ldm);
+    const bool finite_a = roundInPlace(at.data(), k * ldm, round_a);
+    if (!finite_a || !finite_b) {
+        std::vector<float> qa(size_t(m * k));
+        transposeInto(at.data(), k, m, ldm, qa.data(), k);
+        chunkedDots(qa.data(), bt.data(), m, k, n, cfg, out);
+        return;
+    }
     std::vector<float> ct(size_t(n * m));
-    lanes.run(bt.data(), at.data(), n, k, m, ldm, cfg, ct.data());
+    chunkedGemm(bt.data(), at.data(), n, k, m, ldm, true, lanes, cfg,
+                ct.data());
     transposeInto(ct.data(), n, m, m, out, n);
 }
 
@@ -223,8 +297,8 @@ chunkedGemm(const float *qa, const float *qb, int64_t m, int64_t k,
  * chunkedGemm() of the rank-2 (M,K) @p a and (K,N) @p b, each rounded
  * once on the way in: A by @p round_a in a dense copy, B by @p round_b
  * after its rows are copied straight into rows padded to whole lane
- * blocks (the zero padding rounds to zero and is gated off), or dense
- * when the GEMM swapsRoles().
+ * blocks (the zero padding rounds to zero and is gated off); or
+ * swappedGemm() when the GEMM swapsRoles().
  */
 template <typename RoundA, typename RoundB>
 Tensor
@@ -236,68 +310,32 @@ roundedGemm(const Tensor &a, RoundA round_a, const Tensor &b,
     const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
     rapid_assert(b.dim(0) == k, "chunked GEMM inner-dimension mismatch");
     const LaneGemm &lanes = activeLaneGemm();
+    Tensor out({m, n});
+    if (swapsRoles(lanes.width, m, n)) {
+        swappedGemm(a.data(), round_a, b.data(), n, round_b, m, k, n, lanes,
+                    cfg, out.data());
+        return out;
+    }
     std::vector<float> qa(a.data(), a.data() + m * k);
-    roundInPlace(qa.data(), m * k, round_a);
-    const int64_t ldb =
-        swapsRoles(lanes.width, m, n) ? n : laneStride(n, lanes.block());
+    const bool finite_a = roundInPlace(qa.data(), m * k, round_a);
+    const int64_t ldb = laneStride(n, lanes.block());
     std::vector<float> qb(size_t(k * ldb), 0.0f);
     for (int64_t kk = 0; kk < k; ++kk)
         std::copy_n(b.data() + kk * n, n, qb.data() + kk * ldb);
-    roundInPlace(qb.data(), k * ldb, round_b);
-    Tensor out({m, n});
-    chunkedGemm(qa.data(), qb.data(), m, k, n, ldb, lanes, cfg, out.data());
+    const bool finite_b = roundInPlace(qb.data(), k * ldb, round_b);
+    chunkedGemm(qa.data(), qb.data(), m, k, n, ldb, finite_a && finite_b,
+                lanes, cfg, out.data());
     return out;
-}
-
-/** Output columns one intChunkedGemm pass carries, one lane each. */
-constexpr int64_t kIntLanes = 16;
-
-/**
- * The integer GEMM of intChunkedGemm() with lane accumulators of type
- * @p Acc: each row of @p qa against kIntLanes output columns of @p qb
- * at a time. Every lane sums one chunk of k in @p Acc, saturates it to
- * INT16 at the chunk boundary and adds it to its exact int64 outer
- * sum. A zero level of @p qa skips that k for every lane.
- */
-template <typename Acc>
-void
-intChunkedGemmKernel(const int16_t *qa, const int16_t *qb, int64_t m,
-                     int64_t k, int64_t n, int64_t ldb, int64_t chunk,
-                     float scale, Rounding rounding, float *out)
-{
-    const FloatFormat &fp16 = dlfloat16();
-    for (int64_t i = 0; i < m; ++i) {
-        const int16_t *a_row = qa + i * k;
-        for (int64_t j0 = 0; j0 < n; j0 += kIntLanes) {
-            int64_t outer[kIntLanes] = {};
-            for (int64_t k0 = 0; k0 < k; k0 += chunk) {
-                const int64_t k1 = std::min(k, k0 + chunk);
-                Acc acc[kIntLanes] = {};
-                for (int64_t kk = k0; kk < k1; ++kk) {
-                    const int16_t a = a_row[kk];
-                    if (a == 0)
-                        continue; // adds nothing to any lane
-                    const int16_t *b = qb + kk * ldb + j0;
-                    for (int64_t l = 0; l < kIntLanes; ++l)
-                        acc[l] = Acc(acc[l] + Acc(a * b[l]));
-                }
-                for (int64_t l = 0; l < kIntLanes; ++l)
-                    outer[l] += saturateToInt16(acc[l]);
-            }
-            for (int64_t l = 0; l < std::min(kIntLanes, n - j0); ++l)
-                out[i * n + j0 + l] = fp16.quantize(
-                    float(double(outer[l]) * double(scale)), rounding);
-        }
-    }
 }
 
 /** Largest |level| in @p v. */
 int64_t
 maxAbsLevel(const int16_t *v, int64_t n)
 {
-    int64_t hi = 0;
-    for (int64_t i = 0; i < n; ++i)
-        hi = std::max(hi, int64_t(std::abs(int(v[i]))));
+    int hi = 0;
+    forEachBlocked<16>(n, [v, &hi](int64_t i) {
+        hi = std::max(hi, std::abs(int(v[i])));
+    });
     return hi;
 }
 
@@ -305,19 +343,22 @@ maxAbsLevel(const int16_t *v, int64_t n)
  * (M,K) x (K,N) GEMM of integer levels on the FXU: int chunk sums over
  * ascending chunks of k, each saturated to INT16 (the MPE's south-bus
  * width), an exact outer sum of the saturated chunks, and the outer
- * sum times @p scale emitted as DLFloat16. @p qb has row stride
- * @p ldb, a whole number of lane blocks, and zero padding columns.
+ * sum times @p scale emitted as DLFloat16, on @p lanes. @p qb has row
+ * stride @p ldb, a whole number of @p lanes blocks, and zero padding
+ * columns.
  *
  * Integer adds are exact, so the order of the adds inside a chunk
  * cannot change its sum; chunk boundaries stay at multiples of the
  * chunk size in k, whatever the levels. When the operand maxima prove
  * that no partial sum of a chunk exceeds 32767, the lanes run in
  * int16_t: nothing can wrap, and the INT16 saturation is the identity.
+ * Otherwise they run in int32_t, which the maxima prove cannot wrap
+ * either.
  */
 void
 intChunkedGemm(const int16_t *qa, const int16_t *qb, int64_t m, int64_t k,
-               int64_t n, int64_t ldb, float scale, const ExecConfig &cfg,
-               float *out)
+               int64_t n, int64_t ldb, float scale, const LaneIntGemm &lanes,
+               const ExecConfig &cfg, float *out)
 {
     rapid_assert(cfg.chunk_size >= 1, "chunk size must be positive");
     const int64_t span = int64_t(std::min(cfg.chunk_size, size_t(k)));
@@ -326,10 +367,8 @@ intChunkedGemm(const int16_t *qa, const int16_t *qb, int64_t m, int64_t k,
     rapid_assert(max_product == 0 || span <= INT32_MAX / max_product,
                  "INT GEMM chunk of ", span, " terms of up to ",
                  max_product, " overflows a 32-bit lane");
-    const auto kernel = span * max_product <= INT16_MAX
-                            ? &intChunkedGemmKernel<int16_t>
-                            : &intChunkedGemmKernel<int32_t>;
-    kernel(qa, qb, m, k, n, ldb, span, scale, cfg.rounding, out);
+    lanes.run(qa, qb, m, k, n, ldb, span * max_product <= INT16_MAX, scale,
+              cfg, out);
 }
 
 /**
@@ -539,7 +578,13 @@ fp16Conv2d(const Tensor &input, const Tensor &weight,
     return lowerConv(qi.data(), qw.data(), s, lanes.block(),
                      [&](const float *w, const float *cols, int64_t m,
                          int64_t k, int64_t n, int64_t ld, float *out) {
-                         chunkedGemm(w, cols, m, k, n, ld, lanes, cfg, out);
+                         if (swapsRoles(lanes.width, m, n))
+                             return swappedGemm(w, kAsIs, cols, ld, kAsIs,
+                                                m, k, n, lanes, cfg, out);
+                         chunkedGemm(w, cols, m, k, n, ld,
+                                     allFinite(w, m * k) &&
+                                         allFinite(cols, k * ld),
+                                     lanes, cfg, out);
                      });
 }
 
@@ -555,13 +600,14 @@ intMatmul(const Tensor &a, const PactQuantizer &act_q, const Tensor &b,
     rapid_assert(b.dim(0) == k, "INT GEMM inner-dimension mismatch: ", k,
                  " vs ", b.dim(0));
     const std::vector<int16_t> qa = levels(a, act_q);
-    const int64_t ldb = laneStride(n, kIntLanes);
+    const LaneIntGemm &lanes = activeLaneIntGemm();
+    const int64_t ldb = laneStride(n, lanes.block());
     std::vector<int16_t> qb(size_t(k * ldb), 0);
     for (int64_t kk = 0; kk < k; ++kk)
         wt_q.quantizeLevels(b.data() + kk * n, n, qb.data() + kk * ldb);
     Tensor out({m, n});
     intChunkedGemm(qa.data(), qb.data(), m, k, n, ldb,
-                   act_q.scale() * wt_q.scale(), cfg, out.data());
+                   act_q.scale() * wt_q.scale(), lanes, cfg, out.data());
     return out;
 }
 
@@ -575,11 +621,12 @@ intConv2d(const Tensor &input, const PactQuantizer &act_q,
     const float scale = act_q.scale() * wt_q.scale();
     const std::vector<int16_t> qi = levels(input, act_q);
     const std::vector<int16_t> qw = levels(weight, wt_q);
-    return lowerConv(qi.data(), qw.data(), s, kIntLanes,
+    const LaneIntGemm &lanes = activeLaneIntGemm();
+    return lowerConv(qi.data(), qw.data(), s, lanes.block(),
                      [&](const int16_t *w, const int16_t *cols, int64_t m,
                          int64_t k, int64_t n, int64_t ld, float *out) {
-                         intChunkedGemm(w, cols, m, k, n, ld, scale, cfg,
-                                        out);
+                         intChunkedGemm(w, cols, m, k, n, ld, scale, lanes,
+                                        cfg, out);
                      });
 }
 

@@ -234,12 +234,8 @@ Mlp::forward(const Tensor &x)
         Dense &d = layers_[i];
         Tensor y = d.forward(gemm_, h);
         d.pre_act = y;
-        if (i + 1 < layers_.size()) {
-            const float alpha = d.alpha;
-            y.apply([alpha](float v) {
-                return std::clamp(v, 0.0f, alpha);
-            });
-        }
+        if (i + 1 < layers_.size())
+            pactClip(y.data(), y.numel(), d.alpha);
         h = std::move(y);
     }
     return h;
@@ -366,12 +362,8 @@ Mlp::evaluateInt(const Dataset &test, unsigned width)
                           cfg_.exec);
         }
         y = biasAdd(y, d.b);
-        if (i + 1 < layers_.size()) {
-            const float alpha = d.alpha;
-            y.apply([alpha](float v) {
-                return std::clamp(v, 0.0f, alpha);
-            });
-        }
+        if (i + 1 < layers_.size())
+            pactClip(y.data(), y.numel(), d.alpha);
         h = std::move(y);
     }
     return accuracy(h, test.labels);

@@ -56,6 +56,15 @@ PactQuantizer::quantizeLevels(const float *x, int64_t n, int16_t *out) const
     });
 }
 
+void
+pactClip(float *v, int64_t n, float alpha)
+{
+    forEachBlocked(n, [v, alpha](int64_t i) {
+        const float x = v[i];
+        v[i] = x < 0.0f ? 0.0f : (alpha < x ? alpha : x);
+    });
+}
+
 float
 PactQuantizer::gradInput(float x) const
 {

@@ -57,6 +57,13 @@ class PactQuantizer
 };
 
 /**
+ * The PACT clip of each of the @p n values at @p v, in place:
+ * std::clamp(x, 0.0f, alpha)'s bits for every x (-0.0 and NaN pass
+ * through unchanged), taken by select so the loop vectorises.
+ */
+void pactClip(float *v, int64_t n, float alpha);
+
+/**
  * SaWB weight quantizer: symmetric signed quantization with a
  * statistics-derived clip scale.
  */

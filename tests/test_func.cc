@@ -6,7 +6,7 @@
  * (Sections II-B and II-C).
  */
 
-// The chunked GEMM's lane kernel runs here at every width
+// The chunked and INT GEMMs' lane kernels run here at every width
 // (lane_widths.hh).
 #pragma GCC diagnostic ignored "-Wpsabi"
 
@@ -66,6 +66,36 @@ laneGemm4(const float *qa, const float *qb, int64_t m, int64_t k, int64_t n,
 /** Every lane width's chunked GEMM. */
 const LaneGemm kLaneGemms[] = {
     {16, &laneGemm16}, {8, &laneGemm8}, {4, &laneGemm4}};
+
+// The INT GEMM's lane kernel at every width, likewise.
+
+RAPID_TARGET_AVX512 void
+laneIntGemm16(const int16_t *qa, const int16_t *qb, int64_t m, int64_t k,
+              int64_t n, int64_t ldb, bool int16_lanes, float scale,
+              const ExecConfig &cfg, float *out)
+{
+    intGemmLanes<16>(qa, qb, m, k, n, ldb, int16_lanes, scale, cfg, out);
+}
+
+RAPID_TARGET_AVX2 void
+laneIntGemm8(const int16_t *qa, const int16_t *qb, int64_t m, int64_t k,
+             int64_t n, int64_t ldb, bool int16_lanes, float scale,
+             const ExecConfig &cfg, float *out)
+{
+    intGemmLanes<8>(qa, qb, m, k, n, ldb, int16_lanes, scale, cfg, out);
+}
+
+void
+laneIntGemm4(const int16_t *qa, const int16_t *qb, int64_t m, int64_t k,
+             int64_t n, int64_t ldb, bool int16_lanes, float scale,
+             const ExecConfig &cfg, float *out)
+{
+    intGemmLanes<4>(qa, qb, m, k, n, ldb, int16_lanes, scale, cfg, out);
+}
+
+/** Every lane width's INT GEMM. */
+const LaneIntGemm kLaneIntGemms[] = {
+    {16, &laneIntGemm16}, {8, &laneIntGemm8}, {4, &laneIntGemm4}};
 
 Tensor
 randomTensor(Rng &rng, std::vector<int64_t> shape, double stddev = 0.5)
@@ -1033,8 +1063,11 @@ fillActivations(Tensor &t, IntFill fill, Rng &rng, float alpha)
     }
 }
 
-constexpr int64_t kIntOracleN[] = {1, 7, 15, 16, 17, 33, 160};
+// n around every lane block width (8, 16 and 32 columns); m = 7 is one
+// row block of 4 and a ragged block of 3.
+constexpr int64_t kIntOracleN[] = {1, 7, 15, 16, 17, 31, 32, 33, 64, 65, 160};
 constexpr int64_t kIntOracleK[] = {1, 63, 64, 65, 160, 200};
+constexpr int64_t kIntOracleM[] = {3, 7};
 constexpr unsigned kIntWidths[] = {2, 4};
 
 /** Chunk sizes the integer oracles sweep for a reduction of @p k. */
@@ -1048,32 +1081,37 @@ TEST(IntGemmOracle, BitIdenticalOverShapesChunksWidthsAndModes)
 {
     Rng rng(2000);
     int64_t outputs = 0;
+    std::string skipped;
     for (IntFill fill : {IntFill::Dense, IntFill::Sparse, IntFill::Zeros}) {
-        for (int64_t n : kIntOracleN) {
-            for (int64_t k : kIntOracleK) {
-                Tensor a({3, k});
-                fillActivations(a, fill, rng, 2.0f);
-                Tensor b = randomTensor(rng, {k, n}, 0.4);
-                for (unsigned width : kIntWidths) {
-                    const PactQuantizer act_q(2.0f, width);
-                    const SawbQuantizer wt_q(b.storage(), width);
-                    for (size_t chunk : intOracleChunks(k)) {
-                        for (Rounding mode : kOracleModes) {
-                            ExecConfig cfg;
-                            cfg.chunk_size = chunk;
-                            cfg.rounding = mode;
-                            const Tensor got =
-                                intMatmul(a, act_q, b, wt_q, width, cfg);
-                            EXPECT_EQ(bitMismatches(got,
-                                                    referenceIntMatmul(
-                                                        a, act_q, b, wt_q,
-                                                        cfg)),
-                                      0)
-                                << "fill=" << int(fill) << " k=" << k
-                                << " n=" << n << " width=" << width
-                                << " chunk=" << chunk
-                                << " mode=" << int(mode);
-                            outputs += got.numel();
+        for (int64_t m : kIntOracleM) {
+            for (int64_t n : kIntOracleN) {
+                for (int64_t k : kIntOracleK) {
+                    Tensor a({m, k});
+                    fillActivations(a, fill, rng, 2.0f);
+                    Tensor b = randomTensor(rng, {k, n}, 0.4);
+                    for (unsigned width : kIntWidths) {
+                        const PactQuantizer act_q(2.0f, width);
+                        const SawbQuantizer wt_q(b.storage(), width);
+                        for (size_t chunk : intOracleChunks(k)) {
+                            for (Rounding mode : kOracleModes) {
+                                ExecConfig cfg;
+                                cfg.chunk_size = chunk;
+                                cfg.rounding = mode;
+                                // One oracle run, checked at every width.
+                                const Tensor want = referenceIntMatmul(
+                                    a, act_q, b, wt_q, cfg);
+                                skipped = atEveryLaneWidth(kLaneIntGemms, [&] {
+                                    const Tensor got = intMatmul(
+                                        a, act_q, b, wt_q, width, cfg);
+                                    EXPECT_EQ(bitMismatches(got, want), 0)
+                                        << "fill=" << int(fill)
+                                        << " m=" << m << " k=" << k
+                                        << " n=" << n << " width=" << width
+                                        << " chunk=" << chunk
+                                        << " mode=" << int(mode);
+                                    outputs += got.numel();
+                                });
+                            }
                         }
                     }
                 }
@@ -1081,6 +1119,55 @@ TEST(IntGemmOracle, BitIdenticalOverShapesChunksWidthsAndModes)
         }
     }
     EXPECT_GT(outputs, 0);
+    if (!skipped.empty())
+        GTEST_SKIP() << skipped;
+}
+
+/** The widths of the INT GEMM kernels that intMatmul() and intConv2d()
+ *  called through a spy installed under a LaneScope. */
+struct IntGemmSpy
+{
+    static inline const LaneIntGemm *inner = nullptr;
+    static inline std::vector<int64_t> ldbs;
+
+    static void
+    run(const int16_t *qa, const int16_t *qb, int64_t m, int64_t k,
+        int64_t n, int64_t ldb, bool int16_lanes, float scale,
+        const ExecConfig &cfg, float *out)
+    {
+        ldbs.push_back(ldb);
+        inner->run(qa, qb, m, k, n, ldb, int16_lanes, scale, cfg, out);
+    }
+};
+
+TEST(IntGemmOracle, LaneScopeReachesIntMatmulAndIntConv)
+{
+    Rng rng(2004);
+    Tensor a({5, 40});
+    fillActivations(a, IntFill::Dense, rng, 2.0f);
+    const Tensor b = randomTensor(rng, {40, 9}, 0.4);
+    Tensor x({2, 4, 5, 5});
+    fillActivations(x, IntFill::Dense, rng, 2.0f);
+    const Tensor w = randomTensor(rng, {6, 2, 3, 3}, 0.4);
+    const PactQuantizer act_q(2.0f, 4);
+    const SawbQuantizer b_q(b.storage(), 4), w_q(w.storage(), 4);
+    const ConvParams p{1, 1, 2}; // 2 images x 2 groups: 4 GEMMs
+    const Tensor mm = intMatmul(a, act_q, b, b_q, 4);
+    const Tensor conv = intConv2d(x, act_q, w, w_q, 4, p);
+    for (const LaneIntGemm &gemm : kLaneIntGemms) {
+        if (!cpuRunsLanes(int(gemm.width)))
+            continue;
+        IntGemmSpy::inner = &gemm;
+        IntGemmSpy::ldbs.clear();
+        const LaneIntGemm spy{gemm.width, &IntGemmSpy::run};
+        const LaneScope<LaneIntGemm> scope(spy);
+        EXPECT_EQ(bitMismatches(intMatmul(a, act_q, b, b_q, 4), mm), 0);
+        EXPECT_EQ(bitMismatches(intConv2d(x, act_q, w, w_q, 4, p), conv), 0);
+        // Each call padded B's rows to whole blocks of this width.
+        ASSERT_EQ(IntGemmSpy::ldbs.size(), 5u) << "width " << gemm.width;
+        for (int64_t ldb : IntGemmSpy::ldbs)
+            EXPECT_EQ(ldb % gemm.block(), 0) << "width " << gemm.width;
+    }
 }
 
 /**
@@ -1158,39 +1245,41 @@ termsSummingTo(int64_t target)
  *  the oracle does, in one chunk and in two. */
 TEST(IntGemmOracle, ChunkSumsAtInt16Limits)
 {
-    for (int64_t target : {32767, -32767, 32768, -32768, -32769, 40000}) {
-        const auto terms = termsSummingTo(target);
-        std::vector<int> a_levels, b_levels;
-        for (int rep = 0; rep < 2; ++rep) // the same chunk twice
-            for (auto [a, b] : terms) {
-                a_levels.push_back(a);
-                b_levels.push_back(b);
-            }
-        // Lane 1 mirrors lane 0; lane 2 stays zero.
-        std::vector<int> negated = b_levels;
-        for (int &v : negated)
-            v = -v;
-        const ExactInt4 ops(a_levels,
-                            {b_levels, negated,
-                             std::vector<int>(b_levels.size(), 0)});
-        const int64_t clamped = std::clamp<int64_t>(target, INT16_MIN,
-                                                    INT16_MAX);
-        const int64_t clamped_neg = std::clamp<int64_t>(-target,
-                                                        INT16_MIN,
+    RAPID_AT_EVERY_LANE_WIDTH(kLaneIntGemms, [] {
+        for (int64_t target : {32767, -32767, 32768, -32768, -32769, 40000}) {
+            const auto terms = termsSummingTo(target);
+            std::vector<int> a_levels, b_levels;
+            for (int rep = 0; rep < 2; ++rep) // the same chunk twice
+                for (auto [a, b] : terms) {
+                    a_levels.push_back(a);
+                    b_levels.push_back(b);
+                }
+            // Lane 1 mirrors lane 0; lane 2 stays zero.
+            std::vector<int> negated = b_levels;
+            for (int &v : negated)
+                v = -v;
+            const ExactInt4 ops(a_levels,
+                                {b_levels, negated,
+                                 std::vector<int>(b_levels.size(), 0)});
+            const int64_t clamped = std::clamp<int64_t>(target, INT16_MIN,
                                                         INT16_MAX);
-        // One chunk per copy of the terms: each saturates.
-        const Tensor two = ops.run(terms.size());
-        EXPECT_EQ(two[0], ops.expect(2 * clamped)) << target;
-        EXPECT_EQ(two[1], ops.expect(2 * clamped_neg)) << target;
-        EXPECT_EQ(two[2], 0.0f);
-        // One chunk over both copies.
-        const int64_t both = std::clamp<int64_t>(2 * target, INT16_MIN,
-                                                 INT16_MAX);
-        for (size_t chunk : {a_levels.size(), a_levels.size() + 1,
-                             size_t(4096), size_t(1) << 20})
-            EXPECT_EQ(ops.run(chunk)[0], ops.expect(both))
-                << target << " chunk=" << chunk;
-    }
+            const int64_t clamped_neg = std::clamp<int64_t>(-target,
+                                                            INT16_MIN,
+                                                            INT16_MAX);
+            // One chunk per copy of the terms: each saturates.
+            const Tensor two = ops.run(terms.size());
+            EXPECT_EQ(two[0], ops.expect(2 * clamped)) << target;
+            EXPECT_EQ(two[1], ops.expect(2 * clamped_neg)) << target;
+            EXPECT_EQ(two[2], 0.0f);
+            // One chunk over both copies.
+            const int64_t both = std::clamp<int64_t>(2 * target, INT16_MIN,
+                                                     INT16_MAX);
+            for (size_t chunk : {a_levels.size(), a_levels.size() + 1,
+                                 size_t(4096), size_t(1) << 20})
+                EXPECT_EQ(ops.run(chunk)[0], ops.expect(both))
+                    << target << " chunk=" << chunk;
+        }
+    });
 }
 
 /**
@@ -1201,28 +1290,30 @@ TEST(IntGemmOracle, ChunkSumsAtInt16Limits)
  */
 TEST(IntGemmOracle, Int16LaneBoundEdges)
 {
-    struct Edge
-    {
-        int64_t k;
-        int a;
-        int64_t sum; ///< the one chunk's sum, before saturation
-    };
-    for (const Edge &e : {Edge{4681, 7, 32767}, Edge{4096, 8, 32768}}) {
-        const ExactInt4 ops(std::vector<int>(size_t(e.k), e.a),
-                            {std::vector<int>(size_t(e.k), 1),
-                             std::vector<int>(size_t(e.k), -1)});
-        for (size_t chunk : {size_t(e.k), size_t(e.k) + 1, size_t(1) << 20}) {
-            const Tensor got = ops.run(chunk);
-            EXPECT_EQ(got[0], ops.expect(std::min<int64_t>(e.sum,
-                                                           INT16_MAX)))
-                << "k=" << e.k;
-            EXPECT_EQ(got[1], ops.expect(-e.sum)) << "k=" << e.k;
+    RAPID_AT_EVERY_LANE_WIDTH(kLaneIntGemms, [] {
+        struct Edge
+        {
+            int64_t k;
+            int a;
+            int64_t sum; ///< the one chunk's sum, before saturation
+        };
+        for (const Edge &e : {Edge{4681, 7, 32767}, Edge{4096, 8, 32768}}) {
+            const ExactInt4 ops(std::vector<int>(size_t(e.k), e.a),
+                                {std::vector<int>(size_t(e.k), 1),
+                                 std::vector<int>(size_t(e.k), -1)});
+            for (size_t chunk : {size_t(e.k), size_t(e.k) + 1, size_t(1) << 20}) {
+                const Tensor got = ops.run(chunk);
+                EXPECT_EQ(got[0], ops.expect(std::min<int64_t>(e.sum,
+                                                               INT16_MAX)))
+                    << "k=" << e.k;
+                EXPECT_EQ(got[1], ops.expect(-e.sum)) << "k=" << e.k;
+            }
+            // Shorter chunks: the bound shrinks with the chunk.
+            for (size_t chunk : {size_t(1), size_t(7), size_t(64),
+                                 size_t(4095)})
+                ops.run(chunk);
         }
-        // Shorter chunks: the bound shrinks with the chunk.
-        for (size_t chunk : {size_t(1), size_t(7), size_t(64),
-                             size_t(4095)})
-            ops.run(chunk);
-    }
+    });
 }
 
 /** Convolution shapes the lowering oracles sweep. */
@@ -1275,6 +1366,7 @@ TEST(ConvLoweringOracle, Fp16BitIdentical)
 TEST(ConvLoweringOracle, IntBitIdentical)
 {
     Rng rng(2003);
+    std::string skipped;
     for (const ConvCase &c : kConvCases) {
         for (IntFill fill : {IntFill::Dense, IntFill::Sparse}) {
             Tensor x({c.n, c.ci, c.h, c.w});
@@ -1290,22 +1382,26 @@ TEST(ConvLoweringOracle, IntBitIdentical)
                         ExecConfig cfg;
                         cfg.chunk_size = chunk;
                         cfg.rounding = mode;
-                        EXPECT_EQ(
-                            bitMismatches(
-                                intConv2d(x, act_q, w, wt_q, width, c.p,
-                                          cfg),
-                                referenceIntConv2d(x, act_q, w, wt_q, c.p,
-                                                   cfg)),
-                            0)
-                            << "ci=" << c.ci << " co=" << c.co
-                            << " groups=" << c.p.groups
-                            << " width=" << width << " chunk=" << chunk
-                            << " mode=" << int(mode);
+                        const Tensor want =
+                            referenceIntConv2d(x, act_q, w, wt_q, c.p, cfg);
+                        skipped = atEveryLaneWidth(kLaneIntGemms, [&] {
+                            EXPECT_EQ(bitMismatches(intConv2d(x, act_q, w,
+                                                              wt_q, width,
+                                                              c.p, cfg),
+                                                    want),
+                                      0)
+                                << "ci=" << c.ci << " co=" << c.co
+                                << " groups=" << c.p.groups
+                                << " width=" << width << " chunk=" << chunk
+                                << " mode=" << int(mode);
+                        });
                     }
                 }
             }
         }
     }
+    if (!skipped.empty())
+        GTEST_SKIP() << skipped;
 }
 
 /** Geometry of one lowered training convolution (3x3 kernel). */

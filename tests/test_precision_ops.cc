@@ -5,6 +5,7 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -211,6 +212,53 @@ TEST(Pact, StraightThroughGradients)
     EXPECT_FLOAT_EQ(q.gradInput(5.0f), 0.0f);
     EXPECT_FLOAT_EQ(q.gradAlpha(5.0f), 1.0f);
     EXPECT_FLOAT_EQ(q.gradAlpha(2.0f), 0.0f);
+}
+
+/** pactClip() matches std::clamp(x, 0, alpha) bit for bit on the
+ *  edges of both compares and on a seeded sweep, NaN payloads and
+ *  signed zeros included, at every offset into its lane blocks. */
+TEST(Pact, ClipMatchesStdClampBitForBit)
+{
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    constexpr float kMin = std::numeric_limits<float>::min();
+    constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
+    Rng rng(12);
+    for (const float alpha : {0.1f, 1.0f, 2.5f, 6.0f}) {
+        std::vector<float> in = {
+            0.0f, -0.0f, kInf, -kInf, alpha, -alpha,
+            std::nextafter(alpha, kInf), std::nextafter(alpha, -kInf),
+            kDenorm, -kDenorm, kMin, -kMin, 0.5f * kMin, -0.5f * kMin,
+            -1.0f, -1e30f, 1e30f,
+            std::bit_cast<float>(0x7fc00000u), // quiet NaN
+            std::bit_cast<float>(0xffc00000u), // negative quiet NaN
+            std::bit_cast<float>(0x7fc12345u), // quiet NaN, payload
+            std::bit_cast<float>(0xff812345u), // NaN, payload, sign
+            std::bit_cast<float>(0x7f800001u), // signalling NaN
+        };
+        const size_t edges = in.size();
+        for (int i = 0; i < 1000; ++i)
+            in.push_back(float(rng.uniform(-2.0 * double(alpha),
+                                           2.0 * double(alpha))));
+        std::vector<float> got = in;
+        pactClip(got.data(), int64_t(got.size()), alpha);
+        for (size_t i = 0; i < in.size(); ++i)
+            EXPECT_EQ(std::bit_cast<uint32_t>(got[i]),
+                      std::bit_cast<uint32_t>(std::clamp(in[i], 0.0f, alpha)))
+                << "alpha=" << alpha << " x bits=0x" << std::hex
+                << std::bit_cast<uint32_t>(in[i]);
+        // Each edge value again at every offset of an 8-lane block.
+        for (size_t off = 0; off < 8; ++off) {
+            std::vector<float> shifted(off, 1.0f);
+            shifted.insert(shifted.end(), in.begin(),
+                           in.begin() + int64_t(edges));
+            pactClip(shifted.data(), int64_t(shifted.size()), alpha);
+            for (size_t i = 0; i < edges; ++i)
+                EXPECT_EQ(std::bit_cast<uint32_t>(shifted[off + i]),
+                          std::bit_cast<uint32_t>(
+                              std::clamp(in[i], 0.0f, alpha)))
+                    << "alpha=" << alpha << " offset=" << off;
+        }
+    }
 }
 
 TEST(Pact, QuantizationErrorBounded)
