@@ -265,25 +265,47 @@ saturateLanesToInt16(const AccLanes &acc)
     }
 }
 
-/**
- * @p R rows of @p qa (row stride @p k) against the 2W columns of @p qb
- * at @p b (row stride @p ldb) over the whole reduction. Each lane sums
- * the products of one chunk of @p chunk k in @p Acc, saturates the sum
- * to INT16 and adds it to its outer sum, a binary64 integer: every
- * partial outer sum is a whole number of magnitude below
- * 2^15 * ceil(K / chunk) < 2^53, so each add is exact. The outer sum
- * times @p scale, rounded to binary32 and then to DLFloat16 on the
- * bits, gives the first @p cols columns of each row of @p out (row
- * stride @p ldc).
- */
-template <int W, typename Acc, Rounding Mode, int R>
-[[gnu::always_inline]] inline void
-intGemmBlock(const int16_t *qa, const int16_t *b, int64_t k, int64_t ldb,
-             int64_t chunk, double scale, int64_t cols, float *out,
-             int64_t ldc)
+/** dlfloat16RoundLanes() of @p bits at @p rounding, NaN select kept. */
+template <typename Bits>
+[[gnu::always_inline]] inline Bits
+dlfloat16RoundLanesAt(Rounding rounding, const Bits &bits)
 {
+    switch (rounding) {
+      case Rounding::NearestUp:
+        return dlfloat16RoundLanes<Rounding::NearestUp, true>(bits);
+      case Rounding::Truncate:
+        return dlfloat16RoundLanes<Rounding::Truncate, true>(bits);
+      case Rounding::NearestEven:
+        break;
+    }
+    return dlfloat16RoundLanes<Rounding::NearestEven, true>(bits);
+}
+
+/**
+ * Rows i0..i0+@p rows of @p qa (row stride @p k, M rows in all; at most
+ * kIntGemmRows) against the 2W columns of @p qb at @p b (row stride
+ * @p ldb) over the whole reduction. A block of fewer rows repeats its
+ * last row in the spare accumulators and stores none of them. Each
+ * lane sums the products of one chunk of @p chunk k in @p Acc,
+ * saturates the sum to INT16 and adds it to its outer sum, a binary64
+ * integer: every partial outer sum is a whole number of magnitude at
+ * most 2^15 * ceil(K / chunk) < 2^53, so each add is exact. The outer
+ * sum times @p scale, rounded to binary32 and then to DLFloat16 at
+ * @p rounding on the bits, gives the first @p cols columns of each
+ * row of @p out (row stride @p ldc).
+ */
+template <int W, typename Acc>
+[[gnu::always_inline]] inline void
+intGemmBlock(const int16_t *qa, int64_t rows, const int16_t *b, int64_t k,
+             int64_t ldb, int64_t chunk, double scale, Rounding rounding,
+             int64_t cols, float *out, int64_t ldc)
+{
+    constexpr int R = kIntGemmRows;
     using AccLanes = LanesOf<Acc, 2 * W>;
     using OuterLanes = LanesOf<double, 2 * W>;
+    const int16_t *a[R];
+    for (int r = 0; r < R; ++r)
+        a[r] = qa + std::min<int64_t>(r, rows - 1) * k;
     OuterLanes outer[R] = {};
     for (int64_t k0 = 0; k0 < k; k0 += chunk) {
         const int64_t k1 = std::min(k, k0 + chunk);
@@ -293,7 +315,7 @@ intGemmBlock(const int16_t *qa, const int16_t *b, int64_t k, int64_t ldb,
                 loadVector<LanesOf<int16_t, 2 * W>>(b + kk * ldb), AccLanes);
 #pragma GCC unroll 4
             for (int r = 0; r < R; ++r)
-                acc[r] += (AccLanes{} + Acc(qa[r * k + kk])) * bv;
+                acc[r] += (AccLanes{} + Acc(a[r][kk])) * bv;
         }
 #pragma GCC unroll 4
         for (int r = 0; r < R; ++r)
@@ -302,79 +324,35 @@ intGemmBlock(const int16_t *qa, const int16_t *b, int64_t k, int64_t ldb,
                                         LanesOf<int32_t, 2 * W>),
                 OuterLanes);
     }
-#pragma GCC unroll 4
-    for (int r = 0; r < R; ++r) {
+    for (int64_t r = 0; r < rows; ++r) {
         const LanesOf<float, 2 * W> value =
             __builtin_convertvector(outer[r] * scale, LanesOf<float, 2 * W>);
-        const LanesOf<uint32_t, 2 * W> rounded =
-            dlfloat16RoundLanes<Mode, true>(
-                lanesAs<LanesOf<uint32_t, 2 * W>>(value));
+        const LanesOf<uint32_t, 2 * W> rounded = dlfloat16RoundLanesAt(
+            rounding, lanesAs<LanesOf<uint32_t, 2 * W>>(value));
         std::memcpy(out + r * ldc, &rounded, size_t(cols) * sizeof(float));
     }
 }
 
 /**
- * The INT GEMM of @p LaneIntGemm::run at lane half-width @p W, lane
- * type @p Acc and rounding @p Mode: one block of 2W output columns at
- * a time, down every row of @p qa, kIntGemmRows rows at a time and
- * then the rest as one block. Every k step adds into every lane, with
- * no branch on the levels: a zero level adds nothing, and the chunk
- * boundaries stay at multiples of @p chunk in k.
+ * The INT GEMM of LaneIntGemm::run at lane half-width @p W in @p Acc
+ * lanes: one block of 2W output columns at a time, down every row of
+ * @p qa, kIntGemmRows rows at a time. Every k step adds into every
+ * lane, with no branch on the levels: a zero level adds nothing, and
+ * the chunk boundaries stay at multiples of @p chunk in k.
  */
-template <int W, typename Acc, Rounding Mode>
+template <int W, typename Acc>
 [[gnu::always_inline]] inline void
 intGemmKernel(const int16_t *qa, const int16_t *qb, int64_t m, int64_t k,
               int64_t n, int64_t ldb, int64_t chunk, float scale,
-              float *out)
+              Rounding rounding, float *out)
 {
-    const double s = double(scale);
     for (int64_t j0 = 0; j0 < n; j0 += 2 * W) {
         const int64_t cols = std::min(2 * int64_t(W), n - j0);
-        const int16_t *b = qb + j0;
-        int64_t i = 0;
-        for (; i + kIntGemmRows <= m; i += kIntGemmRows)
-            intGemmBlock<W, Acc, Mode, kIntGemmRows>(
-                qa + i * k, b, k, ldb, chunk, s, cols, out + i * n + j0, n);
-        const int16_t *a_rest = qa + i * k;
-        float *out_rest = out + i * n + j0;
-        switch (m - i) {
-          case 3:
-            intGemmBlock<W, Acc, Mode, 3>(a_rest, b, k, ldb, chunk, s, cols,
-                                          out_rest, n);
-            break;
-          case 2:
-            intGemmBlock<W, Acc, Mode, 2>(a_rest, b, k, ldb, chunk, s, cols,
-                                          out_rest, n);
-            break;
-          case 1:
-            intGemmBlock<W, Acc, Mode, 1>(a_rest, b, k, ldb, chunk, s, cols,
-                                          out_rest, n);
-            break;
-          default:
-            break;
-        }
+        for (int64_t i = 0; i < m; i += kIntGemmRows)
+            intGemmBlock<W, Acc>(qa + i * k, std::min(kIntGemmRows, m - i),
+                                 qb + j0, k, ldb, chunk, double(scale),
+                                 rounding, cols, out + i * n + j0, n);
     }
-}
-
-/** intGemmKernel() in @p Acc lanes at @p rounding. */
-template <int W, typename Acc>
-[[gnu::always_inline]] inline void
-intGemmRounded(const int16_t *qa, const int16_t *qb, int64_t m, int64_t k,
-               int64_t n, int64_t ldb, int64_t chunk, float scale,
-               Rounding rounding, float *out)
-{
-    switch (rounding) {
-      case Rounding::NearestUp:
-        return intGemmKernel<W, Acc, Rounding::NearestUp>(
-            qa, qb, m, k, n, ldb, chunk, scale, out);
-      case Rounding::Truncate:
-        return intGemmKernel<W, Acc, Rounding::Truncate>(
-            qa, qb, m, k, n, ldb, chunk, scale, out);
-      case Rounding::NearestEven:
-        break;
-    }
-    intGemmKernel<W, Acc, Rounding::NearestEven>(qa, qb, m, k, n, ldb, chunk,
-                                                 scale, out);
 }
 
 /** LaneIntGemm::run at lane half-width @p W; a lane INT GEMM entry
@@ -387,10 +365,10 @@ intGemmLanes(const int16_t *qa, const int16_t *qb, int64_t m, int64_t k,
 {
     const int64_t chunk = int64_t(std::min(cfg.chunk_size, size_t(k)));
     if (int16_lanes)
-        return intGemmRounded<W, int16_t>(qa, qb, m, k, n, ldb, chunk, scale,
-                                          cfg.rounding, out);
-    intGemmRounded<W, int32_t>(qa, qb, m, k, n, ldb, chunk, scale,
-                               cfg.rounding, out);
+        return intGemmKernel<W, int16_t>(qa, qb, m, k, n, ldb, chunk, scale,
+                                         cfg.rounding, out);
+    intGemmKernel<W, int32_t>(qa, qb, m, k, n, ldb, chunk, scale,
+                              cfg.rounding, out);
 }
 
 } // namespace rapid
