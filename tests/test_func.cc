@@ -1123,8 +1123,8 @@ TEST(IntGemmOracle, BitIdenticalOverShapesChunksWidthsAndModes)
         GTEST_SKIP() << skipped;
 }
 
-/** The widths of the INT GEMM kernels that intMatmul() and intConv2d()
- *  called through a spy installed under a LaneScope. */
+/** A spy INT GEMM entry: records the B row stride of every GEMM that
+ *  reaches it and runs the GEMM on @p inner. */
 struct IntGemmSpy
 {
     static inline const LaneIntGemm *inner = nullptr;
