@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "common/error.hh"
+#include "common/lanes.hh"
 #include "common/logging.hh"
 
 namespace rapid {
@@ -109,29 +110,6 @@ FaultStats::accountingConsistent() const
            detected == corrected + retries;
 }
 
-namespace {
-
-/** splitmix64 finalizer: the standard seed-mixing bijection. */
-uint64_t
-splitmix64(uint64_t z)
-{
-    z += 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-} // namespace
-
-uint64_t
-mixSeed(uint64_t seed, uint64_t item)
-{
-    // Two mixing rounds decorrelate (seed, item) pairs: one
-    // splitmix64 step is already a bijection, the second breaks the
-    // simple additive relation between neighbouring items.
-    return splitmix64(splitmix64(seed) ^ item);
-}
-
 FaultInjector::FaultInjector(const FaultConfig &cfg) : cfg_(cfg)
 {
     validateFaultConfig(cfg);
@@ -146,13 +124,52 @@ siteSalt(uint64_t seed, FaultSite site)
     return seed ^ (uint64_t(site) + 1) * 0xd6e8feb86659fd93ULL;
 }
 
-/** The hash draw of @p item under @p salt: the top 53 bits of the mix
- *  as a uniform double in [0, 1), mirroring the mt19937 real
- *  distribution's resolution, against @p rate. */
-bool
-hashHit(uint64_t salt, uint64_t item, double rate)
+/**
+ * The threshold a hash draw x hits below at @p rate in [0, 1]:
+ * ceil(rate * 2^53). The integer test is the uniform's test exactly:
+ * rate * 2^53 is a power-of-two scale, so exact, and so is x * 2^-53
+ * for x < 2^53, so x * 2^-53 < rate iff x < rate * 2^53 iff
+ * x < ceil(rate * 2^53) for an integer x.
+ */
+uint64_t
+hashThreshold(double rate)
 {
-    return double(mixSeed(salt, item) >> 11) * 0x1.0p-53 < rate;
+    return uint64_t(std::ceil(std::ldexp(rate, 53)));
+}
+
+// The pre-filter at each lane width, compiled for its target.
+
+RAPID_TARGET_AVX512 void
+hashHitsAvx512(uint64_t key, uint64_t first, uint64_t n, uint64_t threshold,
+               std::vector<uint64_t> &hits)
+{
+    hashHitsLanes<16>(key, first, n, threshold, hits);
+}
+
+RAPID_TARGET_AVX2 void
+hashHitsAvx2(uint64_t key, uint64_t first, uint64_t n, uint64_t threshold,
+             std::vector<uint64_t> &hits)
+{
+    hashHitsLanes<8>(key, first, n, threshold, hits);
+}
+
+void
+hashHitsBaseline(uint64_t key, uint64_t first, uint64_t n,
+                 uint64_t threshold, std::vector<uint64_t> &hits)
+{
+    hashHitsLanes<4>(key, first, n, threshold, hits);
+}
+
+/** The pre-filter of the calling thread: a LaneScope's, else the
+ *  widest this CPU executes, picked on first use. */
+const LaneHashHits &
+activeHashHits()
+{
+    static const LaneHashHits kWidths[] = {{16, &hashHitsAvx512},
+                                           {8, &hashHitsAvx2},
+                                           {4, &hashHitsBaseline}};
+    static const LaneHashHits &picked = widestLanes(kWidths);
+    return LaneScope<LaneHashHits>::activeOr(picked);
 }
 
 } // namespace
@@ -173,12 +190,9 @@ std::vector<uint64_t>
 FaultInjector::hashEventHits(FaultSite site, uint64_t first,
                              uint64_t n) const
 {
-    const uint64_t salt = siteSalt(cfg_.seed, site);
-    const double rate = cfg_.rate;
     std::vector<uint64_t> hits;
-    for (uint64_t i = 0; i < n; ++i)
-        if (hashHit(salt, first + i, rate))
-            hits.push_back(i);
+    activeHashHits().run(splitmix64(siteSalt(cfg_.seed, site)), first, n,
+                         hashThreshold(cfg_.rate), hits);
     return hits;
 }
 

@@ -179,11 +179,13 @@ class FaultInjector
 
     /**
      * The offsets i in [0, @p n), ascending, for which the hash-derived
-     * Bernoulli(rate) draw of (@p site, @p first + i) hits: no mt19937
-     * construction, so high-volume sites (one item per GEMM output
-     * element) pre-filter in a few ns per item and build the full
-     * stream() only on the rare hit. Sites opting in define their hit
-     * set through this draw rather than eventDraw(stream(...)).
+     * Bernoulli(rate) draw of (@p site, @p first + i) hits (its
+     * hashDraw() x, as the uniform x * 2^-53, below the rate): no
+     * mt19937 construction, so high-volume sites (one item per GEMM
+     * output element) pre-filter in about a ns per item, in lanes
+     * (LaneHashHits), and build the full stream() only on the rare
+     * hit. Sites opting in define their hit set through this draw
+     * rather than eventDraw(stream(...)).
      */
     std::vector<uint64_t> hashEventHits(FaultSite site, uint64_t first,
                                         uint64_t n) const;
@@ -228,11 +230,81 @@ class FaultInjector
 double expectedRetryCycles(const FaultConfig &cfg, FaultSite site,
                            double events, double exposure);
 
+/** splitmix64 finalizer: the standard seed-mixing bijection. */
+inline uint64_t
+splitmix64(uint64_t z)
+{
+    z += 0x9e3779b97f4a7c15ULL;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+}
+
 /**
  * Deterministic (seed, item) mix (two splitmix64 rounds) for seeding
- * per-work-item Rng streams without any shared RNG state.
+ * per-work-item Rng streams without any shared RNG state. Two rounds
+ * decorrelate (seed, item) pairs: one splitmix64 step is already a
+ * bijection, the second breaks the simple additive relation between
+ * neighbouring items.
  */
-uint64_t mixSeed(uint64_t seed, uint64_t item);
+inline uint64_t
+mixSeed(uint64_t seed, uint64_t item)
+{
+    return splitmix64(splitmix64(seed) ^ item);
+}
+
+/**
+ * The hash draw of @p item under the site key @p key (splitmix64 of
+ * the site's seed, so that this is the top 53 bits of mixSeed()): an
+ * integer below 2^53, whose uniform in [0, 1) is x * 2^-53, the
+ * mt19937 real distribution's resolution.
+ */
+inline uint64_t
+hashDraw(uint64_t key, uint64_t item)
+{
+    return splitmix64(key ^ item) >> 11;
+}
+
+/**
+ * The hash pre-filter at one lane width: @p run appends to @p hits
+ * each offset i in [0, @p n), ascending, whose hashDraw() of item
+ * @p first + i under @p key lies below @p threshold.
+ */
+struct LaneHashHits
+{
+    using Run = void (*)(uint64_t key, uint64_t first, uint64_t n,
+                         uint64_t threshold, std::vector<uint64_t> &hits);
+
+    int64_t width; ///< W: the 32-bit lanes of one vector
+    Run run;
+};
+
+/**
+ * LaneHashHits::run at lane width @p W; an entry instantiates this at
+ * its width under its target. Each block of W items draws
+ * branch-free, and only a block with a hit (rare at a fault rate) is
+ * walked again to list it.
+ */
+template <int W>
+[[gnu::always_inline]] inline void
+hashHitsLanes(uint64_t key, uint64_t first, uint64_t n, uint64_t threshold,
+              std::vector<uint64_t> &hits)
+{
+    uint64_t i = 0;
+    for (; i + W <= n; i += W) {
+        uint64_t any = 0;
+        for (uint64_t l = 0; l < W; ++l)
+            any |= uint64_t(hashDraw(key, first + i + l) < threshold);
+        if (any == 0)
+            continue;
+        for (uint64_t l = 0; l < W; ++l)
+            if (hashDraw(key, first + i + l) < threshold)
+                hits.push_back(i + l);
+    }
+    for (; i < n; ++i)
+        if (hashDraw(key, first + i) < threshold)
+            hits.push_back(i);
+}
 
 /**
  * One-line human-readable description of a fault scenario

@@ -38,16 +38,23 @@ namespace rapid {
  * A chunked GEMM over finite quantized operands at one lane
  * half-width: @p run computes every output of the (M,K) x (K,N) GEMM
  * of row-major @p qa and @p qb, whose row stride @p ldb is a whole
- * number of blocks and whose padding columns are zero.
+ * number of blocks and whose padding columns are zero. @p round
+ * quantizes its operands on the way in: the @p n binary32 values at
+ * @p v, in place, to the FP8 format @p fp8 or, when that is null, to
+ * DLFloat16, at @p rounding; it returns whether every rounded value
+ * is finite.
  */
 struct LaneGemm
 {
     using Run = void (*)(const float *qa, const float *qb, int64_t m,
                          int64_t k, int64_t n, int64_t ldb,
                          const ExecConfig &cfg, float *out);
+    using Round = bool (*)(float *v, int64_t n, const Fp8RoundBits *fp8,
+                           Rounding rounding);
 
     int64_t width; ///< W, the lanes of one vector
     Run run;
+    Round round;
 
     /** Output columns one lane block carries: two vectors. */
     int64_t block() const { return 2 * width; }
@@ -159,16 +166,20 @@ chunkedGemmKernel(const float *qa, const float *qb, int64_t m, int64_t k,
                                             limit);
             }
             // The last fold, the finiteness backstop and the output
-            // rounding (padding lanes hold +0).
+            // rounding (padding lanes hold +0). A binary32 is NaN or
+            // Inf exactly when its exponent field is all ones, and then
+            // adding one to the field carries into the sign bit: lane
+            // arithmetic and one OR over the lanes, where a lane
+            // compare turned into a vector would be built lane by lane.
             const BitLanes<W> total_lo = lastFold<Mode, Fp32Outer>(lo);
             const BitLanes<W> total_hi = lastFold<Mode, Fp32Outer>(hi);
-            const BitLanes<W> non_finite = lanesAs<BitLanes<W>>(
-                ((total_lo & 0x7f800000u) == 0x7f800000u) |
-                ((total_hi & 0x7f800000u) == 0x7f800000u));
-            uint32_t any_non_finite = 0;
+            const BitLanes<W> carries =
+                ((total_lo & 0x7f800000u) + 0x00800000u) |
+                ((total_hi & 0x7f800000u) + 0x00800000u);
+            uint32_t any_carry = 0;
             for (int l = 0; l < W; ++l)
-                any_non_finite |= non_finite[l];
-            RAPID_CHECK_NUMERIC(any_non_finite == 0,
+                any_carry |= carries[l];
+            RAPID_CHECK_NUMERIC((any_carry & 0x80000000u) == 0,
                                 "non-finite chunked dot product over ", k,
                                 " elements: a poisoned operand reached "
                                 "the training accumulation");
@@ -215,6 +226,62 @@ chunkedGemmLanes(const float *qa, const float *qb, int64_t m, int64_t k,
     }
     chunkedGemmKernel<W, Rounding::NearestEven, false>(qa, qb, m, k, n, ldb,
                                                        chunk, out);
+}
+
+/**
+ * @p round of the binary32 pattern of every v[i], i in [0, @p n), in
+ * place, in whole blocks of 2W values the compiler vectorises at the
+ * caller's target. Returns whether every rounded value is finite. One
+ * pointer, not a source and a destination: once this inlines,
+ * __restrict on two pointers is lost, and -O2's cost model will not
+ * version a loop for aliasing.
+ */
+template <int W, typename Round>
+[[gnu::always_inline]] inline bool
+roundInPlace(float *v, int64_t n, Round round)
+{
+    // A binary32 is NaN or Inf exactly when its exponent field is all
+    // ones, and then adding one to the field carries into the sign bit.
+    uint32_t carries = 0;
+    forEachBlocked<2 * W>(n, [v, round, &carries](int64_t i) {
+        const uint32_t r = round(std::bit_cast<uint32_t>(v[i]));
+        v[i] = std::bit_cast<float>(r);
+        carries |= (r & 0x7f800000u) + 0x00800000u;
+    });
+    return (carries & 0x80000000u) == 0;
+}
+
+/** roundInPlace() by Fp8RoundBits::round<Mode>() of @p fp8, copied
+ *  into the loop (through a reference, a store to @p v may alias its
+ *  constants), or by dlfloat16RoundBits<Mode>() when @p fp8 is null. */
+template <int W, Rounding Mode>
+[[gnu::always_inline]] inline bool
+roundOperand(float *v, int64_t n, const Fp8RoundBits *fp8)
+{
+    if (fp8)
+        return roundInPlace<W>(v, n, [f = *fp8](uint32_t in) {
+            return f.round<Mode>(in);
+        });
+    return roundInPlace<W>(
+        v, n, [](uint32_t in) { return dlfloat16RoundBits<Mode>(in); });
+}
+
+/** LaneGemm::round at lane half-width @p W; a lane GEMM entry
+ *  instantiates this at its width under its target. */
+template <int W>
+[[gnu::always_inline]] inline bool
+roundOperandLanes(float *v, int64_t n, const Fp8RoundBits *fp8,
+                  Rounding rounding)
+{
+    switch (rounding) {
+      case Rounding::NearestUp:
+        return roundOperand<W, Rounding::NearestUp>(v, n, fp8);
+      case Rounding::Truncate:
+        return roundOperand<W, Rounding::Truncate>(v, n, fp8);
+      case Rounding::NearestEven:
+        break;
+    }
+    return roundOperand<W, Rounding::NearestEven>(v, n, fp8);
 }
 
 /**

@@ -8,7 +8,6 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <type_traits>
 #include <vector>
 
 #include "common/error.hh"
@@ -76,11 +75,25 @@ chunkedGemmAvx512(const float *qa, const float *qb, int64_t m, int64_t k,
     chunkedGemmLanes<16>(qa, qb, m, k, n, ldb, cfg, out);
 }
 
+RAPID_TARGET_AVX512 bool
+roundOperandAvx512(float *v, int64_t n, const Fp8RoundBits *fp8,
+                   Rounding rounding)
+{
+    return roundOperandLanes<16>(v, n, fp8, rounding);
+}
+
 RAPID_TARGET_AVX2 void
 chunkedGemmAvx2(const float *qa, const float *qb, int64_t m, int64_t k,
                 int64_t n, int64_t ldb, const ExecConfig &cfg, float *out)
 {
     chunkedGemmLanes<8>(qa, qb, m, k, n, ldb, cfg, out);
+}
+
+RAPID_TARGET_AVX2 bool
+roundOperandAvx2(float *v, int64_t n, const Fp8RoundBits *fp8,
+                 Rounding rounding)
+{
+    return roundOperandLanes<8>(v, n, fp8, rounding);
 }
 
 void
@@ -91,14 +104,22 @@ chunkedGemmBaseline(const float *qa, const float *qb, int64_t m, int64_t k,
     chunkedGemmLanes<4>(qa, qb, m, k, n, ldb, cfg, out);
 }
 
+bool
+roundOperandBaseline(float *v, int64_t n, const Fp8RoundBits *fp8,
+                     Rounding rounding)
+{
+    return roundOperandLanes<4>(v, n, fp8, rounding);
+}
+
 /** The lane GEMM of the calling thread: a LaneScope's, else the
  *  widest this CPU executes, picked on first use. */
 const LaneGemm &
 activeLaneGemm()
 {
-    static const LaneGemm kWidths[] = {{16, &chunkedGemmAvx512},
-                                       {8, &chunkedGemmAvx2},
-                                       {4, &chunkedGemmBaseline}};
+    static const LaneGemm kWidths[] = {
+        {16, &chunkedGemmAvx512, &roundOperandAvx512},
+        {8, &chunkedGemmAvx2, &roundOperandAvx2},
+        {4, &chunkedGemmBaseline, &roundOperandBaseline}};
     static const LaneGemm &picked = widestLanes(kWidths);
     return LaneScope<LaneGemm>::activeOr(picked);
 }
@@ -139,23 +160,6 @@ activeLaneIntGemm()
     return LaneScope<LaneIntGemm>::activeOr(picked);
 }
 
-/** Call @p fn with @p rounding as a compile-time constant, and return
- *  what it returns. */
-template <typename Fn>
-decltype(auto)
-withRounding(Rounding rounding, Fn &&fn)
-{
-    switch (rounding) {
-      case Rounding::NearestUp:
-        return fn(std::integral_constant<Rounding, Rounding::NearestUp>{});
-      case Rounding::Truncate:
-        return fn(std::integral_constant<Rounding, Rounding::Truncate>{});
-      case Rounding::NearestEven:
-        break;
-    }
-    return fn(std::integral_constant<Rounding, Rounding::NearestEven>{});
-}
-
 /** The FP8 round of @p kind's format at @p cfg's forward bias. */
 Fp8RoundBits
 fp8Round(Fp8Kind kind, const ExecConfig &cfg)
@@ -164,55 +168,13 @@ fp8Round(Fp8Kind kind, const ExecConfig &cfg)
                                                  : fp8e5m2());
 }
 
-/** Fp8RoundBits::round<Mode>() as a bits-to-bits function holding its
- *  own copy of @p fp8. */
-template <Rounding Mode>
-auto
-fp8Lanes(const Fp8RoundBits &fp8)
-{
-    return [fp8](uint32_t in) { return fp8.round<Mode>(in); };
-}
-
-/** dlfloat16RoundBits<Mode>() as a bits-to-bits function. */
-template <Rounding Mode>
-auto
-fp16Lanes()
-{
-    return [](uint32_t in) { return dlfloat16RoundBits<Mode>(in); };
-}
-
-/**
- * @p round of the binary32 pattern of every v[i], i in [0, @p n), in
- * place and in lanes; @p round is copied into the loop. Returns whether
- * every rounded value is finite. One pointer, not a source and a
- * destination: once this inlines, __restrict on two pointers is lost,
- * and -O2's cost model will not version a loop for aliasing.
- */
-template <typename Round>
-bool
-roundInPlace(float *v, int64_t n, Round round)
-{
-    // A binary32 is NaN or Inf exactly when its exponent field is all
-    // ones, and then adding one to the field carries into the sign bit.
-    uint32_t carries = 0;
-    forEachBlocked(n, [v, round, &carries](int64_t i) {
-        const uint32_t r = round(std::bit_cast<uint32_t>(v[i]));
-        v[i] = std::bit_cast<float>(r);
-        carries |= (r & 0x7f800000u) + 0x00800000u;
-    });
-    return (carries & 0x80000000u) == 0;
-}
-
-/** The binary32 pattern as is: roundInPlace() of it only scans. */
-constexpr auto kAsIs = [](uint32_t in) { return in; };
-
-/** @p t rounded element-wise by @p round. */
-template <typename Round>
+/** @p t rounded element-wise by LaneGemm::round to @p fp8, or to
+ *  DLFloat16 when that is null. */
 Tensor
-roundTensor(const Tensor &t, Round round)
+roundTensor(const Tensor &t, const Fp8RoundBits *fp8, Rounding rounding)
 {
     Tensor out = t;
-    roundInPlace(out.data(), out.numel(), round);
+    activeLaneGemm().round(out.data(), out.numel(), fp8, rounding);
     return out;
 }
 
@@ -264,23 +226,25 @@ chunkedGemm(const float *qa, const float *qb, int64_t m, int64_t k,
  * chunkedGemm() of (M,K) @p a and (K,N) @p b (row stride @p ldb) for a
  * GEMM that swapsRoles(), as C^T = B^T A^T: each operand is rounded
  * straight into its transposed copy, A's padded to whole lane blocks
- * (the zero padding rounds to zero and is gated off), by @p round_a
- * and @p round_b. A poisoned operand takes the scalar path in the
- * order of C, so the first product that faults is the same one.
+ * (the zero padding rounds to zero and is gated off), by
+ * LaneGemm::round to @p fp8_a and @p fp8_b (DLFloat16 where null). A
+ * poisoned operand takes the scalar path in the order of C, so the
+ * first product that faults is the same one.
  */
-template <typename RoundA, typename RoundB>
 void
-swappedGemm(const float *a, RoundA round_a, const float *b, int64_t ldb,
-            RoundB round_b, int64_t m, int64_t k, int64_t n,
-            const LaneGemm &lanes, const ExecConfig &cfg, float *out)
+swappedGemm(const float *a, const Fp8RoundBits *fp8_a, const float *b,
+            int64_t ldb, const Fp8RoundBits *fp8_b, int64_t m, int64_t k,
+            int64_t n, const LaneGemm &lanes, const ExecConfig &cfg,
+            float *out)
 {
     std::vector<float> bt(size_t(n * k));
     transposeInto(b, k, n, ldb, bt.data(), k);
-    const bool finite_b = roundInPlace(bt.data(), n * k, round_b);
+    const bool finite_b = lanes.round(bt.data(), n * k, fp8_b, cfg.rounding);
     const int64_t ldm = laneStride(m, lanes.block());
     std::vector<float> at(size_t(k * ldm), 0.0f);
     transposeInto(a, m, k, k, at.data(), ldm);
-    const bool finite_a = roundInPlace(at.data(), k * ldm, round_a);
+    const bool finite_a =
+        lanes.round(at.data(), k * ldm, fp8_a, cfg.rounding);
     if (!finite_a || !finite_b) {
         std::vector<float> qa(size_t(m * k));
         transposeInto(at.data(), k, m, ldm, qa.data(), k);
@@ -295,15 +259,15 @@ swappedGemm(const float *a, RoundA round_a, const float *b, int64_t ldb,
 
 /**
  * chunkedGemm() of the rank-2 (M,K) @p a and (K,N) @p b, each rounded
- * once on the way in: A by @p round_a in a dense copy, B by @p round_b
- * after its rows are copied straight into rows padded to whole lane
- * blocks (the zero padding rounds to zero and is gated off); or
- * swappedGemm() when the GEMM swapsRoles().
+ * once on the way in by LaneGemm::round, to @p fp8_a and @p fp8_b
+ * (DLFloat16 where null): A in a dense copy, B after its rows are
+ * copied straight into rows padded to whole lane blocks (the zero
+ * padding rounds to zero and is gated off); or swappedGemm() when the
+ * GEMM swapsRoles().
  */
-template <typename RoundA, typename RoundB>
 Tensor
-roundedGemm(const Tensor &a, RoundA round_a, const Tensor &b,
-            RoundB round_b, const ExecConfig &cfg)
+roundedGemm(const Tensor &a, const Fp8RoundBits *fp8_a, const Tensor &b,
+            const Fp8RoundBits *fp8_b, const ExecConfig &cfg)
 {
     rapid_assert(a.rank() == 2 && b.rank() == 2,
                  "chunked GEMM operands must be rank-2");
@@ -312,17 +276,18 @@ roundedGemm(const Tensor &a, RoundA round_a, const Tensor &b,
     const LaneGemm &lanes = activeLaneGemm();
     Tensor out({m, n});
     if (swapsRoles(lanes.width, m, n)) {
-        swappedGemm(a.data(), round_a, b.data(), n, round_b, m, k, n, lanes,
-                    cfg, out.data());
+        swappedGemm(a.data(), fp8_a, b.data(), n, fp8_b, m, k, n, lanes, cfg,
+                    out.data());
         return out;
     }
     std::vector<float> qa(a.data(), a.data() + m * k);
-    const bool finite_a = roundInPlace(qa.data(), m * k, round_a);
+    const bool finite_a = lanes.round(qa.data(), m * k, fp8_a, cfg.rounding);
     const int64_t ldb = laneStride(n, lanes.block());
     std::vector<float> qb(size_t(k * ldb), 0.0f);
     for (int64_t kk = 0; kk < k; ++kk)
         std::copy_n(b.data() + kk * n, n, qb.data() + kk * ldb);
-    const bool finite_b = roundInPlace(qb.data(), k * ldb, round_b);
+    const bool finite_b =
+        lanes.round(qb.data(), k * ldb, fp8_b, cfg.rounding);
     chunkedGemm(qa.data(), qb.data(), m, k, n, ldb, finite_a && finite_b,
                 lanes, cfg, out.data());
     return out;
@@ -528,26 +493,19 @@ Tensor
 quantizeTensorFp8(const Tensor &t, Fp8Kind kind, const ExecConfig &cfg)
 {
     const Fp8RoundBits fp8 = fp8Round(kind, cfg);
-    return withRounding(cfg.rounding, [&](auto mode) {
-        return roundTensor(t, fp8Lanes<decltype(mode)::value>(fp8));
-    });
+    return roundTensor(t, &fp8, cfg.rounding);
 }
 
 Tensor
 quantizeTensorFp16(const Tensor &t, Rounding rounding)
 {
-    return withRounding(rounding, [&](auto mode) {
-        return roundTensor(t, fp16Lanes<decltype(mode)::value>());
-    });
+    return roundTensor(t, nullptr, rounding);
 }
 
 Tensor
 fp16Matmul(const Tensor &a, const Tensor &b, const ExecConfig &cfg)
 {
-    return withRounding(cfg.rounding, [&](auto mode) {
-        const auto round = fp16Lanes<decltype(mode)::value>();
-        return roundedGemm(a, round, b, round, cfg);
-    });
+    return roundedGemm(a, nullptr, b, nullptr, cfg);
 }
 
 Tensor
@@ -558,11 +516,7 @@ hfp8Matmul(const Tensor &a, Fp8Kind a_kind, const Tensor &b,
     // exact, so the FP8 value is what the multiplier sees).
     const Fp8RoundBits fp8_a = fp8Round(a_kind, cfg);
     const Fp8RoundBits fp8_b = fp8Round(b_kind, cfg);
-    return withRounding(cfg.rounding, [&](auto mode) {
-        constexpr Rounding kMode = decltype(mode)::value;
-        return roundedGemm(a, fp8Lanes<kMode>(fp8_a), b,
-                           fp8Lanes<kMode>(fp8_b), cfg);
-    });
+    return roundedGemm(a, &fp8_a, b, &fp8_b, cfg);
 }
 
 Tensor
@@ -574,13 +528,16 @@ fp16Conv2d(const Tensor &input, const Tensor &weight,
     const Tensor qw = quantizeTensorFp16(weight, cfg.rounding);
     // The weights take the A side: products are exact and commute, and
     // each output still adds its terms in the receptive field's order.
+    // A swapped GEMM rounds its transposed copies to DLFloat16 again,
+    // which leaves a DLFloat16 value (NaN included) as it is.
     const LaneGemm &lanes = activeLaneGemm();
     return lowerConv(qi.data(), qw.data(), s, lanes.block(),
                      [&](const float *w, const float *cols, int64_t m,
                          int64_t k, int64_t n, int64_t ld, float *out) {
                          if (swapsRoles(lanes.width, m, n))
-                             return swappedGemm(w, kAsIs, cols, ld, kAsIs,
-                                                m, k, n, lanes, cfg, out);
+                             return swappedGemm(w, nullptr, cols, ld,
+                                                nullptr, m, k, n, lanes, cfg,
+                                                out);
                          chunkedGemm(w, cols, m, k, n, ld,
                                      allFinite(w, m * k) &&
                                          allFinite(cols, k * ld),

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/error.hh"
+#include "common/lanes.hh"
 
 namespace rapid {
 
@@ -62,6 +63,32 @@ trainPrecisionName(TrainPrecision precision)
 }
 
 namespace {
+
+/**
+ * Momentum SGD over @p n weights at @p w: vel = mom * vel -
+ * lr * (grad * inv_scale), then w += vel, four lanes at a time. This
+ * file is compiled for the x86-64 baseline, which has no FMA, so no
+ * product here is fused with the add after it; a fused step would
+ * change the bits, so this loop must not move into a lane target that
+ * has FMA (AVX-512F does).
+ */
+void
+sgdLanes(float *w, float *vel, const float *grad, int64_t n, float lr,
+         float mom, float inv_scale)
+{
+    using Lanes = FloatLanes<4>;
+    int64_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const Lanes v = mom * loadLanes<4>(vel + i) -
+                        lr * (loadLanes<4>(grad + i) * inv_scale);
+        storeLanes(vel + i, v);
+        storeLanes(w + i, loadLanes<4>(w + i) + v);
+    }
+    for (; i < n; ++i) {
+        vel[i] = mom * vel[i] - lr * (grad[i] * inv_scale);
+        w[i] += vel[i];
+    }
+}
 
 /** IEEE equality (+0 equals -0, NaN equals nothing) spelled without
  *  ==, which -Wfloat-equal rejects. */
@@ -178,14 +205,12 @@ DenseLayer::sgdStep(float lr, float mom, float inv_scale)
     // inv_scale un-scales loss-scaled gradients. Multiplication by
     // 1.0f is exact under IEEE 754, so an unscaled step stays
     // bit-identical to plain SGD.
-    for (int64_t i = 0; i < w.numel(); ++i) {
-        w_vel[i] = mom * w_vel[i] - lr * (w_grad[i] * inv_scale);
-        w[i] += w_vel[i];
-    }
-    for (int64_t i = 0; i < b.numel(); ++i) {
-        b_vel[i] = mom * b_vel[i] - lr * (b_grad[i] * inv_scale);
-        b[i] += b_vel[i];
-    }
+    rapid_assert(w_grad.numel() == w.numel() && b_grad.numel() == b.numel(),
+                 "SGD step without pending gradients");
+    sgdLanes(w.data(), w_vel.data(), w_grad.data(), w.numel(), lr, mom,
+             inv_scale);
+    sgdLanes(b.data(), b_vel.data(), b_grad.data(), b.numel(), lr, mom,
+             inv_scale);
 }
 
 bool
@@ -267,40 +292,23 @@ Mlp::computeGradients(const Tensor &x, const std::vector<int> &labels,
     for (size_t li = layers_.size(); li-- > 0;) {
         Dense &d = layers_[li];
         if (li + 1 < layers_.size()) {
-            // Backprop through the PACT activation (STE).
-            Tensor gated = dy;
-            float alpha_grad = 0.0f;
-            const PactQuantizer q(d.alpha, cfg_.pact_bits);
-            for (int64_t i = 0; i < dy.numel(); ++i) {
-                const float pre = d.pre_act[i];
-                alpha_grad += dy[i] * q.gradAlpha(pre);
-                gated[i] = dy[i] * q.gradInput(pre);
-            }
+            // Backprop through the PACT activation (STE), in place.
+            rapid_assert(d.pre_act.numel() == dy.numel(),
+                         "PACT error does not match its pre-activation");
+            const float alpha_grad = pactBackprop(
+                d.pre_act.data(), dy.data(), dy.numel(), d.alpha);
             d.alpha_grad = alpha_grad + kAlphaDecay * d.alpha;
-            dy = d.backward(gemm_, gated);
-        } else {
-            dy = d.backward(gemm_, dy);
         }
+        dy = d.backward(gemm_, dy);
     }
     // Per-step finiteness scan over every pending gradient: the
     // sensor the loss scaler's skip-step decision and the recovery
     // ladder both read.
     for (const Dense &d : layers_) {
-        for (int64_t i = 0; i < d.w_grad.numel(); ++i) {
-            const float g = d.w_grad[i];
-            if (!std::isfinite(g))
-                health.grads_finite = false;
-            else
-                health.grad_max_abs =
-                    std::max(health.grad_max_abs, std::abs(g));
-        }
-        for (int64_t i = 0; i < d.b_grad.numel(); ++i) {
-            const float g = d.b_grad[i];
-            if (!std::isfinite(g))
-                health.grads_finite = false;
-            else
-                health.grad_max_abs =
-                    std::max(health.grad_max_abs, std::abs(g));
+        for (const Tensor *g : {&d.w_grad, &d.b_grad}) {
+            const FiniteScan scan = scanFinite(g->data(), g->numel());
+            health.grads_finite = health.grads_finite && scan.finite;
+            health.grad_max_abs = std::max(health.grad_max_abs, scan.max_abs);
         }
         if (!std::isfinite(d.alpha_grad))
             health.grads_finite = false;

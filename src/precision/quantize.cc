@@ -66,15 +66,38 @@ pactClip(float *v, int64_t n, float alpha)
 }
 
 float
-PactQuantizer::gradInput(float x) const
+pactBackprop(const float *pre, float *dy, int64_t n, float alpha)
 {
-    return (x > 0.0f && x < alpha_) ? 1.0f : 0.0f;
-}
-
-float
-PactQuantizer::gradAlpha(float x) const
-{
-    return x >= alpha_ ? 1.0f : 0.0f;
+    using Lanes = FloatLanes<4>;
+    using Bits = BitLanes<4>;
+    const Bits one = lanesAs<Bits>(Lanes{} + 1.0f);
+    float alpha_grad = 0.0f;
+    int64_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const Lanes x = loadLanes<4>(pre + i);
+        const Lanes e = loadLanes<4>(dy + i);
+        const Bits clips = lanesAs<Bits>(x >= alpha);
+        const Bits passes = lanesAs<Bits>((x > 0.0f) & (x < alpha));
+        const Lanes alpha_terms = e * lanesAs<Lanes>(one & clips);
+        // A term is +-0 unless its pre-activation clips or its error is
+        // NaN or Inf (all-ones exponent: adding one to the field
+        // carries into the sign bit). Adding +-0 leaves the sum as it
+        // is, since the sum starts at +0 and so is never -0 (a binary32
+        // sum is -0 only when both addends are), so a block of such
+        // terms is skipped; the rest add in ascending i.
+        const Bits live =
+            clips | ((lanesAs<Bits>(e) & 0x7f800000u) + 0x00800000u);
+        if (((live[0] | live[1] | live[2] | live[3]) & 0x80000000u) != 0)
+            for (int l = 0; l < 4; ++l)
+                alpha_grad += alpha_terms[l];
+        storeLanes(dy + i, e * lanesAs<Lanes>(one & passes));
+    }
+    for (; i < n; ++i) {
+        const float x = pre[i];
+        alpha_grad += dy[i] * (x >= alpha ? 1.0f : 0.0f);
+        dy[i] *= x > 0.0f && x < alpha ? 1.0f : 0.0f;
+    }
+    return alpha_grad;
 }
 
 TensorMoments

@@ -42,15 +42,6 @@ class PactQuantizer
      *  level in [0, 2^bits - 1], into @p out. */
     void quantizeLevels(const float *x, int64_t n, int16_t *out) const;
 
-    /**
-     * Straight-through-estimator gradient of the PACT activation
-     * w.r.t. its input: 1 inside (0, alpha), 0 outside.
-     */
-    float gradInput(float x) const;
-
-    /** Gradient of the PACT activation w.r.t. alpha: 1 if x >= alpha. */
-    float gradAlpha(float x) const;
-
   private:
     float alpha_;
     unsigned bits_;
@@ -62,6 +53,16 @@ class PactQuantizer
  * through unchanged), taken by select so the loop vectorises.
  */
 void pactClip(float *v, int64_t n, float alpha);
+
+/**
+ * The PACT activation's straight-through backprop over the @p n
+ * pre-activations at @p pre and their output errors at @p dy. Each
+ * error, in place, times the gradient w.r.t. the input (1 inside
+ * (0, alpha), 0 outside); returns the gradient w.r.t. @p alpha, the
+ * binary32 sum in ascending i of each error times 1 where
+ * pre >= alpha, 0 elsewhere. Both gates are selects, in lanes.
+ */
+float pactBackprop(const float *pre, float *dy, int64_t n, float alpha);
 
 /**
  * SaWB weight quantizer: symmetric signed quantization with a

@@ -144,6 +144,22 @@ allFinite(const float *v, int64_t n)
     return (carries & 0x80000000u) == 0;
 }
 
+FiniteScan
+scanFinite(const float *v, int64_t n)
+{
+    // Magnitudes order as their bit patterns do, and every finite one
+    // lies below the all-ones exponent field.
+    uint32_t non_finite = 0;
+    uint32_t max_abs = 0;
+    forEachBlocked(n, [&](int64_t i) {
+        const uint32_t mag = std::bit_cast<uint32_t>(v[i]) & 0x7fffffffu;
+        const bool finite = mag < 0x7f800000u;
+        non_finite |= finite ? 0u : 1u;
+        max_abs = std::max(max_abs, finite ? mag : 0u);
+    });
+    return {non_finite == 0, std::bit_cast<float>(max_abs)};
+}
+
 Tensor
 biasAdd(const Tensor &x, const Tensor &bias)
 {

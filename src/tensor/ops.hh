@@ -55,6 +55,17 @@ void transposeInto(const float *src, int64_t rows, int64_t cols,
  *  one lane scan of the exponent bits. */
 bool allFinite(const float *v, int64_t n);
 
+/** What one scan of a float array finds. */
+struct FiniteScan
+{
+    bool finite = true;    ///< no value is a NaN or an infinity
+    float max_abs = 0.0f;  ///< the largest finite magnitude (+0 if none)
+};
+
+/** The FiniteScan of the @p n floats at @p v: one lane scan of the
+ *  bits. A maximum does not depend on the order it is taken in. */
+FiniteScan scanFinite(const float *v, int64_t n);
+
 /** Add a per-channel bias (rank-1, length Co) to an NCHW tensor, or a
  * per-column bias to a rank-2 tensor. */
 Tensor biasAdd(const Tensor &x, const Tensor &bias);

@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <tuple>
@@ -63,9 +64,28 @@ laneGemm4(const float *qa, const float *qb, int64_t m, int64_t k, int64_t n,
     chunkedGemmLanes<4>(qa, qb, m, k, n, ldb, cfg, out);
 }
 
-/** Every lane width's chunked GEMM. */
-const LaneGemm kLaneGemms[] = {
-    {16, &laneGemm16}, {8, &laneGemm8}, {4, &laneGemm4}};
+RAPID_TARGET_AVX512 bool
+laneRound16(float *v, int64_t n, const Fp8RoundBits *fp8, Rounding rounding)
+{
+    return roundOperandLanes<16>(v, n, fp8, rounding);
+}
+
+RAPID_TARGET_AVX2 bool
+laneRound8(float *v, int64_t n, const Fp8RoundBits *fp8, Rounding rounding)
+{
+    return roundOperandLanes<8>(v, n, fp8, rounding);
+}
+
+bool
+laneRound4(float *v, int64_t n, const Fp8RoundBits *fp8, Rounding rounding)
+{
+    return roundOperandLanes<4>(v, n, fp8, rounding);
+}
+
+/** Every lane width's chunked GEMM and operand rounding. */
+const LaneGemm kLaneGemms[] = {{16, &laneGemm16, &laneRound16},
+                               {8, &laneGemm8, &laneRound8},
+                               {4, &laneGemm4, &laneRound4}};
 
 // The INT GEMM's lane kernel at every width, likewise.
 
@@ -700,18 +720,20 @@ allFp8Cases()
     return out;
 }
 
-/** Inputs among the binary32 patterns @p in where quantizeTensorFp8()
- *  and FloatFormat::quantize() differ as bit patterns (so a NaN cannot
- *  hide behind NaN != NaN); the first lands in @p first. */
+/** Inputs among the binary32 patterns @p in where the lane round
+ *  (quantizeTensorFp8() of @p kind, or quantizeTensorFp16() when it
+ *  is null) and FloatFormat::quantize() differ as bit patterns (so a
+ *  NaN cannot hide behind NaN != NaN); the first lands in @p first. */
 size_t
-fp8LaneMismatches(const std::vector<uint32_t> &in, Fp8Kind kind,
-                  const ExecConfig &cfg, uint32_t &first)
+laneRoundMismatches(const std::vector<uint32_t> &in, const Fp8Kind *kind,
+                    const ExecConfig &cfg, uint32_t &first)
 {
     Tensor t({int64_t(in.size())});
     for (size_t i = 0; i < in.size(); ++i)
         t[int64_t(i)] = std::bit_cast<float>(in[i]);
-    const Tensor got = quantizeTensorFp8(t, kind, cfg);
-    const FloatFormat fmt = fp8Format(kind, cfg);
+    const Tensor got = kind ? quantizeTensorFp8(t, *kind, cfg)
+                            : quantizeTensorFp16(t, cfg.rounding);
+    const FloatFormat fmt = kind ? fp8Format(*kind, cfg) : dlfloat16();
     size_t bad = 0;
     for (size_t i = 0; i < in.size(); ++i) {
         const float v = std::bit_cast<float>(in[i]);
@@ -724,27 +746,41 @@ fp8LaneMismatches(const std::vector<uint32_t> &in, Fp8Kind kind,
 }
 
 /** The lane path against the scalar quantize over every rounding
- *  class, for every FP8 kind and forward bias and every mode. */
+ *  class, for every FP8 kind and forward bias and for DLFloat16, in
+ *  every mode, at every lane width. The inputs are not a whole number
+ *  of lane blocks, so the scalar tail runs too. */
 TEST(Fp8TensorQuantize, MatchesFormatQuantizeOverRoundingClasses)
 {
-    const std::vector<uint32_t> inputs = roundingClassInputs();
-    for (const Fp8Case &c : allFp8Cases()) {
+    std::vector<uint32_t> inputs = roundingClassInputs();
+    if (inputs.size() % 32 == 0)
+        inputs.push_back(0x3f800001u);
+    RAPID_AT_EVERY_LANE_WIDTH(kLaneGemms, [&] {
         for (Rounding mode : kOracleModes) {
+            for (const Fp8Case &c : allFp8Cases()) {
+                ExecConfig cfg;
+                cfg.fwd_bias = c.fwd_bias;
+                cfg.rounding = mode;
+                uint32_t first = 0;
+                EXPECT_EQ(laneRoundMismatches(inputs, &c.kind, cfg, first),
+                          0u)
+                    << fp8Format(c.kind, cfg).name() << " mode " << int(mode)
+                    << ", first input 0x" << std::hex << first;
+            }
             ExecConfig cfg;
-            cfg.fwd_bias = c.fwd_bias;
             cfg.rounding = mode;
             uint32_t first = 0;
-            EXPECT_EQ(fp8LaneMismatches(inputs, c.kind, cfg, first), 0u)
-                << fp8Format(c.kind, cfg).name() << " mode " << int(mode)
-                << ", first input 0x" << std::hex << first;
+            EXPECT_EQ(laneRoundMismatches(inputs, nullptr, cfg, first), 0u)
+                << "DLFloat16 mode " << int(mode) << ", first input 0x"
+                << std::hex << first;
         }
-    }
+    });
 }
 
 /**
  * The lane path against the scalar quantize over every binary32 input
- * at a prime stride, for both datapath FP8 formats; set
- * RAPID_FULL_QUANTIZE_SWEEP=1 to sweep all 2^32 inputs.
+ * at a prime stride, for both datapath FP8 formats and DLFloat16, at
+ * every lane width; set RAPID_FULL_QUANTIZE_SWEEP=1 to sweep all 2^32
+ * inputs.
  */
 TEST(Fp8TensorQuantize, MatchesFormatQuantizeOnStridedBinary32Sweep)
 {
@@ -753,36 +789,49 @@ TEST(Fp8TensorQuantize, MatchesFormatQuantizeOnStridedBinary32Sweep)
     constexpr size_t kSlices = 256;
     constexpr uint64_t kSpan = (uint64_t(1) << 32) / kSlices;
     constexpr size_t kBatch = size_t(1) << 16;
-    for (Fp8Kind kind : {Fp8Kind::Forward, Fp8Kind::Backward}) {
-        for (Rounding mode : kOracleModes) {
-            ExecConfig cfg;
-            cfg.rounding = mode;
-            const std::vector<size_t> bad =
-                parallelMap(kSlices, [&](size_t s) {
-                    size_t n = 0;
-                    uint32_t first = 0;
-                    std::vector<uint32_t> batch;
-                    batch.reserve(kBatch);
-                    // Each slice starts on the global stride grid.
-                    uint64_t in = (s * kSpan + stride - 1) / stride * stride;
-                    for (; in < (s + 1) * kSpan; in += stride) {
-                        batch.push_back(uint32_t(in));
-                        if (batch.size() == kBatch) {
-                            n += fp8LaneMismatches(batch, kind, cfg, first);
-                            batch.clear();
-                        }
-                    }
-                    if (!batch.empty())
-                        n += fp8LaneMismatches(batch, kind, cfg, first);
-                    return n;
-                });
-            size_t total = 0;
-            for (size_t n : bad)
-                total += n;
-            EXPECT_EQ(total, 0u)
-                << fp8Format(kind, cfg).name() << " mode " << int(mode);
+    const Fp8Kind kinds[] = {Fp8Kind::Forward, Fp8Kind::Backward};
+    // Both FP8 kinds, then DLFloat16 (no kind).
+    const Fp8Kind *const rounds[] = {&kinds[0], &kinds[1], nullptr};
+    // The mismatches of one slice of the sweep, on one lane width.
+    auto sliceMismatches = [&](const LaneGemm &lanes, const Fp8Kind *kind,
+                               const ExecConfig &cfg, size_t s) {
+        const LaneScope<LaneGemm> scope(lanes); // a pool thread's too
+        size_t n = 0;
+        uint32_t first = 0;
+        std::vector<uint32_t> batch;
+        batch.reserve(kBatch);
+        // Each slice starts on the global stride grid.
+        uint64_t in = (s * kSpan + stride - 1) / stride * stride;
+        for (; in < (s + 1) * kSpan; in += stride) {
+            batch.push_back(uint32_t(in));
+            if (batch.size() == kBatch) {
+                n += laneRoundMismatches(batch, kind, cfg, first);
+                batch.clear();
+            }
         }
-    }
+        if (!batch.empty())
+            n += laneRoundMismatches(batch, kind, cfg, first);
+        return n;
+    };
+    RAPID_AT_EVERY_LANE_WIDTH(kLaneGemms, [&] {
+        const LaneGemm &lanes = LaneScope<LaneGemm>::activeOr(kLaneGemms[0]);
+        for (const Fp8Kind *kind : rounds) {
+            for (Rounding mode : kOracleModes) {
+                ExecConfig cfg;
+                cfg.rounding = mode;
+                const std::vector<size_t> bad =
+                    parallelMap(kSlices, [&](size_t s) {
+                        return sliceMismatches(lanes, kind, cfg, s);
+                    });
+                size_t total = 0;
+                for (size_t n : bad)
+                    total += n;
+                EXPECT_EQ(total, 0u)
+                    << (kind ? fp8Format(*kind, cfg) : dlfloat16()).name()
+                    << " mode " << int(mode);
+            }
+        }
+    });
 }
 
 TEST(IntExec, MatmulCloseToGoldenOnClippedData)
@@ -1821,6 +1870,54 @@ TEST(Trainer, Int2InferenceDegradesGracefully)
     ParityResult r = runInferenceParity(2, train, test, 40, 32);
     EXPECT_GT(r.baseline_accuracy, 0.9);
     EXPECT_GT(r.reduced_accuracy, 0.75);
+}
+
+/** DenseLayer::sgdStep() against its scalar form, bit for bit: every
+ *  layer shape up to 9 x 5 (so every tail of a lane block), with
+ *  subnormal, zero and large velocities and gradients, at a unit and a
+ *  loss-scaled step. */
+TEST(Trainer, SgdStepMatchesScalarFormBitForBit)
+{
+    const float edges[] = {0.0f, -0.0f, 1e-40f, -3e-39f, 1e-38f, 3e30f,
+                           -2.5f};
+    Rng rng(36);
+    auto draw = [&] {
+        return rng.uniform() < 0.3 ? edges[size_t(rng.uniformInt(0, 6))]
+                                   : float(rng.gaussian(0.0, 0.1));
+    };
+    auto scalarStep = [](std::vector<float> &w, std::vector<float> &vel,
+                         const Tensor &grad, float lr, float mom,
+                         float inv_scale) {
+        for (size_t i = 0; i < w.size(); ++i) {
+            vel[i] = mom * vel[i] - lr * (grad[int64_t(i)] * inv_scale);
+            w[i] += vel[i];
+        }
+    };
+    for (int64_t in = 1; in <= 9; ++in) {
+        for (int64_t out = 1; out <= 5; ++out) {
+            for (float inv_scale : {1.0f, 1.0f / 1024.0f}) {
+                DenseLayer d(in, out, rng);
+                d.w_grad = Tensor({out, in});
+                d.b_grad = Tensor({out});
+                for (Tensor *t : {&d.w_vel, &d.b_vel, &d.w_grad, &d.b_grad})
+                    for (int64_t i = 0; i < t->numel(); ++i)
+                        (*t)[i] = draw();
+                std::vector<float> w = d.w.storage(), wv = d.w_vel.storage();
+                std::vector<float> b = d.b.storage(), bv = d.b_vel.storage();
+                scalarStep(w, wv, d.w_grad, 0.1f, 0.9f, inv_scale);
+                scalarStep(b, bv, d.b_grad, 0.1f, 0.9f, inv_scale);
+                d.sgdStep(0.1f, 0.9f, inv_scale);
+                for (auto [got, want] :
+                     {std::pair{&d.w, &w}, std::pair{&d.w_vel, &wv},
+                      std::pair{&d.b, &b}, std::pair{&d.b_vel, &bv}})
+                    EXPECT_EQ(std::memcmp(got->data(), want->data(),
+                                          want->size() * sizeof(float)),
+                              0)
+                        << in << " x " << out << ", inv_scale "
+                        << inv_scale;
+            }
+        }
+    }
 }
 
 TEST(Trainer, PactAlphaIsLearned)

@@ -204,14 +204,117 @@ TEST(Pact, ClipsAndQuantizes)
         EXPECT_FLOAT_EQ(quantizedOf(q, level * s), level * s);
 }
 
+/** Straight-through-estimator gradient of the PACT activation at clip
+ *  @p alpha w.r.t. its input: 1 inside (0, alpha), 0 outside. */
+float
+pactGradInput(float alpha, float x)
+{
+    return (x > 0.0f && x < alpha) ? 1.0f : 0.0f;
+}
+
+/** Gradient of the PACT activation w.r.t. @p alpha: 1 if x >= alpha. */
+float
+pactGradAlpha(float alpha, float x)
+{
+    return x >= alpha ? 1.0f : 0.0f;
+}
+
+/** pactBackprop() written out one element at a time: the scalar form
+ *  its lanes must reproduce. */
+float
+pactBackpropOracle(const float *pre, float *dy, int64_t n, float alpha)
+{
+    float alpha_grad = 0.0f;
+    for (int64_t i = 0; i < n; ++i) {
+        alpha_grad += dy[i] * pactGradAlpha(alpha, pre[i]);
+        dy[i] = dy[i] * pactGradInput(alpha, pre[i]);
+    }
+    return alpha_grad;
+}
+
 TEST(Pact, StraightThroughGradients)
 {
-    PactQuantizer q(4.0f, 4);
-    EXPECT_FLOAT_EQ(q.gradInput(2.0f), 1.0f);
-    EXPECT_FLOAT_EQ(q.gradInput(-0.5f), 0.0f);
-    EXPECT_FLOAT_EQ(q.gradInput(5.0f), 0.0f);
-    EXPECT_FLOAT_EQ(q.gradAlpha(5.0f), 1.0f);
-    EXPECT_FLOAT_EQ(q.gradAlpha(2.0f), 0.0f);
+    EXPECT_FLOAT_EQ(pactGradInput(4.0f, 2.0f), 1.0f);
+    EXPECT_FLOAT_EQ(pactGradInput(4.0f, -0.5f), 0.0f);
+    EXPECT_FLOAT_EQ(pactGradInput(4.0f, 5.0f), 0.0f);
+    EXPECT_FLOAT_EQ(pactGradAlpha(4.0f, 5.0f), 1.0f);
+    EXPECT_FLOAT_EQ(pactGradAlpha(4.0f, 2.0f), 0.0f);
+    // The library's backprop over the same pre-activations.
+    const float pre[] = {2.0f, -0.5f, 5.0f};
+    float dy[] = {0.5f, 0.25f, 2.0f};
+    EXPECT_FLOAT_EQ(pactBackprop(pre, dy, 3, 4.0f), 2.0f);
+    EXPECT_FLOAT_EQ(dy[0], 0.5f);
+    EXPECT_FLOAT_EQ(dy[1], 0.0f);
+    EXPECT_FLOAT_EQ(dy[2], 0.0f);
+}
+
+/**
+ * pactBackprop()'s gated errors and alpha gradient match the scalar
+ * form bit for bit: NaN, +-Inf and +-0 errors, pre-activations at
+ * exactly 0 and alpha and on either side of them, at every length from
+ * 0 to 41 (so every tail of a lane block), over seeded draws. The NaNs
+ * are quiet, as every error is the result of arithmetic. One thing is
+ * not pinned: which NaN a sum of two NaNs returns. C++ leaves it open
+ * (x86 returns its first operand's, and a compiler orders a
+ * commutative add either way), so there a NaN must give a NaN.
+ */
+TEST(Pact, BackpropMatchesScalarFormBitForBit)
+{
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
+    const float nans[] = {std::bit_cast<float>(0x7fc00000u),
+                          std::bit_cast<float>(0xffc00000u),
+                          std::bit_cast<float>(0x7fc12345u),
+                          std::bit_cast<float>(0xffc12345u)};
+    Rng rng(35);
+    for (const float alpha : {0.1f, 1.0f, 6.0f}) {
+        const std::vector<float> pres = {
+            0.0f, -0.0f, alpha, -alpha, std::nextafter(alpha, kInf),
+            std::nextafter(alpha, -kInf), kDenorm, -kDenorm, kInf, -kInf,
+            nans[0], nans[3], 0.5f * alpha, 2.0f * alpha};
+        const std::vector<float> finite_errors = {
+            0.0f, -0.0f, kDenorm, -kDenorm, 1.0f, -0.75f, 3e38f, -3e38f};
+        std::vector<float> errors = {kInf, -kInf, nans[0], nans[1],
+                                     nans[2], nans[3]};
+        errors.insert(errors.end(), finite_errors.begin(),
+                      finite_errors.end());
+        auto pick = [&rng](const std::vector<float> &from) {
+            return from[size_t(rng.uniformInt(0, int64_t(from.size()) - 1))];
+        };
+        for (int trial = 0; trial < 300; ++trial) {
+            const int64_t n = trial % 42;
+            // Most draws are ordinary values, so a block often has no
+            // live alpha term; edge values land anywhere, and every
+            // other trial keeps its errors finite, so that its alpha
+            // gradient is a number.
+            std::vector<float> pre, dy;
+            for (int64_t i = 0; i < n; ++i) {
+                pre.push_back(rng.uniform() < 0.3
+                                  ? pick(pres)
+                                  : float(rng.uniform(-0.5, 0.9) *
+                                          double(alpha)));
+                dy.push_back(rng.uniform() < 0.2
+                                 ? pick(trial % 2 ? errors : finite_errors)
+                                 : float(rng.gaussian(0.0, 1.0)));
+            }
+            std::vector<float> want = dy;
+            const float want_alpha =
+                pactBackpropOracle(pre.data(), want.data(), n, alpha);
+            const float got_alpha =
+                pactBackprop(pre.data(), dy.data(), n, alpha);
+            if (std::isnan(want_alpha))
+                EXPECT_TRUE(std::isnan(got_alpha))
+                    << "alpha=" << alpha << " n=" << n << " trial=" << trial;
+            else
+                EXPECT_EQ(std::bit_cast<uint32_t>(got_alpha),
+                          std::bit_cast<uint32_t>(want_alpha))
+                    << "alpha=" << alpha << " n=" << n << " trial=" << trial;
+            for (int64_t i = 0; i < n; ++i)
+                EXPECT_EQ(std::bit_cast<uint32_t>(dy[size_t(i)]),
+                          std::bit_cast<uint32_t>(want[size_t(i)]))
+                    << "alpha=" << alpha << " n=" << n << " i=" << i;
+        }
+    }
 }
 
 /** pactClip() matches std::clamp(x, 0, alpha) bit for bit on the

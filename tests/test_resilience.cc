@@ -8,6 +8,9 @@
  * Young/Daly checkpoint-overhead model.
  */
 
+// The fault pre-filter runs here at every lane width (lane_widths.hh).
+#pragma GCC diagnostic ignored "-Wpsabi"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +22,7 @@
 
 #include "common/error.hh"
 #include "common/parallel.hh"
+#include "lane_widths.hh"
 #include "func/datasets.hh"
 #include "func/quantized_ops.hh"
 #include "resilience/checkpoint.hh"
@@ -623,6 +627,13 @@ TEST(Overhead, ChargesTheCheckpointLane)
 // The hash pre-filter that makes per-element trainer injection cheap
 // ---------------------------------------------------------------------
 
+/** The seed of @p site's item streams under injector seed @p seed. */
+uint64_t
+siteSalt(uint64_t seed, FaultSite site)
+{
+    return seed ^ (uint64_t(site) + 1) * 0xd6e8feb86659fd93ULL;
+}
+
 /** The per-item draw hashEventHits() batches, written out on its own:
  *  the site's salt mixed with @p item, whose top 53 bits as a uniform
  *  in [0, 1) are compared with the rate. */
@@ -630,9 +641,9 @@ bool
 hashEventDraw(const FaultInjector &inj, FaultSite site, uint64_t item)
 {
     const FaultConfig &cfg = inj.config();
-    const uint64_t salt =
-        cfg.seed ^ (uint64_t(site) + 1) * 0xd6e8feb86659fd93ULL;
-    return double(mixSeed(salt, item) >> 11) * 0x1.0p-53 < cfg.rate;
+    return double(mixSeed(siteSalt(cfg.seed, site), item) >> 11) *
+               0x1.0p-53 <
+           cfg.rate;
 }
 
 TEST(FaultPrefilter, HashDrawIsDeterministicAndRateFaithful)
@@ -678,12 +689,42 @@ expectHitsMatchDraws(const FaultInjector &inj, uint64_t first, uint64_t n)
         << first + n << ")";
 }
 
-TEST(FaultPrefilter, HitListMatchesPerItemDraws)
+// The pre-filter at every lane width, compiled here under the same
+// targets as the library's entries.
+
+RAPID_TARGET_AVX512 void
+laneHashHits16(uint64_t key, uint64_t first, uint64_t n, uint64_t threshold,
+               std::vector<uint64_t> &hits)
 {
-    // The scenarios above: the fault configs of the recovery-ladder and
-    // rework tests, walked in the GEMM output sizes of one 2-16-16-2
-    // step at batch 32 (forward, then each layer's weight and data
-    // gradient) from item 0, as TrainGemm consumes them, for 200 steps.
+    hashHitsLanes<16>(key, first, n, threshold, hits);
+}
+
+RAPID_TARGET_AVX2 void
+laneHashHits8(uint64_t key, uint64_t first, uint64_t n, uint64_t threshold,
+              std::vector<uint64_t> &hits)
+{
+    hashHitsLanes<8>(key, first, n, threshold, hits);
+}
+
+void
+laneHashHits4(uint64_t key, uint64_t first, uint64_t n, uint64_t threshold,
+              std::vector<uint64_t> &hits)
+{
+    hashHitsLanes<4>(key, first, n, threshold, hits);
+}
+
+/** Every lane width's pre-filter. */
+const LaneHashHits kLaneHashHits[] = {
+    {16, &laneHashHits16}, {8, &laneHashHits8}, {4, &laneHashHits4}};
+
+/** The fault configs of the recovery-ladder and rework tests, walked
+ *  in the GEMM output sizes of one 2-16-16-2 step at batch 32
+ *  (forward, then each layer's weight and data gradient) from item 0,
+ *  as TrainGemm consumes them, for 200 steps; then random ranges at
+ *  every rate class, empty ones included. */
+void
+expectScenarioHitsMatch()
+{
     const int64_t kStepGemms[] = {512, 512, 64, 32, 64, 256, 512, 32, 512};
     std::vector<FaultConfig> scenarios = {FaultConfig::withRate(0.5),
                                           FaultConfig::withRate(1e-3,
@@ -699,7 +740,6 @@ TEST(FaultPrefilter, HitListMatchesPerItemDraws)
                 item += uint64_t(n);
             }
     }
-    // Random ranges at every rate class, empty ones included.
     Rng rng(4242);
     for (double rate : {0.0, 1e-4, 6e-3, 0.5, 1.0}) {
         const FaultInjector inj(FaultConfig::withRate(rate, 99));
@@ -708,4 +748,59 @@ TEST(FaultPrefilter, HitListMatchesPerItemDraws)
                 inj, uint64_t(rng.uniformInt(0, int64_t(1) << 40)),
                 uint64_t(rng.uniformInt(0, 5000)));
     }
+}
+
+/** The threshold's edges: rates of 0, 1, the least positive double and
+ *  the double below 1; rates that are a whole number of 2^-53 steps
+ *  (each item's own draw among them) and their neighbours on both
+ *  sides; lengths off the lane blocks; and ranges that run past
+ *  2^64 - 1 and wrap. */
+void
+expectThresholdEdgeHitsMatch()
+{
+    constexpr double kLeast = std::numeric_limits<double>::denorm_min();
+    constexpr uint64_t kNearTop = ~uint64_t(0) - 20;
+    const uint64_t lengths[] = {0, 1, 3, 4, 5, 15, 16, 17, 31, 33, 4097};
+    for (double rate : {0.0, 1.0, kLeast, std::nextafter(1.0, 0.0)}) {
+        const FaultInjector inj(FaultConfig::withRate(rate, 7));
+        for (uint64_t n : lengths) {
+            expectHitsMatchDraws(inj, 1000, n);
+            expectHitsMatchDraws(inj, kNearTop, n + 24);
+        }
+    }
+    // At a rate equal to an item's own draw the item misses, and at the
+    // next double up it hits. Below 1/2 a double's ulp is finer than
+    // 2^-53, so that next double lies strictly between two steps: the
+    // items are the first whose draws lie below 1/2, 2^-8 and 2^-16,
+    // and one whose range wraps.
+    const uint64_t salt = siteSalt(11, FaultSite::TrainerGemm);
+    auto own = [salt](uint64_t item) {
+        return double(mixSeed(salt, item) >> 11) * 0x1.0p-53;
+    };
+    std::vector<uint64_t> items = {kNearTop + 3};
+    for (double below : {0.5, 0x1.0p-8, 0x1.0p-16}) {
+        uint64_t item = 0;
+        while (own(item) >= below)
+            ++item;
+        items.push_back(item);
+    }
+    for (uint64_t item : items) {
+        for (double step : {own(item), 0.5, 0.25, 0x1.0p-53, 0x1.8p-52}) {
+            for (double rate : {step, std::nextafter(step, 0.0),
+                                std::nextafter(step, 1.0)}) {
+                const FaultInjector inj(FaultConfig::withRate(rate, 11));
+                for (uint64_t n : lengths)
+                    expectHitsMatchDraws(inj, item - std::min(item, n / 2),
+                                         n + 1);
+            }
+        }
+    }
+}
+
+TEST(FaultPrefilter, HitListMatchesPerItemDraws)
+{
+    RAPID_AT_EVERY_LANE_WIDTH(kLaneHashHits, [] {
+        expectScenarioHitsMatch();
+        expectThresholdEdgeHitsMatch();
+    });
 }

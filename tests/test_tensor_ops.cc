@@ -531,6 +531,46 @@ TEST(OpsOracle, AllFiniteFindsEachNonFiniteInEveryLane)
     }
 }
 
+/** scanFinite() against the scalar scan it replaces (isfinite and
+ *  std::max of std::abs, element by element) at every length up to 41
+ *  and with every non-finite value at every position. */
+TEST(OpsOracle, ScanFiniteMatchesScalarScan)
+{
+    const float values[] = {0.0f,    -0.0f,    FLT_TRUE_MIN, -FLT_TRUE_MIN,
+                            1e-40f,  -3e-39f,  FLT_MIN,      -FLT_MIN,
+                            FLT_MAX, -FLT_MAX, 1.0f,         -1.5f,
+                            kNan,    -kNan,    kInf,         -kInf};
+    auto scalarScan = [](const std::vector<float> &v, size_t n) {
+        FiniteScan want;
+        for (size_t i = 0; i < n; ++i) {
+            if (!std::isfinite(v[i]))
+                want.finite = false;
+            else
+                want.max_abs = std::max(want.max_abs, std::abs(v[i]));
+        }
+        return want;
+    };
+    Rng rng(37);
+    for (int trial = 0; trial < 400; ++trial) {
+        std::vector<float> v(42);
+        for (float &x : v)
+            x = rng.uniform() < 0.5
+                    ? values[size_t(rng.uniformInt(0, 11))]
+                    : float(rng.gaussian(0.0, 10.0));
+        // Half the trials hold one non-finite value somewhere.
+        if (trial % 2)
+            v[size_t(rng.uniformInt(0, 41))] =
+                values[size_t(rng.uniformInt(12, 15))];
+        const size_t n = size_t(trial) % v.size();
+        const FiniteScan want = scalarScan(v, n);
+        const FiniteScan got = scanFinite(v.data(), int64_t(n));
+        EXPECT_EQ(got.finite, want.finite) << "trial " << trial;
+        EXPECT_EQ(std::bit_cast<uint32_t>(got.max_abs),
+                  std::bit_cast<uint32_t>(want.max_abs))
+            << "trial " << trial;
+    }
+}
+
 TEST(OpsOracle, TransposeBiasAddSoftmaxBitIdentical)
 {
     uint64_t seed = 100;
