@@ -293,6 +293,8 @@ Mlp::computeGradients(const Tensor &x, const std::vector<int> &labels,
         Dense &d = layers_[li];
         if (li + 1 < layers_.size()) {
             // Backprop through the PACT activation (STE), in place.
+            rapid_assert(d.alpha > 0.0f, "PACT alpha must be positive, got ",
+                         d.alpha);
             rapid_assert(d.pre_act.numel() == dy.numel(),
                          "PACT error does not match its pre-activation");
             const float alpha_grad = pactBackprop(
